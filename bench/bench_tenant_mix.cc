@@ -127,7 +127,6 @@ main(int argc, char **argv)
     // rather than by runSweep.
     base.trace = opts.runner.trace;
     base.audit = opts.runner.audit;
-    base.simThreads = opts.runner.simThreads;
 
     const auto specs = workload::generateTenantMix(referenceMix());
 

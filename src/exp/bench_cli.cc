@@ -17,12 +17,6 @@ printHelp(const std::string &id, const std::string &description)
               << "  --jobs N     worker threads for the sweep "
                  "(default: all hardware threads;\n"
               << "               1 = serial reference execution)\n"
-              << "  --sim-threads N  simulation threads inside each "
-                 "run: 1 = classic serial\n"
-              << "               engine (default), N > 1 = one "
-                 "latency-decoupled domain group\n"
-              << "               per thread, 0 = auto; results are "
-                 "bit-identical at any value\n"
               << "  --json PATH  write structured results (per-run "
                  "stats, summary scalars,\n"
               << "               config fingerprint, git sha, wall "
@@ -127,14 +121,6 @@ parseBenchArgs(int argc, char **argv, const std::string &id,
                 sim::fatal("--jobs needs a non-negative integer, got '",
                            v, "'");
             opts.runner.jobs = static_cast<unsigned>(n);
-        } else if (arg == "sim-threads") {
-            const std::string v = next_value();
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v.c_str(), &end, 0);
-            if (v.empty() || end == nullptr || *end != '\0')
-                sim::fatal("--sim-threads needs a non-negative "
-                           "integer, got '", v, "'");
-            opts.runner.simThreads = static_cast<unsigned>(n);
         } else if (arg == "json") {
             opts.jsonPath = next_value();
             if (opts.jsonPath.empty())

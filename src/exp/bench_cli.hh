@@ -23,10 +23,9 @@ struct BenchOptions
 };
 
 /**
- * Parses --jobs[=]N, --sim-threads[=]N, --json[=]PATH,
- * --trace-out[=]PATH, --trace-ring[=]N, --audit,
- * --audit-interval[=]N, the demand-paging knobs
- * (--oversubscription[=]R, --fault-latency[=]N,
+ * Parses --jobs[=]N, --json[=]PATH, --trace-out[=]PATH,
+ * --trace-ring[=]N, --audit, --audit-interval[=]N, the demand-paging
+ * knobs (--oversubscription[=]R, --fault-latency[=]N,
  * --migration-latency[=]N, --fault-policy[=]P, --gmmu-batch[=]N,
  * --gmmu-evict[=]P, --no-contiguity), --help. Both
  * "--flag=value" and "--flag value" spellings are accepted. --help

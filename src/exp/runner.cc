@@ -71,21 +71,6 @@ runJobs(const std::vector<Job> &jobs, const RunnerOptions &opts)
     if (workers == 0)
         workers = 1;
 
-    // Each run may itself spin up simThreads domain workers; keep
-    // jobs x simThreads within the machine instead of thrashing it.
-    if (opts.simThreads != 1 && workers > 1) {
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        const unsigned per_run =
-            opts.simThreads == 0 ? std::min(3u, hw) : opts.simThreads;
-        const unsigned cap = std::max(1u, hw / per_run);
-        if (workers > cap) {
-            sim::warn("clamping sweep workers ", workers, " -> ", cap,
-                      " (", per_run, " simulation threads per run on ",
-                      hw, " hardware threads)");
-            workers = cap;
-        }
-    }
     out.jobs_used_ = workers;
 
     std::atomic<std::size_t> cursor{0};
@@ -149,8 +134,7 @@ runSweep(const SweepSpec &spec, const RunnerOptions &opts)
         && !opts.gmmu.enabled
         && opts.prefetch.kind == iommu::PrefetchKind::Off
         && !opts.wasp
-        && opts.specAdmission == iommu::SpecAdmission::Idle
-        && opts.simThreads == 1) {
+        && opts.specAdmission == iommu::SpecAdmission::Idle) {
         return runJobs(spec.expand(), opts);
     }
     SweepSpec instrumented = spec;
@@ -171,7 +155,6 @@ runSweep(const SweepSpec &spec, const RunnerOptions &opts)
     }
     if (opts.specAdmission != iommu::SpecAdmission::Idle)
         instrumented.base.iommu.specAdmission = opts.specAdmission;
-    instrumented.base.simThreads = opts.simThreads;
     return runJobs(instrumented.expand(), opts);
 }
 

@@ -32,16 +32,6 @@ struct RunnerOptions
     unsigned jobs = 0;
 
     /**
-     * Simulation threads *inside* each run (SystemConfig::simThreads):
-     * 1 (default) = classic serial engine, N > 1 = one latency-
-     * decoupled domain (group) per thread, 0 = auto. Copied into the
-     * spec's base config by runSweep. Results are bit-identical at
-     * every value; combined with @ref jobs, runJobs clamps the worker
-     * count so jobs x simThreads never oversubscribes the host.
-     */
-    unsigned simThreads = 1;
-
-    /**
      * Walk-lifecycle tracing applied to every run of the sweep
      * (runSweep copies it into the spec's base config before
      * expansion). Observation-only: simulated results are unchanged.

@@ -215,7 +215,7 @@ class Iommu : public tlb::TranslationService
     /**
      * Routes completed translations (IOMMU TLB hits and finished
      * walks) back through @p ch instead of completing them in place,
-     * so the callback runs in the GPU's domain. nullptr restores
+     * so the reply edge is counted by the channel. nullptr restores
      * direct completion.
      */
     void setReplyChannel(tlb::TranslationReplyChannel *ch)

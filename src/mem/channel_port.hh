@@ -1,10 +1,10 @@
 /**
  * @file
- * Channel-backed MemoryDevice adapter: the request side of a
- * domain-crossing memory edge.
+ * Channel-backed MemoryDevice adapter: the request side of a memory
+ * edge in the system's channel wiring table.
  *
  * Components keep talking to a plain mem::MemoryDevice (caches never
- * learn about domains); the adapter forwards each access through a
+ * learn about channels); the adapter forwards each access through a
  * typed request channel and stamps the reply channel the completing
  * device (mem/dram_controller.cc) must respond on. The request hop
  * itself is same-tick — the caller has already paid its own latency
@@ -20,12 +20,12 @@
 
 namespace gpuwalk::mem {
 
-/** Forwards access() into a request channel toward the memory domain. */
+/** Forwards access() into a request channel toward DRAM. */
 class ChannelMemoryPort final : public MemoryDevice
 {
   public:
     /**
-     * @param request Carries requests into the memory domain.
+     * @param request Carries requests to the DRAM controller.
      * @param reply Stamped on each request; the DRAM controller sends
      *        the completed request back through it.
      */

@@ -171,10 +171,9 @@ DramController::issue(Channel &ch, std::size_t idx)
                     mapper_.flatBank(p.where), " done@", done);
 
     if (p.req.reply) {
-        // Channel wiring: the finished request travels back across the
-        // domain boundary and completes in the requester's domain. In
-        // serial mode this schedules the same single completion event
-        // the direct form below does.
+        // Channel wiring: the finished request travels back on the
+        // reply channel, which schedules the same single completion
+        // event the direct form below does.
         sim::Channel<MemoryRequest> *ch = p.req.reply;
         p.req.reply = nullptr;
         ch->sendAt(done, std::move(p.req));

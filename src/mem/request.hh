@@ -22,8 +22,8 @@ namespace gpuwalk::mem {
 
 struct MemoryRequest;
 
-/** Channel carrying completed memory requests back across a domain
- *  boundary (sim/port.hh). */
+/** Channel carrying completed memory requests back to the requester
+ *  (sim/port.hh). */
 using MemoryReplyChannel = sim::Channel<MemoryRequest>;
 
 /**
@@ -68,9 +68,9 @@ struct MemoryRequest
     /**
      * When set, the completing device sends the finished request back
      * through this channel instead of invoking onComplete directly, so
-     * the callback runs in the requester's domain. Stamped by the
-     * request-side channel adapter (mem/channel_port.hh) as the
-     * request crosses into the memory domain; null for direct wiring.
+     * the reply edge is timed and counted like the request edge.
+     * Stamped by the request-side channel adapter
+     * (mem/channel_port.hh); null for direct wiring.
      */
     MemoryReplyChannel *reply = nullptr;
 

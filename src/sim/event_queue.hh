@@ -113,12 +113,6 @@ class Event
     EventQueue *queue_ = nullptr;
     Tick when_ = 0;
     std::uint64_t seq_ = 0;
-    // Spawn lineage (domain-key mode only; see the "Domain-partitioned
-    // execution" block): where this event's *allocation* sits in the
-    // serial run's same-tick append order.
-    std::uint64_t spawnKey_ = 0; ///< parent's key (own key if unspawned)
-    std::uint32_t spawnIdx_ = 0; ///< allocation index within the parent
-    std::uint16_t gen_ = 0;      ///< same-tick spawn depth (0 = root)
     std::int8_t prio_ = 0;
     bool scheduled_ = false;
     bool inOverflow_ = false;
@@ -258,230 +252,6 @@ class EventQueue
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return executed_; }
 
-    // ------------------------------------------------------------------
-    // Domain-partitioned execution support (sim/domain.hh).
-    //
-    // A partitioned run gives every domain its own EventQueue, so the
-    // global insertion sequence that tie-breaks equal-(tick, priority)
-    // events in a serial run no longer exists. Domain-key mode replaces
-    // it with a composite *order key* allocated per queue:
-    //
-    //     [ allocation tick : 38 | domain : 2 | counter : 18 | sub : 6 ]
-    //
-    // The allocation-tick-major layout mirrors the serial contract
-    // (later-scheduled events carry later sequences) at tick
-    // granularity, independently of which thread runs which domain.
-    // The sub field orders cross-domain messages that a serial run
-    // would have delivered as nested synchronous calls: they inherit
-    // the sending event's key plus a call index, so they sort exactly
-    // where the serial call would have executed. Keys are comparable
-    // across queues, which is what lets per-domain traces merge into
-    // one deterministic global order.
-    //
-    // Same-tick *local* schedules (a rate-limiter continuation whose
-    // port is free, any scheduleIn(0)) are the one place the key alone
-    // under-determines the serial order: two domains each allocating
-    // their first key at tick T tie on (tick, counter) and the domain
-    // id would decide, while the serial run appended those events in
-    // the order their parents executed. Each event therefore also
-    // carries a spawn lineage — (generation, parent key, allocation
-    // index within the parent) — recorded when it is scheduled for the
-    // current tick *during* dispatch of another event. A serial run
-    // executes a tick breadth-first (every already-queued event before
-    // any same-tick child, children in parent execution order), so
-    // sorting stamps by (generation, parent key, spawn index, own key)
-    // reconstructs the serial append order wherever the parents
-    // themselves order correctly. Residual ambiguity remains for
-    // same-(tick, generation) spawns whose *parents* tie cross-domain
-    // at the same allocation tick — one level deeper than before.
-    // ------------------------------------------------------------------
-
-    /** Bits of an order key ordering nested same-tick sends. */
-    static constexpr unsigned orderSubBits = 6;
-    /** Bits counting allocations per (domain, tick). */
-    static constexpr unsigned orderCounterBits = 18;
-    /** Bits identifying the allocating domain. */
-    static constexpr unsigned orderDomainBits = 2;
-    static constexpr std::uint64_t orderSubMask =
-        (std::uint64_t(1) << orderSubBits) - 1;
-
-    /** Spawn lineage of one event: its allocation's position in the
-     *  serial same-tick append order (see the block comment above).
-     *  Value-initialized ({}) it reads "root ordered by its own key";
-     *  no default member initializers so Lineage{} can appear as a
-     *  default argument inside EventQueue itself. */
-    struct Lineage
-    {
-        std::uint64_t spawnKey; ///< parent key (own key if root)
-        std::uint32_t spawnIdx; ///< allocation index within parent
-        std::uint16_t gen;      ///< same-tick spawn depth
-    };
-
-    /** The event being executed right now (for trace order stamps). */
-    struct ExecCursor
-    {
-        Tick when = 0;
-        std::uint64_t seq = 0;
-        std::uint64_t serial = 0; ///< executed() at dispatch; detects change
-        Lineage lineage;
-        std::int8_t prio = 0;
-    };
-
-    /**
-     * Switches this queue to composite order keys as domain @p domain_id.
-     * Must be called before any event is scheduled.
-     */
-    void
-    enableDomainKeys(unsigned domain_id)
-    {
-        GPUWALK_ASSERT(domain_id < (1u << orderDomainBits),
-                       "domain id ", domain_id, " exceeds key field");
-        GPUWALK_ASSERT(nextSeq_ == 0 && executed_ == 0,
-                       "domain keys must be enabled before first use");
-        domainKeys_ = true;
-        domainId_ = domain_id;
-    }
-
-    bool domainKeysEnabled() const { return domainKeys_; }
-
-    /**
-     * Allocates the next composite order key at the current tick.
-     * Channels use this for messages a serial run would have scheduled
-     * as ordinary (positive-latency) events at send time.
-     */
-    std::uint64_t
-    allocOrderKey()
-    {
-        GPUWALK_ASSERT(domainKeys_, "order keys need domain-key mode");
-        if (keyTick_ != now_) {
-            keyTick_ = now_;
-            keyCount_ = 0;
-        }
-        GPUWALK_ASSERT(keyCount_ < (std::uint64_t(1) << orderCounterBits),
-                       "order-key counter overflow at tick ", now_);
-        GPUWALK_ASSERT(
-            now_ < (Tick(1) << (64 - orderSubBits - orderCounterBits
-                                - orderDomainBits)),
-            "tick ", now_, " too large for composite order keys");
-        constexpr unsigned counterShift = orderSubBits;
-        constexpr unsigned domainShift = orderSubBits + orderCounterBits;
-        constexpr unsigned tickShift =
-            orderSubBits + orderCounterBits + orderDomainBits;
-        return (static_cast<std::uint64_t>(now_) << tickShift)
-               | (static_cast<std::uint64_t>(domainId_) << domainShift)
-               | (keyCount_++ << counterShift);
-    }
-
-    /**
-     * Allocates a key ordering a same-tick cross-domain send exactly
-     * where the equivalent serial nested call would have run: the
-     * currently executing event's key plus a call index.
-     */
-    std::uint64_t
-    allocNestedKey()
-    {
-        GPUWALK_ASSERT(domainKeys_, "nested keys need domain-key mode");
-        GPUWALK_ASSERT(((nestedNext_ + 1) & orderSubMask) != 0,
-                       "nested-send sub-key overflow at tick ", now_);
-        return ++nestedNext_;
-    }
-
-    /** The event currently being dispatched (domain-key mode only). */
-    const ExecCursor &cursor() const { return cursor_; }
-
-    /** Lineage of the event being dispatched, inherited verbatim by
-     *  same-tick channel sends (nested continuations of it). */
-    const Lineage &cursorLineage() const { return cursor_.lineage; }
-
-  private:
-    /**
-     * Lineage for a local event just allocated @p key for tick
-     * @p when: scheduled for the current tick while another event is
-     * dispatching, it is a same-tick spawn (the serial run would have
-     * appended it behind every queued tick event) and records the
-     * dispatched event as its parent; anything else is a root that
-     * orders by its own key.
-     */
-    Lineage
-    spawnLineage(Tick when, std::uint64_t key)
-    {
-        if (dispatching_ && when == now_) {
-            GPUWALK_ASSERT(cursor_.lineage.gen < 0xFFFF,
-                           "same-tick spawn chain too deep at tick ",
-                           now_);
-            return Lineage{
-                cursor_.seq, spawnNext_++,
-                static_cast<std::uint16_t>(cursor_.lineage.gen + 1)};
-        }
-        return Lineage{key, 0, 0};
-    }
-
-  public:
-
-    /**
-     * Schedules callable @p fn at @p when under the caller-supplied
-     * order key @p key (a composite key allocated by the *sending*
-     * queue). This is how cross-domain channel messages enter the
-     * destination queue with a thread-independent position.
-     */
-    template <typename F,
-              typename = std::enable_if_t<
-                  std::is_invocable_v<std::decay_t<F> &>
-                  && !std::is_base_of_v<Event, std::remove_reference_t<F>>>>
-    void
-    scheduleInjected(Tick when, std::uint64_t key, F &&fn,
-                     EventPriority prio = EventPriority::Default,
-                     Lineage lineage = Lineage{})
-    {
-        GPUWALK_ASSERT(when >= now_, "injecting event in the past (when=",
-                       when, " now=", now_, ")");
-        detail::PooledEvent *ev = pool_.acquire();
-        ev->emplace(std::forward<F>(fn));
-        ev->when_ = when;
-        ev->prio_ = static_cast<std::int8_t>(prio);
-        ev->seq_ = key;
-        // Default lineage (spawnKey 0) means "root ordered by its own
-        // key" — positive-latency channel messages, whose key was
-        // allocated at send time like any serial schedule.
-        if (lineage.spawnKey == 0 && lineage.gen == 0)
-            lineage.spawnKey = key;
-        ev->spawnKey_ = lineage.spawnKey;
-        ev->spawnIdx_ = lineage.spawnIdx;
-        ev->gen_ = lineage.gen;
-        ev->scheduled_ = true;
-        ev->pooled_ = true;
-        ev->queue_ = this;
-        enqueue(ev);
-    }
-
-    /**
-     * Executes every event strictly before @p horizon (the conservative
-     * safe bound: messages from other domains can only arrive at or
-     * after it). Unlike run(limit), never advances now() past the last
-     * executed event. @return events executed.
-     */
-    std::uint64_t
-    runUntil(Tick horizon)
-    {
-        std::uint64_t n = 0;
-        Tick next = 0;
-        while (nextWhen(next) && next < horizon) {
-            runOne();
-            ++n;
-        }
-        return n;
-    }
-
-    /**
-     * Tick of the earliest pending event, without executing anything.
-     * @return false when the queue is empty.
-     */
-    bool
-    peekNext(Tick &out)
-    {
-        return nextWhen(out);
-    }
-
     /**
      * Schedules the intrusive event @p ev at absolute time @p when.
      *
@@ -498,15 +268,7 @@ class EventQueue
                        ev.when_, ")");
         ev.when_ = when;
         ev.prio_ = static_cast<std::int8_t>(prio);
-        if (domainKeys_) {
-            ev.seq_ = allocOrderKey();
-            const Lineage lin = spawnLineage(when, ev.seq_);
-            ev.spawnKey_ = lin.spawnKey;
-            ev.spawnIdx_ = lin.spawnIdx;
-            ev.gen_ = lin.gen;
-        } else {
-            ev.seq_ = nextSeq_++;
-        }
+        ev.seq_ = nextSeq_++;
         ev.scheduled_ = true;
         ev.queue_ = this;
         enqueue(&ev);
@@ -540,15 +302,7 @@ class EventQueue
         ev->emplace(std::forward<F>(fn));
         ev->when_ = when;
         ev->prio_ = static_cast<std::int8_t>(prio);
-        if (domainKeys_) {
-            ev->seq_ = allocOrderKey();
-            const Lineage lin = spawnLineage(when, ev->seq_);
-            ev->spawnKey_ = lin.spawnKey;
-            ev->spawnIdx_ = lin.spawnIdx;
-            ev->gen_ = lin.gen;
-        } else {
-            ev->seq_ = nextSeq_++;
-        }
+        ev->seq_ = nextSeq_++;
         ev->scheduled_ = true;
         ev->pooled_ = true;
         ev->queue_ = this;
@@ -637,17 +391,6 @@ class EventQueue
         ev->scheduled_ = false;
         now_ = t;
         ++executed_;
-        if (domainKeys_) {
-            cursor_.when = t;
-            cursor_.prio = ev->prio_;
-            cursor_.seq = ev->seq_;
-            cursor_.serial = executed_;
-            cursor_.lineage =
-                Lineage{ev->spawnKey_, ev->spawnIdx_, ev->gen_};
-            nestedNext_ = ev->seq_;
-            spawnNext_ = 0;
-            dispatching_ = true;
-        }
         if (ev->pooled_) {
             auto *pe = static_cast<detail::PooledEvent *>(ev);
             pe->runAndDestroyCallable();
@@ -655,7 +398,6 @@ class EventQueue
         } else {
             ev->process();
         }
-        dispatching_ = false;
         return true;
     }
 
@@ -911,16 +653,6 @@ class EventQueue
     Tick scanFrom_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
-
-    // Domain-key mode (see the "Domain-partitioned execution" block).
-    bool domainKeys_ = false;
-    bool dispatching_ = false; ///< inside runOne's process() call
-    unsigned domainId_ = 0;
-    Tick keyTick_ = maxTick; ///< sentinel: first alloc resets the counter
-    std::uint64_t keyCount_ = 0;
-    std::uint64_t nestedNext_ = 0;
-    std::uint32_t spawnNext_ = 0; ///< same-tick spawns by this dispatch
-    ExecCursor cursor_;
 };
 
 inline Event::~Event()

@@ -1,44 +1,31 @@
 /**
  * @file
- * Typed ports/channels carrying messages across latency-decoupled
- * domains (sim/domain.hh).
+ * Typed channels carrying messages across fixed-latency component
+ * boundaries.
  *
  * Every cross-component call that crosses a fixed-latency boundary —
  * GPU TLB hierarchy → IOMMU, caches/walkers → DRAM, DRAM → completion
  * callbacks — is routed through a Channel, which makes the crossing
  * visible, timestamped, and countable (sent/delivered conservation is
- * an audit invariant), and carries the link latency that the
- * conservative parallel executor (sim/domain_runner.hh) uses as the
- * edge's lookahead.
+ * an audit invariant), and carries the link latency and its declared
+ * floor (minLatency, asserted on every send).
  *
- * Serial mode (the default) preserves the pre-channel event pattern
- * bit-exactly: a positive-latency send schedules exactly one pooled
- * callable on the shared queue — the same single event the direct
- * call used to schedule, allocated at the same point in execution, so
- * it draws the same insertion sequence — and a same-tick send is a
- * direct synchronous call, just like the nested call it replaces.
- * The golden digests (tests/test_digest_golden.cc) pin this down.
- *
- * Parallel mode turns sends into mutex-protected inbox posts. The
- * destination domain drains its inboxes into its own queue via
- * scheduleInjected() with a composite order key allocated by the
- * *sending* queue: positive-latency messages use the send-tick key
- * (where the serial run allocated the event) and same-tick messages
- * use the sending event's own key plus a call index (where the serial
- * run made the nested call). Keys depend only on each domain's
- * deterministic execution, never on thread timing.
+ * Sends preserve the pre-channel event pattern bit-exactly: a
+ * positive-latency send schedules exactly one pooled callable on the
+ * queue — the same single event the direct call used to schedule,
+ * allocated at the same point in execution, so it draws the same
+ * insertion sequence — and a same-tick send is a direct synchronous
+ * call, just like the nested call it replaces. The golden digests
+ * (tests/test_digest_golden.cc) pin this down.
  */
 
 #ifndef GPUWALK_SIM_PORT_HH
 #define GPUWALK_SIM_PORT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -47,9 +34,8 @@
 namespace gpuwalk::sim {
 
 /**
- * Message-type-erased channel face: what the domain runner and the
- * audit invariants need — identity, lookahead, conservation counters,
- * and inbox draining.
+ * Message-type-erased channel face: what the audit invariants need —
+ * identity, latency floor and conservation counters.
  */
 class ChannelBase
 {
@@ -61,7 +47,9 @@ class ChannelBase
 
     ChannelBase(const ChannelBase &) = delete;
     ChannelBase &operator=(const ChannelBase &) = delete;
-    virtual ~ChannelBase() = default;
+
+    /** Attaches the queue that times sends and delivers messages. */
+    void bind(EventQueue &eq) { eq_ = &eq; }
 
     const std::string &name() const { return name_; }
 
@@ -70,58 +58,23 @@ class ChannelBase
 
     /**
      * Lower bound on (delivery tick - send tick) over every message
-     * this channel can carry: the edge's conservative lookahead.
+     * this channel can carry; sendAt() asserts it.
      */
     Tick minLatency() const { return minLatency_; }
 
     /** Messages accepted for transmission. */
-    std::uint64_t
-    sent() const
-    {
-        return sent_.load(std::memory_order_acquire);
-    }
+    std::uint64_t sent() const { return sent_; }
 
     /** Messages handed to the destination's deliver callback. */
-    std::uint64_t
-    delivered() const
-    {
-        return delivered_.load(std::memory_order_acquire);
-    }
-
-    /**
-     * Messages sent with zero in-flight time (delivery tick == send
-     * tick). A serial run delivers these as nested synchronous calls
-     * (no event); a parallel run injects an event per message — this
-     * counter is what reconciles eventsExecuted between the two.
-     */
-    std::uint64_t
-    sameTickSent() const
-    {
-        return sameTick_.load(std::memory_order_acquire);
-    }
-
-    /** True when no posted message awaits draining (parallel mode). */
-    bool
-    inboxEmpty() const
-    {
-        return inboxSize_.load(std::memory_order_acquire) == 0;
-    }
-
-    /**
-     * Moves every posted message into the destination queue @p eq as
-     * injected events (parallel mode only). Runs on the destination
-     * domain's thread. @return messages drained.
-     */
-    virtual std::size_t drainTo(EventQueue &eq) = 0;
+    std::uint64_t delivered() const { return delivered_; }
 
   protected:
+    EventQueue *eq_ = nullptr;
     const std::string name_;
     const Tick latency_;
     const Tick minLatency_;
-    std::atomic<std::uint64_t> sent_{0};
-    std::atomic<std::uint64_t> delivered_{0};
-    std::atomic<std::uint64_t> sameTick_{0};
-    std::atomic<std::size_t> inboxSize_{0};
+    std::uint64_t sent_ = 0;
+    std::uint64_t delivered_ = 0;
 };
 
 /**
@@ -130,9 +83,8 @@ class ChannelBase
  * Wiring (system::System does this once at construction):
  *
  *     Channel<Msg> ch("name", latency, minLatency);
- *     ch.bind(srcQueue, dstQueue);          // same queue when serial
- *     ch.onDeliver([&](Msg &&m) { ... });   // runs in dst's domain
- *     ch.setParallel(true);                 // omit for serial mode
+ *     ch.bind(queue);
+ *     ch.onDeliver([&](Msg &&m) { ... });
  */
 template <typename Msg>
 class Channel final : public ChannelBase
@@ -141,22 +93,14 @@ class Channel final : public ChannelBase
     /**
      * @param name For audit findings and debugging.
      * @param latency Added by send(); also the default minLatency.
-     * @param min_latency Edge lookahead when sendAt() can deliver
-     *        sooner than @p latency (e.g. same-tick completions).
+     * @param min_latency Floor when sendAt() can deliver sooner than
+     *        @p latency (e.g. same-tick completions).
      */
     explicit Channel(std::string name, Tick latency,
                      Tick min_latency = maxTick)
         : ChannelBase(std::move(name), latency,
                       min_latency == maxTick ? latency : min_latency)
     {}
-
-    /** Attaches the sending and receiving queues (equal when serial). */
-    void
-    bind(EventQueue &src, EventQueue &dst)
-    {
-        src_ = &src;
-        dst_ = &dst;
-    }
 
     /** Sets the destination-side handler. Must outlive the channel. */
     template <typename Fn>
@@ -166,111 +110,50 @@ class Channel final : public ChannelBase
         deliver_ = std::forward<Fn>(fn);
     }
 
-    /** Switches between serial pass-through and inbox posting. */
-    void setParallel(bool on) { parallel_ = on; }
-    bool parallel() const { return parallel_; }
-
     /** Sends @p m with the channel's fixed latency. */
     void
     send(Msg m)
     {
-        sendAt(src_->now() + latency_, std::move(m));
+        sendAt(eq_->now() + latency_, std::move(m));
     }
 
     /** Sends @p m for immediate (same-tick) delivery. */
     void
     sendNow(Msg m)
     {
-        sendAt(src_->now(), std::move(m));
+        sendAt(eq_->now(), std::move(m));
     }
 
     /**
-     * Sends @p m for delivery at absolute tick @p when (>= the source
-     * queue's current time; @p when - now must be >= minLatency()).
+     * Sends @p m for delivery at absolute tick @p when (>= the queue's
+     * current time; @p when - now must be >= minLatency()).
      */
     void
     sendAt(Tick when, Msg m)
     {
-        const Tick now = src_->now();
+        const Tick now = eq_->now();
         GPUWALK_ASSERT(when >= now, "channel '", name_,
                        "' sending into the past");
         GPUWALK_ASSERT(when - now >= minLatency_, "channel '", name_,
                        "' violates its minimum latency (", when - now,
                        " < ", minLatency_, ")");
-        sent_.fetch_add(1, std::memory_order_release);
-        const bool same_tick = when == now;
-        if (same_tick)
-            sameTick_.fetch_add(1, std::memory_order_relaxed);
-        if (!parallel_) {
-            if (same_tick) {
-                // The serial run's nested synchronous call.
-                deliver_(std::move(m));
-                delivered_.fetch_add(1, std::memory_order_release);
-            } else {
-                // Exactly one pooled event, allocated here — the same
-                // event the pre-channel code scheduled at this point.
-                src_->schedule(when, [this, m = std::move(m)]() mutable {
-                    deliver_(std::move(m));
-                    delivered_.fetch_add(1, std::memory_order_release);
-                });
-            }
+        ++sent_;
+        if (when == now) {
+            // The nested synchronous call the channel replaces.
+            deliver_(std::move(m));
+            ++delivered_;
             return;
         }
-        // Same-tick messages are the serial run's nested synchronous
-        // calls: they inherit the sending event's key (plus a call
-        // index) *and* its spawn lineage, so they sort — and spawn
-        // further events — exactly where the serial call ran.
-        const std::uint64_t key =
-            same_tick ? src_->allocNestedKey() : src_->allocOrderKey();
-        const EventQueue::Lineage lineage =
-            same_tick ? src_->cursorLineage() : EventQueue::Lineage{};
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            inbox_.push_back(Pending{when, key, lineage, std::move(m)});
-        }
-        inboxSize_.fetch_add(1, std::memory_order_release);
-    }
-
-    std::size_t
-    drainTo(EventQueue &eq) override
-    {
-        GPUWALK_ASSERT(&eq == dst_, "channel '", name_,
-                       "' drained into a foreign queue");
-        if (inboxEmpty())
-            return 0;
-        std::vector<Pending> batch;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            batch.swap(inbox_);
-        }
-        inboxSize_.fetch_sub(batch.size(), std::memory_order_release);
-        for (Pending &p : batch) {
-            eq.scheduleInjected(
-                p.when, p.key,
-                [this, m = std::move(p.msg)]() mutable {
-                    deliver_(std::move(m));
-                    delivered_.fetch_add(1, std::memory_order_release);
-                },
-                EventPriority::Default, p.lineage);
-        }
-        return batch.size();
+        // Exactly one pooled event, allocated here — the same event
+        // the pre-channel code scheduled at this point.
+        eq_->schedule(when, [this, m = std::move(m)]() mutable {
+            deliver_(std::move(m));
+            ++delivered_;
+        });
     }
 
   private:
-    struct Pending
-    {
-        Tick when;
-        std::uint64_t key;
-        EventQueue::Lineage lineage;
-        Msg msg;
-    };
-
-    EventQueue *src_ = nullptr;
-    EventQueue *dst_ = nullptr;
     std::function<void(Msg &&)> deliver_;
-    bool parallel_ = false;
-    std::mutex mu_;
-    std::vector<Pending> inbox_;
 };
 
 } // namespace gpuwalk::sim

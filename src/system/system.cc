@@ -3,59 +3,24 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/domain_runner.hh"
 #include "trace/digest.hh"
 #include "workload/registry.hh"
 
 namespace gpuwalk::system {
-
-namespace {
-
-/** The fixed domain partition: GPU complex, IOMMU complex, DRAM. */
-constexpr unsigned domGpu = 0;
-constexpr unsigned domIommu = 1;
-constexpr unsigned domDram = 2;
-constexpr std::size_t numDomains = 3;
-
-} // namespace
 
 System::System(const SystemConfig &cfg)
     : cfg_(cfg), frames_(cfg.physMemBytes, cfg.scrambleFrames)
 {
     addressSpace_ = std::make_unique<vm::AddressSpace>(store_, frames_);
 
-    // Resolve the execution engine up front: components are born onto
-    // their domain's queue, so the choice cannot change after wiring.
     channelTranslation_ = !cfg_.translationInterposer;
-    simThreads_ =
-        cfg_.simThreads == 1
-            ? 1
-            : sim::DomainRunner::resolveThreads(cfg_.simThreads,
-                                                numDomains);
-    if (!channelTranslation_ && simThreads_ > 1) {
-        sim::warn("translation interposer requires the serial engine; "
-                  "forcing sim-threads to 1");
-        simThreads_ = 1;
-    }
-    const bool parallel = simThreads_ > 1;
-    if (parallel) {
-        eq_.enableDomainKeys(domGpu);
-        eqIommu_ = std::make_unique<sim::EventQueue>();
-        eqIommu_->enableDomainKeys(domIommu);
-        eqDram_ = std::make_unique<sim::EventQueue>();
-        eqDram_->enableDomainKeys(domDram);
-    }
-    sim::EventQueue &qGpu = eq_;
-    sim::EventQueue &qIommu = parallel ? *eqIommu_ : eq_;
-    sim::EventQueue &qDram = parallel ? *eqDram_ : eq_;
 
     // The channel wiring table: every call crossing a latency boundary
     // becomes a typed channel carrying its fixed link latency. The
-    // minimum latency is the edge's conservative lookahead:
+    // minimum latency is the floor every send on the edge must respect:
     //  - TLB hierarchy -> IOMMU: the off-chip hop (hoisted out of
     //    Iommu::translate onto the link).
-    //  - IOMMU -> TLB replies: walk completions return same-tick, so
-    //    the edge carries no lookahead.
+    //  - IOMMU -> TLB replies: walk completions return same-tick.
     //  - requests into DRAM: handed over same-tick (the caller already
     //    paid its own cache latency).
     //  - DRAM replies: nothing completes faster than CAS + burst.
@@ -73,20 +38,8 @@ System::System(const SystemConfig &cfg)
         "walk_to_dram", 0);
     chMemReplyIommu_ = std::make_unique<mem::MemoryReplyChannel>(
         "dram_to_walk", dramFloor);
-    chTranslate_->bind(qGpu, qIommu);
-    chTransReply_->bind(qIommu, qGpu);
-    chGpuMem_->bind(qGpu, qDram);
-    chMemReplyGpu_->bind(qDram, qGpu);
-    chWalkMem_->bind(qIommu, qDram);
-    chMemReplyIommu_->bind(qDram, qIommu);
-    if (parallel) {
-        chTranslate_->setParallel(true);
-        chTransReply_->setParallel(true);
-        chGpuMem_->setParallel(true);
-        chMemReplyGpu_->setParallel(true);
-        chWalkMem_->setParallel(true);
-        chMemReplyIommu_->setParallel(true);
-    }
+    for (sim::ChannelBase *ch : channels())
+        ch->bind(eq_);
 
     transPort_ =
         std::make_unique<tlb::ChannelTranslationPort>(*chTranslate_);
@@ -95,7 +48,7 @@ System::System(const SystemConfig &cfg)
     walkMemPort_ = std::make_unique<mem::ChannelMemoryPort>(
         *chWalkMem_, *chMemReplyIommu_);
 
-    dram_ = std::make_unique<mem::DramController>(qDram, cfg_.dram);
+    dram_ = std::make_unique<mem::DramController>(eq_, cfg_.dram);
     chGpuMem_->onDeliver(
         [this](mem::MemoryRequest &&m) { dram_->access(std::move(m)); });
     chWalkMem_->onDeliver(
@@ -107,7 +60,7 @@ System::System(const SystemConfig &cfg)
         m.req.complete(m.paPage, m.largePage);
     });
 
-    l2d_ = std::make_unique<mem::Cache>(qGpu, cfg_.l2d, *gpuMemPort_);
+    l2d_ = std::make_unique<mem::Cache>(eq_, cfg_.l2d, *gpuMemPort_);
 
     // Page walks fetch PTEs through the CPU-complex walk path — the
     // IOMMU sits in the CPU complex, not behind the GPU's caches.
@@ -117,14 +70,14 @@ System::System(const SystemConfig &cfg)
                                                cfg_.schedulerSeed,
                                                cfg_.simt, cfg_.qos);
     iommu_ = std::make_unique<iommu::Iommu>(
-        qIommu, cfg_.iommu, std::move(scheduler), *walkMemPort_, store_,
+        eq_, cfg_.iommu, std::move(scheduler), *walkMemPort_, store_,
         addressSpace_->pageTable().root());
 
     if (cfg_.gmmu.enabled) {
-        // Demand paging: the GMMU lives on the IOMMU domain's queue
-        // (faults are raised and serviced on the walk path), and the
-        // default address space stops eagerly mapping its regions.
-        gmmu_ = std::make_unique<vm::Gmmu>(qIommu, cfg_.gmmu, frames_,
+        // Demand paging: faults are raised and serviced on the walk
+        // path, and the default address space stops eagerly mapping
+        // its regions.
+        gmmu_ = std::make_unique<vm::Gmmu>(eq_, cfg_.gmmu, frames_,
                                            store_);
         addressSpace_->setDemandPaging(true);
         gmmu_->registerSpace(0, *addressSpace_);
@@ -145,22 +98,13 @@ System::System(const SystemConfig &cfg)
         GPUWALK_ASSERT(translation != nullptr,
                        "translation interposer returned nullptr");
     }
-    tlbs_ = std::make_unique<tlb::TlbHierarchy>(qGpu, cfg_.gpuTlb,
+    tlbs_ = std::make_unique<tlb::TlbHierarchy>(eq_, cfg_.gpuTlb,
                                                 *translation);
 
     if (cfg_.trace.enabled) {
         tracer_ = std::make_unique<trace::Tracer>(cfg_.trace);
         tlbs_->setTracer(tracer_.get());
-        if (parallel) {
-            // One stamped ring per recording domain; merged into the
-            // global order after the run (trace::mergeTracers).
-            tracer_->setOrderSource(&eq_);
-            tracerIommu_ = std::make_unique<trace::Tracer>(cfg_.trace);
-            tracerIommu_->setOrderSource(eqIommu_.get());
-            iommu_->setTracer(tracerIommu_.get());
-        } else {
-            iommu_->setTracer(tracer_.get());
-        }
+        iommu_->setTracer(tracer_.get());
     }
 
     l1ds_.reserve(cfg_.gpu.numCus);
@@ -175,16 +119,14 @@ System::System(const SystemConfig &cfg)
                 *tlbs_, *l2d_));
             below = bridges_.back().get();
         }
-        l1ds_.push_back(std::make_unique<mem::Cache>(qGpu, l1, *below));
+        l1ds_.push_back(std::make_unique<mem::Cache>(eq_, l1, *below));
         l1_ptrs.push_back(l1ds_.back().get());
     }
 
-    gpu_ = std::make_unique<gpu::Gpu>(qGpu, cfg_.gpu, *tlbs_,
+    gpu_ = std::make_unique<gpu::Gpu>(eq_, cfg_.gpu, *tlbs_,
                                       std::move(l1_ptrs));
-    if (tracer_) {
-        // CUs share the GPU domain's tracer (same queue as the TLBs).
+    if (tracer_)
         gpu_->setTracer(tracer_.get());
-    }
 
     if (cfg_.audit.enabled) {
         auditor_ = std::make_unique<sim::Auditor>();
@@ -280,25 +222,16 @@ System::registerSystemInvariants()
             });
     }
 
-    // Events-executed stays monotone, per domain queue.
-    const auto monotone = [this](std::string name, sim::EventQueue *q) {
-        auditor_->registerInvariant(
-            std::move(name),
-            [q, last = std::uint64_t{0}](sim::AuditContext &ctx) mutable {
-                const std::uint64_t executed = q->executed();
-                ctx.require(executed >= last,
-                            "events executed went backwards: ", last,
-                            " -> ", executed);
-                last = executed;
-            });
-    };
-    if (simThreads_ > 1) {
-        monotone("system.events_monotone.gpu", &eq_);
-        monotone("system.events_monotone.iommu", eqIommu_.get());
-        monotone("system.events_monotone.dram", eqDram_.get());
-    } else {
-        monotone("system.events_monotone", &eq_);
-    }
+    // Events-executed stays monotone.
+    auditor_->registerInvariant(
+        "system.events_monotone",
+        [this, last = std::uint64_t{0}](sim::AuditContext &ctx) mutable {
+            const std::uint64_t executed = eq_.executed();
+            ctx.require(executed >= last,
+                        "events executed went backwards: ", last, " -> ",
+                        executed);
+            last = executed;
+        });
 }
 
 void
@@ -316,8 +249,6 @@ System::registerChannelInvariants()
                     return;
                 ctx.require(sent == delivered, sent - delivered,
                             " messages lost in flight at drain");
-                ctx.require(ch->inboxEmpty(),
-                            "inbox still holds messages at drain");
             });
     }
 }
@@ -416,13 +347,6 @@ System::run(std::uint64_t max_events)
                       * static_cast<double>(pages)));
         gmmu_->setFrameCap(std::max<std::uint64_t>(1, cap));
     }
-    return simThreads_ > 1 ? runParallel(max_events)
-                           : runSerial(max_events);
-}
-
-RunStats
-System::runSerial(std::uint64_t max_events)
-{
     gpu_->start();
 
     if (auditor_ && cfg_.audit.interval > 0)
@@ -451,61 +375,6 @@ System::runSerial(std::uint64_t max_events)
     }
 
     return collectStats();
-}
-
-RunStats
-System::runParallel(std::uint64_t max_events)
-{
-    gpu_->start();
-
-    std::vector<sim::Domain> domains{
-        {domGpu, "gpu", &eq_},
-        {domIommu, "iommu", eqIommu_.get()},
-        {domDram, "dram", eqDram_.get()},
-    };
-    std::vector<sim::DomainEdge> edges{
-        {domGpu, domIommu, chTranslate_.get()},
-        {domIommu, domGpu, chTransReply_.get()},
-        {domGpu, domDram, chGpuMem_.get()},
-        {domDram, domGpu, chMemReplyGpu_.get()},
-        {domIommu, domDram, chWalkMem_.get()},
-        {domDram, domIommu, chMemReplyIommu_.get()},
-    };
-    sim::DomainRunner runner(std::move(domains), std::move(edges),
-                             simThreads_);
-    const sim::DomainRunner::Result result = runner.run(max_events);
-    if (result.maxEventsExceeded)
-        sim::panic("simulation exceeded ", max_events,
-                   " events without completing");
-    if (result.deadlocked || !gpu_->done())
-        sim::panic("domain graph quiesced before the GPU finished (",
-                   "deadlock: some request never completed)");
-
-    // A partitioned run always drains to quiescence (that IS the
-    // termination condition), so the final audit sees the same drained
-    // system a serial audited run does. Periodic checks don't run:
-    // cross-domain invariants are only meaningful at the drained end.
-    if (auditor_) {
-        const sim::Tick final_tick = std::max(
-            {eq_.now(), eqIommu_->now(), eqDram_->now()});
-        auditor_->check(sim::AuditPhase::Final, final_tick);
-    }
-
-    if (tracer_)
-        *tracer_ = trace::mergeTracers(
-            {tracer_.get(), tracerIommu_.get()}, cfg_.trace);
-
-    RunStats stats = collectStats();
-
-    // Sum the domain queues, then subtract the same-tick messages:
-    // a serial run delivers those as nested synchronous calls (no
-    // event), a partitioned run injects one event per message.
-    std::uint64_t same_tick = 0;
-    for (sim::ChannelBase *ch : channels())
-        same_tick += ch->sameTickSent();
-    stats.eventsExecuted = eq_.executed() + eqIommu_->executed()
-                           + eqDram_->executed() - same_tick;
-    return stats;
 }
 
 RunStats

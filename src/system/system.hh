@@ -21,7 +21,6 @@
 #include "mem/channel_port.hh"
 #include "mem/dram_controller.hh"
 #include "sim/audit.hh"
-#include "sim/domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/port.hh"
 #include "system/system_config.hh"
@@ -169,15 +168,8 @@ class System
 
     const SystemConfig &config() const { return cfg_; }
 
-    /** The GPU domain's queue (the only queue when running serially). */
+    /** The event queue every component runs on. */
     sim::EventQueue &eventQueue() { return eq_; }
-
-    /**
-     * Worker threads this System will actually use: cfg.simThreads
-     * resolved (0 = auto), clamped to the domain count, and forced to
-     * 1 when a translation interposer bypasses the channel wiring.
-     */
-    unsigned simThreads() const { return simThreads_; }
     vm::AddressSpace &addressSpace() { return *addressSpace_; }
     gpu::Gpu &gpu() { return *gpu_; }
     iommu::Iommu &iommu() { return *iommu_; }
@@ -208,36 +200,27 @@ class System
     void registerSystemInvariants();
     void registerChannelInvariants();
     std::vector<sim::ChannelBase *> channels();
-    RunStats runSerial(std::uint64_t max_events);
-    RunStats runParallel(std::uint64_t max_events);
     RunStats collectStats();
 
     SystemConfig cfg_;
-    unsigned simThreads_ = 1;          ///< resolved worker count
     bool channelTranslation_ = false;  ///< TLB→IOMMU edge via channels
 
-    // Domain queues. eq_ is the GPU domain's queue and the only one in
-    // a serial run; eqIommu_/eqDram_ exist only when simThreads_ > 1.
     sim::EventQueue eq_;
-    std::unique_ptr<sim::EventQueue> eqIommu_;
-    std::unique_ptr<sim::EventQueue> eqDram_;
 
     std::unique_ptr<trace::Tracer> tracer_;
-    std::unique_ptr<trace::Tracer> tracerIommu_; ///< parallel runs only
     std::unique_ptr<sim::Auditor> auditor_;
     PeriodicAuditEvent auditEvent_;
     mem::BackingStore store_;
     vm::FrameAllocator frames_;
     /** Demand-paging fault handler; null for fully resident runs.
-     *  Lives on the IOMMU domain's queue — faults are raised and
-     *  serviced on the walk path, keeping parallel runs deterministic. */
+     *  Faults are raised and serviced on the walk path. */
     std::unique_ptr<vm::Gmmu> gmmu_;
     std::unique_ptr<vm::AddressSpace> addressSpace_;
     /** Tenant address spaces beyond the default (ContextId i+1). */
     std::vector<std::unique_ptr<vm::AddressSpace>> tenantSpaces_;
 
-    // Cross-domain channels (the system's channel wiring table) and
-    // the adapters presenting them as plain device interfaces.
+    // Latency-boundary channels (the system's channel wiring table)
+    // and the adapters presenting them as plain device interfaces.
     std::unique_ptr<sim::Channel<tlb::TranslationRequest>> chTranslate_;
     std::unique_ptr<tlb::TranslationReplyChannel> chTransReply_;
     std::unique_ptr<sim::Channel<mem::MemoryRequest>> chGpuMem_;

@@ -73,17 +73,6 @@ struct SystemConfig
     bool scrambleFrames = true;
 
     /**
-     * Simulation worker threads: 1 (default) runs the classic serial
-     * loop; N > 1 runs one latency-decoupled domain (group) per thread
-     * under the conservative executor (sim/domain_runner.hh); 0 picks
-     * min(domains, hardware threads). Execution-engine knob only — the
-     * simulated system and its results are identical at every value —
-     * so, like trace/audit, it is excluded from print() and hence from
-     * config fingerprints.
-     */
-    unsigned simThreads = 1;
-
-    /**
      * Walk-lifecycle tracing (off by default). Observation-only: it
      * never perturbs simulated behaviour, so it is excluded from
      * print() and hence from config fingerprints.

@@ -19,7 +19,7 @@
 
 namespace gpuwalk::tlb {
 
-/** A finished translation returning to the GPU domain. */
+/** A finished translation returning to the GPU TLB hierarchy. */
 struct TranslationReply
 {
     TranslationRequest req;
@@ -27,7 +27,7 @@ struct TranslationReply
     bool largePage = false;
 };
 
-/** Channel carrying completed translations back to the GPU domain. */
+/** Channel carrying completed translations back to the GPU. */
 using TranslationReplyChannel = sim::Channel<TranslationReply>;
 
 /** Forwards translate() into the GPU→IOMMU request channel. */

@@ -1,54 +1,6 @@
 #include "trace/trace.hh"
 
-#include <algorithm>
-#include <tuple>
-
 namespace gpuwalk::trace {
-
-Tracer
-mergeTracers(const std::vector<const Tracer *> &parts,
-             const TraceConfig &cfg)
-{
-    struct Entry
-    {
-        OrderStamp stamp;
-        Event event;
-        std::size_t part;
-    };
-    std::vector<Entry> entries;
-    std::size_t total = 0;
-    for (const Tracer *t : parts)
-        total += t->size();
-    entries.reserve(total);
-    for (std::size_t p = 0; p < parts.size(); ++p) {
-        parts[p]->forEachStamped(
-            [&entries, p](const OrderStamp &s, const Event &ev) {
-                entries.push_back(Entry{s, ev, p});
-            });
-    }
-    // Serial ticks execute breadth-first: queued events in key order,
-    // then same-tick spawns in (parent execution, allocation) order —
-    // which is what (gen, spawnKey, spawnIdx) restores; the key alone
-    // ties cross-domain for spawns. Roots carry spawnKey == key and
-    // gen == 0, so for them this is plain key order. stable_sort keeps
-    // each part's own recording order for identical stamps (records
-    // from the same executing event share idx only when recorded
-    // before any event ran).
-    std::stable_sort(
-        entries.begin(), entries.end(),
-        [](const Entry &a, const Entry &b) {
-            return std::tie(a.stamp.when, a.stamp.prio, a.stamp.gen,
-                            a.stamp.spawnKey, a.stamp.spawnIdx,
-                            a.stamp.key, a.stamp.idx, a.part)
-                   < std::tie(b.stamp.when, b.stamp.prio, b.stamp.gen,
-                              b.stamp.spawnKey, b.stamp.spawnIdx,
-                              b.stamp.key, b.stamp.idx, b.part);
-        });
-    Tracer merged(cfg);
-    for (const Entry &e : entries)
-        merged.record(e.event);
-    return merged;
-}
 
 const char *
 toString(EventKind kind)

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "mem/types.hh"
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/ticks.hh"
 
@@ -151,37 +150,8 @@ struct TraceConfig
 };
 
 /**
- * Global ordering position of one recorded event in a
- * domain-partitioned run: the executing event's (tick, priority,
- * composite order key, spawn lineage) as reported by the owning
- * queue's cursor, plus the record's index within that event.
- *
- * A serial run executes a tick breadth-first: every event already
- * queued for the tick runs before any same-tick child scheduled
- * during the tick, and children run in the order their parents
- * executed. The lineage fields (spawn generation, parent key,
- * allocation index within the parent) encode that append order, so
- * sorting per-domain records by (when, prio, gen, spawnKey, spawnIdx,
- * key, idx) reconstructs the one global order a serial run would have
- * recorded them in — the key alone would tie cross-domain when two
- * domains both allocate their first key at the same tick.
- */
-struct OrderStamp
-{
-    sim::Tick when = 0;
-    std::uint64_t key = 0;
-    std::uint64_t spawnKey = 0;
-    std::uint32_t spawnIdx = 0;
-    std::uint32_t idx = 0;
-    std::uint16_t gen = 0;
-    std::int8_t prio = 0;
-};
-
-/**
- * The bounded in-memory event sink. Not thread-safe by design: one
- * Tracer belongs to one *domain* — a serial System has exactly one, a
- * domain-partitioned System gives each recording domain its own and
- * merges them deterministically after the run (mergeTracers).
+ * The bounded in-memory event sink. Not thread-safe by design: a
+ * System owns exactly one, driven by its single event queue.
  */
 class Tracer
 {
@@ -192,34 +162,10 @@ class Tracer
         GPUWALK_ASSERT(capacity_ > 0, "tracer ring needs capacity");
     }
 
-    /**
-     * Stamps every subsequent record with @p eq's execution cursor
-     * (domain-key mode), so per-domain rings can merge into the global
-     * order. nullptr (the default) disables stamping.
-     */
-    void
-    setOrderSource(const sim::EventQueue *eq)
-    {
-        orderSource_ = eq;
-        if (eq)
-            stamps_.resize(capacity_);
-    }
-
     /** Appends @p ev; silently drops the oldest event when full. */
     void
     record(const Event &ev)
     {
-        if (orderSource_) {
-            const sim::EventQueue::ExecCursor &cur = orderSource_->cursor();
-            if (cur.serial != lastSerial_) {
-                lastSerial_ = cur.serial;
-                nextIdx_ = 0;
-            }
-            stamps_[head_] = OrderStamp{
-                cur.when,        cur.seq,  cur.lineage.spawnKey,
-                cur.lineage.spawnIdx, nextIdx_++, cur.lineage.gen,
-                cur.prio};
-        }
         ring_[head_] = ev;
         head_ = (head_ + 1) % capacity_;
         ++recorded_;
@@ -268,29 +214,12 @@ class Tracer
         return out;
     }
 
-    /** Applies @p fn(stamp, event) to every retained event, oldest
-     *  first. Requires an order source. */
-    template <typename Fn>
-    void
-    forEachStamped(Fn &&fn) const
-    {
-        GPUWALK_ASSERT(orderSource_, "tracer has no order source");
-        const std::size_t n = size();
-        const std::size_t start = recorded_ < capacity_ ? 0 : head_;
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t slot = (start + i) % capacity_;
-            fn(stamps_[slot], ring_[slot]);
-        }
-    }
-
     /** Drops all retained events and counters. */
     void
     clear()
     {
         head_ = 0;
         recorded_ = 0;
-        lastSerial_ = 0;
-        nextIdx_ = 0;
     }
 
   private:
@@ -298,23 +227,7 @@ class Tracer
     std::vector<Event> ring_;
     std::size_t head_ = 0;       ///< next write slot
     std::uint64_t recorded_ = 0;
-
-    // Order-stamp mode (domain-partitioned runs).
-    const sim::EventQueue *orderSource_ = nullptr;
-    std::vector<OrderStamp> stamps_;   ///< parallel to ring_
-    std::uint64_t lastSerial_ = 0;     ///< resets idx per executed event
-    std::uint32_t nextIdx_ = 0;
 };
-
-/**
- * Merges per-domain stamped tracers into one tracer holding the
- * global record order — (when, prio, key, idx), ties broken by the
- * position in @p parts. When no part overflowed its ring, the merged
- * tracer replays exactly the sequence a serial run records, so its
- * digest (trace/digest.hh) matches the serial digest bit for bit.
- */
-Tracer mergeTracers(const std::vector<const Tracer *> &parts,
-                    const TraceConfig &cfg);
 
 } // namespace gpuwalk::trace
 

@@ -59,7 +59,7 @@ enum class FaultOrder : std::uint8_t
 enum class EvictPolicy : std::uint8_t
 {
     Lru,
-    Random, ///< seeded; deterministic across runs and sim-threads
+    Random, ///< seeded; deterministic across runs
 };
 
 const char *toString(FaultOrder order);
@@ -152,9 +152,7 @@ class Gmmu
     };
 
     /**
-     * @param eq Event queue the Gmmu schedules on. For determinism
-     *        under the parallel executor this must be the IOMMU
-     *        domain's queue: every fault is raised from that domain.
+     * @param eq Event queue the Gmmu schedules on.
      * @param cfg Knobs (latencies, policies, contiguity).
      * @param frames Physical allocator shared with the page tables.
      * @param store Functional memory (evicted frames are saved to a

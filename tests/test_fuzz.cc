@@ -3,21 +3,28 @@
  * Randomized reference-model tests: drive each stateful structure
  * with thousands of random operations and compare against a trivially
  * correct model (std::map / sorted vector). Seeds are fixed, so
- * failures reproduce.
+ * failures reproduce. The last suite fuzzes whole-System configs and
+ * checks them against themselves: each run twice, audited and traced,
+ * byte-identical.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/pending_walk.hh"
+#include "exp/report.hh"
+#include "exp/run.hh"
 #include "mem/backing_store.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "tlb/set_assoc_tlb.hh"
+#include "trace/digest.hh"
 #include "vm/address_space.hh"
 
 namespace {
@@ -212,6 +219,68 @@ TEST(FuzzWalkBuffer, ExtractPreservesTheMultiset)
             ASSERT_EQ(buf.at(buf.oldestIndex()).seq,
                       *reference.begin());
         }
+    }
+}
+
+system::RunStats
+runAudited(core::SchedulerKind sched, const std::string &workload,
+           const workload::WorkloadParams &params)
+{
+    system::SystemConfig cfg = system::SystemConfig::baseline();
+    cfg.scheduler = sched;
+    cfg.trace.enabled = true;
+    // Final-only audit: drains the run to quiescence and fails it on
+    // any conservation violation.
+    cfg.audit.enabled = true;
+    cfg.audit.interval = 0;
+    return exp::runOne(cfg, workload, params).stats;
+}
+
+/** Randomized workload x scheduler x shape configurations, each run
+ *  twice and required to pass the audit and repeat bit for bit. Fixed
+ *  RNG seed: the cases are random-looking but reproducible. */
+TEST(FuzzSystem, AuditedConfigsRepeatBitIdentical)
+{
+    const std::vector<core::SchedulerKind> schedulers{
+        core::SchedulerKind::Fcfs,      core::SchedulerKind::Random,
+        core::SchedulerKind::SjfOnly,   core::SchedulerKind::BatchOnly,
+        core::SchedulerKind::SimtAware};
+    const std::vector<std::string> workloads{"MVT", "BIC", "KMN"};
+
+    std::mt19937 rng(0xd0a11u);
+    constexpr int cases = 6;
+    for (int c = 0; c < cases; ++c) {
+        const auto sched = schedulers[rng() % schedulers.size()];
+        const auto &workload = workloads[rng() % workloads.size()];
+
+        workload::WorkloadParams params;
+        params.wavefronts = 8 + 8 * (rng() % 3);       // 8 / 16 / 24
+        params.instructionsPerWavefront = 4 + rng() % 5; // 4..8
+        params.seed = 1 + rng() % 1000;
+        params.footprintScale = (rng() % 2) ? 0.03 : 0.05;
+        params.computeCycles = 10 + 10 * (rng() % 2);  // 10 / 20
+
+        const std::string what =
+            "case " + std::to_string(c) + ": " + workload + "/"
+            + core::toString(sched) + " wf="
+            + std::to_string(params.wavefronts) + " ipw="
+            + std::to_string(params.instructionsPerWavefront) + " seed="
+            + std::to_string(params.seed);
+
+        const system::RunStats first = runAudited(sched, workload, params);
+        ASSERT_TRUE(first.audited) << what;
+        EXPECT_EQ(first.auditViolations, 0u) << what;
+        EXPECT_EQ(first.traceDropped, 0u) << what;
+        ASSERT_GT(first.walksCompleted, 0u) << what;
+
+        const system::RunStats repeat =
+            runAudited(sched, workload, params);
+        EXPECT_EQ(trace::digestHex(repeat.traceDigest),
+                  trace::digestHex(first.traceDigest))
+            << what;
+        EXPECT_EQ(exp::statsJsonString(repeat),
+                  exp::statsJsonString(first))
+            << what;
     }
 }
 

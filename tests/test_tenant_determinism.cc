@@ -4,13 +4,11 @@
  * digests.
  *
  * Tenant churn (mid-run arrivals) plus ASID-tagged shared caches is
- * exactly the state the parallel domain executor must keep bit-exact:
- * late workload loads are GPU-domain-local events, and per-tenant
- * accounting rides the same cross-domain channels as everything else.
- * These tests run reference tenant mixes under both QoS schedulers
- * across --sim-threads {1, 2, 4} and concurrent same-process runs
- * (the --jobs axis), demanding byte-identical trace digests and stats
- * JSON, with the conservation auditor on throughout. The 2- and
+ * the most state a run carries. These tests run reference tenant
+ * mixes under both QoS schedulers twice in a row and as concurrent
+ * same-process runs (the --jobs axis), demanding byte-identical trace
+ * digests and stats JSON, with the conservation auditor on
+ * throughout. The 2- and
  * 8-tenant reference points are pinned as committed goldens in
  * tests/golden/digests.json next to the scheduler-grid entries.
  *
@@ -65,11 +63,10 @@ struct MixRun
 };
 
 MixRun
-runMix(const MixPoint &point, unsigned sim_threads)
+runMix(const MixPoint &point)
 {
     auto cfg = system::SystemConfig::baseline();
     cfg.scheduler = point.scheduler;
-    cfg.simThreads = sim_threads;
     cfg.trace.enabled = true;
     cfg.audit.enabled = true;
     cfg.audit.interval = 100'000;
@@ -111,32 +108,6 @@ runMix(const MixPoint &point, unsigned sim_threads)
     return out;
 }
 
-/**
- * Blanks the two counters that measure the engine rather than the
- * simulation: the parallel executor runs its own bookkeeping events
- * (events_executed) and the auditor checks once per domain quiescence
- * rather than per serial interval (audit checks). Everything else in
- * the stats JSON — every latency, every tenant counter — must be
- * byte-identical across thread counts.
- */
-std::string
-scrubEngineCounters(std::string s)
-{
-    for (const std::string key :
-         {"\"events_executed\": ", "\"checks\": "}) {
-        std::size_t pos = 0;
-        while ((pos = s.find(key, pos)) != std::string::npos) {
-            const std::size_t begin = pos + key.size();
-            std::size_t end = begin;
-            while (end < s.size() && s[end] >= '0' && s[end] <= '9')
-                ++end;
-            s.replace(begin, end - begin, "_");
-            pos = begin;
-        }
-    }
-    return s;
-}
-
 GoldenEntry
 toEntry(const system::RunStats &stats)
 {
@@ -151,53 +122,45 @@ toEntry(const system::RunStats &stats)
     return e;
 }
 
-TEST(TenantDeterminism, BitIdenticalAcrossSimThreads)
+TEST(TenantDeterminism, BitIdenticalAcrossRepeatRuns)
 {
     for (const auto &point : referencePoints) {
-        const auto serial = runMix(point, 1);
-        ASSERT_TRUE(serial.stats.traced);
-        ASSERT_NE(serial.stats.traceDigest, 0u);
-        ASSERT_EQ(serial.stats.traceDropped, 0u);
-        ASSERT_TRUE(serial.stats.audited);
-        EXPECT_EQ(serial.stats.auditViolations, 0u) << point.key;
-        ASSERT_EQ(serial.stats.tenants.size(), point.tenants)
+        const auto first = runMix(point);
+        ASSERT_TRUE(first.stats.traced);
+        ASSERT_NE(first.stats.traceDigest, 0u);
+        ASSERT_EQ(first.stats.traceDropped, 0u);
+        ASSERT_TRUE(first.stats.audited);
+        EXPECT_EQ(first.stats.auditViolations, 0u) << point.key;
+        ASSERT_EQ(first.stats.tenants.size(), point.tenants)
             << point.key;
 
-        for (const unsigned threads : {2u, 4u}) {
-            const auto parallel = runMix(point, threads);
-            EXPECT_EQ(parallel.stats.traceDigest,
-                      serial.stats.traceDigest)
-                << point.key << " diverged at --sim-threads "
-                << threads;
-            EXPECT_EQ(parallel.stats.auditViolations, 0u);
-            // The whole stats JSON — tenant accounting included — is
-            // byte-identical, not just the digest (modulo the two
-            // engine-infrastructure counters).
-            EXPECT_EQ(scrubEngineCounters(parallel.statsJson),
-                      scrubEngineCounters(serial.statsJson))
-                << point.key << " at --sim-threads " << threads;
-        }
+        const auto second = runMix(point);
+        EXPECT_EQ(second.stats.traceDigest, first.stats.traceDigest)
+            << point.key;
+        // The whole stats JSON — tenant accounting, events executed
+        // and audit checks included — is byte-identical, not just the
+        // digest.
+        EXPECT_EQ(second.statsJson, first.statsJson) << point.key;
     }
 }
 
 TEST(TenantDeterminism, BitIdenticalAcrossConcurrentRuns)
 {
     // The --jobs axis: two Systems simulating the same point in the
-    // same process at once (each itself parallel) must not interfere.
+    // same process at once must not interfere.
     const auto &point = referencePoints.front();
-    const auto reference = runMix(point, 1);
+    const auto reference = runMix(point);
 
     std::vector<MixRun> concurrent(2);
     {
-        std::thread a([&] { concurrent[0] = runMix(point, 2); });
-        std::thread b([&] { concurrent[1] = runMix(point, 2); });
+        std::thread a([&] { concurrent[0] = runMix(point); });
+        std::thread b([&] { concurrent[1] = runMix(point); });
         a.join();
         b.join();
     }
     for (const auto &run : concurrent) {
         EXPECT_EQ(run.stats.traceDigest, reference.stats.traceDigest);
-        EXPECT_EQ(scrubEngineCounters(run.statsJson),
-                  scrubEngineCounters(reference.statsJson));
+        EXPECT_EQ(run.statsJson, reference.statsJson);
         EXPECT_EQ(run.stats.auditViolations, 0u);
     }
 }
@@ -206,7 +169,7 @@ TEST(TenantGolden, ReferenceMixesMatchCommittedDigests)
 {
     std::map<std::string, GoldenEntry> computed;
     for (const auto &point : referencePoints)
-        computed[point.key] = toEntry(runMix(point, 1).stats);
+        computed[point.key] = toEntry(runMix(point).stats);
 
     if (gpuwalk::testing::updateRequested()) {
         ASSERT_TRUE(gpuwalk::testing::writeGoldensMerged(computed))

@@ -2,9 +2,9 @@
  * @file
  * Wasp de-staggered wavefront scheduling tests: behaviour of the
  * leader class and the speculative walk class end to end, plus the
- * determinism differentials the feature must survive — bit-identical
- * trace digests and stats JSON across --sim-threads {1, 2, 4} and
- * concurrent same-process runs, with the conservation auditor (the
+ * determinism checks the feature must survive — bit-identical trace
+ * digests and stats JSON across repeated and concurrent same-process
+ * runs, with the conservation auditor (the
  * iommu.spec_class identity included) on throughout, across wasp x
  * {prefetch off, spp} x {resident, oversubscribed} x admission
  * {idle, reserved, budget}.
@@ -67,11 +67,10 @@ struct WaspRun
 };
 
 system::SystemConfig
-waspConfig(const WaspPoint &point, unsigned sim_threads)
+waspConfig(const WaspPoint &point)
 {
     auto cfg = system::SystemConfig::baseline();
     cfg.scheduler = core::SchedulerKind::SimtAware;
-    cfg.simThreads = sim_threads;
     cfg.trace.enabled = true;
     cfg.audit.enabled = true;
     cfg.audit.interval = 100'000;
@@ -88,7 +87,7 @@ waspConfig(const WaspPoint &point, unsigned sim_threads)
 }
 
 WaspRun
-runPoint(const WaspPoint &point, unsigned sim_threads)
+runPoint(const WaspPoint &point)
 {
     workload::WorkloadParams params;
     params.wavefronts = 16;
@@ -96,33 +95,13 @@ runPoint(const WaspPoint &point, unsigned sim_threads)
     params.footprintScale = 0.02;
     params.seed = 31;
 
-    system::System sys(waspConfig(point, sim_threads));
+    system::System sys(waspConfig(point));
     sys.loadBenchmark(point.workload, params);
 
     WaspRun out;
     out.stats = sys.run();
     out.statsJson = exp::statsJsonString(out.stats);
     return out;
-}
-
-/** Engine-infrastructure counters that legitimately vary with the
- *  thread count (see test_tenant_determinism.cc). */
-std::string
-scrubEngineCounters(std::string s)
-{
-    for (const std::string key :
-         {"\"events_executed\": ", "\"checks\": "}) {
-        std::size_t pos = 0;
-        while ((pos = s.find(key, pos)) != std::string::npos) {
-            const std::size_t begin = pos + key.size();
-            std::size_t end = begin;
-            while (end < s.size() && s[end] >= '0' && s[end] <= '9')
-                ++end;
-            s.replace(begin, end - begin, "_");
-            pos = begin;
-        }
-    }
-    return s;
 }
 
 /** The class-conservation identity the auditor enforces mid-run, now
@@ -142,7 +121,7 @@ expectSpecAccounted(const iommu::SpecSummary &spec,
 
 TEST(WaspBehavior, LeadersIssueAndTheirWalksRideTheSpecClass)
 {
-    const auto run = runPoint(waspPoints[1], 1); // spp + reserved
+    const auto run = runPoint(waspPoints[1]); // spp + reserved
     ASSERT_TRUE(run.stats.audited);
     EXPECT_EQ(run.stats.auditViolations, 0u);
     EXPECT_GT(run.stats.leaderIssues, 0u);
@@ -164,7 +143,7 @@ TEST(WaspBehavior, FeatureOffLeavesSpecMachineryInert)
           iommu::SpecAdmission::Budget}) {
         auto point = waspPoints[0];
         point.admission = admission;
-        auto cfg = waspConfig(point, 1);
+        auto cfg = waspConfig(point);
         cfg.gpu.wavefrontSched = gpu::WavefrontSchedPolicy::RoundRobin;
 
         workload::WorkloadParams params;
@@ -186,7 +165,7 @@ TEST(WaspBehavior, FeatureOffLeavesSpecMachineryInert)
 
 TEST(WaspBehavior, BudgetAdmissionMetersPredictions)
 {
-    const auto budget = runPoint(waspPoints[2], 1); // spp + budget
+    const auto budget = runPoint(waspPoints[2]); // spp + budget
     EXPECT_EQ(budget.stats.auditViolations, 0u);
     EXPECT_GT(budget.stats.spec.admitted, 0u);
     expectSpecAccounted(budget.stats.spec, waspPoints[2].key);
@@ -196,7 +175,7 @@ TEST(WaspBehavior, BudgetAdmissionMetersPredictions)
     // specBudgetWindow demand dispatches, and leader walks bypass the
     // meter — they are real requests. totalWalks over-counts demand
     // dispatches, so it bounds the number of refills from above.
-    const auto cfg = waspConfig(waspPoints[2], 1);
+    const auto cfg = waspConfig(waspPoints[2]);
     const std::uint64_t refills =
         budget.stats.walks.totalWalks / cfg.iommu.specBudgetWindow;
     EXPECT_LE(budget.stats.spec.admitted,
@@ -205,7 +184,7 @@ TEST(WaspBehavior, BudgetAdmissionMetersPredictions)
 
     // Zero tokens close the meter completely: only leader-originated
     // walks may enter the speculative class.
-    auto starved_cfg = waspConfig(waspPoints[2], 1);
+    auto starved_cfg = waspConfig(waspPoints[2]);
     starved_cfg.iommu.specBudgetTokens = 0;
     workload::WorkloadParams params;
     params.wavefronts = 16;
@@ -222,7 +201,7 @@ TEST(WaspBehavior, BudgetAdmissionMetersPredictions)
 
 TEST(WaspBehavior, FaultedLeaderWalksCompleteOversubscribed)
 {
-    const auto run = runPoint(waspPoints[3], 1);
+    const auto run = runPoint(waspPoints[3]);
     ASSERT_TRUE(run.stats.gmmu.enabled);
     ASSERT_GT(run.stats.gmmu.faultsRaised, 0u);
     EXPECT_EQ(run.stats.auditViolations, 0u);
@@ -291,53 +270,45 @@ TEST(WaspBehavior, SppLeaderTrainingStaysAsidIsolated)
 }
 
 // ---------------------------------------------------------------------
-// Determinism differentials.
+// Determinism.
 // ---------------------------------------------------------------------
 
-TEST(WaspDeterminism, BitIdenticalAcrossSimThreads)
+TEST(WaspDeterminism, BitIdenticalAcrossRepeatRuns)
 {
     for (const auto &point : waspPoints) {
-        const auto serial = runPoint(point, 1);
-        ASSERT_TRUE(serial.stats.traced);
-        ASSERT_NE(serial.stats.traceDigest, 0u);
-        ASSERT_EQ(serial.stats.traceDropped, 0u);
-        ASSERT_TRUE(serial.stats.audited);
-        EXPECT_EQ(serial.stats.auditViolations, 0u) << point.key;
-        ASSERT_GT(serial.stats.leaderIssues, 0u) << point.key;
-        expectSpecAccounted(serial.stats.spec, point.key);
+        const auto first = runPoint(point);
+        ASSERT_TRUE(first.stats.traced);
+        ASSERT_NE(first.stats.traceDigest, 0u);
+        ASSERT_EQ(first.stats.traceDropped, 0u);
+        ASSERT_TRUE(first.stats.audited);
+        EXPECT_EQ(first.stats.auditViolations, 0u) << point.key;
+        ASSERT_GT(first.stats.leaderIssues, 0u) << point.key;
+        expectSpecAccounted(first.stats.spec, point.key);
 
-        for (const unsigned threads : {2u, 4u}) {
-            const auto parallel = runPoint(point, threads);
-            EXPECT_EQ(parallel.stats.traceDigest,
-                      serial.stats.traceDigest)
-                << point.key << " diverged at --sim-threads "
-                << threads;
-            EXPECT_EQ(parallel.stats.auditViolations, 0u);
-            EXPECT_EQ(scrubEngineCounters(parallel.statsJson),
-                      scrubEngineCounters(serial.statsJson))
-                << point.key << " at --sim-threads " << threads;
-        }
+        const auto repeat = runPoint(point);
+        EXPECT_EQ(repeat.stats.traceDigest, first.stats.traceDigest)
+            << point.key;
+        EXPECT_EQ(repeat.statsJson, first.statsJson) << point.key;
     }
 }
 
 TEST(WaspDeterminism, BitIdenticalAcrossConcurrentRuns)
 {
     // The --jobs axis: two wasp Systems in the same process at once
-    // (each itself parallel) share nothing but the heap.
+    // share nothing but the heap.
     const auto &point = waspPoints[1]; // spp + reserved
-    const auto reference = runPoint(point, 1);
+    const auto reference = runPoint(point);
 
     std::vector<WaspRun> concurrent(2);
     {
-        std::thread a([&] { concurrent[0] = runPoint(point, 2); });
-        std::thread b([&] { concurrent[1] = runPoint(point, 2); });
+        std::thread a([&] { concurrent[0] = runPoint(point); });
+        std::thread b([&] { concurrent[1] = runPoint(point); });
         a.join();
         b.join();
     }
     for (const auto &run : concurrent) {
         EXPECT_EQ(run.stats.traceDigest, reference.stats.traceDigest);
-        EXPECT_EQ(scrubEngineCounters(run.statsJson),
-                  scrubEngineCounters(reference.statsJson));
+        EXPECT_EQ(run.statsJson, reference.statsJson);
         EXPECT_EQ(run.stats.auditViolations, 0u);
     }
 }

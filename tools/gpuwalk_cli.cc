@@ -130,11 +130,6 @@ Scheduler:
   --jobs=N                worker threads for --compare
                           (default: all cores; results are identical
                           at any N)
-  --sim-threads=N         simulation threads inside the run: 1 =
-                          classic serial engine (default), N > 1 =
-                          one latency-decoupled domain group per
-                          thread, 0 = auto; results are bit-identical
-                          at any value
   --seed=N                RNG seed (random scheduler + workloads)
 
 Workload shape:
@@ -240,8 +235,6 @@ configFromFlags(Flags &flags)
     cfg.scheduler =
         core::schedulerKindFromString(flags.get("scheduler", "fcfs"));
     cfg.schedulerSeed = flags.getUint("seed", 1);
-    cfg.simThreads =
-        static_cast<unsigned>(flags.getUint("sim-threads", 1));
     cfg.gpu.numCus = static_cast<unsigned>(flags.getUint("cus", 8));
     cfg.gpuTlb.numCus = cfg.gpu.numCus;
     cfg.gpu.wavefrontsPerCu = static_cast<unsigned>(
@@ -619,8 +612,6 @@ main(int argc, char **argv)
         const auto cfg = configFromFlags(flags);
         const auto opt = optionsFromFlags(flags);
         flags.rejectUnknown();
-        // Lets runJobs keep jobs x sim-threads within the machine.
-        runner.simThreads = cfg.simThreads;
 
         // Both schedulers as one job pool; dumps are captured into
         // per-run slots so output order is independent of execution
