@@ -20,10 +20,12 @@
 #include "core/simt_aware_scheduler.hh"
 #include "core/srpt_scheduler.hh"
 #include "iommu/page_walk_cache.hh"
+#include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "vm/page_table.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
+#include "sim/object_pool.hh"
 #include "tlb/coalescer.hh"
 #include "tlb/set_assoc_tlb.hh"
 
@@ -239,11 +241,75 @@ BM_TlbInsertEvict(benchmark::State &state)
     tlb::SetAssocTlb tlb({"bench", 512, 16});
     std::uint64_t vpn = 0;
     for (auto _ : state) {
-        tlb.insert((vpn++) << 12, vpn << 12);
+        const std::uint64_t v = vpn++;
+        tlb.insert(v << 12, v << 12);
     }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TlbInsertEvict);
+
+/**
+ * One acquire/release pair on a pool grown to range(0) slabs. All
+ * objects are released in acquisition order first, so the LIFO top is
+ * a last-slab object: the release a per-slab search pays most for.
+ */
+void
+BM_ObjectPoolAcquireRelease(benchmark::State &state)
+{
+    struct Node
+    {
+        std::uint64_t payload[4];
+    };
+    constexpr std::size_t slabObjects = 64;
+    sim::ObjectPool<Node> pool(slabObjects);
+    std::vector<Node *> held;
+    const auto slabs = static_cast<std::size_t>(state.range(0));
+    for (std::size_t i = 0; i < slabs * slabObjects; ++i)
+        held.push_back(pool.acquire());
+    for (Node *n : held)
+        pool.release(n);
+    for (auto _ : state) {
+        Node *n = pool.acquire();
+        benchmark::DoNotOptimize(n);
+        pool.release(n);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ObjectPoolAcquireRelease)->Arg(1)->Arg(64);
+
+/** Memory stub below the cache: completes every fill immediately. */
+class ImmediateMemory : public mem::MemoryDevice
+{
+  public:
+    void access(mem::MemoryRequest req) override { req.complete(); }
+};
+
+/**
+ * One demand access to an l1d-shaped cache (32 KB, 16-way, 64 B
+ * lines), drained through the event queue, walking line by line over
+ * a range(0) KB window: 16 KB stays resident (hits after the first
+ * lap), 256 KB streams (every access misses and evicts).
+ */
+void
+BM_CacheAccess(benchmark::State &state)
+{
+    sim::EventQueue eq;
+    ImmediateMemory below;
+    mem::Cache cache(eq, {"bench_l1d", 32 * 1024, 16, 64, 500, 500, 32},
+                     below);
+    const mem::Addr window = static_cast<mem::Addr>(state.range(0)) * 1024;
+    mem::Addr addr = 0;
+    for (auto _ : state) {
+        mem::MemoryRequest req;
+        req.addr = addr;
+        cache.access(std::move(req));
+        eq.run();
+        addr = (addr + 64) % window;
+    }
+    benchmark::DoNotOptimize(cache.hits());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheAccess)->ArgName("window_kb")->Arg(16)->Arg(256);
 
 /**
  * The paper-policy pick cost at a given buffer occupancy, for each of

@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/audit.hh"
 
@@ -14,7 +15,16 @@ Cache::Cache(sim::EventQueue &eq, const CacheConfig &cfg,
                        == 0,
                    "cache size not divisible by way size");
     numSets_ = cfg_.numSets();
-    sets_.assign(numSets_, std::vector<Line>(cfg_.associativity));
+    GPUWALK_ASSERT(std::has_single_bit(numSets_)
+                       && std::has_single_bit(cfg_.lineBytes),
+                   "cache set count and line size must be powers of two in ",
+                   cfg_.name);
+    lineShift_ = static_cast<unsigned>(std::countr_zero(cfg_.lineBytes));
+    tagShift_ = lineShift_ + static_cast<unsigned>(std::countr_zero(numSets_));
+    const std::size_t slots = numSets_ * cfg_.associativity;
+    key_.assign(slots, 0);
+    lastUse_.assign(slots, 0);
+    dirty_.assign(slots, 0);
 
     statGroup_.add(hits_);
     statGroup_.add(misses_);
@@ -23,59 +33,63 @@ Cache::Cache(sim::EventQueue &eq, const CacheConfig &cfg,
     statGroup_.add(writebacks_);
 }
 
-Cache::Line *
-Cache::findLine(Addr addr)
+std::size_t
+Cache::findLine(Addr addr) const
 {
-    auto &set = sets_[setIndex(addr)];
-    const Addr tag = tagOf(addr);
-    for (auto &line : set) {
-        if (line.valid && line.tag == tag)
-            return &line;
+    const std::size_t base = setIndex(addr) * cfg_.associativity;
+    const std::uint64_t want = lineKey(addr);
+    for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
+        if (key_[i] == want)
+            return i;
     }
-    return nullptr;
+    return npos;
 }
 
 void
 Cache::installLine(Addr addr, bool dirty)
 {
-    auto &set = sets_[setIndex(addr)];
-    // Prefer an invalid way; otherwise evict true-LRU.
-    Line *victim = nullptr;
-    for (auto &line : set) {
-        if (!line.valid) {
-            victim = &line;
+    const Addr set = setIndex(addr);
+    const std::size_t base = set * cfg_.associativity;
+    // Prefer the first invalid way; otherwise evict true-LRU (first
+    // way on lastUse ties).
+    std::size_t victim = base;
+    std::uint64_t oldest = ~std::uint64_t{0};
+    for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
+        if (key_[i] == 0) {
+            victim = i;
             break;
         }
-        if (!victim || line.lastUse < victim->lastUse)
-            victim = &line;
+        if (lastUse_[i] < oldest) {
+            oldest = lastUse_[i];
+            victim = i;
+        }
     }
-    if (victim->valid) {
+    if (key_[victim] != 0) {
         ++evictions_;
-        if (victim->dirty) {
+        if (dirty_[victim]) {
             ++writebacks_;
             MemoryRequest wb;
-            wb.addr = (victim->tag * numSets_ + setIndex(addr))
-                      * cfg_.lineBytes;
+            wb.addr = ((key_[victim] >> 1) << tagShift_)
+                      | (set << lineShift_);
             wb.write = true;
             wb.requester = Requester::GpuData;
             below_.access(std::move(wb));
         }
     }
-    victim->tag = tagOf(addr);
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->lastUse = ++useClock_;
+    key_[victim] = lineKey(addr);
+    dirty_[victim] = dirty ? 1 : 0;
+    lastUse_[victim] = ++useClock_;
 }
 
 void
 Cache::access(MemoryRequest req)
 {
-    const Addr line_addr = req.addr - (req.addr % cfg_.lineBytes);
+    const Addr line_addr = req.addr & ~(cfg_.lineBytes - 1);
 
-    if (Line *line = findLine(req.addr)) {
+    if (const std::size_t line = findLine(req.addr); line != npos) {
         ++hits_;
-        line->lastUse = ++useClock_;
-        line->dirty = line->dirty || req.write;
+        lastUse_[line] = ++useClock_;
+        dirty_[line] |= req.write ? 1 : 0;
         eq_.scheduleIn(cfg_.hitLatency,
                        [r = std::move(req)]() mutable { r.complete(); });
         return;
@@ -151,12 +165,8 @@ Cache::registerInvariants(sim::Auditor &auditor)
 void
 Cache::flushAll()
 {
-    for (auto &set : sets_) {
-        for (auto &line : set) {
-            line.valid = false;
-            line.dirty = false;
-        }
-    }
+    std::fill(key_.begin(), key_.end(), std::uint64_t{0});
+    std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
 }
 
 } // namespace gpuwalk::mem

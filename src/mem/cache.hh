@@ -7,6 +7,11 @@
  * only — data contents are not stored; functional state (page tables)
  * lives in the BackingStore and is accessed uncached by the walker
  * model's functional reads.
+ *
+ * Line state is stored as flat way columns (slot = set * ways + way):
+ * one tag+valid word per way, its LRU stamp and its dirty bit. Set
+ * count and line size must be powers of two, so indexing is a shift
+ * and a mask — every configured cache qualifies.
  */
 
 #ifndef GPUWALK_MEM_CACHE_HH
@@ -85,13 +90,7 @@ class Cache : public MemoryDevice
     void registerInvariants(sim::Auditor &auditor);
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
+    static constexpr std::size_t npos = ~std::size_t{0};
 
     /** Pooled and recycled with its waiter-vector capacity intact, so
      *  the steady-state miss path does not allocate. */
@@ -103,14 +102,16 @@ class Cache : public MemoryDevice
 
     Addr setIndex(Addr addr) const
     {
-        return (addr / cfg_.lineBytes) % numSets_;
+        return (addr >> lineShift_) & (numSets_ - 1);
     }
-    Addr tagOf(Addr addr) const
-    {
-        return (addr / cfg_.lineBytes) / numSets_;
-    }
+    Addr tagOf(Addr addr) const { return addr >> tagShift_; }
 
-    Line *findLine(Addr addr);
+    /** Tag+valid word of a resident line holding @p addr; 0 marks an
+     *  invalid way. */
+    std::uint64_t lineKey(Addr addr) const { return (tagOf(addr) << 1) | 1; }
+
+    /** Slot of the valid line holding @p addr, or npos. */
+    std::size_t findLine(Addr addr) const;
     void installLine(Addr addr, bool dirty);
     void handleFill(Addr line_addr);
 
@@ -118,7 +119,13 @@ class Cache : public MemoryDevice
     CacheConfig cfg_;
     MemoryDevice &below_;
     Addr numSets_ = 0;
-    std::vector<std::vector<Line>> sets_;
+    unsigned lineShift_ = 0; ///< log2(lineBytes)
+    unsigned tagShift_ = 0;  ///< log2(lineBytes * numSets)
+
+    // Way columns, slot = set * associativity + way.
+    std::vector<std::uint64_t> key_; ///< lineKey(), 0 when invalid
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint8_t> dirty_;
     sim::FlatMap<Addr, Mshr *> mshrs_; ///< keyed by line base addr
     sim::ObjectPool<Mshr> mshrPool_{64};
     std::uint64_t useClock_ = 0;

@@ -1,6 +1,8 @@
 #include "sim/debug.hh"
 
 #include <cstdlib>
+#include <functional>
+#include <iostream>
 #include <set>
 
 namespace gpuwalk::sim::debug {
@@ -8,11 +10,11 @@ namespace gpuwalk::sim::debug {
 namespace {
 
 /** Parses GPUWALK_DEBUG once into a flag set. */
-const std::set<std::string> &
+const std::set<std::string, std::less<>> &
 activeFlags()
 {
-    static const std::set<std::string> flags = [] {
-        std::set<std::string> out;
+    static const std::set<std::string, std::less<>> flags = [] {
+        std::set<std::string, std::less<>> out;
         const char *env = std::getenv("GPUWALK_DEBUG");
         if (!env)
             return out;
@@ -36,7 +38,7 @@ activeFlags()
 } // namespace
 
 bool
-enabled(const std::string &flag)
+enabled(std::string_view flag)
 {
     const auto &flags = activeFlags();
     if (flags.empty())
@@ -46,8 +48,14 @@ enabled(const std::string &flag)
 
 namespace detail {
 
+bool
+parseAnyFlag()
+{
+    return !activeFlags().empty();
+}
+
 void
-emit(const std::string &flag, Tick now, const std::string &msg)
+emit(std::string_view flag, Tick now, const std::string &msg)
 {
     std::cerr << now << ": [" << flag << "] " << msg << "\n";
 }

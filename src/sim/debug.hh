@@ -18,19 +18,32 @@
 #ifndef GPUWALK_SIM_DEBUG_HH
 #define GPUWALK_SIM_DEBUG_HH
 
-#include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "sim/ticks.hh"
 
 namespace gpuwalk::sim::debug {
 
 /** True if GPUWALK_DEBUG contains @p flag (or "all"). */
-bool enabled(const std::string &flag);
+bool enabled(std::string_view flag);
 
 namespace detail {
-void emit(const std::string &flag, Tick now, const std::string &msg);
+/** Parses GPUWALK_DEBUG (once per process) and reports whether it
+ *  names any flag at all. */
+bool parseAnyFlag();
+
+/** The cached parseAnyFlag() result: the disabled check every log
+ *  call makes is one load, not a string lookup. */
+inline bool
+anyFlag()
+{
+    static const bool any = parseAnyFlag();
+    return any;
+}
+
+void emit(std::string_view flag, Tick now, const std::string &msg);
 } // namespace detail
 
 /**
@@ -39,9 +52,9 @@ void emit(const std::string &flag, Tick now, const std::string &msg);
  */
 template <typename... Args>
 void
-log(const std::string &flag, Tick now, Args &&...args)
+log(const char *flag, Tick now, Args &&...args)
 {
-    if (!enabled(flag))
+    if (!detail::anyFlag() || !enabled(flag))
         return;
     std::ostringstream os;
     (os << ... << std::forward<Args>(args));

@@ -11,12 +11,19 @@
  * captures) and needs only movability. Oversized captures still work
  * — they fall back to a heap box — so cold paths keep their ergonomic
  * lambdas while hot paths stay allocation-free.
+ *
+ * Moves are the other hot cost: a request carrying one of these is
+ * moved several times per hop. Inline captures that are trivially
+ * copyable and trivially destructible, and every heap box (just a
+ * pointer), relocate by copying the inline buffer; only non-trivial
+ * inline captures pay the indirect relocate thunk.
  */
 
 #ifndef GPUWALK_SIM_INLINE_FUNCTION_HH
 #define GPUWALK_SIM_INLINE_FUNCTION_HH
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -86,7 +93,8 @@ class InlineFunction<R(As...), InlineBytes>
     reset()
     {
         if (ops_) {
-            ops_->destroy(storage());
+            if (ops_->destroy)
+                ops_->destroy(storage());
             ops_ = nullptr;
         }
     }
@@ -95,7 +103,10 @@ class InlineFunction<R(As...), InlineBytes>
     struct Ops
     {
         R (*invoke)(void *, As &&...);
-        void (*relocate)(void *dst, void *src); // move-construct + destroy
+        /** Move-construct + destroy; null = relocate by copying the
+         *  buffer. */
+        void (*relocate)(void *dst, void *src);
+        /** Null for trivially destructible captures. */
         void (*destroy)(void *);
     };
 
@@ -104,6 +115,11 @@ class InlineFunction<R(As...), InlineBytes>
         sizeof(F) <= InlineBytes
         && alignof(F) <= alignof(std::max_align_t)
         && std::is_nothrow_move_constructible_v<F>;
+
+    template <typename F>
+    static constexpr bool trivialInline =
+        std::is_trivially_copyable_v<F>
+        && std::is_trivially_destructible_v<F>;
 
     template <typename F>
     struct InlineOps
@@ -129,7 +145,9 @@ class InlineFunction<R(As...), InlineBytes>
             std::launder(reinterpret_cast<F *>(p))->~F();
         }
 
-        static constexpr Ops ops{&invoke, &relocate, &destroy};
+        static constexpr Ops ops{
+            &invoke, trivialInline<F> ? nullptr : &relocate,
+            std::is_trivially_destructible_v<F> ? nullptr : &destroy};
     };
 
     template <typename F>
@@ -142,18 +160,13 @@ class InlineFunction<R(As...), InlineBytes>
         }
 
         static void
-        relocate(void *dst, void *src)
-        {
-            *static_cast<F **>(dst) = *static_cast<F **>(src);
-        }
-
-        static void
         destroy(void *p)
         {
             delete *static_cast<F **>(p);
         }
 
-        static constexpr Ops ops{&invoke, &relocate, &destroy};
+        // The buffer holds only the box pointer: copying it relocates.
+        static constexpr Ops ops{&invoke, nullptr, &destroy};
     };
 
     template <typename F>
@@ -176,7 +189,23 @@ class InlineFunction<R(As...), InlineBytes>
     {
         ops_ = other.ops_;
         if (ops_) {
-            ops_->relocate(storage(), other.storage());
+            if (ops_->relocate) {
+                ops_->relocate(storage(), other.storage());
+            } else {
+                // Copies the whole buffer, including bytes the capture
+                // never wrote. Copying indeterminate bytes as unsigned
+                // char is well-defined and they are never read as a
+                // value, but GCC's flow analysis flags it.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+                std::memcpy(store_, other.store_, InlineBytes);
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+            }
             other.ops_ = nullptr;
         }
     }

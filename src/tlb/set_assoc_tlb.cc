@@ -30,12 +30,9 @@ SetAssocTlb::SetAssocTlb(const TlbConfig &cfg)
                    "TLB set count must be a power of two in ",
                    cfg_.name);
     const std::size_t slots = numSets_ * cfg_.associativity;
-    vpn_.assign(slots, 0);
+    key_.assign(slots, 0);
     ppn_.assign(slots, 0);
     lastUse_.assign(slots, 0);
-    valid_.assign(slots, 0);
-    large_.assign(slots, 0);
-    ctx_.assign(slots, defaultContext);
 
     statGroup_.add(hits_);
     statGroup_.add(misses_);
@@ -51,16 +48,12 @@ SetAssocTlb::findSlot(mem::Addr va_page, bool large, ContextId ctx) const
     const mem::Addr vpn =
         large ? largeVpn(va_page) : mem::pageNumber(va_page);
     const std::size_t base = setIndex(vpn, ctx) * cfg_.associativity;
-    const std::uint8_t want = large ? 1 : 0;
-    // Tag compare first: it almost always differs, making the common
-    // way one 64-bit compare instead of three dependent byte tests.
-    // The context tag is part of the match: a VPN never hits across
+    // The context tag is part of the key: a VPN never hits across
     // address spaces.
+    const std::uint64_t want = matchKey(vpn, large, ctx);
     for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
-        if (vpn_[i] == vpn && valid_[i] && large_[i] == want
-            && ctx_[i] == ctx) {
+        if (key_[i] == want)
             return i;
-        }
     }
     return npos;
 }
@@ -77,7 +70,7 @@ SetAssocTlb::findAny(mem::Addr va_page, ContextId ctx) const
 TlbHit
 SetAssocTlb::hitAt(std::size_t i, mem::Addr va_page) const
 {
-    if (!large_[i])
+    if (!(key_[i] & largeBit))
         return TlbHit{ppn_[i] << mem::pageShift, false};
     const mem::Addr base = ppn_[i] << 21;
     const mem::Addr offset =
@@ -125,42 +118,40 @@ SetAssocTlb::insert(mem::Addr va_page, mem::Addr pa_page,
     const mem::Addr ppn = large_page ? (pa_page >> 21)
                                      : mem::pageNumber(pa_page);
 
-    // Refresh a duplicate fill in place.
-    const std::size_t hit = findSlot(va_page, large_page, ctx);
-    if (hit != npos) {
-        ppn_[hit] = ppn;
-        lastUse_[hit] = ++useClock_;
-        return;
-    }
-
-    // Victim: the first invalid way, or failing that the true-LRU
-    // valid way (first-encountered on lastUse ties).
+    // One pass over the set: a duplicate fill is refreshed in place;
+    // otherwise the victim is the first invalid way, or failing that
+    // the true-LRU way (first-encountered on lastUse ties).
+    const std::uint64_t want = matchKey(vpn, large_page, ctx);
     const std::size_t base = setIndex(vpn, ctx) * cfg_.associativity;
-    std::size_t victim = npos;
+    std::size_t invalid = npos;
+    std::size_t lru = base;
+    std::uint64_t oldest = ~std::uint64_t{0};
     for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
-        if (!valid_[i]) {
-            victim = i;
-            break;
+        const std::uint64_t key = key_[i];
+        if (key == want) {
+            ppn_[i] = ppn;
+            lastUse_[i] = ++useClock_;
+            return;
+        }
+        if (!(key & validBit)) {
+            if (invalid == npos)
+                invalid = i;
+        } else if (lastUse_[i] < oldest) {
+            oldest = lastUse_[i];
+            lru = i;
         }
     }
+    std::size_t victim = invalid;
     if (victim == npos) {
-        victim = base;
-        for (std::size_t i = base + 1; i < base + cfg_.associativity;
-             ++i) {
-            if (lastUse_[i] < lastUse_[victim])
-                victim = i;
-        }
+        victim = lru;
         ++evictions_;
-        if (large_[victim])
+        if (key_[victim] & largeBit)
             --largeResident_;
     }
 
     ++insertions_;
-    vpn_[victim] = vpn;
+    key_[victim] = want;
     ppn_[victim] = ppn;
-    valid_[victim] = 1;
-    large_[victim] = large_page ? 1 : 0;
-    ctx_[victim] = ctx;
     lastUse_[victim] = ++useClock_;
     if (large_page)
         ++largeResident_;
@@ -169,7 +160,7 @@ SetAssocTlb::insert(mem::Addr va_page, mem::Addr pa_page,
 void
 SetAssocTlb::invalidateAll()
 {
-    std::fill(valid_.begin(), valid_.end(), std::uint8_t{0});
+    std::fill(key_.begin(), key_.end(), std::uint64_t{0});
     largeResident_ = 0;
 }
 
@@ -179,9 +170,9 @@ SetAssocTlb::invalidate(mem::Addr va_page, ContextId ctx)
     const std::size_t i = findAny(va_page, ctx);
     if (i == npos)
         return false;
-    valid_[i] = 0;
-    if (large_[i])
+    if (key_[i] & largeBit)
         --largeResident_;
+    key_[i] = 0;
     return true;
 }
 
@@ -189,8 +180,8 @@ unsigned
 SetAssocTlb::population() const
 {
     unsigned n = 0;
-    for (const std::uint8_t v : valid_)
-        n += v;
+    for (const std::uint64_t key : key_)
+        n += (key & validBit) ? 1 : 0;
     return n;
 }
 

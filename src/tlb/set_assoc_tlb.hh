@@ -6,11 +6,12 @@
  * GPU-wide shared L2 TLB (512-entry 16-way), and the IOMMU's own two
  * TLB levels (Table I).
  *
- * Entry state is stored structure-of-arrays: the tag/valid/large
- * columns a lookup compares against are contiguous per set instead of
- * strided across fat AoS entries, and the ppn/lastUse columns are only
- * touched on a hit. The set count must be a power of two so indexing
- * is a mask, not a division — every Table I geometry qualifies.
+ * Entry state is stored structure-of-arrays. Each way's valid bit,
+ * 2 MB bit, context and VPN are packed into one 64-bit match key, so a
+ * lookup is one compare per way over a contiguous column; the
+ * ppn/lastUse columns are only touched on a hit or a fill. The set
+ * count must be a power of two so indexing is a mask, not a division
+ * — every Table I geometry qualifies.
  */
 
 #ifndef GPUWALK_TLB_SET_ASSOC_TLB_HH
@@ -111,6 +112,23 @@ class SetAssocTlb
   private:
     static constexpr std::size_t npos = ~std::size_t{0};
 
+    // Match-key layout: [63] valid, [62] 2 MB, [61:46] context,
+    // [45:0] VPN. An invalid way's key is 0, which no lookup forms.
+    static constexpr unsigned vpnBits = 46;
+    static constexpr std::uint64_t validBit = std::uint64_t{1} << 63;
+    static constexpr std::uint64_t largeBit = std::uint64_t{1} << 62;
+    static_assert(sizeof(ContextId) * 8 <= 62 - vpnBits,
+                  "context tag does not fit the match key");
+
+    static std::uint64_t
+    matchKey(mem::Addr vpn, bool large, ContextId ctx)
+    {
+        GPUWALK_ASSERT(vpn < (mem::Addr(1) << vpnBits),
+                       "VPN does not fit the TLB match key");
+        return validBit | (large ? largeBit : 0)
+               | (std::uint64_t(ctx) << vpnBits) | vpn;
+    }
+
     std::size_t
     setIndex(mem::Addr vpn, ContextId ctx) const
     {
@@ -141,12 +159,9 @@ class SetAssocTlb
     std::size_t numSets_;
 
     // Entry columns, slot = set * associativity + way.
-    std::vector<mem::Addr> vpn_;
+    std::vector<std::uint64_t> key_; ///< matchKey(), 0 when invalid
     std::vector<mem::Addr> ppn_;
     std::vector<std::uint64_t> lastUse_;
-    std::vector<std::uint8_t> valid_;
-    std::vector<std::uint8_t> large_;
-    std::vector<ContextId> ctx_;
 
     std::uint64_t useClock_ = 0;
 

@@ -38,14 +38,6 @@ TlbHierarchy::translate(TranslationRequest req)
         if (wavefrontIo_.size() <= req.wavefront)
             wavefrontIo_.resize(req.wavefront + 1);
         ++wavefrontIo_[req.wavefront].in;
-        auto inner = std::move(req.onComplete);
-        req.onComplete = [this, wf = req.wavefront,
-                          cb = std::move(inner)](mem::Addr pa_page,
-                                                 bool large) mutable {
-            ++wavefrontIo_[wf].out;
-            if (cb)
-                cb(pa_page, large);
-        };
     }
 
     if (tracer_) {
@@ -74,7 +66,7 @@ TlbHierarchy::lookupL1(TranslationRequest r)
 {
     SetAssocTlb &l1 = *l1s_[r.cu];
     if (auto hit = l1.lookupEntry(r.vaPage, r.ctx)) {
-        r.complete(hit->paPage, hit->largePage);
+        deliver(r, hit->paPage, hit->largePage);
         return;
     }
 
@@ -108,7 +100,7 @@ TlbHierarchy::lookupL1(TranslationRequest r)
         l1Inflight_.erase(node);
         l1s_[cu]->insert(va, pa_page, large, ctx);
         for (auto &w : filled->waiters)
-            w.complete(pa_page, large);
+            deliver(w, pa_page, large);
         filled->waiters.clear();
         mergePool_.release(filled);
     };
@@ -172,12 +164,27 @@ TlbHierarchy::accessL2(TranslationRequest req)
 }
 
 void
+TlbHierarchy::deliver(TranslationRequest &req, mem::Addr pa_page,
+                      bool large)
+{
+    if (auditTracking_)
+        ++wavefrontIo_[req.wavefront].out;
+    req.complete(pa_page, large);
+}
+
+void
 TlbHierarchy::noteL2Access(std::uint32_t wavefront)
 {
-    epochSet_.insert(wavefront);
+    if (epochStamp_.size() <= wavefront)
+        epochStamp_.resize(wavefront + 1, 0);
+    if (epochStamp_[wavefront] != epoch_) {
+        epochStamp_[wavefront] = epoch_;
+        ++epochDistinct_;
+    }
     if (++epochAccesses_ >= cfg_.epochLength) {
-        epochWavefronts_.sample(static_cast<double>(epochSet_.size()));
-        epochSet_.clear();
+        epochWavefronts_.sample(static_cast<double>(epochDistinct_));
+        ++epoch_;
+        epochDistinct_ = 0;
         epochAccesses_ = 0;
     }
 }

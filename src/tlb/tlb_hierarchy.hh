@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -132,6 +131,11 @@ class TlbHierarchy
     void accessL2(TranslationRequest req);
     void noteL2Access(std::uint32_t wavefront);
 
+    /** Completes a request that entered through translate(): the L1
+     *  hit path and the L1-fill waiter loop, the only two places the
+     *  hierarchy answers its callers. */
+    void deliver(TranslationRequest &req, mem::Addr pa_page, bool large);
+
     sim::EventQueue &eq_;
     TlbHierarchyConfig cfg_;
     TranslationService &iommu_;
@@ -154,14 +158,16 @@ class TlbHierarchy
     /** Shared pool behind both miss tables. */
     sim::ObjectPool<MergeEntry> mergePool_{64};
 
-    // Fig. 12 epoch tracking.
-    std::set<std::uint32_t> epochSet_;
+    // Fig. 12 epoch tracking: a wavefront is counted once per epoch,
+    // the first time its stamp is behind the current epoch number.
+    std::vector<std::uint64_t> epochStamp_;
+    std::uint64_t epoch_ = 1;
+    unsigned epochDistinct_ = 0;
     unsigned epochAccesses_ = 0;
 
     /** Per-wavefront request/response tally for the conservation
-     *  auditor. Only maintained (and the completion callbacks only
-     *  wrapped) once registerInvariants() has been called, so plain
-     *  runs pay nothing. */
+     *  auditor. Only maintained once registerInvariants() has been
+     *  called, so plain runs pay nothing. */
     struct WavefrontIo
     {
         std::uint64_t in = 0;  ///< requests coalesced in

@@ -1,13 +1,17 @@
 /**
  * @file
- * Unit tests for the set-associative timing cache.
+ * Unit tests for the set-associative timing cache, plus a randomized
+ * differential test against a per-way reference model (victim choice,
+ * dirty writeback addresses, flushAll).
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "mem/cache.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -176,6 +180,126 @@ TEST_F(CacheFixture, WriteMissAllocatesAndMarksDirty)
     for (int i = 1; i <= 4; ++i)
         access(0x7000 + Addr(i) * stride);
     EXPECT_EQ(cache->writebacks(), 1u);
+}
+
+/**
+ * Reference cache for serialized accesses (each miss fills before the
+ * next access): per-way records, victim = first invalid way else the
+ * lowest lastUse with the first way winning ties, dirty victims
+ * written back at (tag * sets + set) * line.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(Addr sets, unsigned ways, Addr line)
+        : sets_(sets), ways_(ways), line_(line), way_(sets * ways)
+    {}
+
+    /** @return the writeback address of this access, if any. */
+    std::optional<Addr>
+    access(Addr addr, bool write)
+    {
+        const Addr set = (addr / line_) % sets_;
+        const Addr tag = (addr / line_) / sets_;
+        Way *ways = &way_[set * ways_];
+        for (unsigned i = 0; i < ways_; ++i) {
+            if (ways[i].valid && ways[i].tag == tag) {
+                ++hits;
+                ways[i].lastUse = ++clock_;
+                ways[i].dirty = ways[i].dirty || write;
+                return std::nullopt;
+            }
+        }
+        ++misses;
+        Way *victim = nullptr;
+        for (unsigned i = 0; i < ways_ && !victim; ++i) {
+            if (!ways[i].valid)
+                victim = &ways[i];
+        }
+        std::optional<Addr> wb;
+        if (!victim) {
+            victim = &ways[0];
+            for (unsigned i = 1; i < ways_; ++i) {
+                if (ways[i].lastUse < victim->lastUse)
+                    victim = &ways[i];
+            }
+            ++evictions;
+            if (victim->dirty)
+                wb = (victim->tag * sets_ + set) * line_;
+        }
+        *victim = Way{true, write, tag, ++clock_};
+        return wb;
+    }
+
+    void
+    flushAll()
+    {
+        for (Way &w : way_) {
+            w.valid = false;
+            w.dirty = false;
+        }
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        bool dirty = false;
+        Addr tag = 0;
+        std::uint64_t lastUse = 0;
+    };
+
+    Addr sets_;
+    unsigned ways_;
+    Addr line_;
+    std::vector<Way> way_;
+    std::uint64_t clock_ = 0;
+};
+
+TEST_F(CacheFixture, MatchesReferenceModelUnderRandomTraffic)
+{
+    ReferenceCache ref(cfg.numSets(), cfg.associativity, cfg.lineBytes);
+    std::vector<Addr> want_writes;
+    sim::Rng rng(2024);
+    for (int step = 0; step < 20000; ++step) {
+        if (rng.below(200) == 0) {
+            cache->flushAll();
+            ref.flushAll();
+            continue;
+        }
+        // 1024 lines over 16 sets: heavy conflict traffic, with
+        // sub-line offsets so indexing must ignore them.
+        const Addr addr = rng.below(64 * 1024);
+        const bool write = rng.below(10) < 3;
+        access(addr, write);
+        if (const auto wb = ref.access(addr, write))
+            want_writes.push_back(*wb);
+
+        ASSERT_EQ(cache->hits(), ref.hits) << step;
+        ASSERT_EQ(cache->misses(), ref.misses) << step;
+        ASSERT_EQ(cache->evictions(), ref.evictions) << step;
+        ASSERT_EQ(cache->writebacks(), want_writes.size()) << step;
+        ASSERT_EQ(below.writes, want_writes) << step;
+    }
+    EXPECT_GT(cache->writebacks(), 100u);
+}
+
+TEST(CacheDeathTest, NonPowerOfTwoGeometryPanics)
+{
+    sim::EventQueue eq;
+    StubMemory below(eq, 500);
+    // 3 KB / (4 ways x 64 B) = 12 sets: divisible, not a power of two.
+    EXPECT_DEATH(Cache(eq, {"odd_sets", 3 * 1024, 4, 64, 500, 500, 8},
+                       below),
+                 "powers of two");
+    // 16 sets of 48-byte lines.
+    EXPECT_DEATH(Cache(eq, {"odd_line", 16 * 4 * 48, 4, 48, 500, 500, 8},
+                       below),
+                 "powers of two");
 }
 
 } // namespace

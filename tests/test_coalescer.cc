@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "sim/rng.hh"
 #include "tlb/coalescer.hh"
 
 namespace {
@@ -95,6 +99,62 @@ TEST(Coalescer, DivergenceMetricPartial)
     EXPECT_EQ(out.activeLanes, 64u);
     EXPECT_EQ(out.pages.size(), 32u);
     EXPECT_DOUBLE_EQ(out.pageDivergence(), 0.5);
+}
+
+/** First-appearance dedupe, the obvious quadratic way. */
+std::vector<Addr>
+firstAppearance(const std::vector<Addr> &addrs)
+{
+    std::vector<Addr> out;
+    for (Addr a : addrs) {
+        if (std::find(out.begin(), out.end(), a) == out.end())
+            out.push_back(a);
+    }
+    return out;
+}
+
+TEST(Coalescer, SixtyFourLanesKeepFirstAppearanceOrder)
+{
+    // The order of pages and lines is the request order downstream
+    // (and so part of every golden digest): it must be the order in
+    // which lanes first touch them, whatever the repetition pattern.
+    sim::Rng rng(64);
+    for (int trial = 0; trial < 200; ++trial) {
+        // Few pages (with page 0 among them) and lines, drawn with
+        // heavy repetition and in descending-then-random order.
+        std::vector<Addr> lanes;
+        for (int lane = 0; lane < 64; ++lane) {
+            const Addr page = (lane < 8 ? 7 - lane : rng.below(12))
+                              * mem::pageSize;
+            lanes.push_back(page + rng.below(8) * mem::cacheLineSize
+                            + rng.below(mem::cacheLineSize));
+        }
+        std::vector<Addr> pages, lines;
+        for (Addr a : lanes) {
+            pages.push_back(mem::pageAlign(a));
+            lines.push_back(mem::lineAlign(a));
+        }
+
+        const auto out = coalesce(lanes);
+        EXPECT_EQ(out.activeLanes, 64u);
+        EXPECT_EQ(out.pages, firstAppearance(pages)) << trial;
+        EXPECT_EQ(out.lines, firstAppearance(lines)) << trial;
+        EXPECT_EQ(out.pages.front(), 7 * mem::pageSize);
+    }
+}
+
+TEST(Coalescer, LaneVectorsWiderThanAWavefrontStillDedupe)
+{
+    // Beyond the stack-sized table: 1000 lanes over 300 pages.
+    std::vector<Addr> lanes;
+    for (Addr i = 0; i < 1000; ++i)
+        lanes.push_back(((i * 7) % 300) * mem::pageSize + (i % 64) * 64);
+    std::vector<Addr> pages;
+    for (Addr a : lanes)
+        pages.push_back(mem::pageAlign(a));
+    const auto out = coalesce(lanes);
+    EXPECT_EQ(out.pages, firstAppearance(pages));
+    EXPECT_EQ(out.pages.size(), 300u);
 }
 
 } // namespace

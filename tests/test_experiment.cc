@@ -23,6 +23,15 @@ using namespace gpuwalk;
 using namespace gpuwalk::exp;
 using gpuwalk::system::SystemConfig;
 
+/** Runner options with only the worker count set. */
+RunnerOptions
+withJobs(unsigned jobs)
+{
+    RunnerOptions opts;
+    opts.jobs = jobs;
+    return opts;
+}
+
 TEST(TablePrinterTest, HeaderRowAndRule)
 {
     TablePrinter t({"app", "value"}, 8);
@@ -199,7 +208,7 @@ TEST(SweepSpecTest, ImplicitSeedKeepsBaselinePairing)
         checked = true;
         return RunResult{};
     };
-    runSweep(spec, {1});
+    runSweep(spec, withJobs(1));
     EXPECT_TRUE(checked);
 }
 
@@ -216,7 +225,7 @@ TEST(SweepSpecTest, ExplicitSeedsOverrideBothStreams)
         seen.push_back(job.seed);
         return RunResult{};
     };
-    const auto result = runSweep(spec, {1});
+    const auto result = runSweep(spec, withJobs(1));
     EXPECT_EQ(seen, (std::vector<std::uint64_t>{7, 9}));
     EXPECT_EQ(result.runs()[0].seed, 7u);
     EXPECT_EQ(result.runs()[1].seed, 9u);
@@ -243,7 +252,7 @@ TEST(SweepSpecTest, VariantApplyMutatesConfigAndParams)
         checked = true;
         return RunResult{};
     };
-    runSweep(spec, {1});
+    runSweep(spec, withJobs(1));
     EXPECT_TRUE(checked);
 }
 
@@ -265,8 +274,8 @@ TEST(ParallelRunnerTest, SerialAndParallelRunsAreByteIdentical)
     // The acceptance property: the same SweepSpec with --jobs 1 and
     // --jobs 8 yields byte-identical per-run statistics (compared via
     // the JSON rendition, which prints doubles at max precision).
-    const auto serial = runSweep(smallRealSweep(), {1});
-    const auto parallel = runSweep(smallRealSweep(), {8});
+    const auto serial = runSweep(smallRealSweep(), withJobs(1));
+    const auto parallel = runSweep(smallRealSweep(), withJobs(8));
 
     ASSERT_EQ(serial.runs().size(), parallel.runs().size());
     EXPECT_EQ(serial.jobsUsed(), 1u);
@@ -284,7 +293,7 @@ TEST(ParallelRunnerTest, SerialAndParallelRunsAreByteIdentical)
 
 TEST(ParallelRunnerTest, ResultsKeepExpansionOrderAndLabels)
 {
-    const auto result = runSweep(smallRealSweep(), {4});
+    const auto result = runSweep(smallRealSweep(), withJobs(4));
     ASSERT_EQ(result.runs().size(), 4u);
     EXPECT_EQ(result.runs()[0].workload, "KMN");
     EXPECT_EQ(result.runs()[0].scheduler, "fcfs");
@@ -300,7 +309,7 @@ TEST(ParallelRunnerTest, ResultsKeepExpansionOrderAndLabels)
 
 TEST(ParallelRunnerTest, RecordsWallTimes)
 {
-    const auto result = runSweep(smallRealSweep(), {2});
+    const auto result = runSweep(smallRealSweep(), withJobs(2));
     EXPECT_GT(result.wallSeconds(), 0.0);
     EXPECT_EQ(result.jobsUsed(), 2u);
     for (const auto &run : result.runs())
@@ -320,8 +329,8 @@ TEST(ParallelRunnerTest, FirstExceptionPropagatesToCaller)
         };
         jobs.push_back(std::move(job));
     }
-    EXPECT_THROW(runJobs(jobs, {4}), std::runtime_error);
-    EXPECT_THROW(runJobs(jobs, {1}), std::runtime_error);
+    EXPECT_THROW(runJobs(jobs, withJobs(4)), std::runtime_error);
+    EXPECT_THROW(runJobs(jobs, withJobs(1)), std::runtime_error);
 }
 
 TEST(ParallelRunnerDeathTest, MissingLabelPanics)
@@ -329,7 +338,7 @@ TEST(ParallelRunnerDeathTest, MissingLabelPanics)
     SweepSpec spec;
     spec.params = tinyParams();
     spec.workloads = {"KMN"};
-    const auto result = runSweep(spec, {1});
+    const auto result = runSweep(spec, withJobs(1));
     EXPECT_DEATH(result.at("NOPE"), "no sweep result");
 }
 
@@ -358,7 +367,7 @@ TEST(ReportTest, RendersBannerTablesAndNotes)
 TEST(ReportTest, JsonCarriesRunsSummaryAndFingerprint)
 {
     auto spec = smallRealSweep();
-    const auto result = runSweep(spec, {2});
+    const auto result = runSweep(spec, withJobs(2));
 
     Report report("Figure T", "test report", spec.base);
     auto &table = report.addTable({"app", "speedup"});
@@ -484,7 +493,7 @@ TEST(ParallelRunnerTest, AuditDoesNotChangeSimulatedResults)
     // --audit must produce identical simulated statistics. (The
     // events-executed count differs — the audit drains post-kernel
     // tail work — so compare the simulated-time fields directly.)
-    const auto plain = runSweep(smallRealSweep(), {2});
+    const auto plain = runSweep(smallRealSweep(), withJobs(2));
     RunnerOptions audited;
     audited.jobs = 2;
     audited.audit.enabled = true;

@@ -6,9 +6,11 @@
  * Exercises both storage strategies: inline placement for captures
  * within the byte budget, and the heap-box fallback for oversized,
  * over-aligned, or potentially-throwing-move captures. The fallback is
- * what the auditor's callback wrapping relies on — wrapping a
- * TranslationRequest's completion adds capture bytes, and a silent
- * truncation or slice there would corrupt the walk path.
+ * what oversized completion captures (the virtual-cache bridge) rely
+ * on, and a silent truncation or slice there would corrupt the walk
+ * path. Moves take two routes as well: trivially copyable captures
+ * (and heap boxes) relocate by copying the buffer, the rest through
+ * their move constructor; both must keep state and destroy once.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +18,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "sim/inline_function.hh"
 
@@ -155,6 +159,69 @@ TEST(InlineFunction, DestroysCaptureExactlyOnceBoxed)
         EXPECT_EQ(Counted::live, 1); // only `big` itself remains
     }
     EXPECT_EQ(Counted::live, 0) << "boxed capture leaked";
+}
+
+TEST(InlineFunction, TriviallyCopyableCaptureSurvivesMoveChains)
+{
+    // Buffer-copy relocation: five words of state (plus this-like
+    // pointers) must arrive intact after chains of moves, move
+    // assignments and vector reallocations.
+    std::uint64_t a = 3, b = 5, c = 7, d = 11;
+    const int *anchor = &Counted::live;
+    auto lambda = [a, b, c, d, anchor] {
+        return a * b * c * d + (anchor == &Counted::live ? 1 : 0);
+    };
+    static_assert(std::is_trivially_copyable_v<decltype(lambda)>);
+    static_assert(sizeof(lambda) <= 48);
+
+    InlineFunction<std::uint64_t()> fn = lambda;
+    InlineFunction<std::uint64_t()> hop1 = std::move(fn);
+    InlineFunction<std::uint64_t()> hop2;
+    hop2 = std::move(hop1);
+    EXPECT_FALSE(fn);
+    EXPECT_FALSE(hop1);
+
+    std::vector<InlineFunction<std::uint64_t()>> grown;
+    grown.push_back(std::move(hop2));
+    for (int i = 0; i < 64; ++i) // forces several reallocations
+        grown.emplace_back([i] { return std::uint64_t(i); });
+    EXPECT_EQ(grown.front()(), 1156u);
+    EXPECT_EQ(grown.back()(), 63u);
+    EXPECT_EQ(grown.front()(), 1156u) << "invoking must not consume";
+}
+
+TEST(InlineFunction, NonTrivialCapturesMoveAndDestroyExactlyOnce)
+{
+    // Thunk relocation: an owning pointer and a destructor counter
+    // travel through the same chains; every capture is destroyed
+    // exactly once and the owned value is never lost.
+    Counted::live = 0;
+    {
+        Counted counted;
+        auto owned = std::make_unique<int>(41);
+        InlineFunction<int()> fn = [counted, p = std::move(owned)] {
+            return *p + 1;
+        };
+        EXPECT_EQ(Counted::live, 2); // local + capture
+        InlineFunction<int()> hop1 = std::move(fn);
+        InlineFunction<int()> hop2;
+        hop2 = std::move(hop1);
+        EXPECT_EQ(Counted::live, 2) << "a move leaked or dropped a copy";
+
+        std::vector<InlineFunction<int()>> grown;
+        grown.push_back(std::move(hop2));
+        for (int i = 0; i < 64; ++i)
+            grown.emplace_back([counted, i] { return i; });
+        EXPECT_EQ(Counted::live, 66);
+        EXPECT_EQ(grown.front()(), 42);
+        EXPECT_EQ(grown.back()(), 63);
+
+        grown.front().reset();
+        EXPECT_EQ(Counted::live, 65);
+        grown.clear();
+        EXPECT_EQ(Counted::live, 1);
+    }
+    EXPECT_EQ(Counted::live, 0) << "capture leaked or double-destroyed";
 }
 
 TEST(InlineFunction, AssignmentReplacesPreviousTarget)

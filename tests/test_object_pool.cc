@@ -154,6 +154,47 @@ TEST(ObjectPool, LiveCountStaysExactUnderRecycleWhileIterating)
     EXPECT_EQ(pool.inUse(), 0u);
 }
 
+TEST(ObjectPool, FirstAndLastOfManySlabsRecycleWithExactCounts)
+{
+    // Release bookkeeping is per-object, not per-slab: the first and
+    // the last of 120 slabs must behave exactly alike.
+    constexpr std::size_t slabs = 120;
+    ObjectPool<Payload> pool(4);
+    std::vector<Payload *> held;
+    for (std::size_t i = 0; i < slabs * 4; ++i) {
+        held.push_back(pool.acquire());
+        held.back()->value = static_cast<int>(i);
+    }
+    ASSERT_EQ(pool.slabCount(), slabs);
+    EXPECT_EQ(pool.inUse(), slabs * 4);
+    EXPECT_EQ(pool.peakInUse(), slabs * 4);
+
+    Payload *first = held.front();
+    Payload *last = held.back();
+    pool.release(first);
+    pool.release(last);
+    EXPECT_EQ(pool.inUse(), slabs * 4 - 2);
+    EXPECT_EQ(pool.acquire(), last); // LIFO
+    EXPECT_EQ(pool.acquire(), first);
+    EXPECT_EQ(first->value, 0);
+    EXPECT_EQ(last->value, static_cast<int>(slabs * 4 - 1));
+    EXPECT_EQ(pool.inUse(), slabs * 4);
+    EXPECT_EQ(pool.peakInUse(), slabs * 4);
+
+    for (Payload *p : held)
+        pool.release(p);
+    EXPECT_EQ(pool.inUse(), 0u);
+    EXPECT_EQ(pool.peakInUse(), slabs * 4);
+    EXPECT_EQ(pool.slabCount(), slabs);
+
+    // Every slot is free again: one more of each slab's worth reuses
+    // slots without growth.
+    for (std::size_t i = 0; i < slabs * 4; ++i)
+        pool.acquire();
+    EXPECT_EQ(pool.slabCount(), slabs);
+    EXPECT_EQ(pool.inUse(), slabs * 4);
+}
+
 TEST(ObjectPoolDeathTest, DoubleReleasePanics)
 {
     ObjectPool<Payload> pool(4);
@@ -193,6 +234,18 @@ TEST(ObjectPoolDeathTest, ReleasingAnotherPoolsObjectPanics)
     Payload *p = pool_a.acquire();
     EXPECT_DEATH(pool_b.release(p), "non-pooled");
     pool_a.release(p);
+}
+
+TEST(ObjectPoolDeathTest, ReleasingAnInteriorPointerPanics)
+{
+    // Inside the slab hull but off a slot boundary: the header read
+    // lands mid-slot and must not validate.
+    ObjectPool<Payload> pool(4);
+    Payload *p = pool.acquire();
+    auto *interior = reinterpret_cast<Payload *>(
+        reinterpret_cast<char *>(p) + alignof(Payload));
+    EXPECT_DEATH(pool.release(interior), "non-pooled");
+    pool.release(p);
 }
 
 } // namespace

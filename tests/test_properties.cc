@@ -241,8 +241,9 @@ TEST_P(FeatureMatrixProperty, ExtensionsComposeSafely)
     EXPECT_GE(stats.walksCompleted, stats.walkRequests);
     // A final speculative prefetch may legitimately still be in
     // flight when the GPU retires its last instruction.
-    if (!prefetch)
+    if (!prefetch) {
         EXPECT_EQ(sys.iommu().inflightWalks(), 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -285,6 +285,19 @@ validateTracedStream(const std::vector<trace::Event> &events,
         case EventKind::FaultServiced:
             FAIL() << "fault event in a fully resident run";
             break;
+        case EventKind::PrefetchIssued:
+        case EventKind::PrefetchUseful:
+            // Prefetch walks exist only with a prefetcher configured
+            // (ARCHITECTURE §16); the baseline runs without one.
+            FAIL() << "prefetch event with the prefetcher off";
+            break;
+        case EventKind::LeaderIssued:
+        case EventKind::SpecAdmitted:
+            // Outside --wavefront-sched=wasp, and with no prefetcher
+            // feeding the speculative class, the Wasp machinery is
+            // structurally inert (ARCHITECTURE §17).
+            FAIL() << "Wasp/speculative event in a baseline run";
+            break;
         }
     }
 
