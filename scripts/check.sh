@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: configure, build, run the full test suite, then
-# smoke one bench through the parallel runner and sanity-check its
-# structured JSON output.
+# smoke one experiment sweep through the parallel runner and
+# sanity-check its structured JSON output.
 # Usage: scripts/check.sh [build-dir]
 set -e
 
@@ -14,11 +14,10 @@ cmake --build "$BUILD" -j "$(nproc 2>/dev/null || echo 4)"
 ctest --test-dir "$BUILD" --output-on-failure -j \
     "$(nproc 2>/dev/null || echo 4)"
 
-# Smoke sweep: one figure bench on the thread pool with JSON output.
+# Smoke sweep: one figure on the thread pool with JSON output.
 SMOKE_JSON=/tmp/out.json
 rm -f "$SMOKE_JSON"
-"$BUILD"/bench/bench_fig02_scheduler_impact --jobs 2 \
-    --json "$SMOKE_JSON"
+"$BUILD"/tools/gpuwalk sweep fig02 --jobs 2 --json "$SMOKE_JSON"
 
 # JSON sanity: well-formed, schema v1, runs present, jobs as requested.
 python3 - "$SMOKE_JSON" <<'EOF'

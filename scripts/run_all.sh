@@ -1,5 +1,5 @@
 #!/bin/sh
-# Regenerates every artifact: build, tests, all table/figure benches.
+# Regenerates every artifact: build, tests, every table/figure sweep.
 # Usage: scripts/run_all.sh [build-dir]
 set -e
 
@@ -12,9 +12,7 @@ cmake --build "$BUILD"
 
 ctest --test-dir "$BUILD" 2>&1 | tee "$ROOT/test_output.txt"
 
-for b in "$BUILD"/bench/*; do
-    if [ -f "$b" ] && [ -x "$b" ]; then
-        echo "##### $(basename "$b") #####"
-        "$b"
-    fi
+for name in $("$BUILD"/tools/gpuwalk sweep --list | cut -d' ' -f1); do
+    echo "##### $name #####"
+    "$BUILD"/tools/gpuwalk sweep "$name"
 done 2>&1 | tee "$ROOT/bench_output.txt"

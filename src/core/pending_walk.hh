@@ -121,7 +121,7 @@ class WalkBuffer
      * @name Speculative class
      *
      * Low-priority walks — Wasp leader lookahead and (under the
-     * reserved/budget admission policies) prefetcher predictions —
+     * budget admission policy) prefetcher predictions —
      * wait in a FIFO sidecar of the buffer, invisible to every
      * scheduler query above: selectNext() and the scan schedulers
      * only ever see demand entries, so "scheduled only when no demand

@@ -1,7 +1,7 @@
 /**
  * @file
  * Derived-metric math shared by the experiment reports: speedups and
- * geometric means, plus the MEAN-row accumulator the figure benches
+ * geometric means, plus the MEAN-row accumulator the figure experiments
  * use.
  */
 

@@ -151,8 +151,15 @@ Report::render(std::ostream &os) const
 }
 
 void
-Report::writeJson(std::ostream &os, const SweepResult *result) const
+Report::setRuns(SweepResult result)
 {
+    result_ = std::move(result);
+}
+
+void
+Report::writeJson(std::ostream &os) const
+{
+    const SweepResult *result = result_ ? &*result_ : nullptr;
     os << "{\"schema_version\": 1, \"experiment\": {\"id\": ";
     jsonEscape(os, id_);
     os << ", \"description\": ";
@@ -239,13 +246,12 @@ Report::writeJson(std::ostream &os, const SweepResult *result) const
 }
 
 void
-Report::writeJsonFile(const std::string &path,
-                      const SweepResult *result) const
+Report::writeJsonFile(const std::string &path) const
 {
     std::ofstream os(path);
     if (!os)
         sim::fatal("cannot open '", path, "' for JSON output");
-    writeJson(os, result);
+    writeJson(os);
 }
 
 std::string

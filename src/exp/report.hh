@@ -1,7 +1,7 @@
 /**
  * @file
  * Experiment reporting: the paper-style fixed-width console tables the
- * benches have always printed, plus a structured JSON rendition of the
+ * experiments have always printed, plus a structured JSON rendition of the
  * same sweep (per-run statistics, derived summary scalars, config
  * fingerprint, git revision, wall time) for machine consumption.
  */
@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,19 +64,22 @@ class Report
     /** Derived scalar (geomean speedup, ...) for the JSON summary. */
     void addSummary(const std::string &key, double value);
 
-    /** Banner + tables + notes, matching the historical bench output. */
+    /** Banner + tables + notes, matching the historical experiment output. */
     void render(std::ostream &os) const;
+
+    /** The sweep the tables were computed from; its runs go into
+     *  the JSON (a report without one has no runs). */
+    void setRuns(SweepResult result);
 
     /**
      * Structured JSON: experiment identity, git sha, config
-     * fingerprint, per-run stats from @p result (null = no runs),
-     * summary scalars, and the rendered tables as data.
+     * fingerprint, per-run stats, summary scalars, and the rendered
+     * tables as data.
      */
-    void writeJson(std::ostream &os, const SweepResult *result) const;
+    void writeJson(std::ostream &os) const;
 
     /** writeJson to @p path; fatal() if the file cannot be opened. */
-    void writeJsonFile(const std::string &path,
-                       const SweepResult *result) const;
+    void writeJsonFile(const std::string &path) const;
 
   private:
     std::string id_;
@@ -85,6 +89,7 @@ class Report
     std::deque<Table> tables_;  // deque: stable refs across addTable
     std::vector<std::string> notes_;
     std::vector<std::pair<std::string, double>> summary_;
+    std::optional<SweepResult> result_;
 };
 
 /** FNV-1a hash of the config's printed form, as a hex string. */

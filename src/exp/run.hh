@@ -33,7 +33,7 @@ struct RunResult
     std::uint64_t seed = 0;
     core::SchedulerKind schedulerKind = core::SchedulerKind::Fcfs;
     system::RunStats stats;
-    std::map<std::string, double> extra;  ///< bench-specific scalars
+    std::map<std::string, double> extra;  ///< experiment-specific scalars
     double wallSeconds = 0.0;             ///< host time, runner-filled
 };
 

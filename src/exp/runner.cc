@@ -130,32 +130,7 @@ runJobs(const std::vector<Job> &jobs, const RunnerOptions &opts)
 SweepResult
 runSweep(const SweepSpec &spec, const RunnerOptions &opts)
 {
-    if (!opts.trace.enabled && !opts.audit.enabled
-        && !opts.gmmu.enabled
-        && opts.prefetch.kind == iommu::PrefetchKind::Off
-        && !opts.wasp
-        && opts.specAdmission == iommu::SpecAdmission::Idle) {
-        return runJobs(spec.expand(), opts);
-    }
-    SweepSpec instrumented = spec;
-    if (opts.trace.enabled)
-        instrumented.base.trace = opts.trace;
-    if (opts.audit.enabled)
-        instrumented.base.audit = opts.audit;
-    if (opts.gmmu.enabled)
-        instrumented.base.gmmu = opts.gmmu;
-    if (opts.prefetch.kind != iommu::PrefetchKind::Off)
-        instrumented.base.iommu.prefetch = opts.prefetch;
-    if (opts.wasp) {
-        instrumented.base.gpu.wavefrontSched =
-            gpu::WavefrontSchedPolicy::Wasp;
-        instrumented.base.gpu.waspLeaders = opts.waspLeaders;
-        instrumented.base.gpu.waspDistanceCycles =
-            opts.waspDistanceCycles;
-    }
-    if (opts.specAdmission != iommu::SpecAdmission::Idle)
-        instrumented.base.iommu.specAdmission = opts.specAdmission;
-    return runJobs(instrumented.expand(), opts);
+    return runJobs(spec.expand(), opts);
 }
 
 } // namespace gpuwalk::exp

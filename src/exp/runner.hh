@@ -16,66 +16,17 @@
 #include <vector>
 
 #include "exp/sweep.hh"
-#include "iommu/iommu.hh"
-#include "iommu/prefetch/translation_prefetcher.hh"
-#include "sim/audit.hh"
-#include "sim/ticks.hh"
-#include "trace/trace.hh"
-#include "vm/gmmu.hh"
 
 namespace gpuwalk::exp {
 
-/** Execution knobs for a sweep. */
+/**
+ * Execution knobs for a sweep. What each run simulates comes only
+ * from its job's config, never from here.
+ */
 struct RunnerOptions
 {
     /** Worker threads; 0 means std::thread::hardware_concurrency. */
     unsigned jobs = 0;
-
-    /**
-     * Walk-lifecycle tracing applied to every run of the sweep
-     * (runSweep copies it into the spec's base config before
-     * expansion). Observation-only: simulated results are unchanged.
-     */
-    trace::TraceConfig trace;
-
-    /**
-     * Conservation auditing applied to every run of the sweep (same
-     * copy-into-base mechanism as tracing). Observation-only; each
-     * run's violations land in its RunStats audit fields.
-     */
-    sim::AuditConfig audit;
-
-    /**
-     * Demand paging / oversubscription applied to every run of the
-     * sweep (same copy-into-base mechanism). NOT observation-only:
-     * faulting runs simulate different machines than resident runs,
-     * so this only applies when gmmu.enabled is set.
-     */
-    vm::GmmuConfig gmmu;
-
-    /**
-     * Translation prefetching applied to every run of the sweep (same
-     * copy-into-base mechanism). NOT observation-only: speculative
-     * walks change TLB contents and walker occupancy, so this only
-     * applies when prefetch.kind != Off.
-     */
-    iommu::PrefetchConfig prefetch;
-
-    /**
-     * Wasp wavefront scheduling applied to every run of the sweep
-     * (same copy-into-base mechanism). NOT observation-only: leaders
-     * reorder issue and add speculative walks, so the policy + knobs
-     * copy in only when wasp is true.
-     */
-    bool wasp = false;
-    unsigned waspLeaders = 1;
-    sim::Cycles waspDistanceCycles = 2048;
-
-    /**
-     * Speculative-walk admission applied to every run of the sweep
-     * (same mechanism; copies in only when != Idle, the default).
-     */
-    iommu::SpecAdmission specAdmission = iommu::SpecAdmission::Idle;
 };
 
 /**
@@ -90,7 +41,7 @@ class SweepResult
     /**
      * The run matching the given labels; an empty @p scheduler or
      * @p variant matches anything. panic() if nothing matches (a
-     * label typo is a bench bug, not a runtime condition).
+     * label typo is an experiment bug, not a runtime condition).
      */
     const RunResult &at(const std::string &workload,
                         const std::string &scheduler = "",

@@ -5,7 +5,7 @@
  * A SweepSpec names the axes of an experiment — workloads x scheduling
  * policies x config variants x seeds — and expands into a flat list of
  * independent jobs, each of which builds its own System when executed.
- * The figure/table benches declare their sweep instead of hand-rolling
+ * The figure/table experiments declare their sweep instead of hand-rolling
  * nested loops; the ParallelRunner executes the expansion on a thread
  * pool.
  */
@@ -94,9 +94,10 @@ struct SweepSpec
     /** Overrides the standard build-run body when set. */
     JobBody body;
 
-    SweepSpec()
-        : base(system::SystemConfig::baseline()),
-          params(experimentParams())
+    SweepSpec() : SweepSpec(system::SystemConfig::baseline()) {}
+
+    explicit SweepSpec(const system::SystemConfig &base_cfg)
+        : base(base_cfg), params(experimentParams())
     {}
 
     std::vector<Job> expand() const;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Fixed-width console-table formatting that mirrors the paper's
- * figures, and the standard bench banner. The Report module composes
- * these; benches that need ad-hoc output can use them directly.
+ * figures, and the standard experiment banner. The Report module composes
+ * these; experiments that need ad-hoc output can use them directly.
  */
 
 #ifndef GPUWALK_EXP_TABLE_HH
@@ -16,7 +16,7 @@
 
 namespace gpuwalk::exp {
 
-/** Fixed-width console table, used by every figure bench. */
+/** Fixed-width console table, used by every figure experiment. */
 class TablePrinter
 {
   public:
@@ -44,7 +44,7 @@ fmt(double v, int precision = 3)
     return TablePrinter::fmt(v, precision);
 }
 
-/** Prints the standard bench banner (figure id + config summary). */
+/** Prints the standard experiment banner (figure id + config summary). */
 void printBanner(std::ostream &os, const std::string &experiment_id,
                  const std::string &description,
                  const system::SystemConfig &cfg);

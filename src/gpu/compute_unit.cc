@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "gpu/gpu.hh"
-#include "sim/debug.hh"
 #include "trace/trace.hh"
 
 namespace gpuwalk::gpu {
@@ -274,9 +273,6 @@ ComputeUnit::instructionDone(std::uint64_t instr_key)
     inflight_.erase(it);
 
     ++instructions_;
-    sim::debug::log("gpu", eq_.now(), "cu", id_, " retired instr ",
-                    instr_key, " (wf ",
-                    wavefronts_[wf_index].globalId, ")");
     setBlocked(wf_index, false);
 
     eq_.scheduleIn(cfg_.clockPeriod * (compute + cfg_.issueCycles),

@@ -4,7 +4,6 @@
 
 #include "core/srpt_scheduler.hh"
 #include "sim/audit.hh"
-#include "sim/debug.hh"
 #include "vm/gmmu.hh"
 #include "vm/page_table.hh"
 
@@ -170,11 +169,11 @@ Iommu::registerInvariants(sim::Auditor &auditor)
     auditor.registerInvariant(
         "iommu.buffer_drained", [this](sim::AuditContext &ctx) {
             if (!ctx.final()) {
-                // The buffer holds work only while every walker the
-                // demand class may use is busy (the class invariant
-                // immediate dispatch relies on).
+                // The buffer holds work only while every walker is
+                // busy (the class invariant immediate dispatch relies
+                // on).
                 if (!buffer_.empty() || !overflow_.empty()) {
-                    ctx.require(idleDemandWalker() == nullptr,
+                    ctx.require(idleWalker() == nullptr,
                                 buffer_.size() + overflow_.size(),
                                 " pending walks while a walker idles");
                 }
@@ -372,9 +371,6 @@ Iommu::lookupTlbs(tlb::TranslationRequest r)
         hit = l2Tlb_.lookupEntry(r.vaPage, r.ctx);
     if (hit) {
         ++tlbHits_;
-        sim::debug::log("tlb", eq_.now(), "IOMMU TLB hit va=",
-                        std::hex, r.vaPage, std::dec, " instr=",
-                        r.instruction);
         const auto h = *hit;
         if (prefetcher_) {
             // First demand touch of a prefetched translation: the
@@ -474,7 +470,7 @@ Iommu::enqueueWalk(tlb::TranslationRequest req)
     // FIFO are empty (dispatch drains the buffer whenever a walker
     // frees up), so the new request starts immediately and the
     // scheduler plays no role.
-    if (PageTableWalker *w = idleDemandWalker()) {
+    if (PageTableWalker *w = idleWalker()) {
         GPUWALK_ASSERT(buffer_.empty() && overflow_.empty(),
                        "idle walker with pending requests");
         dispatchTo(*w, std::move(walk), core::PickReason::Immediate);
@@ -483,10 +479,6 @@ Iommu::enqueueWalk(tlb::TranslationRequest req)
 
     if (buffer_.full()) {
         ++overflowed_;
-        sim::debug::log("sched", eq_.now(), "overflow va=", std::hex,
-                        walk.request.vaPage, std::dec, " instr=",
-                        walk.request.instruction, " depth=",
-                        overflow_.size());
         overflow_.push_back(std::move(walk));
         return;
     }
@@ -554,47 +546,14 @@ Iommu::idleWalker()
     return nullptr;
 }
 
-unsigned
-Iommu::demandWalkerLimit() const
-{
-    if (cfg_.specAdmission != SpecAdmission::Reserved)
-        return cfg_.numWalkers;
-    // Clamp so at least one walker always serves demand.
-    const unsigned reserved =
-        std::min(cfg_.specReservedWalkers, cfg_.numWalkers - 1);
-    return cfg_.numWalkers - reserved;
-}
-
-PageTableWalker *
-Iommu::idleDemandWalker()
-{
-    const unsigned limit = demandWalkerLimit();
-    for (unsigned i = 0; i < limit; ++i) {
-        if (!walkers_[i]->busy())
-            return walkers_[i].get();
-    }
-    return nullptr;
-}
-
 PageTableWalker *
 Iommu::idleSpecWalker()
 {
-    // Reserved walkers first: keep the demand-eligible ones free for
-    // the next demand arrival when there is a choice.
-    const unsigned limit = demandWalkerLimit();
-    for (unsigned i = limit; i < cfg_.numWalkers; ++i) {
-        if (!walkers_[i]->busy())
-            return walkers_[i].get();
-    }
-    // Non-reserved walkers carry speculation only while no demand
-    // walk is waiting for one: speculation never delays demand.
+    // Speculation rides a walker only while no demand walk is waiting
+    // for one: it never delays demand.
     if (!buffer_.empty() || !overflow_.empty())
         return nullptr;
-    for (unsigned i = 0; i < limit; ++i) {
-        if (!walkers_[i]->busy())
-            return walkers_[i].get();
-    }
-    return nullptr;
+    return idleWalker();
 }
 
 void
@@ -634,7 +593,7 @@ Iommu::dispatchIfPossible()
     promoteAgedSpec();
 
     while (!buffer_.empty()) {
-        PageTableWalker *w = idleDemandWalker();
+        PageTableWalker *w = idleWalker();
         if (!w)
             break;
         const std::size_t idx = scheduler_->selectNext(buffer_);
@@ -703,10 +662,6 @@ void
 Iommu::dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
                   core::PickReason reason)
 {
-    sim::debug::log("sched", eq_.now(), "dispatch va=", std::hex,
-                    walk.request.vaPage, std::dec, " instr=",
-                    walk.request.instruction, " score=", walk.score,
-                    " buffered=", buffer_.size());
     metrics_.onDispatch(walk.request.instruction);
 
     // Budget admission: demand dispatches clock the tumbling window
@@ -884,9 +839,6 @@ Iommu::onFaultServiced(ContextId ctx, mem::Addr va_page)
         ev.arg1 = eq_.now() - entry.raised;
         tracer_->record(ev);
     }
-    sim::debug::log("sched", eq_.now(), "fault serviced va=", std::hex,
-                    va_page, std::dec, " releasing ",
-                    entry.walks.size(), " walks");
 
     for (auto &walk : entry.walks)
         reenterWalk(std::move(walk));
@@ -908,7 +860,7 @@ Iommu::reenterWalk(core::PendingWalk walk)
     // Faulted leader walks re-enter as demand: after a far-fault
     // round trip the lookahead advantage is gone, and the page is
     // resident now, so the walk should complete at demand priority.
-    if (PageTableWalker *w = idleDemandWalker()) {
+    if (PageTableWalker *w = idleWalker()) {
         GPUWALK_ASSERT(buffer_.empty() && overflow_.empty(),
                        "idle walker with pending requests");
         dispatchTo(*w, std::move(walk), core::PickReason::Immediate);
@@ -937,7 +889,7 @@ Iommu::maybePrefetch(mem::Addr touched_va_page, ContextId ctx,
                                candidates_, leader);
 
     if (cfg_.specAdmission != SpecAdmission::Idle) {
-        // Reserved/budget admission: predictions buffer into the
+        // Budget admission: predictions buffer into the
         // speculative class and dispatch under its walker-eligibility
         // rules rather than demanding an idle walker this instant.
         bool admitted = false;
@@ -1049,8 +1001,6 @@ toString(SpecAdmission a)
     switch (a) {
       case SpecAdmission::Idle:
         return "idle";
-      case SpecAdmission::Reserved:
-        return "reserved";
       case SpecAdmission::Budget:
         return "budget";
     }
@@ -1062,12 +1012,10 @@ specAdmissionFromString(const std::string &name)
 {
     if (name == "idle")
         return SpecAdmission::Idle;
-    if (name == "reserved")
-        return SpecAdmission::Reserved;
     if (name == "budget")
         return SpecAdmission::Budget;
     sim::fatal("unknown spec admission '", name,
-               "' (expected idle|reserved|budget)");
+               "' (expected idle|budget)");
 }
 
 void

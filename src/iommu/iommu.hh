@@ -56,7 +56,9 @@ namespace gpuwalk::iommu {
 
 /**
  * How speculative walks — Wasp leader lookahead and prefetcher
- * predictions — are admitted into the walk path.
+ * predictions — are admitted into the walk path. The values are
+ * recorded in traces (SpecAdmitted arg0), so they are fixed; 1 was a
+ * reserved-walker policy, measured and removed (EXPERIMENTS.md).
  */
 enum class SpecAdmission : std::uint8_t
 {
@@ -67,16 +69,7 @@ enum class SpecAdmission : std::uint8_t
      * still buffer in the speculative class (they cannot be dropped)
      * and dispatch whenever no demand walk is eligible.
      */
-    Idle,
-
-    /**
-     * The last specReservedWalkers walkers are reserved for
-     * speculation: demand walks never dispatch onto them, so the
-     * speculative class always owns that much walk bandwidth, and
-     * predictions are buffered rather than dropped when the path is
-     * busy.
-     */
-    Reserved,
+    Idle = 0,
 
     /**
      * Token budget: up to specBudgetTokens speculative admissions per
@@ -85,10 +78,10 @@ enum class SpecAdmission : std::uint8_t
      * demand walk is eligible (like Idle), but admission no longer
      * requires the whole path to be idle.
      */
-    Budget,
+    Budget = 2,
 };
 
-/** Short lowercase name of @p a ("idle", "reserved", "budget"). */
+/** Short lowercase name of @p a ("idle", "budget"). */
 const char *toString(SpecAdmission a);
 
 /** Parses a --spec-admission value; fatal on unknown names. */
@@ -144,10 +137,6 @@ struct IommuConfig
 
     /** Speculative-walk admission policy (leader walks, prefetch). */
     SpecAdmission specAdmission = SpecAdmission::Idle;
-
-    /** Reserved policy: walkers set aside for the speculative class
-     *  (clamped so at least one walker always serves demand). */
-    unsigned specReservedWalkers = 2;
 
     /** Budget policy: speculative admissions allowed per window. */
     unsigned specBudgetTokens = 4;
@@ -393,16 +382,10 @@ class Iommu : public tlb::TranslationService
     void reenterWalk(core::PendingWalk walk);
     PageTableWalker *idleWalker();
 
-    /** Walkers the demand class may dispatch onto: [0, this). */
-    unsigned demandWalkerLimit() const;
-
-    /** First idle walker the demand class may use, or nullptr. */
-    PageTableWalker *idleDemandWalker();
-
     /**
      * First idle walker the speculative class may use right now, or
-     * nullptr: reserved walkers always qualify; the others only while
-     * no demand walk is waiting (speculation never delays demand).
+     * nullptr: any idle walker, but only while no demand walk is
+     * waiting (speculation never delays demand).
      */
     PageTableWalker *idleSpecWalker();
 

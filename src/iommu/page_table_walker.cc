@@ -1,6 +1,5 @@
 #include "iommu/page_table_walker.hh"
 
-#include "sim/debug.hh"
 #include "vm/page_table.hh"
 
 namespace gpuwalk::iommu {
@@ -114,9 +113,6 @@ void
 PageTableWalker::finish(mem::Addr pa_page, bool large_page)
 {
     ++walksDone_;
-    sim::debug::log("walks", eq_.now(), "walk done va=", std::hex,
-                    current_.request.vaPage, " pa=", pa_page, std::dec,
-                    " accesses=", accesses_, large_page ? " (2MB)" : "");
     if (tracer_ && !current_.isPrefetch) {
         trace::Event ev;
         ev.tick = eq_.now();
@@ -151,9 +147,6 @@ PageTableWalker::finish(mem::Addr pa_page, bool large_page)
 void
 PageTableWalker::fault()
 {
-    sim::debug::log("walks", eq_.now(), "walk faulted va=", std::hex,
-                    current_.request.vaPage, std::dec, " level=",
-                    level_, " accesses=", accesses_);
     // No WalkDone trace and no walksDone_ increment: the walk is not
     // done — it parks in the IOMMU's faulted list and completes after
     // the fault is serviced. The IOMMU records FaultRaised instead.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/audit.hh"
-#include "sim/debug.hh"
 #include "sim/port.hh"
 
 namespace gpuwalk::mem {
@@ -166,9 +165,6 @@ DramController::issue(Channel &ch, std::size_t idx)
 
     bank.lastIssue = cmd_start;
     latency_.sample(static_cast<double>(done - p.arrival));
-    sim::debug::log("dram", now, p.req.write ? "WR" : "RD", " addr=",
-                    std::hex, p.req.addr, std::dec, " bank=",
-                    mapper_.flatBank(p.where), " done@", done);
 
     if (p.req.reply) {
         // Channel wiring: the finished request travels back on the

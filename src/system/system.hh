@@ -45,7 +45,8 @@ struct RunStats
     std::vector<sim::Tick> appFinishTicks;
     /** Simulation events executed by the run's event queue — with a
      *  wall-clock measurement this yields events/sec, the headline
-     *  metric of the calendar-queue core (BENCH_eventcore.json). */
+     *  metric of the calendar-queue core (EXPERIMENTS.md, "Simulator
+     *  throughput records"). */
     std::uint64_t eventsExecuted = 0;
     std::uint64_t translationRequests = 0; ///< reaching the IOMMU
     std::uint64_t walkRequests = 0;        ///< page walks (Fig. 11)

@@ -79,15 +79,9 @@ SystemConfig::print(std::ostream &os) const
     // Speculative-admission knobs print only away from the default
     // idle policy, for the same fingerprint-stability reason.
     if (iommu.specAdmission != iommu::SpecAdmission::Idle) {
-        os << "SpecAdmit      " << iommu::toString(iommu.specAdmission);
-        if (iommu.specAdmission == iommu::SpecAdmission::Reserved) {
-            os << ": " << iommu.specReservedWalkers
-               << " reserved walker(s)";
-        } else {
-            os << ": " << iommu.specBudgetTokens << " tokens per "
-               << iommu.specBudgetWindow << "-dispatch window";
-        }
-        os << "\n";
+        os << "SpecAdmit      " << iommu::toString(iommu.specAdmission)
+           << ": " << iommu.specBudgetTokens << " tokens per "
+           << iommu.specBudgetWindow << "-dispatch window\n";
     }
     os << "PWC            " << iommu.pwc.entriesPerLevel
        << " entries/level, " << iommu.pwc.associativity << "-way"

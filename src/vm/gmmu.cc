@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/debug.hh"
 
 namespace gpuwalk::vm {
 
@@ -115,9 +114,6 @@ Gmmu::raiseFault(ContextId ctx, mem::Addr va_page)
     fault.seq = nextFaultSeq_++;
     pending_.push_back(fault);
     ++faultsRaised_;
-    sim::debug::log("gmmu", eq_.now(), "fault raised ctx=", ctx,
-                    " va=", std::hex, va_page, std::dec, " pending=",
-                    pending_.size());
     maybeStartBatch();
 }
 
@@ -355,8 +351,6 @@ Gmmu::evict(std::uint64_t key)
     denseKeys_.pop_back();
     residentMap_.erase(it);
     ++pagesEvicted_;
-    sim::debug::log("gmmu", eq_.now(), "evicted ctx=", ctx, " va=",
-                    std::hex, page, " pa=", info.pa, std::dec);
 
     if (testFaults_.leakFrameOnEvict)
         return; // frame bookkeeping forgotten

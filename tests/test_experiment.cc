@@ -11,7 +11,7 @@
 #include <limits>
 #include <sstream>
 
-#include "exp/bench_cli.hh"
+#include "exp/cli.hh"
 #include "exp/metrics.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
@@ -259,9 +259,9 @@ TEST(SweepSpecTest, VariantApplyMutatesConfigAndParams)
 // --- ParallelRunner ------------------------------------------------
 
 SweepSpec
-smallRealSweep()
+smallRealSweep(const SystemConfig &base = SystemConfig::baseline())
 {
-    SweepSpec spec;
+    SweepSpec spec(base);
     spec.params = tinyParams();
     spec.workloads = {"KMN", "MVT"};
     spec.schedulers = {core::SchedulerKind::Fcfs,
@@ -374,8 +374,9 @@ TEST(ReportTest, JsonCarriesRunsSummaryAndFingerprint)
     table.addRow({"MVT", "1.350"});
     report.addSummary("geomean_speedup", 1.35);
 
+    report.setRuns(result);
     std::ostringstream os;
-    report.writeJson(os, &result);
+    report.writeJson(os);
     const auto json = os.str();
     EXPECT_NE(json.find("\"schema_version\""), std::string::npos);
     EXPECT_NE(json.find("\"config_fingerprint\""), std::string::npos);
@@ -405,59 +406,121 @@ TEST(ReportTest, StatsJsonIsByteStableForEqualStats)
     EXPECT_EQ(statsJsonString(a), statsJsonString(b));
 }
 
-// --- bench CLI parsing ---------------------------------------------
+// --- command-line parsing -------------------------------------------
 
 TEST(BenchCliTest, ParsesJobsAndJsonBothSpellings)
 {
     {
-        const char *argv[] = {"bench", "--jobs=4", "--json=/tmp/x"};
-        const auto opts = parseBenchArgs(3, const_cast<char **>(argv),
-                                         "id", "desc");
+        const auto opts =
+            parseCli(Command::Sweep, {"--jobs=4", "--json=/tmp/x"});
         EXPECT_EQ(opts.runner.jobs, 4u);
         EXPECT_EQ(opts.jsonPath, "/tmp/x");
     }
     {
-        const char *argv[] = {"bench", "--jobs", "2", "--json",
-                              "/tmp/y"};
-        const auto opts = parseBenchArgs(5, const_cast<char **>(argv),
-                                         "id", "desc");
+        const auto opts = parseCli(Command::Sweep,
+                                {"--jobs", "2", "--json", "/tmp/y"});
         EXPECT_EQ(opts.runner.jobs, 2u);
         EXPECT_EQ(opts.jsonPath, "/tmp/y");
     }
     {
-        const char *argv[] = {"bench"};
-        const auto opts = parseBenchArgs(1, const_cast<char **>(argv),
-                                         "id", "desc");
+        const auto opts = parseCli(Command::Sweep, {});
         EXPECT_EQ(opts.runner.jobs, 0u);
         EXPECT_TRUE(opts.jsonPath.empty());
-        EXPECT_FALSE(opts.runner.audit.enabled);
+        EXPECT_FALSE(opts.cfg.audit.enabled);
     }
 }
 
 TEST(BenchCliTest, ParsesAuditFlags)
 {
     {
-        const char *argv[] = {"bench", "--audit"};
-        const auto opts = parseBenchArgs(2, const_cast<char **>(argv),
-                                         "id", "desc");
-        EXPECT_TRUE(opts.runner.audit.enabled);
-        EXPECT_EQ(opts.runner.audit.interval, 0u);
+        const auto opts = parseCli(Command::Sweep, {"--audit"});
+        EXPECT_TRUE(opts.cfg.audit.enabled);
+        EXPECT_EQ(opts.cfg.audit.interval, 0u);
     }
     {
         // --audit-interval implies --audit; both spellings work.
-        const char *argv[] = {"bench", "--audit-interval=500000"};
-        const auto opts = parseBenchArgs(2, const_cast<char **>(argv),
-                                         "id", "desc");
-        EXPECT_TRUE(opts.runner.audit.enabled);
-        EXPECT_EQ(opts.runner.audit.interval, 500000u);
+        const auto opts =
+            parseCli(Command::Sweep, {"--audit-interval=500000"});
+        EXPECT_TRUE(opts.cfg.audit.enabled);
+        EXPECT_EQ(opts.cfg.audit.interval, 500000u);
     }
     {
-        const char *argv[] = {"bench", "--audit-interval", "250"};
-        const auto opts = parseBenchArgs(3, const_cast<char **>(argv),
-                                         "id", "desc");
-        EXPECT_TRUE(opts.runner.audit.enabled);
-        EXPECT_EQ(opts.runner.audit.interval, 250u);
+        const auto opts =
+            parseCli(Command::Sweep, {"--audit-interval", "250"});
+        EXPECT_TRUE(opts.cfg.audit.enabled);
+        EXPECT_EQ(opts.cfg.audit.interval, 250u);
     }
+}
+
+TEST(BenchCliTest, MapsFlagsOntoConfigAndParams)
+{
+    const auto opts = parseCli(
+        Command::Run,
+        {"--workload=GEV", "--scheduler", "simt-aware", "--seed=7",
+         "--wavefronts", "32", "--instructions=8", "--walkers=16",
+         "--oversubscription", "0.5", "--prefetch", "--quiet"});
+    EXPECT_EQ(opts.workload, "GEV");
+    EXPECT_EQ(opts.cfg.scheduler, core::SchedulerKind::SimtAware);
+    EXPECT_EQ(opts.cfg.schedulerSeed, 7u);
+    EXPECT_EQ(opts.params.seed, 7u);
+    EXPECT_EQ(opts.params.wavefronts, 32u);
+    EXPECT_EQ(opts.params.instructionsPerWavefront, 8u);
+    EXPECT_EQ(opts.cfg.iommu.numWalkers, 16u);
+    EXPECT_TRUE(opts.cfg.gmmu.enabled);
+    EXPECT_DOUBLE_EQ(opts.cfg.gmmu.oversubscription, 0.5);
+    // A bare --prefetch means next-page.
+    EXPECT_EQ(opts.cfg.iommu.prefetch.kind, iommu::PrefetchKind::NextPage);
+    EXPECT_TRUE(opts.quiet);
+
+    const auto sweep =
+        parseCli(Command::Sweep, {"fig08", "--prefetch", "spp"});
+    EXPECT_EQ(sweep.experiment, "fig08");
+    EXPECT_EQ(sweep.cfg.iommu.prefetch.kind, iommu::PrefetchKind::Spp);
+}
+
+TEST(BenchCliDeathTest, MalformedNumbersAreFatal)
+{
+    EXPECT_EXIT(parseCli(Command::Run, {"--workload=MVT", "--wavefronts=x"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --wavefronts needs a non-negative integer, "
+                "got 'x'");
+    EXPECT_EXIT(parseCli(Command::Run, {"--walkers=abc"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --walkers needs a non-negative integer");
+    EXPECT_EXIT(parseCli(Command::Sweep, {"--jobs", "-1"}),
+                ::testing::ExitedWithCode(1), "fatal: --jobs");
+    EXPECT_EXIT(parseCli(Command::Run, {"--wavefronts=8x"}),
+                ::testing::ExitedWithCode(1), "fatal: --wavefronts");
+    EXPECT_EXIT(parseCli(Command::Sweep, {"--oversubscription=half"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --oversubscription needs a number");
+    EXPECT_EXIT(parseCli(Command::Sweep, {"--trace-ring=0"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --trace-ring needs a positive integer");
+}
+
+TEST(BenchCliDeathTest, UnknownMisplacedAndValuelessFlagsAreFatal)
+{
+    EXPECT_EXIT(parseCli(Command::Run, {"--no-such-flag"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: unknown flag --no-such-flag");
+    EXPECT_EXIT(parseCli(Command::Sweep, {"fig02", "--wavefronts=8"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --wavefronts does not apply to gpuwalk sweep");
+    EXPECT_EXIT(parseCli(Command::Run, {"--list"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --list does not apply to gpuwalk");
+    EXPECT_EXIT(parseCli(Command::Sweep, {"--wasp"}),
+                ::testing::ExitedWithCode(1), "fatal: unknown flag --wasp");
+    EXPECT_EXIT(parseCli(Command::Sweep, {"--audit=yes"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --audit takes no value");
+    EXPECT_EXIT(parseCli(Command::Sweep, {"--json"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --json needs a value");
+    EXPECT_EXIT(parseCli(Command::Sweep, {"fig02", "fig03"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: unexpected argument 'fig03'");
 }
 
 TEST(ParallelRunnerTest, AuditedSweepIsCleanAndCarriesAuditStats)
@@ -468,11 +531,10 @@ TEST(ParallelRunnerTest, AuditedSweepIsCleanAndCarriesAuditStats)
     spec.schedulers = {core::SchedulerKind::Fcfs,
                        core::SchedulerKind::SimtAware};
 
-    RunnerOptions opts;
-    opts.jobs = 2;
-    opts.audit.enabled = true;
-    opts.audit.interval = 100000;
-    const auto result = runSweep(spec, opts);
+    const auto opts = parseCli(Command::Sweep, {"--jobs", "2", "--audit",
+                                             "--audit-interval=100000"});
+    spec.base = opts.cfg;
+    const auto result = runSweep(spec, opts.runner);
 
     ASSERT_EQ(result.runs().size(), 2u);
     for (const auto &run : result.runs()) {
@@ -494,11 +556,10 @@ TEST(ParallelRunnerTest, AuditDoesNotChangeSimulatedResults)
     // events-executed count differs — the audit drains post-kernel
     // tail work — so compare the simulated-time fields directly.)
     const auto plain = runSweep(smallRealSweep(), withJobs(2));
-    RunnerOptions audited;
-    audited.jobs = 2;
-    audited.audit.enabled = true;
-    audited.audit.interval = 250000;
-    const auto checked = runSweep(smallRealSweep(), audited);
+    const auto audited = parseCli(Command::Sweep, {"--jobs=2", "--audit",
+                                                "--audit-interval=250000"});
+    const auto checked =
+        runSweep(smallRealSweep(audited.cfg), audited.runner);
 
     ASSERT_EQ(plain.runs().size(), checked.runs().size());
     for (std::size_t i = 0; i < plain.runs().size(); ++i) {

@@ -15,9 +15,11 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "exp/cli.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
 #include "system/system.hh"
@@ -369,7 +371,11 @@ TEST(GoldenTrace, SweepDigestsAreJobCountInvariant)
     // The acceptance property: --jobs 1 and --jobs N produce the same
     // trace digests run for run, because every run owns its System.
     const auto sweep = [](unsigned jobs) {
-        exp::SweepSpec spec;
+        // No trace path: no files are written.
+        const auto opts = exp::parseCli(
+            exp::Command::Sweep,
+            {"--jobs", std::to_string(jobs), "--trace-ring=1048576"});
+        exp::SweepSpec spec(opts.cfg);
         spec.params = contendedParams();
         spec.params.wavefronts = 16;
         spec.params.instructionsPerWavefront = 6;
@@ -377,10 +383,7 @@ TEST(GoldenTrace, SweepDigestsAreJobCountInvariant)
         spec.workloads = {"KMN", "MVT"};
         spec.schedulers = {core::SchedulerKind::Fcfs,
                            core::SchedulerKind::SimtAware};
-        exp::RunnerOptions opts;
-        opts.jobs = jobs;
-        opts.trace.enabled = true; // no outPath: no files written
-        return runSweep(spec, opts);
+        return runSweep(spec, opts.runner);
     };
 
     const auto serial = sweep(1);

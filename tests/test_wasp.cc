@@ -7,7 +7,7 @@
  * runs, with the conservation auditor (the
  * iommu.spec_class identity included) on throughout, across wasp x
  * {prefetch off, spp} x {resident, oversubscribed} x admission
- * {idle, reserved, budget}.
+ * {idle, budget}.
  *
  * The behavioural claims under test:
  *
@@ -17,9 +17,9 @@
  *  - with Wasp off the speculative machinery is structurally inert
  *    (zero admissions, zero leader issues) under every admission mode,
  *    so the committed golden digests cannot move;
- *  - reserved admission keeps dispatching speculatively under load,
- *    budget admission meters it, and faulted leader walks re-enter
- *    and complete (audit holds oversubscribed);
+ *  - speculative walks dispatch under load, budget admission meters
+ *    predictions, and faulted leader walks re-enter and complete
+ *    (audit holds oversubscribed);
  *  - leader streams train the shared SPP pattern table (the
  *    leader-to-follower transfer satellite).
  */
@@ -52,12 +52,12 @@ struct WaspPoint
 const std::vector<WaspPoint> waspPoints{
     {"wasp/xsb-off-idle", "XSB", iommu::PrefetchKind::Off,
      iommu::SpecAdmission::Idle},
-    {"wasp/mvt-spp-reserved", "MVT", iommu::PrefetchKind::Spp,
-     iommu::SpecAdmission::Reserved},
+    {"wasp/mvt-spp-budget", "MVT", iommu::PrefetchKind::Spp,
+     iommu::SpecAdmission::Budget},
     {"wasp/atx-spp-budget", "ATX", iommu::PrefetchKind::Spp,
      iommu::SpecAdmission::Budget},
-    {"wasp/gev-spp-reserved-oversub", "GEV", iommu::PrefetchKind::Spp,
-     iommu::SpecAdmission::Reserved, /*oversubscribed=*/true},
+    {"wasp/gev-spp-budget-oversub", "GEV", iommu::PrefetchKind::Spp,
+     iommu::SpecAdmission::Budget, /*oversubscribed=*/true},
 };
 
 struct WaspRun
@@ -121,14 +121,14 @@ expectSpecAccounted(const iommu::SpecSummary &spec,
 
 TEST(WaspBehavior, LeadersIssueAndTheirWalksRideTheSpecClass)
 {
-    const auto run = runPoint(waspPoints[1]); // spp + reserved
+    const auto run = runPoint(waspPoints[1]); // spp + budget
     ASSERT_TRUE(run.stats.audited);
     EXPECT_EQ(run.stats.auditViolations, 0u);
     EXPECT_GT(run.stats.leaderIssues, 0u);
     EXPECT_GT(run.stats.spec.leaderWalks, 0u);
     EXPECT_GT(run.stats.spec.admitted, 0u);
-    // Reserved walkers exist solely to drain the class: speculative
-    // dispatches must actually happen under demand load.
+    // The class drains whenever no demand walk is eligible:
+    // speculative dispatches must actually happen under demand load.
     EXPECT_GT(run.stats.spec.dispatched, 0u);
     expectSpecAccounted(run.stats.spec, waspPoints[1].key);
 }
@@ -139,8 +139,7 @@ TEST(WaspBehavior, FeatureOffLeavesSpecMachineryInert)
     // issues, no admissions — the speculative class cannot influence a
     // non-wasp run, which is what keeps the committed goldens valid.
     for (const auto admission :
-         {iommu::SpecAdmission::Idle, iommu::SpecAdmission::Reserved,
-          iommu::SpecAdmission::Budget}) {
+         {iommu::SpecAdmission::Idle, iommu::SpecAdmission::Budget}) {
         auto point = waspPoints[0];
         point.admission = admission;
         auto cfg = waspConfig(point);
@@ -296,7 +295,7 @@ TEST(WaspDeterminism, BitIdenticalAcrossConcurrentRuns)
 {
     // The --jobs axis: two wasp Systems in the same process at once
     // share nothing but the heap.
-    const auto &point = waspPoints[1]; // spp + reserved
+    const auto &point = waspPoints[1]; // spp + budget
     const auto reference = runPoint(point);
 
     std::vector<WaspRun> concurrent(2);

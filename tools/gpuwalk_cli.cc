@@ -4,26 +4,26 @@
  *
  * One binary to run any (workload, scheduler, configuration)
  * combination, dump component statistics (text or JSON), save/replay
- * workload traces, and compare schedulers — the front door a
+ * workload traces, compare schedulers, and run the paper's tables,
+ * figures and ablations (`gpuwalk sweep <name>`) — the front door a
  * downstream user scripts experiments through.
  *
  * Run `gpuwalk --help` for the full flag reference.
  */
 
 #include <array>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "exp/cli.hh"
 #include "exp/metrics.hh"
 #include "exp/run.hh"
 #include "exp/runner.hh"
 #include "exp/table.hh"
+#include "experiments/experiments.hh"
 #include "sim/logging.hh"
 #include "system/system.hh"
 #include "trace/chrome_export.hh"
@@ -36,84 +36,15 @@ using namespace gpuwalk;
 
 namespace {
 
-/** Minimal --key=value / --flag parser. */
-class Flags
-{
-  public:
-    Flags(int argc, char **argv)
-    {
-        for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg.rfind("--", 0) != 0)
-                sim::fatal("unexpected argument '", arg,
-                           "' (flags start with --; see --help)");
-            arg = arg.substr(2);
-            const auto eq = arg.find('=');
-            if (eq == std::string::npos)
-                values_[arg] = "true";
-            else
-                values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-        }
-    }
-
-    bool
-    has(const std::string &key)
-    {
-        consumed_.insert(key);
-        return values_.count(key) > 0;
-    }
-
-    std::string
-    get(const std::string &key, const std::string &fallback)
-    {
-        consumed_.insert(key);
-        auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-    std::uint64_t
-    getUint(const std::string &key, std::uint64_t fallback)
-    {
-        consumed_.insert(key);
-        auto it = values_.find(key);
-        return it == values_.end()
-                   ? fallback
-                   : std::strtoull(it->second.c_str(), nullptr, 0);
-    }
-
-    double
-    getDouble(const std::string &key, double fallback)
-    {
-        consumed_.insert(key);
-        auto it = values_.find(key);
-        return it == values_.end()
-                   ? fallback
-                   : std::strtod(it->second.c_str(), nullptr);
-    }
-
-    /** fatal() on any flag that no code path consumed. */
-    void
-    rejectUnknown() const
-    {
-        for (const auto &[key, value] : values_) {
-            (void)value;
-            if (!consumed_.count(key))
-                sim::fatal("unknown flag --", key, " (see --help)");
-        }
-    }
-
-  private:
-    std::map<std::string, std::string> values_;
-    std::set<std::string> consumed_;
-};
-
 void
 printHelp()
 {
     std::cout <<
         R"(gpuwalk — GPU page-table-walk scheduling simulator
 
-Usage: gpuwalk [flags]
+Usage: gpuwalk [flags]                 simulate one workload
+       gpuwalk sweep <name> [flags]    run one paper table, figure or
+                                       ablation (see Sweeps below)
 
 Workload selection (one of):
   --workload=NAME         Table II benchmark (XSB MVT ATX NW BIC GEV
@@ -127,7 +58,7 @@ Scheduler:
                           fair-share | token-bucket | weighted-share
                           (default: fcfs)
   --compare               run fcfs AND simt-aware, report speedup
-  --jobs=N                worker threads for --compare
+  --jobs=N                worker threads for --compare and sweeps
                           (default: all cores; results are identical
                           at any N)
   --seed=N                RNG seed (random scheduler + workloads)
@@ -173,8 +104,7 @@ Hardware overrides (baseline = the paper's Table I):
   --wasp-distance=N       wasp: followers' first-issue delay, cycles
                                               (default: 2048)
   --spec-admission=P      speculative-walk admission: idle (default)
-                          | reserved (dedicated walkers) | budget
-                          (tokens per demand-dispatch window)
+                          | budget (tokens per demand-dispatch window)
   --virtual-l1            virtually-addressed L1 data caches
                           (translate on L1 miss, Yoon et al.)
 
@@ -209,6 +139,17 @@ Output:
   --audit-interval=N      additionally check every N ticks during the
                           run (implies --audit)
   --quiet                 suppress the run summary
+
+Sweeps:
+  gpuwalk sweep --list    list the experiments
+  gpuwalk sweep NAME      run one and print its table(s); --json=FILE
+                          writes the report, per-run stats included
+  A sweep takes the hardware, prefetch, wavefront, demand-paging,
+  --trace-out, --trace-ring, --audit, --audit-interval, --jobs and
+  --json flags above; they apply to every run of the experiment (an
+  experiment's own axis, e.g. the walker count in fig13, overrides
+  them). Workload, scheduler and single-run output flags do not apply.
+  Every flag is accepted as --flag=value or --flag value.
 )";
 }
 
@@ -228,134 +169,6 @@ listWorkloads()
     }
 }
 
-system::SystemConfig
-configFromFlags(Flags &flags)
-{
-    auto cfg = system::SystemConfig::baseline();
-    cfg.scheduler =
-        core::schedulerKindFromString(flags.get("scheduler", "fcfs"));
-    cfg.schedulerSeed = flags.getUint("seed", 1);
-    cfg.gpu.numCus = static_cast<unsigned>(flags.getUint("cus", 8));
-    cfg.gpuTlb.numCus = cfg.gpu.numCus;
-    cfg.gpu.wavefrontsPerCu = static_cast<unsigned>(
-        flags.getUint("wavefronts-per-cu", cfg.gpu.wavefrontsPerCu));
-    cfg.gpuTlb.l2Entries = static_cast<unsigned>(
-        flags.getUint("l2tlb-entries", cfg.gpuTlb.l2Entries));
-    cfg.iommu.numWalkers = static_cast<unsigned>(
-        flags.getUint("walkers", cfg.iommu.numWalkers));
-    cfg.iommu.bufferEntries = static_cast<unsigned>(
-        flags.getUint("buffer-entries", cfg.iommu.bufferEntries));
-    cfg.iommu.pwc.entriesPerLevel = static_cast<unsigned>(
-        flags.getUint("pwc-entries", cfg.iommu.pwc.entriesPerLevel));
-    if (flags.has("no-pwc-pinning"))
-        cfg.iommu.pwc.pinScoredEntries = false;
-    if (flags.has("no-walk-cache"))
-        cfg.iommu.useWalkCache = false;
-    cfg.simt.agingThreshold =
-        flags.getUint("aging-threshold", cfg.simt.agingThreshold);
-    cfg.qos.tokenWindow = static_cast<unsigned>(
-        flags.getUint("token-window", cfg.qos.tokenWindow));
-    cfg.qos.tokenQuota = static_cast<unsigned>(
-        flags.getUint("token-quota", cfg.qos.tokenQuota));
-    if (flags.has("prefetch")) {
-        const std::string p = flags.get("prefetch", "off");
-        // A bare --prefetch predates the policy knob and meant the
-        // next-page prefetcher; keep that spelling working.
-        cfg.iommu.prefetch.kind =
-            p == "true" ? iommu::PrefetchKind::NextPage
-                        : iommu::prefetchKindFromString(p);
-    }
-    cfg.iommu.prefetch.degree = static_cast<unsigned>(
-        flags.getUint("prefetch-degree", cfg.iommu.prefetch.degree));
-    if (flags.has("virtual-l1"))
-        cfg.gpu.virtualL1Cache = true;
-    const std::string wf_sched = flags.get("wavefront-sched", "rr");
-    if (wf_sched == "gto")
-        cfg.gpu.wavefrontSched = gpu::WavefrontSchedPolicy::OldestFirst;
-    else if (wf_sched == "wasp")
-        cfg.gpu.wavefrontSched = gpu::WavefrontSchedPolicy::Wasp;
-    else if (wf_sched != "rr")
-        sim::fatal("unknown --wavefront-sched '", wf_sched,
-                   "' (rr|gto|wasp)");
-    cfg.gpu.waspLeaders = static_cast<unsigned>(
-        flags.getUint("wasp-leaders", cfg.gpu.waspLeaders));
-    cfg.gpu.waspDistanceCycles = static_cast<sim::Cycles>(
-        flags.getUint("wasp-distance", cfg.gpu.waspDistanceCycles));
-    cfg.iommu.specAdmission = iommu::specAdmissionFromString(
-        flags.get("spec-admission", "idle"));
-    if (flags.has("trace-out")) {
-        cfg.trace.outPath = flags.get("trace-out", "");
-        if (cfg.trace.outPath.empty())
-            sim::fatal("--trace-out needs a file path");
-        cfg.trace.enabled = true;
-    }
-    if (flags.has("trace-ring")) {
-        const std::uint64_t n = flags.getUint("trace-ring", 0);
-        if (n == 0)
-            sim::fatal("--trace-ring needs a positive integer");
-        cfg.trace.ringCapacity = static_cast<std::size_t>(n);
-        cfg.trace.enabled = true;
-    }
-    if (flags.has("oversubscription")) {
-        const double r = flags.getDouble("oversubscription", 1.0);
-        if (r <= 0.0 || r > 1.0)
-            sim::fatal("--oversubscription needs a ratio in (0, 1]");
-        cfg.gmmu.oversubscription = r;
-        cfg.gmmu.enabled = true;
-    }
-    if (flags.has("fault-latency")) {
-        cfg.gmmu.faultLatency =
-            static_cast<sim::Tick>(flags.getUint("fault-latency", 0));
-        cfg.gmmu.enabled = true;
-    }
-    if (flags.has("migration-latency")) {
-        cfg.gmmu.migrationLatency = static_cast<sim::Tick>(
-            flags.getUint("migration-latency", 0));
-        cfg.gmmu.enabled = true;
-    }
-    if (flags.has("fault-policy")) {
-        const std::string p = flags.get("fault-policy", "fcfs");
-        if (p == "fcfs")
-            cfg.gmmu.order = vm::FaultOrder::Fcfs;
-        else if (p == "sjf")
-            cfg.gmmu.order = vm::FaultOrder::Sjf;
-        else
-            sim::fatal("unknown --fault-policy '", p, "' (fcfs|sjf)");
-        cfg.gmmu.enabled = true;
-    }
-    if (flags.has("gmmu-batch")) {
-        const std::uint64_t n = flags.getUint("gmmu-batch", 0);
-        if (n == 0)
-            sim::fatal("--gmmu-batch needs a positive integer");
-        cfg.gmmu.batchSize = static_cast<unsigned>(n);
-        cfg.gmmu.enabled = true;
-    }
-    if (flags.has("gmmu-evict")) {
-        const std::string p = flags.get("gmmu-evict", "lru");
-        if (p == "lru")
-            cfg.gmmu.evict = vm::EvictPolicy::Lru;
-        else if (p == "random")
-            cfg.gmmu.evict = vm::EvictPolicy::Random;
-        else
-            sim::fatal("unknown --gmmu-evict '", p, "' (lru|random)");
-        cfg.gmmu.enabled = true;
-    }
-    if (flags.has("no-contiguity")) {
-        cfg.gmmu.contiguity = false;
-        cfg.gmmu.enabled = true;
-    }
-    if (flags.has("audit"))
-        cfg.audit.enabled = true;
-    if (flags.has("audit-interval")) {
-        const std::uint64_t n = flags.getUint("audit-interval", 0);
-        if (n == 0)
-            sim::fatal("--audit-interval needs a positive tick count");
-        cfg.audit.interval = static_cast<sim::Tick>(n);
-        cfg.audit.enabled = true;
-    }
-    return cfg;
-}
-
 /** "out.json" + "-fcfs" -> "out-fcfs.json" (for --compare traces). */
 std::string
 insertPathSuffix(const std::string &path, const std::string &suffix)
@@ -369,66 +182,9 @@ insertPathSuffix(const std::string &path, const std::string &suffix)
     return path.substr(0, dot) + suffix + path.substr(dot);
 }
 
-workload::WorkloadParams
-paramsFromFlags(Flags &flags)
-{
-    auto params = exp::experimentParams();
-    params.wavefronts = static_cast<unsigned>(
-        flags.getUint("wavefronts", params.wavefronts));
-    params.instructionsPerWavefront = static_cast<unsigned>(
-        flags.getUint("instructions", params.instructionsPerWavefront));
-    params.footprintScale =
-        flags.getDouble("footprint-scale", params.footprintScale);
-    params.computeCycles =
-        flags.getUint("compute-cycles", params.computeCycles);
-    params.seed = flags.getUint("seed", params.seed);
-    params.useLargePages = flags.has("large-pages");
-    return params;
-}
-
-/**
- * Everything one simulation needs, resolved from the flags up front.
- * The Flags accessors mutate their consumed-set, so flag reading must
- * finish before any job body can run on a worker thread.
- */
-struct CliOptions
-{
-    std::string traceFile;   ///< "" = generate from the registry
-    std::string workload;
-    workload::WorkloadParams params;
-    std::string saveTrace;   ///< "" = don't save
-    bool dumpStats = false;
-    std::string jsonPath;    ///< component-stats JSON ("" = off)
-    unsigned tenants = 1;    ///< > 1 = multi-tenant mix
-    double churnFraction = 0.0;
-    bool alternateWeights = false;
-};
-
-CliOptions
-optionsFromFlags(Flags &flags)
-{
-    CliOptions opt;
-    if (flags.has("load-trace"))
-        opt.traceFile = flags.get("load-trace", "");
-    opt.workload = flags.get("workload", "MVT");
-    opt.params = paramsFromFlags(flags);
-    if (flags.has("save-trace"))
-        opt.saveTrace = flags.get("save-trace", "");
-    opt.dumpStats = flags.has("stats");
-    if (flags.has("json"))
-        opt.jsonPath = flags.get("json", "");
-    opt.tenants = static_cast<unsigned>(flags.getUint("tenants", 1));
-    opt.churnFraction = flags.getDouble("churn-fraction", 0.0);
-    opt.alternateWeights = flags.has("alternate-weights");
-    if (opt.tenants > 1 && !opt.traceFile.empty())
-        sim::fatal("--tenants and --load-trace are exclusive "
-                   "(the mix generator picks each tenant's workload)");
-    return opt;
-}
-
 /** Mix shape for --tenants=N, derived from the workload flags. */
 workload::TenantMixConfig
-mixFromOptions(const CliOptions &opt)
+mixFromOptions(const exp::CliOptions &opt)
 {
     workload::TenantMixConfig mix;
     mix.numTenants = opt.tenants;
@@ -451,7 +207,7 @@ struct CliRun
 };
 
 CliRun
-simulate(const system::SystemConfig &base_cfg, const CliOptions &opt,
+simulate(const system::SystemConfig &base_cfg, const exp::CliOptions &opt,
          bool save_trace)
 {
     auto cfg = base_cfg;
@@ -478,8 +234,8 @@ simulate(const system::SystemConfig &base_cfg, const CliOptions &opt,
                                        specs[i].params, /*app_id=*/i,
                                        ctx, specs[i].arrivalTick);
         }
-    } else if (!opt.traceFile.empty()) {
-        auto wl = workload::loadTraceFile(opt.traceFile);
+    } else if (!opt.loadTrace.empty()) {
+        auto wl = workload::loadTraceFile(opt.loadTrace);
         // External traces reference raw virtual addresses: map them.
         workload::mapTraceAddresses(sys.addressSpace(), wl);
         sys.loadWorkload(std::move(wl));
@@ -521,7 +277,7 @@ simulate(const system::SystemConfig &base_cfg, const CliOptions &opt,
 
 /** Prints the run summary and any dumps, in the classic order. */
 void
-reportRun(const system::SystemConfig &cfg, const CliOptions &opt,
+reportRun(const system::SystemConfig &cfg, const exp::CliOptions &opt,
           const CliRun &run, bool quiet)
 {
     if (!quiet) {
@@ -586,87 +342,117 @@ reportRun(const system::SystemConfig &cfg, const CliOptions &opt,
     }
 }
 
+void
+listExperiments()
+{
+    for (const auto &e : experiments::all()) {
+        std::cout.width(26);
+        std::cout << std::left << e.name << e.id << ": "
+                  << e.description << "\n";
+    }
+}
+
+/** gpuwalk sweep: runs one experiment from the parsed base config. */
+int
+sweepMain(const exp::CliOptions &opt)
+{
+    if (opt.help) {
+        printHelp();
+        return 0;
+    }
+    if (opt.list) {
+        listExperiments();
+        return 0;
+    }
+    if (opt.experiment.empty())
+        sim::fatal("gpuwalk sweep needs an experiment name "
+                   "(see gpuwalk sweep --list)");
+    const auto *e = experiments::find(opt.experiment);
+    if (!e)
+        sim::fatal("unknown experiment '", opt.experiment,
+                   "' (see gpuwalk sweep --list)");
+
+    const auto report = e->fn(*e, opt.cfg, opt.runner);
+    report.render(std::cout);
+    if (!opt.jsonPath.empty())
+        report.writeJsonFile(opt.jsonPath);
+    return 0;
+}
+
+/** gpuwalk [flags]: one simulation, or fcfs vs simt-aware. */
+int
+runMain(const exp::CliOptions &opt)
+{
+    if (opt.help) {
+        printHelp();
+        return 0;
+    }
+    if (opt.listWorkloads) {
+        listWorkloads();
+        return 0;
+    }
+
+    const auto &cfg = opt.cfg;
+    if (!opt.compare) {
+        const auto run = simulate(cfg, opt, true);
+        reportRun(cfg, opt, run, opt.quiet);
+        return run.stats.auditViolations ? 1 : 0;
+    }
+
+    // Both schedulers as one job pool; dumps are captured into
+    // per-run slots so output order is independent of execution
+    // order.
+    const std::array<core::SchedulerKind, 2> kinds{
+        core::SchedulerKind::Fcfs, core::SchedulerKind::SimtAware};
+    std::array<CliRun, 2> runs;
+    std::vector<exp::Job> jobs;
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+        exp::Job job;
+        job.workload = opt.loadTrace.empty() ? opt.workload : opt.loadTrace;
+        job.scheduler = core::toString(kinds[i]);
+        auto run_cfg = exp::withScheduler(cfg, kinds[i]);
+        // One trace file per scheduler: both runs would otherwise
+        // race on (and overwrite) the same --trace-out path.
+        if (!run_cfg.trace.outPath.empty()) {
+            run_cfg.trace.outPath = insertPathSuffix(
+                run_cfg.trace.outPath, "-" + core::toString(kinds[i]));
+        }
+        job.body = [&runs, i, run_cfg, &opt] {
+            // Only the first job writes --save-trace (both would
+            // produce identical bytes; avoid the file race).
+            runs[i] = simulate(run_cfg, opt, i == 0);
+            exp::RunResult res;
+            res.stats = runs[i].stats;
+            return res;
+        };
+        jobs.push_back(std::move(job));
+    }
+    exp::runJobs(jobs, opt.runner);
+
+    std::cout << "=== fcfs ===\n";
+    reportRun(exp::withScheduler(cfg, kinds[0]), opt, runs[0], opt.quiet);
+    std::cout << "=== simt-aware ===\n";
+    reportRun(exp::withScheduler(cfg, kinds[1]), opt, runs[1], opt.quiet);
+    std::cout << "\nspeedup (simt-aware over fcfs): "
+              << exp::TablePrinter::fmt(
+                     exp::speedup(runs[1].stats, runs[0].stats))
+              << "\n";
+    // Audit violations (already warn()ed as they were recorded) make
+    // the whole invocation fail, for scripting.
+    return runs[0].stats.auditViolations || runs[1].stats.auditViolations
+               ? 1
+               : 0;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    Flags flags(argc, argv);
-
-    if (flags.has("help")) {
-        printHelp();
-        return 0;
+    std::vector<std::string> args(argv + 1, argv + argc);
+    if (!args.empty() && args.front() == "sweep") {
+        args.erase(args.begin());
+        return sweepMain(exp::parseCli(exp::Command::Sweep, args));
     }
-    if (flags.has("list-workloads")) {
-        listWorkloads();
-        flags.rejectUnknown();
-        return 0;
-    }
-
-    const bool quiet = flags.has("quiet");
-    exp::RunnerOptions runner;
-    runner.jobs =
-        static_cast<unsigned>(flags.getUint("jobs", 0));
-
-    if (flags.has("compare")) {
-        const auto cfg = configFromFlags(flags);
-        const auto opt = optionsFromFlags(flags);
-        flags.rejectUnknown();
-
-        // Both schedulers as one job pool; dumps are captured into
-        // per-run slots so output order is independent of execution
-        // order.
-        const std::array<core::SchedulerKind, 2> kinds{
-            core::SchedulerKind::Fcfs, core::SchedulerKind::SimtAware};
-        std::array<CliRun, 2> runs;
-        std::vector<exp::Job> jobs;
-        for (std::size_t i = 0; i < kinds.size(); ++i) {
-            exp::Job job;
-            job.workload =
-                opt.traceFile.empty() ? opt.workload : opt.traceFile;
-            job.scheduler = core::toString(kinds[i]);
-            auto run_cfg = exp::withScheduler(cfg, kinds[i]);
-            // One trace file per scheduler: both runs would otherwise
-            // race on (and overwrite) the same --trace-out path.
-            if (!run_cfg.trace.outPath.empty()) {
-                run_cfg.trace.outPath = insertPathSuffix(
-                    run_cfg.trace.outPath,
-                    "-" + core::toString(kinds[i]));
-            }
-            job.body = [&runs, i, run_cfg, &opt] {
-                // Only the first job writes --save-trace (both would
-                // produce identical bytes; avoid the file race).
-                runs[i] = simulate(run_cfg, opt, i == 0);
-                exp::RunResult res;
-                res.stats = runs[i].stats;
-                return res;
-            };
-            jobs.push_back(std::move(job));
-        }
-        exp::runJobs(jobs, runner);
-
-        std::cout << "=== fcfs ===\n";
-        reportRun(exp::withScheduler(cfg, kinds[0]), opt, runs[0],
-                  quiet);
-        std::cout << "=== simt-aware ===\n";
-        reportRun(exp::withScheduler(cfg, kinds[1]), opt, runs[1],
-                  quiet);
-        std::cout << "\nspeedup (simt-aware over fcfs): "
-                  << exp::TablePrinter::fmt(
-                         exp::speedup(runs[1].stats, runs[0].stats))
-                  << "\n";
-        // Audit violations (already warn()ed as they were recorded)
-        // make the whole invocation fail, for scripting.
-        return runs[0].stats.auditViolations
-                       || runs[1].stats.auditViolations
-                   ? 1
-                   : 0;
-    }
-
-    const auto cfg = configFromFlags(flags);
-    const auto opt = optionsFromFlags(flags);
-    flags.rejectUnknown();
-    const auto run = simulate(cfg, opt, true);
-    reportRun(cfg, opt, run, quiet);
-    return run.stats.auditViolations ? 1 : 0;
+    return runMain(exp::parseCli(exp::Command::Run, args));
 }
