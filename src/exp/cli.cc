@@ -115,56 +115,59 @@ const Flag flags[] = {
          o.cfg.audit.enabled = true;
      }},
 
-    // Hardware.
-    {"cus", Both, Arity::Required,
+    // Hardware (single run only: the experiments fix the machine they
+    // reproduce, and several sweep these fields themselves).
+    {"cus", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.cfg.gpu.numCus = toUnsigned("cus", v);
          o.cfg.gpuTlb.numCus = o.cfg.gpu.numCus;
      }},
-    {"wavefronts-per-cu", Both, Arity::Required,
+    {"wavefronts-per-cu", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.cfg.gpu.wavefrontsPerCu = toUnsigned("wavefronts-per-cu", v);
      }},
-    {"l2tlb-entries", Both, Arity::Required,
+    {"l2tlb-entries", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.cfg.gpuTlb.l2Entries = toUnsigned("l2tlb-entries", v);
      }},
-    {"walkers", Both, Arity::Required,
+    {"walkers", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.cfg.iommu.numWalkers = toUnsigned("walkers", v);
      }},
-    {"buffer-entries", Both, Arity::Required,
+    {"buffer-entries", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.cfg.iommu.bufferEntries = toUnsigned("buffer-entries", v);
      }},
-    {"pwc-entries", Both, Arity::Required,
+    {"pwc-entries", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.cfg.iommu.pwc.entriesPerLevel = toUnsigned("pwc-entries", v);
      }},
-    {"no-pwc-pinning", Both, Arity::None,
+    {"no-pwc-pinning", RunOnly, Arity::None,
      [](CliOptions &o, const std::string &) {
          o.cfg.iommu.pwc.pinScoredEntries = false;
      }},
-    {"no-walk-cache", Both, Arity::None,
+    {"no-walk-cache", RunOnly, Arity::None,
      [](CliOptions &o, const std::string &) {
          o.cfg.iommu.useWalkCache = false;
      }},
-    {"aging-threshold", Both, Arity::Required,
+    {"aging-threshold", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.cfg.simt.agingThreshold = toUint("aging-threshold", v, 0);
      }},
-    {"token-window", Both, Arity::Required,
+    {"token-window", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.cfg.qos.tokenWindow = toUnsigned("token-window", v);
      }},
-    {"token-quota", Both, Arity::Required,
+    {"token-quota", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.cfg.qos.tokenQuota = toUnsigned("token-quota", v);
      }},
-    {"virtual-l1", Both, Arity::None,
+    {"virtual-l1", RunOnly, Arity::None,
      [](CliOptions &o, const std::string &) {
          o.cfg.gpu.virtualL1Cache = true;
      }},
+
+    // Prefetch, wavefront scheduling and speculative admission.
     // A bare --prefetch predates the policy knob and means next-page.
     {"prefetch", Both, Arity::Optional,
      [](CliOptions &o, const std::string &v) {
@@ -388,6 +391,7 @@ parseCli(Command command, const std::vector<std::string> &args)
             break;
         }
         flag->apply(opts, value);
+        opts.given.push_back(flag->name);
     }
 
     if (opts.tenants > 1 && !opts.loadTrace.empty())

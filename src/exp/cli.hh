@@ -3,8 +3,11 @@
  * The gpuwalk flag parser: one table of flags for both commands, the
  * single run (`gpuwalk [flags]`) and the experiment sweep
  * (`gpuwalk sweep <name> [flags]`). Flags map straight onto the
- * SystemConfig and WorkloadParams a run or sweep starts from, so a
- * flag either reaches every simulation or is rejected.
+ * SystemConfig and WorkloadParams a run or sweep starts from. A sweep
+ * accepts only the trace, audit, prefetch, wavefront and demand-paging
+ * flags; the hardware, workload and scheduler flags are single-run
+ * only, and an experiment rejects a flag for a field it sweeps itself
+ * (Experiment::axes), so every flag a sweep accepts reaches every run.
  *
  * Both "--flag=value" and "--flag value" are accepted. Unknown flags,
  * flags that do not apply to the command, and malformed numbers are
@@ -15,6 +18,7 @@
 #define GPUWALK_EXP_CLI_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/run.hh"
@@ -39,6 +43,8 @@ struct CliOptions
     RunnerOptions runner;
     std::string jsonPath;    ///< "" = no JSON output
     bool help = false;
+    /** The flags given, in command-line order. */
+    std::vector<std::string_view> given;
 
     // Run only.
     std::string workload = "MVT";

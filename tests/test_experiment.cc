@@ -476,6 +476,7 @@ TEST(BenchCliTest, MapsFlagsOntoConfigAndParams)
         parseCli(Command::Sweep, {"fig08", "--prefetch", "spp"});
     EXPECT_EQ(sweep.experiment, "fig08");
     EXPECT_EQ(sweep.cfg.iommu.prefetch.kind, iommu::PrefetchKind::Spp);
+    EXPECT_EQ(sweep.given, (std::vector<std::string_view>{"prefetch"}));
 }
 
 TEST(BenchCliDeathTest, MalformedNumbersAreFatal)
@@ -507,6 +508,14 @@ TEST(BenchCliDeathTest, UnknownMisplacedAndValuelessFlagsAreFatal)
     EXPECT_EXIT(parseCli(Command::Sweep, {"fig02", "--wavefronts=8"}),
                 ::testing::ExitedWithCode(1),
                 "fatal: --wavefronts does not apply to gpuwalk sweep");
+    // Hardware flags are single-run only: the experiments fix (and
+    // several sweep) the machine they reproduce.
+    EXPECT_EXIT(parseCli(Command::Sweep, {"fig13", "--walkers=4"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --walkers does not apply to gpuwalk sweep");
+    EXPECT_EXIT(parseCli(Command::Sweep, {"fig14", "--buffer-entries", "64"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --buffer-entries does not apply to gpuwalk sweep");
     EXPECT_EXIT(parseCli(Command::Run, {"--list"}),
                 ::testing::ExitedWithCode(1),
                 "fatal: --list does not apply to gpuwalk");

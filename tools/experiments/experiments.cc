@@ -61,11 +61,11 @@ const Experiment experiments[] = {
     {"ablation_prefetch", "Ablation (prefetch factorial)",
      "Translation prefetch {off, next, spp} x scheduler {fcfs, "
      "simt-aware} x aging {on, off}",
-     ablation_prefetch},
+     ablation_prefetch, {"prefetch", "spec-admission"}},
     {"ablation_wavefront_sched", "Ablation (wasp co-design factorial)",
      "wavefront {rr, wasp} x prefetch {off, next, spp} x walk scheduler "
      "{fcfs, simt-aware}",
-     ablation_wavefront_sched},
+     ablation_wavefront_sched, {"wavefront-sched", "prefetch"}},
     {"ablation_multiprogram", "Ablation (multi-program)",
      "Irregular aggressor + regular victim sharing the translation "
      "hardware",
@@ -76,7 +76,7 @@ const Experiment experiments[] = {
      tenant_mix},
     {"oversubscription", "Oversubscription",
      "Demand paging under shrinking frame budgets, per scheduler",
-     oversubscription},
+     oversubscription, {"oversubscription"}},
 };
 
 } // namespace
@@ -112,6 +112,30 @@ fcfsVsSimt(const system::SystemConfig &base,
     spec.schedulers = {core::SchedulerKind::Fcfs,
                        core::SchedulerKind::SimtAware};
     return spec;
+}
+
+system::SystemConfig
+withTenantWeights(system::SystemConfig cfg,
+                  const std::vector<workload::TenantSpec> &specs)
+{
+    for (unsigned i = 0; i < specs.size(); ++i) {
+        if (specs[i].weight > 1) {
+            cfg.qos.shareWeights.resize(specs.size(), 1);
+            cfg.qos.shareWeights[i] = specs[i].weight;
+        }
+    }
+    return cfg;
+}
+
+void
+loadTenants(system::System &sys,
+            const std::vector<workload::TenantSpec> &specs)
+{
+    for (unsigned i = 0; i < specs.size(); ++i) {
+        const auto ctx = i == 0 ? tlb::defaultContext : sys.createContext();
+        sys.loadBenchmarkInContext(specs[i].workload, specs[i].params,
+                                   /*app_id=*/i, ctx, specs[i].arrivalTick);
+    }
 }
 
 } // namespace gpuwalk::experiments

@@ -15,11 +15,14 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/metrics.hh"
 #include "exp/report.hh"
+#include "system/system.hh"
 #include "workload/registry.hh"
+#include "workload/tenant_mix.hh"
 
 namespace gpuwalk::experiments {
 
@@ -40,6 +43,9 @@ struct Experiment
     const char *id;           ///< report title ("Figure 8")
     const char *description;
     ExperimentFn *fn;
+    /** Flags for the fields the experiment sets per run; a sweep
+     *  rejects them rather than let the experiment overwrite them. */
+    std::vector<std::string_view> axes = {};
 };
 
 /** Every experiment, in `gpuwalk sweep --list` order. */
@@ -55,6 +61,16 @@ bool isIrregular(const std::string &app);
  *  compare. */
 exp::SweepSpec fcfsVsSimt(const system::SystemConfig &base,
                           std::vector<std::string> workloads);
+
+/** @p cfg with the share weights of @p specs: tenant i runs in
+ *  ContextId i, so spec weights map directly onto the per-ContextId
+ *  weight table. */
+system::SystemConfig withTenantWeights(
+    system::SystemConfig cfg, const std::vector<workload::TenantSpec> &specs);
+
+/** Loads tenant i of @p specs into ContextId i of @p sys. */
+void loadTenants(system::System &sys,
+                 const std::vector<workload::TenantSpec> &specs);
 
 // The experiments (figures.cc, ablations.cc, sharing.cc).
 ExperimentFn table1, table2, fig02, fig03, fig05, fig06, fig08, fig09,

@@ -69,24 +69,11 @@ mixJob(const system::SystemConfig &base,
     exp::Job job;
     job.workload = "mix8";
     job.scheduler = core::toString(kind);
-    auto cfg = exp::withScheduler(base, kind);
-    // Tenant i receives ContextId i, so spec weights map directly
-    // onto the per-ContextId weight table.
-    for (unsigned i = 0; i < specs.size(); ++i) {
-        if (specs[i].weight > 1) {
-            cfg.qos.shareWeights.resize(specs.size(), 1);
-            cfg.qos.shareWeights[i] = specs[i].weight;
-        }
-    }
+    const auto cfg =
+        withTenantWeights(exp::withScheduler(base, kind), specs);
     job.body = [cfg, specs] {
         system::System sys(cfg);
-        for (unsigned i = 0; i < specs.size(); ++i) {
-            const auto ctx =
-                i == 0 ? tlb::defaultContext : sys.createContext();
-            sys.loadBenchmarkInContext(specs[i].workload,
-                                       specs[i].params, /*app_id=*/i,
-                                       ctx, specs[i].arrivalTick);
-        }
+        loadTenants(sys, specs);
         exp::RunResult res;
         res.stats = sys.run();
         for (const auto &t : res.stats.tenants) {

@@ -11,6 +11,7 @@
  * Run `gpuwalk --help` for the full flag reference.
  */
 
+#include <algorithm>
 #include <array>
 #include <fstream>
 #include <iostream>
@@ -144,11 +145,12 @@ Sweeps:
   gpuwalk sweep --list    list the experiments
   gpuwalk sweep NAME      run one and print its table(s); --json=FILE
                           writes the report, per-run stats included
-  A sweep takes the hardware, prefetch, wavefront, demand-paging,
-  --trace-out, --trace-ring, --audit, --audit-interval, --jobs and
-  --json flags above; they apply to every run of the experiment (an
-  experiment's own axis, e.g. the walker count in fig13, overrides
-  them). Workload, scheduler and single-run output flags do not apply.
+  A sweep takes the prefetch, wavefront, demand-paging, --trace-out,
+  --trace-ring, --audit, --audit-interval, --jobs and --json flags
+  above; they apply to every run of the experiment. An experiment
+  rejects a flag it sweeps itself (e.g. --prefetch in
+  ablation_prefetch). Hardware, workload, scheduler and single-run
+  output flags do not apply.
   Every flag is accepted as --flag=value or --flag value.
 )";
 }
@@ -210,30 +212,15 @@ CliRun
 simulate(const system::SystemConfig &base_cfg, const exp::CliOptions &opt,
          bool save_trace)
 {
-    auto cfg = base_cfg;
     std::vector<workload::TenantSpec> specs;
-    if (opt.tenants > 1) {
+    if (opt.tenants > 1)
         specs = workload::generateTenantMix(mixFromOptions(opt));
-        // Tenant i gets ContextId i, so spec weights map directly
-        // onto the per-ContextId weight table; set before the System
-        // copies its config.
-        for (unsigned i = 0; i < specs.size(); ++i) {
-            if (specs[i].weight > 1) {
-                cfg.qos.shareWeights.resize(specs.size(), 1);
-                cfg.qos.shareWeights[i] = specs[i].weight;
-            }
-        }
-    }
+    // Weights are set before the System copies its config.
+    const auto cfg = experiments::withTenantWeights(base_cfg, specs);
     system::System sys(cfg);
 
     if (!specs.empty()) {
-        for (unsigned i = 0; i < specs.size(); ++i) {
-            const auto ctx =
-                i == 0 ? tlb::defaultContext : sys.createContext();
-            sys.loadBenchmarkInContext(specs[i].workload,
-                                       specs[i].params, /*app_id=*/i,
-                                       ctx, specs[i].arrivalTick);
-        }
+        experiments::loadTenants(sys, specs);
     } else if (!opt.loadTrace.empty()) {
         auto wl = workload::loadTraceFile(opt.loadTrace);
         // External traces reference raw virtual addresses: map them.
@@ -371,6 +358,14 @@ sweepMain(const exp::CliOptions &opt)
     if (!e)
         sim::fatal("unknown experiment '", opt.experiment,
                    "' (see gpuwalk sweep --list)");
+
+    for (const auto axis : e->axes) {
+        if (std::find(opt.given.begin(), opt.given.end(), axis)
+            != opt.given.end()) {
+            sim::fatal("--", axis, " does not apply to gpuwalk sweep ",
+                       e->name, " (the experiment sets it per run)");
+        }
+    }
 
     const auto report = e->fn(*e, opt.cfg, opt.runner);
     report.render(std::cout);
