@@ -18,7 +18,6 @@
 
 #include "core/fcfs_scheduler.hh"
 #include "core/simt_aware_scheduler.hh"
-#include "core/srpt_scheduler.hh"
 #include "iommu/page_walk_cache.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
@@ -381,21 +380,6 @@ BM_FlatMapLookup(benchmark::State &state)
     mapLookupBench<sim::FlatMap<std::uint64_t, std::uint64_t>>(state);
 }
 BENCHMARK(BM_FlatMapLookup)->Arg(256)->Arg(4096)->Arg(65536);
-
-void
-BM_SrptSelect(benchmark::State &state)
-{
-    auto buf = filledBuffer(static_cast<std::size_t>(state.range(0)));
-    core::SrptScheduler sched(false);
-    sched.setEstimator([](mem::Addr va, tlb::ContextId) -> unsigned {
-        return 1 + (va >> 12) % 4;
-    });
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sched.selectNext(buf));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SrptSelect)->Arg(64)->Arg(256)->Arg(512);
 
 } // namespace
 

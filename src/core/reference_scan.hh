@@ -119,80 +119,6 @@ class SimtScan
     PickReason lastPick_ = PickReason::Policy;
 };
 
-/**
- * The fair-share selection rules (batch, round-robin app grant,
- * per-app SJF) as full scans. Note the batch rule deliberately leaves
- * a stale lastInstruction in place on a failed probe, matching the
- * production scheduler.
- */
-class FairShareScan
-{
-  public:
-    std::size_t
-    selectNext(const WalkBuffer &buffer)
-    {
-        const auto &entries = buffer.entries();
-        GPUWALK_ASSERT(!entries.empty(), "selectNext on empty buffer");
-
-        if (lastInstruction_) {
-            std::size_t best = entries.size();
-            for (std::size_t i = 0; i < entries.size(); ++i) {
-                if (entries[i].request.instruction != *lastInstruction_)
-                    continue;
-                if (best == entries.size()
-                    || entries[i].seq < entries[best].seq) {
-                    best = i;
-                }
-            }
-            if (best != entries.size())
-                return best;
-        }
-
-        std::uint32_t max_app = 0;
-        for (const auto &e : entries)
-            max_app = std::max(max_app, e.request.app);
-
-        std::optional<std::uint32_t> grant;
-        for (std::uint32_t probe = 1; probe <= max_app + 1; ++probe) {
-            const std::uint32_t app =
-                (lastApp_ + probe) % (max_app + 1);
-            for (const auto &e : entries) {
-                if (e.request.app == app) {
-                    grant = app;
-                    break;
-                }
-            }
-            if (grant)
-                break;
-        }
-        GPUWALK_ASSERT(grant.has_value(), "no app with pending walks");
-
-        std::size_t best = entries.size();
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            if (entries[i].request.app != *grant)
-                continue;
-            if (best == entries.size()
-                || entries[i].score < entries[best].score
-                || (entries[i].score == entries[best].score
-                    && entries[i].seq < entries[best].seq)) {
-                best = i;
-            }
-        }
-        return best;
-    }
-
-    void
-    onDispatch(const PendingWalk &walk)
-    {
-        lastInstruction_ = walk.request.instruction;
-        lastApp_ = walk.request.app;
-    }
-
-  private:
-    std::optional<tlb::InstructionId> lastInstruction_;
-    std::uint32_t lastApp_ = 0;
-};
-
 } // namespace gpuwalk::core::reference
 
 #endif // GPUWALK_CORE_REFERENCE_SCAN_HH

@@ -1,11 +1,8 @@
 #include "core/walk_scheduler.hh"
 
-#include "core/fair_share_scheduler.hh"
 #include "core/fcfs_scheduler.hh"
 #include "core/random_scheduler.hh"
-#include "core/oldest_job_scheduler.hh"
 #include "core/simt_aware_scheduler.hh"
-#include "core/srpt_scheduler.hh"
 #include "core/token_bucket_scheduler.hh"
 #include "core/weighted_share_scheduler.hh"
 #include "sim/logging.hh"
@@ -26,12 +23,6 @@ toString(SchedulerKind kind)
         return "batch-only";
       case SchedulerKind::SimtAware:
         return "simt-aware";
-      case SchedulerKind::OldestJob:
-        return "oldest-job";
-      case SchedulerKind::Srpt:
-        return "srpt";
-      case SchedulerKind::FairShare:
-        return "fair-share";
       case SchedulerKind::TokenBucket:
         return "token-bucket";
       case SchedulerKind::WeightedShare:
@@ -75,20 +66,13 @@ schedulerKindFromString(const std::string &name)
         return SchedulerKind::BatchOnly;
     if (name == "simt-aware" || name == "simt")
         return SchedulerKind::SimtAware;
-    if (name == "oldest-job" || name == "ojf")
-        return SchedulerKind::OldestJob;
-    if (name == "srpt")
-        return SchedulerKind::Srpt;
-    if (name == "fair-share" || name == "fair")
-        return SchedulerKind::FairShare;
     if (name == "token-bucket" || name == "token")
         return SchedulerKind::TokenBucket;
     if (name == "weighted-share" || name == "wfq")
         return SchedulerKind::WeightedShare;
     sim::fatal("unknown scheduler '", name,
                "' (expected fcfs|random|sjf-only|batch-only|"
-               "simt-aware|oldest-job|srpt|fair-share|"
-               "token-bucket|weighted-share)");
+               "simt-aware|token-bucket|weighted-share)");
 }
 
 std::unique_ptr<WalkScheduler>
@@ -119,13 +103,6 @@ makeScheduler(SchedulerKind kind, std::uint64_t seed,
         c.enableBatching = true;
         return std::make_unique<SimtAwareScheduler>(c);
       }
-      case SchedulerKind::OldestJob:
-        return std::make_unique<OldestJobScheduler>();
-      case SchedulerKind::Srpt:
-        // The owner (the IOMMU) wires the PWC estimator in.
-        return std::make_unique<SrptScheduler>();
-      case SchedulerKind::FairShare:
-        return std::make_unique<FairShareScheduler>();
       case SchedulerKind::TokenBucket:
         return std::make_unique<TokenBucketScheduler>(cfg, qos);
       case SchedulerKind::WeightedShare:

@@ -24,13 +24,8 @@ enum class SchedulerKind
     SjfOnly,   ///< ablation: key idea 1 only (score-based SJF)
     BatchOnly, ///< ablation: key idea 2 only (same-instruction batching)
     SimtAware, ///< the paper's full scheduler: SJF + batching + aging
-    OldestJob, ///< extension: complete instructions in age order
-    Srpt,      ///< extension: selection-time re-scoring "oracle"
-    FairShare, ///< extension: per-app round-robin + SIMT-aware within
 
     // QoS policies composing SJF+batching with cross-tenant fairness.
-    // Appended at the end: the numeric values above appear in golden
-    // trace digests and must not shift.
     TokenBucket,   ///< per-tenant token-bucket rate limiter
     WeightedShare, ///< starvation-free weighted sharing by service
 };

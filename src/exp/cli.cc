@@ -1,5 +1,6 @@
 #include "exp/cli.hh"
 
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -64,6 +65,22 @@ toUnsigned(std::string_view flag, const std::string &v,
         toUint(flag, v, min, std::numeric_limits<unsigned>::max()));
 }
 
+/** A cache size: a positive multiple of its @p ways, and a power of
+ *  two times them when @p pow2_sets (the set index is a bit mask). */
+unsigned
+toEntries(std::string_view flag, const std::string &v, unsigned ways,
+          bool pow2_sets)
+{
+    const unsigned n = toUnsigned(flag, v, 1);
+    if (n % ways != 0 || (pow2_sets && !std::has_single_bit(n / ways))) {
+        sim::fatal("--", flag, " needs a multiple of the ", ways,
+                   "-way associativity",
+                   pow2_sets ? " with a power-of-two set count" : "",
+                   ", got '", v, "'");
+    }
+    return n;
+}
+
 double
 toDouble(std::string_view flag, const std::string &v)
 {
@@ -119,28 +136,32 @@ const Flag flags[] = {
     // reproduce, and several sweep these fields themselves).
     {"cus", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.gpu.numCus = toUnsigned("cus", v);
+         o.cfg.gpu.numCus = toUnsigned("cus", v, 1);
          o.cfg.gpuTlb.numCus = o.cfg.gpu.numCus;
      }},
     {"wavefronts-per-cu", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.gpu.wavefrontsPerCu = toUnsigned("wavefronts-per-cu", v);
+         o.cfg.gpu.wavefrontsPerCu =
+             toUnsigned("wavefronts-per-cu", v, 1);
      }},
     {"l2tlb-entries", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.gpuTlb.l2Entries = toUnsigned("l2tlb-entries", v);
+         o.cfg.gpuTlb.l2Entries =
+             toEntries("l2tlb-entries", v, o.cfg.gpuTlb.l2Associativity,
+                       true);
      }},
     {"walkers", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.iommu.numWalkers = toUnsigned("walkers", v);
+         o.cfg.iommu.numWalkers = toUnsigned("walkers", v, 1);
      }},
     {"buffer-entries", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.iommu.bufferEntries = toUnsigned("buffer-entries", v);
+         o.cfg.iommu.bufferEntries = toUnsigned("buffer-entries", v, 1);
      }},
     {"pwc-entries", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.iommu.pwc.entriesPerLevel = toUnsigned("pwc-entries", v);
+         o.cfg.iommu.pwc.entriesPerLevel = toEntries(
+             "pwc-entries", v, o.cfg.iommu.pwc.associativity, false);
      }},
     {"no-pwc-pinning", RunOnly, Arity::None,
      [](CliOptions &o, const std::string &) {
@@ -156,11 +177,11 @@ const Flag flags[] = {
      }},
     {"token-window", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.qos.tokenWindow = toUnsigned("token-window", v);
+         o.cfg.qos.tokenWindow = toUnsigned("token-window", v, 1);
      }},
     {"token-quota", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.qos.tokenQuota = toUnsigned("token-quota", v);
+         o.cfg.qos.tokenQuota = toUnsigned("token-quota", v, 1);
      }},
     {"virtual-l1", RunOnly, Arity::None,
      [](CliOptions &o, const std::string &) {
@@ -293,6 +314,9 @@ const Flag flags[] = {
     {"footprint-scale", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.params.footprintScale = toDouble("footprint-scale", v);
+         if (o.params.footprintScale <= 0.0)
+             sim::fatal("--footprint-scale needs a positive number, "
+                        "got '", v, "'");
      }},
     {"compute-cycles", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
@@ -309,6 +333,9 @@ const Flag flags[] = {
     {"churn-fraction", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.churnFraction = toDouble("churn-fraction", v);
+         if (o.churnFraction < 0.0 || o.churnFraction > 1.0)
+             sim::fatal("--churn-fraction needs a fraction in [0, 1], "
+                        "got '", v, "'");
      }},
     {"alternate-weights", RunOnly, Arity::None,
      [](CliOptions &o, const std::string &) {

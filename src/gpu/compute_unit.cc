@@ -200,7 +200,6 @@ ComputeUnit::issueNext(std::size_t wf_index)
         req.instruction = key;
         req.wavefront = wavefronts_[wf_index].globalId;
         req.cu = id_;
-        req.app = wavefronts_[wf_index].appId;
         req.ctx = gpu_.contextOf(wavefronts_[wf_index].appId);
         req.leader = leader;
         req.onComplete = [this, key, page](mem::Addr pa_page,

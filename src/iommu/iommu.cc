@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/srpt_scheduler.hh"
 #include "sim/audit.hh"
 #include "vm/gmmu.hh"
 #include "vm/page_table.hh"
@@ -26,14 +25,6 @@ Iommu::Iommu(sim::EventQueue &eq, const IommuConfig &cfg,
     GPUWALK_ASSERT(cfg_.numWalkers > 0, "IOMMU needs walkers");
 
     prefetcher_ = makePrefetcher(cfg_.prefetch);
-
-    // The SRPT analysis scheduler re-probes the PWCs at selection.
-    if (auto *srpt = dynamic_cast<core::SrptScheduler *>(
-            scheduler_.get())) {
-        srpt->setEstimator([this](mem::Addr va_page, tlb::ContextId ctx) {
-            return pwc_.peekEstimate(va_page, ctx);
-        });
-    }
 
     mem::MemoryDevice *walk_path = &memory;
     if (cfg_.useWalkCache) {

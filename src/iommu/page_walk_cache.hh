@@ -92,9 +92,8 @@ class PageWalkCache
                            ContextId ctx = tlb::defaultContext);
 
     /**
-     * Non-mutating estimate (for tests and non-scoring schedulers'
-     * instrumentation): same value as probeEstimate, no counter or
-     * LRU updates.
+     * Non-mutating estimate: same value as probeEstimate, no counter
+     * or LRU updates.
      */
     unsigned peekEstimate(mem::Addr va_page,
                           ContextId ctx = tlb::defaultContext) const;

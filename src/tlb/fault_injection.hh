@@ -64,7 +64,6 @@ class FaultyTranslationService : public TranslationService
             phantom.instruction = req.instruction;
             phantom.wavefront = req.wavefront;
             phantom.cu = req.cu;
-            phantom.app = req.app;
             below_.translate(std::move(req));
             below_.translate(std::move(phantom));
             return;

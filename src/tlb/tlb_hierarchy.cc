@@ -89,7 +89,6 @@ TlbHierarchy::lookupL1(TranslationRequest r)
     down.instruction = leader.instruction;
     down.wavefront = leader.wavefront;
     down.cu = leader.cu;
-    down.app = leader.app;
     down.ctx = leader.ctx;
     down.leader = leader.leader;
     down.onComplete = [this, cu = leader.cu, va = leader.vaPage,
@@ -145,7 +144,6 @@ TlbHierarchy::accessL2(TranslationRequest req)
     down.instruction = leader.instruction;
     down.wavefront = leader.wavefront;
     down.cu = leader.cu;
-    down.app = leader.app;
     down.ctx = leader.ctx;
     down.leader = leader.leader;
     down.onComplete = [this, key, va_page = leader.vaPage,

@@ -54,9 +54,6 @@ struct TranslationRequest
     /** Issuing compute unit. */
     std::uint32_t cu = 0;
 
-    /** Owning application (multi-program runs; 0 otherwise). */
-    std::uint32_t app = 0;
-
     /** Owning address space (ASID); 0 for single-tenant runs. */
     ContextId ctx = defaultContext;
 

@@ -487,7 +487,7 @@ TEST(BenchCliDeathTest, MalformedNumbersAreFatal)
                 "got 'x'");
     EXPECT_EXIT(parseCli(Command::Run, {"--walkers=abc"}),
                 ::testing::ExitedWithCode(1),
-                "fatal: --walkers needs a non-negative integer");
+                "fatal: --walkers needs a positive integer");
     EXPECT_EXIT(parseCli(Command::Sweep, {"--jobs", "-1"}),
                 ::testing::ExitedWithCode(1), "fatal: --jobs");
     EXPECT_EXIT(parseCli(Command::Run, {"--wavefronts=8x"}),

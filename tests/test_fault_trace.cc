@@ -154,7 +154,7 @@ TEST(FaultTrace, ProtocolHoldsAcrossSchedulers)
     for (const auto kind :
          {core::SchedulerKind::Fcfs, core::SchedulerKind::SimtAware,
           core::SchedulerKind::SjfOnly, core::SchedulerKind::BatchOnly,
-          core::SchedulerKind::OldestJob}) {
+          core::SchedulerKind::Random}) {
         const auto run = runTraced(kind, 0.04);
         ASSERT_EQ(run.dropped, 0u);
         ASSERT_TRUE(run.stats.gmmu.enabled);

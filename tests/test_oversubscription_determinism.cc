@@ -174,7 +174,7 @@ TEST(OversubDeterminism, RandomizedConfigsStayBitIdentical)
     const std::vector<std::string> apps{"MVT", "GEV", "KMN", "ATX"};
     const std::vector<core::SchedulerKind> scheds{
         core::SchedulerKind::Fcfs, core::SchedulerKind::SimtAware,
-        core::SchedulerKind::OldestJob};
+        core::SchedulerKind::Random};
     sim::Rng rng(20260807);
 
     for (int trial = 0; trial < 3; ++trial) {

@@ -8,8 +8,8 @@
  * suite drives both over identical randomized request streams — one
  * shared buffer, both implementations consulted before each extract —
  * and asserts the *same index* and the *same PickReason* at every
- * decision, for all five golden-traced policies (fcfs, sjf-only,
- * batch-only, simt-aware, fair-share). Streams include out-of-order
+ * decision, for the four indexed policies (fcfs, sjf-only,
+ * batch-only, simt-aware). Streams include out-of-order
  * sequence numbers, pre-aged and saturated bypass counters, and
  * low-threshold configs that make the aging override fire, so the
  * index fast paths and their fallback walks are all exercised.
@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/fair_share_scheduler.hh"
 #include "core/fcfs_scheduler.hh"
 #include "core/reference_scan.hh"
 #include "core/simt_aware_scheduler.hh"
@@ -75,7 +74,6 @@ randomWalk(sim::Rng &rng, SeqSource &seqs, const StreamOptions &opt)
     PendingWalk w;
     w.seq = seqs.next();
     w.request.instruction = rng.below(16);
-    w.request.app = static_cast<std::uint32_t>(rng.below(3));
     w.request.vaPage = rng.below(1024) << 12;
     if (opt.preAgedPercent && rng.below(100) < opt.preAgedPercent) {
         w.bypassed = rng.below(2) == 0
@@ -212,20 +210,6 @@ TEST(SchedulerDiff, SimtAwareWithSaturatedCountersMatchesReferenceScan)
                       .withScores = true,
                       .preAgedPercent = 25,
                       .agingThreshold = cfg.agingThreshold});
-}
-
-TEST(SchedulerDiff, FairShareMatchesReferenceScan)
-{
-    FairShareScheduler sched;
-    reference::FairShareScan ref;
-    runStream(
-        StreamOptions{.seed = 113, .withScores = true},
-        [&](const WalkBuffer &buf) { return sched.selectNext(buf); },
-        [&](const WalkBuffer &buf) { return ref.selectNext(buf); },
-        [&](WalkBuffer &buf, const PendingWalk &w) {
-            sched.onDispatch(buf, w);
-            ref.onDispatch(w);
-        });
 }
 
 } // namespace

@@ -14,9 +14,7 @@
 #include <utility>
 
 #include "core/fcfs_scheduler.hh"
-#include "core/oldest_job_scheduler.hh"
 #include "core/simt_aware_scheduler.hh"
-#include "core/srpt_scheduler.hh"
 #include "core/walk_scheduler.hh"
 #include "sim/rng.hh"
 #include "system/system.hh"
@@ -113,60 +111,6 @@ TEST(SchedulerFuzz, SimtAwareBatchesOrPicksMinScore)
             }
         },
         13, /*with_scores=*/true);
-}
-
-TEST(SchedulerFuzz, OldestJobNeverSkipsOlderInstructions)
-{
-    OldestJobScheduler sched;
-    // Track instruction first-arrival externally as the reference.
-    std::map<tlb::InstructionId, std::uint64_t> first_seen;
-    sim::Rng rng(17);
-    WalkBuffer buf(64);
-    std::uint64_t next_seq = 0;
-
-    for (int i = 0; i < 20000; ++i) {
-        if (!buf.full() && (buf.empty() || rng.chance(0.55))) {
-            PendingWalk w;
-            w.seq = next_seq++;
-            w.request.instruction = rng.below(16);
-            first_seen.try_emplace(w.request.instruction, w.seq);
-            buf.insert(std::move(w));
-        } else {
-            const std::size_t idx = sched.selectNext(buf);
-            const auto picked_age =
-                first_seen.at(buf.at(idx).request.instruction);
-            for (const auto &e : buf.entries()) {
-                ASSERT_GE(first_seen.at(e.request.instruction),
-                          picked_age)
-                    << "older instruction was skipped";
-            }
-            auto w = buf.extract(idx);
-            sched.onDispatch(buf, w);
-        }
-    }
-}
-
-TEST(SchedulerFuzz, SrptMatchesBruteForceRemaining)
-{
-    SrptScheduler sched(/*enable_batching=*/false);
-    auto estimate = [](mem::Addr va, tlb::ContextId = 0) -> unsigned {
-        return 1 + (va >> 12) % 4;
-    };
-    sched.setEstimator(estimate);
-
-    drive(sched,
-          [&](const WalkBuffer &buf, std::size_t idx, WalkScheduler &) {
-              // Brute-force remaining work per instruction.
-              std::map<tlb::InstructionId, std::uint64_t> remaining;
-              for (const auto &e : buf.entries())
-                  remaining[e.request.instruction] +=
-                      estimate(e.request.vaPage);
-              const auto picked =
-                  remaining.at(buf.at(idx).request.instruction);
-              for (const auto &[instr, rem] : remaining)
-                  ASSERT_GE(rem, picked);
-          },
-          19);
 }
 
 // --- Traced-stream well-formedness ---------------------------------

@@ -299,10 +299,21 @@ TEST(SchedulerFactory, CreatesAllKinds)
     for (auto kind :
          {SchedulerKind::Fcfs, SchedulerKind::Random,
           SchedulerKind::SjfOnly, SchedulerKind::BatchOnly,
-          SchedulerKind::SimtAware}) {
+          SchedulerKind::SimtAware, SchedulerKind::TokenBucket,
+          SchedulerKind::WeightedShare}) {
         auto sched = makeScheduler(kind, 1);
         ASSERT_NE(sched, nullptr);
+        EXPECT_EQ(sched->name(), toString(kind));
         EXPECT_EQ(schedulerKindFromString(toString(kind)), kind);
+    }
+}
+
+TEST(SchedulerFactoryDeathTest, RemovedKindsAreUnknown)
+{
+    for (const char *name : {"fair-share", "oldest-job", "srpt"}) {
+        EXPECT_EXIT(schedulerKindFromString(name),
+                    ::testing::ExitedWithCode(1), "unknown scheduler")
+            << name;
     }
 }
 

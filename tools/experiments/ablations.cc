@@ -1,5 +1,7 @@
 #include "experiments.hh"
 
+#include <algorithm>
+
 #include "system/system.hh"
 
 namespace gpuwalk::experiments {
@@ -25,6 +27,7 @@ walkLatency(const system::RunStats &stats)
 /**
  * Ablation study (beyond the paper's figures): how much of the
  * SIMT-aware speedup comes from each of the two key ideas?
+ *   - random:     uniform pick (the paper's Fig. 2 strawman)
  *   - sjf-only:   key idea 1 (shortest-job-first scoring) alone
  *   - batch-only: key idea 2 (same-instruction batching) alone
  *   - simt-aware: both (the paper's scheduler)
@@ -35,12 +38,16 @@ exp::Report
 ablation_scheduler(const Experiment &self, const system::SystemConfig &base,
                    const exp::RunnerOptions &opts)
 {
+    const std::vector<core::SchedulerKind> kinds{
+        core::SchedulerKind::Random, core::SchedulerKind::SjfOnly,
+        core::SchedulerKind::BatchOnly, core::SchedulerKind::SimtAware};
+
     // Main grid: every irregular app under the decomposed schedulers.
     exp::SweepSpec spec(base);
     spec.workloads = workload::irregularWorkloadNames();
-    spec.schedulers = {
-        core::SchedulerKind::Fcfs, core::SchedulerKind::SjfOnly,
-        core::SchedulerKind::BatchOnly, core::SchedulerKind::SimtAware};
+    spec.schedulers = {core::SchedulerKind::Fcfs};
+    spec.schedulers.insert(spec.schedulers.end(), kinds.begin(),
+                           kinds.end());
 
     // Design-subtlety ablations on MVT, run in the same pool.
     exp::SweepSpec subtle(base);
@@ -60,31 +67,35 @@ ablation_scheduler(const Experiment &self, const system::SystemConfig &base,
     auto result = exp::runJobs(
         exp::concat(spec.expand(), subtle.expand()), opts);
 
-    exp::Report report(self.id, self.description, spec.base);
-    auto &table = report.addTable(
-        {"app", "sjf-only", "batch-only", "simt-aware"});
+    std::vector<std::string> header{"app"};
+    for (auto k : kinds)
+        header.push_back(core::toString(k));
 
-    MeanTracker mean_sjf, mean_batch, mean_simt;
+    exp::Report report(self.id, self.description, spec.base);
+    auto &table = report.addTable(header);
+
+    std::vector<MeanTracker> means(kinds.size());
     for (const auto &app : spec.workloads) {
         const auto &fcfs =
             result.stats(app, core::SchedulerKind::Fcfs);
-        const double s_sjf = exp::speedup(
-            result.stats(app, core::SchedulerKind::SjfOnly), fcfs);
-        const double s_batch = exp::speedup(
-            result.stats(app, core::SchedulerKind::BatchOnly), fcfs);
-        const double s_simt = exp::speedup(
-            result.stats(app, core::SchedulerKind::SimtAware), fcfs);
-        mean_sjf.add(s_sjf);
-        mean_batch.add(s_batch);
-        mean_simt.add(s_simt);
-        table.addRow({app, fmt(s_sjf), fmt(s_batch), fmt(s_simt)});
+        std::vector<std::string> row{app};
+        for (std::size_t k = 0; k < kinds.size(); ++k) {
+            const double s =
+                exp::speedup(result.stats(app, kinds[k]), fcfs);
+            means[k].add(s);
+            row.push_back(fmt(s));
+        }
+        table.addRow(row);
     }
     table.addRule();
-    table.addRow({"GEOMEAN", fmt(mean_sjf.mean()),
-                  fmt(mean_batch.mean()), fmt(mean_simt.mean())});
-    report.addSummary("geomean_speedup_sjf_only", mean_sjf.mean());
-    report.addSummary("geomean_speedup_batch_only", mean_batch.mean());
-    report.addSummary("geomean_speedup_simt_aware", mean_simt.mean());
+    std::vector<std::string> mean_row{"GEOMEAN"};
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+        mean_row.push_back(fmt(means[k].mean()));
+        std::string key = "geomean_speedup_" + core::toString(kinds[k]);
+        std::replace(key.begin(), key.end(), '-', '_');
+        report.addSummary(key, means[k].mean());
+    }
+    table.addRow(mean_row);
 
     const auto &mvt_fcfs =
         result.stats("MVT", core::SchedulerKind::Fcfs);
@@ -113,81 +124,6 @@ ablation_scheduler(const Experiment &self, const system::SystemConfig &base,
         "(The paper evaluates only the full scheduler; this ablation "
         "quantifies each mechanism's share,\nwhich DESIGN.md calls out "
         "as an open question the paper leaves to follow-on work.)");
-    report.setRuns(std::move(result));
-    return report;
-}
-
-/**
- * Grand policy comparison (extension): every scheduling policy in the
- * library side by side on the six irregular benchmarks — the design
- * space the paper's conclusion invites follow-on work to explore.
- *
- *   fcfs        arrival order (the paper's baseline)
- *   random      uniform pick (the paper's strawman)
- *   oldest-job  complete instructions in age order (PAR-BS-flavoured)
- *   sjf-only    paper key idea 1 alone
- *   batch-only  paper key idea 2 alone
- *   simt-aware  the paper's scheduler (1 + 2 + aging)
- *   srpt        selection-time re-scoring "oracle" (quantifies what
- *               the paper's cheap arrival-time estimates give up)
- *   fair-share  per-app round-robin + SIMT-aware within each app
- *               (degenerates to SJF+batching for single-app runs)
- */
-exp::Report
-ablation_policies(const Experiment &self, const system::SystemConfig &base,
-                  const exp::RunnerOptions &opts)
-{
-    const std::vector<core::SchedulerKind> kinds{
-        core::SchedulerKind::Random,    core::SchedulerKind::OldestJob,
-        core::SchedulerKind::SjfOnly,   core::SchedulerKind::BatchOnly,
-        core::SchedulerKind::SimtAware, core::SchedulerKind::Srpt,
-        core::SchedulerKind::FairShare,
-    };
-
-    exp::SweepSpec spec(base);
-    spec.workloads = workload::irregularWorkloadNames();
-    spec.schedulers = {core::SchedulerKind::Fcfs};
-    spec.schedulers.insert(spec.schedulers.end(), kinds.begin(),
-                           kinds.end());
-    auto result = exp::runSweep(spec, opts);
-
-    std::vector<std::string> header{"app"};
-    for (auto k : kinds)
-        header.push_back(core::toString(k));
-
-    exp::Report report(self.id, self.description, spec.base);
-    auto &table = report.addTable(header);
-
-    std::vector<MeanTracker> means(kinds.size());
-    for (const auto &app : spec.workloads) {
-        const auto &fcfs =
-            result.stats(app, core::SchedulerKind::Fcfs);
-        std::vector<std::string> row{app};
-        for (std::size_t k = 0; k < kinds.size(); ++k) {
-            const double s =
-                exp::speedup(result.stats(app, kinds[k]), fcfs);
-            means[k].add(s);
-            row.push_back(fmt(s));
-        }
-        table.addRow(row);
-    }
-    table.addRule();
-    std::vector<std::string> mean_row{"GEOMEAN"};
-    for (std::size_t k = 0; k < kinds.size(); ++k) {
-        mean_row.push_back(fmt(means[k].mean()));
-        report.addSummary(
-            "geomean_speedup_"
-                + std::string(core::toString(kinds[k])),
-            means[k].mean());
-    }
-    table.addRow(mean_row);
-
-    report.addNote(
-        "Reading: simt-aware vs srpt measures the cost of "
-        "arrival-time scoring (the paper argues\nselection-time "
-        "re-scoring is infeasible in hardware; srpt does it anyway "
-        "as an analysis bound).\noldest-job isolates 'complete "
-        "whole instructions' without any length information.");
     report.setRuns(std::move(result));
     return report;
 }

@@ -50,8 +50,6 @@ const Experiment experiments[] = {
     {"ablation_scheduler", "Ablation",
      "Decomposing the SIMT-aware speedup (all values vs FCFS)",
      ablation_scheduler},
-    {"ablation_policies", "Ablation (policy space)",
-     "All walk-scheduling policies, speedup vs FCFS", ablation_policies},
     {"ablation_large_pages", "Ablation (paper SVI)",
      "4 KB base pages vs 2 MB large pages", ablation_large_pages},
     {"ablation_virtual_cache", "Ablation (virtual caches)",

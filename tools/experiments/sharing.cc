@@ -131,17 +131,15 @@ ablation_multiprogram(const Experiment &self, const system::SystemConfig &base,
     auto jobs = solo.expand();
     for (const auto &[aggressor, victim] : pairs)
         for (const auto kind :
-             {core::SchedulerKind::Fcfs, core::SchedulerKind::SimtAware,
-              core::SchedulerKind::FairShare})
+             {core::SchedulerKind::Fcfs, core::SchedulerKind::SimtAware})
             jobs.push_back(corunJob(solo.base, kind, aggressor,
                                     victim));
     auto result = exp::runJobs(jobs, opts);
 
     exp::Report report(self.id, self.description, solo.base);
     auto &table = report.addTable({"pair", "victim:fcfs",
-                                   "victim:simt", "victim:fair",
-                                   "aggr:fcfs", "aggr:simt",
-                                   "aggr:fair"});
+                                   "victim:simt", "aggr:fcfs",
+                                   "aggr:simt"});
 
     for (const auto &[aggressor, victim] : pairs) {
         const double victim_solo = static_cast<double>(
@@ -155,8 +153,6 @@ ablation_multiprogram(const Experiment &self, const system::SystemConfig &base,
             result.at(pair, core::SchedulerKind::Fcfs);
         const auto &simt =
             result.at(pair, core::SchedulerKind::SimtAware);
-        const auto &fair =
-            result.at(pair, core::SchedulerKind::FairShare);
 
         // Slowdown of each app relative to running alone under FCFS.
         auto slowdown = [](double corun_t, double solo_t) {
@@ -168,13 +164,9 @@ ablation_multiprogram(const Experiment &self, const system::SystemConfig &base,
                           victim_solo), 2) + "x",
              fmt(slowdown(simt.extra.at("victim_finish"),
                           victim_solo), 2) + "x",
-             fmt(slowdown(fair.extra.at("victim_finish"),
-                          victim_solo), 2) + "x",
              fmt(slowdown(fcfs.extra.at("aggressor_finish"),
                           aggr_solo), 2) + "x",
              fmt(slowdown(simt.extra.at("aggressor_finish"),
-                          aggr_solo), 2) + "x",
-             fmt(slowdown(fair.extra.at("aggressor_finish"),
                           aggr_solo), 2) + "x"});
     }
 
@@ -183,9 +175,7 @@ ablation_multiprogram(const Experiment &self, const system::SystemConfig &base,
         "over its solo FCFS runtime (lower is\nbetter). SIMT-aware "
         "scheduling shields the translation-light victim (its walks "
         "are always the\nshortest jobs) without starving the "
-        "aggressor; fair-share adds an explicit per-app round-robin"
-        "\ngrant on top — the QoS direction the paper's conclusion "
-        "proposes for follow-on work.");
+        "aggressor.");
     report.setRuns(std::move(result));
     return report;
 }

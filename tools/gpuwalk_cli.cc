@@ -55,8 +55,7 @@ Workload selection (one of):
 
 Scheduler:
   --scheduler=NAME        fcfs | random | sjf-only | batch-only |
-                          simt-aware | oldest-job | srpt |
-                          fair-share | token-bucket | weighted-share
+                          simt-aware | token-bucket | weighted-share
                           (default: fcfs)
   --compare               run fcfs AND simt-aware, report speedup
   --jobs=N                worker threads for --compare and sweeps
