@@ -120,7 +120,7 @@ filledBuffer(std::size_t n)
     for (std::size_t i = 0; i < n; ++i) {
         core::PendingWalk w;
         w.seq = i;
-        w.request.instruction = i / 8;
+        w.instruction = i / 8;
         w.score = (i * 7) % 97 + 1;
         buf.insert(std::move(w));
     }
@@ -146,7 +146,7 @@ BM_SimtAwareSelect(benchmark::State &state)
     core::SimtAwareScheduler sched;
     // Prime the batching register.
     core::PendingWalk primer;
-    primer.request.instruction = 1;
+    primer.instruction = 1;
     sched.onDispatch(buf, primer);
     for (auto _ : state) {
         benchmark::DoNotOptimize(sched.selectNext(buf));
@@ -280,7 +280,12 @@ BENCHMARK(BM_ObjectPoolAcquireRelease)->Arg(1)->Arg(64);
 class ImmediateMemory : public mem::MemoryDevice
 {
   public:
-    void access(mem::MemoryRequest req) override { req.complete(); }
+    explicit ImmediateMemory(mem::MemoryTable &table) : table_(table) {}
+
+    void access(mem::RequestHandle req) override { table_.complete(req); }
+
+  private:
+    mem::MemoryTable &table_;
 };
 
 /**
@@ -293,15 +298,16 @@ void
 BM_CacheAccess(benchmark::State &state)
 {
     sim::EventQueue eq;
-    ImmediateMemory below;
+    mem::MemoryTable table;
+    ImmediateMemory below(table);
     mem::Cache cache(eq, {"bench_l1d", 32 * 1024, 16, 64, 500, 500, 32},
-                     below);
+                     table, below);
     const mem::Addr window = static_cast<mem::Addr>(state.range(0)) * 1024;
     mem::Addr addr = 0;
     for (auto _ : state) {
-        mem::MemoryRequest req;
-        req.addr = addr;
-        cache.access(std::move(req));
+        const mem::RequestHandle req = table.acquire();
+        table.at(req).addr = addr;
+        cache.access(req);
         eq.run();
         addr = (addr + 64) % window;
     }
@@ -309,6 +315,42 @@ BM_CacheAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccess)->ArgName("window_kb")->Arg(16)->Arg(256);
+
+/** Route owner for BM_RequestRoundTrip: counts completions. */
+class CountingSink final : public mem::MemorySink
+{
+  public:
+    void
+    memoryDone(const mem::MemoryRoute &route) override
+    {
+        sum += route.tag;
+    }
+
+    std::size_t memoryInFlight() const override { return 0; }
+    std::uint64_t sum = 0;
+};
+
+/**
+ * One request's whole life in its table: acquire a routed slot, fill
+ * it, complete it (release plus the route dispatch to its sink).
+ */
+void
+BM_RequestRoundTrip(benchmark::State &state)
+{
+    mem::MemoryTable table;
+    CountingSink sink;
+    const std::uint16_t id = table.attach(sink);
+    std::uint32_t tag = 0;
+    for (auto _ : state) {
+        const mem::RequestHandle req =
+            table.acquire({mem::MemoryRouteKind::CuLine, id, tag++});
+        table.at(req).addr = tag;
+        table.complete(req);
+    }
+    benchmark::DoNotOptimize(sink.sum);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RequestRoundTrip);
 
 /**
  * The paper-policy pick cost at a given buffer occupancy, for each of
@@ -325,7 +367,7 @@ BM_SchedulerSelectNext(benchmark::State &state)
     auto buf = filledBuffer(static_cast<std::size_t>(state.range(1)));
     auto sched = core::makeScheduler(kind);
     core::PendingWalk primer;
-    primer.request.instruction = 1;
+    primer.instruction = 1;
     sched->onDispatch(buf, primer);
     for (auto _ : state) {
         benchmark::DoNotOptimize(sched->selectNext(buf));

@@ -41,7 +41,7 @@ class CuFairScheduler : public core::WalkScheduler
             const unsigned cu = (lastCu_ + 1 + probe) % maxCus;
             std::size_t best = entries.size();
             for (std::size_t i = 0; i < entries.size(); ++i) {
-                if (entries[i].request.cu != cu)
+                if (entries[i].cu != cu)
                     continue;
                 if (best == entries.size()
                     || entries[i].seq < entries[best].seq) {
@@ -58,7 +58,7 @@ class CuFairScheduler : public core::WalkScheduler
     onDispatch(core::WalkBuffer &buffer,
                const core::PendingWalk &walk) override
     {
-        lastCu_ = walk.request.cu;
+        lastCu_ = walk.cu;
         WalkScheduler::onDispatch(buffer, walk);
     }
 

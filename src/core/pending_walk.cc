@@ -252,7 +252,7 @@ void
 WalkBuffer::linkInstruction(std::size_t idx)
 {
     const auto [it, inserted] =
-        instrIndex_.try_emplace(entries_[idx].request.instruction,
+        instrIndex_.try_emplace(entries_[idx].instruction,
                                 std::size_t{0});
     if (inserted) {
         if (freeBuckets_.empty()) {
@@ -299,7 +299,7 @@ WalkBuffer::unlinkInstruction(std::size_t idx)
         links_[l.instrNext].instrPrev = l.instrPrev;
     if (buckets_[b].head == npos) {
         freeBuckets_.push_back(b);
-        instrIndex_.erase(entries_[idx].request.instruction);
+        instrIndex_.erase(entries_[idx].instruction);
     }
 }
 
@@ -365,7 +365,7 @@ WalkBuffer::unlinkScore(std::size_t idx)
 void
 WalkBuffer::linkContext(std::size_t idx)
 {
-    const tlb::ContextId ctx = entries_[idx].request.ctx;
+    const tlb::ContextId ctx = entries_[idx].ctx;
     if (ctx >= ctxLists_.size()) {
         ctxLists_.resize(ctx + 1);
         ctxCounts_.resize(ctx + 1, 0);
@@ -394,8 +394,8 @@ void
 WalkBuffer::unlinkContext(std::size_t idx)
 {
     const Links &l = links_[idx];
-    ListHead &list = ctxLists_[entries_[idx].request.ctx];
-    --ctxCounts_[entries_[idx].request.ctx];
+    ListHead &list = ctxLists_[entries_[idx].ctx];
+    --ctxCounts_[entries_[idx].ctx];
     if (l.ctxPrev == npos)
         list.head = l.ctxNext;
     else
@@ -450,7 +450,7 @@ WalkBuffer::repointNeighbors(std::size_t from, std::size_t to)
     else
         links_[l.scoreNext].scorePrev = to;
 
-    ListHead &ctxList = ctxLists_[entries_[to].request.ctx];
+    ListHead &ctxList = ctxLists_[entries_[to].ctx];
     if (l.ctxPrev == npos)
         ctxList.head = to;
     else

@@ -47,23 +47,29 @@
 
 namespace gpuwalk::core {
 
-/** A page-walk request waiting in the IOMMU buffer. */
+/**
+ * A page-walk request waiting in the IOMMU buffer: the handle of the
+ * translation it walks for, plus the scheduling state. The request's
+ * instruction ID, context and CU are copied here because schedulers
+ * and the buffer's indexes key on them; everything else about the
+ * request stays in its table slot.
+ */
 struct PendingWalk
 {
-    /** The translation request (carries the instruction ID tag). */
-    tlb::TranslationRequest request;
+    /** The translation request being walked for. */
+    tlb::RequestHandle request = sim::noHandle;
+
+    /** The request's issuing compute unit. */
+    std::uint32_t cu = 0;
+
+    /** The request's instruction ID — the scheduler's key. */
+    tlb::InstructionId instruction = 0;
 
     /** Arrival time at the buffer. */
     sim::Tick arrival = 0;
 
     /** Global arrival sequence number — the FCFS ordering key. */
     std::uint64_t seq = 0;
-
-    /**
-     * PWC-probe estimate of memory accesses this walk alone needs
-     * (1-4), computed at arrival (paper action 1-a).
-     */
-    unsigned estimatedAccesses = 0;
 
     /**
      * Estimated total memory accesses to finish *all* pending walks of
@@ -77,6 +83,15 @@ struct PendingWalk
      * drives the anti-starvation aging override.
      */
     std::uint64_t bypassed = 0;
+
+    /**
+     * PWC-probe estimate of memory accesses this walk alone needs
+     * (1-4), computed at arrival (paper action 1-a).
+     */
+    unsigned estimatedAccesses = 0;
+
+    /** The request's address space. */
+    tlb::ContextId ctx = tlb::defaultContext;
 
     /**
      * True for IOMMU-generated next-page prefetch walks: they fill
@@ -302,8 +317,7 @@ class WalkBuffer
             const std::uint64_t seq = entries_[i].seq;
             fn(entries_[i]);
             GPUWALK_ASSERT(entries_[i].seq == seq
-                               && entries_[i].request.instruction
-                                      == instruction,
+                               && entries_[i].instruction == instruction,
                            "forEachOfInstruction callback changed an "
                            "index key");
             resyncScore(i);

@@ -74,7 +74,7 @@ class SimtScan
         if (cfg_.enableBatching && lastInstruction_) {
             std::size_t best = entries.size();
             for (std::size_t i = 0; i < entries.size(); ++i) {
-                if (entries[i].request.instruction != *lastInstruction_)
+                if (entries[i].instruction != *lastInstruction_)
                     continue;
                 if (best == entries.size()
                     || entries[i].seq < entries[best].seq) {
@@ -108,7 +108,7 @@ class SimtScan
     void
     onDispatch(const PendingWalk &walk)
     {
-        lastInstruction_ = walk.request.instruction;
+        lastInstruction_ = walk.instruction;
     }
 
     PickReason lastPickReason() const { return lastPick_; }

@@ -50,7 +50,7 @@ SimtAwareScheduler::selectNext(const WalkBuffer &buffer)
 void
 SimtAwareScheduler::onDispatch(WalkBuffer &buffer, const PendingWalk &walk)
 {
-    lastInstruction_ = walk.request.instruction;
+    lastInstruction_ = walk.instruction;
     WalkScheduler::onDispatch(buffer, walk); // aging bookkeeping
 }
 

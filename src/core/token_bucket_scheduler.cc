@@ -38,7 +38,7 @@ TokenBucketScheduler::selectNext(const WalkBuffer &buffer)
             buffer.instructionHead(*lastInstruction_);
         if (sibling == WalkBuffer::npos) {
             lastInstruction_.reset(); // drained; the ID is stale
-        } else if (underQuota(buffer.at(sibling).request.ctx)) {
+        } else if (underQuota(buffer.at(sibling).ctx)) {
             lastPick_ = PickReason::Batch;
             return sibling;
         }
@@ -76,7 +76,7 @@ void
 TokenBucketScheduler::onDispatch(WalkBuffer &buffer,
                                  const PendingWalk &walk)
 {
-    const tlb::ContextId ctx = walk.request.ctx;
+    const tlb::ContextId ctx = walk.ctx;
     if (spent_.size() <= ctx)
         spent_.resize(ctx + 1, 0);
     ++spent_[ctx];
@@ -85,7 +85,7 @@ TokenBucketScheduler::onDispatch(WalkBuffer &buffer,
         windowFill_ = 0;
         std::fill(spent_.begin(), spent_.end(), 0u);
     }
-    lastInstruction_ = walk.request.instruction;
+    lastInstruction_ = walk.instruction;
     WalkScheduler::onDispatch(buffer, walk); // aging bookkeeping
 }
 

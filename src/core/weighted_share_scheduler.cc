@@ -74,7 +74,7 @@ WeightedShareScheduler::selectNext(const WalkBuffer &buffer)
             buffer.instructionHead(*lastInstruction_);
         if (sibling == WalkBuffer::npos) {
             lastInstruction_.reset(); // drained; the ID is stale
-        } else if (buffer.at(sibling).request.ctx == bestCtx) {
+        } else if (buffer.at(sibling).ctx == bestCtx) {
             lastPick_ = PickReason::Batch;
             return sibling;
         }
@@ -87,7 +87,7 @@ void
 WeightedShareScheduler::onDispatch(WalkBuffer &buffer,
                                    const PendingWalk &walk)
 {
-    const tlb::ContextId ctx = walk.request.ctx;
+    const tlb::ContextId ctx = walk.ctx;
     if (service_.size() <= ctx) {
         service_.resize(ctx + 1, 0);
         wasPending_.resize(ctx + 1, 0);
@@ -98,7 +98,7 @@ WeightedShareScheduler::onDispatch(WalkBuffer &buffer,
     const std::uint64_t accesses =
         walk.estimatedAccesses ? walk.estimatedAccesses : 1;
     service_[ctx] += accesses * scale / qos_.weightOf(ctx);
-    lastInstruction_ = walk.request.instruction;
+    lastInstruction_ = walk.instruction;
     WalkScheduler::onDispatch(buffer, walk); // aging bookkeeping
 }
 

@@ -9,8 +9,11 @@ namespace gpuwalk::gpu {
 
 ComputeUnit::ComputeUnit(sim::EventQueue &eq, const GpuConfig &cfg,
                          std::uint32_t cu_id, tlb::TlbHierarchy &tlbs,
-                         mem::MemoryDevice &l1d, Gpu &gpu)
-    : eq_(eq), cfg_(cfg), id_(cu_id), tlbs_(tlbs), l1d_(l1d), gpu_(gpu),
+                         mem::MemoryTable &memory, mem::MemoryDevice &l1d,
+                         Gpu &gpu)
+    : eq_(eq), cfg_(cfg), id_(cu_id), tlbs_(tlbs), memory_(memory),
+      translationSink_(tlbs.table().attach(*this)),
+      memorySink_(memory.attach(*this)), l1d_(l1d), gpu_(gpu),
       issuePort_(eq, cfg.issuePortCycles * cfg.clockPeriod),
       arbiter_(cfg.wavefrontSched,
                cfg.wavefrontSched == WavefrontSchedPolicy::Wasp
@@ -29,13 +32,15 @@ void
 ComputeUnit::addWavefront(std::uint32_t wavefront_global_id,
                           unsigned app_id, WavefrontTrace trace)
 {
-    GPUWALK_ASSERT(wavefronts_.size() < cfg_.wavefrontsPerCu,
+    GPUWALK_ASSERT(wavefronts_.size() < cfg_.wavefrontsPerCu
+                       && wavefronts_.size() <= maxSlot,
                    "CU ", id_, " is full");
     Wavefront wf;
     wf.globalId = wavefront_global_id;
     wf.appId = app_id;
     wf.trace = std::move(trace);
     wavefronts_.push_back(std::move(wf));
+    inflight_.emplace_back();
     arbiter_.addSlot(wavefront_global_id);
 
     IssueEvent &ev = issueEvents_.emplace_back();
@@ -141,9 +146,16 @@ ComputeUnit::issueNext(std::size_t wf_index)
     ++wf.pc;
 
     const tlb::InstructionId key = gpu_.nextInstructionId();
-    InflightInstruction inst;
-    inst.wfIndex = wf_index;
+    InflightInstruction &inst = inflight_[wf_index];
+    GPUWALK_ASSERT(!inst.active, "wavefront slot ", wf_index,
+                   " issued with an instruction in flight");
+    inst.active = true;
+    inst.key = key;
     inst.access = tlb::coalesce(instr.laneAddrs);
+    inst.translationsPending = 0;
+    inst.linesPending = 0;
+    inst.isLoad = true;
+    inst.computeCycles = 0;
 
     const bool leader = isLeaderSlot(wf_index);
     if (leader) {
@@ -165,14 +177,11 @@ ComputeUnit::issueNext(std::size_t wf_index)
 
     if (inst.access.pages.empty()) {
         // Degenerate empty instruction: retires after the issue cost.
-        inflight_.emplace(key, std::move(inst));
         eq_.scheduleIn(cfg_.clockPeriod * cfg_.issueCycles,
-                       [this, key] { instructionDone(key); });
+                       [this, wf_index] { instructionDone(wf_index); });
         return;
     }
 
-    inst.translationsPending =
-        static_cast<unsigned>(inst.access.pages.size());
     inst.linesPending = static_cast<unsigned>(inst.access.lines.size());
     inst.isLoad = instr.isLoad;
     inst.computeCycles = instr.computeCycles;
@@ -181,100 +190,121 @@ ComputeUnit::issueNext(std::size_t wf_index)
         // Virtual L1: no up-front translation; data accesses go out
         // at virtual addresses and only L1 misses translate (via the
         // TranslatingPort below the cache).
-        auto [vit, vinserted] = inflight_.emplace(key, std::move(inst));
-        GPUWALK_ASSERT(vinserted, "duplicate instruction key");
-        vit->second.translationsPending = 0;
-        issueDataAccesses(key, /*virtual_addresses=*/true);
+        issueDataAccesses(wf_index, /*virtual_addresses=*/true);
         return;
     }
 
-    translationReqs_ += inst.access.pages.size();
+    const auto &pages = inst.access.pages;
+    GPUWALK_ASSERT(pages.size() <= pageIndexMask + 1,
+                   "instruction touches too many pages to tag");
+    inst.translationsPending = static_cast<unsigned>(pages.size());
+    inst.paPages.resize(pages.size());
+    translationReqs_ += pages.size();
 
-    auto [it, inserted] = inflight_.emplace(key, std::move(inst));
-    GPUWALK_ASSERT(inserted, "duplicate instruction key");
-    const auto &pages = it->second.access.pages;
-
-    for (mem::Addr page : pages) {
-        tlb::TranslationRequest req;
-        req.vaPage = page;
+    tlb::TranslationTable &table = tlbs_.table();
+    const tlb::ContextId ctx = gpu_.contextOf(wf.appId);
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+        const auto tag = static_cast<std::uint32_t>(
+            wf_index << pageIndexBits | i);
+        const tlb::RequestHandle h = table.acquire(
+            {tlb::TranslationRouteKind::Cu, translationSink_, tag});
+        tlb::TranslationRequest &req = table.at(h);
+        req.vaPage = pages[i];
         req.instruction = key;
-        req.wavefront = wavefronts_[wf_index].globalId;
+        req.wavefront = wf.globalId;
         req.cu = id_;
-        req.ctx = gpu_.contextOf(wavefronts_[wf_index].appId);
+        req.ctx = ctx;
         req.leader = leader;
-        req.onComplete = [this, key, page](mem::Addr pa_page,
-                                           bool /*large_page*/) {
-            auto iit = inflight_.find(key);
-            GPUWALK_ASSERT(iit != inflight_.end(),
-                           "translation for retired instruction");
-            iit->second.pageMap[page] = pa_page;
-            GPUWALK_ASSERT(iit->second.translationsPending > 0,
-                           "translation underflow");
-            if (--iit->second.translationsPending == 0)
-                translationsDone(key);
-        };
-        tlbs_.translate(std::move(req));
+        tlbs_.translate(h);
     }
 }
 
 void
-ComputeUnit::translationsDone(std::uint64_t instr_key)
+ComputeUnit::translated(const tlb::TranslationRoute &route,
+                        mem::Addr pa_page, bool /*large_page*/)
 {
-    issueDataAccesses(instr_key, /*virtual_addresses=*/false);
+    const std::size_t wf_index = route.tag >> pageIndexBits;
+    InflightInstruction &inst = inflight_[wf_index];
+    GPUWALK_ASSERT(inst.active && inst.translationsPending > 0,
+                   "translation for a retired instruction");
+    inst.paPages[route.tag & pageIndexMask] = pa_page;
+    if (--inst.translationsPending == 0)
+        issueDataAccesses(wf_index, /*virtual_addresses=*/false);
 }
 
 void
-ComputeUnit::issueDataAccesses(std::uint64_t instr_key,
-                               bool virtual_addresses)
+ComputeUnit::issueDataAccesses(std::size_t wf_index, bool virtual_addresses)
 {
-    InflightInstruction &inst = inflight_.at(instr_key);
+    InflightInstruction &inst = inflight_[wf_index];
     lineAccesses_ += inst.access.lines.size();
 
     // Physical caches: data could not be touched before translation
     // (paper §I). Virtual L1s issue at the VA and translate on miss.
-    for (mem::Addr line : inst.access.lines) {
-        mem::MemoryRequest req;
+    const auto tag = static_cast<std::uint32_t>(wf_index);
+    const auto &lines = inst.access.lines;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const mem::RequestHandle h = memory_.acquire(
+            {mem::MemoryRouteKind::CuLine, memorySink_, tag});
+        mem::MemoryRequest &req = memory_.at(h);
         if (virtual_addresses) {
-            req.addr = line;
+            req.addr = lines[i];
         } else {
-            const mem::Addr va_page = mem::pageAlign(line);
-            auto pit = inst.pageMap.find(va_page);
-            GPUWALK_ASSERT(pit != inst.pageMap.end(),
-                           "line without translated page");
-            req.addr = pit->second | (line & (mem::pageSize - 1));
+            req.addr = inst.paPages[inst.access.linePages[i]]
+                       | (lines[i] & (mem::pageSize - 1));
         }
         req.size = static_cast<unsigned>(mem::cacheLineSize);
         req.write = !inst.isLoad;
         req.requester = mem::Requester::GpuData;
-        req.instruction = instr_key;
-        req.wavefront = wavefronts_[inst.wfIndex].globalId;
+        req.instruction = inst.key;
+        req.wavefront = wavefronts_[wf_index].globalId;
         req.cu = id_;
-        req.onComplete = [this, instr_key] {
-            auto iit = inflight_.find(instr_key);
-            GPUWALK_ASSERT(iit != inflight_.end(),
-                           "data return for retired instruction");
-            GPUWALK_ASSERT(iit->second.linesPending > 0,
-                           "line underflow");
-            if (--iit->second.linesPending == 0)
-                instructionDone(instr_key);
-        };
-        l1d_.access(std::move(req));
+        l1d_.access(h);
     }
 }
 
 void
-ComputeUnit::instructionDone(std::uint64_t instr_key)
+ComputeUnit::memoryDone(const mem::MemoryRoute &route)
 {
-    auto it = inflight_.find(instr_key);
-    GPUWALK_ASSERT(it != inflight_.end(), "retiring unknown instruction");
-    const std::size_t wf_index = it->second.wfIndex;
-    const sim::Cycles compute = it->second.computeCycles;
-    inflight_.erase(it);
+    InflightInstruction &inst = inflight_[route.tag];
+    GPUWALK_ASSERT(inst.active && inst.linesPending > 0,
+                   "data return for a retired instruction");
+    if (--inst.linesPending == 0)
+        instructionDone(route.tag);
+}
+
+std::size_t
+ComputeUnit::translationsInFlight() const
+{
+    std::size_t n = 0;
+    for (const InflightInstruction &inst : inflight_)
+        n += inst.active ? inst.translationsPending : 0;
+    return n;
+}
+
+std::size_t
+ComputeUnit::memoryInFlight() const
+{
+    // Lines go out once every translation is back.
+    std::size_t n = 0;
+    for (const InflightInstruction &inst : inflight_) {
+        if (inst.active && inst.translationsPending == 0)
+            n += inst.linesPending;
+    }
+    return n;
+}
+
+void
+ComputeUnit::instructionDone(std::size_t wf_index)
+{
+    InflightInstruction &inst = inflight_[wf_index];
+    GPUWALK_ASSERT(inst.active, "retiring an idle wavefront slot");
+    inst.active = false;
 
     ++instructions_;
     setBlocked(wf_index, false);
 
-    eq_.scheduleIn(cfg_.clockPeriod * (compute + cfg_.issueCycles),
+    eq_.scheduleIn(cfg_.clockPeriod
+                       * (inst.computeCycles + cfg_.issueCycles),
                    issueEvents_[wf_index]);
 }
 

@@ -24,7 +24,6 @@
 #include "gpu/issue_arbiter.hh"
 #include "mem/request.hh"
 #include "sim/event_queue.hh"
-#include "sim/flat_map.hh"
 #include "sim/rate_limiter.hh"
 #include "sim/stats.hh"
 #include "tlb/coalescer.hh"
@@ -38,8 +37,16 @@ namespace gpuwalk::gpu {
 
 class Gpu;
 
-/** One compute unit plus its resident wavefronts. */
-class ComputeUnit
+/**
+ * One compute unit plus its resident wavefronts.
+ *
+ * A wavefront has at most one memory instruction in flight, so the
+ * instruction's record lives in the wavefront's slot. Its translation
+ * requests route back here tagged with (slot, page index) and its
+ * line accesses with the slot.
+ */
+class ComputeUnit final : public tlb::TranslationSink,
+                          public mem::MemorySink
 {
   public:
     /**
@@ -47,12 +54,27 @@ class ComputeUnit
      * @param cfg GPU shape/timing.
      * @param cu_id This CU's index.
      * @param tlbs The GPU TLB hierarchy (translation path).
+     * @param memory The table data accesses live in.
      * @param l1d This CU's L1 data cache (data path).
      * @param gpu Parent, notified when all wavefronts finish.
      */
     ComputeUnit(sim::EventQueue &eq, const GpuConfig &cfg,
                 std::uint32_t cu_id, tlb::TlbHierarchy &tlbs,
-                mem::MemoryDevice &l1d, Gpu &gpu);
+                mem::MemoryTable &memory, mem::MemoryDevice &l1d,
+                Gpu &gpu);
+
+    /** One of this CU's page translations finished. */
+    void translated(const tlb::TranslationRoute &route, mem::Addr pa_page,
+                    bool large_page) override;
+
+    /** One of this CU's line accesses finished. */
+    void memoryDone(const mem::MemoryRoute &route) override;
+
+    /** Translation requests issued and not yet answered. */
+    std::size_t translationsInFlight() const override;
+
+    /** Line accesses issued and not yet answered. */
+    std::size_t memoryInFlight() const override;
 
     /**
      * Assigns @p trace to a new resident wavefront.
@@ -120,6 +142,12 @@ class ComputeUnit
     sim::StatGroup &stats() { return statGroup_; }
 
   private:
+    /** A translation's route tag: slot << pageIndexBits | page. */
+    static constexpr unsigned pageIndexBits = 16;
+    static constexpr std::uint32_t pageIndexMask =
+        (std::uint32_t{1} << pageIndexBits) - 1;
+    static constexpr std::size_t maxSlot = pageIndexMask;
+
     /** Execution state of one resident wavefront. */
     struct Wavefront
     {
@@ -134,14 +162,15 @@ class ComputeUnit
     /** Book-keeping for one in-flight SIMD memory instruction. */
     struct InflightInstruction
     {
-        std::size_t wfIndex = 0;
+        bool active = false;
+        tlb::InstructionId key = 0; ///< the walk scheduler's tag
         tlb::CoalescedAccess access;
         unsigned translationsPending = 0;
         unsigned linesPending = 0;
         bool isLoad = true;
         sim::Cycles computeCycles = 0;
-        /** vaPage -> paPage for translated pages of this instruction. */
-        sim::FlatMap<mem::Addr, mem::Addr> pageMap;
+        /** paPage of each of access.pages, by page index. */
+        std::vector<mem::Addr> paPages;
     };
 
     /**
@@ -161,10 +190,8 @@ class ComputeUnit
     void requestIssue(std::size_t wf_index);
     void arbitrateIssue();
     void issueNext(std::size_t wf_index);
-    void translationsDone(std::uint64_t instr_key);
-    void issueDataAccesses(std::uint64_t instr_key,
-                           bool virtual_addresses);
-    void instructionDone(std::uint64_t instr_key);
+    void issueDataAccesses(std::size_t wf_index, bool virtual_addresses);
+    void instructionDone(std::size_t wf_index);
     void setBlocked(std::size_t wf_index, bool blocked);
     void updateStallState();
 
@@ -172,6 +199,9 @@ class ComputeUnit
     GpuConfig cfg_;
     std::uint32_t id_;
     tlb::TlbHierarchy &tlbs_;
+    mem::MemoryTable &memory_;
+    std::uint16_t translationSink_;
+    std::uint16_t memorySink_;
     mem::MemoryDevice &l1d_;
     Gpu &gpu_;
     sim::RateLimiter issuePort_;
@@ -182,7 +212,8 @@ class ComputeUnit
     /** O(1) ready-slot pick index (replaces the per-issue scan over a
      *  ready deque; the scan survives as referenceArbitrate()). */
     IssueArbiter arbiter_;
-    sim::FlatMap<std::uint64_t, InflightInstruction> inflight_;
+    /** The in-flight instruction of each wavefront slot. */
+    std::vector<InflightInstruction> inflight_;
     trace::Tracer *tracer_ = nullptr;
     unsigned wavefrontsDone_ = 0;
     unsigned blockedCount_ = 0;

@@ -5,7 +5,8 @@
 namespace gpuwalk::gpu {
 
 Gpu::Gpu(sim::EventQueue &eq, const GpuConfig &cfg,
-         tlb::TlbHierarchy &tlbs, std::vector<mem::MemoryDevice *> l1ds)
+         tlb::TlbHierarchy &tlbs, mem::MemoryTable &memory,
+         std::vector<mem::MemoryDevice *> l1ds)
     : eq_(eq), cfg_(cfg), statGroup_("gpu")
 {
     GPUWALK_ASSERT(l1ds.size() == cfg_.numCus,
@@ -15,7 +16,7 @@ Gpu::Gpu(sim::EventQueue &eq, const GpuConfig &cfg,
     for (unsigned i = 0; i < cfg_.numCus; ++i) {
         GPUWALK_ASSERT(l1ds[i] != nullptr, "null L1D for CU ", i);
         cus_.push_back(std::make_unique<ComputeUnit>(
-            eq_, cfg_, i, tlbs, *l1ds[i], *this));
+            eq_, cfg_, i, tlbs, memory, *l1ds[i], *this));
         statGroup_.addChild(cus_.back()->stats());
     }
 }
@@ -61,10 +62,12 @@ Gpu::loadWorkloadAt(sim::Tick tick, GpuWorkload workload,
                     unsigned app_id)
 {
     GPUWALK_ASSERT(tick >= eq_.now(), "arrival tick in the past");
-    eq_.scheduleIn(tick - eq_.now(),
-                   [this, w = std::move(workload), app_id]() mutable {
-                       loadWorkload(std::move(w), app_id);
-                   });
+    const std::size_t idx = arrivals_.size();
+    arrivals_.emplace_back(std::move(workload), app_id);
+    eq_.scheduleIn(tick - eq_.now(), [this, idx] {
+        auto &[w, app] = arrivals_[idx];
+        loadWorkload(std::move(w), app);
+    });
 }
 
 void

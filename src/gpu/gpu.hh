@@ -32,10 +32,11 @@ class Gpu
      * @param eq Event queue.
      * @param cfg GPU shape.
      * @param tlbs Translation path shared by all CUs.
+     * @param memory The table data accesses live in.
      * @param l1ds One L1 data cache per CU, indexed by CU id.
      */
     Gpu(sim::EventQueue &eq, const GpuConfig &cfg,
-        tlb::TlbHierarchy &tlbs,
+        tlb::TlbHierarchy &tlbs, mem::MemoryTable &memory,
         std::vector<mem::MemoryDevice *> l1ds);
 
     /**
@@ -175,6 +176,9 @@ class Gpu
 
     std::vector<std::unique_ptr<ComputeUnit>> cus_;
     std::deque<std::pair<unsigned, WavefrontTrace>> dispatchQueue_;
+    /** Workloads waiting for their loadWorkloadAt() tick; the arrival
+     *  event names its entry by index. */
+    std::vector<std::pair<GpuWorkload, unsigned>> arrivals_;
     std::vector<AppState> apps_;
     std::vector<tlb::ContextId> appCtx_;
     bool started_ = false;

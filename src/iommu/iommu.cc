@@ -10,9 +10,11 @@ namespace gpuwalk::iommu {
 
 Iommu::Iommu(sim::EventQueue &eq, const IommuConfig &cfg,
              std::unique_ptr<core::WalkScheduler> scheduler,
+             tlb::TranslationTable &translations, mem::MemoryTable &requests,
              mem::MemoryDevice &memory, mem::BackingStore &store,
              mem::Addr page_table_root)
-    : eq_(eq), cfg_(cfg), scheduler_(std::move(scheduler)), store_(store),
+    : eq_(eq), cfg_(cfg), scheduler_(std::move(scheduler)),
+      translations_(translations), store_(store),
       frontPort_(eq, cfg.frontPortPeriod),
       l1Tlb_(tlb::TlbConfig{"iommu_l1tlb", cfg.l1TlbEntries,
                             cfg.l1TlbEntries}),
@@ -29,14 +31,15 @@ Iommu::Iommu(sim::EventQueue &eq, const IommuConfig &cfg,
     mem::MemoryDevice *walk_path = &memory;
     if (cfg_.useWalkCache) {
         walkCache_ = std::make_unique<mem::Cache>(eq_, cfg_.walkCache,
-                                                  memory);
+                                                  requests, memory);
         walk_path = walkCache_.get();
     }
 
     walkers_.reserve(cfg_.numWalkers);
     for (unsigned i = 0; i < cfg_.numWalkers; ++i) {
         walkers_.push_back(std::make_unique<PageTableWalker>(
-            eq_, *walk_path, store_, pwc_, i));
+            eq_, translations_, requests, *walk_path, store_, pwc_, *this,
+            i));
     }
 
     statGroup_.add(requests_);
@@ -312,49 +315,45 @@ Iommu::registerInvariants(sim::Auditor &auditor)
 }
 
 void
-Iommu::translate(tlb::TranslationRequest req)
+Iommu::translate(tlb::RequestHandle req)
 {
     ++requests_;
-    eq_.scheduleIn(cfg_.hopLatency, [this, r = std::move(req)]() mutable {
-        frontPort_.submit([this, r = std::move(r)]() mutable {
-            lookupTlbs(std::move(r));
-        });
+    eq_.scheduleIn(cfg_.hopLatency, [this, req] {
+        frontPort_.submit([this, req] { lookupTlbs(req); });
     });
 }
 
 void
-Iommu::deliverTranslate(tlb::TranslationRequest req)
+Iommu::deliverTranslate(tlb::RequestHandle req)
 {
     // The translate channel already carried the hop latency.
     ++requests_;
-    frontPort_.submit([this, r = std::move(req)]() mutable {
-        lookupTlbs(std::move(r));
+    frontPort_.submit([this, req] { lookupTlbs(req); });
+}
+
+void
+Iommu::respond(tlb::RequestHandle req, mem::Addr pa_page, bool large_page,
+               sim::Tick delay)
+{
+    if (replyChannel_) {
+        replyChannel_->sendAt(eq_.now() + delay,
+                              tlb::TranslationReply{req, large_page,
+                                                    pa_page});
+        return;
+    }
+    if (delay == 0) {
+        translations_.complete(req, pa_page, large_page);
+        return;
+    }
+    eq_.scheduleIn(delay, [this, req, pa_page, large_page] {
+        translations_.complete(req, pa_page, large_page);
     });
 }
 
 void
-Iommu::respond(tlb::TranslationRequest req, mem::Addr pa_page,
-               bool large_page, sim::Tick delay)
+Iommu::lookupTlbs(tlb::RequestHandle req)
 {
-    if (replyChannel_) {
-        replyChannel_->sendAt(eq_.now() + delay,
-                              tlb::TranslationReply{std::move(req),
-                                                    pa_page, large_page});
-        return;
-    }
-    if (delay == 0) {
-        req.complete(pa_page, large_page);
-        return;
-    }
-    eq_.scheduleIn(delay,
-                   [r = std::move(req), pa_page, large_page]() mutable {
-                       r.complete(pa_page, large_page);
-                   });
-}
-
-void
-Iommu::lookupTlbs(tlb::TranslationRequest r)
-{
+    const tlb::TranslationRequest &r = translations_.at(req);
     // IOMMU TLB lookups (paper step 5). ASID-tagged: an entry never
     // hits across address spaces.
     auto hit = l1Tlb_.lookupEntry(r.vaPage, r.ctx);
@@ -388,38 +387,37 @@ Iommu::lookupTlbs(tlb::TranslationRequest r)
             const ContextId ctx = r.ctx;
             const std::uint32_t wavefront = r.wavefront;
             const bool leader = r.leader;
-            respond(std::move(r), h.paPage, h.largePage,
-                    cfg_.tlbLatency);
+            respond(req, h.paPage, h.largePage, cfg_.tlbLatency);
             maybePrefetch(va, ctx, wavefront, leader);
             return;
         }
-        respond(std::move(r), h.paPage, h.largePage, cfg_.tlbLatency);
+        respond(req, h.paPage, h.largePage, cfg_.tlbLatency);
         return;
     }
-    eq_.scheduleIn(cfg_.tlbLatency,
-                   [this, r = std::move(r)]() mutable {
-                       enqueueWalk(std::move(r));
-                   });
+    eq_.scheduleIn(cfg_.tlbLatency, [this, req] { enqueueWalk(req); });
 }
 
 void
-Iommu::enqueueWalk(tlb::TranslationRequest req)
+Iommu::enqueueWalk(tlb::RequestHandle req)
 {
     ++walkRequests_;
     bufferOccupancy_.sample(static_cast<double>(buffer_.size()));
 
+    const tlb::TranslationRequest &r = translations_.at(req);
     core::PendingWalk walk;
-    walk.request = std::move(req);
+    walk.request = req;
+    walk.cu = r.cu;
+    walk.instruction = r.instruction;
+    walk.ctx = r.ctx;
     walk.arrival = eq_.now();
     walk.seq = nextSeq_++;
-    metrics_.onArrival(walk.request.instruction);
-    ++tenantSlot(walk.request.ctx).walkRequests;
-    noteInflight(walk.request.ctx, walk.request.vaPage);
+    metrics_.onArrival(walk.instruction);
+    ++tenantSlot(walk.ctx).walkRequests;
+    noteInflight(walk.ctx, r.vaPage);
     if (prefetcher_) {
         // A demand *walk* for a prefetched page means the prefetched
         // TLB entry was evicted before its first use: pure pollution.
-        const std::uint64_t key =
-            mem::pageCtxKey(walk.request.ctx, walk.request.vaPage);
+        const std::uint64_t key = mem::pageCtxKey(walk.ctx, r.vaPage);
         if (const auto pit = prefetchedUntouched_.find(key);
             pit != prefetchedUntouched_.end()) {
             prefetchedUntouched_.erase(pit);
@@ -430,16 +428,16 @@ Iommu::enqueueWalk(tlb::TranslationRequest req)
     // fault parking): the GMMU must never evict a page with an
     // in-flight walk.
     if (gmmu_)
-        gmmu_->pin(walk.request.ctx, walk.request.vaPage);
+        gmmu_->pin(walk.ctx, r.vaPage);
 
     if (tracer_) {
         trace::Event ev;
         ev.tick = eq_.now();
         ev.kind = trace::EventKind::Enqueued;
-        ev.ctx = walk.request.ctx;
-        ev.wavefront = walk.request.wavefront;
-        ev.instruction = walk.request.instruction;
-        ev.vaPage = walk.request.vaPage;
+        ev.ctx = walk.ctx;
+        ev.wavefront = r.wavefront;
+        ev.instruction = walk.instruction;
+        ev.vaPage = r.vaPage;
         ev.arg0 = buffer_.size();
         tracer_->record(ev);
     }
@@ -448,7 +446,7 @@ Iommu::enqueueWalk(tlb::TranslationRequest req)
     // warm the TLBs ahead of the follower pack and must never delay a
     // demand walk. They are real requests and cannot be dropped, so a
     // full spec FIFO demotes the walk to the demand class at admission.
-    if (walk.request.leader) {
+    if (r.leader) {
         ++leaderWalks_;
         if (!buffer_.specFull()) {
             admitSpeculative(std::move(walk));
@@ -484,10 +482,11 @@ Iommu::admitSpeculative(core::PendingWalk walk)
         trace::Event ev;
         ev.tick = eq_.now();
         ev.kind = trace::EventKind::SpecAdmitted;
-        ev.ctx = walk.request.ctx;
-        ev.wavefront = walk.request.wavefront;
-        ev.instruction = walk.request.instruction;
-        ev.vaPage = walk.request.vaPage;
+        const tlb::TranslationRequest &r = translations_.at(walk.request);
+        ev.ctx = walk.ctx;
+        ev.wavefront = r.wavefront;
+        ev.instruction = walk.instruction;
+        ev.vaPage = r.vaPage;
         ev.arg0 = static_cast<std::uint64_t>(cfg_.specAdmission);
         ev.arg1 = buffer_.specCount() + 1;
         tracer_->record(ev);
@@ -502,23 +501,23 @@ Iommu::admitToBuffer(core::PendingWalk walk)
     // for this request's own cost, then fold it into the running score
     // of every buffered request of the same instruction.
     if (scheduler_->needsScores()) {
-        const unsigned estimate =
-            pwc_.probeEstimate(walk.request.vaPage, walk.request.ctx);
+        const tlb::TranslationRequest &r = translations_.at(walk.request);
+        const unsigned estimate = pwc_.probeEstimate(r.vaPage, walk.ctx);
         walk.estimatedAccesses = estimate;
 
         const std::uint64_t new_score =
-            buffer_.instructionScore(walk.request.instruction) + estimate;
-        buffer_.rescoreInstruction(walk.request.instruction, new_score);
+            buffer_.instructionScore(walk.instruction) + estimate;
+        buffer_.rescoreInstruction(walk.instruction, new_score);
         walk.score = new_score;
 
         if (tracer_) {
             trace::Event ev;
             ev.tick = eq_.now();
             ev.kind = trace::EventKind::Scored;
-            ev.ctx = walk.request.ctx;
-            ev.wavefront = walk.request.wavefront;
-            ev.instruction = walk.request.instruction;
-            ev.vaPage = walk.request.vaPage;
+            ev.ctx = walk.ctx;
+            ev.wavefront = r.wavefront;
+            ev.instruction = walk.instruction;
+            ev.vaPage = r.vaPage;
             ev.arg0 = estimate;
             ev.arg1 = new_score;
             tracer_->record(ev);
@@ -558,9 +557,7 @@ Iommu::promoteAgedSpec()
             // A prediction nobody had bandwidth for this long is
             // stale: cancel it rather than spend a walker on it.
             ++specDroppedStale_;
-            releaseInflight(walk.request.ctx, walk.request.vaPage);
-            if (gmmu_)
-                gmmu_->unpin(walk.request.ctx, walk.request.vaPage);
+            dropPrefetch(walk);
             continue;
         }
         // An aged leader walk is a real request going hungry: promote
@@ -616,12 +613,10 @@ Iommu::dispatchSpec(PageTableWalker &walker)
     if (walk.isPrefetch) {
         // Re-probe at dispatch: a demand walk may have filled this
         // translation while the prediction waited.
-        if (l1Tlb_.probe(walk.request.vaPage, walk.request.ctx)
-            || l2Tlb_.probe(walk.request.vaPage, walk.request.ctx)) {
+        const mem::Addr page = translations_.at(walk.request).vaPage;
+        if (l1Tlb_.probe(page, walk.ctx) || l2Tlb_.probe(page, walk.ctx)) {
             ++specDroppedStale_;
-            releaseInflight(walk.request.ctx, walk.request.vaPage);
-            if (gmmu_)
-                gmmu_->unpin(walk.request.ctx, walk.request.vaPage);
+            dropPrefetch(walk);
             return; // walker stays idle; caller loops
         }
         // Counted at dispatch, not admission: only walks that
@@ -632,17 +627,15 @@ Iommu::dispatchSpec(PageTableWalker &walker)
             trace::Event ev;
             ev.tick = eq_.now();
             ev.kind = trace::EventKind::PrefetchIssued;
-            ev.ctx = walk.request.ctx;
+            ev.ctx = walk.ctx;
             ev.walker = walker.id();
-            ev.wavefront = walk.request.wavefront;
-            ev.vaPage = walk.request.vaPage;
+            ev.wavefront = translations_.at(walk.request).wavefront;
+            ev.vaPage = page;
             ev.arg0 = walk.specConfidencePermille;
             ev.arg1 = walk.specTriggerPage;
             tracer_->record(ev);
         }
-        walker.start(std::move(walk), [this](WalkResult r) {
-            onWalkDone(std::move(r));
-        });
+        walker.start(walk);
         return;
     }
     ++specDispatched_;
@@ -653,7 +646,7 @@ void
 Iommu::dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
                   core::PickReason reason)
 {
-    metrics_.onDispatch(walk.request.instruction);
+    metrics_.onDispatch(walk.instruction);
 
     // Budget admission: demand dispatches clock the tumbling window
     // that refills the speculative admission tokens.
@@ -669,7 +662,7 @@ Iommu::dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
     queueWaitHist_.sample(wait);
     queueWaitAvg_.sample(static_cast<double>(wait));
     {
-        TenantCounters &t = tenantSlot(walk.request.ctx);
+        TenantCounters &t = tenantSlot(walk.ctx);
         t.queueWaitTicks += wait;
         if (reason != core::PickReason::Immediate)
             ++t.dispatches;
@@ -678,47 +671,51 @@ Iommu::dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
         trace::Event ev;
         ev.tick = eq_.now();
         ev.kind = trace::EventKind::Scheduled;
-        ev.ctx = walk.request.ctx;
+        const tlb::TranslationRequest &r = translations_.at(walk.request);
+        ev.ctx = walk.ctx;
         ev.walker = walker.id();
-        ev.wavefront = walk.request.wavefront;
-        ev.instruction = walk.request.instruction;
-        ev.vaPage = walk.request.vaPage;
+        ev.wavefront = r.wavefront;
+        ev.instruction = walk.instruction;
+        ev.vaPage = r.vaPage;
         ev.arg0 = static_cast<std::uint64_t>(reason);
         ev.arg1 = wait;
         tracer_->record(ev);
     }
-    walker.start(std::move(walk),
-                 [this](WalkResult result) { onWalkDone(std::move(result)); });
+    walker.start(walk);
 }
 
 void
-Iommu::onWalkDone(WalkResult result)
+Iommu::walkDone(WalkResult &result)
 {
     if (result.faulted) {
-        handleFaultedWalk(std::move(result));
+        handleFaultedWalk(result);
         return;
     }
 
+    const core::PendingWalk &walk = result.walk;
+    const tlb::TranslationRequest &r = translations_.at(walk.request);
+    const mem::Addr completedVa = r.vaPage;
+    const ContextId completedCtx = walk.ctx;
+    const std::uint32_t wavefront = r.wavefront;
+    const bool isPrefetch = walk.isPrefetch;
+    const bool leader = r.leader;
+
     ++walksCompleted_;
-    releaseInflight(result.walk.request.ctx, result.walk.request.vaPage);
+    releaseInflight(completedCtx, completedVa);
     if (gmmu_) {
-        gmmu_->unpin(result.walk.request.ctx,
-                     result.walk.request.vaPage);
-        gmmu_->touch(result.walk.request.ctx,
-                     result.walk.request.vaPage);
+        gmmu_->unpin(completedCtx, completedVa);
+        gmmu_->touch(completedCtx, completedVa);
     }
-    if (!result.walk.isPrefetch) {
+    if (!isPrefetch) {
         walkLatency_.sample(
-            static_cast<double>(result.finished
-                                - result.walk.arrival));
+            static_cast<double>(result.finished - walk.arrival));
         walkAccessesAvg_.sample(
             static_cast<double>(result.memAccesses));
-        metrics_.onComplete(result.walk.request.instruction,
-                            result.walk.arrival, result.finished,
-                            result.memAccesses);
+        metrics_.onComplete(walk.instruction, walk.arrival,
+                            result.finished, result.memAccesses);
 
         const sim::Tick service = result.finished - result.started;
-        TenantCounters &t = tenantSlot(result.walk.request.ctx);
+        TenantCounters &t = tenantSlot(completedCtx);
         ++t.walksCompleted;
         t.serviceTicks += service;
         walkerServiceHist_.sample(service);
@@ -734,16 +731,11 @@ Iommu::onWalkDone(WalkResult result)
 
     // Fill the IOMMU's TLBs; the GPU-side fills happen in the request's
     // completion path inside the TLB hierarchy.
-    l1Tlb_.insert(result.walk.request.vaPage, result.paPage,
-                  result.largePage, result.walk.request.ctx);
-    l2Tlb_.insert(result.walk.request.vaPage, result.paPage,
-                  result.largePage, result.walk.request.ctx);
+    l1Tlb_.insert(completedVa, result.paPage, result.largePage,
+                  completedCtx);
+    l2Tlb_.insert(completedVa, result.paPage, result.largePage,
+                  completedCtx);
 
-    const mem::Addr completedVa = result.walk.request.vaPage;
-    const ContextId completedCtx = result.walk.request.ctx;
-    const std::uint32_t wavefront = result.walk.request.wavefront;
-    const bool isPrefetch = result.walk.isPrefetch;
-    const bool leader = result.walk.request.leader;
     if (isPrefetch) {
         // No coalescer asked for this translation, so there is nothing
         // to respond to: a synthetic TranslationReply would break the
@@ -752,9 +744,9 @@ Iommu::onWalkDone(WalkResult result)
         ++prefetchCompleted_;
         prefetchedUntouched_.try_emplace(
             mem::pageCtxKey(completedCtx, completedVa), true);
+        translations_.release(walk.request);
     } else {
-        respond(std::move(result.walk.request), result.paPage,
-                result.largePage, 0);
+        respond(walk.request, result.paPage, result.largePage, 0);
     }
 
     // The finishing walker is idle now: service the backlog.
@@ -765,15 +757,16 @@ Iommu::onWalkDone(WalkResult result)
 }
 
 void
-Iommu::handleFaultedWalk(WalkResult result)
+Iommu::handleFaultedWalk(const WalkResult &result)
 {
     GPUWALK_ASSERT(gmmu_, "faulted walk without a GMMU attached");
     // Prefetch walks only start on pages that are resident and pinned
     // at issue time, so they can never observe a non-present entry.
     GPUWALK_ASSERT(!result.walk.isPrefetch, "prefetch walk faulted");
 
-    const ContextId ctx = result.walk.request.ctx;
-    const mem::Addr page = result.walk.request.vaPage;
+    const tlb::TranslationRequest &r = translations_.at(result.walk.request);
+    const ContextId ctx = result.walk.ctx;
+    const mem::Addr page = r.vaPage;
     const std::uint64_t key = mem::pageCtxKey(ctx, page);
 
     const auto [it, fresh] = faulted_.try_emplace(key);
@@ -786,8 +779,8 @@ Iommu::handleFaultedWalk(WalkResult result)
             ev.level = static_cast<std::uint8_t>(result.faultLevel);
             ev.ctx = ctx;
             ev.walker = result.walkerId;
-            ev.wavefront = result.walk.request.wavefront;
-            ev.instruction = result.walk.request.instruction;
+            ev.wavefront = r.wavefront;
+            ev.instruction = result.walk.instruction;
             ev.vaPage = page;
             ev.arg0 = 1; // walks parked behind the fault so far
             tracer_->record(ev);
@@ -796,7 +789,7 @@ Iommu::handleFaultedWalk(WalkResult result)
     } else {
         gmmu_->noteWaiter(ctx, page);
     }
-    it->second.walks.push_back(std::move(result.walk));
+    it->second.walks.push_back(result.walk);
     ++faultedParked_;
 
     // The faulting walker is idle now: service the backlog.
@@ -823,8 +816,9 @@ Iommu::onFaultServiced(ContextId ctx, mem::Addr va_page)
         ev.kind = trace::EventKind::FaultServiced;
         ev.ctx = ctx;
         ev.walker = trace::noWalker;
-        ev.wavefront = entry.walks.front().request.wavefront;
-        ev.instruction = entry.walks.front().request.instruction;
+        const core::PendingWalk &first = entry.walks.front();
+        ev.wavefront = translations_.at(first.request).wavefront;
+        ev.instruction = first.instruction;
         ev.vaPage = va_page;
         ev.arg0 = entry.walks.size();
         ev.arg1 = eq_.now() - entry.raised;
@@ -902,15 +896,7 @@ Iommu::maybePrefetch(mem::Addr touched_va_page, ContextId ctx,
 
             if (cfg_.specAdmission == SpecAdmission::Budget)
                 --specTokens_;
-            noteInflight(ctx, page);
-            core::PendingWalk walk;
-            walk.request.vaPage = page;
-            walk.request.instruction = 0; // reserved prefetch tag
-            walk.request.wavefront = wavefront;
-            walk.request.ctx = ctx;
-            walk.arrival = eq_.now();
-            walk.seq = nextSeq_++;
-            walk.isPrefetch = true;
+            core::PendingWalk walk = prefetchWalk(page, ctx, wavefront);
             walk.specConfidencePermille =
                 static_cast<std::uint32_t>(cand.confidence * 1000.0);
             walk.specTriggerPage = touched_va_page;
@@ -953,15 +939,7 @@ Iommu::maybePrefetch(mem::Addr touched_va_page, ContextId ctx,
             continue;
 
         ++prefetches_;
-        noteInflight(ctx, page);
-        core::PendingWalk walk;
-        walk.request.vaPage = page;
-        walk.request.instruction = 0; // reserved prefetch tag
-        walk.request.wavefront = wavefront;
-        walk.request.ctx = ctx;
-        walk.arrival = eq_.now();
-        walk.seq = nextSeq_++;
-        walk.isPrefetch = true;
+        const core::PendingWalk walk = prefetchWalk(page, ctx, wavefront);
         // The pin taken here (released at completion) keeps the
         // resident check valid for the walk's whole duration.
         if (gmmu_)
@@ -981,9 +959,36 @@ Iommu::maybePrefetch(mem::Addr touched_va_page, ContextId ctx,
         }
         // Bypass metrics/scheduler: the walker is idle by
         // construction.
-        w->start(std::move(walk),
-                 [this](WalkResult r) { onWalkDone(std::move(r)); });
+        w->start(walk);
     }
+}
+
+core::PendingWalk
+Iommu::prefetchWalk(mem::Addr page, ContextId ctx, std::uint32_t wavefront)
+{
+    noteInflight(ctx, page);
+    core::PendingWalk walk;
+    walk.request = translations_.acquire();
+    tlb::TranslationRequest &r = translations_.at(walk.request);
+    r.vaPage = page;
+    r.instruction = 0; // reserved prefetch tag
+    r.wavefront = wavefront;
+    r.ctx = ctx;
+    walk.ctx = ctx;
+    walk.arrival = eq_.now();
+    walk.seq = nextSeq_++;
+    walk.isPrefetch = true;
+    return walk;
+}
+
+void
+Iommu::dropPrefetch(const core::PendingWalk &walk)
+{
+    const mem::Addr page = translations_.at(walk.request).vaPage;
+    releaseInflight(walk.ctx, page);
+    if (gmmu_)
+        gmmu_->unpin(walk.ctx, page);
+    translations_.release(walk.request);
 }
 
 const char *

@@ -161,19 +161,22 @@ struct IommuConfig
 };
 
 /** The IOMMU model; plugs into the GPU TLB hierarchy's miss path. */
-class Iommu : public tlb::TranslationService
+class Iommu final : public tlb::TranslationService, public WalkOwner
 {
   public:
     /**
      * @param eq Event queue.
      * @param cfg Structure sizes/latencies.
      * @param scheduler The walk scheduling policy (owned).
+     * @param translations The table arriving requests live in.
+     * @param requests The table walker PTE reads live in.
      * @param memory Where walkers issue PTE reads (DRAM controller).
      * @param store Functional memory holding the page table bytes.
      * @param page_table_root Physical base of the PML4.
      */
     Iommu(sim::EventQueue &eq, const IommuConfig &cfg,
           std::unique_ptr<core::WalkScheduler> scheduler,
+          tlb::TranslationTable &translations, mem::MemoryTable &requests,
           mem::MemoryDevice &memory, mem::BackingStore &store,
           mem::Addr page_table_root);
 
@@ -192,14 +195,17 @@ class Iommu : public tlb::TranslationService
 
     /** Entry point for GPU L2 TLB misses. Pays the GPU→IOMMU hop
      *  latency internally (direct wiring; unit tests, interposers). */
-    void translate(tlb::TranslationRequest req) override;
+    void translate(tlb::RequestHandle req) override;
 
     /**
      * Entry point for requests arriving through the translate channel
      * (system::System's port wiring): the channel has already carried
      * the hop latency, so the request goes straight to the front port.
      */
-    void deliverTranslate(tlb::TranslationRequest req);
+    void deliverTranslate(tlb::RequestHandle req);
+
+    /** A walker finished (or faulted) the walk in @p result. */
+    void walkDone(WalkResult &result) override;
 
     /**
      * Routes completed translations (IOMMU TLB hits and finished
@@ -360,10 +366,18 @@ class Iommu : public tlb::TranslationService
     sim::StatGroup &stats() { return statGroup_; }
 
   private:
-    void lookupTlbs(tlb::TranslationRequest req);
-    void respond(tlb::TranslationRequest req, mem::Addr pa_page,
+    void lookupTlbs(tlb::RequestHandle req);
+    void respond(tlb::RequestHandle req, mem::Addr pa_page,
                  bool large_page, sim::Tick delay);
-    void enqueueWalk(tlb::TranslationRequest req);
+    void enqueueWalk(tlb::RequestHandle req);
+
+    /** Starts a prefetch walk for @p page: a request slot with no
+     *  route, released when the walk completes or is dropped. */
+    core::PendingWalk prefetchWalk(mem::Addr page, ContextId ctx,
+                                   std::uint32_t wavefront);
+
+    /** Drops a never-dispatched prefetch walk. */
+    void dropPrefetch(const core::PendingWalk &walk);
     void maybePrefetch(mem::Addr touched_va_page, ContextId ctx,
                        std::uint32_t wavefront, bool leader);
     void noteInflight(ContextId ctx, mem::Addr va_page);
@@ -376,8 +390,7 @@ class Iommu : public tlb::TranslationService
     void dispatchSpec(PageTableWalker &walker);
     void dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
                     core::PickReason reason);
-    void onWalkDone(WalkResult result);
-    void handleFaultedWalk(WalkResult result);
+    void handleFaultedWalk(const WalkResult &result);
     void onFaultServiced(ContextId ctx, mem::Addr va_page);
     void reenterWalk(core::PendingWalk walk);
     PageTableWalker *idleWalker();
@@ -392,6 +405,7 @@ class Iommu : public tlb::TranslationService
     sim::EventQueue &eq_;
     IommuConfig cfg_;
     std::unique_ptr<core::WalkScheduler> scheduler_;
+    tlb::TranslationTable &translations_;
     mem::BackingStore &store_;
 
     sim::RateLimiter frontPort_;

@@ -21,6 +21,7 @@
 #include "mem/backing_store.hh"
 #include "mem/request.hh"
 #include "sim/event_queue.hh"
+#include "tlb/translation.hh"
 #include "trace/trace.hh"
 
 namespace gpuwalk::iommu {
@@ -47,24 +48,41 @@ struct WalkResult
     std::array<sim::Tick, vm::numPtLevels> levelTicks{};
 };
 
-/** One independent walker; busy while a walk is in flight. */
-class PageTableWalker
+/** Who a walker reports finished (or faulted) walks to: the IOMMU. */
+class WalkOwner
 {
   public:
-    /** Inline-stored completion callback (the IOMMU passes [this]). */
-    using DoneCallback = sim::InlineFunction<void(WalkResult), 16>;
+    virtual ~WalkOwner() = default;
 
+    /** The walker is idle again; @p result may restart it at once. */
+    virtual void walkDone(WalkResult &result) = 0;
+};
+
+/**
+ * One independent walker; busy while a walk is in flight. Each PTE
+ * read is a memory request routed back here (Walker, tag = walker
+ * id); a busy walker always has exactly one read outstanding.
+ */
+class PageTableWalker final : public mem::MemorySink
+{
+  public:
     /**
      * @param eq Event queue.
+     * @param translations The table the walked requests live in.
+     * @param requests The table PTE reads live in.
      * @param memory Where PTE reads are issued (the DRAM controller).
      * @param store Functional memory holding real PTE bytes.
      * @param pwc Shared page walk caches.
+     * @param owner Told when each walk finishes.
      * @param id This walker's index in the IOMMU pool (for tracing).
      */
-    PageTableWalker(sim::EventQueue &eq, mem::MemoryDevice &memory,
+    PageTableWalker(sim::EventQueue &eq, tlb::TranslationTable &translations,
+                    mem::MemoryTable &requests, mem::MemoryDevice &memory,
                     mem::BackingStore &store, PageWalkCache &pwc,
-                    unsigned id = 0)
-        : eq_(eq), memory_(memory), store_(store), pwc_(pwc), id_(id)
+                    WalkOwner &owner, unsigned id = 0)
+        : eq_(eq), translations_(translations), requests_(requests),
+          sinkId_(requests.attach(*this)), memory_(memory), store_(store),
+          pwc_(pwc), owner_(owner), id_(id)
     {}
 
     bool busy() const { return busy_; }
@@ -87,30 +105,45 @@ class PageTableWalker
 
     /**
      * Begins walking for @p walk. The PWC is consulted once here
-     * (paper action 2-b), then 1-4 dependent memory reads follow.
-     * @p on_done fires at completion with the result.
+     * (paper action 2-b), then 1-4 dependent memory reads follow. The
+     * owner's walkDone() fires at completion with the result.
      * @pre !busy()
      */
-    void start(core::PendingWalk walk, DoneCallback on_done);
+    void start(const core::PendingWalk &walk);
+
+    /** The outstanding PTE read returned. */
+    void memoryDone(const mem::MemoryRoute &route) override;
+
+    std::size_t memoryInFlight() const override { return busy_ ? 1 : 0; }
 
   private:
     void step();
     void finish(mem::Addr pa_page, bool large_page);
     void fault();
 
+    /** Emits a MemIssued / MemCompleted trace event for the read. */
+    void traceMem(trace::EventKind kind, std::uint64_t arg0);
+
     sim::EventQueue &eq_;
+    tlb::TranslationTable &translations_;
+    mem::MemoryTable &requests_;
+    std::uint16_t sinkId_;
     mem::MemoryDevice &memory_;
     mem::BackingStore &store_;
     PageWalkCache &pwc_;
+    WalkOwner &owner_;
     unsigned id_ = 0;
     trace::Tracer *tracer_ = nullptr;
     bool faultsAllowed_ = false;
 
     bool busy_ = false;
     core::PendingWalk current_{};
-    DoneCallback onDone_;
+    mem::Addr va_ = 0;          ///< page being walked
+    std::uint32_t wavefront_ = 0;
     unsigned level_ = 0;        ///< level about to be read (4..1)
     mem::Addr table_ = 0;       ///< physical base of that level's table
+    mem::Addr slot_ = 0;        ///< PTE address of the outstanding read
+    sim::Tick issued_ = 0;      ///< when the outstanding read went out
     unsigned accesses_ = 0;
     sim::Tick started_ = 0;
     std::array<sim::Tick, vm::numPtLevels> levelTicks_{};

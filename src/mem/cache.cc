@@ -8,8 +8,9 @@
 namespace gpuwalk::mem {
 
 Cache::Cache(sim::EventQueue &eq, const CacheConfig &cfg,
-             MemoryDevice &below)
-    : eq_(eq), cfg_(cfg), below_(below), statGroup_(cfg.name)
+             MemoryTable &table, MemoryDevice &below)
+    : eq_(eq), cfg_(cfg), table_(table), sinkId_(table.attach(*this)),
+      below_(below), statGroup_(cfg.name)
 {
     GPUWALK_ASSERT(cfg_.sizeBytes % (cfg_.lineBytes * cfg_.associativity)
                        == 0,
@@ -68,12 +69,13 @@ Cache::installLine(Addr addr, bool dirty)
         ++evictions_;
         if (dirty_[victim]) {
             ++writebacks_;
-            MemoryRequest wb;
-            wb.addr = ((key_[victim] >> 1) << tagShift_)
-                      | (set << lineShift_);
-            wb.write = true;
-            wb.requester = Requester::GpuData;
-            below_.access(std::move(wb));
+            const RequestHandle wb = table_.acquire();
+            MemoryRequest &w = table_.at(wb);
+            w.addr = ((key_[victim] >> 1) << tagShift_)
+                     | (set << lineShift_);
+            w.write = true;
+            w.requester = Requester::GpuData;
+            below_.access(wb);
         }
     }
     key_[victim] = lineKey(addr);
@@ -82,16 +84,16 @@ Cache::installLine(Addr addr, bool dirty)
 }
 
 void
-Cache::access(MemoryRequest req)
+Cache::access(RequestHandle h)
 {
+    const MemoryRequest &req = table_.at(h);
     const Addr line_addr = req.addr & ~(cfg_.lineBytes - 1);
 
     if (const std::size_t line = findLine(req.addr); line != npos) {
         ++hits_;
         lastUse_[line] = ++useClock_;
         dirty_[line] |= req.write ? 1 : 0;
-        eq_.scheduleIn(cfg_.hitLatency,
-                       [r = std::move(req)]() mutable { r.complete(); });
+        eq_.scheduleIn(cfg_.hitLatency, [this, h] { table_.complete(h); });
         return;
     }
 
@@ -99,50 +101,52 @@ Cache::access(MemoryRequest req)
     auto it = mshrs_.find(line_addr);
     if (it != mshrs_.end()) {
         ++mshrMerges_;
-        it->second->anyWrite = it->second->anyWrite || req.write;
-        it->second->waiters.push_back(std::move(req));
+        Mshr &mshr = mshrPool_.at(it->second);
+        mshr.anyWrite = mshr.anyWrite || req.write;
+        mshr.waiters.push_back(h);
         return;
     }
 
     ++misses_;
-    Mshr *mshr = mshrPool_.acquire();
-    mshr->anyWrite = req.write;
-    mshr->waiters.push_back(std::move(req));
-    mshrs_.emplace(line_addr, mshr);
+    const sim::Handle m = mshrPool_.acquire();
+    Mshr &mshr = mshrPool_.at(m);
+    mshr.lineAddr = line_addr;
+    mshr.anyWrite = req.write;
+    mshr.waiters.push_back(h);
+    mshrs_.emplace(line_addr, m);
 
-    MemoryRequest fill;
-    fill.addr = line_addr;
-    fill.size = static_cast<unsigned>(cfg_.lineBytes);
-    fill.write = false;
-    fill.requester = mshr->waiters.front().requester;
-    fill.instruction = mshr->waiters.front().instruction;
-    fill.wavefront = mshr->waiters.front().wavefront;
-    fill.cu = mshr->waiters.front().cu;
-    fill.onComplete = [this, line_addr] { handleFill(line_addr); };
+    const RequestHandle fill =
+        table_.acquire({MemoryRouteKind::CacheMshr, sinkId_, m});
+    MemoryRequest &f = table_.at(fill);
+    f.addr = line_addr;
+    f.size = static_cast<unsigned>(cfg_.lineBytes);
+    f.write = false;
+    f.requester = req.requester;
+    f.instruction = req.instruction;
+    f.wavefront = req.wavefront;
+    f.cu = req.cu;
     // Tag lookup happens before the fill is sent downstream.
-    eq_.scheduleIn(cfg_.tagLatency,
-                   [this, f = std::move(fill)]() mutable {
-                       below_.access(std::move(f));
-                   });
+    eq_.scheduleIn(cfg_.tagLatency, [this, fill] { below_.access(fill); });
 }
 
 void
-Cache::handleFill(Addr line_addr)
+Cache::memoryDone(const MemoryRoute &route)
 {
-    auto it = mshrs_.find(line_addr);
-    GPUWALK_ASSERT(it != mshrs_.end(), "fill without MSHR for ",
-                   line_addr);
-    Mshr *mshr = it->second;
-    mshrs_.erase(it);
+    handleFill(route.tag);
+}
 
-    installLine(line_addr, mshr->anyWrite);
+void
+Cache::handleFill(sim::Handle m)
+{
+    Mshr &mshr = mshrPool_.at(m);
+    mshrs_.erase(mshr.lineAddr);
 
-    for (auto &w : mshr->waiters) {
-        eq_.scheduleIn(cfg_.hitLatency,
-                       [r = std::move(w)]() mutable { r.complete(); });
-    }
-    mshr->waiters.clear();
-    mshrPool_.release(mshr);
+    installLine(mshr.lineAddr, mshr.anyWrite);
+
+    for (RequestHandle w : mshr.waiters)
+        eq_.scheduleIn(cfg_.hitLatency, [this, w] { table_.complete(w); });
+    mshr.waiters.clear();
+    mshrPool_.release(m);
 }
 
 void
@@ -150,15 +154,15 @@ Cache::registerInvariants(sim::Auditor &auditor)
 {
     auditor.registerInvariant(
         cfg_.name + ".mshrs", [this](sim::AuditContext &ctx) {
-            ctx.require(mshrPool_.inUse() == mshrs_.size(),
-                        "MSHR pool live count ", mshrPool_.inUse(),
+            ctx.require(mshrPool_.live() == mshrs_.size(),
+                        "MSHR pool live count ", mshrPool_.live(),
                         " != tracked in-flight lines ", mshrs_.size());
             if (!ctx.final())
                 return;
             ctx.require(mshrs_.empty(), mshrs_.size(),
                         " in-flight misses never filled");
-            ctx.require(mshrPool_.inUse() == 0, "MSHR pool leaks ",
-                        mshrPool_.inUse(), " entries at drain");
+            ctx.require(mshrPool_.live() == 0, "MSHR pool leaks ",
+                        mshrPool_.live(), " entries at drain");
         });
 }
 

@@ -24,7 +24,7 @@
 #include "mem/request.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
-#include "sim/object_pool.hh"
+#include "sim/slot_table.hh"
 #include "sim/stats.hh"
 
 namespace gpuwalk::sim {
@@ -50,18 +50,30 @@ struct CacheConfig
     }
 };
 
-/** A blocking-free (MSHR-based) timing cache. */
-class Cache : public MemoryDevice
+/**
+ * A blocking-free (MSHR-based) timing cache. A miss sends a fill
+ * routed back here (CacheMshr) with its MSHR as the tag; the fill
+ * completes every request merged into that MSHR.
+ */
+class Cache final : public MemoryDevice, public MemorySink
 {
   public:
     /**
      * @param eq The system event queue.
      * @param cfg Geometry/timing.
+     * @param table The table memory requests live in.
      * @param below The next level (L2 or the DRAM controller).
      */
-    Cache(sim::EventQueue &eq, const CacheConfig &cfg, MemoryDevice &below);
+    Cache(sim::EventQueue &eq, const CacheConfig &cfg, MemoryTable &table,
+          MemoryDevice &below);
 
-    void access(MemoryRequest req) override;
+    void access(RequestHandle req) override;
+
+    /** A fill came back. */
+    void memoryDone(const MemoryRoute &route) override;
+
+    /** One fill per MSHR in flight. */
+    std::size_t memoryInFlight() const override { return mshrs_.size(); }
 
     sim::StatGroup &stats() { return statGroup_; }
 
@@ -96,7 +108,8 @@ class Cache : public MemoryDevice
      *  the steady-state miss path does not allocate. */
     struct Mshr
     {
-        std::vector<MemoryRequest> waiters;
+        Addr lineAddr = 0;
+        std::vector<RequestHandle> waiters;
         bool anyWrite = false;
     };
 
@@ -113,10 +126,12 @@ class Cache : public MemoryDevice
     /** Slot of the valid line holding @p addr, or npos. */
     std::size_t findLine(Addr addr) const;
     void installLine(Addr addr, bool dirty);
-    void handleFill(Addr line_addr);
+    void handleFill(sim::Handle mshr);
 
     sim::EventQueue &eq_;
     CacheConfig cfg_;
+    MemoryTable &table_;
+    std::uint16_t sinkId_;
     MemoryDevice &below_;
     Addr numSets_ = 0;
     unsigned lineShift_ = 0; ///< log2(lineBytes)
@@ -126,8 +141,8 @@ class Cache : public MemoryDevice
     std::vector<std::uint64_t> key_; ///< lineKey(), 0 when invalid
     std::vector<std::uint64_t> lastUse_;
     std::vector<std::uint8_t> dirty_;
-    sim::FlatMap<Addr, Mshr *> mshrs_; ///< keyed by line base addr
-    sim::ObjectPool<Mshr> mshrPool_{64};
+    sim::FlatMap<Addr, sim::Handle> mshrs_; ///< keyed by line base addr
+    sim::SlotTable<Mshr> mshrPool_;
     std::uint64_t useClock_ = 0;
 
     sim::StatGroup statGroup_;

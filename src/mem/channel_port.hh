@@ -25,24 +25,27 @@ class ChannelMemoryPort final : public MemoryDevice
 {
   public:
     /**
+     * @param requests The table the forwarded requests live in.
      * @param request Carries requests to the DRAM controller.
      * @param reply Stamped on each request; the DRAM controller sends
      *        the completed request back through it.
      */
-    ChannelMemoryPort(sim::Channel<MemoryRequest> &request,
+    ChannelMemoryPort(MemoryTable &requests,
+                      sim::Channel<RequestHandle> &request,
                       MemoryReplyChannel &reply)
-        : request_(request), reply_(reply)
+        : requests_(requests), request_(request), reply_(reply)
     {}
 
     void
-    access(MemoryRequest req) override
+    access(RequestHandle req) override
     {
-        req.reply = &reply_;
-        request_.sendNow(std::move(req));
+        requests_.at(req).reply = &reply_;
+        request_.sendNow(req);
     }
 
   private:
-    sim::Channel<MemoryRequest> &request_;
+    MemoryTable &requests_;
+    sim::Channel<RequestHandle> &request_;
     MemoryReplyChannel &reply_;
 };
 

@@ -7,8 +7,9 @@
 
 namespace gpuwalk::mem {
 
-DramController::DramController(sim::EventQueue &eq, const DramConfig &cfg)
-    : eq_(eq), cfg_(cfg), mapper_(cfg), statGroup_("dram")
+DramController::DramController(sim::EventQueue &eq, const DramConfig &cfg,
+                               MemoryTable &table)
+    : eq_(eq), cfg_(cfg), table_(table), mapper_(cfg), statGroup_("dram")
 {
     cfg_.validate();
     for (unsigned c = 0; c < cfg_.channels; ++c) {
@@ -45,24 +46,25 @@ DramController::registerInvariants(sim::Auditor &auditor)
 }
 
 void
-DramController::access(MemoryRequest req)
+DramController::access(RequestHandle req)
 {
+    const MemoryRequest &r = table_.at(req);
     Pending p;
-    p.where = mapper_.decode(req.addr);
-    p.req = std::move(req);
+    p.where = mapper_.decode(r.addr);
+    p.req = req;
     p.arrival = eq_.now();
     p.seq = nextSeq_++;
 
-    if (p.req.write)
+    if (r.write)
         ++writes_;
     else
         ++reads_;
-    if (p.req.requester == Requester::PageWalk)
+    if (r.requester == Requester::PageWalk)
         ++walkAccesses_;
 
     unsigned chan = p.where.channel;
     queueDepth_.sample(static_cast<double>(channels_[chan].queue.size()));
-    channels_[chan].queue.push_back(std::move(p));
+    channels_[chan].queue.push_back(p);
     trySchedule(chan);
 }
 
@@ -119,8 +121,9 @@ DramController::DrainEvent::process()
 void
 DramController::issue(Channel &ch, std::size_t idx)
 {
-    Pending p = std::move(ch.queue[idx]);
+    const Pending p = ch.queue[idx];
     ch.queue.erase(ch.queue.begin() + static_cast<std::ptrdiff_t>(idx));
+    MemoryRequest &req = table_.at(p.req);
 
     const sim::Tick now = eq_.now();
     BankState &bank = ch.banks[mapper_.flatBank(p.where)];
@@ -160,23 +163,21 @@ DramController::issue(Channel &ch, std::size_t idx)
     // The bank can accept its next CAS tCCD after this one; writes
     // additionally hold it for the write recovery time.
     bank.readyAt = data_start + cfg_.ccd();
-    if (p.req.write)
+    if (req.write)
         bank.readyAt = done + cfg_.wr();
 
     bank.lastIssue = cmd_start;
     latency_.sample(static_cast<double>(done - p.arrival));
 
-    if (p.req.reply) {
+    if (req.reply) {
         // Channel wiring: the finished request travels back on the
         // reply channel, which schedules the same single completion
         // event the direct form below does.
-        sim::Channel<MemoryRequest> *ch = p.req.reply;
-        p.req.reply = nullptr;
-        ch->sendAt(done, std::move(p.req));
+        MemoryReplyChannel *reply = req.reply;
+        req.reply = nullptr;
+        reply->sendAt(done, p.req);
     } else {
-        eq_.schedule(done, [req = std::move(p.req)]() mutable {
-            req.complete();
-        });
+        eq_.schedule(done, [this, h = p.req] { table_.complete(h); });
     }
 }
 

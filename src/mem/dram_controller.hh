@@ -31,10 +31,13 @@ namespace gpuwalk::mem {
 class DramController : public MemoryDevice
 {
   public:
-    DramController(sim::EventQueue &eq, const DramConfig &cfg);
+    /** @param table The table memory requests live in. */
+    DramController(sim::EventQueue &eq, const DramConfig &cfg,
+                   MemoryTable &table);
 
-    /** Enqueues a request; completion is signalled via its callback. */
-    void access(MemoryRequest req) override;
+    /** Enqueues a request; completes it through the table (or its
+     *  reply channel) when its data burst ends. */
+    void access(RequestHandle req) override;
 
     /** Statistics group for this controller. */
     sim::StatGroup &stats() { return statGroup_; }
@@ -54,8 +57,8 @@ class DramController : public MemoryDevice
   private:
     struct Pending
     {
-        MemoryRequest req;
         DramAddress where;
+        RequestHandle req = sim::noHandle;
         sim::Tick arrival = 0;
         std::uint64_t seq = 0;
     };
@@ -104,6 +107,7 @@ class DramController : public MemoryDevice
 
     sim::EventQueue &eq_;
     DramConfig cfg_;
+    MemoryTable &table_;
     DramAddressMapper mapper_;
     /** deque: Channel holds an intrusive event, so elements must stay
      *  put (no vector relocation). */

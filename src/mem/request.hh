@@ -6,12 +6,11 @@
 #ifndef GPUWALK_MEM_REQUEST_HH
 #define GPUWALK_MEM_REQUEST_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "mem/types.hh"
-#include "sim/inline_function.hh"
-#include "sim/ticks.hh"
+#include "sim/request_table.hh"
 
 namespace gpuwalk::sim {
 template <typename Msg>
@@ -20,18 +19,20 @@ class Channel;
 
 namespace gpuwalk::mem {
 
-struct MemoryRequest;
+/** A memory request's slot handle. */
+using RequestHandle = sim::Handle;
 
 /** Channel carrying completed memory requests back to the requester
  *  (sim/port.hh). */
-using MemoryReplyChannel = sim::Channel<MemoryRequest>;
+using MemoryReplyChannel = sim::Channel<RequestHandle>;
 
 /**
  * An asynchronous memory request.
  *
  * Requests are timing-only for the data path (no payload); functional
  * data (the page tables) lives in the BackingStore and is read
- * separately by the walker once timing completes.
+ * separately by the walker once timing completes. Requests live in a
+ * MemoryTable slot and travel as its handle.
  */
 struct MemoryRequest
 {
@@ -59,29 +60,60 @@ struct MemoryRequest
     std::uint32_t cu = 0;
 
     /**
-     * Invoked exactly once when the access completes. May be empty.
-     * Inline-stored (no allocation) for the hot captures; move-only
-     * callables — e.g. owning a moved-in request — are fine.
-     */
-    sim::InlineFunction<void()> onComplete;
-
-    /**
      * When set, the completing device sends the finished request back
-     * through this channel instead of invoking onComplete directly, so
-     * the reply edge is timed and counted like the request edge.
-     * Stamped by the request-side channel adapter
-     * (mem/channel_port.hh); null for direct wiring.
+     * through this channel instead of completing it in place, so the
+     * reply edge is timed and counted like the request edge. Stamped
+     * by the request-side channel adapter (mem/channel_port.hh); null
+     * for direct wiring.
      */
     MemoryReplyChannel *reply = nullptr;
+};
 
+/** Who a memory request's completion goes back to. */
+enum class MemoryRouteKind : std::uint8_t
+{
+    None,      ///< nobody: writebacks and phantoms
+    CuLine,    ///< a CU data line; tag = instruction slot
+    CacheMshr, ///< a cache fill; tag = MSHR
+    Walker,    ///< a page table walker's PTE read; tag = walker id
+    Relay,     ///< a fault interposer; tag = the request it relays
+};
+
+using MemoryRoute = sim::Route<MemoryRouteKind>;
+
+/** A component that issues memory requests and hears them finish. */
+class MemorySink
+{
+  public:
+    virtual ~MemorySink() = default;
+
+    /** A request routed here completed; its slot is already free. */
+    virtual void memoryDone(const MemoryRoute &route) = 0;
+
+    /** Requests routed here still outstanding (slot audit). */
+    virtual std::size_t memoryInFlight() const = 0;
+};
+
+/** Every in-flight memory request of one System. */
+class MemoryTable
+    : public sim::RequestTable<MemoryRequest, MemoryRouteKind, MemorySink>
+{
+  public:
+    /** Final completion of @p req: frees its slot, tells its sink. */
     void
-    complete()
+    complete(RequestHandle req)
     {
-        if (onComplete) {
-            // Move out first so a callback destroying this request is safe.
-            auto cb = std::move(onComplete);
-            cb();
-        }
+        const MemoryRoute route = retire(req);
+        if (route.sink != sim::noSink)
+            sink(route.sink).memoryDone(route);
+    }
+
+    /** Registers the "mem.request_slots" audit. */
+    void
+    registerInvariants(sim::Auditor &auditor)
+    {
+        registerInvariant(auditor, "mem.request_slots",
+                          &MemorySink::memoryInFlight);
     }
 };
 
@@ -95,12 +127,12 @@ class MemoryDevice
     virtual ~MemoryDevice() = default;
 
     /**
-     * Accepts @p req. The device takes ownership and will invoke
-     * req.onComplete when the access finishes. Devices are assumed to
-     * have sufficient internal queueing (bounded in practice by the
-     * self-throttling of the upstream components).
+     * Accepts @p req. The device completes it through its table when
+     * the access finishes. Devices are assumed to have sufficient
+     * internal queueing (bounded in practice by the self-throttling
+     * of the upstream components).
      */
-    virtual void access(MemoryRequest req) = 0;
+    virtual void access(RequestHandle req) = 0;
 };
 
 } // namespace gpuwalk::mem

@@ -33,7 +33,8 @@
  * placed into pooled nodes with inline storage for the capture, drawn
  * from a slab pool (sim/object_pool.hh). Oversized captures fall back
  * to a heap box, so no caller ever has to care — that is the
- * compatibility shim for rare cold-path lambdas.
+ * compatibility shim for rare cold-path lambdas; the queue counts
+ * them (boxedEvents()).
  *
  * Ordering subtlety: a migrated overflow event can carry a *lower*
  * insertion sequence than events already sitting in its bucket (they
@@ -51,7 +52,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -130,17 +130,24 @@ namespace detail {
 class PooledEvent final : public Event
 {
   public:
-    /** Sized for the largest hot capture in the codebase (a moved-in
-     *  TranslationRequest plus a TLB entry, ~120 bytes). */
-    static constexpr std::size_t inlineBytes = 128;
+    /**
+     * Sized for the largest hot capture: requests travel as 32-bit
+     * handles, so the biggest is [this, handle, pa_page, large_page]
+     * (24 bytes) — a completion delivered after a delay.
+     */
+    static constexpr std::size_t inlineBytes = 32;
+
+    /** True when @p F is stored inline rather than heap-boxed. */
+    template <typename F>
+    static constexpr bool fitsInline =
+        sizeof(F) <= inlineBytes && alignof(F) <= alignof(std::max_align_t);
 
     template <typename F>
     void
     emplace(F &&fn)
     {
         using D = std::decay_t<F>;
-        if constexpr (sizeof(D) <= inlineBytes
-                      && alignof(D) <= alignof(std::max_align_t)) {
+        if constexpr (fitsInline<D>) {
             ::new (storage()) D(std::forward<F>(fn));
             invokeDestroy_ = [](void *p) {
                 D *f = std::launder(reinterpret_cast<D *>(p));
@@ -192,9 +199,6 @@ class PooledEvent final : public Event
 class EventQueue
 {
   public:
-    /** Legacy callback alias; any movable callable is accepted. */
-    using Callback = std::function<void()>;
-
     /** Span of the near-future bucket window, in ticks. */
     static constexpr Tick windowTicks = Tick(1) << 16;
 
@@ -252,6 +256,10 @@ class EventQueue
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return executed_; }
 
+    /** Callables scheduled so far whose capture did not fit a pooled
+     *  node inline and was heap-boxed instead. */
+    std::uint64_t boxedEvents() const { return boxed_; }
+
     /**
      * Schedules the intrusive event @p ev at absolute time @p when.
      *
@@ -298,6 +306,8 @@ class EventQueue
     {
         GPUWALK_ASSERT(when >= now_, "scheduling event in the past (when=",
                        when, " now=", now_, ")");
+        if constexpr (!detail::PooledEvent::fitsInline<std::decay_t<F>>)
+            ++boxed_;
         detail::PooledEvent *ev = pool_.acquire();
         ev->emplace(std::forward<F>(fn));
         ev->when_ = when;
@@ -653,6 +663,7 @@ class EventQueue
     Tick scanFrom_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
+    std::uint64_t boxed_ = 0;
 };
 
 inline Event::~Event()

@@ -32,7 +32,7 @@ enum class FaultKind : std::uint8_t
     Drop,      ///< swallow the response: downstream completes, upstream
                ///< never hears back
     Delay,     ///< deliver the response Spec::delayTicks late
-    Duplicate, ///< forward a phantom copy of the request (no callback)
+    Duplicate, ///< forward a phantom copy of the request (no route)
 };
 
 inline const char *

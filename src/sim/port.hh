@@ -4,11 +4,12 @@
  * boundaries.
  *
  * Every cross-component call that crosses a fixed-latency boundary —
- * GPU TLB hierarchy → IOMMU, caches/walkers → DRAM, DRAM → completion
- * callbacks — is routed through a Channel, which makes the crossing
- * visible, timestamped, and countable (sent/delivered conservation is
- * an audit invariant), and carries the link latency and its declared
- * floor (minLatency, asserted on every send).
+ * GPU TLB hierarchy → IOMMU, caches/walkers → DRAM, DRAM and IOMMU
+ * replies back to the requesters — is routed through a Channel, which
+ * makes the crossing visible, timestamped, and countable
+ * (sent/delivered conservation is an audit invariant), and carries the
+ * link latency and its declared floor (minLatency, asserted on every
+ * send). Requests cross as 32-bit handles (sim/request_table.hh).
  *
  * Sends preserve the pre-channel event pattern bit-exactly: a
  * positive-latency send schedules exactly one pooled callable on the

@@ -26,15 +26,15 @@ System::System(const SystemConfig &cfg)
     //  - DRAM replies: nothing completes faster than CAS + burst.
     const sim::Tick hop = cfg_.iommu.hopLatency;
     const sim::Tick dramFloor = cfg_.dram.cl() + cfg_.dram.burst();
-    chTranslate_ = std::make_unique<sim::Channel<tlb::TranslationRequest>>(
+    chTranslate_ = std::make_unique<sim::Channel<tlb::RequestHandle>>(
         "tlb_to_iommu", hop);
     chTransReply_ = std::make_unique<tlb::TranslationReplyChannel>(
         "iommu_to_tlb", 0);
-    chGpuMem_ = std::make_unique<sim::Channel<mem::MemoryRequest>>(
+    chGpuMem_ = std::make_unique<sim::Channel<mem::RequestHandle>>(
         "l2d_to_dram", 0);
     chMemReplyGpu_ = std::make_unique<mem::MemoryReplyChannel>(
         "dram_to_l2d", dramFloor);
-    chWalkMem_ = std::make_unique<sim::Channel<mem::MemoryRequest>>(
+    chWalkMem_ = std::make_unique<sim::Channel<mem::RequestHandle>>(
         "walk_to_dram", 0);
     chMemReplyIommu_ = std::make_unique<mem::MemoryReplyChannel>(
         "dram_to_walk", dramFloor);
@@ -44,23 +44,25 @@ System::System(const SystemConfig &cfg)
     transPort_ =
         std::make_unique<tlb::ChannelTranslationPort>(*chTranslate_);
     gpuMemPort_ = std::make_unique<mem::ChannelMemoryPort>(
-        *chGpuMem_, *chMemReplyGpu_);
+        memory_, *chGpuMem_, *chMemReplyGpu_);
     walkMemPort_ = std::make_unique<mem::ChannelMemoryPort>(
-        *chWalkMem_, *chMemReplyIommu_);
+        memory_, *chWalkMem_, *chMemReplyIommu_);
 
-    dram_ = std::make_unique<mem::DramController>(eq_, cfg_.dram);
+    dram_ = std::make_unique<mem::DramController>(eq_, cfg_.dram, memory_);
     chGpuMem_->onDeliver(
-        [this](mem::MemoryRequest &&m) { dram_->access(std::move(m)); });
+        [this](mem::RequestHandle &&m) { dram_->access(m); });
     chWalkMem_->onDeliver(
-        [this](mem::MemoryRequest &&m) { dram_->access(std::move(m)); });
-    chMemReplyGpu_->onDeliver([](mem::MemoryRequest &&m) { m.complete(); });
+        [this](mem::RequestHandle &&m) { dram_->access(m); });
+    chMemReplyGpu_->onDeliver(
+        [this](mem::RequestHandle &&m) { memory_.complete(m); });
     chMemReplyIommu_->onDeliver(
-        [](mem::MemoryRequest &&m) { m.complete(); });
-    chTransReply_->onDeliver([](tlb::TranslationReply &&m) {
-        m.req.complete(m.paPage, m.largePage);
+        [this](mem::RequestHandle &&m) { memory_.complete(m); });
+    chTransReply_->onDeliver([this](tlb::TranslationReply &&m) {
+        translations_.complete(m.req, m.paPage, m.largePage);
     });
 
-    l2d_ = std::make_unique<mem::Cache>(eq_, cfg_.l2d, *gpuMemPort_);
+    l2d_ = std::make_unique<mem::Cache>(eq_, cfg_.l2d, memory_,
+                                        *gpuMemPort_);
 
     // Page walks fetch PTEs through the CPU-complex walk path — the
     // IOMMU sits in the CPU complex, not behind the GPU's caches.
@@ -70,8 +72,8 @@ System::System(const SystemConfig &cfg)
                                                cfg_.schedulerSeed,
                                                cfg_.simt, cfg_.qos);
     iommu_ = std::make_unique<iommu::Iommu>(
-        eq_, cfg_.iommu, std::move(scheduler), *walkMemPort_, store_,
-        addressSpace_->pageTable().root());
+        eq_, cfg_.iommu, std::move(scheduler), translations_, memory_,
+        *walkMemPort_, store_, addressSpace_->pageTable().root());
 
     if (cfg_.gmmu.enabled) {
         // Demand paging: faults are raised and serviced on the walk
@@ -87,19 +89,20 @@ System::System(const SystemConfig &cfg)
     tlb::TranslationService *translation = nullptr;
     if (channelTranslation_) {
         iommu_->setReplyChannel(chTransReply_.get());
-        chTranslate_->onDeliver([this](tlb::TranslationRequest &&r) {
-            iommu_->deliverTranslate(std::move(r));
+        chTranslate_->onDeliver([this](tlb::RequestHandle &&r) {
+            iommu_->deliverTranslate(r);
         });
         translation = transPort_.get();
     } else {
         // Test-only direct wiring: the interposer sits between the TLB
         // hierarchy and the IOMMU, which pays the hop latency itself.
-        translation = cfg_.translationInterposer(eq_, *iommu_);
+        translation =
+            cfg_.translationInterposer(eq_, translations_, *iommu_);
         GPUWALK_ASSERT(translation != nullptr,
                        "translation interposer returned nullptr");
     }
     tlbs_ = std::make_unique<tlb::TlbHierarchy>(eq_, cfg_.gpuTlb,
-                                                *translation);
+                                                translations_, *translation);
 
     if (cfg_.trace.enabled) {
         tracer_ = std::make_unique<trace::Tracer>(cfg_.trace);
@@ -116,14 +119,15 @@ System::System(const SystemConfig &cfg)
         if (cfg_.gpu.virtualL1Cache) {
             // Virtual L1s translate on the miss path (Yoon et al.).
             bridges_.push_back(std::make_unique<tlb::TranslatingPort>(
-                *tlbs_, *l2d_));
+                *tlbs_, memory_, *l2d_));
             below = bridges_.back().get();
         }
-        l1ds_.push_back(std::make_unique<mem::Cache>(eq_, l1, *below));
+        l1ds_.push_back(
+            std::make_unique<mem::Cache>(eq_, l1, memory_, *below));
         l1_ptrs.push_back(l1ds_.back().get());
     }
 
-    gpu_ = std::make_unique<gpu::Gpu>(eq_, cfg_.gpu, *tlbs_,
+    gpu_ = std::make_unique<gpu::Gpu>(eq_, cfg_.gpu, *tlbs_, memory_,
                                       std::move(l1_ptrs));
     if (tracer_)
         gpu_->setTracer(tracer_.get());
@@ -141,6 +145,8 @@ System::System(const SystemConfig &cfg)
             l1->registerInvariants(*auditor_);
         dram_->registerInvariants(*auditor_);
         gpu_->registerInvariants(*auditor_);
+        translations_.registerInvariants(*auditor_);
+        memory_.registerInvariants(*auditor_);
         registerSystemInvariants();
         registerChannelInvariants();
         auditEvent_.sys = this;

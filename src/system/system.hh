@@ -208,6 +208,11 @@ class System
 
     sim::EventQueue eq_;
 
+    /** Every in-flight translation and memory request. Declared before
+     *  the components that route requests through them. */
+    tlb::TranslationTable translations_;
+    mem::MemoryTable memory_;
+
     std::unique_ptr<trace::Tracer> tracer_;
     std::unique_ptr<sim::Auditor> auditor_;
     PeriodicAuditEvent auditEvent_;
@@ -222,11 +227,11 @@ class System
 
     // Latency-boundary channels (the system's channel wiring table)
     // and the adapters presenting them as plain device interfaces.
-    std::unique_ptr<sim::Channel<tlb::TranslationRequest>> chTranslate_;
+    std::unique_ptr<sim::Channel<tlb::RequestHandle>> chTranslate_;
     std::unique_ptr<tlb::TranslationReplyChannel> chTransReply_;
-    std::unique_ptr<sim::Channel<mem::MemoryRequest>> chGpuMem_;
+    std::unique_ptr<sim::Channel<mem::RequestHandle>> chGpuMem_;
     std::unique_ptr<mem::MemoryReplyChannel> chMemReplyGpu_;
-    std::unique_ptr<sim::Channel<mem::MemoryRequest>> chWalkMem_;
+    std::unique_ptr<sim::Channel<mem::RequestHandle>> chWalkMem_;
     std::unique_ptr<mem::MemoryReplyChannel> chMemReplyIommu_;
     std::unique_ptr<tlb::ChannelTranslationPort> transPort_;
     std::unique_ptr<mem::ChannelMemoryPort> gpuMemPort_;

@@ -90,13 +90,15 @@ struct SystemConfig
      * Test-only extension point: when set, the System routes the TLB
      * hierarchy's miss path through the TranslationService this
      * returns instead of the IOMMU directly (which is passed in,
-     * along with the system event queue). The fault-injection tests
+     * along with the system event queue and request table). The
+     * fault-injection tests
      * use it to misbehave at the TLB↔IOMMU boundary inside an
      * otherwise-real System. The caller keeps ownership of the
      * returned service, which must outlive the System. Excluded from
      * print().
      */
     std::function<tlb::TranslationService *(sim::EventQueue &,
+                                            tlb::TranslationTable &,
                                             tlb::TranslationService &)>
         translationInterposer;
 

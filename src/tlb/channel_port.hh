@@ -22,9 +22,9 @@ namespace gpuwalk::tlb {
 /** A finished translation returning to the GPU TLB hierarchy. */
 struct TranslationReply
 {
-    TranslationRequest req;
-    mem::Addr paPage = 0;
+    RequestHandle req = sim::noHandle;
     bool largePage = false;
+    mem::Addr paPage = 0;
 };
 
 /** Channel carrying completed translations back to the GPU. */
@@ -34,18 +34,14 @@ using TranslationReplyChannel = sim::Channel<TranslationReply>;
 class ChannelTranslationPort final : public TranslationService
 {
   public:
-    explicit ChannelTranslationPort(sim::Channel<TranslationRequest> &ch)
+    explicit ChannelTranslationPort(sim::Channel<RequestHandle> &ch)
         : ch_(ch)
     {}
 
-    void
-    translate(TranslationRequest req) override
-    {
-        ch_.send(std::move(req));
-    }
+    void translate(RequestHandle req) override { ch_.send(req); }
 
   private:
-    sim::Channel<TranslationRequest> &ch_;
+    sim::Channel<RequestHandle> &ch_;
 };
 
 } // namespace gpuwalk::tlb

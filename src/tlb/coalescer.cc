@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <utility>
 
 namespace gpuwalk::tlb {
 
@@ -24,18 +25,24 @@ class AlignedSet
     }
 
     /** @return true if @p a was not yet a member. */
-    bool
-    insert(mem::Addr a)
+    bool insert(mem::Addr a) { return insertAt(a).second; }
+
+    /**
+     * Inserts @p a. @return its slot (stable while the set lives)
+     * and whether it was not yet a member.
+     */
+    std::pair<std::size_t, bool>
+    insertAt(mem::Addr a)
     {
         std::size_t i = static_cast<std::size_t>(
             (a * 0x9e3779b97f4a7c15ull) >> shift_);
         while (slots_[i] != empty) {
             if (slots_[i] == a)
-                return false;
+                return {i, false};
             i = (i + 1) & mask_;
         }
         slots_[i] = a;
-        return true;
+        return {i, true};
     }
 
   private:
@@ -59,27 +66,40 @@ coalesce(const std::vector<mem::Addr> &lane_addrs)
     out.activeLanes = static_cast<unsigned>(lane_addrs.size());
     out.pages.reserve(lane_addrs.size());
     out.lines.reserve(lane_addrs.size());
+    out.linePages.reserve(lane_addrs.size());
 
     const std::size_t slots =
         std::max<std::size_t>(2, std::bit_ceil(2 * lane_addrs.size()));
     std::array<mem::Addr, 2 * stackSlots> local;
+    std::array<std::uint32_t, stackSlots> localIndex;
     std::vector<mem::Addr> spill;
+    std::vector<std::uint32_t> spillIndex;
     mem::Addr *storage = local.data();
+    std::uint32_t *pageIndex = localIndex.data();
     if (slots > stackSlots) {
         spill.resize(2 * slots);
+        spillIndex.resize(slots);
         storage = spill.data();
+        pageIndex = spillIndex.data();
     }
     AlignedSet pages(storage, slots);
     AlignedSet lines(storage + slots, slots);
 
-    // First-appearance order is the request order downstream.
+    // First-appearance order is the request order downstream. A
+    // page's slot in its set remembers the page's index in out.pages.
     for (mem::Addr a : lane_addrs) {
         const mem::Addr page = mem::pageAlign(a);
-        if (pages.insert(page))
+        const auto [pageSlot, newPage] = pages.insertAt(page);
+        if (newPage) {
+            pageIndex[pageSlot] =
+                static_cast<std::uint32_t>(out.pages.size());
             out.pages.push_back(page);
+        }
         const mem::Addr line = mem::lineAlign(a);
-        if (lines.insert(line))
+        if (lines.insert(line)) {
             out.lines.push_back(line);
+            out.linePages.push_back(pageIndex[pageSlot]);
+        }
     }
     return out;
 }

@@ -29,6 +29,9 @@ struct CoalescedAccess
     /** Unique line-aligned virtual addresses (cache accesses). */
     std::vector<mem::Addr> lines;
 
+    /** Index into pages of each line's page (parallel to lines). */
+    std::vector<std::uint32_t> linePages;
+
     /** Active lanes that produced the above. */
     unsigned activeLanes = 0;
 

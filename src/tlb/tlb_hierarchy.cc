@@ -6,8 +6,10 @@ namespace gpuwalk::tlb {
 
 TlbHierarchy::TlbHierarchy(sim::EventQueue &eq,
                            const TlbHierarchyConfig &cfg,
+                           TranslationTable &table,
                            TranslationService &iommu)
-    : eq_(eq), cfg_(cfg), iommu_(iommu),
+    : eq_(eq), cfg_(cfg), table_(table),
+      sinkId_(table.attach(*this)), iommu_(iommu),
       l2_(TlbConfig{"l2tlb", cfg.l2Entries, cfg.l2Associativity}),
       l2Port_(eq, cfg.l2PortPeriod), statGroup_("gpu_tlb")
 {
@@ -29,8 +31,9 @@ TlbHierarchy::TlbHierarchy(sim::EventQueue &eq,
 }
 
 void
-TlbHierarchy::translate(TranslationRequest req)
+TlbHierarchy::translate(RequestHandle h)
 {
+    const TranslationRequest &req = table_.at(h);
     GPUWALK_ASSERT(req.cu < cfg_.numCus, "bad CU id ", req.cu);
     ++requests_;
 
@@ -53,20 +56,18 @@ TlbHierarchy::translate(TranslationRequest req)
 
     // Claim the CU's single L1 TLB lookup port, then pay the lookup
     // latency. Bursts from one SIMD instruction serialize here.
-    l1Ports_[req.cu]->submit([this, r = std::move(req)]() mutable {
-        eq_.scheduleIn(cfg_.l1Latency,
-                       [this, r = std::move(r)]() mutable {
-                           lookupL1(std::move(r));
-                       });
+    l1Ports_[req.cu]->submit([this, h] {
+        eq_.scheduleIn(cfg_.l1Latency, [this, h] { lookupL1(h); });
     });
 }
 
 void
-TlbHierarchy::lookupL1(TranslationRequest r)
+TlbHierarchy::lookupL1(RequestHandle h)
 {
+    const TranslationRequest &r = table_.at(h);
     SetAssocTlb &l1 = *l1s_[r.cu];
     if (auto hit = l1.lookupEntry(r.vaPage, r.ctx)) {
-        deliver(r, hit->paPage, hit->largePage);
+        deliver(h, hit->paPage, hit->largePage);
         return;
     }
 
@@ -76,52 +77,28 @@ TlbHierarchy::lookupL1(TranslationRequest r)
     auto it = l1Inflight_.find(key);
     if (it != l1Inflight_.end()) {
         ++l1Merged_;
-        it->second->waiters.push_back(std::move(r));
+        merges_.at(it->second).waiters.push_back(h);
         return;
     }
-    MergeEntry *entry = mergePool_.acquire();
-    entry->waiters.push_back(std::move(r));
-    l1Inflight_.emplace(key, entry);
-    const TranslationRequest &leader = entry->waiters.front();
-
-    TranslationRequest down;
-    down.vaPage = leader.vaPage;
-    down.instruction = leader.instruction;
-    down.wavefront = leader.wavefront;
-    down.cu = leader.cu;
-    down.ctx = leader.ctx;
-    down.leader = leader.leader;
-    down.onComplete = [this, cu = leader.cu, va = leader.vaPage,
-                       ctx = leader.ctx](mem::Addr pa_page, bool large) {
-        auto node = l1Inflight_.find(l1Key(ctx, cu, va));
-        GPUWALK_ASSERT(node != l1Inflight_.end(), "orphan L1 fill");
-        MergeEntry *filled = node->second;
-        l1Inflight_.erase(node);
-        l1s_[cu]->insert(va, pa_page, large, ctx);
-        for (auto &w : filled->waiters)
-            deliver(w, pa_page, large);
-        filled->waiters.clear();
-        mergePool_.release(filled);
-    };
+    const RequestHandle down =
+        openMerge(l1Inflight_, key, h, TranslationRouteKind::L1Merge);
 
     // The shared L2 TLB is also single-ported: the eight CUs' miss
     // streams multiplex here, which is where walk requests from
     // different instructions start interleaving (paper §III-B).
-    l2Port_.submit([this, d = std::move(down)]() mutable {
-        eq_.scheduleIn(cfg_.l2Latency,
-                       [this, d = std::move(d)]() mutable {
-                           accessL2(std::move(d));
-                       });
+    l2Port_.submit([this, down] {
+        eq_.scheduleIn(cfg_.l2Latency, [this, down] { accessL2(down); });
     });
 }
 
 void
-TlbHierarchy::accessL2(TranslationRequest req)
+TlbHierarchy::accessL2(RequestHandle h)
 {
+    const TranslationRequest &req = table_.at(h);
     noteL2Access(req.wavefront);
 
     if (auto hit = l2_.lookupEntry(req.vaPage, req.ctx)) {
-        req.complete(hit->paPage, hit->largePage);
+        table_.complete(h, hit->paPage, hit->largePage);
         return;
     }
 
@@ -129,45 +106,80 @@ TlbHierarchy::accessL2(TranslationRequest req)
     auto it = l2Inflight_.find(key);
     if (it != l2Inflight_.end()) {
         ++l2Merged_;
-        it->second->waiters.push_back(std::move(req));
+        merges_.at(it->second).waiters.push_back(h);
         return;
     }
 
-    MergeEntry *entry = mergePool_.acquire();
-    entry->waiters.push_back(std::move(req));
-    l2Inflight_.emplace(key, entry);
-    const TranslationRequest &leader = entry->waiters.front();
-
     ++iommuRequests_;
-    TranslationRequest down;
-    down.vaPage = leader.vaPage;
-    down.instruction = leader.instruction;
-    down.wavefront = leader.wavefront;
-    down.cu = leader.cu;
-    down.ctx = leader.ctx;
-    down.leader = leader.leader;
-    down.onComplete = [this, key, va_page = leader.vaPage,
-                       ctx = leader.ctx](mem::Addr pa_page, bool large) {
-        auto node = l2Inflight_.find(key);
-        GPUWALK_ASSERT(node != l2Inflight_.end(), "orphan L2 fill");
-        MergeEntry *filled = node->second;
-        l2Inflight_.erase(node);
-        l2_.insert(va_page, pa_page, large, ctx);
-        for (auto &w : filled->waiters)
-            w.complete(pa_page, large);
-        filled->waiters.clear();
-        mergePool_.release(filled);
-    };
-    iommu_.translate(std::move(down));
+    iommu_.translate(
+        openMerge(l2Inflight_, key, h, TranslationRouteKind::L2Merge));
+}
+
+RequestHandle
+TlbHierarchy::openMerge(sim::FlatMap<std::uint64_t, sim::Handle> &inflight,
+                        std::uint64_t key, RequestHandle first,
+                        TranslationRouteKind kind)
+{
+    const sim::Handle entry = merges_.acquire();
+    MergeEntry &m = merges_.at(entry);
+    m.key = key;
+    m.waiters.push_back(first);
+    inflight.emplace(key, entry);
+
+    const RequestHandle down = table_.acquire({kind, sinkId_, entry});
+    table_.at(down) = table_.at(first);
+    return down;
 }
 
 void
-TlbHierarchy::deliver(TranslationRequest &req, mem::Addr pa_page,
-                      bool large)
+TlbHierarchy::translated(const TranslationRoute &route, mem::Addr pa_page,
+                         bool large_page)
+{
+    switch (route.kind) {
+      case TranslationRouteKind::L1Merge:
+        fillL1(route.tag, pa_page, large_page);
+        return;
+      case TranslationRouteKind::L2Merge:
+        fillL2(route.tag, pa_page, large_page);
+        return;
+      default:
+        sim::panic("TLB hierarchy got a translation it never routed");
+    }
+}
+
+void
+TlbHierarchy::fillL1(sim::Handle entry, mem::Addr pa_page, bool large)
+{
+    MergeEntry &filled = merges_.at(entry);
+    l1Inflight_.erase(filled.key);
+    // The entry's first waiter opened it and is still unanswered.
+    const TranslationRequest &first = table_.at(filled.waiters.front());
+    l1s_[first.cu]->insert(first.vaPage, pa_page, large, first.ctx);
+    for (RequestHandle w : filled.waiters)
+        deliver(w, pa_page, large);
+    filled.waiters.clear();
+    merges_.release(entry);
+}
+
+void
+TlbHierarchy::fillL2(sim::Handle entry, mem::Addr pa_page, bool large)
+{
+    MergeEntry &filled = merges_.at(entry);
+    l2Inflight_.erase(filled.key);
+    const TranslationRequest &first = table_.at(filled.waiters.front());
+    l2_.insert(first.vaPage, pa_page, large, first.ctx);
+    for (RequestHandle w : filled.waiters)
+        table_.complete(w, pa_page, large);
+    filled.waiters.clear();
+    merges_.release(entry);
+}
+
+void
+TlbHierarchy::deliver(RequestHandle req, mem::Addr pa_page, bool large)
 {
     if (auditTracking_)
-        ++wavefrontIo_[req.wavefront].out;
-    req.complete(pa_page, large);
+        ++wavefrontIo_[table_.at(req).wavefront].out;
+    table_.complete(req, pa_page, large);
 }
 
 void
@@ -196,8 +208,8 @@ TlbHierarchy::registerInvariants(sim::Auditor &auditor)
         "tlb.merge_pool", [this](sim::AuditContext &ctx) {
             const std::size_t tables =
                 l1Inflight_.size() + l2Inflight_.size();
-            ctx.require(mergePool_.inUse() == tables,
-                        "merge-pool live count ", mergePool_.inUse(),
+            ctx.require(merges_.live() == tables,
+                        "merge-pool live count ", merges_.live(),
                         " != in-flight table entries ", tables);
             if (!ctx.final())
                 return;
@@ -205,8 +217,8 @@ TlbHierarchy::registerInvariants(sim::Auditor &auditor)
                         " L1 miss merges never filled");
             ctx.require(l2Inflight_.empty(), l2Inflight_.size(),
                         " L2 miss merges never filled");
-            ctx.require(mergePool_.inUse() == 0, "merge pool leaks ",
-                        mergePool_.inUse(), " entries at drain");
+            ctx.require(merges_.live() == 0, "merge pool leaks ",
+                        merges_.live(), " entries at drain");
         });
 
     auditor.registerInvariant(

@@ -18,7 +18,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
-#include "sim/object_pool.hh"
+#include "sim/slot_table.hh"
 #include "sim/rate_limiter.hh"
 #include "sim/stats.hh"
 #include "tlb/set_assoc_tlb.hh"
@@ -57,15 +57,40 @@ struct TlbHierarchyConfig
     unsigned epochLength = 1024;
 };
 
-/** Per-CU L1 TLBs + shared L2 TLB + miss path to the IOMMU. */
-class TlbHierarchy
+/**
+ * Per-CU L1 TLBs + shared L2 TLB + miss path to the IOMMU.
+ *
+ * A miss that opens a merge entry sends its own request downstream,
+ * routed back here (L1Merge / L2Merge) with the entry as its tag; the
+ * fill answers every request merged into the entry.
+ */
+class TlbHierarchy final : public TranslationSink
 {
   public:
+    /**
+     * @param table The table every translation request lives in.
+     * @param iommu Where L2 misses go.
+     */
     TlbHierarchy(sim::EventQueue &eq, const TlbHierarchyConfig &cfg,
-                 TranslationService &iommu);
+                 TranslationTable &table, TranslationService &iommu);
 
-    /** Entry point from a CU's coalescer. @pre req.cu < numCus. */
-    void translate(TranslationRequest req);
+    /** Entry point from a CU's coalescer. @pre the request's cu <
+     *  numCus. */
+    void translate(RequestHandle req);
+
+    /** The table translation requests live in. */
+    TranslationTable &table() { return table_; }
+
+    /** An L1 or L2 miss request came back: fills its merge entry. */
+    void translated(const TranslationRoute &route, mem::Addr pa_page,
+                    bool large_page) override;
+
+    /** One downstream request per open merge entry. */
+    std::size_t
+    translationsInFlight() const override
+    {
+        return l1Inflight_.size() + l2Inflight_.size();
+    }
 
     /** Attaches a lifecycle tracer (nullptr = tracing off). */
     void setTracer(trace::Tracer *tracer) { tracer_ = tracer; }
@@ -101,7 +126,8 @@ class TlbHierarchy
      *  allocate. */
     struct MergeEntry
     {
-        std::vector<TranslationRequest> waiters;
+        std::uint64_t key = 0; ///< its l1Key / l2Key
+        std::vector<RequestHandle> waiters;
     };
 
     /** Packs (ctx, cu, vaPage) into one hash key: vaPage is
@@ -127,17 +153,28 @@ class TlbHierarchy
         return va_page | (std::uint64_t(ctx) << 48);
     }
 
-    void lookupL1(TranslationRequest req);
-    void accessL2(TranslationRequest req);
+    void lookupL1(RequestHandle req);
+    void accessL2(RequestHandle req);
     void noteL2Access(std::uint32_t wavefront);
+
+    /** Opens a merge entry in @p inflight for @p first and sends a copy
+     *  of it downstream routed back as @p kind. @return the copy. */
+    RequestHandle openMerge(sim::FlatMap<std::uint64_t, sim::Handle> &inflight,
+                            std::uint64_t key, RequestHandle first,
+                            TranslationRouteKind kind);
+
+    void fillL1(sim::Handle entry, mem::Addr pa_page, bool large);
+    void fillL2(sim::Handle entry, mem::Addr pa_page, bool large);
 
     /** Completes a request that entered through translate(): the L1
      *  hit path and the L1-fill waiter loop, the only two places the
      *  hierarchy answers its callers. */
-    void deliver(TranslationRequest &req, mem::Addr pa_page, bool large);
+    void deliver(RequestHandle req, mem::Addr pa_page, bool large);
 
     sim::EventQueue &eq_;
     TlbHierarchyConfig cfg_;
+    TranslationTable &table_;
+    std::uint16_t sinkId_;
     TranslationService &iommu_;
     trace::Tracer *tracer_ = nullptr;
 
@@ -150,13 +187,13 @@ class TlbHierarchy
     // so hashing them is determinism-safe.
 
     /** In-flight L1 misses: l1Key(ctx, cu, vaPage) -> merge record. */
-    sim::FlatMap<std::uint64_t, MergeEntry *> l1Inflight_;
+    sim::FlatMap<std::uint64_t, sim::Handle> l1Inflight_;
 
     /** In-flight L2 misses: l2Key(ctx, vaPage) -> merge record. */
-    sim::FlatMap<std::uint64_t, MergeEntry *> l2Inflight_;
+    sim::FlatMap<std::uint64_t, sim::Handle> l2Inflight_;
 
-    /** Shared pool behind both miss tables. */
-    sim::ObjectPool<MergeEntry> mergePool_{64};
+    /** Shared slots behind both miss tables. */
+    sim::SlotTable<MergeEntry> merges_;
 
     // Fig. 12 epoch tracking: a wavefront is counted once per epoch,
     // the first time its stamp is behind the current epoch number.

@@ -27,38 +27,57 @@
 
 namespace gpuwalk::tlb {
 
-/** Translates request addresses before forwarding downstream. */
-class TranslatingPort : public mem::MemoryDevice
+/**
+ * Translates request addresses before forwarding downstream. Each
+ * translation is routed back here (Port) tagged with the memory
+ * request it translates, which then goes below at the physical
+ * address under its own handle.
+ */
+class TranslatingPort final : public mem::MemoryDevice,
+                              public TranslationSink
 {
   public:
     /**
      * @param tlbs The GPU TLB hierarchy (translation path).
+     * @param memory The table the forwarded requests live in.
      * @param below The physically-addressed next level.
      */
-    TranslatingPort(TlbHierarchy &tlbs, mem::MemoryDevice &below)
-        : tlbs_(tlbs), below_(below), statGroup_("xlate_port")
+    TranslatingPort(TlbHierarchy &tlbs, mem::MemoryTable &memory,
+                    mem::MemoryDevice &below)
+        : tlbs_(tlbs), memory_(memory), below_(below),
+          sinkId_(tlbs.table().attach(*this)), statGroup_("xlate_port")
     {
         statGroup_.add(requests_);
     }
 
     void
-    access(mem::MemoryRequest req) override
+    access(mem::RequestHandle req) override
     {
         ++requests_;
-        TranslationRequest xlate;
-        xlate.vaPage = mem::pageAlign(req.addr);
-        xlate.instruction = req.instruction;
-        xlate.wavefront = req.wavefront;
-        xlate.cu = req.cu;
-        const mem::Addr offset = req.addr & (mem::pageSize - 1);
-        xlate.onComplete = [this, offset,
-                            r = std::move(req)](mem::Addr pa_page,
-                                                bool) mutable {
-            r.addr = pa_page | offset;
-            below_.access(std::move(r));
-        };
-        tlbs_.translate(std::move(xlate));
+        ++inFlight_;
+        const mem::MemoryRequest &r = memory_.at(req);
+        TranslationTable &table = tlbs_.table();
+        const RequestHandle xlate =
+            table.acquire({TranslationRouteKind::Port, sinkId_, req});
+        TranslationRequest &x = table.at(xlate);
+        x.vaPage = mem::pageAlign(r.addr);
+        x.instruction = r.instruction;
+        x.wavefront = r.wavefront;
+        x.cu = r.cu;
+        tlbs_.translate(xlate);
     }
+
+    void
+    translated(const TranslationRoute &route, mem::Addr pa_page,
+               bool) override
+    {
+        --inFlight_;
+        mem::MemoryRequest &r = memory_.at(route.tag);
+        r.addr = pa_page | (r.addr & (mem::pageSize - 1));
+        below_.access(route.tag);
+    }
+
+    std::size_t translationsInFlight() const override { return inFlight_; }
 
     std::uint64_t requests() const { return requests_.value(); }
 
@@ -66,7 +85,10 @@ class TranslatingPort : public mem::MemoryDevice
 
   private:
     TlbHierarchy &tlbs_;
+    mem::MemoryTable &memory_;
     mem::MemoryDevice &below_;
+    std::uint16_t sinkId_;
+    std::size_t inFlight_ = 0;
     sim::StatGroup statGroup_;
     sim::Counter requests_{"requests", "L1-miss translations"};
 };

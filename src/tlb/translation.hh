@@ -7,11 +7,11 @@
 #ifndef GPUWALK_TLB_TRANSLATION_HH
 #define GPUWALK_TLB_TRANSLATION_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "mem/types.hh"
-#include "sim/inline_function.hh"
-#include "sim/ticks.hh"
+#include "sim/request_table.hh"
 
 namespace gpuwalk::tlb {
 
@@ -39,6 +39,9 @@ inline constexpr ContextId defaultContext = 0;
  * The paper's scheduler keys on the instruction ID each request
  * carries (a 20-bit tag in hardware; modelled as a unique 64-bit ID
  * here). All requests of one SIMD instruction share that ID.
+ *
+ * Requests live in a TranslationTable slot and travel as its handle;
+ * the slot's route says who hears the result.
  */
 struct TranslationRequest
 {
@@ -64,23 +67,63 @@ struct TranslationRequest
      * walks. False outside --wavefront-sched=wasp.
      */
     bool leader = false;
+};
+
+/** A translation request's slot handle. */
+using RequestHandle = sim::Handle;
+
+/** Who a translation's result goes back to. */
+enum class TranslationRouteKind : std::uint8_t
+{
+    None,    ///< nobody: prefetch walks and phantoms
+    Cu,      ///< a CU; tag = instruction slot << 16 | page index
+    L1Merge, ///< the TLB hierarchy; tag = L1 merge entry
+    L2Merge, ///< the TLB hierarchy; tag = L2 merge entry
+    Port,    ///< a virtual-cache TranslatingPort; tag = memory request
+    Relay,   ///< a fault interposer; tag = the request it relays
+};
+
+using TranslationRoute = sim::Route<TranslationRouteKind>;
+
+/** A component that issues translations and hears their results. */
+class TranslationSink
+{
+  public:
+    virtual ~TranslationSink() = default;
 
     /**
-     * Completion callback delivering the page-aligned (4 KB-granular)
-     * physical address and whether the backing mapping is a 2 MB
-     * large page. Invoked exactly once. Inline-stored for the hot
-     * captures; oversized ones (the virtual-cache bridge) heap-box.
+     * A request routed here completed with page-aligned (4 KB
+     * granular) physical address @p pa_page; @p large_page when the
+     * backing mapping is a 2 MB page. Its slot is already released.
      */
-    sim::InlineFunction<void(mem::Addr pa_page, bool large_page)>
-        onComplete;
+    virtual void translated(const TranslationRoute &route,
+                            mem::Addr pa_page, bool large_page) = 0;
 
+    /** Requests routed here still outstanding (slot audit). */
+    virtual std::size_t translationsInFlight() const = 0;
+};
+
+/** Every in-flight translation request of one System. */
+class TranslationTable
+    : public sim::RequestTable<TranslationRequest, TranslationRouteKind,
+                               TranslationSink>
+{
+  public:
+    /** Final completion of @p req: frees its slot, tells its sink. */
     void
-    complete(mem::Addr pa_page, bool large_page = false)
+    complete(RequestHandle req, mem::Addr pa_page, bool large_page = false)
     {
-        if (onComplete) {
-            auto cb = std::move(onComplete);
-            cb(pa_page, large_page);
-        }
+        const TranslationRoute route = retire(req);
+        if (route.sink != sim::noSink)
+            sink(route.sink).translated(route, pa_page, large_page);
+    }
+
+    /** Registers the "tlb.request_slots" audit. */
+    void
+    registerInvariants(sim::Auditor &auditor)
+    {
+        registerInvariant(auditor, "tlb.request_slots",
+                          &TranslationSink::translationsInFlight);
     }
 };
 
@@ -91,7 +134,7 @@ class TranslationService
     virtual ~TranslationService() = default;
 
     /** Accepts a request that missed the GPU TLB hierarchy. */
-    virtual void translate(TranslationRequest req) = 0;
+    virtual void translate(RequestHandle req) = 0;
 };
 
 } // namespace gpuwalk::tlb

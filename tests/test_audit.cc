@@ -25,6 +25,7 @@
 #include "mem/cache.hh"
 #include "mem/dram_controller.hh"
 #include "mem/fault_injection.hh"
+#include "request_sinks.hh"
 #include "sim/audit.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault_injector.hh"
@@ -201,35 +202,40 @@ TEST(FaultInjectorTest, NoneKindNeverInjects)
 /** Completes every translation one cycle later at pa == va. */
 struct ImmediateTranslation final : tlb::TranslationService
 {
-    explicit ImmediateTranslation(sim::EventQueue &eq) : eq(eq) {}
+    ImmediateTranslation(sim::EventQueue &eq, tlb::TranslationTable &table)
+        : eq(eq), table(table)
+    {}
 
     void
-    translate(tlb::TranslationRequest req) override
+    translate(tlb::RequestHandle req) override
     {
         ++received;
-        eq.scheduleIn(500, [r = std::move(req)]() mutable {
-            r.complete(r.vaPage, false);
+        eq.scheduleIn(500, [this, req] {
+            table.complete(req, table.at(req).vaPage, false);
         });
     }
 
     sim::EventQueue &eq;
+    tlb::TranslationTable &table;
     std::uint64_t received = 0;
 };
 
 /** Completes every memory access one cycle later. */
 struct ImmediateMemory final : mem::MemoryDevice
 {
-    explicit ImmediateMemory(sim::EventQueue &eq) : eq(eq) {}
+    ImmediateMemory(sim::EventQueue &eq, mem::MemoryTable &table)
+        : eq(eq), table(table)
+    {}
 
     void
-    access(mem::MemoryRequest req) override
+    access(mem::RequestHandle req) override
     {
         ++received;
-        eq.scheduleIn(500,
-                      [r = std::move(req)]() mutable { r.complete(); });
+        eq.scheduleIn(500, [this, req] { table.complete(req); });
     }
 
     sim::EventQueue &eq;
+    mem::MemoryTable &table;
     std::uint64_t received = 0;
 };
 
@@ -242,65 +248,101 @@ drain(sim::EventQueue &eq)
 
 // --- TLB hierarchy invariants --------------------------------------
 
+/** A GPU-side translation of @p va_page by wavefront @p wavefront. */
 tlb::TranslationRequest
-tlbRequest(mem::Addr va_page, std::uint32_t wavefront,
-           std::uint64_t *completions)
+tlbRequest(mem::Addr va_page, std::uint32_t wavefront)
 {
     tlb::TranslationRequest req;
     req.vaPage = va_page;
     req.instruction = wavefront + 1;
     req.wavefront = wavefront;
     req.cu = 0;
-    req.onComplete = [completions](mem::Addr, bool) { ++*completions; };
     return req;
 }
 
 TEST(TlbAuditFault, DroppedIommuResponseFiresMergeAndWavefrontChecks)
 {
     sim::EventQueue eq;
-    ImmediateTranslation below(eq);
+    tlb::TranslationTable table;
+    test::TranslationCallbacks owner(table);
+    ImmediateTranslation below(eq, table);
     // Drop the first TLB->IOMMU crossing's response.
-    tlb::FaultyTranslationService faulty(eq, below,
+    tlb::FaultyTranslationService faulty(eq, table, below,
                                          {FaultKind::Drop, 0});
     tlb::TlbHierarchyConfig cfg;
     cfg.numCus = 1;
-    tlb::TlbHierarchy tlbs(eq, cfg, faulty);
+    tlb::TlbHierarchy tlbs(eq, cfg, table, faulty);
 
     Auditor auditor;
     tlbs.registerInvariants(auditor);
 
-    std::uint64_t completions = 0;
-    tlbs.translate(tlbRequest(0x1000, 0, &completions));
-    tlbs.translate(tlbRequest(0x2000, 1, &completions));
+    tlbs.translate(owner.issue(tlbRequest(0x1000, 0)));
+    tlbs.translate(owner.issue(tlbRequest(0x2000, 1)));
     drain(eq);
 
     // The wavefront-0 response was swallowed: its merge entry leaks
     // and its coalesced-in/responses-out tally cannot balance.
-    EXPECT_EQ(completions, 1u);
+    EXPECT_EQ(owner.completed, 1u);
     auditor.check(AuditPhase::Final, eq.now());
     EXPECT_TRUE(hasViolation(auditor.violations(), "tlb.merge_pool"));
     EXPECT_TRUE(hasViolation(auditor.violations(),
                              "tlb.wavefront_conservation"));
 }
 
+TEST(TlbAuditFault, DroppedIommuResponseFiresRequestSlots)
+{
+    // The dropped response clears the L2 miss request's route while
+    // its merge entry still waits on it: the hierarchy believes one
+    // more request is in flight than the table routes to it, and the
+    // merged GPU requests' slots outlive the drain.
+    sim::EventQueue eq;
+    tlb::TranslationTable table;
+    test::TranslationCallbacks owner(table);
+    ImmediateTranslation below(eq, table);
+    tlb::FaultyTranslationService faulty(eq, table, below,
+                                         {FaultKind::Drop, 0});
+    tlb::TlbHierarchyConfig cfg;
+    cfg.numCus = 1;
+    tlb::TlbHierarchy tlbs(eq, cfg, table, faulty);
+
+    Auditor periodic;
+    table.registerInvariants(periodic);
+    tlbs.translate(owner.issue(tlbRequest(0x1000, 0)));
+    bool firedMidRun = false;
+    while (eq.runOne()) {
+        periodic.check(AuditPhase::Periodic, eq.now());
+        firedMidRun = firedMidRun
+                      || hasViolation(periodic.violations(),
+                                      "tlb.request_slots");
+    }
+    EXPECT_TRUE(firedMidRun);
+
+    Auditor final;
+    table.registerInvariants(final);
+    final.check(AuditPhase::Final, eq.now());
+    EXPECT_TRUE(hasViolation(final.violations(), "tlb.request_slots"));
+}
+
 TEST(TlbAuditFault, CleanRunPassesAllTlbInvariants)
 {
     sim::EventQueue eq;
-    ImmediateTranslation below(eq);
+    tlb::TranslationTable table;
+    test::TranslationCallbacks owner(table);
+    ImmediateTranslation below(eq, table);
     tlb::TlbHierarchyConfig cfg;
     cfg.numCus = 1;
-    tlb::TlbHierarchy tlbs(eq, cfg, below);
+    tlb::TlbHierarchy tlbs(eq, cfg, table, below);
 
     Auditor auditor;
     tlbs.registerInvariants(auditor);
+    table.registerInvariants(auditor);
 
-    std::uint64_t completions = 0;
     for (std::uint32_t i = 0; i < 4; ++i)
-        tlbs.translate(
-            tlbRequest(0x1000 * (i + 1), i, &completions));
-    drain(eq);
+        tlbs.translate(owner.issue(tlbRequest(0x1000 * (i + 1), i)));
+    while (eq.runOne())
+        auditor.check(AuditPhase::Periodic, eq.now());
 
-    EXPECT_EQ(completions, 4u);
+    EXPECT_EQ(owner.completed, 4u);
     auditor.check(AuditPhase::Final, eq.now());
     EXPECT_TRUE(auditor.clean()) << auditor.violations().front().message;
 }
@@ -318,7 +360,8 @@ struct FaultyIommuHarness
                                 std::unique_ptr<core::WalkScheduler>
                                     sched = core::makeScheduler(
                                         core::SchedulerKind::Fcfs))
-        : memory(eq), faulty(eq, memory, spec),
+        : owner(translations), memory(eq, requests),
+          faulty(eq, requests, memory, spec),
           frames(mem::Addr(1) << 30, false), space(store, frames)
     {
         region = space.allocate("buf", 64 * mem::pageSize);
@@ -326,22 +369,34 @@ struct FaultyIommuHarness
         cfg.numWalkers = 1;
         cfg.useWalkCache = false;
         dut = std::make_unique<iommu::Iommu>(
-            eq, cfg, std::move(sched), faulty, store,
-            space.pageTable().root());
+            eq, cfg, std::move(sched), translations, requests, faulty,
+            store, space.pageTable().root());
     }
 
-    tlb::TranslationRequest
+    /** A translation of the region's page @p page, routed to owner. */
+    tlb::RequestHandle
     request(unsigned page)
     {
         tlb::TranslationRequest req;
         req.vaPage = region.base + mem::Addr(page) * mem::pageSize;
         req.instruction = page + 1;
         req.wavefront = page;
-        req.onComplete = [this](mem::Addr, bool) { ++completions; };
-        return req;
+        return owner.issue(req);
+    }
+
+    /** Registers the IOMMU's and both request tables' invariants. */
+    void
+    registerInvariants(Auditor &auditor)
+    {
+        dut->registerInvariants(auditor);
+        translations.registerInvariants(auditor);
+        requests.registerInvariants(auditor);
     }
 
     sim::EventQueue eq;
+    tlb::TranslationTable translations;
+    mem::MemoryTable requests;
+    test::TranslationCallbacks owner;
     ImmediateMemory memory;
     mem::FaultyMemoryDevice faulty;
     mem::BackingStore store;
@@ -349,7 +404,6 @@ struct FaultyIommuHarness
     vm::AddressSpace space;
     vm::VaRegion region;
     std::unique_ptr<iommu::Iommu> dut;
-    std::uint64_t completions = 0;
 };
 
 TEST(IommuAuditFault, DroppedPteFetchFiresDrainAndOccupancyChecks)
@@ -358,13 +412,13 @@ TEST(IommuAuditFault, DroppedPteFetchFiresDrainAndOccupancyChecks)
     // the lone walker hangs forever and a second walk stays buffered.
     FaultyIommuHarness h({FaultKind::Drop, 0});
     Auditor auditor;
-    h.dut->registerInvariants(auditor);
+    h.registerInvariants(auditor);
 
     h.dut->translate(h.request(0));
     h.dut->translate(h.request(1));
     drain(h.eq);
 
-    EXPECT_EQ(h.completions, 0u);
+    EXPECT_EQ(h.owner.completed, 0u);
     EXPECT_EQ(h.dut->walkRequests(), 2u);
     EXPECT_EQ(h.dut->walksCompleted(), 0u);
     auditor.check(AuditPhase::Final, h.eq.now());
@@ -384,7 +438,7 @@ TEST(IommuAuditFault, TruncatedRunFiresRequestConservation)
     // with work still in flight).
     FaultyIommuHarness h({}); // no faults
     Auditor auditor;
-    h.dut->registerInvariants(auditor);
+    h.registerInvariants(auditor);
 
     h.dut->translate(h.request(0));
     // Deliberately run nothing: the request is inside the hop latency.
@@ -397,7 +451,7 @@ TEST(IommuAuditFault, CleanRunPassesAllIommuInvariants)
 {
     FaultyIommuHarness h({}); // injector present but inert
     Auditor auditor;
-    h.dut->registerInvariants(auditor);
+    h.registerInvariants(auditor);
 
     for (unsigned i = 0; i < 6; ++i)
         h.dut->translate(h.request(i));
@@ -406,7 +460,7 @@ TEST(IommuAuditFault, CleanRunPassesAllIommuInvariants)
         auditor.check(AuditPhase::Periodic, h.eq.now());
     auditor.check(AuditPhase::Final, h.eq.now());
 
-    EXPECT_EQ(h.completions, 6u);
+    EXPECT_EQ(h.owner.completed, 6u);
     EXPECT_TRUE(auditor.clean())
         << auditor.violations().front().invariant << ": "
         << auditor.violations().front().message;
@@ -440,7 +494,7 @@ TEST(IommuAuditFault, InconsistentBypassCountersFireBufferCounters)
 {
     FaultyIommuHarness h({}, std::make_unique<LyingScheduler>());
     Auditor auditor;
-    h.dut->registerInvariants(auditor);
+    h.registerInvariants(auditor);
 
     for (unsigned i = 0; i < 4; ++i)
         h.dut->translate(h.request(i));
@@ -460,50 +514,106 @@ TEST(IommuAuditFault, InconsistentBypassCountersFireBufferCounters)
 TEST(CacheAuditFault, DroppedFillLeaksAnMshr)
 {
     sim::EventQueue eq;
-    ImmediateMemory memory(eq);
-    mem::FaultyMemoryDevice faulty(eq, memory, {FaultKind::Drop, 0});
+    mem::MemoryTable table;
+    test::MemoryCallbacks owner(table);
+    ImmediateMemory memory(eq, table);
+    mem::FaultyMemoryDevice faulty(eq, table, memory, {FaultKind::Drop, 0});
     mem::CacheConfig cfg;
     cfg.name = "testcache";
-    mem::Cache cache(eq, cfg, faulty);
+    mem::Cache cache(eq, cfg, table, faulty);
 
     Auditor auditor;
     cache.registerInvariants(auditor);
 
-    mem::MemoryRequest req;
-    req.addr = 0x4000;
-    bool completed = false;
-    req.onComplete = [&completed] { completed = true; };
-    cache.access(std::move(req));
+    cache.access(owner.issue(0x4000, false));
     drain(eq);
 
-    EXPECT_FALSE(completed);
+    EXPECT_EQ(owner.completed, 0u);
     auditor.check(AuditPhase::Final, eq.now());
     EXPECT_TRUE(hasViolation(auditor.violations(), "testcache.mshrs"));
+}
+
+TEST(CacheAuditFault, DroppedFillFiresRequestSlots)
+{
+    // The fill loses its route: the cache still counts its MSHR's
+    // fill in flight, the table routes nothing to it, and the demand
+    // request's slot is never released.
+    sim::EventQueue eq;
+    mem::MemoryTable table;
+    test::MemoryCallbacks owner(table);
+    ImmediateMemory memory(eq, table);
+    mem::FaultyMemoryDevice faulty(eq, table, memory, {FaultKind::Drop, 0});
+    mem::CacheConfig cfg;
+    cfg.name = "testcache";
+    mem::Cache cache(eq, cfg, table, faulty);
+
+    Auditor periodic;
+    table.registerInvariants(periodic);
+    cache.access(owner.issue(0x4000, false));
+    while (eq.runOne())
+        periodic.check(AuditPhase::Periodic, eq.now());
+    EXPECT_TRUE(hasViolation(periodic.violations(), "mem.request_slots"));
+
+    Auditor final;
+    table.registerInvariants(final);
+    final.check(AuditPhase::Final, eq.now());
+    EXPECT_TRUE(hasViolation(final.violations(), "mem.request_slots"));
+}
+
+TEST(CacheAuditFault, DelayedFillIsTheNegativeControl)
+{
+    // A relayed fill answers late but answers once: both the MSHR
+    // accounting and the slot audit stay clean throughout.
+    sim::EventQueue eq;
+    mem::MemoryTable table;
+    test::MemoryCallbacks owner(table);
+    ImmediateMemory memory(eq, table);
+    FaultInjector::Spec spec;
+    spec.kind = FaultKind::Delay;
+    spec.probability = 1.0; // every fill
+    spec.delayTicks = 10'000;
+    mem::FaultyMemoryDevice faulty(eq, table, memory, spec);
+    mem::CacheConfig cfg;
+    cfg.name = "testcache";
+    mem::Cache cache(eq, cfg, table, faulty);
+
+    Auditor auditor;
+    cache.registerInvariants(auditor);
+    table.registerInvariants(auditor);
+    for (int i = 0; i < 4; ++i)
+        cache.access(owner.issue(mem::Addr(i) * 0x4000, false));
+    while (eq.runOne())
+        auditor.check(AuditPhase::Periodic, eq.now());
+    auditor.check(AuditPhase::Final, eq.now());
+
+    EXPECT_EQ(faulty.injector().injected(), 4u);
+    EXPECT_EQ(owner.completed, 4u);
+    EXPECT_TRUE(auditor.clean())
+        << auditor.violations().front().invariant << ": "
+        << auditor.violations().front().message;
 }
 
 TEST(CacheAuditFault, CleanRunPassesMshrAccounting)
 {
     sim::EventQueue eq;
-    ImmediateMemory memory(eq);
+    mem::MemoryTable table;
+    test::MemoryCallbacks owner(table);
+    ImmediateMemory memory(eq, table);
     mem::CacheConfig cfg;
     cfg.name = "testcache";
-    mem::Cache cache(eq, cfg, memory);
+    mem::Cache cache(eq, cfg, table, memory);
 
     Auditor auditor;
     cache.registerInvariants(auditor);
+    table.registerInvariants(auditor);
 
-    unsigned completed = 0;
-    for (int i = 0; i < 8; ++i) {
-        mem::MemoryRequest req;
-        req.addr = mem::Addr(i) * 0x4000; // distinct lines
-        req.onComplete = [&completed] { ++completed; };
-        cache.access(std::move(req));
-    }
+    for (int i = 0; i < 8; ++i) // distinct lines
+        cache.access(owner.issue(mem::Addr(i) * 0x4000, false));
     while (eq.runOne())
         auditor.check(AuditPhase::Periodic, eq.now());
     auditor.check(AuditPhase::Final, eq.now());
 
-    EXPECT_EQ(completed, 8u);
+    EXPECT_EQ(owner.completed, 8u);
     EXPECT_TRUE(auditor.clean())
         << auditor.violations().front().message;
 }
@@ -513,17 +623,16 @@ TEST(CacheAuditFault, CleanRunPassesMshrAccounting)
 TEST(DramAuditFault, TruncatedRunFiresQueueDrainCheck)
 {
     sim::EventQueue eq;
-    mem::DramController dram(eq, mem::DramConfig{});
+    mem::MemoryTable table;
+    test::MemoryCallbacks owner(table);
+    mem::DramController dram(eq, mem::DramConfig{}, table);
     Auditor auditor;
     dram.registerInvariants(auditor);
 
     // Same-address requests map to one bank: the first goes straight
     // into service, the rest must wait in the channel queue.
-    for (int i = 0; i < 4; ++i) {
-        mem::MemoryRequest req;
-        req.addr = 0x10000;
-        dram.access(std::move(req));
-    }
+    for (int i = 0; i < 4; ++i)
+        dram.access(owner.issue(0x10000, false));
     // Deliberately run nothing: requests are sitting in the queue.
     auditor.check(AuditPhase::Final, eq.now());
     EXPECT_TRUE(
@@ -573,26 +682,38 @@ TEST(SystemAuditFault, DuplicatedRequestFiresTranslationConservation)
     // A phantom request injected between the TLB hierarchy and the
     // IOMMU desynchronises the forwarded/received counters — the
     // cross-component identity only the System-level invariant sees.
-    auto cfg = system::SystemConfig::baseline();
-    cfg.audit.enabled = true;
-    std::unique_ptr<tlb::FaultyTranslationService> faulty;
-    cfg.translationInterposer =
-        [&faulty](sim::EventQueue &eq, tlb::TranslationService &below)
-        -> tlb::TranslationService * {
-        faulty = std::make_unique<tlb::FaultyTranslationService>(
-            eq, below, FaultInjector::Spec{FaultKind::Duplicate, 0});
-        return faulty.get();
-    };
-    system::System sys(cfg);
-    sys.loadBenchmark("KMN", tinySystemParams());
-    const auto stats = sys.run();
+    // The phantom carries every field of the real request, so it also
+    // walks in the right address space when the run is a tenant's.
+    for (const bool tenant : {false, true}) {
+        SCOPED_TRACE(tenant ? "tenant context" : "default context");
+        auto cfg = system::SystemConfig::baseline();
+        cfg.audit.enabled = true;
+        std::unique_ptr<tlb::FaultyTranslationService> faulty;
+        cfg.translationInterposer =
+            [&faulty](sim::EventQueue &eq, tlb::TranslationTable &table,
+                      tlb::TranslationService &below)
+            -> tlb::TranslationService * {
+            faulty = std::make_unique<tlb::FaultyTranslationService>(
+                eq, table, below,
+                FaultInjector::Spec{FaultKind::Duplicate, 0});
+            return faulty.get();
+        };
+        system::System sys(cfg);
+        if (tenant) {
+            const tlb::ContextId ctx = sys.createContext();
+            sys.loadBenchmarkInContext("KMN", tinySystemParams(), 0, ctx);
+        } else {
+            sys.loadBenchmark("KMN", tinySystemParams());
+        }
+        const auto stats = sys.run();
 
-    ASSERT_NE(faulty, nullptr);
-    EXPECT_EQ(faulty->injector().injected(), 1u);
-    EXPECT_TRUE(stats.audited);
-    EXPECT_GT(stats.auditViolations, 0u);
-    EXPECT_TRUE(hasViolation(stats.auditFindings,
-                             "system.translation_conservation"));
+        ASSERT_NE(faulty, nullptr);
+        EXPECT_EQ(faulty->injector().injected(), 1u);
+        EXPECT_TRUE(stats.audited);
+        EXPECT_GT(stats.auditViolations, 0u);
+        EXPECT_TRUE(hasViolation(stats.auditFindings,
+                                 "system.translation_conservation"));
+    }
 }
 
 TEST(SystemAuditFault, DelayedResponseIsTheNegativeControl)
@@ -605,14 +726,15 @@ TEST(SystemAuditFault, DelayedResponseIsTheNegativeControl)
     cfg.audit.interval = 250'000;
     std::unique_ptr<tlb::FaultyTranslationService> faulty;
     cfg.translationInterposer =
-        [&faulty](sim::EventQueue &eq, tlb::TranslationService &below)
+        [&faulty](sim::EventQueue &eq, tlb::TranslationTable &table,
+                  tlb::TranslationService &below)
         -> tlb::TranslationService * {
         FaultInjector::Spec spec;
         spec.kind = FaultKind::Delay;
         spec.target = 0;
         spec.delayTicks = 200 * 500;
         faulty = std::make_unique<tlb::FaultyTranslationService>(
-            eq, below, spec);
+            eq, table, below, spec);
         return faulty.get();
     };
     system::System sys(cfg);

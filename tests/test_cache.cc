@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "mem/cache.hh"
+#include "request_sinks.hh"
 #include "sim/rng.hh"
 
 namespace {
@@ -22,19 +23,19 @@ using namespace gpuwalk::mem;
 class StubMemory : public MemoryDevice
 {
   public:
-    StubMemory(sim::EventQueue &eq, sim::Tick latency)
-        : eq_(eq), latency_(latency)
+    StubMemory(sim::EventQueue &eq, MemoryTable &table, sim::Tick latency)
+        : eq_(eq), table_(table), latency_(latency)
     {}
 
     void
-    access(MemoryRequest req) override
+    access(RequestHandle req) override
     {
-        if (req.write)
-            writes.push_back(req.addr);
+        const MemoryRequest &r = table_.at(req);
+        if (r.write)
+            writes.push_back(r.addr);
         else
-            reads.push_back(req.addr);
-        eq_.scheduleIn(latency_,
-                       [r = std::move(req)]() mutable { r.complete(); });
+            reads.push_back(r.addr);
+        eq_.scheduleIn(latency_, [this, req] { table_.complete(req); });
     }
 
     std::vector<Addr> reads;
@@ -42,30 +43,29 @@ class StubMemory : public MemoryDevice
 
   private:
     sim::EventQueue &eq_;
+    MemoryTable &table_;
     sim::Tick latency_;
 };
 
 struct CacheFixture : public ::testing::Test
 {
     sim::EventQueue eq;
-    StubMemory below{eq, 100 * 500};
+    MemoryTable table;
+    test::MemoryCallbacks owner{table};
+    StubMemory below{eq, table, 100 * 500};
     CacheConfig cfg{"test_cache", 4 * 1024, 4, 64, 500, 500, 8};
     std::unique_ptr<Cache> cache;
 
     void SetUp() override
     {
-        cache = std::make_unique<Cache>(eq, cfg, below);
+        cache = std::make_unique<Cache>(eq, cfg, table, below);
     }
 
     sim::Tick
     access(Addr addr, bool write = false)
     {
         sim::Tick done = 0;
-        MemoryRequest req;
-        req.addr = addr;
-        req.write = write;
-        req.onComplete = [&] { done = eq.now(); };
-        cache->access(std::move(req));
+        cache->access(owner.issue(addr, write, [&] { done = eq.now(); }));
         eq.run();
         return done;
     }
@@ -107,10 +107,9 @@ TEST_F(CacheFixture, MshrMergesConcurrentMisses)
 {
     unsigned completed = 0;
     for (int i = 0; i < 3; ++i) {
-        MemoryRequest req;
-        req.addr = 0x3000 + Addr(i) * 8; // same line
-        req.onComplete = [&] { ++completed; };
-        cache->access(std::move(req));
+        // Same line.
+        cache->access(owner.issue(0x3000 + Addr(i) * 8, false,
+                                  [&] { ++completed; }));
     }
     eq.run();
     EXPECT_EQ(completed, 3u);
@@ -291,14 +290,15 @@ TEST_F(CacheFixture, MatchesReferenceModelUnderRandomTraffic)
 TEST(CacheDeathTest, NonPowerOfTwoGeometryPanics)
 {
     sim::EventQueue eq;
-    StubMemory below(eq, 500);
+    MemoryTable table;
+    StubMemory below(eq, table, 500);
     // 3 KB / (4 ways x 64 B) = 12 sets: divisible, not a power of two.
     EXPECT_DEATH(Cache(eq, {"odd_sets", 3 * 1024, 4, 64, 500, 500, 8},
-                       below),
+                       table, below),
                  "powers of two");
     // 16 sets of 48-byte lines.
     EXPECT_DEATH(Cache(eq, {"odd_line", 16 * 4 * 48, 4, 48, 500, 500, 8},
-                       below),
+                       table, below),
                  "powers of two");
 }
 

@@ -10,6 +10,7 @@
 
 #include "mem/dram.hh"
 #include "mem/dram_controller.hh"
+#include "request_sinks.hh"
 
 namespace {
 
@@ -57,13 +58,15 @@ TEST(DramAddressMapper, DistinctAddressesDistinctCoordinates)
 struct ControllerFixture : public ::testing::Test
 {
     sim::EventQueue eq;
+    MemoryTable table;
+    test::MemoryCallbacks owner{table};
     DramConfig cfg;
     std::unique_ptr<DramController> ctrl;
 
     void
     SetUp() override
     {
-        ctrl = std::make_unique<DramController>(eq, cfg);
+        ctrl = std::make_unique<DramController>(eq, cfg, table);
     }
 
     /** Issues a read and returns its completion tick. */
@@ -73,8 +76,7 @@ struct ControllerFixture : public ::testing::Test
         sim::Tick done = 0;
         MemoryRequest req;
         req.addr = addr;
-        req.onComplete = [&] { done = eq.now(); };
-        ctrl->access(std::move(req));
+        ctrl->access(owner.issue(req, [&] { done = eq.now(); }));
         eq.run();
         return done;
     }
@@ -101,8 +103,7 @@ TEST_F(ControllerFixture, RowHitIsFasterThanConflict)
     MemoryRequest hit;
     hit.addr = col_stride; // same bank, same row, next column
     sim::Tick hit_done = 0;
-    hit.onComplete = [&] { hit_done = eq.now(); };
-    ctrl->access(std::move(hit));
+    ctrl->access(owner.issue(hit, [&] { hit_done = eq.now(); }));
     eq.run();
     const sim::Tick hit_lat = hit_done - t0;
 
@@ -112,8 +113,7 @@ TEST_F(ControllerFixture, RowHitIsFasterThanConflict)
     conf.addr = cfg.rowBytes * cfg.channels * cfg.banksPerRank
                 * cfg.ranksPerChannel;
     sim::Tick conf_done = 0;
-    conf.onComplete = [&] { conf_done = eq.now(); };
-    ctrl->access(std::move(conf));
+    ctrl->access(owner.issue(conf, [&] { conf_done = eq.now(); }));
     eq.run();
     const sim::Tick conf_lat = conf_done - t1;
 
@@ -131,8 +131,7 @@ TEST_F(ControllerFixture, BankParallelismOverlapsAccesses)
         MemoryRequest req;
         // Same channel (stride channels*lineSize), different banks.
         req.addr = Addr(i) * cfg.channels * cacheLineSize;
-        req.onComplete = [&] { done.push_back(eq.now()); };
-        ctrl->access(std::move(req));
+        ctrl->access(owner.issue(req, [&] { done.push_back(eq.now()); }));
     }
     eq.run();
     ASSERT_EQ(done.size(), 2u);
@@ -147,19 +146,17 @@ TEST_F(ControllerFixture, FrFcfsPrefersRowHits)
     // the two requests below are both pending when the bank frees.
     MemoryRequest opener;
     opener.addr = 0;
-    ctrl->access(std::move(opener));
+    ctrl->access(owner.issue(opener));
     // Enqueue a conflict (other row, bank 0) first, then a row hit.
     std::vector<int> order;
     MemoryRequest conflict;
     conflict.addr = cfg.rowBytes * cfg.channels * cfg.banksPerRank
                     * cfg.ranksPerChannel;
-    conflict.onComplete = [&] { order.push_back(1); };
     MemoryRequest hit;
     hit.addr = cacheLineSize * cfg.channels * cfg.banksPerRank
                * cfg.ranksPerChannel; // row 0, bank 0, col 1
-    hit.onComplete = [&] { order.push_back(2); };
-    ctrl->access(std::move(conflict));
-    ctrl->access(std::move(hit));
+    ctrl->access(owner.issue(conflict, [&] { order.push_back(1); }));
+    ctrl->access(owner.issue(hit, [&] { order.push_back(2); }));
     eq.run();
     ASSERT_EQ(order.size(), 2u);
     // The row hit (2) completes before the conflict (1).
@@ -171,7 +168,7 @@ TEST_F(ControllerFixture, WritesAreCountedSeparately)
     MemoryRequest w;
     w.addr = 128;
     w.write = true;
-    ctrl->access(std::move(w));
+    ctrl->access(owner.issue(w));
     eq.run();
     EXPECT_EQ(ctrl->writes(), 1u);
     EXPECT_EQ(ctrl->reads(), 0u);
@@ -182,7 +179,7 @@ TEST_F(ControllerFixture, PageWalkRequesterIsAttributed)
     MemoryRequest r;
     r.addr = 64;
     r.requester = Requester::PageWalk;
-    ctrl->access(std::move(r));
+    ctrl->access(owner.issue(r));
     eq.run();
     EXPECT_EQ(ctrl->pageWalkAccesses(), 1u);
 }
@@ -194,8 +191,7 @@ TEST_F(ControllerFixture, ManyRequestsAllComplete)
         MemoryRequest req;
         req.addr = Addr(i) * 4096 + (i % 7) * cacheLineSize;
         req.write = (i % 3) == 0;
-        req.onComplete = [&] { ++completed; };
-        ctrl->access(std::move(req));
+        ctrl->access(owner.issue(req, [&] { ++completed; }));
     }
     eq.run();
     EXPECT_EQ(completed, 500u);
@@ -228,8 +224,7 @@ TEST_F(ControllerFixture, AccessInsideRefreshWindowIsDelayed)
     eq.schedule(cfg.tREFI, [&] {
         MemoryRequest req;
         req.addr = 0;
-        req.onComplete = [&] { done = eq.now(); };
-        ctrl->access(std::move(req));
+        ctrl->access(owner.issue(req, [&] { done = eq.now(); }));
     });
     eq.run();
     EXPECT_GE(done, cfg.tREFI + cfg.tRFC);
@@ -239,13 +234,12 @@ TEST_F(ControllerFixture, AccessInsideRefreshWindowIsDelayed)
 TEST_F(ControllerFixture, RefreshDisabledHasNoWindows)
 {
     cfg.enableRefresh = false;
-    ctrl = std::make_unique<DramController>(eq, cfg);
+    ctrl = std::make_unique<DramController>(eq, cfg, table);
     sim::Tick done = 0;
     eq.schedule(cfg.tREFI, [&] {
         MemoryRequest req;
         req.addr = 0;
-        req.onComplete = [&] { done = eq.now(); };
-        ctrl->access(std::move(req));
+        ctrl->access(owner.issue(req, [&] { done = eq.now(); }));
     });
     eq.run();
     EXPECT_LT(done, cfg.tREFI + cfg.tRFC);

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -14,6 +18,19 @@ namespace {
 using gpuwalk::sim::EventPriority;
 using gpuwalk::sim::EventQueue;
 using gpuwalk::sim::Tick;
+
+/** Counts live copies to prove a pooled capture is destroyed once. */
+struct Counted
+{
+    static int live;
+
+    Counted() { ++live; }
+    Counted(const Counted &) { ++live; }
+    Counted(Counted &&) noexcept { ++live; }
+    ~Counted() { --live; }
+};
+
+int Counted::live = 0;
 
 /** Intrusive test event that bumps a counter (if any) when fired. */
 struct CountingEvent final : gpuwalk::sim::Event
@@ -307,6 +324,81 @@ TEST(EventQueue, CascadedEventsKeepDeterministicOrder)
         return history;
     };
     EXPECT_EQ(run_once(), run_once());
+}
+
+// --- Pooled callable storage ----------------------------------------
+
+TEST(EventQueue, SmallCaptureStoresInline)
+{
+    EventQueue eq;
+    int a = 1, b = 2;
+    int sum = 0;
+    eq.schedule(5, [&sum, a, b] { sum = a + b; });
+    eq.run();
+    EXPECT_EQ(sum, 3);
+    EXPECT_EQ(eq.boxedEvents(), 0u);
+}
+
+TEST(EventQueue, OversizedCaptureFallsBackToHeapBox)
+{
+    EventQueue eq;
+    std::array<std::uint64_t, 16> big{};
+    for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = i;
+    std::uint64_t sum = 0;
+    eq.schedule(5, [&sum, big] {
+        for (const auto v : big)
+            sum += v;
+    });
+    EXPECT_EQ(eq.boxedEvents(), 1u);
+    eq.run();
+    EXPECT_EQ(sum, 120u);
+}
+
+TEST(EventQueue, MoveOnlyCaptureWorks)
+{
+    EventQueue eq;
+    auto p = std::make_unique<int>(99);
+    int seen = 0;
+    eq.schedule(5, [&seen, p = std::move(p)] { seen = *p; });
+    eq.run();
+    EXPECT_EQ(seen, 99);
+}
+
+TEST(EventQueue, DestroysCaptureExactlyOnceInline)
+{
+    Counted::live = 0;
+    {
+        EventQueue eq;
+        Counted c;
+        eq.schedule(5, [c] {}); // runs: destroyed after invocation
+        eq.schedule(7, [c] {}); // never runs: destroyed at teardown
+        eq.run(6);
+        EXPECT_EQ(eq.boxedEvents(), 0u);
+        EXPECT_EQ(Counted::live, 2); // `c` and the pending capture
+    }
+    EXPECT_EQ(Counted::live, 0) << "capture leaked or double-destroyed";
+}
+
+TEST(EventQueue, DestroysCaptureExactlyOnceBoxed)
+{
+    Counted::live = 0;
+    {
+        // Pad past the inline budget so the capture is heap-boxed.
+        struct BigCapture
+        {
+            Counted c;
+            std::array<std::uint64_t, 16> pad{};
+        };
+        EventQueue eq;
+        BigCapture big;
+        eq.schedule(5, [big] {});
+        eq.schedule(7, [big] {});
+        eq.run(6);
+        EXPECT_EQ(eq.boxedEvents(), 2u);
+        EXPECT_EQ(Counted::live, 2); // `big` and the pending capture
+    }
+    EXPECT_EQ(Counted::live, 0) << "boxed capture leaked";
 }
 
 } // namespace

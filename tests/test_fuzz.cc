@@ -204,7 +204,7 @@ TEST(FuzzWalkBuffer, ExtractPreservesTheMultiset)
         if (!buf.full() && (buf.empty() || rng.chance(0.55))) {
             core::PendingWalk w;
             w.seq = next_seq++;
-            w.request.instruction = rng.below(32);
+            w.instruction = rng.below(32);
             reference.insert(w.seq);
             buf.insert(std::move(w));
         } else {

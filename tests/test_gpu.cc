@@ -18,20 +18,22 @@ using gpuwalk::mem::Addr;
 class InstantIommu : public tlb::TranslationService
 {
   public:
-    InstantIommu(sim::EventQueue &eq, sim::Tick latency)
-        : eq_(eq), latency_(latency)
+    InstantIommu(sim::EventQueue &eq, tlb::TranslationTable &table,
+                 sim::Tick latency)
+        : eq_(eq), table_(table), latency_(latency)
     {}
 
     void
-    translate(tlb::TranslationRequest req) override
+    translate(tlb::RequestHandle req) override
     {
-        eq_.scheduleIn(latency_, [r = std::move(req)]() mutable {
-            r.complete(r.vaPage);
+        eq_.scheduleIn(latency_, [this, req] {
+            table_.complete(req, table_.at(req).vaPage);
         });
     }
 
   private:
     sim::EventQueue &eq_;
+    tlb::TranslationTable &table_;
     sim::Tick latency_;
 };
 
@@ -39,32 +41,35 @@ class InstantIommu : public tlb::TranslationService
 class FixedMemory : public mem::MemoryDevice
 {
   public:
-    FixedMemory(sim::EventQueue &eq, sim::Tick latency)
-        : eq_(eq), latency_(latency)
+    FixedMemory(sim::EventQueue &eq, mem::MemoryTable &table,
+                sim::Tick latency)
+        : eq_(eq), table_(table), latency_(latency)
     {}
 
     void
-    access(mem::MemoryRequest req) override
+    access(mem::RequestHandle req) override
     {
         ++accesses;
-        eq_.scheduleIn(latency_,
-                       [r = std::move(req)]() mutable { r.complete(); });
+        eq_.scheduleIn(latency_, [this, req] { table_.complete(req); });
     }
 
     unsigned accesses = 0;
 
   private:
     sim::EventQueue &eq_;
+    mem::MemoryTable &table_;
     sim::Tick latency_;
 };
 
 struct GpuFixture : public ::testing::Test
 {
     sim::EventQueue eq;
+    tlb::TranslationTable translations;
+    mem::MemoryTable requests;
     gpu::GpuConfig cfg;
     tlb::TlbHierarchyConfig tlb_cfg;
-    InstantIommu iommu{eq, 100 * 500};
-    FixedMemory memory{eq, 50 * 500};
+    InstantIommu iommu{eq, translations, 100 * 500};
+    FixedMemory memory{eq, requests, 50 * 500};
     std::unique_ptr<tlb::TlbHierarchy> tlbs;
     std::unique_ptr<gpu::Gpu> gpu;
 
@@ -74,9 +79,10 @@ struct GpuFixture : public ::testing::Test
         cfg.numCus = num_cus;
         cfg.wavefrontsPerCu = wf_per_cu;
         tlb_cfg.numCus = num_cus;
-        tlbs = std::make_unique<tlb::TlbHierarchy>(eq, tlb_cfg, iommu);
+        tlbs = std::make_unique<tlb::TlbHierarchy>(eq, tlb_cfg,
+                                                   translations, iommu);
         std::vector<mem::MemoryDevice *> l1ds(num_cus, &memory);
-        gpu = std::make_unique<gpu::Gpu>(eq, cfg, *tlbs, l1ds);
+        gpu = std::make_unique<gpu::Gpu>(eq, cfg, *tlbs, requests, l1ds);
     }
 
     static gpu::SimdMemInstruction

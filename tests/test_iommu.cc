@@ -8,6 +8,7 @@
 
 #include "iommu/iommu.hh"
 #include "mem/dram_controller.hh"
+#include "request_sinks.hh"
 #include "vm/address_space.hh"
 
 namespace {
@@ -19,6 +20,9 @@ using gpuwalk::mem::Addr;
 struct IommuFixture : public ::testing::Test
 {
     sim::EventQueue eq;
+    tlb::TranslationTable translations;
+    mem::MemoryTable requests;
+    test::TranslationCallbacks owner{translations};
     mem::BackingStore store;
     vm::FrameAllocator frames{Addr(1) << 30};
     std::unique_ptr<vm::AddressSpace> as;
@@ -32,10 +36,10 @@ struct IommuFixture : public ::testing::Test
         as = std::make_unique<vm::AddressSpace>(store, frames);
         region = as->allocate("data", 4 * 1024 * 1024);
         dram = std::make_unique<mem::DramController>(
-            eq, mem::DramConfig{});
+            eq, mem::DramConfig{}, requests);
         iommu = std::make_unique<Iommu>(
-            eq, cfg, core::makeScheduler(kind, 1), *dram, store,
-            as->pageTable().root());
+            eq, cfg, core::makeScheduler(kind, 1), translations, requests,
+            *dram, store, as->pageTable().root());
     }
 
     /** Issues a translation; does not run the queue. */
@@ -45,11 +49,10 @@ struct IommuFixture : public ::testing::Test
         tlb::TranslationRequest req;
         req.vaPage = va_page;
         req.instruction = instr;
-        req.onComplete = [out](Addr pa, bool) {
+        iommu->translate(owner.issue(req, [out](Addr pa, bool) {
             if (out)
                 *out = pa;
-        };
-        iommu->translate(std::move(req));
+        }));
     }
 };
 
@@ -125,8 +128,7 @@ TEST_F(IommuFixture, BufferOverflowStillServicesEverything)
         tlb::TranslationRequest req;
         req.vaPage = region.base + i * mem::pageSize;
         req.instruction = i / 4;
-        req.onComplete = [&](Addr, bool) { ++completed; };
-        iommu->translate(std::move(req));
+        iommu->translate(owner.issue(req, [&](Addr, bool) { ++completed; }));
     }
     eq.run();
     EXPECT_EQ(completed, 64u);

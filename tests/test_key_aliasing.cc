@@ -23,6 +23,7 @@
 #include "mem/types.hh"
 #include "vm/address_space.hh"
 #include "vm/gmmu.hh"
+#include "request_sinks.hh"
 
 namespace {
 
@@ -168,6 +169,9 @@ TEST(HighAsidAliasing, PinCountsAreNotShared)
 struct HighAsidIommuFixture : public ::testing::Test
 {
     sim::EventQueue eq;
+    tlb::TranslationTable translations;
+    mem::MemoryTable requests;
+    test::TranslationCallbacks owner{translations};
     mem::BackingStore store;
     vm::FrameAllocator frames{Addr(1) << 30, false};
     std::vector<std::unique_ptr<vm::AddressSpace>> spaces;
@@ -193,11 +197,11 @@ struct HighAsidIommuFixture : public ::testing::Test
         gmmu->registerSpace(highCtx, *spaces[1]);
 
         dram = std::make_unique<mem::DramController>(
-            eq, mem::DramConfig{});
+            eq, mem::DramConfig{}, requests);
         iommu = std::make_unique<iommu::Iommu>(
             eq, iommu::IommuConfig{},
-            core::makeScheduler(core::SchedulerKind::Fcfs), *dram,
-            store, spaces[0]->pageTable().root());
+            core::makeScheduler(core::SchedulerKind::Fcfs), translations,
+            requests, *dram, store, spaces[0]->pageTable().root());
         iommu->registerContext(highCtx,
                                spaces[1]->pageTable().root());
         iommu->attachGmmu(gmmu.get());
@@ -211,8 +215,8 @@ struct HighAsidIommuFixture : public ::testing::Test
         req.vaPage = va_page;
         req.instruction = 1;
         req.ctx = ctx;
-        req.onComplete = [&](Addr pa, bool) { result = pa; };
-        iommu->translate(std::move(req));
+        iommu->translate(
+            owner.issue(req, [&](Addr pa, bool) { result = pa; }));
         eq.run();
         return result;
     }
@@ -263,14 +267,12 @@ TEST_F(HighAsidIommuFixture, ConcurrentTwinFaultsParkOnSeparateEntries)
     a.vaPage = hi;
     a.instruction = 1;
     a.ctx = highCtx;
-    a.onComplete = [&](Addr pa, bool) { paHi = pa; };
-    iommu->translate(std::move(a));
+    iommu->translate(owner.issue(a, [&](Addr pa, bool) { paHi = pa; }));
     tlb::TranslationRequest b;
     b.vaPage = lo;
     b.instruction = 2;
     b.ctx = 0;
-    b.onComplete = [&](Addr pa, bool) { paLo = pa; };
-    iommu->translate(std::move(b));
+    iommu->translate(owner.issue(b, [&](Addr pa, bool) { paLo = pa; }));
     eq.run();
 
     EXPECT_EQ(gmmu->faultsRaised(), 2u);

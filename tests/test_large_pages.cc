@@ -12,6 +12,7 @@
 #include "tlb/set_assoc_tlb.hh"
 #include "vm/address_space.hh"
 #include "workload/registry.hh"
+#include "request_sinks.hh"
 
 namespace {
 
@@ -131,19 +132,20 @@ struct LargeWalkFixture : public ::testing::Test
     class InstantMemory : public mem::MemoryDevice
     {
       public:
-        explicit InstantMemory(sim::EventQueue &eq) : eq_(eq) {}
+        InstantMemory(sim::EventQueue &eq, mem::MemoryTable &table)
+            : eq_(eq), table_(table)
+        {}
         void
-        access(mem::MemoryRequest req) override
+        access(mem::RequestHandle req) override
         {
             ++count;
-            eq_.scheduleIn(500, [r = std::move(req)]() mutable {
-                r.complete();
-            });
+            eq_.scheduleIn(500, [this, req] { table_.complete(req); });
         }
         unsigned count = 0;
 
       private:
         sim::EventQueue &eq_;
+        mem::MemoryTable &table_;
     };
 };
 
@@ -151,14 +153,19 @@ TEST_F(LargeWalkFixture, LargeWalkTakesThreeAccesses)
 {
     table.mapLarge(0x40000000, 0x200000);
     pwc.emplace(iommu::PwcConfig{}, table.root());
-    InstantMemory memory(eq);
-    iommu::PageTableWalker walker(eq, memory, store, *pwc);
+    tlb::TranslationTable translations;
+    mem::MemoryTable requests;
+    InstantMemory memory(eq, requests);
+    std::optional<iommu::WalkResult> result;
+    test::WalkCallbacks owner;
+    owner.onDone = [&](iommu::WalkResult r) { result = std::move(r); };
+    iommu::PageTableWalker walker(eq, translations, requests, memory, store,
+                                  *pwc, owner);
 
     core::PendingWalk w;
-    w.request.vaPage = 0x40000000 + 0x7000;
-    std::optional<iommu::WalkResult> result;
-    walker.start(std::move(w),
-                 [&](iommu::WalkResult r) { result = std::move(r); });
+    w.request = translations.acquire();
+    translations.at(w.request).vaPage = 0x40000000 + 0x7000;
+    walker.start(w);
     eq.run();
     ASSERT_TRUE(result.has_value());
     EXPECT_TRUE(result->largePage);

@@ -10,6 +10,7 @@
 
 #include "iommu/page_table_walker.hh"
 #include "mem/backing_store.hh"
+#include "request_sinks.hh"
 #include "sim/event_queue.hh"
 #include "vm/frame_allocator.hh"
 #include "vm/page_table.hh"
@@ -24,33 +25,37 @@ using gpuwalk::mem::Addr;
 class RecordingMemory : public mem::MemoryDevice
 {
   public:
-    RecordingMemory(sim::EventQueue &eq, sim::Tick latency)
-        : eq_(eq), latency_(latency)
+    RecordingMemory(sim::EventQueue &eq, mem::MemoryTable &table,
+                    sim::Tick latency)
+        : eq_(eq), table_(table), latency_(latency)
     {}
 
     void
-    access(mem::MemoryRequest req) override
+    access(mem::RequestHandle req) override
     {
-        accesses.push_back(req.addr);
-        EXPECT_EQ(req.requester, mem::Requester::PageWalk);
-        eq_.scheduleIn(latency_,
-                       [r = std::move(req)]() mutable { r.complete(); });
+        accesses.push_back(table_.at(req).addr);
+        EXPECT_EQ(table_.at(req).requester, mem::Requester::PageWalk);
+        eq_.scheduleIn(latency_, [this, req] { table_.complete(req); });
     }
 
     std::vector<Addr> accesses;
 
   private:
     sim::EventQueue &eq_;
+    mem::MemoryTable &table_;
     sim::Tick latency_;
 };
 
 struct WalkerFixture : public ::testing::Test
 {
     sim::EventQueue eq;
+    tlb::TranslationTable translations;
+    mem::MemoryTable requests;
+    test::WalkCallbacks owner;
     mem::BackingStore store;
     vm::FrameAllocator frames{Addr(1) << 30};
     vm::PageTable table{store, frames};
-    RecordingMemory memory{eq, 100 * 500};
+    RecordingMemory memory{eq, requests, 100 * 500};
     std::optional<PageWalkCache> pwc;
     std::unique_ptr<PageTableWalker> walker;
 
@@ -58,18 +63,28 @@ struct WalkerFixture : public ::testing::Test
     SetUp() override
     {
         pwc.emplace(PwcConfig{}, table.root());
-        walker = std::make_unique<PageTableWalker>(eq, memory, store,
-                                                   *pwc);
+        walker = std::make_unique<PageTableWalker>(
+            eq, translations, requests, memory, store, *pwc, owner);
     }
 
     core::PendingWalk
     makeWalk(Addr va_page, tlb::InstructionId instr = 1)
     {
         core::PendingWalk w;
-        w.request.vaPage = va_page;
-        w.request.instruction = instr;
+        w.request = translations.acquire();
+        translations.at(w.request).vaPage = va_page;
+        translations.at(w.request).instruction = instr;
+        w.instruction = instr;
         w.arrival = eq.now();
         return w;
+    }
+
+    /** Starts @p w; @p done sees the walk's result. */
+    void
+    start(const core::PendingWalk &w, test::WalkCallbacks::Callback done)
+    {
+        owner.onDone = std::move(done);
+        walker->start(w);
     }
 };
 
@@ -77,7 +92,7 @@ TEST_F(WalkerFixture, ColdWalkTakesFourAccesses)
 {
     table.map(0x40000000, 0xabc000);
     std::optional<WalkResult> result;
-    walker->start(makeWalk(0x40000000),
+    start(makeWalk(0x40000000),
                   [&](WalkResult r) { result = std::move(r); });
     EXPECT_TRUE(walker->busy());
     eq.run();
@@ -93,7 +108,7 @@ TEST_F(WalkerFixture, ColdWalkTakesFourAccesses)
 TEST_F(WalkerFixture, AccessesFollowTheRealPteChain)
 {
     table.map(0x40000000, 0xabc000);
-    walker->start(makeWalk(0x40000000), [](WalkResult) {});
+    start(makeWalk(0x40000000), [](WalkResult) {});
     eq.run();
     // The addresses the walker touched are exactly the entry
     // addresses the page table records for each level.
@@ -112,7 +127,7 @@ TEST_F(WalkerFixture, AccessesFollowTheRealPteChain)
 TEST_F(WalkerFixture, WalkFillsPwcForUpperLevels)
 {
     table.map(0x40000000, 0xabc000);
-    walker->start(makeWalk(0x40000000), [](WalkResult) {});
+    start(makeWalk(0x40000000), [](WalkResult) {});
     eq.run();
     // The next walk in the same 2 MB region needs only the leaf.
     EXPECT_EQ(pwc->peekEstimate(0x40000000 + mem::pageSize), 1u);
@@ -122,12 +137,12 @@ TEST_F(WalkerFixture, WarmWalkTakesOneAccess)
 {
     table.map(0x40000000, 0xabc000);
     table.map(0x40001000, 0xdef000);
-    walker->start(makeWalk(0x40000000), [](WalkResult) {});
+    start(makeWalk(0x40000000), [](WalkResult) {});
     eq.run();
     memory.accesses.clear();
 
     std::optional<WalkResult> result;
-    walker->start(makeWalk(0x40001000),
+    start(makeWalk(0x40001000),
                   [&](WalkResult r) { result = std::move(r); });
     eq.run();
     ASSERT_TRUE(result.has_value());
@@ -141,9 +156,9 @@ TEST_F(WalkerFixture, SequentialWalksReuseWalker)
     table.map(0x40000000, 0x111000);
     table.map(0x80000000, 0x222000);
     unsigned done = 0;
-    walker->start(makeWalk(0x40000000), [&](WalkResult) { ++done; });
+    start(makeWalk(0x40000000), [&](WalkResult) { ++done; });
     eq.run();
-    walker->start(makeWalk(0x80000000), [&](WalkResult) { ++done; });
+    start(makeWalk(0x80000000), [&](WalkResult) { ++done; });
     eq.run();
     EXPECT_EQ(done, 2u);
     EXPECT_EQ(walker->walksDone(), 2u);
@@ -155,11 +170,11 @@ TEST_F(WalkerFixture, ResultCarriesRequestMetadata)
     std::optional<WalkResult> result;
     auto w = makeWalk(0x40000000, /*instr=*/77);
     w.seq = 123;
-    walker->start(std::move(w),
+    start(std::move(w),
                   [&](WalkResult r) { result = std::move(r); });
     eq.run();
     ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->walk.request.instruction, 77u);
+    EXPECT_EQ(result->walk.instruction, 77u);
     EXPECT_EQ(result->walk.seq, 123u);
 }
 
@@ -167,7 +182,7 @@ TEST_F(WalkerFixture, DeathOnUnmappedAddress)
 {
     EXPECT_DEATH(
         {
-            walker->start(makeWalk(0x40000000), [](WalkResult) {});
+            start(makeWalk(0x40000000), [](WalkResult) {});
             eq.run();
         },
         "non-present");
@@ -176,8 +191,8 @@ TEST_F(WalkerFixture, DeathOnUnmappedAddress)
 TEST_F(WalkerFixture, DeathOnDoubleStart)
 {
     table.map(0x40000000, 0x111000);
-    walker->start(makeWalk(0x40000000), [](WalkResult) {});
-    EXPECT_DEATH(walker->start(makeWalk(0x40000000), [](WalkResult) {}),
+    start(makeWalk(0x40000000), [](WalkResult) {});
+    EXPECT_DEATH(start(makeWalk(0x40000000), [](WalkResult) {}),
                  "busy");
 }
 

@@ -30,6 +30,7 @@
 #include "system/system.hh"
 #include "trace/trace.hh"
 #include "vm/address_space.hh"
+#include "request_sinks.hh"
 
 namespace {
 
@@ -175,6 +176,9 @@ TEST(SppPrefetcherUnit, StreamsArePerWavefrontAndContext)
 struct DedupFixture : public ::testing::Test
 {
     sim::EventQueue eq;
+    tlb::TranslationTable translations;
+    mem::MemoryTable requests;
+    test::TranslationCallbacks owner{translations};
     mem::BackingStore store;
     vm::FrameAllocator frames{Addr(1) << 30};
     std::unique_ptr<vm::AddressSpace> as;
@@ -189,13 +193,13 @@ struct DedupFixture : public ::testing::Test
         as = std::make_unique<vm::AddressSpace>(store, frames);
         region = as->allocate("data", 1024 * 1024);
         dram = std::make_unique<mem::DramController>(
-            eq, mem::DramConfig{});
+            eq, mem::DramConfig{}, requests);
         iommu::IommuConfig cfg;
         cfg.prefetch.kind = kind;
         cfg.numWalkers = walkers;
         iommu = std::make_unique<iommu::Iommu>(
             eq, cfg, core::makeScheduler(core::SchedulerKind::Fcfs),
-            *dram, store, as->pageTable().root());
+            translations, requests, *dram, store, as->pageTable().root());
         iommu->setTracer(&tracer);
     }
 
@@ -205,8 +209,7 @@ struct DedupFixture : public ::testing::Test
         tlb::TranslationRequest req;
         req.vaPage = va_page;
         req.instruction = 1;
-        req.onComplete = [](Addr, bool) {};
-        iommu->translate(std::move(req));
+        iommu->translate(owner.issue(req, [](Addr, bool) {}));
     }
 };
 

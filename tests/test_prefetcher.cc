@@ -9,6 +9,7 @@
 #include "mem/dram_controller.hh"
 #include "system/system.hh"
 #include "vm/address_space.hh"
+#include "request_sinks.hh"
 
 namespace {
 
@@ -18,6 +19,9 @@ using gpuwalk::mem::Addr;
 struct PrefetchFixture : public ::testing::Test
 {
     sim::EventQueue eq;
+    tlb::TranslationTable translations;
+    mem::MemoryTable requests;
+    test::TranslationCallbacks owner{translations};
     mem::BackingStore store;
     vm::FrameAllocator frames{Addr(1) << 30};
     std::unique_ptr<vm::AddressSpace> as;
@@ -31,13 +35,13 @@ struct PrefetchFixture : public ::testing::Test
         as = std::make_unique<vm::AddressSpace>(store, frames);
         region = as->allocate("data", 1024 * 1024);
         dram = std::make_unique<mem::DramController>(
-            eq, mem::DramConfig{});
+            eq, mem::DramConfig{}, requests);
         iommu::IommuConfig cfg;
         cfg.prefetch.kind = prefetch ? iommu::PrefetchKind::NextPage
                                      : iommu::PrefetchKind::Off;
         iommu = std::make_unique<iommu::Iommu>(
             eq, cfg, core::makeScheduler(core::SchedulerKind::Fcfs),
-            *dram, store, as->pageTable().root());
+            translations, requests, *dram, store, as->pageTable().root());
     }
 
     Addr
@@ -47,8 +51,8 @@ struct PrefetchFixture : public ::testing::Test
         tlb::TranslationRequest req;
         req.vaPage = va_page;
         req.instruction = 1;
-        req.onComplete = [&](Addr pa, bool) { result = pa; };
-        iommu->translate(std::move(req));
+        iommu->translate(
+            owner.issue(req, [&](Addr pa, bool) { result = pa; }));
         eq.run();
         return result;
     }

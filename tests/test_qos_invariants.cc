@@ -42,9 +42,8 @@ qwalk(std::uint64_t seq, ContextId ctx, tlb::InstructionId instr,
 {
     PendingWalk w;
     w.seq = seq;
-    w.request.instruction = instr;
-    w.request.vaPage = 0x1000 * (seq + 1);
-    w.request.ctx = ctx;
+    w.instruction = instr;
+    w.ctx = ctx;
     w.score = score;
     w.estimatedAccesses = est;
     return w;
@@ -157,7 +156,7 @@ TEST(TokenBucketScheduler, PolicyPicksRespectPerTenantQuota)
         const auto walk = dispatchOne(sched, buf);
         const auto reason = sched.lastPickReason();
         if (reason == PickReason::Batch || reason == PickReason::Sjf)
-            ++policyWins[walk.request.ctx];
+            ++policyWins[walk.ctx];
         else
             EXPECT_EQ(reason, PickReason::Overdraft);
     }
@@ -193,7 +192,7 @@ TEST(TokenBucketScheduler, BatchingStopsAtBudgetAndResumesNextWindow)
     std::vector<Pick> picks;
     for (unsigned d = 0; d < 6; ++d) {
         const auto walk = dispatchOne(sched, buf);
-        picks.push_back({sched.lastPickReason(), walk.request.ctx});
+        picks.push_back({sched.lastPickReason(), walk.ctx});
     }
 
     // Window 1: SJF starts tenant 0's batch, one batched sibling
@@ -240,7 +239,7 @@ TEST(TokenBucketScheduler, AgingOverrideIsBudgetExempt)
     for (unsigned d = 0; d < 5; ++d) {
         const auto walk = dispatchOne(sched, buf);
         reasons.push_back(sched.lastPickReason());
-        ctxs.push_back(walk.request.ctx);
+        ctxs.push_back(walk.ctx);
     }
 
     EXPECT_EQ(reasons[0], PickReason::Sjf);
@@ -285,8 +284,8 @@ TEST(WeightedShareScheduler, ServiceSplitsProportionallyToWeights)
     for (unsigned d = 0; d < dispatches; ++d) {
         topUp(); // both tenants always pending: saturation
         const auto walk = dispatchOne(sched, buf);
-        ++wins[walk.request.ctx];
-        --pendingOf[walk.request.ctx];
+        ++wins[walk.ctx];
+        --pendingOf[walk.ctx];
     }
 
     // Weight 2 : weight 1 at saturation -> 2/3 : 1/3 of dispatches.
@@ -316,7 +315,7 @@ TEST(WeightedShareScheduler, IdleTenantCannotBankPriority)
     for (unsigned d = 0; d < 10; ++d) {
         while (pendingOf[0] < 2) add(0);
         while (pendingOf[1] < 2) add(1);
-        --pendingOf[dispatchOne(sched, buf).request.ctx];
+        --pendingOf[dispatchOne(sched, buf).ctx];
     }
     // Phase 2: tenant 1 goes idle; tenant 0 keeps the walkers busy and
     // accumulates 40 dispatches of service.
@@ -328,7 +327,7 @@ TEST(WeightedShareScheduler, IdleTenantCannotBankPriority)
     for (unsigned d = 0; d < 40; ++d) {
         while (pendingOf[0] < 2) add(0);
         const auto walk = dispatchOne(sched, buf);
-        ASSERT_EQ(walk.request.ctx, 0);
+        ASSERT_EQ(walk.ctx, 0);
         --pendingOf[0];
     }
 
@@ -340,8 +339,8 @@ TEST(WeightedShareScheduler, IdleTenantCannotBankPriority)
         while (pendingOf[0] < 2) add(0);
         while (pendingOf[1] < 2) add(1);
         const auto walk = dispatchOne(sched, buf);
-        ++wins[walk.request.ctx];
-        --pendingOf[walk.request.ctx];
+        ++wins[walk.ctx];
+        --pendingOf[walk.ctx];
     }
     EXPECT_GE(wins[0], 8u) << "returning tenant banked idle time";
     EXPECT_GE(wins[1], 8u);

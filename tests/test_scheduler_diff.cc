@@ -73,8 +73,7 @@ randomWalk(sim::Rng &rng, SeqSource &seqs, const StreamOptions &opt)
 {
     PendingWalk w;
     w.seq = seqs.next();
-    w.request.instruction = rng.below(16);
-    w.request.vaPage = rng.below(1024) << 12;
+    w.instruction = rng.below(16);
     if (opt.preAgedPercent && rng.below(100) < opt.preAgedPercent) {
         w.bypassed = rng.below(2) == 0
                          ? ~std::uint64_t{0}
@@ -90,8 +89,8 @@ applyScoring(WalkBuffer &buf, PendingWalk &w, sim::Rng &rng)
     const unsigned estimate = 1 + static_cast<unsigned>(rng.below(4));
     w.estimatedAccesses = estimate;
     const std::uint64_t new_score =
-        buf.instructionScore(w.request.instruction) + estimate;
-    buf.rescoreInstruction(w.request.instruction, new_score);
+        buf.instructionScore(w.instruction) + estimate;
+    buf.rescoreInstruction(w.instruction, new_score);
     w.score = new_score;
 }
 

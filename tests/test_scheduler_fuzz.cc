@@ -39,15 +39,14 @@ drive(WalkScheduler &sched, CheckFn &&check, std::uint64_t seed,
         if (!buf.full() && (buf.empty() || rng.chance(0.55))) {
             PendingWalk w;
             w.seq = next_seq++;
-            w.request.instruction = rng.below(16);
-            w.request.vaPage = rng.below(1024) << 12;
+            w.instruction = rng.below(16);
             if (with_scores) {
                 // Emulate the IOMMU's accumulation rule.
-                auto &s = scores[w.request.instruction];
+                auto &s = scores[w.instruction];
                 s += 1 + rng.below(4);
                 w.score = s;
                 buf.forEachOfInstruction(
-                    w.request.instruction,
+                    w.instruction,
                     [&](PendingWalk &e) { e.score = s; });
             }
             buf.insert(std::move(w));
@@ -88,7 +87,7 @@ TEST(SchedulerFuzz, SimtAwareBatchesOrPicksMinScore)
                 bool sibling_exists = false;
                 std::uint64_t oldest_sibling = ~0ull;
                 for (const auto &e : buf.entries()) {
-                    if (e.request.instruction
+                    if (e.instruction
                         == *simt.lastInstruction()) {
                         sibling_exists = true;
                         oldest_sibling =
@@ -96,7 +95,7 @@ TEST(SchedulerFuzz, SimtAwareBatchesOrPicksMinScore)
                     }
                 }
                 if (sibling_exists) {
-                    ASSERT_EQ(picked.request.instruction,
+                    ASSERT_EQ(picked.instruction,
                               *simt.lastInstruction());
                     ASSERT_EQ(picked.seq, oldest_sibling);
                     return;

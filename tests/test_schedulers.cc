@@ -22,7 +22,7 @@ walk(std::uint64_t seq, tlb::InstructionId instr, std::uint64_t score)
 {
     PendingWalk w;
     w.seq = seq;
-    w.request.instruction = instr;
+    w.instruction = instr;
     w.score = score;
     return w;
 }
@@ -105,14 +105,14 @@ TEST(SimtAware, BatchesWithLastDispatchedInstruction)
 
     // First pick: SJF -> instruction 2.
     auto idx = sched.selectNext(buf);
-    EXPECT_EQ(buf.at(idx).request.instruction, 2u);
+    EXPECT_EQ(buf.at(idx).instruction, 2u);
     auto w = buf.extract(idx);
     sched.onDispatch(buf, w);
 
     // Instruction 2 has no more requests: falls back to SJF among
     // instruction 1's walks, oldest first.
     idx = sched.selectNext(buf);
-    EXPECT_EQ(buf.at(idx).request.instruction, 1u);
+    EXPECT_EQ(buf.at(idx).instruction, 1u);
     EXPECT_EQ(buf.at(idx).seq, 0u);
     w = buf.extract(idx);
     sched.onDispatch(buf, w);
@@ -121,7 +121,7 @@ TEST(SimtAware, BatchesWithLastDispatchedInstruction)
     // a cheaper instruction arrives.
     buf.insert(walk(9, 5, 0));
     idx = sched.selectNext(buf);
-    EXPECT_EQ(buf.at(idx).request.instruction, 1u);
+    EXPECT_EQ(buf.at(idx).instruction, 1u);
     EXPECT_EQ(buf.at(idx).seq, 2u);
     EXPECT_GE(sched.batchPicks(), 1u);
 }
@@ -140,7 +140,7 @@ TEST(SimtAware, SjfOnlyVariantDoesNotBatch)
     sched.onDispatch(buf, w);
     buf.insert(walk(2, 9, 1)); // cheaper new instruction
     // Without batching, the cheap newcomer wins over the sibling.
-    EXPECT_EQ(buf.at(sched.selectNext(buf)).request.instruction, 9u);
+    EXPECT_EQ(buf.at(sched.selectNext(buf)).instruction, 9u);
 }
 
 TEST(SimtAware, BatchOnlyVariantIgnoresScores)
@@ -288,7 +288,7 @@ TEST(SimtAware, SuccessfulBatchProbeKeepsLastInstruction)
     sched.onDispatch(buf, w);
 
     const auto idx = sched.selectNext(buf);
-    EXPECT_EQ(buf.at(idx).request.instruction, 1u);
+    EXPECT_EQ(buf.at(idx).instruction, 1u);
     ASSERT_TRUE(sched.lastInstruction().has_value());
     EXPECT_EQ(*sched.lastInstruction(), 1u);
     EXPECT_EQ(sched.lastPickReason(), PickReason::Batch);

@@ -9,6 +9,7 @@
 #include <map>
 #include <vector>
 
+#include "request_sinks.hh"
 #include "tlb/tlb_hierarchy.hh"
 
 namespace {
@@ -21,17 +22,18 @@ using gpuwalk::mem::Addr;
 class StubIommu : public TranslationService
 {
   public:
-    StubIommu(sim::EventQueue &eq, sim::Tick latency)
-        : eq_(eq), latency_(latency)
+    StubIommu(sim::EventQueue &eq, TranslationTable &table,
+              sim::Tick latency)
+        : eq_(eq), table_(table), latency_(latency)
     {}
 
     void
-    translate(TranslationRequest req) override
+    translate(RequestHandle req) override
     {
         ++requests;
-        byPage[req.vaPage]++;
-        eq_.scheduleIn(latency_, [r = std::move(req)]() mutable {
-            r.complete(r.vaPage + 0x10000000);
+        byPage[table_.at(req).vaPage]++;
+        eq_.scheduleIn(latency_, [this, req] {
+            table_.complete(req, table_.at(req).vaPage + 0x10000000);
         });
     }
 
@@ -40,21 +42,24 @@ class StubIommu : public TranslationService
 
   private:
     sim::EventQueue &eq_;
+    TranslationTable &table_;
     sim::Tick latency_;
 };
 
 struct TlbHierarchyFixture : public ::testing::Test
 {
     sim::EventQueue eq;
+    TranslationTable table;
+    test::TranslationCallbacks owner{table};
     TlbHierarchyConfig cfg;
-    StubIommu iommu{eq, 500 * 500};
+    StubIommu iommu{eq, table, 500 * 500};
     std::unique_ptr<TlbHierarchy> tlbs;
 
     void
     SetUp() override
     {
         cfg.numCus = 4;
-        tlbs = std::make_unique<TlbHierarchy>(eq, cfg, iommu);
+        tlbs = std::make_unique<TlbHierarchy>(eq, cfg, table, iommu);
     }
 
     /** Translates synchronously; returns the PA. */
@@ -69,8 +74,7 @@ struct TlbHierarchyFixture : public ::testing::Test
         req.cu = cu;
         req.wavefront = wavefront;
         req.instruction = instr;
-        req.onComplete = [&](Addr pa, bool) { result = pa; };
-        tlbs->translate(std::move(req));
+        tlbs->translate(owner.issue(req, [&](Addr pa, bool) { result = pa; }));
         eq.run();
         return result;
     }
@@ -111,8 +115,7 @@ TEST_F(TlbHierarchyFixture, ConcurrentSamePageMissesMergeAtL1)
         req.vaPage = 0x40000000;
         req.cu = 0;
         req.instruction = 1;
-        req.onComplete = [&](Addr, bool) { ++done; };
-        tlbs->translate(std::move(req));
+        tlbs->translate(owner.issue(req, [&](Addr, bool) { ++done; }));
     }
     eq.run();
     EXPECT_EQ(done, 4u);
@@ -127,8 +130,7 @@ TEST_F(TlbHierarchyFixture, ConcurrentCrossCuMissesMergeAtL2)
         req.vaPage = 0x40000000;
         req.cu = cu;
         req.instruction = 1;
-        req.onComplete = [&](Addr, bool) { ++done; };
-        tlbs->translate(std::move(req));
+        tlbs->translate(owner.issue(req, [&](Addr, bool) { ++done; }));
     }
     eq.run();
     EXPECT_EQ(done, 4u);
@@ -146,8 +148,8 @@ TEST_F(TlbHierarchyFixture, SinglePortSerializesBursts)
         req.vaPage = 0x40000000 + i * mem::pageSize;
         req.cu = 0;
         req.instruction = 1;
-        req.onComplete = [&](Addr, bool) { completions.push_back(eq.now()); };
-        tlbs->translate(std::move(req));
+        tlbs->translate(owner.issue(
+            req, [&](Addr, bool) { completions.push_back(eq.now()); }));
     }
     eq.run();
     ASSERT_EQ(completions.size(), 16u);
@@ -158,7 +160,7 @@ TEST_F(TlbHierarchyFixture, SinglePortSerializesBursts)
 TEST_F(TlbHierarchyFixture, EpochMetricCountsDistinctWavefronts)
 {
     cfg.epochLength = 8;
-    tlbs = std::make_unique<TlbHierarchy>(eq, cfg, iommu);
+    tlbs = std::make_unique<TlbHierarchy>(eq, cfg, table, iommu);
     // 8 L2 accesses from 2 distinct wavefronts -> one epoch of 2.
     for (unsigned i = 0; i < 8; ++i) {
         TranslationRequest req;
@@ -166,8 +168,7 @@ TEST_F(TlbHierarchyFixture, EpochMetricCountsDistinctWavefronts)
         req.cu = 0;
         req.wavefront = i % 2;
         req.instruction = 1;
-        req.onComplete = [](Addr, bool) {};
-        tlbs->translate(std::move(req));
+        tlbs->translate(owner.issue(req, [](Addr, bool) {}));
         eq.run();
     }
     EXPECT_EQ(tlbs->epochs(), 1u);
@@ -199,7 +200,7 @@ TEST_F(TlbHierarchyFixture, DeathOnBadCu)
     TranslationRequest req;
     req.vaPage = 0x1000;
     req.cu = 99;
-    EXPECT_DEATH(tlbs->translate(std::move(req)), "bad CU");
+    EXPECT_DEATH(tlbs->translate(owner.issue(req)), "bad CU");
 }
 
 } // namespace

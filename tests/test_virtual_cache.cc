@@ -7,6 +7,7 @@
 
 #include "system/system.hh"
 #include "tlb/translating_port.hh"
+#include "request_sinks.hh"
 
 namespace {
 
@@ -26,50 +27,59 @@ smallParams()
 TEST(TranslatingPort, TranslatesThenForwards)
 {
     sim::EventQueue eq;
+    tlb::TranslationTable translations;
+    mem::MemoryTable requests;
+    test::MemoryCallbacks owner(requests);
 
     class InstantIommu : public tlb::TranslationService
     {
       public:
-        explicit InstantIommu(sim::EventQueue &eq) : eq_(eq) {}
+        InstantIommu(sim::EventQueue &eq, tlb::TranslationTable &table)
+            : eq_(eq), table_(table)
+        {}
         void
-        translate(tlb::TranslationRequest req) override
+        translate(tlb::RequestHandle req) override
         {
             ++count;
-            eq_.scheduleIn(500, [r = std::move(req)]() mutable {
-                r.complete(r.vaPage + 0x1000000);
+            eq_.scheduleIn(500, [this, req] {
+                table_.complete(req, table_.at(req).vaPage + 0x1000000);
             });
         }
         unsigned count = 0;
 
       private:
         sim::EventQueue &eq_;
-    } iommu(eq);
+        tlb::TranslationTable &table_;
+    } iommu(eq, translations);
 
     class Sink : public mem::MemoryDevice
     {
       public:
+        explicit Sink(mem::MemoryTable &table) : table_(table) {}
         void
-        access(mem::MemoryRequest req) override
+        access(mem::RequestHandle req) override
         {
-            addrs.push_back(req.addr);
-            instructions.push_back(req.instruction);
-            req.complete();
+            addrs.push_back(table_.at(req).addr);
+            instructions.push_back(table_.at(req).instruction);
+            table_.complete(req);
         }
         std::vector<Addr> addrs;
         std::vector<std::uint64_t> instructions;
-    } sink;
+
+      private:
+        mem::MemoryTable &table_;
+    } sink(requests);
 
     tlb::TlbHierarchyConfig cfg;
     cfg.numCus = 1;
-    tlb::TlbHierarchy tlbs(eq, cfg, iommu);
-    tlb::TranslatingPort port(tlbs, sink);
+    tlb::TlbHierarchy tlbs(eq, cfg, translations, iommu);
+    tlb::TranslatingPort port(tlbs, requests, sink);
 
     bool done = false;
     mem::MemoryRequest req;
     req.addr = 0x40001040; // page 0x40001000, offset 0x40
     req.instruction = 77;
-    req.onComplete = [&] { done = true; };
-    port.access(std::move(req));
+    port.access(owner.issue(req, [&] { done = true; }));
     eq.run();
 
     EXPECT_TRUE(done);
@@ -77,6 +87,8 @@ TEST(TranslatingPort, TranslatesThenForwards)
     EXPECT_EQ(sink.addrs[0], 0x40001000u + 0x1000000u + 0x40u);
     EXPECT_EQ(sink.instructions[0], 77u);
     EXPECT_EQ(port.requests(), 1u);
+    EXPECT_EQ(translations.live(), 0u);
+    EXPECT_EQ(requests.live(), 0u);
 }
 
 TEST(VirtualCache, SystemCompletesWithVirtualL1)

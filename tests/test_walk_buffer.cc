@@ -13,13 +13,11 @@ using namespace gpuwalk;
 using namespace gpuwalk::core;
 
 PendingWalk
-walk(std::uint64_t seq, tlb::InstructionId instr,
-     mem::Addr va = 0x1000)
+walk(std::uint64_t seq, tlb::InstructionId instr)
 {
     PendingWalk w;
     w.seq = seq;
-    w.request.instruction = instr;
-    w.request.vaPage = va;
+    w.instruction = instr;
     return w;
 }
 
@@ -296,7 +294,7 @@ TEST(WalkBufferIndex, IndexesSurviveRandomChurn)
     };
     for (int step = 0; step < 5000; ++step) {
         if (!buf.full() && (buf.empty() || rnd(100) < 55)) {
-            auto w = walk(next_seq++, rnd(8), rnd(64) << 12);
+            auto w = walk(next_seq++, rnd(8));
             w.score = rnd(40);
             w.bypassed = rnd(6);
             buf.insert(std::move(w));
@@ -317,7 +315,7 @@ TEST(WalkBufferIndex, IndexesSurviveRandomChurn)
         for (tlb::InstructionId instr = 0; instr < 8; ++instr) {
             std::size_t want = WalkBuffer::npos;
             for (std::size_t i = 0; i < buf.size(); ++i) {
-                if (buf.at(i).request.instruction != instr)
+                if (buf.at(i).instruction != instr)
                     continue;
                 if (want == WalkBuffer::npos
                     || buf.at(i).seq < buf.at(want).seq) {
