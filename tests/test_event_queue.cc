@@ -19,18 +19,25 @@ using gpuwalk::sim::EventPriority;
 using gpuwalk::sim::EventQueue;
 using gpuwalk::sim::Tick;
 
-/** Counts live copies to prove a pooled capture is destroyed once. */
+/** Counts live copies and moves to prove a pooled capture is moved
+ *  into its node once and destroyed once. */
 struct Counted
 {
     static int live;
+    static int moves;
 
     Counted() { ++live; }
     Counted(const Counted &) { ++live; }
-    Counted(Counted &&) noexcept { ++live; }
+    Counted(Counted &&) noexcept
+    {
+        ++live;
+        ++moves;
+    }
     ~Counted() { --live; }
 };
 
 int Counted::live = 0;
+int Counted::moves = 0;
 
 /** Intrusive test event that bumps a counter (if any) when fired. */
 struct CountingEvent final : gpuwalk::sim::Event
@@ -376,6 +383,34 @@ TEST(EventQueue, DestroysCaptureExactlyOnceInline)
         eq.run(6);
         EXPECT_EQ(eq.boxedEvents(), 0u);
         EXPECT_EQ(Counted::live, 2); // `c` and the pending capture
+    }
+    EXPECT_EQ(Counted::live, 0) << "capture leaked or double-destroyed";
+}
+
+TEST(EventQueue, NonTrivialCapturesMoveAndDestroyExactlyOnce)
+{
+    // An owning pointer and a destructor counter ride in pooled nodes
+    // across several pool chunks; each capture is moved into its node
+    // once, the owned value survives, and every capture is destroyed
+    // exactly once whether it runs or is torn down pending.
+    constexpr int kEvents = 1200; // more than two pool chunks
+    Counted::live = 0;
+    Counted::moves = 0;
+    long long sum = 0;
+    {
+        EventQueue eq;
+        for (int i = 0; i < kEvents; ++i) {
+            auto lambda = [c = Counted{}, p = std::make_unique<int>(i),
+                           &sum] { sum += *p; };
+            Counted::moves = 0;
+            eq.schedule(static_cast<Tick>(i), std::move(lambda));
+            ASSERT_EQ(Counted::moves, 1) << "capture moved more than once";
+        }
+        EXPECT_EQ(eq.boxedEvents(), 0u);
+        EXPECT_EQ(Counted::live, kEvents);
+        eq.run(kEvents / 2 - 1); // runs ticks 0 .. kEvents/2 - 1
+        EXPECT_EQ(Counted::live, kEvents / 2) << "a run capture survived";
+        EXPECT_EQ(sum, (long long)(kEvents / 2) * (kEvents / 2 - 1) / 2);
     }
     EXPECT_EQ(Counted::live, 0) << "capture leaked or double-destroyed";
 }
