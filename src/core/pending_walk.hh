@@ -36,7 +36,6 @@
 #define GPUWALK_CORE_PENDING_WALK_HH
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -94,20 +93,11 @@ struct PendingWalk
     tlb::ContextId ctx = tlb::defaultContext;
 
     /**
-     * True for IOMMU-generated next-page prefetch walks: they fill
-     * the IOMMU TLBs but have no GPU consumer and never enter the
-     * demand metrics.
+     * True for IOMMU-generated prefetch walks: they fill the IOMMU
+     * TLBs but have no GPU consumer and never enter the demand
+     * metrics.
      */
     bool isPrefetch = false;
-
-    /**
-     * Prefetch metadata carried by speculative-class entries so the
-     * PrefetchIssued event can be emitted at dispatch: the SPP path
-     * confidence in per-mille and the demand page that triggered the
-     * prediction. Zero for demand and leader walks.
-     */
-    std::uint32_t specConfidencePermille = 0;
-    mem::Addr specTriggerPage = 0;
 };
 
 /** Fixed-capacity buffer of pending page-walk requests. */
@@ -124,59 +114,12 @@ class WalkBuffer
 
     std::size_t capacity() const { return capacity_; }
 
-    /** Demand-class entries (every pick index covers exactly these). */
     std::size_t size() const { return entries_.size(); }
     bool empty() const { return entries_.empty(); }
     bool full() const { return entries_.size() >= capacity_; }
 
     /** Inserts @p w. @pre !full() @return its current index. */
     std::size_t insert(PendingWalk w);
-
-    /**
-     * @name Speculative class
-     *
-     * Low-priority walks — Wasp leader lookahead and (under the
-     * budget admission policy) prefetcher predictions —
-     * wait in a FIFO sidecar of the buffer, invisible to every
-     * scheduler query above: selectNext() and the scan schedulers
-     * only ever see demand entries, so "scheduled only when no demand
-     * walk is eligible" holds by construction. The class has its own
-     * capacity_ worth of slots, so speculation can never crowd demand
-     * out of the buffer. Both dispatch and promotion (demotion back
-     * to demand priority for a leader walk an instruction is blocked
-     * on) consume the FIFO head, the class's oldest entry.
-     */
-    ///@{
-    std::size_t specCount() const { return spec_.size(); }
-    bool specEmpty() const { return spec_.empty(); }
-    bool specFull() const { return spec_.size() >= capacity_; }
-
-    /** Appends @p w to the speculative class. @pre !specFull() */
-    void
-    specPush(PendingWalk w)
-    {
-        GPUWALK_ASSERT(!specFull(), "speculative class overflow");
-        spec_.push_back(std::move(w));
-    }
-
-    /** The class's oldest entry. @pre !specEmpty() */
-    const PendingWalk &
-    specFront() const
-    {
-        GPUWALK_ASSERT(!spec_.empty(), "specFront on empty class");
-        return spec_.front();
-    }
-
-    /** Removes and returns the class's oldest entry. @pre !specEmpty() */
-    PendingWalk
-    specPop()
-    {
-        GPUWALK_ASSERT(!spec_.empty(), "specPop on empty class");
-        PendingWalk out = std::move(spec_.front());
-        spec_.pop_front();
-        return out;
-    }
-    ///@}
 
     /** Removes and returns entry @p idx (swap-with-last erase). */
     PendingWalk extract(std::size_t idx);
@@ -402,9 +345,6 @@ class WalkBuffer
     std::size_t capacity_;
     std::vector<PendingWalk> entries_;
     std::vector<Links> links_;
-
-    /** Speculative-class FIFO (see the class-comment block above). */
-    std::deque<PendingWalk> spec_;
 
     // Arrival (seq) order.
     std::size_t arrivalHead_ = npos;

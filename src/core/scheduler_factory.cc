@@ -47,8 +47,6 @@ toString(PickReason reason)
         return "aging";
       case PickReason::Overdraft:
         return "overdraft";
-      case PickReason::Speculative:
-        return "speculative";
     }
     sim::panic("unknown PickReason");
 }

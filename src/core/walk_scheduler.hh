@@ -56,14 +56,6 @@ enum class PickReason : std::uint8_t
      * values above appear in golden trace digests as Scheduled arg0.
      */
     Overdraft,
-
-    /**
-     * A speculative-class walk (Wasp leader lookahead or a buffered
-     * prefetch prediction) was dispatched: no demand walk was
-     * eligible for the walker, so the scheduler was never consulted.
-     * Appended under the same digest-stability discipline.
-     */
-    Speculative,
 };
 
 /** Short name of @p reason (e.g. "batch"). */

@@ -27,7 +27,6 @@ enum class Arity
 {
     None,      ///< --flag
     Required,  ///< --flag=value or --flag value
-    Optional,  ///< --flag alone, or with a value
 };
 
 struct Flag
@@ -35,7 +34,7 @@ struct Flag
     std::string_view name;
     Scope scope;
     Arity arity;
-    /** Applies the flag; @p v is "" for a bare Optional flag. */
+    /** Applies the flag; @p v is "" for an Arity::None flag. */
     void (*apply)(CliOptions &o, const std::string &v);
 };
 
@@ -188,43 +187,14 @@ const Flag flags[] = {
          o.cfg.gpu.virtualL1Cache = true;
      }},
 
-    // Prefetch, wavefront scheduling and speculative admission.
-    // A bare --prefetch predates the policy knob and means next-page.
-    {"prefetch", Both, Arity::Optional,
+    // Translation prefetch.
+    {"prefetch", Both, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.iommu.prefetch.kind =
-             v.empty() ? iommu::PrefetchKind::NextPage
-                       : iommu::prefetchKindFromString(v);
+         o.cfg.iommu.prefetch.kind = iommu::prefetchKindFromString(v);
      }},
     {"prefetch-degree", Both, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.cfg.iommu.prefetch.degree = toUnsigned("prefetch-degree", v, 1);
-     }},
-    {"wavefront-sched", Both, Arity::Required,
-     [](CliOptions &o, const std::string &v) {
-         if (v == "rr")
-             o.cfg.gpu.wavefrontSched =
-                 gpu::WavefrontSchedPolicy::RoundRobin;
-         else if (v == "gto")
-             o.cfg.gpu.wavefrontSched =
-                 gpu::WavefrontSchedPolicy::OldestFirst;
-         else if (v == "wasp")
-             o.cfg.gpu.wavefrontSched = gpu::WavefrontSchedPolicy::Wasp;
-         else
-             sim::fatal("unknown --wavefront-sched '", v,
-                        "' (rr|gto|wasp)");
-     }},
-    {"wasp-leaders", Both, Arity::Required,
-     [](CliOptions &o, const std::string &v) {
-         o.cfg.gpu.waspLeaders = toUnsigned("wasp-leaders", v, 1);
-     }},
-    {"wasp-distance", Both, Arity::Required,
-     [](CliOptions &o, const std::string &v) {
-         o.cfg.gpu.waspDistanceCycles = toUint("wasp-distance", v, 0);
-     }},
-    {"spec-admission", Both, Arity::Required,
-     [](CliOptions &o, const std::string &v) {
-         o.cfg.iommu.specAdmission = iommu::specAdmissionFromString(v);
      }},
 
     // Demand paging: any of these turns the GMMU on.
@@ -410,12 +380,6 @@ parseCli(Command command, const std::vector<std::string> &args)
                 sim::fatal("flag --", name, " needs a value");
             value = args[++i];
             break;
-          case Arity::Optional:
-            if (!inline_value && i + 1 < args.size()
-                && args[i + 1].rfind("--", 0) != 0) {
-                value = args[++i];
-            }
-            break;
         }
         flag->apply(opts, value);
         opts.given.push_back(flag->name);
@@ -424,6 +388,14 @@ parseCli(Command command, const std::vector<std::string> &args)
     if (opts.tenants > 1 && !opts.loadTrace.empty())
         sim::fatal("--tenants and --load-trace are exclusive "
                    "(the mix generator picks each tenant's workload)");
+    if (opts.tenants > 1 && opts.cfg.gpu.virtualL1Cache)
+        sim::fatal("--tenants and --virtual-l1 are exclusive (a virtual "
+                   "L1 translates below the cache, where the owning "
+                   "tenant is unknown)");
+    if (opts.params.useLargePages && opts.cfg.gmmu.enabled)
+        sim::fatal("--large-pages and the demand-paging flags are "
+                   "exclusive (2 MB coverage comes from GMMU "
+                   "promotion)");
     return opts;
 }
 

@@ -4,9 +4,9 @@
  * single run (`gpuwalk [flags]`) and the experiment sweep
  * (`gpuwalk sweep <name> [flags]`). Flags map straight onto the
  * SystemConfig and WorkloadParams a run or sweep starts from. A sweep
- * accepts only the trace, audit, prefetch, wavefront and demand-paging
- * flags; the hardware, workload and scheduler flags are single-run
- * only, and an experiment rejects a flag for a field it sweeps itself
+ * accepts only the trace, audit, prefetch and demand-paging flags;
+ * the hardware, workload and scheduler flags are single-run only, and
+ * an experiment rejects a flag for a field it sweeps itself
  * (Experiment::axes), so every flag a sweep accepts reaches every run.
  *
  * Both "--flag=value" and "--flag value" are accepted. Unknown flags,

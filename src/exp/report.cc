@@ -410,19 +410,6 @@ statsJson(std::ostream &os, const system::RunStats &stats)
         os << "}";
     }
 
-    // Wasp runs only: with the feature off the speculative class is
-    // structurally inert (all counters zero — test_wasp.cc), so
-    // non-wasp stats JSON stays byte-identical to the pre-wasp writer.
-    if (stats.leaderIssues || stats.spec.admitted
-        || stats.spec.leaderWalks) {
-        os << ", \"leader_issues\": " << stats.leaderIssues
-           << ", \"spec\": {\"admitted\": " << stats.spec.admitted
-           << ", \"dispatched\": " << stats.spec.dispatched
-           << ", \"promoted\": " << stats.spec.promoted
-           << ", \"dropped_stale\": " << stats.spec.droppedStale
-           << ", \"leader_walks\": " << stats.spec.leaderWalks << "}";
-    }
-
     // Multi-tenant runs only: single-tenant stats JSON stays
     // byte-identical to the pre-ASID writer.
     if (!stats.tenants.empty()) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "gpu/gpu.hh"
-#include "trace/trace.hh"
 
 namespace gpuwalk::gpu {
 
@@ -15,17 +14,11 @@ ComputeUnit::ComputeUnit(sim::EventQueue &eq, const GpuConfig &cfg,
       translationSink_(tlbs.table().attach(*this)),
       memorySink_(memory.attach(*this)), l1d_(l1d), gpu_(gpu),
       issuePort_(eq, cfg.issuePortCycles * cfg.clockPeriod),
-      arbiter_(cfg.wavefrontSched,
-               cfg.wavefrontSched == WavefrontSchedPolicy::Wasp
-                   ? std::min(cfg.waspLeaders, cfg.wavefrontsPerCu)
-                   : 0),
       statGroup_("cu" + std::to_string(cu_id))
 {
     statGroup_.add(instructions_);
     statGroup_.add(translationReqs_);
     statGroup_.add(lineAccesses_);
-    if (cfg_.wavefrontSched == WavefrontSchedPolicy::Wasp)
-        statGroup_.add(leaderIssues_);
 }
 
 void
@@ -41,7 +34,6 @@ ComputeUnit::addWavefront(std::uint32_t wavefront_global_id,
     wf.trace = std::move(trace);
     wavefronts_.push_back(std::move(wf));
     inflight_.emplace_back();
-    arbiter_.addSlot(wavefront_global_id);
 
     IssueEvent &ev = issueEvents_.emplace_back();
     ev.cu = this;
@@ -61,16 +53,9 @@ ComputeUnit::start()
         // Spread initial issues pseudo-randomly over the stagger
         // window: wavefronts are dispatched by the front-end over
         // time, not all in the same cycle.
-        sim::Cycles offset =
+        const sim::Cycles offset =
             1 + (wavefronts_[i].globalId * 2654435761ull)
                     % std::max<sim::Cycles>(1, cfg_.startStaggerCycles);
-        // Wasp de-staggering: followers' first issues are pushed out
-        // past the leaders' whole stagger window, giving the leader
-        // group an issue-distance head start of waspDistanceCycles.
-        if (cfg_.wavefrontSched == WavefrontSchedPolicy::Wasp
-            && !arbiter_.isLeader(i)) {
-            offset += cfg_.waspDistanceCycles;
-        }
         eq_.scheduleIn(cfg_.clockPeriod * offset, issueEvents_[i]);
     }
 }
@@ -90,7 +75,6 @@ ComputeUnit::notifyWorkAvailable()
         wf.trace = std::move(next->trace);
         wf.pc = 0;
         wf.finished = false;
-        arbiter_.onRefill(i, wf.globalId);
         --wavefrontsDone_;
         updateStallState();
         eq_.scheduleIn(cfg_.clockPeriod * cfg_.issueCycles,
@@ -102,17 +86,18 @@ void
 ComputeUnit::requestIssue(std::size_t wf_index)
 {
     // The CU front end issues at most one memory instruction per
-    // issue-port period; simultaneously-ready wavefronts serialize,
-    // and the configured policy picks which ready wavefront takes
-    // each slot.
-    arbiter_.markReady(wf_index);
-    issuePort_.submit([this] { arbitrateIssue(); });
+    // issue-port period; simultaneously-ready wavefronts serialize
+    // and take the port slots in the order they became ready.
+    ready_.push_back(wf_index);
+    issuePort_.submit([this] { issueReady(); });
 }
 
 void
-ComputeUnit::arbitrateIssue()
+ComputeUnit::issueReady()
 {
-    issueNext(arbiter_.pick());
+    const std::size_t wf_index = ready_.front();
+    ready_.pop_front();
+    issueNext(wf_index);
 }
 
 void
@@ -133,7 +118,6 @@ ComputeUnit::issueNext(std::size_t wf_index)
             wf.trace = std::move(next->trace);
             wf.pc = 0;
             wf.finished = false;
-            arbiter_.onRefill(wf_index, wf.globalId);
             --wavefrontsDone_;
             updateStallState();
             eq_.scheduleIn(cfg_.clockPeriod * cfg_.issueCycles,
@@ -156,22 +140,6 @@ ComputeUnit::issueNext(std::size_t wf_index)
     inst.linesPending = 0;
     inst.isLoad = true;
     inst.computeCycles = 0;
-
-    const bool leader = isLeaderSlot(wf_index);
-    if (leader) {
-        ++leaderIssues_;
-        if (tracer_) {
-            trace::Event ev;
-            ev.tick = eq_.now();
-            ev.kind = trace::EventKind::LeaderIssued;
-            ev.ctx = gpu_.contextOf(wf.appId);
-            ev.wavefront = wf.globalId;
-            ev.instruction = key;
-            ev.arg0 = id_;
-            ev.arg1 = inst.access.pages.size();
-            tracer_->record(ev);
-        }
-    }
 
     setBlocked(wf_index, true);
 
@@ -214,7 +182,6 @@ ComputeUnit::issueNext(std::size_t wf_index)
         req.wavefront = wf.globalId;
         req.cu = id_;
         req.ctx = ctx;
-        req.leader = leader;
         tlbs_.translate(h);
     }
 }

@@ -21,17 +21,12 @@
 
 #include "gpu/gpu_config.hh"
 #include "gpu/instruction.hh"
-#include "gpu/issue_arbiter.hh"
 #include "mem/request.hh"
 #include "sim/event_queue.hh"
 #include "sim/rate_limiter.hh"
 #include "sim/stats.hh"
 #include "tlb/coalescer.hh"
 #include "tlb/tlb_hierarchy.hh"
-
-namespace gpuwalk::trace {
-class Tracer;
-} // namespace gpuwalk::trace
 
 namespace gpuwalk::gpu {
 
@@ -87,26 +82,6 @@ class ComputeUnit final : public tlb::TranslationSink,
 
     /** Begins execution of all resident wavefronts at the next tick. */
     void start();
-
-    /** Attaches a lifecycle tracer (LeaderIssued events under Wasp).
-     *  nullptr detaches. */
-    void setTracer(trace::Tracer *tracer) { tracer_ = tracer; }
-
-    /** True when @p slot is a Wasp leader slot (always false under the
-     *  other policies). */
-    bool
-    isLeaderSlot(std::size_t slot) const
-    {
-        return cfg_.wavefrontSched == WavefrontSchedPolicy::Wasp
-               && arbiter_.isLeader(slot);
-    }
-
-    /** Memory instructions issued from leader slots (Wasp only). */
-    std::uint64_t
-    leaderInstructionsIssued() const
-    {
-        return leaderIssues_.value();
-    }
 
     /**
      * New work entered the GPU dispatch queue mid-run (tenant
@@ -188,7 +163,7 @@ class ComputeUnit final : public tlb::TranslationSink,
     };
 
     void requestIssue(std::size_t wf_index);
-    void arbitrateIssue();
+    void issueReady();
     void issueNext(std::size_t wf_index);
     void issueDataAccesses(std::size_t wf_index, bool virtual_addresses);
     void instructionDone(std::size_t wf_index);
@@ -209,12 +184,10 @@ class ComputeUnit final : public tlb::TranslationSink,
     std::vector<Wavefront> wavefronts_;
     /** deque: intrusive events need stable addresses while scheduled. */
     std::deque<IssueEvent> issueEvents_;
-    /** O(1) ready-slot pick index (replaces the per-issue scan over a
-     *  ready deque; the scan survives as referenceArbitrate()). */
-    IssueArbiter arbiter_;
+    /** Ready slots waiting for the issue port, in ready order. */
+    std::deque<std::size_t> ready_;
     /** The in-flight instruction of each wavefront slot. */
     std::vector<InflightInstruction> inflight_;
-    trace::Tracer *tracer_ = nullptr;
     unsigned wavefrontsDone_ = 0;
     unsigned blockedCount_ = 0;
 
@@ -229,9 +202,6 @@ class ComputeUnit final : public tlb::TranslationSink,
                                   "coalesced translation requests"};
     sim::Counter lineAccesses_{"line_accesses",
                                "coalesced data cache accesses"};
-    sim::Counter leaderIssues_{"leader_issues",
-                               "memory instructions issued by Wasp "
-                               "leader slots"};
 };
 
 } // namespace gpuwalk::gpu

@@ -115,24 +115,6 @@ class Gpu
     /** Registers wavefront-completion invariants (total and per app). */
     void registerInvariants(sim::Auditor &auditor);
 
-    /** Attaches @p tracer to every CU (LeaderIssued events). */
-    void
-    setTracer(trace::Tracer *tracer)
-    {
-        for (auto &cu : cus_)
-            cu->setTracer(tracer);
-    }
-
-    /** Sum of per-CU leader memory-instruction issues (Wasp only). */
-    std::uint64_t
-    totalLeaderIssues() const
-    {
-        std::uint64_t n = 0;
-        for (const auto &cu : cus_)
-            n += cu->leaderInstructionsIssued();
-        return n;
-    }
-
     ComputeUnit &cu(std::size_t i) { return *cus_.at(i); }
     std::size_t numCus() const { return cus_.size(); }
 

@@ -10,31 +10,6 @@
 
 namespace gpuwalk::gpu {
 
-/**
- * Which ready wavefront a CU's front end issues first when several
- * are ready in the same cycle (paper §VI: interactions between the
- * wavefront scheduler and the page-walk scheduler are follow-on
- * work; both policies are provided to study exactly that).
- */
-enum class WavefrontSchedPolicy
-{
-    RoundRobin,  ///< ready-order (FIFO) issue
-    OldestFirst, ///< GTO-style: oldest resident wavefront wins
-
-    /**
-     * WaSP-style de-staggering (PAPERS.md): each CU's resident slots
-     * split into a small leader group and followers. Leaders start
-     * first (followers' first issues are pushed out by
-     * waspDistanceCycles, generalizing the first-issue stagger) and
-     * win issue arbitration, so their coalesced translation requests
-     * reach the IOMMU ahead of the followers that will touch the same
-     * pages. The walk side cooperates: leader-originated walks are
-     * classed speculative (low priority) so the lookahead they create
-     * never delays follower demand walks.
-     */
-    Wasp,
-};
-
 /** Shape and timing of the GPU compute side. */
 struct GpuConfig
 {
@@ -62,13 +37,10 @@ struct GpuConfig
     /**
      * CU front-end issue bandwidth: one memory instruction may enter
      * execution per this many cycles (a single-ported front end).
-     * Wavefronts ready in the same cycle serialize here.
+     * Wavefronts ready in the same cycle serialize here, in the
+     * order they became ready.
      */
     sim::Cycles issuePortCycles = 1;
-
-    /** Arbitration among simultaneously ready wavefronts. */
-    WavefrontSchedPolicy wavefrontSched =
-        WavefrontSchedPolicy::RoundRobin;
 
     /**
      * Virtually-addressed L1 data caches (Yoon et al. [43]): the data
@@ -85,22 +57,6 @@ struct GpuConfig
      * wavefront gets a deterministic pseudo-random offset.
      */
     sim::Cycles startStaggerCycles = 512;
-
-    /**
-     * Wasp only: leader slots per CU. The first waspLeaders resident
-     * slots are leaders for the whole run (slot-based, so a refilled
-     * wavefront inherits its slot's role). Clamped to the resident
-     * slot count.
-     */
-    unsigned waspLeaders = 1;
-
-    /**
-     * Wasp only: the issue-distance lead, in cycles. Leaders' first
-     * issues spread over the normal stagger window; followers' first
-     * issues are delayed by this many further cycles, so the leader
-     * group runs ahead from the first instruction on.
-     */
-    sim::Cycles waspDistanceCycles = 2048;
 };
 
 } // namespace gpuwalk::gpu

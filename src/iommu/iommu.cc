@@ -26,7 +26,8 @@ Iommu::Iommu(sim::EventQueue &eq, const IommuConfig &cfg,
     GPUWALK_ASSERT(scheduler_ != nullptr, "IOMMU needs a scheduler");
     GPUWALK_ASSERT(cfg_.numWalkers > 0, "IOMMU needs walkers");
 
-    prefetcher_ = makePrefetcher(cfg_.prefetch);
+    if (cfg_.prefetch.kind == PrefetchKind::Spp)
+        prefetcher_.emplace(cfg_.prefetch);
 
     mem::MemoryDevice *walk_path = &memory;
     if (cfg_.useWalkCache) {
@@ -51,12 +52,6 @@ Iommu::Iommu(sim::EventQueue &eq, const IommuConfig &cfg,
     statGroup_.add(prefetchCompleted_);
     statGroup_.add(prefetchUseful_);
     statGroup_.add(prefetchEvictedUnused_);
-    statGroup_.add(specAdmitted_);
-    statGroup_.add(specDispatched_);
-    statGroup_.add(specPromoted_);
-    statGroup_.add(specDroppedStale_);
-    statGroup_.add(leaderWalks_);
-    specTokens_ = cfg_.specBudgetTokens;
     statGroup_.add(bufferOccupancy_);
     statGroup_.add(walkLatency_);
     statGroup_.add(walkAccessesAvg_);
@@ -171,44 +166,14 @@ Iommu::registerInvariants(sim::Auditor &auditor)
                                 buffer_.size() + overflow_.size(),
                                 " pending walks while a walker idles");
                 }
-                // Speculative entries wait only while no walker is
-                // currently eligible for them.
-                if (!buffer_.specEmpty()) {
-                    ctx.require(idleSpecWalker() == nullptr,
-                                buffer_.specCount(),
-                                " speculative walks wait while an"
-                                " eligible walker idles");
-                }
                 return;
             }
             ctx.require(buffer_.empty(), buffer_.size(),
                         " walks stuck in the buffer at drain");
-            ctx.require(buffer_.specEmpty(), buffer_.specCount(),
-                        " speculative walks stuck at drain");
             ctx.require(overflow_.empty(), overflow_.size(),
                         " walks stuck in the overflow FIFO at drain");
             ctx.require(faulted_.empty(), faultedParked_,
                         " walks parked on unserviced faults at drain");
-        });
-
-    auditor.registerInvariant(
-        "iommu.spec_class", [this](sim::AuditContext &ctx) {
-            // Every speculative admission is accounted for exactly
-            // once: dispatched, promoted to the demand class, dropped
-            // as stale, or still resident in the spec FIFO.
-            const std::uint64_t resident = buffer_.specCount();
-            const std::uint64_t accounted = specDispatched_.value()
-                                            + specPromoted_.value()
-                                            + specDroppedStale_.value()
-                                            + resident;
-            ctx.require(specAdmitted_.value() == accounted,
-                        specAdmitted_.value(), " spec admissions vs ",
-                        accounted,
-                        " dispatched + promoted + dropped + resident");
-            if (ctx.final()) {
-                ctx.require(resident == 0, resident,
-                            " speculative walks resident at drain");
-            }
         });
 
     auditor.registerInvariant(
@@ -386,9 +351,8 @@ Iommu::lookupTlbs(tlb::RequestHandle req)
             const mem::Addr va = r.vaPage;
             const ContextId ctx = r.ctx;
             const std::uint32_t wavefront = r.wavefront;
-            const bool leader = r.leader;
             respond(req, h.paPage, h.largePage, cfg_.tlbLatency);
-            maybePrefetch(va, ctx, wavefront, leader);
+            maybePrefetch(va, ctx, wavefront);
             return;
         }
         respond(req, h.paPage, h.largePage, cfg_.tlbLatency);
@@ -442,20 +406,7 @@ Iommu::enqueueWalk(tlb::RequestHandle req)
         tracer_->record(ev);
     }
 
-    // Leader-originated walks (Wasp) join the speculative class: they
-    // warm the TLBs ahead of the follower pack and must never delay a
-    // demand walk. They are real requests and cannot be dropped, so a
-    // full spec FIFO demotes the walk to the demand class at admission.
-    if (r.leader) {
-        ++leaderWalks_;
-        if (!buffer_.specFull()) {
-            admitSpeculative(std::move(walk));
-            dispatchIfPossible();
-            return;
-        }
-    }
-
-    // An idle demand-eligible walker implies the buffer and overflow
+    // An idle walker implies the buffer and overflow
     // FIFO are empty (dispatch drains the buffer whenever a walker
     // frees up), so the new request starts immediately and the
     // scheduler plays no role.
@@ -472,26 +423,6 @@ Iommu::enqueueWalk(tlb::RequestHandle req)
         return;
     }
     admitToBuffer(std::move(walk));
-}
-
-void
-Iommu::admitSpeculative(core::PendingWalk walk)
-{
-    ++specAdmitted_;
-    if (tracer_) {
-        trace::Event ev;
-        ev.tick = eq_.now();
-        ev.kind = trace::EventKind::SpecAdmitted;
-        const tlb::TranslationRequest &r = translations_.at(walk.request);
-        ev.ctx = walk.ctx;
-        ev.wavefront = r.wavefront;
-        ev.instruction = walk.instruction;
-        ev.vaPage = r.vaPage;
-        ev.arg0 = static_cast<std::uint64_t>(cfg_.specAdmission);
-        ev.arg1 = buffer_.specCount() + 1;
-        tracer_->record(ev);
-    }
-    buffer_.specPush(std::move(walk));
 }
 
 void
@@ -536,50 +467,9 @@ Iommu::idleWalker()
     return nullptr;
 }
 
-PageTableWalker *
-Iommu::idleSpecWalker()
-{
-    // Speculation rides a walker only while no demand walk is waiting
-    // for one: it never delays demand.
-    if (!buffer_.empty() || !overflow_.empty())
-        return nullptr;
-    return idleWalker();
-}
-
-void
-Iommu::promoteAgedSpec()
-{
-    while (!buffer_.specEmpty()
-           && eq_.now() - buffer_.specFront().arrival
-                  >= cfg_.specPromoteThreshold) {
-        core::PendingWalk walk = buffer_.specPop();
-        if (walk.isPrefetch) {
-            // A prediction nobody had bandwidth for this long is
-            // stale: cancel it rather than spend a walker on it.
-            ++specDroppedStale_;
-            dropPrefetch(walk);
-            continue;
-        }
-        // An aged leader walk is a real request going hungry: promote
-        // it into the demand class. Fresh seq for the buffer's
-        // monotone-insert discipline; the original arrival is kept so
-        // queue-wait accounting sees the full wait.
-        ++specPromoted_;
-        walk.seq = nextSeq_++;
-        if (buffer_.full()) {
-            ++overflowed_;
-            overflow_.push_back(std::move(walk));
-        } else {
-            admitToBuffer(std::move(walk));
-        }
-    }
-}
-
 void
 Iommu::dispatchIfPossible()
 {
-    promoteAgedSpec();
-
     while (!buffer_.empty()) {
         PageTableWalker *w = idleWalker();
         if (!w)
@@ -595,51 +485,6 @@ Iommu::dispatchIfPossible()
             overflow_.pop_front();
         }
     }
-
-    // Speculative class: scheduled only onto walkers no demand walk
-    // is eligible for right now.
-    while (!buffer_.specEmpty()) {
-        PageTableWalker *w = idleSpecWalker();
-        if (!w)
-            return;
-        dispatchSpec(*w);
-    }
-}
-
-void
-Iommu::dispatchSpec(PageTableWalker &walker)
-{
-    core::PendingWalk walk = buffer_.specPop();
-    if (walk.isPrefetch) {
-        // Re-probe at dispatch: a demand walk may have filled this
-        // translation while the prediction waited.
-        const mem::Addr page = translations_.at(walk.request).vaPage;
-        if (l1Tlb_.probe(page, walk.ctx) || l2Tlb_.probe(page, walk.ctx)) {
-            ++specDroppedStale_;
-            dropPrefetch(walk);
-            return; // walker stays idle; caller loops
-        }
-        // Counted at dispatch, not admission: only walks that
-        // actually start participate in walk conservation.
-        ++prefetches_;
-        ++specDispatched_;
-        if (tracer_) {
-            trace::Event ev;
-            ev.tick = eq_.now();
-            ev.kind = trace::EventKind::PrefetchIssued;
-            ev.ctx = walk.ctx;
-            ev.walker = walker.id();
-            ev.wavefront = translations_.at(walk.request).wavefront;
-            ev.vaPage = page;
-            ev.arg0 = walk.specConfidencePermille;
-            ev.arg1 = walk.specTriggerPage;
-            tracer_->record(ev);
-        }
-        walker.start(walk);
-        return;
-    }
-    ++specDispatched_;
-    dispatchTo(walker, std::move(walk), core::PickReason::Speculative);
 }
 
 void
@@ -647,16 +492,6 @@ Iommu::dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
                   core::PickReason reason)
 {
     metrics_.onDispatch(walk.instruction);
-
-    // Budget admission: demand dispatches clock the tumbling window
-    // that refills the speculative admission tokens.
-    if (cfg_.specAdmission == SpecAdmission::Budget
-        && reason != core::PickReason::Speculative) {
-        if (++specWindowCount_ >= cfg_.specBudgetWindow) {
-            specWindowCount_ = 0;
-            specTokens_ = cfg_.specBudgetTokens;
-        }
-    }
 
     const sim::Tick wait = eq_.now() - walk.arrival;
     queueWaitHist_.sample(wait);
@@ -698,7 +533,6 @@ Iommu::walkDone(WalkResult &result)
     const ContextId completedCtx = walk.ctx;
     const std::uint32_t wavefront = r.wavefront;
     const bool isPrefetch = walk.isPrefetch;
-    const bool leader = r.leader;
 
     ++walksCompleted_;
     releaseInflight(completedCtx, completedVa);
@@ -753,7 +587,7 @@ Iommu::walkDone(WalkResult &result)
     dispatchIfPossible();
 
     if (prefetcher_ && !isPrefetch)
-        maybePrefetch(completedVa, completedCtx, wavefront, leader);
+        maybePrefetch(completedVa, completedCtx, wavefront);
 }
 
 void
@@ -842,9 +676,6 @@ Iommu::reenterWalk(core::PendingWalk walk)
     walk.seq = nextSeq_++;
     walk.arrival = eq_.now();
 
-    // Faulted leader walks re-enter as demand: after a far-fault
-    // round trip the lookahead advantage is gone, and the page is
-    // resident now, so the walk should complete at demand priority.
     if (PageTableWalker *w = idleWalker()) {
         GPUWALK_ASSERT(buffer_.empty() && overflow_.empty(),
                        "idle walker with pending requests");
@@ -861,7 +692,7 @@ Iommu::reenterWalk(core::PendingWalk walk)
 
 void
 Iommu::maybePrefetch(mem::Addr touched_va_page, ContextId ctx,
-                     std::uint32_t wavefront, bool leader)
+                     std::uint32_t wavefront)
 {
     if (!prefetcher_)
         return;
@@ -871,46 +702,7 @@ Iommu::maybePrefetch(mem::Addr touched_va_page, ContextId ctx,
     // while the walkers are saturated.
     candidates_.clear();
     prefetcher_->onDemandTouch(ctx, wavefront, touched_va_page,
-                               candidates_, leader);
-
-    if (cfg_.specAdmission != SpecAdmission::Idle) {
-        // Budget admission: predictions buffer into the
-        // speculative class and dispatch under its walker-eligibility
-        // rules rather than demanding an idle walker this instant.
-        bool admitted = false;
-        for (const PrefetchCandidate &cand : candidates_) {
-            if (buffer_.specFull())
-                break;
-            if (cfg_.specAdmission == SpecAdmission::Budget
-                && specTokens_ == 0)
-                break;
-            const mem::Addr page = cand.vaPage;
-            if (l1Tlb_.probe(page, ctx) || l2Tlb_.probe(page, ctx))
-                continue;
-            if (inflight_.contains(mem::pageCtxKey(ctx, page)))
-                continue;
-            if (gmmu_ && !gmmu_->isResident(ctx, page))
-                continue;
-            if (!vm::translateFrom(store_, pwc_.rootOf(ctx), page))
-                continue;
-
-            if (cfg_.specAdmission == SpecAdmission::Budget)
-                --specTokens_;
-            core::PendingWalk walk = prefetchWalk(page, ctx, wavefront);
-            walk.specConfidencePermille =
-                static_cast<std::uint32_t>(cand.confidence * 1000.0);
-            walk.specTriggerPage = touched_va_page;
-            // Pinned from admission so the resident check above stays
-            // valid until the walk completes or the entry is dropped.
-            if (gmmu_)
-                gmmu_->pin(ctx, page);
-            admitSpeculative(std::move(walk));
-            admitted = true;
-        }
-        if (admitted)
-            dispatchIfPossible();
-        return;
-    }
+                               candidates_);
 
     for (const PrefetchCandidate &cand : candidates_) {
         // Strictly idle-bandwidth: only when nothing demands service.
@@ -982,39 +774,6 @@ Iommu::prefetchWalk(mem::Addr page, ContextId ctx, std::uint32_t wavefront)
 }
 
 void
-Iommu::dropPrefetch(const core::PendingWalk &walk)
-{
-    const mem::Addr page = translations_.at(walk.request).vaPage;
-    releaseInflight(walk.ctx, page);
-    if (gmmu_)
-        gmmu_->unpin(walk.ctx, page);
-    translations_.release(walk.request);
-}
-
-const char *
-toString(SpecAdmission a)
-{
-    switch (a) {
-      case SpecAdmission::Idle:
-        return "idle";
-      case SpecAdmission::Budget:
-        return "budget";
-    }
-    sim::panic("unknown SpecAdmission");
-}
-
-SpecAdmission
-specAdmissionFromString(const std::string &name)
-{
-    if (name == "idle")
-        return SpecAdmission::Idle;
-    if (name == "budget")
-        return SpecAdmission::Budget;
-    sim::fatal("unknown spec admission '", name,
-               "' (expected idle|budget)");
-}
-
-void
 Iommu::noteInflight(ContextId ctx, mem::Addr va_page)
 {
     ++inflight_[mem::pageCtxKey(ctx, va_page)];
@@ -1036,7 +795,7 @@ PrefetchSummary
 Iommu::prefetchSummary() const
 {
     PrefetchSummary s;
-    s.enabled = prefetcher_ != nullptr;
+    s.enabled = prefetcher_.has_value();
     s.policy = toString(cfg_.prefetch.kind);
     s.issued = prefetches_.value();
     s.completed = prefetchCompleted_.value();

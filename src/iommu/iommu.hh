@@ -24,13 +24,14 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/pending_walk.hh"
 #include "core/walk_scheduler.hh"
 #include "iommu/page_table_walker.hh"
 #include "iommu/page_walk_cache.hh"
-#include "iommu/prefetch/translation_prefetcher.hh"
+#include "iommu/prefetch/spp_prefetcher.hh"
 #include "iommu/walk_metrics.hh"
 #include "mem/backing_store.hh"
 #include "mem/cache.hh"
@@ -54,49 +55,6 @@ class Gmmu;
 
 namespace gpuwalk::iommu {
 
-/**
- * How speculative walks — Wasp leader lookahead and prefetcher
- * predictions — are admitted into the walk path. The values are
- * recorded in traces (SpecAdmitted arg0), so they are fixed; 1 was a
- * reserved-walker policy, measured and removed (EXPERIMENTS.md).
- */
-enum class SpecAdmission : std::uint8_t
-{
-    /**
-     * Prefetch predictions issue only into a fully idle walk path
-     * (idle walker, empty buffer and overflow) — the strictly
-     * idle-bandwidth gate of the original prefetcher. Leader walks
-     * still buffer in the speculative class (they cannot be dropped)
-     * and dispatch whenever no demand walk is eligible.
-     */
-    Idle = 0,
-
-    /**
-     * Token budget: up to specBudgetTokens speculative admissions per
-     * window of specBudgetWindow demand dispatches. Predictions are
-     * buffered in the speculative class and dispatch only when no
-     * demand walk is eligible (like Idle), but admission no longer
-     * requires the whole path to be idle.
-     */
-    Budget = 2,
-};
-
-/** Short lowercase name of @p a ("idle", "budget"). */
-const char *toString(SpecAdmission a);
-
-/** Parses a --spec-admission value; fatal on unknown names. */
-SpecAdmission specAdmissionFromString(const std::string &name);
-
-/** Per-run speculative walk-class accounting. */
-struct SpecSummary
-{
-    std::uint64_t admitted = 0;     ///< entries admitted to the class
-    std::uint64_t dispatched = 0;   ///< dispatched as PickReason::Speculative
-    std::uint64_t promoted = 0;     ///< leader walks promoted to demand
-    std::uint64_t droppedStale = 0; ///< aged predictions cancelled unissued
-    std::uint64_t leaderWalks = 0;  ///< leader-originated walk requests
-};
-
 /** IOMMU structure sizes and latencies (Table I defaults). */
 struct IommuConfig
 {
@@ -119,41 +77,22 @@ struct IommuConfig
     PwcConfig pwc;
 
     /**
+     * Translation prefetching (an extension beyond the paper, in the
+     * spirit of its related-work TLB prefetchers [44]): after a
+     * demand touch of page P, the SPP signature-path policy proposes
+     * pages to walk speculatively into idle walkers, filling the
+     * IOMMU TLBs. Strictly idle-bandwidth, so demand traffic is never
+     * delayed.
+     */
+    PrefetchConfig prefetch;
+
+    /**
      * Route walker PTE fetches through a CPU-complex cache before
      * DRAM (as gem5's walker does). Page-table lines are hot — one
      * leaf PT page maps 2 MB — so this cache is what keeps walk
      * service latency in the tens-of-cycles range the paper's
      * latency figures imply.
      */
-    /**
-     * Translation prefetching (an extension beyond the paper, in the
-     * spirit of its related-work TLB prefetchers [44]): after a
-     * demand touch of page P, the configured policy (next-page or
-     * SPP signature-path) proposes pages to walk speculatively into
-     * idle walkers, filling the IOMMU TLBs. Strictly idle-bandwidth,
-     * so demand traffic is never delayed.
-     */
-    PrefetchConfig prefetch;
-
-    /** Speculative-walk admission policy (leader walks, prefetch). */
-    SpecAdmission specAdmission = SpecAdmission::Idle;
-
-    /** Budget policy: speculative admissions allowed per window. */
-    unsigned specBudgetTokens = 4;
-
-    /** Budget policy: window length, in demand dispatches. */
-    unsigned specBudgetWindow = 32;
-
-    /**
-     * A speculative entry older than this (ticks) is acted on at the
-     * next dispatch opportunity: a leader walk is *promoted* into the
-     * demand class with a fresh sequence number (an instruction is
-     * blocked on it — lookahead must not become starvation), while an
-     * aged prefetch prediction is dropped as stale. 400 GPU cycles of
-     * headroom by default.
-     */
-    sim::Tick specPromoteThreshold = 400 * 500;
-
     bool useWalkCache = true;
     mem::CacheConfig walkCache{"ptwcache", 1024 * 1024, 16,
                                mem::cacheLineSize, 40 * 500, 2 * 500,
@@ -271,27 +210,8 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
     /** Speculative translation walks issued. */
     std::uint64_t prefetches() const { return prefetches_.value(); }
 
-    /** The active prediction policy, or nullptr when prefetch is off. */
-    TranslationPrefetcher *prefetcher() { return prefetcher_.get(); }
-
     /** Per-run prefetcher accounting (enabled=false when off). */
     PrefetchSummary prefetchSummary() const;
-
-    /** Per-run speculative-class accounting. */
-    SpecSummary
-    specSummary() const
-    {
-        SpecSummary s;
-        s.admitted = specAdmitted_.value();
-        s.dispatched = specDispatched_.value();
-        s.promoted = specPromoted_.value();
-        s.droppedStale = specDroppedStale_.value();
-        s.leaderWalks = leaderWalks_.value();
-        return s;
-    }
-
-    /** Entries currently waiting in the speculative class. */
-    std::size_t specQueued() const { return buffer_.specCount(); }
 
     /**
      * Distinct (ctx, page) walks currently in flight — buffered,
@@ -359,8 +279,7 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
         std::uint64_t busy = 0;
         for (const auto &w : walkers_)
             busy += w->busy() ? 1 : 0;
-        return buffer_.size() + buffer_.specCount() + overflow_.size()
-               + busy + faultedParked_;
+        return buffer_.size() + overflow_.size() + busy + faultedParked_;
     }
 
     sim::StatGroup &stats() { return statGroup_; }
@@ -372,35 +291,22 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
     void enqueueWalk(tlb::RequestHandle req);
 
     /** Starts a prefetch walk for @p page: a request slot with no
-     *  route, released when the walk completes or is dropped. */
+     *  route, released when the walk completes. */
     core::PendingWalk prefetchWalk(mem::Addr page, ContextId ctx,
                                    std::uint32_t wavefront);
-
-    /** Drops a never-dispatched prefetch walk. */
-    void dropPrefetch(const core::PendingWalk &walk);
     void maybePrefetch(mem::Addr touched_va_page, ContextId ctx,
-                       std::uint32_t wavefront, bool leader);
+                       std::uint32_t wavefront);
     void noteInflight(ContextId ctx, mem::Addr va_page);
     void releaseInflight(ContextId ctx, mem::Addr va_page);
     TenantCounters &tenantSlot(ContextId ctx);
     void admitToBuffer(core::PendingWalk walk);
-    void admitSpeculative(core::PendingWalk walk);
-    void promoteAgedSpec();
     void dispatchIfPossible();
-    void dispatchSpec(PageTableWalker &walker);
     void dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
                     core::PickReason reason);
     void handleFaultedWalk(const WalkResult &result);
     void onFaultServiced(ContextId ctx, mem::Addr va_page);
     void reenterWalk(core::PendingWalk walk);
     PageTableWalker *idleWalker();
-
-    /**
-     * First idle walker the speculative class may use right now, or
-     * nullptr: any idle walker, but only while no demand walk is
-     * waiting (speculation never delays demand).
-     */
-    PageTableWalker *idleSpecWalker();
 
     sim::EventQueue &eq_;
     IommuConfig cfg_;
@@ -439,8 +345,8 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
      */
     sim::FlatMap<std::uint64_t, std::uint32_t> inflight_;
 
-    /** The active prediction policy (nullptr = prefetch off). */
-    std::unique_ptr<TranslationPrefetcher> prefetcher_;
+    /** The prediction policy (empty = prefetch off). */
+    std::optional<SppPrefetcher> prefetcher_;
 
     /** Scratch candidate list (reused across triggers). */
     std::vector<PrefetchCandidate> candidates_;
@@ -460,11 +366,6 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
     std::vector<std::unique_ptr<PageTableWalker>> walkers_;
     WalkMetrics metrics_;
     std::uint64_t nextSeq_ = 0;
-
-    // Budget admission state: tokens left in the current window, and
-    // demand dispatches seen since the window opened.
-    unsigned specTokens_ = 0;
-    unsigned specWindowCount_ = 0;
     trace::Tracer *tracer_ = nullptr;
     tlb::TranslationReplyChannel *replyChannel_ = nullptr;
 
@@ -486,17 +387,6 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
     sim::Counter prefetchEvictedUnused_{
         "prefetch_evicted_unused",
         "prefetched pages demand-walked again after TLB eviction"};
-    sim::Counter specAdmitted_{
-        "spec_admitted", "walks admitted to the speculative class"};
-    sim::Counter specDispatched_{
-        "spec_dispatched", "speculative-class walks dispatched"};
-    sim::Counter specPromoted_{
-        "spec_promoted", "leader walks promoted to demand priority"};
-    sim::Counter specDroppedStale_{
-        "spec_dropped_stale",
-        "aged prefetch predictions cancelled before dispatch"};
-    sim::Counter leaderWalks_{
-        "leader_walks", "walk requests from Wasp leader wavefronts"};
     sim::Average bufferOccupancy_{"buffer_occupancy",
                                   "walk-buffer depth at arrival"};
     sim::Average walkLatency_{"walk_latency",

@@ -19,6 +19,29 @@ foldDelta(std::int64_t delta)
 
 } // namespace
 
+const char *
+toString(PrefetchKind kind)
+{
+    switch (kind) {
+      case PrefetchKind::Off:
+        return "off";
+      case PrefetchKind::Spp:
+        return "spp";
+    }
+    return "?";
+}
+
+PrefetchKind
+prefetchKindFromString(const std::string &name)
+{
+    if (name == "off")
+        return PrefetchKind::Off;
+    if (name == "spp")
+        return PrefetchKind::Spp;
+    sim::fatal("unknown prefetch policy '", name,
+               "' (expected off or spp)");
+}
+
 SppPrefetcher::SppPrefetcher(const PrefetchConfig &cfg) : cfg_(cfg)
 {
     GPUWALK_ASSERT(cfg_.sppSignatureBits >= 4
@@ -130,8 +153,7 @@ SppPrefetcher::lookahead(std::uint32_t sig, std::uint64_t page_no,
 void
 SppPrefetcher::onDemandTouch(tlb::ContextId ctx, std::uint32_t wavefront,
                              mem::Addr va_page,
-                             std::vector<PrefetchCandidate> &out,
-                             bool leader)
+                             std::vector<PrefetchCandidate> &out)
 {
     const std::uint64_t stream_key =
         (static_cast<std::uint64_t>(ctx) << 32) | wavefront;
@@ -159,8 +181,6 @@ SppPrefetcher::onDemandTouch(tlb::ContextId ctx, std::uint32_t wavefront,
     }
 
     train(st.signature, delta);
-    if (leader)
-        ++leaderTrainedDeltas_;
     st.signature = nextSignature(st.signature, delta);
     st.lastPageNo = page_no;
     lookahead(st.signature, page_no, out);

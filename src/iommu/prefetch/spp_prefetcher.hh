@@ -23,45 +23,115 @@
  *
  * Deterministic by construction: fixed-seedless integer state, ties
  * in the pattern table break toward the lowest slot index.
+ *
+ * The policy is pure prediction logic. The Iommu owns every safety
+ * gate — idle-walker-only issue, IOMMU TLB probes, the in-flight
+ * dedup filter, the GMMU residency + pin gate, and the functional
+ * mapped-page check — so a prediction can never perturb demand
+ * traffic or raise a far fault.
  */
 
 #ifndef GPUWALK_IOMMU_PREFETCH_SPP_PREFETCHER_HH
 #define GPUWALK_IOMMU_PREFETCH_SPP_PREFETCHER_HH
 
 #include <array>
+#include <cstdint>
+#include <string>
+#include <vector>
 
-#include "iommu/prefetch/translation_prefetcher.hh"
+#include "mem/types.hh"
 #include "sim/flat_map.hh"
+#include "tlb/translation.hh"
 
 namespace gpuwalk::iommu {
 
+/** The available translation prefetching policies. */
+enum class PrefetchKind : std::uint8_t
+{
+    Off = 0, ///< no speculative walks
+    Spp,     ///< signature-path lookahead (per-wavefront deltas)
+};
+
+/** Printable name of @p kind ("off" / "spp"). */
+const char *toString(PrefetchKind kind);
+
+/** Parses a policy name; fatal() on unknown names. */
+PrefetchKind prefetchKindFromString(const std::string &name);
+
+/** Prefetcher selection and SPP tuning knobs. */
+struct PrefetchConfig
+{
+    PrefetchKind kind = PrefetchKind::Off;
+
+    /** Max candidates a single trigger may propose (the lookahead
+     *  depth). */
+    unsigned degree = 4;
+
+    /** SPP: bits in the compressed delta-history signature. */
+    unsigned sppSignatureBits = 12;
+
+    /** SPP: signature shift per folded-in delta. */
+    unsigned sppSignatureShift = 3;
+
+    /** SPP: direct-mapped pattern-table entries. */
+    unsigned sppPatternEntries = 512;
+
+    /** SPP: delta slots tracked per pattern entry. */
+    static constexpr unsigned sppDeltasPerEntry = 4;
+
+    /** SPP: stop chaining when the path confidence product drops
+     *  below this. */
+    double sppConfidenceThreshold = 0.25;
+
+    /** SPP: |page delta| clamp — larger jumps reset the stream
+     *  instead of polluting the pattern table. */
+    std::int64_t sppMaxDelta = 256;
+};
+
+/** One proposed speculative walk. */
+struct PrefetchCandidate
+{
+    mem::Addr vaPage = 0;
+
+    /** Path confidence in [0, 1]. */
+    double confidence = 1.0;
+};
+
+/** Per-run prefetcher accounting for RunStats / report JSON. */
+struct PrefetchSummary
+{
+    bool enabled = false;
+    std::string policy;          ///< toString(kind)
+    std::uint64_t issued = 0;    ///< speculative walks started
+    std::uint64_t completed = 0; ///< speculative walks that filled TLBs
+    std::uint64_t useful = 0;    ///< demand TLB hits on prefetched pages
+    std::uint64_t evictedUnused = 0; ///< demand re-walked a prefetched page
+    std::uint64_t unusedAtEnd = 0;   ///< filled but never demanded
+
+    double accuracy = 0.0;  ///< useful / completed
+    double coverage = 0.0;  ///< useful / (useful + demand walks)
+    double pollution = 0.0; ///< evictedUnused / completed
+};
+
 /** Per-wavefront signature-path prediction. */
-class SppPrefetcher final : public TranslationPrefetcher
+class SppPrefetcher
 {
   public:
     explicit SppPrefetcher(const PrefetchConfig &cfg);
 
-    const char *name() const override { return "spp"; }
-
+    /**
+     * Observes one demand touch of @p va_page — a demand walk
+     * completion, or a demand TLB hit (so a correctly predicted
+     * stream keeps training even when prefetching removes its walks)
+     * — and appends prefetch candidates to @p out in priority order.
+     */
     void onDemandTouch(tlb::ContextId ctx, std::uint32_t wavefront,
                        mem::Addr va_page,
-                       std::vector<PrefetchCandidate> &out,
-                       bool leader = false) override;
+                       std::vector<PrefetchCandidate> &out);
 
     /** Test accessors. */
     std::uint64_t trainedDeltas() const { return trainedDeltas_; }
     std::uint64_t streamResets() const { return streamResets_; }
-
-    /**
-     * Deltas trained by Wasp leader streams. Leaders and followers
-     * share the signature-indexed pattern table, so every leader-
-     * trained delta is immediately visible to follower lookahead —
-     * this counter makes that transfer observable in tests/stats.
-     */
-    std::uint64_t leaderTrainedDeltas() const
-    {
-        return leaderTrainedDeltas_;
-    }
 
   private:
     /** One (ctx, wavefront) stream. */
@@ -103,7 +173,6 @@ class SppPrefetcher final : public TranslationPrefetcher
 
     std::uint64_t trainedDeltas_ = 0;
     std::uint64_t streamResets_ = 0;
-    std::uint64_t leaderTrainedDeltas_ = 0;
 };
 
 } // namespace gpuwalk::iommu

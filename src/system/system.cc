@@ -129,8 +129,6 @@ System::System(const SystemConfig &cfg)
 
     gpu_ = std::make_unique<gpu::Gpu>(eq_, cfg_.gpu, *tlbs_, memory_,
                                       std::move(l1_ptrs));
-    if (tracer_)
-        gpu_->setTracer(tracer_.get());
 
     if (cfg_.audit.enabled) {
         auditor_ = std::make_unique<sim::Auditor>();
@@ -440,8 +438,6 @@ System::collectStats()
     if (gmmu_)
         stats.gmmu = gmmu_->summarize();
     stats.prefetch = iommu_->prefetchSummary();
-    stats.spec = iommu_->specSummary();
-    stats.leaderIssues = gpu_->totalLeaderIssues();
     return stats;
 }
 

@@ -105,13 +105,6 @@ struct RunStats
     /** Translation-prefetcher accounting; prefetch.enabled is false
      *  when --prefetch=off (those stats stay byte-identical). */
     iommu::PrefetchSummary prefetch;
-
-    /** Speculative walk-class accounting; all-zero unless Wasp or a
-     *  non-idle --spec-admission put walks in the class. */
-    iommu::SpecSummary spec;
-
-    /** Memory instructions issued by Wasp leader slots (0 off-Wasp). */
-    std::uint64_t leaderIssues = 0;
 };
 
 /** Owns and wires every component; one System per simulation run. */

@@ -59,29 +59,11 @@ SystemConfig::print(std::ostream &os) const
     // configurations keep their pre-prefetcher fingerprints.
     if (iommu.prefetch.kind != iommu::PrefetchKind::Off) {
         os << "Prefetch       " << iommu::toString(iommu.prefetch.kind)
-           << " translation prefetch, degree "
-           << iommu.prefetch.degree;
-        if (iommu.prefetch.kind == iommu::PrefetchKind::Spp) {
-            os << ", " << iommu.prefetch.sppSignatureBits
-               << "-bit signatures, " << iommu.prefetch.sppPatternEntries
-               << " pattern entries, confidence "
-               << iommu.prefetch.sppConfidenceThreshold;
-        }
-        os << "\n";
-    }
-    // Wasp knobs print only under --wavefront-sched=wasp, so rr/gto
-    // configurations keep their pre-Wasp fingerprints.
-    if (gpu.wavefrontSched == gpu::WavefrontSchedPolicy::Wasp) {
-        os << "Wasp           " << gpu.waspLeaders
-           << " leader slot(s) per CU, " << gpu.waspDistanceCycles
-           << "-cycle issue-distance lead\n";
-    }
-    // Speculative-admission knobs print only away from the default
-    // idle policy, for the same fingerprint-stability reason.
-    if (iommu.specAdmission != iommu::SpecAdmission::Idle) {
-        os << "SpecAdmit      " << iommu::toString(iommu.specAdmission)
-           << ": " << iommu.specBudgetTokens << " tokens per "
-           << iommu.specBudgetWindow << "-dispatch window\n";
+           << " translation prefetch, degree " << iommu.prefetch.degree
+           << ", " << iommu.prefetch.sppSignatureBits
+           << "-bit signatures, " << iommu.prefetch.sppPatternEntries
+           << " pattern entries, confidence "
+           << iommu.prefetch.sppConfidenceThreshold << "\n";
     }
     os << "PWC            " << iommu.pwc.entriesPerLevel
        << " entries/level, " << iommu.pwc.associativity << "-way"

@@ -59,14 +59,6 @@ struct TranslationRequest
 
     /** Owning address space (ASID); 0 for single-tenant runs. */
     ContextId ctx = defaultContext;
-
-    /**
-     * Issued by a Wasp leader wavefront: if it reaches the IOMMU walk
-     * path it is classed a speculative (low-priority) walk — the
-     * lookahead a leader creates must never delay follower demand
-     * walks. False outside --wavefront-sched=wasp.
-     */
-    bool leader = false;
 };
 
 /** A translation request's slot handle. */

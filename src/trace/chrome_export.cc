@@ -175,24 +175,6 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer)
             writeCommonArgs(os, ev);
             os << "}}";
             break;
-        case EventKind::LeaderIssued:
-            w.next() << "{\"ph\":\"i\",\"pid\":0,\"tid\":" << tidTlb
-                     << ",\"ts\":" << ev.tick
-                     << ",\"name\":\"leader_issued\",\"s\":\"t\","
-                     << "\"args\":{";
-            writeCommonArgs(os, ev);
-            os << ",\"cu\":" << ev.arg0
-               << ",\"coalesced_pages\":" << ev.arg1 << "}}";
-            break;
-        case EventKind::SpecAdmitted:
-            w.next() << "{\"ph\":\"i\",\"pid\":0,\"tid\":" << tidBuffer
-                     << ",\"ts\":" << ev.tick
-                     << ",\"name\":\"spec_admitted\",\"s\":\"t\","
-                     << "\"args\":{";
-            writeCommonArgs(os, ev);
-            os << ",\"admission\":" << ev.arg0
-               << ",\"spec_depth\":" << ev.arg1 << "}}";
-            break;
         }
     });
 

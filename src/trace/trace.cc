@@ -17,8 +17,6 @@ toString(EventKind kind)
     case EventKind::FaultServiced: return "fault_serviced";
     case EventKind::PrefetchIssued: return "prefetch_issued";
     case EventKind::PrefetchUseful: return "prefetch_useful";
-    case EventKind::LeaderIssued: return "leader_issued";
-    case EventKind::SpecAdmitted: return "spec_admitted";
     }
     return "unknown";
 }

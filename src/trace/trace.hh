@@ -89,25 +89,10 @@ enum class EventKind : std::uint8_t
      *  (first touch only). instruction/wavefront = the demand
      *  request's. */
     PrefetchUseful,
-
-    // Wasp kinds are appended under the same discipline: every value
-    // above appears in committed golden digests and must not shift.
-
-    /** A Wasp leader slot issued a memory instruction. ctx/wavefront
-     *  identify the leader, instruction = the instruction ID it will
-     *  carry, arg0 = CU index, arg1 = coalesced pages touched. */
-    LeaderIssued,
-
-    /** A speculative walk (leader-originated or prefetcher-predicted)
-     *  was admitted into the walk buffer's speculative class instead
-     *  of the demand path. vaPage = target page, arg0 = admission
-     *  policy (SpecAdmission value), arg1 = speculative entries
-     *  resident after admission. */
-    SpecAdmitted,
 };
 
 /** Number of distinct EventKind values. */
-constexpr unsigned numEventKinds = 13;
+constexpr unsigned numEventKinds = 11;
 
 /** Short lowercase name of @p kind (e.g. "scheduled"). */
 const char *toString(EventKind kind);

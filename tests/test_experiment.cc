@@ -458,7 +458,7 @@ TEST(BenchCliTest, MapsFlagsOntoConfigAndParams)
         Command::Run,
         {"--workload=GEV", "--scheduler", "simt-aware", "--seed=7",
          "--wavefronts", "32", "--instructions=8", "--walkers=16",
-         "--oversubscription", "0.5", "--prefetch", "--quiet"});
+         "--oversubscription", "0.5", "--prefetch=spp", "--quiet"});
     EXPECT_EQ(opts.workload, "GEV");
     EXPECT_EQ(opts.cfg.scheduler, core::SchedulerKind::SimtAware);
     EXPECT_EQ(opts.cfg.schedulerSeed, 7u);
@@ -468,8 +468,7 @@ TEST(BenchCliTest, MapsFlagsOntoConfigAndParams)
     EXPECT_EQ(opts.cfg.iommu.numWalkers, 16u);
     EXPECT_TRUE(opts.cfg.gmmu.enabled);
     EXPECT_DOUBLE_EQ(opts.cfg.gmmu.oversubscription, 0.5);
-    // A bare --prefetch means next-page.
-    EXPECT_EQ(opts.cfg.iommu.prefetch.kind, iommu::PrefetchKind::NextPage);
+    EXPECT_EQ(opts.cfg.iommu.prefetch.kind, iommu::PrefetchKind::Spp);
     EXPECT_TRUE(opts.quiet);
 
     const auto sweep =

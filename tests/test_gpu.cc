@@ -218,38 +218,16 @@ TEST_F(GpuFixture, StoresCountAsInstructions)
     EXPECT_EQ(gpu->totalInstructions(), 1u);
 }
 
-
-TEST_F(GpuFixture, OldestFirstArbitrationPrefersOlderWavefront)
+TEST_F(GpuFixture, ReadyFifoRetiresEveryInstruction)
 {
-    cfg.wavefrontSched = gpu::WavefrontSchedPolicy::OldestFirst;
-    // Zero stagger so both wavefronts are ready in the same cycle.
-    cfg.startStaggerCycles = 1;
-    build(1, 2);
+    build(2, 2);
     gpu::GpuWorkload wl;
-    wl.traces.push_back({divergentLoad(0x1000000, 1)});
-    wl.traces.push_back({divergentLoad(0x2000000, 1)});
+    for (int i = 0; i < 8; ++i)
+        wl.traces.push_back({divergentLoad(0x1000000 + i * 0x100000, 2),
+                             divergentLoad(0x3000000 + i * 0x100000, 2)});
     gpu->loadWorkload(std::move(wl));
     run();
-    EXPECT_TRUE(gpu->done());
-    EXPECT_EQ(gpu->totalInstructions(), 2u);
-}
-
-TEST_F(GpuFixture, BothArbitrationPoliciesProduceSameWork)
-{
-    for (auto pol : {gpu::WavefrontSchedPolicy::RoundRobin,
-                     gpu::WavefrontSchedPolicy::OldestFirst}) {
-        cfg = gpu::GpuConfig{};
-        cfg.wavefrontSched = pol;
-        build(2, 2);
-        gpu::GpuWorkload wl;
-        for (int i = 0; i < 8; ++i)
-            wl.traces.push_back(
-                {divergentLoad(0x1000000 + i * 0x100000, 2),
-                 divergentLoad(0x3000000 + i * 0x100000, 2)});
-        gpu->loadWorkload(std::move(wl));
-        run();
-        EXPECT_EQ(gpu->totalInstructions(), 16u);
-    }
+    EXPECT_EQ(gpu->totalInstructions(), 16u);
 }
 
 } // namespace

@@ -196,6 +196,9 @@ struct DedupFixture : public ::testing::Test
             eq, mem::DramConfig{}, requests);
         iommu::IommuConfig cfg;
         cfg.prefetch.kind = kind;
+        // One candidate per trigger: each trained touch proposes
+        // exactly its successor page.
+        cfg.prefetch.degree = 1;
         cfg.numWalkers = walkers;
         iommu = std::make_unique<iommu::Iommu>(
             eq, cfg, core::makeScheduler(core::SchedulerKind::Fcfs),
@@ -211,25 +214,44 @@ struct DedupFixture : public ::testing::Test
         req.instruction = 1;
         iommu->translate(owner.issue(req, [](Addr, bool) {}));
     }
+
+    /** Page @p i of the region. */
+    Addr page(unsigned i) const { return region.base + i * mem::pageSize; }
+
+    /**
+     * Walks pages [0, @p n) of the region one at a time. A stride-1
+     * stream reaches SPP's signature fixed point after five touches,
+     * so n = 5 trains the pattern table without proposing anything:
+     * from then on each stride-1 touch proposes its successor page.
+     */
+    void
+    trainStride(unsigned n)
+    {
+        for (unsigned i = 0; i < n; ++i) {
+            submit(page(i));
+            eq.run();
+        }
+    }
 };
 
 TEST_F(DedupFixture, PrefetchSkipsPagesAlreadyWalking)
 {
-    build(iommu::PrefetchKind::NextPage, /*walkers=*/2);
-    const Addr base = region.base;
+    build(iommu::PrefetchKind::Spp, /*walkers=*/2);
+    trainStride(5);
+    ASSERT_EQ(iommu->prefetches(), 0u);
 
-    // Both demand walks are in flight together: base on walker 0,
-    // base+1p on walker 1 (the front port admits them back to back).
-    // base completes first and its next-page proposal IS base+1p —
-    // in flight on walker 1, so the dedup filter must swallow it
-    // instead of duplicating the walk into the just-freed walker 0.
-    // base+1p's own completion then prefetches base+2p normally.
-    submit(base);
-    submit(base + mem::pageSize);
+    // Both demand walks are in flight together: page 5 on walker 0,
+    // page 6 on walker 1 (the front port admits them back to back).
+    // Page 5 completes first and its proposal IS page 6 — in flight
+    // on walker 1, so the dedup filter must swallow it instead of
+    // duplicating the walk into the just-freed walker 0. Page 6's own
+    // completion then prefetches page 7 normally.
+    submit(page(5));
+    submit(page(6));
     eq.run();
 
     EXPECT_EQ(iommu->prefetches(), 1u);
-    EXPECT_EQ(iommu->walksCompleted(), 3u); // 2 demand + 1 prefetch
+    EXPECT_EQ(iommu->walksCompleted(), 8u); // 7 demand + 1 prefetch
     EXPECT_EQ(iommu->inflightWalks(), 0u);
 
     std::vector<Event> issued;
@@ -237,30 +259,26 @@ TEST_F(DedupFixture, PrefetchSkipsPagesAlreadyWalking)
         if (ev.kind == EventKind::PrefetchIssued)
             issued.push_back(ev);
     ASSERT_EQ(issued.size(), 1u);
-    EXPECT_EQ(issued[0].vaPage, base + 2 * mem::pageSize);
+    EXPECT_EQ(issued[0].vaPage, page(7));
     EXPECT_NE(issued[0].walker, trace::noWalker);
 
     // The in-flight ledger drained along with the walks.
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(iommu->inflightForPage(0, base + i * mem::pageSize),
-                  0u);
+    for (unsigned i = 0; i < 9; ++i)
+        EXPECT_EQ(iommu->inflightForPage(0, page(i)), 0u);
 }
 
 TEST_F(DedupFixture, DemandAfterPrefetchCompletionHitsTheTlb)
 {
-    build(iommu::PrefetchKind::NextPage, /*walkers=*/2);
-    const Addr base = region.base;
-
-    submit(base);
-    eq.run(); // demand walk + its next-page prefetch both complete
+    build(iommu::PrefetchKind::Spp, /*walkers=*/2);
+    trainStride(6); // the sixth walk's completion prefetches page 6
     ASSERT_EQ(iommu->prefetches(), 1u);
 
     // The prefetched translation is a TLB hit — no new walk, and the
     // first touch is counted useful exactly once. The hit itself is a
-    // demand touch, so it chains one further prefetch (base+2p),
+    // demand touch, so it chains one further prefetch (page 7),
     // which stays untouched.
     const auto walks = iommu->walkRequests();
-    submit(base + mem::pageSize);
+    submit(page(6));
     eq.run();
     EXPECT_EQ(iommu->walkRequests(), walks);
     EXPECT_EQ(iommu->prefetches(), 2u);

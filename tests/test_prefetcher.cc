@@ -1,6 +1,8 @@
 /**
  * @file
- * Tests for the IOMMU's idle-bandwidth next-page prefetcher.
+ * Tests for the IOMMU's idle-bandwidth prefetch gates: idle-walker
+ * issue, the TLB-probe filter, the mapped-region bound and the
+ * prefetch counters, driven by SPP predictions on stride-1 streams.
  */
 
 #include <gtest/gtest.h>
@@ -37,54 +39,74 @@ struct PrefetchFixture : public ::testing::Test
         dram = std::make_unique<mem::DramController>(
             eq, mem::DramConfig{}, requests);
         iommu::IommuConfig cfg;
-        cfg.prefetch.kind = prefetch ? iommu::PrefetchKind::NextPage
+        cfg.prefetch.kind = prefetch ? iommu::PrefetchKind::Spp
                                      : iommu::PrefetchKind::Off;
+        // One candidate per trigger: each trained touch proposes
+        // exactly its successor page.
+        cfg.prefetch.degree = 1;
         iommu = std::make_unique<iommu::Iommu>(
             eq, cfg, core::makeScheduler(core::SchedulerKind::Fcfs),
             translations, requests, *dram, store, as->pageTable().root());
     }
 
     Addr
-    translate(Addr va_page)
+    translate(Addr va_page, std::uint32_t wavefront = 0)
     {
         Addr result = 0;
         tlb::TranslationRequest req;
         req.vaPage = va_page;
         req.instruction = 1;
+        req.wavefront = wavefront;
         iommu->translate(
             owner.issue(req, [&](Addr pa, bool) { result = pa; }));
         eq.run();
         return result;
     }
+
+    /** Page @p i of the region. */
+    Addr page(unsigned i) const { return region.base + i * mem::pageSize; }
+
+    /**
+     * Translates the six pages ending at @p last in order. A stride-1
+     * stream reaches SPP's signature fixed point after five touches,
+     * so only the sixth proposes a page: the successor of @p last.
+     */
+    void
+    stream(Addr last)
+    {
+        for (Addr va = last - 5 * mem::pageSize; va <= last;
+             va += mem::pageSize) {
+            translate(va);
+        }
+    }
 };
 
-TEST_F(PrefetchFixture, IdleWalkerPrefetchesNextPage)
+TEST_F(PrefetchFixture, IdleWalkerPrefetchesPredictedPage)
 {
     build(/*prefetch=*/true);
-    translate(region.base);
+    stream(page(5));
     EXPECT_EQ(iommu->prefetches(), 1u);
-    // The next page is now an IOMMU TLB hit: no new walk.
+    // The predicted page is now an IOMMU TLB hit: no new walk.
     const auto walks_before = iommu->walkRequests();
-    translate(region.base + mem::pageSize);
+    translate(page(6));
     EXPECT_EQ(iommu->walkRequests(), walks_before);
 }
 
 TEST_F(PrefetchFixture, PrefetchedTranslationIsCorrect)
 {
     build(/*prefetch=*/true);
-    translate(region.base);
-    const Addr pa = translate(region.base + mem::pageSize);
-    EXPECT_EQ(pa,
-              *as->pageTable().translate(region.base + mem::pageSize));
+    stream(page(5));
+    const Addr pa = translate(page(6));
+    EXPECT_EQ(pa, *as->pageTable().translate(page(6)));
 }
 
 TEST_F(PrefetchFixture, DisabledByDefault)
 {
     build(/*prefetch=*/false);
-    translate(region.base);
+    stream(page(5));
     EXPECT_EQ(iommu->prefetches(), 0u);
     const auto walks_before = iommu->walkRequests();
-    translate(region.base + mem::pageSize);
+    translate(page(6));
     EXPECT_EQ(iommu->walkRequests(), walks_before + 1);
 }
 
@@ -93,35 +115,40 @@ TEST_F(PrefetchFixture, NeverWalksPastTheMappedRegion)
     build(/*prefetch=*/true);
     // The last page's successor is the unmapped guard page: the
     // prefetcher must skip it rather than panic in the walker.
-    translate(region.end() - mem::pageSize);
+    stream(region.end() - mem::pageSize);
     EXPECT_EQ(iommu->prefetches(), 0u);
 }
 
-TEST_F(PrefetchFixture, AlreadyCachedNextPageIsNotPrefetched)
+TEST_F(PrefetchFixture, AlreadyCachedPredictionIsNotPrefetched)
 {
     build(/*prefetch=*/true);
-    translate(region.base);              // prefetches base+1
+    stream(page(5));                   // prefetches page 6
     const auto count = iommu->prefetches();
-    // Walk base+2 directly; its successor base+3 gets prefetched, but
-    // re-translating base gives no new prefetch (base+1 cached).
-    translate(region.base + 2 * mem::pageSize);
-    translate(region.base);
+    // Fresh streams share the trained pattern table, so each one's
+    // second stride-1 touch proposes its successor. Walk pages 10 and
+    // 11 on wavefront 1: page 12 gets prefetched. Re-touching pages 4
+    // and 5 on wavefront 2 gives no new prefetch (page 6 cached).
+    translate(page(10), 1);
+    translate(page(11), 1);
+    translate(page(4), 2);
+    translate(page(5), 2);
     EXPECT_EQ(iommu->prefetches(), count + 1);
 }
 
 TEST_F(PrefetchFixture, PrefetchWalksAreCountedSeparately)
 {
     build(/*prefetch=*/true);
-    translate(region.base);
+    stream(page(5));
     // walksCompleted includes the prefetch; demand metrics do not.
-    EXPECT_EQ(iommu->walksCompleted(), 2u);
-    EXPECT_EQ(iommu->metrics().summarize().totalWalks, 1u);
+    EXPECT_EQ(iommu->walksCompleted(), 7u);
+    EXPECT_EQ(iommu->metrics().summarize().totalWalks, 6u);
 }
 
 TEST(PrefetchSystem, EndToEndStreamingWorkloadBenefits)
 {
-    // A sequential-streaming workload (regular app) should see fewer
-    // demand walks with prefetching on.
+    // A regular streaming workload should see fewer demand walks with
+    // prefetching on: HOT's unit-stride stencil rows give SPP
+    // per-wavefront page strides to learn.
     workload::WorkloadParams params;
     params.wavefronts = 16;
     params.instructionsPerWavefront = 24;
@@ -129,12 +156,12 @@ TEST(PrefetchSystem, EndToEndStreamingWorkloadBenefits)
 
     auto cfg = system::SystemConfig::baseline();
     system::System off(cfg);
-    off.loadBenchmark("BCK", params);
+    off.loadBenchmark("HOT", params);
     const auto off_stats = off.run();
 
-    cfg.iommu.prefetch.kind = iommu::PrefetchKind::NextPage;
+    cfg.iommu.prefetch.kind = iommu::PrefetchKind::Spp;
     system::System on(cfg);
-    on.loadBenchmark("BCK", params);
+    on.loadBenchmark("HOT", params);
     const auto on_stats = on.run();
 
     EXPECT_GT(on.iommu().prefetches(), 0u);

@@ -226,7 +226,7 @@ TEST_P(FeatureMatrixProperty, ExtensionsComposeSafely)
     auto cfg = system::SystemConfig::baseline();
     cfg.scheduler = core::SchedulerKind::SimtAware;
     cfg.gpu.virtualL1Cache = virtual_l1;
-    cfg.iommu.prefetch.kind = prefetch ? iommu::PrefetchKind::NextPage
+    cfg.iommu.prefetch.kind = prefetch ? iommu::PrefetchKind::Spp
                                        : iommu::PrefetchKind::Off;
 
     auto params = tinyParams();

@@ -57,13 +57,8 @@ const Experiment experiments[] = {
      "(translate-on-miss)",
      ablation_virtual_cache},
     {"ablation_prefetch", "Ablation (prefetch factorial)",
-     "Translation prefetch {off, next, spp} x scheduler {fcfs, "
-     "simt-aware} x aging {on, off}",
-     ablation_prefetch, {"prefetch", "spec-admission"}},
-    {"ablation_wavefront_sched", "Ablation (wasp co-design factorial)",
-     "wavefront {rr, wasp} x prefetch {off, next, spp} x walk scheduler "
-     "{fcfs, simt-aware}",
-     ablation_wavefront_sched, {"wavefront-sched", "prefetch"}},
+     "Translation prefetch {off, spp} x scheduler {fcfs, simt-aware}",
+     ablation_prefetch, {"prefetch"}},
     {"ablation_multiprogram", "Ablation (multi-program)",
      "Irregular aggressor + regular victim sharing the translation "
      "hardware",

@@ -76,8 +76,7 @@ void loadTenants(system::System &sys,
 ExperimentFn table1, table2, fig02, fig03, fig05, fig06, fig08, fig09,
     fig10, fig11, fig12, fig13, fig14, ablation_scheduler,
     ablation_large_pages, ablation_virtual_cache, ablation_prefetch,
-    ablation_wavefront_sched, ablation_multiprogram, tenant_mix,
-    oversubscription;
+    ablation_multiprogram, tenant_mix, oversubscription;
 
 } // namespace gpuwalk::experiments
 

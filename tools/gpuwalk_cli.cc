@@ -92,21 +92,13 @@ Hardware overrides (baseline = the paper's Table I):
   --no-pwc-pinning        disable counter-pinned PWC replacement
   --no-walk-cache         walker PTEs go straight to DRAM
   --aging-threshold=N     SIMT-aware starvation bound
-  --prefetch=P            translation prefetch policy: off | next |
-                          spp (signature-path lookahead); a bare
-                          --prefetch means next (idle bandwidth only)
+  --prefetch=P            translation prefetch policy: off | spp
+                          (signature-path lookahead into idle walkers)
   --prefetch-degree=N     max speculative walks per trigger
                                               (default: 4)
-  --wavefront-sched=P     rr | gto | wasp  (CU issue arbitration;
-                          wasp de-staggers leader slots whose walks
-                          are classed speculative at the IOMMU)
-  --wasp-leaders=N        wasp: leader slots per CU   (default: 1)
-  --wasp-distance=N       wasp: followers' first-issue delay, cycles
-                                              (default: 2048)
-  --spec-admission=P      speculative-walk admission: idle (default)
-                          | budget (tokens per demand-dispatch window)
   --virtual-l1            virtually-addressed L1 data caches
-                          (translate on L1 miss, Yoon et al.)
+                          (translate on L1 miss, Yoon et al.;
+                          excludes --tenants)
 
 Demand paging (any flag enables the GMMU; excludes --large-pages):
   --oversubscription=R    pages fault in on first touch; resident
@@ -144,7 +136,7 @@ Sweeps:
   gpuwalk sweep --list    list the experiments
   gpuwalk sweep NAME      run one and print its table(s); --json=FILE
                           writes the report, per-run stats included
-  A sweep takes the prefetch, wavefront, demand-paging, --trace-out,
+  A sweep takes the prefetch, demand-paging, --trace-out,
   --trace-ring, --audit, --audit-interval, --jobs and --json flags
   above; they apply to every run of the experiment. An experiment
   rejects a flag it sweeps itself (e.g. --prefetch in
@@ -301,16 +293,6 @@ reportRun(const system::SystemConfig &cfg, const exp::CliOptions &opt,
                       << stats.gmmu.frameCap << " pages, "
                       << stats.gmmu.pagesEvicted << " evicted, "
                       << stats.gmmu.promotions << " promoted\n";
-        }
-        if (cfg.gpu.wavefrontSched == gpu::WavefrontSchedPolicy::Wasp) {
-            std::cout << "wasp               " << stats.leaderIssues
-                      << " leader issues, " << stats.spec.leaderWalks
-                      << " leader walks\n"
-                      << "spec class         " << stats.spec.admitted
-                      << " admitted, " << stats.spec.dispatched
-                      << " dispatched, " << stats.spec.promoted
-                      << " promoted, " << stats.spec.droppedStale
-                      << " dropped\n";
         }
         for (const auto &t : stats.tenants) {
             std::cout << "tenant " << t.ctx << "           walks "
