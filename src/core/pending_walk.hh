@@ -182,7 +182,7 @@ class WalkBuffer
     /**
      * Index of tenant @p ctx's entry minimizing (score, seq), or npos
      * — the SJF rule restricted to one address space. O(tenant
-     * occupancy): the QoS policies that need it trade the global
+     * occupancy): the weighted-share policy trades the global
      * bitmap's O(1) for per-tenant selection.
      */
     std::size_t sjfBestOfContext(tlb::ContextId ctx) const;

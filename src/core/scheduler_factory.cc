@@ -3,7 +3,6 @@
 #include "core/fcfs_scheduler.hh"
 #include "core/random_scheduler.hh"
 #include "core/simt_aware_scheduler.hh"
-#include "core/token_bucket_scheduler.hh"
 #include "core/weighted_share_scheduler.hh"
 #include "sim/logging.hh"
 
@@ -23,8 +22,6 @@ toString(SchedulerKind kind)
         return "batch-only";
       case SchedulerKind::SimtAware:
         return "simt-aware";
-      case SchedulerKind::TokenBucket:
-        return "token-bucket";
       case SchedulerKind::WeightedShare:
         return "weighted-share";
     }
@@ -45,8 +42,6 @@ toString(PickReason reason)
         return "sjf";
       case PickReason::Aging:
         return "aging";
-      case PickReason::Overdraft:
-        return "overdraft";
     }
     sim::panic("unknown PickReason");
 }
@@ -64,13 +59,11 @@ schedulerKindFromString(const std::string &name)
         return SchedulerKind::BatchOnly;
     if (name == "simt-aware" || name == "simt")
         return SchedulerKind::SimtAware;
-    if (name == "token-bucket" || name == "token")
-        return SchedulerKind::TokenBucket;
     if (name == "weighted-share" || name == "wfq")
         return SchedulerKind::WeightedShare;
     sim::fatal("unknown scheduler '", name,
                "' (expected fcfs|random|sjf-only|batch-only|"
-               "simt-aware|token-bucket|weighted-share)");
+               "simt-aware|weighted-share)");
 }
 
 std::unique_ptr<WalkScheduler>
@@ -101,8 +94,6 @@ makeScheduler(SchedulerKind kind, std::uint64_t seed,
         c.enableBatching = true;
         return std::make_unique<SimtAwareScheduler>(c);
       }
-      case SchedulerKind::TokenBucket:
-        return std::make_unique<TokenBucketScheduler>(cfg, qos);
       case SchedulerKind::WeightedShare:
         return std::make_unique<WeightedShareScheduler>(cfg, qos);
     }

@@ -25,9 +25,9 @@ enum class SchedulerKind
     BatchOnly, ///< ablation: key idea 2 only (same-instruction batching)
     SimtAware, ///< the paper's full scheduler: SJF + batching + aging
 
-    // QoS policies composing SJF+batching with cross-tenant fairness.
-    TokenBucket,   ///< per-tenant token-bucket rate limiter
-    WeightedShare, ///< starvation-free weighted sharing by service
+    /** QoS: SJF + batching with starvation-free cross-tenant weighted
+     *  sharing by service. */
+    WeightedShare,
 };
 
 /** Printable name of @p kind (matches factory spelling). */
@@ -39,7 +39,8 @@ SchedulerKind schedulerKindFromString(const std::string &name);
 /**
  * Why a dispatch picked the request it did — recorded into Scheduled
  * trace events so ordering claims (batching, SJF, aging) are testable
- * per decision rather than inferred from aggregates.
+ * per decision rather than inferred from aggregates. The values appear
+ * in golden trace digests as Scheduled arg0, so new reasons go last.
  */
 enum class PickReason : std::uint8_t
 {
@@ -48,14 +49,6 @@ enum class PickReason : std::uint8_t
     Batch,         ///< same-instruction batching (paper key idea 2)
     Sjf,           ///< lowest job-length score (paper key idea 1)
     Aging,         ///< anti-starvation override
-
-    /**
-     * Work-conserving token-bucket overdraft: every tenant with
-     * pending work had exhausted its window budget, so a walker was
-     * granted anyway rather than idled. Appended at the end — the
-     * values above appear in golden trace digests as Scheduled arg0.
-     */
-    Overdraft,
 };
 
 /** Short name of @p reason (e.g. "batch"). */
@@ -142,18 +135,9 @@ struct SimtSchedulerConfig
     bool enableBatching = true;
 };
 
-/** Cross-tenant fairness knobs for the QoS walk schedulers. */
+/** Cross-tenant fairness knobs for the QoS walk scheduler. */
 struct QosSchedulerConfig
 {
-    /**
-     * Token bucket: scheduler-mediated dispatches per tumbling window.
-     * Each window every tenant's spent tokens reset.
-     */
-    unsigned tokenWindow = 64;
-
-    /** Token bucket: per-tenant dispatch budget within one window. */
-    unsigned tokenQuota = 8;
-
     /**
      * Weighted share: per-ContextId weights (index = ContextId). A
      * missing or zero entry means weight 1. A tenant's walker service
@@ -173,7 +157,7 @@ struct QosSchedulerConfig
 };
 
 /** Creates a scheduler. @p seed only matters for Random; @p qos only
- *  for the TokenBucket/WeightedShare policies. */
+ *  for WeightedShare. */
 std::unique_ptr<WalkScheduler>
 makeScheduler(SchedulerKind kind, std::uint64_t seed = 1,
               const SimtSchedulerConfig &cfg = {},

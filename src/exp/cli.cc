@@ -1,5 +1,6 @@
 #include "exp/cli.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cerrno>
@@ -174,14 +175,6 @@ const Flag flags[] = {
      [](CliOptions &o, const std::string &v) {
          o.cfg.simt.agingThreshold = toUint("aging-threshold", v, 0);
      }},
-    {"token-window", RunOnly, Arity::Required,
-     [](CliOptions &o, const std::string &v) {
-         o.cfg.qos.tokenWindow = toUnsigned("token-window", v, 1);
-     }},
-    {"token-quota", RunOnly, Arity::Required,
-     [](CliOptions &o, const std::string &v) {
-         o.cfg.qos.tokenQuota = toUnsigned("token-quota", v, 1);
-     }},
     {"virtual-l1", RunOnly, Arity::None,
      [](CliOptions &o, const std::string &) {
          o.cfg.gpu.virtualL1Cache = true;
@@ -217,16 +210,6 @@ const Flag flags[] = {
          o.cfg.gmmu.migrationLatency = toUint("migration-latency", v, 0);
          o.cfg.gmmu.enabled = true;
      }},
-    {"fault-policy", Both, Arity::Required,
-     [](CliOptions &o, const std::string &v) {
-         if (v == "fcfs")
-             o.cfg.gmmu.order = vm::FaultOrder::Fcfs;
-         else if (v == "sjf")
-             o.cfg.gmmu.order = vm::FaultOrder::Sjf;
-         else
-             sim::fatal("unknown --fault-policy '", v, "' (fcfs|sjf)");
-         o.cfg.gmmu.enabled = true;
-     }},
     {"gmmu-batch", Both, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.cfg.gmmu.batchSize = toUnsigned("gmmu-batch", v, 1);
@@ -240,11 +223,6 @@ const Flag flags[] = {
              o.cfg.gmmu.evict = vm::EvictPolicy::Random;
          else
              sim::fatal("unknown --gmmu-evict '", v, "' (lru|random)");
-         o.cfg.gmmu.enabled = true;
-     }},
-    {"no-contiguity", Both, Arity::None,
-     [](CliOptions &o, const std::string &) {
-         o.cfg.gmmu.contiguity = false;
          o.cfg.gmmu.enabled = true;
      }},
 
@@ -299,6 +277,9 @@ const Flag flags[] = {
     {"tenants", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.tenants = toUnsigned("tenants", v);
+         if (o.tenants < 2)
+             sim::fatal("--tenants needs at least 2 tenants, got '", v,
+                        "' (omit it for a single workload)");
      }},
     {"churn-fraction", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
@@ -385,6 +366,14 @@ parseCli(Command command, const std::vector<std::string> &args)
         opts.given.push_back(flag->name);
     }
 
+    const auto given = [&opts](std::string_view name) {
+        return std::find(opts.given.begin(), opts.given.end(), name)
+               != opts.given.end();
+    };
+    for (const char *name : {"churn-fraction", "alternate-weights"}) {
+        if (opts.tenants < 2 && given(name))
+            sim::fatal("--", name, " needs --tenants=N with N >= 2");
+    }
     if (opts.tenants > 1 && !opts.loadTrace.empty())
         sim::fatal("--tenants and --load-trace are exclusive "
                    "(the mix generator picks each tenant's workload)");

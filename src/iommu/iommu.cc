@@ -621,7 +621,7 @@ Iommu::handleFaultedWalk(const WalkResult &result)
         }
         gmmu_->raiseFault(ctx, page);
     } else {
-        gmmu_->noteWaiter(ctx, page);
+        gmmu_->noteWaiter();
     }
     it->second.walks.push_back(result.walk);
     ++faultedParked_;

@@ -27,13 +27,9 @@ SystemConfig::print(std::ostream &os) const
        << iommu.l2TlbEntries << " entries for IOMMU L1/L2 TLB\n"
        << "               " << core::toString(scheduler)
        << " scheduling of page walks\n";
-    // QoS knobs print only when a QoS policy reads them, so the config
-    // fingerprints of every pre-existing scheduler stay unchanged.
-    if (scheduler == core::SchedulerKind::TokenBucket) {
-        os << "QoS            token bucket: " << qos.tokenQuota
-           << " tokens per tenant per " << qos.tokenWindow
-           << "-dispatch window\n";
-    } else if (scheduler == core::SchedulerKind::WeightedShare) {
+    // QoS knobs print only when the QoS policy reads them, so the
+    // config fingerprints of every other scheduler stay unchanged.
+    if (scheduler == core::SchedulerKind::WeightedShare) {
         os << "QoS            weighted share:";
         if (qos.shareWeights.empty()) {
             os << " equal weights";
@@ -44,16 +40,17 @@ SystemConfig::print(std::ostream &os) const
         os << "\n";
     }
     // GMMU knobs print only under demand paging, so fully resident
-    // configurations keep their pre-GMMU fingerprints.
+    // configurations keep their pre-GMMU fingerprints. The fixed fault
+    // order and placement rule still print, so paging fingerprints
+    // stay the same too.
     if (gmmu.enabled) {
         os << "GMMU           oversubscription " << gmmu.oversubscription
-           << ", " << vm::toString(gmmu.order) << " fault servicing, "
-           << vm::toString(gmmu.evict) << " eviction\n"
+           << ", fcfs fault servicing, " << vm::toString(gmmu.evict)
+           << " eviction\n"
            << "               fault latency " << gmmu.faultLatency
            << " ticks, migration " << gmmu.migrationLatency
            << " ticks, batch " << gmmu.batchSize
-           << (gmmu.contiguity ? ", contiguity-aware allocation" : "")
-           << "\n";
+           << ", contiguity-aware allocation\n";
     }
     // Prefetch knobs print only when a policy is on, so --prefetch=off
     // configurations keep their pre-prefetcher fingerprints.

@@ -43,8 +43,8 @@ struct SystemConfig
     core::SchedulerKind scheduler = core::SchedulerKind::Fcfs;
     core::SimtSchedulerConfig simt;
 
-    /** Cross-tenant QoS knobs; only the token-bucket and
-     *  weighted-share schedulers read them. */
+    /** Cross-tenant QoS knobs; only the weighted-share scheduler
+     *  reads them. */
     core::QosSchedulerConfig qos;
 
     std::uint64_t schedulerSeed = 1;

@@ -85,6 +85,17 @@ class AddressSpace
         nextVa_ += size + granule;
 
         if (!demandPaging_) {
+            // An oversized workload is a configuration error: report
+            // the whole mapping's need before anything is mapped.
+            const std::uint64_t need =
+                frames_.framesInUse() + size / mem::pageSize;
+            if (need > frames_.framesTotal()) {
+                sim::fatal("the eager ", largePages_ ? "2 MB" : "4 KB",
+                           " mapping needs ", need,
+                           " 4 KB frames, but physMemBytes (",
+                           frames_.framesTotal() * mem::pageSize,
+                           " bytes) holds ", frames_.framesTotal());
+            }
             for (mem::Addr va = region.base; va < region.end();
                  va += granule) {
                 if (largePages_) {

@@ -35,12 +35,14 @@ class FrameAllocator
         GPUWALK_ASSERT(totalFrames_ > 0, "empty physical memory");
     }
 
-    /** Allocates one frame; returns its physical base address. */
+    /** Allocates one frame; returns its physical base address.
+     *  Running out is a fatal configuration error (physical memory
+     *  is a config knob). */
     mem::Addr
     allocateFrame()
     {
-        GPUWALK_ASSERT(nextFrame_ < totalFrames_,
-                       "out of physical memory (", totalFrames_,
+        if (nextFrame_ >= totalFrames_)
+            sim::fatal("out of physical memory (", totalFrames_,
                        " frames)");
         std::uint64_t frame = nextFrame_++;
         if (scramble_) {
@@ -62,8 +64,9 @@ class FrameAllocator
     allocateLargeFrame()
     {
         const auto pa = tryAllocateLargeFrame();
-        GPUWALK_ASSERT(pa.has_value(),
-                       "out of physical memory for large pages");
+        if (!pa)
+            sim::fatal("out of physical memory for large pages (",
+                       totalFrames_, " frames)");
         return *pa;
     }
 
@@ -76,7 +79,6 @@ class FrameAllocator
     std::optional<mem::Addr>
     tryAllocateLargeFrame()
     {
-        constexpr std::uint64_t framesPer2M = 512;
         if (largeTop_ == 0)
             largeTop_ = totalFrames_ & ~(framesPer2M - 1);
         if (largeTop_ < framesPer2M
@@ -89,7 +91,20 @@ class FrameAllocator
     std::uint64_t framesAllocated() const { return nextFrame_; }
     std::uint64_t framesTotal() const { return totalFrames_; }
 
+    /** 4 KB frames taken so far, from both ends (the 4 KB bump region
+     *  and the 2 MB pool at the top). */
+    std::uint64_t
+    framesInUse() const
+    {
+        const std::uint64_t largeTaken =
+            largeTop_ == 0 ? 0
+                           : (totalFrames_ & ~(framesPer2M - 1)) - largeTop_;
+        return nextFrame_ + largeTaken;
+    }
+
   private:
+    static constexpr std::uint64_t framesPer2M = 512;
+
     std::uint64_t totalFrames_;
     std::uint64_t nextFrame_ = 0;
     std::uint64_t largeTop_ = 0;

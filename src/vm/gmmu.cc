@@ -16,16 +16,6 @@ constexpr std::uint64_t pagesPer2M = largePageSize / mem::pageSize;
 } // namespace
 
 const char *
-toString(FaultOrder order)
-{
-    switch (order) {
-    case FaultOrder::Fcfs: return "fcfs";
-    case FaultOrder::Sjf: return "sjf";
-    }
-    return "?";
-}
-
-const char *
 toString(EvictPolicy policy)
 {
     switch (policy) {
@@ -111,25 +101,9 @@ Gmmu::raiseFault(ContextId ctx, mem::Addr va_page)
     PendingFault fault;
     fault.key = key;
     fault.raised = eq_.now();
-    fault.seq = nextFaultSeq_++;
     pending_.push_back(fault);
     ++faultsRaised_;
     maybeStartBatch();
-}
-
-void
-Gmmu::noteWaiter(ContextId ctx, mem::Addr va_page)
-{
-    const std::uint64_t key = keyOf(ctx, va_page);
-    ++faultsCoalesced_;
-    for (auto &f : pending_) {
-        if (f.key == key) {
-            ++f.waiters;
-            return;
-        }
-    }
-    // No pending fault (possible only after an injected drop): the
-    // coalesced count still records the joined walk.
 }
 
 void
@@ -182,26 +156,12 @@ Gmmu::beginBatch()
 {
     GPUWALK_ASSERT(busy_ && !pending_.empty(),
                    "batch began with no pending faults");
-    std::vector<std::size_t> order(pending_.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    if (cfg_.order == FaultOrder::Sjf) {
-        std::stable_sort(order.begin(), order.end(),
-                         [this](std::size_t a, std::size_t b) {
-                             const auto &fa = pending_[a];
-                             const auto &fb = pending_[b];
-                             if (fa.waiters != fb.waiters)
-                                 return fa.waiters > fb.waiters;
-                             return fa.seq < fb.seq;
-                         });
-    }
-    // Fcfs needs no sort: pending_ is already in raise order.
-
+    // pending_ is in raise order: the batch takes the oldest faults.
     batch_.clear();
     batchPos_ = 0;
-    for (std::size_t i = 0;
-         i < order.size() && batch_.size() < cfg_.batchSize; ++i) {
-        auto &fault = pending_[order[i]];
+    for (auto &fault : pending_) {
+        if (batch_.size() == cfg_.batchSize)
+            break;
         fault.inService = true;
         batch_.push_back(fault.key);
     }
@@ -372,24 +332,18 @@ Gmmu::placePage(std::uint64_t key)
     const ContextId ctx = ctxOf(key);
     const mem::Addr page = pageOf(key);
 
-    mem::Addr pa = 0;
-    bool fromBlock = false;
-    RegionInfo *region = nullptr;
-    if (cfg_.contiguity) {
-        region = &regions_[regionKeyOf(ctx, page)];
-        if (!region->tried) {
-            region->tried = true;
-            region->base2M =
-                frames_.tryAllocateLargeFrame().value_or(0);
-        }
-        if (region->base2M != 0) {
-            // Natural offset inside the block: the VA->PA function of
-            // the range is stable across evict/re-fault round trips.
-            pa = region->base2M + (page & largePageMask);
-            fromBlock = true;
-        }
+    RegionInfo &region = regions_[regionKeyOf(ctx, page)];
+    if (!region.tried) {
+        region.tried = true;
+        region.base2M = frames_.tryAllocateLargeFrame().value_or(0);
     }
-    if (!fromBlock) {
+    const bool fromBlock = region.base2M != 0;
+    mem::Addr pa = 0;
+    if (fromBlock) {
+        // Natural offset inside the block: the VA->PA function of the
+        // range is stable across evict/re-fault round trips.
+        pa = region.base2M + (page & largePageMask);
+    } else {
         if (!freeFrames_.empty()) {
             pa = freeFrames_.back();
             freeFrames_.pop_back();
@@ -423,11 +377,11 @@ Gmmu::placePage(std::uint64_t key)
     ++pagesMigrated_;
 
     if (fromBlock) {
-        ++region->resident;
-        if (region->resident == pagesPer2M && !region->promoted) {
-            region->savedPdEntry =
-                pageTableOf(ctx).promoteToLarge(page, region->base2M);
-            region->promoted = true;
+        ++region.resident;
+        if (region.resident == pagesPer2M && !region.promoted) {
+            region.savedPdEntry =
+                pageTableOf(ctx).promoteToLarge(page, region.base2M);
+            region.promoted = true;
             ++promotions_;
         }
     }

@@ -13,9 +13,10 @@
  *
  * Allocation is Mosaic-style contiguity-aware: the first fault in a
  * 2 MB virtual range opportunistically reserves a 2 MB-aligned block
- * of physical frames, later faults in the range land at their natural
- * offsets, and a fully-resident range is promoted to a single PS-bit
- * PD-level mapping (demoted again before any of its pages is evicted).
+ * of physical frames (scattered 4 KB frames when no block is free),
+ * later faults in the range land at their natural offsets, and a
+ * fully-resident range is promoted to a single PS-bit PD-level
+ * mapping (demoted again before any of its pages is evicted).
  * Because the promoted translation equals the per-page translations,
  * promotion changes walk timing (one fewer level) without changing
  * the translation function.
@@ -44,17 +45,6 @@
 
 namespace gpuwalk::vm {
 
-/** Order in which a service batch drains pending faults. */
-enum class FaultOrder : std::uint8_t
-{
-    Fcfs, ///< raise order
-    /** Shortest-effective-job first: all migrations cost the same, so
-     *  the shortest job per walk released is the fault with the most
-     *  parked walks behind it — the GMMU analogue of the walk
-     *  scheduler's SJF rule (raise order breaks ties). */
-    Sjf,
-};
-
 /** Victim selection once the resident-frame cap is hit. */
 enum class EvictPolicy : std::uint8_t
 {
@@ -62,7 +52,6 @@ enum class EvictPolicy : std::uint8_t
     Random, ///< seeded; deterministic across runs
 };
 
-const char *toString(FaultOrder order);
 const char *toString(EvictPolicy policy);
 
 /** Gmmu configuration (surfaced as --oversubscription etc.). */
@@ -81,17 +70,14 @@ struct GmmuConfig
     /** Per-page transfer cost over the CPU-GPU link (ticks). */
     sim::Tick migrationLatency = 400'000;
 
-    /** Max faults serviced per host round trip. */
+    /** Max faults serviced per host round trip; a batch takes the
+     *  oldest pending faults in raise order. */
     unsigned batchSize = 8;
 
-    FaultOrder order = FaultOrder::Fcfs;
     EvictPolicy evict = EvictPolicy::Lru;
 
     /** Seed for EvictPolicy::Random victim selection. */
     std::uint64_t evictSeed = 12345;
-
-    /** Mosaic-style 2 MB reservation + promotion. */
-    bool contiguity = true;
 };
 
 /** Bucket bounds (ticks) of the fault service latency histogram. */
@@ -153,7 +139,7 @@ class Gmmu
 
     /**
      * @param eq Event queue the Gmmu schedules on.
-     * @param cfg Knobs (latencies, policies, contiguity).
+     * @param cfg Knobs (latencies, batch size, eviction policy).
      * @param frames Physical allocator shared with the page tables.
      * @param store Functional memory (evicted frames are saved to a
      *        host-side copy and scrubbed, so content round-trips).
@@ -179,8 +165,10 @@ class Gmmu
      */
     void raiseFault(ContextId ctx, mem::Addr va_page);
 
-    /** Another walk parked behind an already-raised fault. */
-    void noteWaiter(ContextId ctx, mem::Addr va_page);
+    /** Another walk parked behind an already-raised fault. Batches
+     *  drain in raise order, so the walk is only counted
+     *  (faults_coalesced). */
+    void noteWaiter() { ++faultsCoalesced_; }
 
     /** Pins @p va_page against eviction while a walk is in flight.
      *  Pins nest and apply to non-resident pages too (the page stays
@@ -251,8 +239,6 @@ class Gmmu
     {
         std::uint64_t key = 0;
         sim::Tick raised = 0;
-        std::uint64_t seq = 0;   ///< raise order
-        std::uint64_t waiters = 1;
         bool inService = false;
     };
 
@@ -306,7 +292,6 @@ class Gmmu
     std::uint64_t frameCap_ = ~std::uint64_t(0);
 
     std::vector<PendingFault> pending_; ///< raise order
-    std::uint64_t nextFaultSeq_ = 0;
     bool busy_ = false;                ///< a batch is in service
     std::vector<std::uint64_t> batch_; ///< keys of the current batch
     std::size_t batchPos_ = 0;

@@ -5,7 +5,7 @@
  * against a hand-controlled fault/pin/evict schedule:
  *
  *  - residency never exceeds the frame cap, under randomized fault
- *    storms across eviction and service-order policies;
+ *    storms across eviction policies;
  *  - a page pinned by an in-flight walk is never evicted (and an
  *    all-pinned resident set stalls servicing instead of corrupting
  *    it);
@@ -15,7 +15,8 @@
  *    contents, across ASIDs whose virtual addresses collide;
  *  - a fully resident 2 MB range is promoted to a PS-bit mapping and
  *    demoted again before any of its pages is evicted, with the
- *    VA->PA function unchanged throughout.
+ *    VA->PA function unchanged throughout; with no free 2 MB block,
+ *    pages fall back to scattered 4 KB frames.
  */
 
 #include <gtest/gtest.h>
@@ -52,13 +53,15 @@ fastCfg()
     return cfg;
 }
 
-/** Gmmu over real page tables and a shared frame pool; @p num_spaces
- *  address spaces with deliberately colliding VA layouts. */
+/** Gmmu over real page tables and a shared frame pool of
+ *  @p phys_bytes; @p num_spaces address spaces with deliberately
+ *  colliding VA layouts. */
 struct GmmuHarness
 {
     explicit GmmuHarness(const vm::GmmuConfig &cfg = fastCfg(),
-                         unsigned num_spaces = 1)
-        : frames(mem::Addr(1) << 30, false), gmmu(eq, cfg, frames, store)
+                         unsigned num_spaces = 1,
+                         mem::Addr phys_bytes = mem::Addr(1) << 30)
+        : frames(phys_bytes, false), gmmu(eq, cfg, frames, store)
     {
         for (unsigned i = 0; i < num_spaces; ++i) {
             spaces.push_back(
@@ -119,58 +122,49 @@ TEST(GmmuTest, FaultServiceMapsThePageAndReportsIt)
 
 TEST(GmmuTest, ResidencyNeverExceedsCapUnderFuzzedFaultStorms)
 {
-    // The cap property, across every (evict, order) policy pair, under
-    // a randomized schedule of raises interleaved with partial event
+    // The cap property, under every eviction policy, under a
+    // randomized schedule of raises interleaved with partial event
     // execution (so eviction pressure hits mid-batch too).
     for (const auto evict : {vm::EvictPolicy::Lru,
                              vm::EvictPolicy::Random}) {
-        for (const auto order : {vm::FaultOrder::Fcfs,
-                                 vm::FaultOrder::Sjf}) {
-            auto cfg = fastCfg();
-            cfg.evict = evict;
-            cfg.order = order;
-            GmmuHarness h(cfg);
-            constexpr std::uint64_t cap = 8;
-            h.gmmu.setFrameCap(cap);
+        auto cfg = fastCfg();
+        cfg.evict = evict;
+        GmmuHarness h(cfg);
+        constexpr std::uint64_t cap = 8;
+        h.gmmu.setFrameCap(cap);
 
-            sim::Auditor auditor;
-            h.gmmu.registerInvariants(auditor);
+        sim::Auditor auditor;
+        h.gmmu.registerInvariants(auditor);
 
-            sim::Rng rng(7 + static_cast<std::uint64_t>(evict) * 2
-                         + static_cast<std::uint64_t>(order));
-            std::set<mem::Addr> outstanding; // raised, not yet serviced
-            h.gmmu.setServiceCallback(
-                [&outstanding](Ctx, mem::Addr page) {
-                    outstanding.erase(page);
-                });
+        sim::Rng rng(7 + static_cast<std::uint64_t>(evict) * 2);
+        std::set<mem::Addr> outstanding; // raised, not yet serviced
+        h.gmmu.setServiceCallback([&outstanding](Ctx, mem::Addr page) {
+            outstanding.erase(page);
+        });
 
-            for (int step = 0; step < 400; ++step) {
-                const mem::Addr page =
-                    h.pageAt(0, static_cast<unsigned>(rng.below(64)));
-                if (!h.gmmu.isResident(0, page)
-                    && outstanding.insert(page).second) {
-                    h.gmmu.raiseFault(0, page);
-                }
-                // Partial progress: a few events, then re-check.
-                const auto burst = rng.below(4);
-                for (std::uint64_t e = 0; e < burst; ++e)
-                    h.eq.runOne();
-                ASSERT_LE(h.gmmu.residentPages(), cap)
-                    << "at step " << step;
-                if (step % 50 == 0) {
-                    auditor.check(sim::AuditPhase::Periodic,
-                                  h.eq.now());
-                }
+        for (int step = 0; step < 400; ++step) {
+            const mem::Addr page =
+                h.pageAt(0, static_cast<unsigned>(rng.below(64)));
+            if (!h.gmmu.isResident(0, page)
+                && outstanding.insert(page).second) {
+                h.gmmu.raiseFault(0, page);
             }
-            h.drain();
-            EXPECT_TRUE(outstanding.empty());
-            EXPECT_GT(h.gmmu.pagesEvicted(), 0u);
-            auditor.check(sim::AuditPhase::Final, h.eq.now());
-            EXPECT_TRUE(auditor.clean())
-                << vm::toString(evict) << "/" << vm::toString(order)
-                << ": " << auditor.violations().front().invariant
-                << ": " << auditor.violations().front().message;
+            // Partial progress: a few events, then re-check.
+            const auto burst = rng.below(4);
+            for (std::uint64_t e = 0; e < burst; ++e)
+                h.eq.runOne();
+            ASSERT_LE(h.gmmu.residentPages(), cap) << "at step " << step;
+            if (step % 50 == 0)
+                auditor.check(sim::AuditPhase::Periodic, h.eq.now());
         }
+        h.drain();
+        EXPECT_TRUE(outstanding.empty());
+        EXPECT_GT(h.gmmu.pagesEvicted(), 0u);
+        auditor.check(sim::AuditPhase::Final, h.eq.now());
+        EXPECT_TRUE(auditor.clean())
+            << vm::toString(evict) << ": "
+            << auditor.violations().front().invariant << ": "
+            << auditor.violations().front().message;
     }
 }
 
@@ -247,8 +241,8 @@ TEST(GmmuTest, FaultCountersConserveAtTeardown)
     for (unsigned i = 0; i < 16; ++i)
         h.gmmu.raiseFault(0, h.pageAt(0, i));
     // Two coalesced walks join a pending fault mid-flight.
-    h.gmmu.noteWaiter(0, h.pageAt(0, 15));
-    h.gmmu.noteWaiter(0, h.pageAt(0, 15));
+    h.gmmu.noteWaiter();
+    h.gmmu.noteWaiter();
     h.drain();
 
     const auto s = h.gmmu.summarize();
@@ -394,9 +388,10 @@ TEST(GmmuTest, FullyResidentRangeIsPromotedAndDemotedBeforeEviction)
 
 TEST(GmmuTest, ContiguityOffFallsBackToScatteredFrames)
 {
-    auto cfg = fastCfg();
-    cfg.contiguity = false;
-    GmmuHarness h(cfg);
+    // 1 MB of physical memory holds no 2 MB block, so every region's
+    // reservation fails and its pages take scattered 4 KB frames.
+    GmmuHarness h(fastCfg(), 1, mem::Addr(1) << 20);
+    ASSERT_FALSE(h.frames.tryAllocateLargeFrame().has_value());
     for (unsigned i = 0; i < 8; ++i)
         h.gmmu.raiseFault(0, h.pageAt(0, i));
     h.drain();
@@ -411,29 +406,9 @@ TEST(GmmuTest, ContiguityOffFallsBackToScatteredFrames)
         << auditor.violations().front().message;
 }
 
-TEST(GmmuTest, SjfServicesTheMostWaitedOnFaultFirst)
-{
-    auto cfg = fastCfg();
-    cfg.order = vm::FaultOrder::Sjf;
-    cfg.batchSize = 1; // one service per batch: order fully visible
-    GmmuHarness h(cfg);
-
-    const mem::Addr first = h.pageAt(0, 0);
-    const mem::Addr popular = h.pageAt(0, 1);
-    h.gmmu.raiseFault(0, first);
-    h.gmmu.raiseFault(0, popular);
-    h.gmmu.noteWaiter(0, popular);
-    h.gmmu.noteWaiter(0, popular);
-    h.drain();
-
-    ASSERT_EQ(h.serviced.size(), 2u);
-    EXPECT_EQ(h.serviced[0].second, popular)
-        << "3 parked walks must beat 1 despite the later raise";
-    EXPECT_EQ(h.serviced[1].second, first);
-}
-
 TEST(GmmuTest, FcfsServicesInRaiseOrder)
 {
+    // Parked walks do not reorder service: raise order alone decides.
     auto cfg = fastCfg();
     cfg.batchSize = 1;
     GmmuHarness h(cfg);
@@ -442,8 +417,8 @@ TEST(GmmuTest, FcfsServicesInRaiseOrder)
     const mem::Addr popular = h.pageAt(0, 1);
     h.gmmu.raiseFault(0, first);
     h.gmmu.raiseFault(0, popular);
-    h.gmmu.noteWaiter(0, popular);
-    h.gmmu.noteWaiter(0, popular);
+    h.gmmu.noteWaiter();
+    h.gmmu.noteWaiter();
     h.drain();
 
     ASSERT_EQ(h.serviced.size(), 2u);

@@ -1,15 +1,14 @@
 /**
  * @file
- * QoS walk-scheduler tests: unit tests for the token-bucket and
- * weighted-share policies and the walk buffer's per-context index,
- * plus trace-replay fairness invariants over full multi-tenant runs.
+ * QoS walk-scheduler tests: unit tests for the weighted-share policy
+ * and the walk buffer's per-context index, plus trace-replay fairness
+ * invariants over full multi-tenant runs.
  *
  * The trace-based tests mirror test_trace_invariants.cc: run the real
  * system with tracing on and assert the fairness claims per scheduling
- * decision from the PickReason-annotated Scheduled events — the
- * token-bucket budget is never exceeded by policy picks within one
- * window, and the aging override bounds every walk's queue wait under
- * weighted sharing regardless of weights.
+ * decision from the PickReason-annotated Scheduled events — the aging
+ * override bounds every walk's queue wait under weighted sharing
+ * regardless of weights.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include <tuple>
 #include <vector>
 
-#include "core/token_bucket_scheduler.hh"
 #include "core/walk_scheduler.hh"
 #include "core/weighted_share_scheduler.hh"
 #include "exp/metrics.hh"
@@ -131,128 +129,6 @@ TEST(WalkBufferContextIndex, SjfBestOfContextMinimizesScoreThenSeq)
     EXPECT_EQ(buf.at(best1).seq, 1u);
 
     EXPECT_EQ(buf.sjfBestOfContext(7), WalkBuffer::npos);
-}
-
-// --- Token-bucket scheduler ----------------------------------------
-
-TEST(TokenBucketScheduler, PolicyPicksRespectPerTenantQuota)
-{
-    QosSchedulerConfig qos;
-    qos.tokenWindow = 8;
-    qos.tokenQuota = 2;
-    TokenBucketScheduler sched({}, qos);
-    EXPECT_TRUE(sched.needsScores());
-    EXPECT_EQ(sched.name(), "token-bucket");
-
-    WalkBuffer buf(64);
-    std::uint64_t seq = 0;
-    // Three saturated tenants, unique instructions (no batching).
-    for (unsigned t = 0; t < 3; ++t)
-        for (unsigned k = 0; k < 8; ++k)
-            buf.insert(qwalk(seq++, ContextId(t), 100 * t + k));
-
-    std::map<ContextId, unsigned> policyWins;
-    for (unsigned d = 0; d < qos.tokenWindow; ++d) {
-        const auto walk = dispatchOne(sched, buf);
-        const auto reason = sched.lastPickReason();
-        if (reason == PickReason::Batch || reason == PickReason::Sjf)
-            ++policyWins[walk.ctx];
-        else
-            EXPECT_EQ(reason, PickReason::Overdraft);
-    }
-    for (const auto &[ctx, wins] : policyWins)
-        EXPECT_LE(wins, qos.tokenQuota) << "tenant " << ctx;
-
-    // 3 tenants x quota 2 = 6 policy picks; the final 2 slots of the
-    // window are work-conserving overdrafts.
-    EXPECT_EQ(sched.overdrafts(), 2u);
-    EXPECT_EQ(sched.windowFill(), 0u) << "window should have rolled";
-
-    // Fresh window: budgets replenished, no overdraft needed.
-    dispatchOne(sched, buf);
-    EXPECT_NE(sched.lastPickReason(), PickReason::Overdraft);
-}
-
-TEST(TokenBucketScheduler, BatchingStopsAtBudgetAndResumesNextWindow)
-{
-    QosSchedulerConfig qos;
-    qos.tokenWindow = 4;
-    qos.tokenQuota = 2;
-    TokenBucketScheduler sched({}, qos);
-
-    WalkBuffer buf(32);
-    // Tenant 0: one instruction with four walks (a batch). Tenant 1:
-    // four unrelated single-walk instructions, more expensive.
-    for (unsigned k = 0; k < 4; ++k)
-        buf.insert(qwalk(k, 0, /*instr=*/7, /*score=*/1));
-    for (unsigned k = 0; k < 4; ++k)
-        buf.insert(qwalk(4 + k, 1, /*instr=*/50 + k, /*score=*/5));
-
-    struct Pick { PickReason reason; ContextId ctx; };
-    std::vector<Pick> picks;
-    for (unsigned d = 0; d < 6; ++d) {
-        const auto walk = dispatchOne(sched, buf);
-        picks.push_back({sched.lastPickReason(), walk.ctx});
-    }
-
-    // Window 1: SJF starts tenant 0's batch, one batched sibling
-    // exhausts its quota, then tenant 1 gets its turn twice (its
-    // single-walk instructions leave nothing to batch with). Window 2:
-    // budgets replenish, SJF returns to tenant 0's cheap instruction,
-    // and its remaining siblings batch behind it again.
-    ASSERT_EQ(picks.size(), 6u);
-    EXPECT_EQ(picks[0].reason, PickReason::Sjf);
-    EXPECT_EQ(picks[0].ctx, 0);
-    EXPECT_EQ(picks[1].reason, PickReason::Batch);
-    EXPECT_EQ(picks[1].ctx, 0);
-    EXPECT_EQ(picks[2].reason, PickReason::Sjf);
-    EXPECT_EQ(picks[2].ctx, 1);
-    EXPECT_EQ(picks[3].reason, PickReason::Sjf);
-    EXPECT_EQ(picks[3].ctx, 1);
-    EXPECT_EQ(picks[4].reason, PickReason::Sjf);
-    EXPECT_EQ(picks[4].ctx, 0);
-    EXPECT_EQ(picks[5].reason, PickReason::Batch);
-    EXPECT_EQ(picks[5].ctx, 0);
-}
-
-TEST(TokenBucketScheduler, AgingOverrideIsBudgetExempt)
-{
-    SimtSchedulerConfig simt;
-    simt.agingThreshold = 3;
-    QosSchedulerConfig qos;
-    qos.tokenWindow = 100; // never rolls during this test
-    qos.tokenQuota = 1;
-    TokenBucketScheduler sched(simt, qos);
-
-    WalkBuffer buf(32);
-    buf.insert(qwalk(0, 0, 1, /*score=*/1));    // cheap: exhausts quota
-    buf.insert(qwalk(1, 0, 2, /*score=*/1000)); // expensive: will age
-    for (unsigned k = 0; k < 6; ++k)
-        buf.insert(qwalk(2 + k, 1, 10 + k, /*score=*/5));
-
-    // d1: tenant 0's cheap walk (quota now spent). d2: tenant 1 (the
-    // only under-quota tenant; quota now spent too). d3, d4: all over
-    // budget -> overdraft picks the global SJF minimum (tenant 1's 5 <
-    // 1000), bypassing the expensive walk up to the threshold.
-    std::vector<PickReason> reasons;
-    std::vector<ContextId> ctxs;
-    for (unsigned d = 0; d < 5; ++d) {
-        const auto walk = dispatchOne(sched, buf);
-        reasons.push_back(sched.lastPickReason());
-        ctxs.push_back(walk.ctx);
-    }
-
-    EXPECT_EQ(reasons[0], PickReason::Sjf);
-    EXPECT_EQ(ctxs[0], 0);
-    EXPECT_EQ(reasons[1], PickReason::Sjf);
-    EXPECT_EQ(ctxs[1], 1);
-    EXPECT_EQ(reasons[2], PickReason::Overdraft);
-    EXPECT_EQ(reasons[3], PickReason::Overdraft);
-    // d5: the starved walk hit the threshold — aging wins although
-    // tenant 0 is far over its budget.
-    EXPECT_EQ(reasons[4], PickReason::Aging);
-    EXPECT_EQ(ctxs[4], 0);
-    EXPECT_EQ(sched.agingOverrides(), 1u);
 }
 
 // --- Weighted-share scheduler --------------------------------------
@@ -484,7 +360,7 @@ runTenantsTraced(SchedulerKind kind,
 
 TEST(QosTraceInvariants, PerTenantAccountingSumsToGlobal)
 {
-    const auto run = runTenantsTraced(SchedulerKind::TokenBucket);
+    const auto run = runTenantsTraced(SchedulerKind::WeightedShare);
     ASSERT_EQ(run.dropped, 0u);
 
     // The conservation auditor ran its tenant-accounting invariant
@@ -505,54 +381,6 @@ TEST(QosTraceInvariants, PerTenantAccountingSumsToGlobal)
         requests += t.walkRequests;
     }
     EXPECT_EQ(requests, run.stats.walkRequests);
-}
-
-TEST(QosTraceInvariants, TokenBucketPolicyPicksNeverExceedWindowBudget)
-{
-    QosSchedulerConfig qos;
-    qos.tokenWindow = 16;
-    qos.tokenQuota = 3;
-    const auto run = runTenantsTraced(SchedulerKind::TokenBucket, qos);
-    ASSERT_EQ(run.dropped, 0u);
-    ASSERT_EQ(run.overflowed, 0u);
-    EXPECT_EQ(run.stats.auditViolations, 0u);
-
-    // Scheduler-mediated dispatches in trace order ARE the window
-    // stream: chunk them by tokenWindow and bound each tenant's
-    // policy-driven picks by the quota. Aging (starvation freedom) and
-    // overdraft (work conservation) picks are budget-exempt by design.
-    std::map<std::uint16_t, unsigned> windowWins;
-    unsigned windowFill = 0;
-    std::uint64_t mediated = 0, overdrafts = 0;
-    std::map<std::uint16_t, std::uint64_t> winsByTenant;
-    for (const auto &ev : run.events) {
-        if (ev.kind != EventKind::Scheduled
-            || reasonOf(ev) == PickReason::Immediate) {
-            continue;
-        }
-        ++mediated;
-        ++winsByTenant[ev.ctx];
-        const auto reason = reasonOf(ev);
-        overdrafts += reason == PickReason::Overdraft;
-        if (reason == PickReason::Batch || reason == PickReason::Sjf
-            || reason == PickReason::Policy) {
-            ++windowWins[ev.ctx];
-            ASSERT_LE(windowWins[ev.ctx], qos.tokenQuota)
-                << "tenant " << ev.ctx
-                << " exceeded its window budget at tick " << ev.tick;
-        }
-        if (++windowFill == qos.tokenWindow) {
-            windowFill = 0;
-            windowWins.clear();
-        }
-    }
-
-    // Meaningfulness guards: real contention, all tenants dispatched,
-    // and the work-conserving branch actually exercised (4 tenants x
-    // quota 3 < window 16 guarantees overdraft under saturation).
-    EXPECT_GT(mediated, 200u) << "mix was not contended enough";
-    EXPECT_EQ(winsByTenant.size(), 4u);
-    EXPECT_GT(overdrafts, 0u);
 }
 
 TEST(QosTraceInvariants, WeightedShareAgingBoundsQueueWait)
@@ -609,23 +437,19 @@ TEST(QosTraceInvariants, WeightedShareAgingBoundsQueueWait)
 TEST(QosTraceInvariants, QosSchedulersKeepWalkLifecycleConsistent)
 {
     // The generic lifecycle invariant (every enqueue scheduled, every
-    // schedule completed) holds under both QoS policies too.
-    for (const auto kind : {SchedulerKind::TokenBucket,
-                            SchedulerKind::WeightedShare}) {
-        const auto run = runTenantsTraced(kind);
-        ASSERT_EQ(run.dropped, 0u);
-        std::map<WalkKey, unsigned> open;
-        for (const auto &ev : run.events) {
-            if (ev.kind == EventKind::Enqueued)
-                ++open[keyOf(ev)];
-            else if (ev.kind == EventKind::WalkDone)
-                --open[keyOf(ev)];
-        }
-        for (const auto &[key, n] : open)
-            ASSERT_EQ(n, 0u) << core::toString(kind)
-                             << ": unbalanced walk lifecycle";
-        EXPECT_EQ(run.stats.walkRequests, run.stats.walksCompleted);
+    // schedule completed) holds under the QoS policy too.
+    const auto run = runTenantsTraced(SchedulerKind::WeightedShare);
+    ASSERT_EQ(run.dropped, 0u);
+    std::map<WalkKey, unsigned> open;
+    for (const auto &ev : run.events) {
+        if (ev.kind == EventKind::Enqueued)
+            ++open[keyOf(ev)];
+        else if (ev.kind == EventKind::WalkDone)
+            --open[keyOf(ev)];
     }
+    for (const auto &[key, n] : open)
+        ASSERT_EQ(n, 0u) << "unbalanced walk lifecycle";
+    EXPECT_EQ(run.stats.walkRequests, run.stats.walksCompleted);
 }
 
 } // namespace

@@ -299,8 +299,7 @@ TEST(SchedulerFactory, CreatesAllKinds)
     for (auto kind :
          {SchedulerKind::Fcfs, SchedulerKind::Random,
           SchedulerKind::SjfOnly, SchedulerKind::BatchOnly,
-          SchedulerKind::SimtAware, SchedulerKind::TokenBucket,
-          SchedulerKind::WeightedShare}) {
+          SchedulerKind::SimtAware, SchedulerKind::WeightedShare}) {
         auto sched = makeScheduler(kind, 1);
         ASSERT_NE(sched, nullptr);
         EXPECT_EQ(sched->name(), toString(kind));
@@ -310,7 +309,8 @@ TEST(SchedulerFactory, CreatesAllKinds)
 
 TEST(SchedulerFactoryDeathTest, RemovedKindsAreUnknown)
 {
-    for (const char *name : {"fair-share", "oldest-job", "srpt"}) {
+    for (const char *name : {"fair-share", "oldest-job", "srpt",
+                             "token-bucket", "token"}) {
         EXPECT_EXIT(schedulerKindFromString(name),
                     ::testing::ExitedWithCode(1), "unknown scheduler")
             << name;

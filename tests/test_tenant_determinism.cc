@@ -5,7 +5,8 @@
  *
  * Tenant churn (mid-run arrivals) plus ASID-tagged shared caches is
  * the most state a run carries. These tests run reference tenant
- * mixes under both QoS schedulers twice in a row and as concurrent
+ * mixes under SIMT-aware (2 tenants) and weighted-share (8 tenants)
+ * scheduling twice in a row and as concurrent
  * same-process runs (the --jobs axis), demanding byte-identical trace
  * digests and stats JSON, with the conservation auditor on
  * throughout. The 2- and
@@ -50,7 +51,7 @@ struct MixPoint
 /** The two committed reference points. Churn is active in both: the
  *  2-tenant point has one late arrival, the 8-tenant point two. */
 const std::vector<MixPoint> referencePoints{
-    {"tenant2/token-bucket", 2, core::SchedulerKind::TokenBucket, 0.5,
+    {"tenant2/simt-aware", 2, core::SchedulerKind::SimtAware, 0.5,
      false},
     {"tenant8/weighted-share", 8, core::SchedulerKind::WeightedShare,
      0.25, true},

@@ -187,9 +187,9 @@ ablation_multiprogram(const Experiment &self, const system::SystemConfig &base,
  *
  * An 8-tenant reference mix — heterogeneous footprints, alternating
  * irregular/regular divergence, alternating weights — shares one GPU
- * and one IOMMU under four walk schedulers: FCFS, the paper's
- * SIMT-aware policy, and the two QoS policies composing it with
- * cross-tenant fairness (token bucket, weighted share). Each tenant
+ * and one IOMMU under three walk schedulers: FCFS, the paper's
+ * SIMT-aware policy, and weighted share, the QoS policy composing it
+ * with cross-tenant fairness. Each tenant
  * also runs solo under SIMT-aware scheduling as the slowdown
  * reference. The report gives per-tenant slowdowns, min/max slowdown,
  * and Jain's fairness index per policy; the same scalars land in the
@@ -201,7 +201,6 @@ tenant_mix(const Experiment &self, const system::SystemConfig &base,
 {
     const std::vector<core::SchedulerKind> policies{
         core::SchedulerKind::Fcfs, core::SchedulerKind::SimtAware,
-        core::SchedulerKind::TokenBucket,
         core::SchedulerKind::WeightedShare};
 
     const auto specs = workload::generateTenantMix(referenceMix());
@@ -216,7 +215,7 @@ tenant_mix(const Experiment &self, const system::SystemConfig &base,
     exp::Report report(self.id, self.description, base);
     auto &table = report.addTable(
         {"tenant", "workload", "weight", "slow:fcfs", "slow:simt",
-         "slow:token", "slow:wfq"},
+         "slow:wfq"},
         "Per-tenant slowdown vs solo (lower is better)");
 
     std::uint64_t auditViolations = 0;
@@ -270,7 +269,7 @@ tenant_mix(const Experiment &self, const system::SystemConfig &base,
         "Reading: each tenant's completion tick in the shared mix "
         "over its solo SIMT-aware runtime.\nFCFS lets the "
         "translation-heavy tenants starve the light ones (low Jain); "
-        "the QoS policies\ntrade a little aggregate throughput for a "
+        "weighted share\ntrades a little aggregate throughput for a "
         "much tighter slowdown spread. Odd tenants carry\nweight 2, "
         "so under weighted-share they are *expected* to see lower "
         "slowdowns than their\neven neighbours — Jain is computed on "

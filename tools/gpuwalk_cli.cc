@@ -55,7 +55,7 @@ Workload selection (one of):
 
 Scheduler:
   --scheduler=NAME        fcfs | random | sjf-only | batch-only |
-                          simt-aware | token-bucket | weighted-share
+                          simt-aware | weighted-share
                           (default: fcfs)
   --compare               run fcfs AND simt-aware, report speedup
   --jobs=N                worker threads for --compare and sweeps
@@ -71,16 +71,13 @@ Workload shape:
   --large-pages           back buffers with 2 MB pages
 
 Multi-tenant (replaces --workload with a generated mix):
-  --tenants=N             run an N-tenant mix: each tenant gets its
-                          own address space (ASID) and a benchmark
-                          from the tenant-mix generator; --wavefronts
-                          / --instructions / --seed shape every tenant
+  --tenants=N             run an N-tenant mix (N >= 2): each tenant
+                          gets its own address space (ASID) and a
+                          benchmark from the tenant-mix generator;
+                          --wavefronts / --instructions / --seed shape
+                          every tenant
   --churn-fraction=X      fraction of tenants arriving mid-run
-  --alternate-weights     odd tenants get QoS weight 2
-  --token-window=N        token-bucket window, scheduler dispatches
-                          (default: 64)
-  --token-quota=N         per-tenant dispatch quota per window
-                          (default: 8)
+  --alternate-weights     odd tenants get weighted-share weight 2
 
 Hardware overrides (baseline = the paper's Table I):
   --cus=N                 compute units             (default: 8)
@@ -108,12 +105,9 @@ Demand paging (any flag enables the GMMU; excludes --large-pages):
                           batch, ticks        (default: 2000000)
   --migration-latency=N   per-page CPU-GPU transfer cost, ticks
                                               (default: 400000)
-  --fault-policy=P        fcfs | sjf fault service order
-  --gmmu-batch=N          max faults serviced per host round trip
-                                              (default: 8)
+  --gmmu-batch=N          max faults serviced per host round trip,
+                          oldest first        (default: 8)
   --gmmu-evict=P          lru | random victim policy at the cap
-  --no-contiguity         disable 2 MB contiguity reservation and
-                          promotion
 
 Output:
   --stats                 dump all component statistics (text)
