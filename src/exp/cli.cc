@@ -49,20 +49,22 @@ toUint(std::string_view flag, const std::string &v, std::uint64_t min,
     errno = 0;
     const std::uint64_t n = std::strtoull(v.c_str(), &end, 0);
     if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0]))
-        || *end != '\0' || errno == ERANGE || n < min || n > max) {
+        || *end != '\0' || errno == ERANGE || n < min) {
         sim::fatal("--", flag, " needs ",
                    min ? "a positive" : "a non-negative",
                    " integer, got '", v, "'");
     }
+    if (n > max)
+        sim::fatal("--", flag, " must be at most ", max, ", got '", v, "'");
     return n;
 }
 
 unsigned
 toUnsigned(std::string_view flag, const std::string &v,
-           std::uint64_t min = 0)
+           std::uint64_t min = 0,
+           std::uint64_t max = std::numeric_limits<unsigned>::max())
 {
-    return static_cast<unsigned>(
-        toUint(flag, v, min, std::numeric_limits<unsigned>::max()));
+    return static_cast<unsigned>(toUint(flag, v, min, max));
 }
 
 /** A cache size: a positive multiple of its @p ways, and a power of
@@ -119,7 +121,7 @@ const Flag flags[] = {
      }},
     {"trace-ring", Both, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.trace.ringCapacity = toUint("trace-ring", v, 1);
+         o.cfg.trace.ringCapacity = toUint("trace-ring", v, 1, maxTraceRing);
          o.cfg.trace.enabled = true;
      }},
     {"audit", Both, Arity::None,
@@ -187,7 +189,8 @@ const Flag flags[] = {
      }},
     {"prefetch-degree", Both, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.iommu.prefetch.degree = toUnsigned("prefetch-degree", v, 1);
+         o.cfg.iommu.prefetch.degree =
+             toUnsigned("prefetch-degree", v, 1, maxPrefetchDegree);
      }},
 
     // Demand paging: any of these turns the GMMU on.
@@ -202,12 +205,14 @@ const Flag flags[] = {
      }},
     {"fault-latency", Both, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.gmmu.faultLatency = toUint("fault-latency", v, 0);
+         o.cfg.gmmu.faultLatency =
+             toUint("fault-latency", v, 0, maxLatencyTicks);
          o.cfg.gmmu.enabled = true;
      }},
     {"migration-latency", Both, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.gmmu.migrationLatency = toUint("migration-latency", v, 0);
+         o.cfg.gmmu.migrationLatency =
+             toUint("migration-latency", v, 0, maxLatencyTicks);
          o.cfg.gmmu.enabled = true;
      }},
     {"gmmu-batch", Both, Arity::Required,
@@ -252,12 +257,12 @@ const Flag flags[] = {
      }},
     {"wavefronts", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.params.wavefronts = toUnsigned("wavefronts", v);
+         o.params.wavefronts = toUnsigned("wavefronts", v, 1);
      }},
     {"instructions", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.params.instructionsPerWavefront =
-             toUnsigned("instructions", v);
+             toUnsigned("instructions", v, 1);
      }},
     {"footprint-scale", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
@@ -268,7 +273,8 @@ const Flag flags[] = {
      }},
     {"compute-cycles", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.params.computeCycles = toUint("compute-cycles", v, 0);
+         o.params.computeCycles =
+             toUint("compute-cycles", v, 0, maxComputeCycles);
      }},
     {"large-pages", RunOnly, Arity::None,
      [](CliOptions &o, const std::string &) {

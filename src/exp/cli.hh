@@ -17,6 +17,7 @@
 #ifndef GPUWALK_EXP_CLI_HH
 #define GPUWALK_EXP_CLI_HH
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +26,22 @@
 #include "exp/runner.hh"
 
 namespace gpuwalk::exp {
+
+/** Largest --fault-latency and --migration-latency: 10^12 ticks, one
+ *  simulated second per fault batch or page, far from wrapping the
+ *  64-bit tick. */
+inline constexpr std::uint64_t maxLatencyTicks = 1'000'000'000'000;
+
+/** Largest --compute-cycles (2^32 - 1): a wavefront's compute gaps in
+ *  ticks stay far from wrapping. */
+inline constexpr std::uint64_t maxComputeCycles = 0xffff'ffff;
+
+/** Largest --trace-ring capacity in events (2^24; the default is
+ *  2^20). The ring is allocated up front. */
+inline constexpr std::uint64_t maxTraceRing = std::uint64_t{1} << 24;
+
+/** Largest --prefetch-degree: the SPP candidate list grows with it. */
+inline constexpr unsigned maxPrefetchDegree = 64;
 
 /** Which gpuwalk command the flags belong to. */
 enum class Command

@@ -289,23 +289,10 @@ Iommu::translate(tlb::RequestHandle req)
 }
 
 void
-Iommu::deliverTranslate(tlb::RequestHandle req)
-{
-    // The translate channel already carried the hop latency.
-    ++requests_;
-    frontPort_.submit([this, req] { lookupTlbs(req); });
-}
-
-void
 Iommu::respond(tlb::RequestHandle req, mem::Addr pa_page, bool large_page,
                sim::Tick delay)
 {
-    if (replyChannel_) {
-        replyChannel_->sendAt(eq_.now() + delay,
-                              tlb::TranslationReply{req, large_page,
-                                                    pa_page});
-        return;
-    }
+    ++responses_;
     if (delay == 0) {
         translations_.complete(req, pa_page, large_page);
         return;
@@ -572,8 +559,8 @@ Iommu::walkDone(WalkResult &result)
 
     if (isPrefetch) {
         // No coalescer asked for this translation, so there is nothing
-        // to respond to: a synthetic TranslationReply would break the
-        // reply channel's request/reply conservation. The walk's whole
+        // to respond to: a synthetic response would push responses()
+        // past requests() (system.reply_conservation). The walk's whole
         // value is the TLB fills above.
         ++prefetchCompleted_;
         prefetchedUntouched_.try_emplace(

@@ -41,7 +41,6 @@
 #include "sim/flat_map.hh"
 #include "sim/rate_limiter.hh"
 #include "sim/stats.hh"
-#include "tlb/channel_port.hh"
 #include "tlb/set_assoc_tlb.hh"
 #include "tlb/translation.hh"
 
@@ -133,29 +132,11 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
     }
 
     /** Entry point for GPU L2 TLB misses. Pays the GPU→IOMMU hop
-     *  latency internally (direct wiring; unit tests, interposers). */
+     *  latency, then queues at the front port. */
     void translate(tlb::RequestHandle req) override;
-
-    /**
-     * Entry point for requests arriving through the translate channel
-     * (system::System's port wiring): the channel has already carried
-     * the hop latency, so the request goes straight to the front port.
-     */
-    void deliverTranslate(tlb::RequestHandle req);
 
     /** A walker finished (or faulted) the walk in @p result. */
     void walkDone(WalkResult &result) override;
-
-    /**
-     * Routes completed translations (IOMMU TLB hits and finished
-     * walks) back through @p ch instead of completing them in place,
-     * so the reply edge is counted by the channel. nullptr restores
-     * direct completion.
-     */
-    void setReplyChannel(tlb::TranslationReplyChannel *ch)
-    {
-        replyChannel_ = ch;
-    }
 
     /**
      * Attaches a lifecycle tracer to the walk path (this component and
@@ -194,6 +175,10 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
 
     /** Translation requests received from the GPU TLB hierarchy. */
     std::uint64_t requests() const { return requests_.value(); }
+
+    /** Translation requests answered (TLB hits and finished demand
+     *  walks; prefetch walks answer nobody). */
+    std::uint64_t responses() const { return responses_; }
 
     /** Requests that hit in the IOMMU's own TLBs. */
     std::uint64_t tlbHits() const { return tlbHits_.value(); }
@@ -367,7 +352,8 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
     WalkMetrics metrics_;
     std::uint64_t nextSeq_ = 0;
     trace::Tracer *tracer_ = nullptr;
-    tlb::TranslationReplyChannel *replyChannel_ = nullptr;
+    /** Read by the audit only, so not in statGroup_ (--stats). */
+    std::uint64_t responses_ = 0;
 
     sim::StatGroup statGroup_;
     sim::Counter requests_{"requests", "translation requests received"};

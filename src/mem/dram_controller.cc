@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/audit.hh"
-#include "sim/port.hh"
 
 namespace gpuwalk::mem {
 
@@ -123,7 +122,7 @@ DramController::issue(Channel &ch, std::size_t idx)
 {
     const Pending p = ch.queue[idx];
     ch.queue.erase(ch.queue.begin() + static_cast<std::ptrdiff_t>(idx));
-    MemoryRequest &req = table_.at(p.req);
+    const MemoryRequest &req = table_.at(p.req);
 
     const sim::Tick now = eq_.now();
     BankState &bank = ch.banks[mapper_.flatBank(p.where)];
@@ -169,16 +168,12 @@ DramController::issue(Channel &ch, std::size_t idx)
     bank.lastIssue = cmd_start;
     latency_.sample(static_cast<double>(done - p.arrival));
 
-    if (req.reply) {
-        // Channel wiring: the finished request travels back on the
-        // reply channel, which schedules the same single completion
-        // event the direct form below does.
-        MemoryReplyChannel *reply = req.reply;
-        req.reply = nullptr;
-        reply->sendAt(done, p.req);
-    } else {
-        eq_.schedule(done, [this, h = p.req] { table_.complete(h); });
-    }
+    // Nothing completes faster than CAS + burst after it issues.
+    GPUWALK_ASSERT(done - now >= cfg_.cl() + cfg_.burst(),
+                   "DRAM completion ", done - now,
+                   " ticks after issue beats the CL + burst floor ",
+                   cfg_.cl() + cfg_.burst());
+    eq_.schedule(done, [this, h = p.req] { table_.complete(h); });
 }
 
 sim::Tick

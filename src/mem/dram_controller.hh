@@ -35,8 +35,8 @@ class DramController : public MemoryDevice
     DramController(sim::EventQueue &eq, const DramConfig &cfg,
                    MemoryTable &table);
 
-    /** Enqueues a request; completes it through the table (or its
-     *  reply channel) when its data burst ends. */
+    /** Enqueues a request; schedules its completion through the
+     *  table for the tick its data burst ends. */
     void access(RequestHandle req) override;
 
     /** Statistics group for this controller. */

@@ -1,6 +1,9 @@
 /**
  * @file
- * The request/port abstraction connecting memory-system components.
+ * Memory requests and the device interface connecting memory-system
+ * components: a requester acquires a MemoryTable slot, calls the next
+ * device's access() with its handle, and hears the completion through
+ * the slot's route.
  */
 
 #ifndef GPUWALK_MEM_REQUEST_HH
@@ -12,19 +15,10 @@
 #include "mem/types.hh"
 #include "sim/request_table.hh"
 
-namespace gpuwalk::sim {
-template <typename Msg>
-class Channel;
-} // namespace gpuwalk::sim
-
 namespace gpuwalk::mem {
 
 /** A memory request's slot handle. */
 using RequestHandle = sim::Handle;
-
-/** Channel carrying completed memory requests back to the requester
- *  (sim/port.hh). */
-using MemoryReplyChannel = sim::Channel<RequestHandle>;
 
 /**
  * An asynchronous memory request.
@@ -58,15 +52,6 @@ struct MemoryRequest
     std::uint64_t instruction = 0;
     std::uint32_t wavefront = 0;
     std::uint32_t cu = 0;
-
-    /**
-     * When set, the completing device sends the finished request back
-     * through this channel instead of completing it in place, so the
-     * reply edge is timed and counted like the request edge. Stamped
-     * by the request-side channel adapter (mem/channel_port.hh); null
-     * for direct wiring.
-     */
-    MemoryReplyChannel *reply = nullptr;
 };
 
 /** Who a memory request's completion goes back to. */

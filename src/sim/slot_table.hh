@@ -8,7 +8,7 @@
  * Unlike ObjectPool it names each object by a Handle rather than a
  * pointer: the slot's table-wide index in the low 24 bits and its reuse
  * generation in the high 8. Components pass the handle instead of the
- * object — through channels, queues and event captures — so a hop costs
+ * object — through calls, queues and event captures — so a hop costs
  * a 4-byte copy, and whoever holds the handle reaches the object with a
  * shift, a mask and one load from the (tiny, always cached) slab array.
  *

@@ -13,56 +13,11 @@ System::System(const SystemConfig &cfg)
 {
     addressSpace_ = std::make_unique<vm::AddressSpace>(store_, frames_);
 
-    channelTranslation_ = !cfg_.translationInterposer;
-
-    // The channel wiring table: every call crossing a latency boundary
-    // becomes a typed channel carrying its fixed link latency. The
-    // minimum latency is the floor every send on the edge must respect:
-    //  - TLB hierarchy -> IOMMU: the off-chip hop (hoisted out of
-    //    Iommu::translate onto the link).
-    //  - IOMMU -> TLB replies: walk completions return same-tick.
-    //  - requests into DRAM: handed over same-tick (the caller already
-    //    paid its own cache latency).
-    //  - DRAM replies: nothing completes faster than CAS + burst.
-    const sim::Tick hop = cfg_.iommu.hopLatency;
-    const sim::Tick dramFloor = cfg_.dram.cl() + cfg_.dram.burst();
-    chTranslate_ = std::make_unique<sim::Channel<tlb::RequestHandle>>(
-        "tlb_to_iommu", hop);
-    chTransReply_ = std::make_unique<tlb::TranslationReplyChannel>(
-        "iommu_to_tlb", 0);
-    chGpuMem_ = std::make_unique<sim::Channel<mem::RequestHandle>>(
-        "l2d_to_dram", 0);
-    chMemReplyGpu_ = std::make_unique<mem::MemoryReplyChannel>(
-        "dram_to_l2d", dramFloor);
-    chWalkMem_ = std::make_unique<sim::Channel<mem::RequestHandle>>(
-        "walk_to_dram", 0);
-    chMemReplyIommu_ = std::make_unique<mem::MemoryReplyChannel>(
-        "dram_to_walk", dramFloor);
-    for (sim::ChannelBase *ch : channels())
-        ch->bind(eq_);
-
-    transPort_ =
-        std::make_unique<tlb::ChannelTranslationPort>(*chTranslate_);
-    gpuMemPort_ = std::make_unique<mem::ChannelMemoryPort>(
-        memory_, *chGpuMem_, *chMemReplyGpu_);
-    walkMemPort_ = std::make_unique<mem::ChannelMemoryPort>(
-        memory_, *chWalkMem_, *chMemReplyIommu_);
-
+    // Each component calls the next one directly and pays its own
+    // latency: the IOMMU the GPU→IOMMU hop (Iommu::translate), DRAM
+    // its access time (DramController schedules the completion).
     dram_ = std::make_unique<mem::DramController>(eq_, cfg_.dram, memory_);
-    chGpuMem_->onDeliver(
-        [this](mem::RequestHandle &&m) { dram_->access(m); });
-    chWalkMem_->onDeliver(
-        [this](mem::RequestHandle &&m) { dram_->access(m); });
-    chMemReplyGpu_->onDeliver(
-        [this](mem::RequestHandle &&m) { memory_.complete(m); });
-    chMemReplyIommu_->onDeliver(
-        [this](mem::RequestHandle &&m) { memory_.complete(m); });
-    chTransReply_->onDeliver([this](tlb::TranslationReply &&m) {
-        translations_.complete(m.req, m.paPage, m.largePage);
-    });
-
-    l2d_ = std::make_unique<mem::Cache>(eq_, cfg_.l2d, memory_,
-                                        *gpuMemPort_);
+    l2d_ = std::make_unique<mem::Cache>(eq_, cfg_.l2d, memory_, *dram_);
 
     // Page walks fetch PTEs through the CPU-complex walk path — the
     // IOMMU sits in the CPU complex, not behind the GPU's caches.
@@ -73,7 +28,7 @@ System::System(const SystemConfig &cfg)
                                                cfg_.simt, cfg_.qos);
     iommu_ = std::make_unique<iommu::Iommu>(
         eq_, cfg_.iommu, std::move(scheduler), translations_, memory_,
-        *walkMemPort_, store_, addressSpace_->pageTable().root());
+        *dram_, store_, addressSpace_->pageTable().root());
 
     if (cfg_.gmmu.enabled) {
         // Demand paging: faults are raised and serviced on the walk
@@ -86,16 +41,10 @@ System::System(const SystemConfig &cfg)
         iommu_->attachGmmu(gmmu_.get());
     }
 
-    tlb::TranslationService *translation = nullptr;
-    if (channelTranslation_) {
-        iommu_->setReplyChannel(chTransReply_.get());
-        chTranslate_->onDeliver([this](tlb::RequestHandle &&r) {
-            iommu_->deliverTranslate(r);
-        });
-        translation = transPort_.get();
-    } else {
-        // Test-only direct wiring: the interposer sits between the TLB
-        // hierarchy and the IOMMU, which pays the hop latency itself.
+    // Test seam: an interposer may sit between the TLB hierarchy and
+    // the IOMMU.
+    tlb::TranslationService *translation = iommu_.get();
+    if (cfg_.translationInterposer) {
         translation =
             cfg_.translationInterposer(eq_, translations_, *iommu_);
         GPUWALK_ASSERT(translation != nullptr,
@@ -146,85 +95,42 @@ System::System(const SystemConfig &cfg)
         translations_.registerInvariants(*auditor_);
         memory_.registerInvariants(*auditor_);
         registerSystemInvariants();
-        registerChannelInvariants();
         auditEvent_.sys = this;
     }
-}
-
-std::vector<sim::ChannelBase *>
-System::channels()
-{
-    return {chTranslate_.get(),  chTransReply_.get(),
-            chGpuMem_.get(),     chMemReplyGpu_.get(),
-            chWalkMem_.get(),    chMemReplyIommu_.get()};
 }
 
 void
 System::registerSystemInvariants()
 {
-    if (channelTranslation_) {
-        // Cross-component identity through the channel: the hierarchy's
-        // forward counter moves with the channel's send counter in the
-        // same synchronous call, and the IOMMU's receive counter moves
-        // with the delivery — so both pairs agree at any instant, and
-        // the link itself must conserve (nothing injected, nothing
-        // swallowed, nothing left in flight at drain).
-        auditor_->registerInvariant(
-            "system.translation_conservation",
-            [this](sim::AuditContext &ctx) {
-                ctx.require(tlbs_->iommuRequests() == chTranslate_->sent(),
-                            "TLB hierarchy forwarded ",
-                            tlbs_->iommuRequests(),
-                            " requests but the channel accepted ",
-                            chTranslate_->sent());
-                ctx.require(iommu_->requests() == chTranslate_->delivered(),
-                            "channel delivered ",
-                            chTranslate_->delivered(),
-                            " requests but the IOMMU received ",
-                            iommu_->requests());
-                if (ctx.final()) {
-                    ctx.require(chTranslate_->sent()
-                                    == chTranslate_->delivered(),
-                                chTranslate_->sent()
-                                    - chTranslate_->delivered(),
-                                " translation requests still in flight"
-                                " at drain");
-                }
-            });
-        // Reply conservation: every reply answers a received request.
-        // Prefetch completions must short-circuit to TLB fills only —
-        // a synthetic reply for a request no coalescer made would push
-        // sent() past requests() and trip this.
-        auditor_->registerInvariant(
-            "system.reply_conservation",
-            [this](sim::AuditContext &ctx) {
-                ctx.require(chTransReply_->sent() <= iommu_->requests(),
-                            "IOMMU sent ", chTransReply_->sent(),
-                            " replies for only ", iommu_->requests(),
-                            " received requests");
-                if (ctx.final()) {
-                    ctx.require(chTransReply_->sent()
-                                    == iommu_->requests(),
-                                iommu_->requests()
-                                    - chTransReply_->sent(),
-                                " requests never answered at drain");
-                }
-            });
-    } else {
-        // Direct wiring (interposer): the forward and receive counters
-        // move in the same synchronous call, so they must agree at any
-        // instant — unless something sits between the two and injects
-        // or swallows requests.
-        auditor_->registerInvariant(
-            "system.translation_conservation",
-            [this](sim::AuditContext &ctx) {
-                ctx.require(tlbs_->iommuRequests() == iommu_->requests(),
-                            "TLB hierarchy forwarded ",
-                            tlbs_->iommuRequests(),
-                            " requests but the IOMMU received ",
-                            iommu_->requests());
-            });
-    }
+    // The forward and receive counters move in the same synchronous
+    // call, so they must agree at any instant — unless something sits
+    // between the two and injects or swallows requests.
+    auditor_->registerInvariant(
+        "system.translation_conservation",
+        [this](sim::AuditContext &ctx) {
+            ctx.require(tlbs_->iommuRequests() == iommu_->requests(),
+                        "TLB hierarchy forwarded ",
+                        tlbs_->iommuRequests(),
+                        " requests but the IOMMU received ",
+                        iommu_->requests());
+        });
+    // Every response answers a received request. Prefetch completions
+    // must only fill TLBs — a synthetic response for a request no
+    // coalescer made would push responses() past requests().
+    auditor_->registerInvariant(
+        "system.reply_conservation",
+        [this](sim::AuditContext &ctx) {
+            if (!ctx.require(iommu_->responses() <= iommu_->requests(),
+                             "IOMMU answered ", iommu_->responses(),
+                             " requests of only ", iommu_->requests(),
+                             " received"))
+                return;
+            if (ctx.final()) {
+                ctx.require(iommu_->responses() == iommu_->requests(),
+                            iommu_->requests() - iommu_->responses(),
+                            " requests never answered at drain");
+            }
+        });
 
     // Events-executed stays monotone.
     auditor_->registerInvariant(
@@ -236,25 +142,6 @@ System::registerSystemInvariants()
                         executed);
             last = executed;
         });
-}
-
-void
-System::registerChannelInvariants()
-{
-    for (sim::ChannelBase *ch : channels()) {
-        auditor_->registerInvariant(
-            "channel." + ch->name() + ".conservation",
-            [ch](sim::AuditContext &ctx) {
-                const std::uint64_t delivered = ch->delivered();
-                const std::uint64_t sent = ch->sent();
-                ctx.require(delivered <= sent, "delivered ", delivered,
-                            " messages but only ", sent, " were sent");
-                if (!ctx.final())
-                    return;
-                ctx.require(sent == delivered, sent - delivered,
-                            " messages lost in flight at drain");
-            });
-    }
 }
 
 void

@@ -18,13 +18,10 @@
 #include "iommu/iommu.hh"
 #include "mem/backing_store.hh"
 #include "mem/cache.hh"
-#include "mem/channel_port.hh"
 #include "mem/dram_controller.hh"
 #include "sim/audit.hh"
 #include "sim/event_queue.hh"
-#include "sim/port.hh"
 #include "system/system_config.hh"
-#include "tlb/channel_port.hh"
 #include "tlb/tlb_hierarchy.hh"
 #include "tlb/translating_port.hh"
 #include "trace/trace.hh"
@@ -192,12 +189,9 @@ class System
     };
 
     void registerSystemInvariants();
-    void registerChannelInvariants();
-    std::vector<sim::ChannelBase *> channels();
     RunStats collectStats();
 
     SystemConfig cfg_;
-    bool channelTranslation_ = false;  ///< TLB→IOMMU edge via channels
 
     sim::EventQueue eq_;
 
@@ -217,18 +211,6 @@ class System
     std::unique_ptr<vm::AddressSpace> addressSpace_;
     /** Tenant address spaces beyond the default (ContextId i+1). */
     std::vector<std::unique_ptr<vm::AddressSpace>> tenantSpaces_;
-
-    // Latency-boundary channels (the system's channel wiring table)
-    // and the adapters presenting them as plain device interfaces.
-    std::unique_ptr<sim::Channel<tlb::RequestHandle>> chTranslate_;
-    std::unique_ptr<tlb::TranslationReplyChannel> chTransReply_;
-    std::unique_ptr<sim::Channel<mem::RequestHandle>> chGpuMem_;
-    std::unique_ptr<mem::MemoryReplyChannel> chMemReplyGpu_;
-    std::unique_ptr<sim::Channel<mem::RequestHandle>> chWalkMem_;
-    std::unique_ptr<mem::MemoryReplyChannel> chMemReplyIommu_;
-    std::unique_ptr<tlb::ChannelTranslationPort> transPort_;
-    std::unique_ptr<mem::ChannelMemoryPort> gpuMemPort_;
-    std::unique_ptr<mem::ChannelMemoryPort> walkMemPort_;
 
     std::unique_ptr<mem::DramController> dram_;
     std::unique_ptr<mem::Cache> l2d_;

@@ -482,7 +482,7 @@ TEST(BenchCliDeathTest, MalformedNumbersAreFatal)
 {
     EXPECT_EXIT(parseCli(Command::Run, {"--workload=MVT", "--wavefronts=x"}),
                 ::testing::ExitedWithCode(1),
-                "fatal: --wavefronts needs a non-negative integer, "
+                "fatal: --wavefronts needs a positive integer, "
                 "got 'x'");
     EXPECT_EXIT(parseCli(Command::Run, {"--walkers=abc"}),
                 ::testing::ExitedWithCode(1),
@@ -497,6 +497,36 @@ TEST(BenchCliDeathTest, MalformedNumbersAreFatal)
     EXPECT_EXIT(parseCli(Command::Sweep, {"--trace-ring=0"}),
                 ::testing::ExitedWithCode(1),
                 "fatal: --trace-ring needs a positive integer");
+    EXPECT_EXIT(parseCli(Command::Run, {"--instructions=0"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --instructions needs a positive integer");
+    // Out-of-range values name the bound.
+    EXPECT_EXIT(parseCli(Command::Sweep, {"--fault-latency=1000000000001"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --fault-latency must be at most 1000000000000");
+    EXPECT_EXIT(parseCli(Command::Run, {"--compute-cycles=4294967296"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --compute-cycles must be at most 4294967295");
+    EXPECT_EXIT(parseCli(Command::Sweep, {"--trace-ring=16777217"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --trace-ring must be at most 16777216");
+    EXPECT_EXIT(parseCli(Command::Sweep, {"--prefetch-degree=65"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --prefetch-degree must be at most 64");
+}
+
+TEST(BenchCliTest, AcceptsEachBoundItself)
+{
+    const auto opts = parseCli(
+        Command::Run, {"--fault-latency=1000000000000",
+                       "--migration-latency=1000000000000",
+                       "--compute-cycles=4294967295",
+                       "--trace-ring=16777216", "--prefetch-degree=64"});
+    EXPECT_EQ(opts.cfg.gmmu.faultLatency, maxLatencyTicks);
+    EXPECT_EQ(opts.cfg.gmmu.migrationLatency, maxLatencyTicks);
+    EXPECT_EQ(opts.params.computeCycles, maxComputeCycles);
+    EXPECT_EQ(opts.cfg.trace.ringCapacity, maxTraceRing);
+    EXPECT_EQ(opts.cfg.iommu.prefetch.degree, maxPrefetchDegree);
 }
 
 TEST(BenchCliDeathTest, UnknownMisplacedAndValuelessFlagsAreFatal)

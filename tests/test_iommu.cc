@@ -137,6 +137,45 @@ TEST_F(IommuFixture, BufferOverflowStillServicesEverything)
     EXPECT_GT(iommu->stats().name().size(), 0u); // smoke
 }
 
+TEST_F(IommuFixture, EveryRequestIsAnsweredOnceAndPrefetchesAnswerNobody)
+{
+    // The counters system.reply_conservation reads: responses() moves
+    // in respond(), once per TLB hit and per finished demand walk.
+    IommuConfig cfg;
+    cfg.prefetch.kind = PrefetchKind::Spp;
+    cfg.prefetch.degree = 1; // each trained touch proposes its successor
+    build(core::SchedulerKind::Fcfs, cfg);
+    const auto page = [&](Addr i) { return region.base + i * mem::pageSize; };
+
+    // A stride-1 stream: six demand walks. SPP reaches its fixed point
+    // on the sixth touch and prefetches page 6 into an idle walker.
+    for (Addr i = 0; i < 5; ++i) {
+        issue(page(i), i);
+        eq.run();
+    }
+    std::uint64_t answered_at_reply = 0;
+    tlb::TranslationRequest last;
+    last.vaPage = page(5);
+    last.instruction = 5;
+    iommu->translate(owner.issue(last, [&](Addr, bool) {
+        answered_at_reply = iommu->responses();
+    }));
+    eq.run();
+    ASSERT_EQ(iommu->prefetches(), 1u);
+    ASSERT_EQ(iommu->prefetchSummary().completed, 1u);
+    EXPECT_EQ(answered_at_reply, 6u);
+    EXPECT_EQ(iommu->responses(), answered_at_reply);
+
+    // Two IOMMU TLB hits: a demand-walked page and the prefetched one.
+    issue(page(0), 6);
+    issue(page(6), 7);
+    eq.run();
+    EXPECT_EQ(iommu->tlbHits(), 2u);
+    EXPECT_EQ(iommu->walkRequests(), 6u);
+    EXPECT_EQ(iommu->requests(), 8u);
+    EXPECT_EQ(iommu->responses(), iommu->requests());
+}
+
 TEST_F(IommuFixture, ScoresAccumulatePerInstruction)
 {
     IommuConfig cfg;

@@ -3,14 +3,14 @@
  * SPP signature-path translation prefetcher tests: unit-level
  * prediction behaviour, the Iommu's in-flight dedup filter, trace
  * accounting identities, and run-to-run determinism with the
- * auditor (channel conservation included) on.
+ * auditor (request/response conservation included) on.
  *
  * The safety claims under test, end to end:
  *
  *  - speculative walks never duplicate a walk already in flight
  *    (buffered, walking, or fault-parked);
- *  - prefetch completions fill the IOMMU TLBs without sending a
- *    synthetic TranslationReply, so the reply channel stays balanced
+ *  - prefetch completions fill the IOMMU TLBs without answering a
+ *    request nobody made, so IOMMU responses equal requests
  *    (system.reply_conservation holds in every audited run below);
  *  - the trace stream, the prefetch counters, and the demand-walk
  *    counters agree exactly;
@@ -483,7 +483,7 @@ TEST(SppDeterminism, BitIdenticalAcrossRepeatRuns)
         ASSERT_EQ(first.stats.traceDropped, 0u);
         ASSERT_TRUE(first.stats.audited);
         // The audit covers system.reply_conservation: prefetch
-        // completions did NOT send synthetic TranslationReplies, and
+        // completions did NOT send synthetic responses, and
         // iommu.inflight_tracking: the dedup ledger drained to empty.
         EXPECT_EQ(first.stats.auditViolations, 0u) << point.workload;
         ASSERT_GT(first.stats.prefetch.issued, 0u)

@@ -64,10 +64,11 @@ Scheduler:
   --seed=N                RNG seed (random scheduler + workloads)
 
 Workload shape:
-  --wavefronts=N          total wavefronts          (default: 256)
-  --instructions=N        per wavefront             (default: 48)
+  --wavefronts=N          total wavefronts, N >= 1  (default: 256)
+  --instructions=N        per wavefront, N >= 1     (default: 48)
   --footprint-scale=X     fraction of Table II size (default: 1.0)
-  --compute-cycles=N      base ALU gap, cycles      (default: 200)
+  --compute-cycles=N      base ALU gap, cycles, at most 2^32-1
+                                                    (default: 200)
   --large-pages           back buffers with 2 MB pages
 
 Multi-tenant (replaces --workload with a generated mix):
@@ -91,8 +92,8 @@ Hardware overrides (baseline = the paper's Table I):
   --aging-threshold=N     SIMT-aware starvation bound
   --prefetch=P            translation prefetch policy: off | spp
                           (signature-path lookahead into idle walkers)
-  --prefetch-degree=N     max speculative walks per trigger
-                                              (default: 4)
+  --prefetch-degree=N     max speculative walks per trigger, at
+                          most 64             (default: 4)
   --virtual-l1            virtually-addressed L1 data caches
                           (translate on L1 miss, Yoon et al.;
                           excludes --tenants)
@@ -105,6 +106,8 @@ Demand paging (any flag enables the GMMU; excludes --large-pages):
                           batch, ticks        (default: 2000000)
   --migration-latency=N   per-page CPU-GPU transfer cost, ticks
                                               (default: 400000)
+                          Both latencies are at most 10^12 ticks
+                          (1 simulated second).
   --gmmu-batch=N          max faults serviced per host round trip,
                           oldest first        (default: 8)
   --gmmu-evict=P          lru | random victim policy at the cap
@@ -118,7 +121,8 @@ Output:
                           ui.perfetto.dev); --compare writes one file
                           per scheduler
   --trace-ring=N          trace ring-buffer capacity in events
-                          (default 1Mi; oldest events drop first)
+                          (default 1Mi, at most 16Mi; oldest events
+                          drop first)
   --audit                 check conservation invariants at teardown;
                           any violation is reported and makes the
                           exit status non-zero
