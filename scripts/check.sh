@@ -19,12 +19,12 @@ SMOKE_JSON=/tmp/out.json
 rm -f "$SMOKE_JSON"
 "$BUILD"/tools/gpuwalk sweep fig02 --jobs 2 --json "$SMOKE_JSON"
 
-# JSON sanity: well-formed, schema v1, runs present, jobs as requested.
+# JSON sanity: well-formed, schema v2, runs present, jobs as requested.
 python3 - "$SMOKE_JSON" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema_version"] == 1, doc.get("schema_version")
+assert doc["schema_version"] == 2, doc.get("schema_version")
 assert doc["jobs"] == 2, doc["jobs"]
 assert doc["runs"], "no runs in JSON"
 assert doc["wall_seconds"] > 0

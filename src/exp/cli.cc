@@ -282,7 +282,7 @@ const Flag flags[] = {
      }},
     {"tenants", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.tenants = toUnsigned("tenants", v);
+         o.tenants = toUnsigned("tenants", v, 0, maxTenants);
          if (o.tenants < 2)
              sim::fatal("--tenants needs at least 2 tenants, got '", v,
                         "' (omit it for a single workload)");

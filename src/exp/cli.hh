@@ -43,6 +43,9 @@ inline constexpr std::uint64_t maxTraceRing = std::uint64_t{1} << 24;
 /** Largest --prefetch-degree: the SPP candidate list grows with it. */
 inline constexpr unsigned maxPrefetchDegree = 64;
 
+/** Largest --tenants: each tenant takes one 16-bit ASID. */
+inline constexpr unsigned maxTenants = tlb::maxContexts;
+
 /** Which gpuwalk command the flags belong to. */
 enum class Command
 {

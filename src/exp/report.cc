@@ -160,7 +160,7 @@ void
 Report::writeJson(std::ostream &os) const
 {
     const SweepResult *result = result_ ? &*result_ : nullptr;
-    os << "{\"schema_version\": 1, \"experiment\": {\"id\": ";
+    os << "{\"schema_version\": 2, \"experiment\": {\"id\": ";
     jsonEscape(os, id_);
     os << ", \"description\": ";
     jsonEscape(os, description_);
@@ -374,7 +374,6 @@ statsJson(std::ostream &os, const system::RunStats &stats)
            << ", \"resident_final\": " << g.residentFinal
            << ", \"faults_raised\": " << g.faultsRaised
            << ", \"faults_serviced\": " << g.faultsServiced
-           << ", \"faults_coalesced\": " << g.faultsCoalesced
            << ", \"batches\": " << g.batches
            << ", \"pages_migrated\": " << g.pagesMigrated
            << ", \"pages_evicted\": " << g.pagesEvicted

@@ -57,12 +57,8 @@ Iommu::Iommu(sim::EventQueue &eq, const IommuConfig &cfg,
     statGroup_.add(walkAccessesAvg_);
     latencyGroup_.add(queueWaitHist_);
     latencyGroup_.add(walkerServiceHist_);
-    latencyGroup_.add(queueWaitAvg_);
-    latencyGroup_.add(walkerServiceAvg_);
     for (auto &h : levelMemHist_)
         latencyGroup_.add(h);
-    for (auto &a : levelMemAvg_)
-        latencyGroup_.add(a);
     statGroup_.addChild(latencyGroup_);
     statGroup_.addChild(l1Tlb_.stats());
     statGroup_.addChild(l2Tlb_.stats());
@@ -106,21 +102,21 @@ Iommu::attachGmmu(vm::Gmmu *gmmu)
 LatencyBreakdownSummary
 Iommu::latencySummary() const
 {
-    const auto dist = [](const sim::Histogram &h, const sim::Average &a) {
+    const auto dist = [](const sim::Histogram &h) {
         LatencyBreakdownSummary::Dist d;
         d.bucketCounts.resize(h.buckets());
         for (std::size_t i = 0; i < h.buckets(); ++i)
             d.bucketCounts[i] = h.bucketCount(i);
         d.samples = h.total();
-        d.avg = a.mean();
+        d.avg = h.mean();
         return d;
     };
 
     LatencyBreakdownSummary s;
-    s.queueWait = dist(queueWaitHist_, queueWaitAvg_);
-    s.walkerService = dist(walkerServiceHist_, walkerServiceAvg_);
+    s.queueWait = dist(queueWaitHist_);
+    s.walkerService = dist(walkerServiceHist_);
     for (unsigned l = 0; l < vm::numPtLevels; ++l)
-        s.levelMem[l] = dist(levelMemHist_[l], levelMemAvg_[l]);
+        s.levelMem[l] = dist(levelMemHist_[l]);
     return s;
 }
 
@@ -172,23 +168,8 @@ Iommu::registerInvariants(sim::Auditor &auditor)
                         " walks stuck in the buffer at drain");
             ctx.require(overflow_.empty(), overflow_.size(),
                         " walks stuck in the overflow FIFO at drain");
-            ctx.require(faulted_.empty(), faultedParked_,
+            ctx.require(faulted_.empty(), faulted_.size(),
                         " walks parked on unserviced faults at drain");
-        });
-
-    auditor.registerInvariant(
-        "iommu.fault_parking", [this](sim::AuditContext &ctx) {
-            // The parked-walk counter mirrors the faulted lists, and
-            // no list lingers empty (service removes the whole entry).
-            std::uint64_t parked = 0;
-            for (const auto &[key, entry] : faulted_) {
-                parked += entry.walks.size();
-                ctx.require(!entry.walks.empty(),
-                            "empty fault parking list for key ", key);
-            }
-            ctx.require(parked == faultedParked_, parked,
-                        " walks on fault lists vs counter ",
-                        faultedParked_);
         });
 
     auditor.registerInvariant(
@@ -392,18 +373,21 @@ Iommu::enqueueWalk(tlb::RequestHandle req)
         ev.arg0 = buffer_.size();
         tracer_->record(ev);
     }
+    admit(std::move(walk));
+}
 
-    // An idle walker implies the buffer and overflow
-    // FIFO are empty (dispatch drains the buffer whenever a walker
-    // frees up), so the new request starts immediately and the
-    // scheduler plays no role.
+void
+Iommu::admit(core::PendingWalk walk)
+{
+    // An idle walker implies the buffer and overflow FIFO are empty
+    // (dispatch drains the buffer whenever a walker frees up), so the
+    // walk starts immediately and the scheduler plays no role.
     if (PageTableWalker *w = idleWalker()) {
         GPUWALK_ASSERT(buffer_.empty() && overflow_.empty(),
                        "idle walker with pending requests");
         dispatchTo(*w, std::move(walk), core::PickReason::Immediate);
         return;
     }
-
     if (buffer_.full()) {
         ++overflowed_;
         overflow_.push_back(std::move(walk));
@@ -482,7 +466,6 @@ Iommu::dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
 
     const sim::Tick wait = eq_.now() - walk.arrival;
     queueWaitHist_.sample(wait);
-    queueWaitAvg_.sample(static_cast<double>(wait));
     {
         TenantCounters &t = tenantSlot(walk.ctx);
         t.queueWaitTicks += wait;
@@ -540,13 +523,9 @@ Iommu::walkDone(WalkResult &result)
         ++t.walksCompleted;
         t.serviceTicks += service;
         walkerServiceHist_.sample(service);
-        walkerServiceAvg_.sample(static_cast<double>(service));
         for (unsigned l = 0; l < vm::numPtLevels; ++l) {
-            if (result.levelTicks[l] > 0) {
+            if (result.levelTicks[l] > 0)
                 levelMemHist_[l].sample(result.levelTicks[l]);
-                levelMemAvg_[l].sample(
-                    static_cast<double>(result.levelTicks[l]));
-            }
         }
     }
 
@@ -590,28 +569,27 @@ Iommu::handleFaultedWalk(const WalkResult &result)
     const mem::Addr page = r.vaPage;
     const std::uint64_t key = mem::pageCtxKey(ctx, page);
 
-    const auto [it, fresh] = faulted_.try_emplace(key);
-    if (fresh) {
-        it->second.raised = eq_.now();
-        if (tracer_) {
-            trace::Event ev;
-            ev.tick = eq_.now();
-            ev.kind = trace::EventKind::FaultRaised;
-            ev.level = static_cast<std::uint8_t>(result.faultLevel);
-            ev.ctx = ctx;
-            ev.walker = result.walkerId;
-            ev.wavefront = r.wavefront;
-            ev.instruction = result.walk.instruction;
-            ev.vaPage = page;
-            ev.arg0 = 1; // walks parked behind the fault so far
-            tracer_->record(ev);
-        }
-        gmmu_->raiseFault(ctx, page);
-    } else {
-        gmmu_->noteWaiter();
+    const bool fresh =
+        faulted_.try_emplace(key, FaultedEntry{result.walk, eq_.now()})
+            .second;
+    GPUWALK_ASSERT(fresh, "a second walk for va ", page, " of ctx ", ctx,
+                   " faulted while one is parked: the GPU L2 TLB merges "
+                   "every miss for a page until the IOMMU answers, and "
+                   "prefetch walks never fault");
+    if (tracer_) {
+        trace::Event ev;
+        ev.tick = eq_.now();
+        ev.kind = trace::EventKind::FaultRaised;
+        ev.level = static_cast<std::uint8_t>(result.faultLevel);
+        ev.ctx = ctx;
+        ev.walker = result.walkerId;
+        ev.wavefront = r.wavefront;
+        ev.instruction = result.walk.instruction;
+        ev.vaPage = page;
+        ev.arg0 = 1; // the one walk parked behind the fault
+        tracer_->record(ev);
     }
-    it->second.walks.push_back(result.walk);
-    ++faultedParked_;
+    gmmu_->raiseFault(ctx, page);
 
     // The faulting walker is idle now: service the backlog.
     dispatchIfPossible();
@@ -623,13 +601,10 @@ Iommu::onFaultServiced(ContextId ctx, mem::Addr va_page)
     const std::uint64_t key = mem::pageCtxKey(ctx, va_page);
     const auto it = faulted_.find(key);
     GPUWALK_ASSERT(it != faulted_.end(),
-                   "fault serviced with no parked walks for va ",
-                   va_page);
-    FaultedEntry entry = std::move(it->second);
+                   "fault serviced with no parked walk for va ", va_page);
+    core::PendingWalk walk = it->second.walk;
+    const sim::Tick raised = it->second.raised;
     faulted_.erase(it);
-    GPUWALK_ASSERT(faultedParked_ >= entry.walks.size(),
-                   "parked-walk counter underflow");
-    faultedParked_ -= entry.walks.size();
 
     if (tracer_) {
         trace::Event ev;
@@ -637,23 +612,15 @@ Iommu::onFaultServiced(ContextId ctx, mem::Addr va_page)
         ev.kind = trace::EventKind::FaultServiced;
         ev.ctx = ctx;
         ev.walker = trace::noWalker;
-        const core::PendingWalk &first = entry.walks.front();
-        ev.wavefront = translations_.at(first.request).wavefront;
-        ev.instruction = first.instruction;
+        ev.wavefront = translations_.at(walk.request).wavefront;
+        ev.instruction = walk.instruction;
         ev.vaPage = va_page;
-        ev.arg0 = entry.walks.size();
-        ev.arg1 = eq_.now() - entry.raised;
+        ev.arg0 = 1; // the one walk released
+        ev.arg1 = eq_.now() - raised;
         tracer_->record(ev);
     }
 
-    for (auto &walk : entry.walks)
-        reenterWalk(std::move(walk));
-}
-
-void
-Iommu::reenterWalk(core::PendingWalk walk)
-{
-    // A re-entered walk is a new scheduling arrival: the buffer's
+    // The re-entered walk is a new scheduling arrival: the buffer's
     // monotone-seq insert and the aging bookkeeping both demand a
     // fresh sequence number, and queue-wait restarts so the fault
     // service time is accounted by the GMMU's latency histogram, not
@@ -662,19 +629,7 @@ Iommu::reenterWalk(core::PendingWalk walk)
     // the Enqueued trace event all fired at the original arrival.
     walk.seq = nextSeq_++;
     walk.arrival = eq_.now();
-
-    if (PageTableWalker *w = idleWalker()) {
-        GPUWALK_ASSERT(buffer_.empty() && overflow_.empty(),
-                       "idle walker with pending requests");
-        dispatchTo(*w, std::move(walk), core::PickReason::Immediate);
-        return;
-    }
-    if (buffer_.full()) {
-        ++overflowed_;
-        overflow_.push_back(std::move(walk));
-        return;
-    }
-    admitToBuffer(std::move(walk));
+    admit(std::move(walk));
 }
 
 void

@@ -146,11 +146,13 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
 
     /**
      * Attaches the demand-paging GMMU. Walkers may then terminate at
-     * non-present entries: the walk parks in a faulted list, the first
-     * parker raises a far fault (later ones coalesce), and the GMMU's
-     * service callback re-enters all parked walks into scheduling with
-     * fresh sequence numbers. Every walk pins its page against
-     * eviction from enqueue to completion. nullptr detaches.
+     * non-present entries: the walk parks and raises a far fault, and
+     * the GMMU's service callback re-enters it into scheduling with a
+     * fresh sequence number. Exactly one walk parks per fault: the GPU
+     * L2 TLB merges every miss for a page until the IOMMU answers, and
+     * prefetch walks start only on resident pages. Every walk pins its
+     * page against eviction from enqueue to completion. nullptr
+     * detaches.
      */
     void attachGmmu(vm::Gmmu *gmmu);
 
@@ -214,7 +216,7 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
     std::uint64_t overflowed() const { return overflowed_.value(); }
 
     /** Walks currently parked on unserviced far faults. */
-    std::uint64_t faultedWalks() const { return faultedParked_; }
+    std::uint64_t faultedWalks() const { return faulted_.size(); }
 
     /** Per-tenant walk-path accounting (demand walks only). */
     struct TenantCounters
@@ -264,7 +266,7 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
         std::uint64_t busy = 0;
         for (const auto &w : walkers_)
             busy += w->busy() ? 1 : 0;
-        return buffer_.size() + overflow_.size() + busy + faultedParked_;
+        return buffer_.size() + overflow_.size() + busy + faulted_.size();
     }
 
     sim::StatGroup &stats() { return statGroup_; }
@@ -284,13 +286,15 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
     void noteInflight(ContextId ctx, mem::Addr va_page);
     void releaseInflight(ContextId ctx, mem::Addr va_page);
     TenantCounters &tenantSlot(ContextId ctx);
+    /** Starts @p walk on an idle walker, else buffers it, else queues
+     *  it in the overflow FIFO. */
+    void admit(core::PendingWalk walk);
     void admitToBuffer(core::PendingWalk walk);
     void dispatchIfPossible();
     void dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
                     core::PickReason reason);
     void handleFaultedWalk(const WalkResult &result);
     void onFaultServiced(ContextId ctx, mem::Addr va_page);
-    void reenterWalk(core::PendingWalk walk);
     PageTableWalker *idleWalker();
 
     sim::EventQueue &eq_;
@@ -308,17 +312,15 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
     core::WalkBuffer buffer_;
     std::deque<core::PendingWalk> overflow_;
 
-    /** Walks parked on an unserviced far fault, keyed by the page
-     *  (page-aligned VA | ctx). One raise per key; later walks for the
-     *  same page coalesce onto the list. */
+    /** The walk parked on an unserviced far fault, keyed by
+     *  mem::pageCtxKey(ctx, page): one walk and one raise per key. */
     struct FaultedEntry
     {
-        std::vector<core::PendingWalk> walks;
+        core::PendingWalk walk;
         sim::Tick raised = 0;
     };
     vm::Gmmu *gmmu_ = nullptr;
     std::map<std::uint64_t, FaultedEntry> faulted_;
-    std::uint64_t faultedParked_ = 0;
 
     /**
      * In-flight walk counts keyed by mem::pageCtxKey(ctx, page): every
@@ -398,16 +400,6 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
          latencyBucketBounds()},
         {"mem_l4", "level-4 (PML4) PTE fetch latency (ticks)",
          latencyBucketBounds()},
-    }};
-    sim::Average queueWaitAvg_{"queue_wait_avg",
-                               "mean buffer wait (ticks)"};
-    sim::Average walkerServiceAvg_{"walker_service_avg",
-                                   "mean walker service (ticks)"};
-    std::array<sim::Average, vm::numPtLevels> levelMemAvg_{{
-        {"mem_l1_avg", "mean level-1 fetch latency (ticks)"},
-        {"mem_l2_avg", "mean level-2 fetch latency (ticks)"},
-        {"mem_l3_avg", "mean level-3 fetch latency (ticks)"},
-        {"mem_l4_avg", "mean level-4 fetch latency (ticks)"},
     }};
 };
 

@@ -155,9 +155,6 @@ class WalkMetrics
     /** Computes the aggregate view. */
     WalkMetricsSummary summarize() const;
 
-    /** Drops all records (e.g., after a warmup phase). */
-    void reset() { records_.clear(); }
-
   private:
     struct Record
     {

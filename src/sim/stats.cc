@@ -11,12 +11,6 @@ Counter::dump(std::ostream &os, const std::string &prefix) const
 }
 
 void
-Scalar::dump(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << " " << value_ << " # " << desc() << "\n";
-}
-
-void
 Average::dump(std::ostream &os, const std::string &prefix) const
 {
     os << prefix << name() << "::mean " << mean() << " # " << desc()
@@ -49,16 +43,11 @@ Histogram::dump(std::ostream &os, const std::string &prefix) const
            << counts_[i] << " # " << std::setprecision(4)
            << fraction(i) * 100.0 << "%\n";
     }
+    os << prefix << name() << "::mean " << mean() << " # mean sample\n";
 }
 
 void
 Counter::dumpJsonValue(std::ostream &os) const
-{
-    os << value_;
-}
-
-void
-Scalar::dumpJsonValue(std::ostream &os) const
 {
     os << value_;
 }
@@ -75,7 +64,8 @@ Average::dumpJsonValue(std::ostream &os) const
 void
 Histogram::dumpJsonValue(std::ostream &os) const
 {
-    os << "{\"total\": " << total_ << ", \"buckets\": {";
+    os << "{\"total\": " << total_ << ", \"mean\": " << mean()
+       << ", \"buckets\": {";
     bool first = true;
     for (std::size_t i = 0; i < counts_.size(); ++i) {
         if (!first)
@@ -117,15 +107,6 @@ StatGroup::dump(std::ostream &os, const std::string &prefix) const
         s->dump(os, path);
     for (const StatGroup *g : children_)
         g->dump(os, path);
-}
-
-void
-StatGroup::reset()
-{
-    for (Stat *s : stats_)
-        s->reset();
-    for (StatGroup *g : children_)
-        g->reset();
 }
 
 } // namespace gpuwalk::sim

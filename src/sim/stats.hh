@@ -3,7 +3,7 @@
  * Lightweight statistics framework.
  *
  * Components declare statistics as members and register them with a
- * StatGroup, which provides hierarchical naming, dumping, and reset.
+ * StatGroup, which provides hierarchical naming and dumping.
  * The design follows gem5's stats package in spirit: stats are cheap to
  * update on the hot path and formatted only at dump time.
  */
@@ -41,9 +41,6 @@ class Stat
     /** Writes this stat's value as a JSON fragment (no name). */
     virtual void dumpJsonValue(std::ostream &os) const = 0;
 
-    /** Returns the stat to its initial state. */
-    virtual void reset() = 0;
-
   private:
     std::string name_;
     std::string desc_;
@@ -62,27 +59,9 @@ class Counter : public Stat
 
     void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJsonValue(std::ostream &os) const override;
-    void reset() override { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** A settable scalar (e.g., a configuration echo or derived value). */
-class Scalar : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    Scalar &operator=(double v) { value_ = v; return *this; }
-    double value() const { return value_; }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void dumpJsonValue(std::ostream &os) const override;
-    void reset() override { value_ = 0.0; }
-
-  private:
-    double value_ = 0.0;
 };
 
 /** Running mean/min/max over sampled values. */
@@ -109,15 +88,6 @@ class Average : public Stat
     void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJsonValue(std::ostream &os) const override;
 
-    void
-    reset() override
-    {
-        sum_ = 0.0;
-        count_ = 0;
-        min_ = std::numeric_limits<double>::infinity();
-        max_ = -std::numeric_limits<double>::infinity();
-    }
-
   private:
     double sum_ = 0.0;
     std::uint64_t count_ = 0;
@@ -131,6 +101,8 @@ class Average : public Stat
  * Buckets are defined by a sorted vector of inclusive upper bounds; a
  * final overflow bucket catches everything above the last bound. This
  * matches the paper's Figure 3 presentation (1-16, 17-32, ..., 81-256).
+ * The histogram also keeps the exact sum of its samples, so it carries
+ * its own mean.
  */
 class Histogram : public Stat
 {
@@ -145,30 +117,25 @@ class Histogram : public Stat
                        "histogram bounds must be sorted");
     }
 
-    /** Convenience: @p n equal-width buckets covering [1, max]. */
-    static Histogram
-    linear(std::string name, std::string desc, std::uint64_t max,
-           std::size_t n)
-    {
-        std::vector<std::uint64_t> bounds;
-        bounds.reserve(n);
-        for (std::size_t i = 1; i <= n; ++i)
-            bounds.push_back(max * i / n);
-        return Histogram(std::move(name), std::move(desc),
-                         std::move(bounds));
-    }
-
     void
     sample(std::uint64_t v, std::uint64_t weight = 1)
     {
         auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
         counts_[static_cast<std::size_t>(it - bounds_.begin())] += weight;
         total_ += weight;
+        sum_ += v * weight;
     }
 
     std::size_t buckets() const { return counts_.size(); }
     std::uint64_t bucketCount(std::size_t i) const { return counts_.at(i); }
     std::uint64_t total() const { return total_; }
+
+    /** Mean sample value (0 if no samples). */
+    double
+    mean() const
+    {
+        return total_ ? static_cast<double>(sum_) / total_ : 0.0;
+    }
 
     /** Fraction of samples in bucket @p i (0 if no samples). */
     double
@@ -183,17 +150,11 @@ class Histogram : public Stat
     void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJsonValue(std::ostream &os) const override;
 
-    void
-    reset() override
-    {
-        std::fill(counts_.begin(), counts_.end(), 0);
-        total_ = 0;
-    }
-
   private:
     std::vector<std::uint64_t> bounds_;
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
+    std::uint64_t sum_ = 0;
 };
 
 /**
@@ -225,9 +186,6 @@ class StatGroup
      * companion to dump() for experiment post-processing.
      */
     void dumpJson(std::ostream &os) const;
-
-    /** Resets all stats in this group and its children. */
-    void reset();
 
   private:
     std::string name_;

@@ -9,7 +9,8 @@
 namespace gpuwalk::system {
 
 System::System(const SystemConfig &cfg)
-    : cfg_(cfg), frames_(cfg.physMemBytes, cfg.scrambleFrames)
+    // Frames are scattered over physical memory, as an OS hands them out.
+    : cfg_(cfg), frames_(cfg.physMemBytes, /*scramble=*/true)
 {
     addressSpace_ = std::make_unique<vm::AddressSpace>(store_, frames_);
 
@@ -180,6 +181,10 @@ System::createContext()
                    "multi-tenant runs need physical L1s: a virtual L1 "
                    "translates below the cache, where the owning "
                    "context is unknown");
+    GPUWALK_ASSERT(tenantSpaces_.size() + 1 < tlb::maxContexts,
+                   "at most ", tlb::maxContexts,
+                   " contexts fit a 16-bit ASID: context ",
+                   tenantSpaces_.size() + 1, " would alias context 0");
     tenantSpaces_.push_back(
         std::make_unique<vm::AddressSpace>(store_, frames_));
     const auto ctx = static_cast<tlb::ContextId>(tenantSpaces_.size());

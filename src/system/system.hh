@@ -130,7 +130,8 @@ class System
      * layout as the default space — tenants genuinely collide on
      * virtual addresses, which is what the ASID isolation must absorb.
      * Incompatible with virtually-indexed L1 caches (those translate
-     * below the cache, where the owning context is unknown).
+     * below the cache, where the owning context is unknown). At most
+     * tlb::maxContexts contexts exist, the default one included.
      */
     tlb::ContextId createContext();
 

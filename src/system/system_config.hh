@@ -69,9 +69,6 @@ struct SystemConfig
     /** Physical memory backing the frame allocator. */
     mem::Addr physMemBytes = mem::Addr(8) << 30;
 
-    /** Scatter VA-contiguous pages over physical frames (OS-like). */
-    bool scrambleFrames = true;
-
     /**
      * Walk-lifecycle tracing (off by default). Observation-only: it
      * never perturbs simulated behaviour, so it is excluded from

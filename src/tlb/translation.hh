@@ -33,6 +33,9 @@ using ContextId = std::uint16_t;
 /** The default address space of single-tenant runs. */
 inline constexpr ContextId defaultContext = 0;
 
+/** Distinct contexts a ContextId can name, context 0 included. */
+inline constexpr std::size_t maxContexts = std::size_t{1} << 16;
+
 /**
  * One page-granular translation request.
  *

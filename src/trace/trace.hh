@@ -69,12 +69,13 @@ enum class EventKind : std::uint8_t
 
     /** A walk reached a non-present entry and raised a far fault.
      *  level = the non-present PT level (4..1), walker = the walker
-     *  that hit it, arg0 = walks parked behind the fault so far. */
+     *  that hit it, arg0 = 1 (exactly one walk parks per fault; the
+     *  field stays so committed digests are unchanged). */
     FaultRaised,
 
-    /** The GMMU repaired the fault; parked walks re-enter scheduling.
-     *  arg0 = walks released, arg1 = raise-to-service latency
-     *  (ticks). */
+    /** The GMMU repaired the fault; the parked walk re-enters
+     *  scheduling. arg0 = 1 (the one walk released), arg1 =
+     *  raise-to-service latency (ticks). */
     FaultServiced,
 
     // Prefetch kinds are likewise appended: the values above appear in

@@ -44,9 +44,7 @@ Gmmu::Gmmu(sim::EventQueue &eq, const GmmuConfig &cfg,
       rng_(cfg.evictSeed),
       latencyHist_("gmmu_fault_latency",
                    "far fault raise-to-service latency",
-                   faultLatencyBucketBounds()),
-      latencyAvg_("gmmu_fault_latency_avg",
-                  "mean far fault latency (ticks)")
+                   faultLatencyBucketBounds())
 {
     GPUWALK_ASSERT(cfg_.batchSize > 0, "gmmu batch size must be > 0");
     GPUWALK_ASSERT(cfg_.oversubscription > 0.0,
@@ -96,7 +94,7 @@ Gmmu::raiseFault(ContextId ctx, mem::Addr va_page)
                    "fault raised for resident page ", va_page);
     for (const auto &f : pending_)
         GPUWALK_ASSERT(f.key != key, "duplicate fault raise for page ",
-                       va_page, " (walks must coalesce)");
+                       va_page, " (one walk parks per fault)");
 
     PendingFault fault;
     fault.key = key;
@@ -214,7 +212,6 @@ Gmmu::completeFront()
         ++faultsServiced_;
         const sim::Tick latency = eq_.now() - raised;
         latencyHist_.sample(latency);
-        latencyAvg_.sample(static_cast<double>(latency));
         if (serviceCallback_)
             serviceCallback_(ctxOf(key), pageOf(key));
     }
@@ -456,7 +453,6 @@ Gmmu::summarize() const
     s.residentFinal = residentMap_.size();
     s.faultsRaised = faultsRaised_;
     s.faultsServiced = faultsServiced_;
-    s.faultsCoalesced = faultsCoalesced_;
     s.batches = batches_;
     s.pagesMigrated = pagesMigrated_;
     s.pagesEvicted = pagesEvicted_;
@@ -468,7 +464,7 @@ Gmmu::summarize() const
     for (std::size_t i = 0; i < latencyHist_.buckets(); ++i)
         s.latencyBucketCounts[i] = latencyHist_.bucketCount(i);
     s.latencySamples = latencyHist_.total();
-    s.latencyAvg = latencyAvg_.mean();
+    s.latencyAvg = latencyHist_.mean();
     return s;
 }
 

@@ -92,7 +92,6 @@ struct GmmuSummary
     std::uint64_t residentFinal = 0;
     std::uint64_t faultsRaised = 0;
     std::uint64_t faultsServiced = 0;
-    std::uint64_t faultsCoalesced = 0;
     std::uint64_t batches = 0;
     std::uint64_t pagesMigrated = 0;
     std::uint64_t pagesEvicted = 0;
@@ -160,15 +159,10 @@ class Gmmu
 
     /**
      * Raises a far fault for non-resident page @p va_page of @p ctx.
-     * The caller coalesces: at most one raise per (ctx, page) may be
-     * outstanding; further walks join via noteWaiter().
+     * At most one raise per (ctx, page) may be outstanding: the IOMMU
+     * parks exactly one walk per fault.
      */
     void raiseFault(ContextId ctx, mem::Addr va_page);
-
-    /** Another walk parked behind an already-raised fault. Batches
-     *  drain in raise order, so the walk is only counted
-     *  (faults_coalesced). */
-    void noteWaiter() { ++faultsCoalesced_; }
 
     /** Pins @p va_page against eviction while a walk is in flight.
      *  Pins nest and apply to non-resident pages too (the page stays
@@ -186,7 +180,6 @@ class Gmmu
     std::uint64_t pendingFaults() const { return pending_.size(); }
     std::uint64_t faultsRaised() const { return faultsRaised_; }
     std::uint64_t faultsServiced() const { return faultsServiced_; }
-    std::uint64_t faultsCoalesced() const { return faultsCoalesced_; }
     std::uint64_t pagesEvicted() const { return pagesEvicted_; }
     std::uint64_t promotions() const { return promotions_; }
     std::uint64_t demotions() const { return demotions_; }
@@ -311,7 +304,6 @@ class Gmmu
     std::uint64_t residentPeak_ = 0;
     std::uint64_t faultsRaised_ = 0;
     std::uint64_t faultsServiced_ = 0;
-    std::uint64_t faultsCoalesced_ = 0;
     std::uint64_t batches_ = 0;
     std::uint64_t pagesMigrated_ = 0;
     std::uint64_t pagesEvicted_ = 0;
@@ -321,7 +313,6 @@ class Gmmu
     std::uint64_t pinnedEvictions_ = 0;
 
     sim::Histogram latencyHist_;
-    sim::Average latencyAvg_;
 };
 
 } // namespace gpuwalk::vm

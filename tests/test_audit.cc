@@ -428,6 +428,9 @@ TEST(IommuAuditFault, DroppedPteFetchFiresDrainAndOccupancyChecks)
         hasViolation(auditor.violations(), "iommu.buffer_drained"));
     EXPECT_TRUE(
         hasViolation(auditor.violations(), "iommu.walkers_idle"));
+    // Both walks still hold their (ctx, page) in-flight keys.
+    EXPECT_TRUE(
+        hasViolation(auditor.violations(), "iommu.inflight_tracking"));
 }
 
 TEST(IommuAuditFault, TruncatedRunFiresRequestConservation)
@@ -677,6 +680,24 @@ TEST(GpuAuditFault, TruncatedRunFiresWavefrontCompletion)
                              "gpu.wavefront_completion"));
 }
 
+TEST(SystemAuditFault, TruncatedRunFiresReplyConservation)
+{
+    auto cfg = system::SystemConfig::baseline();
+    cfg.audit.enabled = true;
+    system::System sys(cfg);
+    sys.loadBenchmark("KMN", tinySystemParams());
+
+    // Stop the run while the IOMMU owes an answer: the final audit must
+    // see a received request that was never answered.
+    sys.gpu().start();
+    while (sys.iommu().requests() <= sys.iommu().responses())
+        ASSERT_TRUE(sys.eventQueue().runOne());
+    ASSERT_NE(sys.auditor(), nullptr);
+    sys.auditor()->check(AuditPhase::Final, sys.eventQueue().now());
+    EXPECT_TRUE(hasViolation(sys.auditor()->violations(),
+                             "system.reply_conservation"));
+}
+
 TEST(SystemAuditFault, DuplicatedRequestFiresTranslationConservation)
 {
     // A phantom request injected between the TLB hierarchy and the
@@ -836,6 +857,22 @@ TEST(GmmuAuditFault, LeakedFrameFiresFrameAccounting)
     EXPECT_FALSE(h.auditor.clean());
     EXPECT_TRUE(hasViolation(h.auditor.violations(),
                              "gmmu.frame_accounting"));
+}
+
+TEST(GmmuAuditFault, LoweredCapFiresResidencyCap)
+{
+    // Three pages resident, then the cap drops to one: nothing evicts
+    // until the next fault, so the resident set exceeds the cap.
+    GmmuAuditHarness h;
+    for (unsigned i = 0; i < 3; ++i)
+        h.gmmu.raiseFault(0, h.pageAt(i));
+    drain(h.eq);
+    ASSERT_EQ(h.gmmu.residentPages(), 3u);
+    h.gmmu.setFrameCap(1);
+
+    h.auditor.check(AuditPhase::Final, h.eq.now());
+    EXPECT_TRUE(hasViolation(h.auditor.violations(),
+                             "gmmu.residency_cap"));
 }
 
 TEST(GmmuAuditFault, PrematurePinnedEvictionFiresNoPinnedEviction)

@@ -513,6 +513,9 @@ TEST(BenchCliDeathTest, MalformedNumbersAreFatal)
     EXPECT_EXIT(parseCli(Command::Sweep, {"--prefetch-degree=65"}),
                 ::testing::ExitedWithCode(1),
                 "fatal: --prefetch-degree must be at most 64");
+    EXPECT_EXIT(parseCli(Command::Run, {"--tenants=65537"}),
+                ::testing::ExitedWithCode(1),
+                "fatal: --tenants must be at most 65536");
 }
 
 TEST(BenchCliTest, AcceptsEachBoundItself)
@@ -521,12 +524,14 @@ TEST(BenchCliTest, AcceptsEachBoundItself)
         Command::Run, {"--fault-latency=1000000000000",
                        "--migration-latency=1000000000000",
                        "--compute-cycles=4294967295",
-                       "--trace-ring=16777216", "--prefetch-degree=64"});
+                       "--trace-ring=16777216", "--prefetch-degree=64",
+                       "--tenants=65536"});
     EXPECT_EQ(opts.cfg.gmmu.faultLatency, maxLatencyTicks);
     EXPECT_EQ(opts.cfg.gmmu.migrationLatency, maxLatencyTicks);
     EXPECT_EQ(opts.params.computeCycles, maxComputeCycles);
     EXPECT_EQ(opts.cfg.trace.ringCapacity, maxTraceRing);
     EXPECT_EQ(opts.cfg.iommu.prefetch.degree, maxPrefetchDegree);
+    EXPECT_EQ(opts.tenants, maxTenants);
 }
 
 TEST(BenchCliDeathTest, UnknownMisplacedAndValuelessFlagsAreFatal)

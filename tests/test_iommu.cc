@@ -10,6 +10,7 @@
 #include "mem/dram_controller.hh"
 #include "request_sinks.hh"
 #include "vm/address_space.hh"
+#include "vm/gmmu.hh"
 
 namespace {
 
@@ -27,19 +28,31 @@ struct IommuFixture : public ::testing::Test
     vm::FrameAllocator frames{Addr(1) << 30};
     std::unique_ptr<vm::AddressSpace> as;
     std::unique_ptr<mem::DramController> dram;
+    std::unique_ptr<vm::Gmmu> gmmu;
     std::unique_ptr<Iommu> iommu;
     vm::VaRegion region;
 
+    /** @p demand_paging: pages start non-present and a GMMU with
+     *  default latencies faults them in. */
     void
-    build(core::SchedulerKind kind, IommuConfig cfg = {})
+    build(core::SchedulerKind kind, IommuConfig cfg = {},
+          bool demand_paging = false)
     {
         as = std::make_unique<vm::AddressSpace>(store, frames);
+        as->setDemandPaging(demand_paging);
         region = as->allocate("data", 4 * 1024 * 1024);
         dram = std::make_unique<mem::DramController>(
             eq, mem::DramConfig{}, requests);
         iommu = std::make_unique<Iommu>(
             eq, cfg, core::makeScheduler(kind, 1), translations, requests,
             *dram, store, as->pageTable().root());
+        if (demand_paging) {
+            vm::GmmuConfig gcfg;
+            gcfg.enabled = true;
+            gmmu = std::make_unique<vm::Gmmu>(eq, gcfg, frames, store);
+            gmmu->registerSpace(0, *as);
+            iommu->attachGmmu(gmmu.get());
+        }
     }
 
     /** Issues a translation; does not run the queue. */
@@ -238,6 +251,39 @@ TEST_F(IommuFixture, PwcShortensLaterWalks)
     issue(region.base + 8 * mem::pageSize, 2);
     eq.run();
     EXPECT_EQ(iommu->pwc().hits(), 1u);
+}
+
+TEST_F(IommuFixture, FaultingWalkParksAloneAndCompletesAfterService)
+{
+    build(core::SchedulerKind::Fcfs, {}, true);
+    Addr pa = 0;
+    issue(region.base, 1, &pa);
+    while (iommu->faultedWalks() == 0 && eq.runOne()) {
+    }
+    EXPECT_EQ(iommu->faultedWalks(), 1u);
+    EXPECT_EQ(iommu->inflightWalks(), 1u);
+    eq.run();
+
+    EXPECT_EQ(pa, *as->pageTable().translate(region.base));
+    EXPECT_EQ(gmmu->faultsRaised(), 1u);
+    EXPECT_EQ(iommu->faultedWalks(), 0u);
+    EXPECT_EQ(iommu->walkRequests(), 1u);
+    EXPECT_EQ(iommu->walksCompleted(), 1u);
+}
+
+using IommuFaultDeathTest = IommuFixture;
+
+TEST_F(IommuFaultDeathTest, SecondDemandWalkForAFaultingPageIsFatal)
+{
+    // The GPU L2 TLB merges every miss for a page until the IOMMU
+    // answers, so a second demand walk for a page never reaches a far
+    // fault the first one raised. Two walks sent straight to the IOMMU
+    // both fault, and the second one must not silently join the first.
+    build(core::SchedulerKind::Fcfs, {}, true);
+    issue(region.base, 1);
+    issue(region.base, 2);
+    EXPECT_DEATH(eq.run(), "faulted while one is parked: the GPU L2 TLB "
+                           "merges every miss");
 }
 
 } // namespace

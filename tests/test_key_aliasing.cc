@@ -142,7 +142,6 @@ TEST(HighAsidAliasing, FaultsAreNotCoalescedAcrossContexts)
 
     EXPECT_EQ(h.gmmu.faultsRaised(), 2u);
     EXPECT_EQ(h.gmmu.faultsServiced(), 2u);
-    EXPECT_EQ(h.gmmu.faultsCoalesced(), 0u);
     ASSERT_EQ(h.serviced.size(), 2u);
     EXPECT_TRUE(h.gmmu.isResident(highCtx, hi));
     EXPECT_TRUE(h.gmmu.isResident(0, lo));
@@ -164,8 +163,8 @@ TEST(HighAsidAliasing, PinCountsAreNotShared)
     EXPECT_EQ(h.gmmu.pinnedPages(), 0u);
 }
 
-/** IOMMU + GMMU end to end: the faulted_ parking map must not merge
- *  walks of old-key twins into one parking list. */
+/** IOMMU + GMMU end to end: the faulted_ parking map must keep the
+ *  walks of old-key twins in separate entries. */
 struct HighAsidIommuFixture : public ::testing::Test
 {
     sim::EventQueue eq;
@@ -260,8 +259,8 @@ TEST_F(HighAsidIommuFixture, ConcurrentTwinFaultsParkOnSeparateEntries)
     const Addr lo = hi + 0x1000;
 
     // Submit both before running: the two faults are raised in the
-    // same batch window, the case where old-key coalescing merged the
-    // parking lists.
+    // same batch window, the case where the old key put both walks
+    // on one parked entry.
     Addr paHi = 0, paLo = 0;
     tlb::TranslationRequest a;
     a.vaPage = hi;
@@ -276,7 +275,6 @@ TEST_F(HighAsidIommuFixture, ConcurrentTwinFaultsParkOnSeparateEntries)
     eq.run();
 
     EXPECT_EQ(gmmu->faultsRaised(), 2u);
-    EXPECT_EQ(gmmu->faultsCoalesced(), 0u);
     EXPECT_EQ(iommu->faultedWalks(), 0u);
     EXPECT_EQ(paHi, *spaces[1]->pageTable().translate(hi));
     EXPECT_EQ(paLo, *spaces[0]->pageTable().translate(lo));

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "sim/stats.hh"
@@ -20,17 +21,6 @@ TEST(Counter, StartsAtZeroAndAccumulates)
     ++c;
     c += 41;
     EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Scalar, AssignsAndResets)
-{
-    Scalar s("ipc", "test scalar");
-    s = 1.5;
-    EXPECT_DOUBLE_EQ(s.value(), 1.5);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
 }
 
 TEST(Average, TracksMeanMinMax)
@@ -44,9 +34,6 @@ TEST(Average, TracksMeanMinMax)
     EXPECT_DOUBLE_EQ(a.minValue(), 10.0);
     EXPECT_DOUBLE_EQ(a.maxValue(), 30.0);
     EXPECT_EQ(a.count(), 3u);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
 TEST(Histogram, BucketsMatchPaperFig3Layout)
@@ -79,22 +66,42 @@ TEST(Histogram, LabelsDescribeRanges)
     EXPECT_EQ(h.bucketLabel(2), "33+");
 }
 
-TEST(Histogram, LinearFactoryCoversRange)
-{
-    auto h = Histogram::linear("h", "d", 100, 4);
-    EXPECT_EQ(h.buckets(), 5u);
-    h.sample(25);
-    h.sample(26);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-}
-
 TEST(Histogram, WeightedSamples)
 {
     Histogram h("h", "d", {10});
     h.sample(5, 7);
     EXPECT_EQ(h.bucketCount(0), 7u);
     EXPECT_EQ(h.total(), 7u);
+}
+
+TEST(Histogram, MeanIsExactOverWeightedSamples)
+{
+    Histogram h("lat", "d", {16});
+    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+    h.sample(10);
+    h.sample(40, 3); // the overflow bucket still adds to the sum
+    EXPECT_DOUBLE_EQ(h.mean(), 130.0 / 4.0);
+
+    // The sum is an integer: a 2^53 + 1 sample that a double would
+    // round stays exact.
+    Histogram big("big", "d", {16});
+    big.sample((std::uint64_t{1} << 53) + 1);
+    big.sample(1);
+    EXPECT_DOUBLE_EQ(big.mean(), static_cast<double>(
+                                     (std::uint64_t{1} << 52) + 1));
+}
+
+TEST(Histogram, DumpEndsWithTheMean)
+{
+    Histogram h("lat", "latency", {16});
+    h.sample(3);
+    h.sample(20);
+    std::ostringstream os;
+    h.dump(os, "g.");
+    EXPECT_EQ(os.str(), "g.lat::total 2 # latency\n"
+                        "g.lat::0-16 1 # 50%\n"
+                        "g.lat::17+ 1 # 50%\n"
+                        "g.lat::mean 11.5 # mean sample\n");
 }
 
 TEST(StatGroup, DumpsHierarchicalNames)
@@ -109,18 +116,6 @@ TEST(StatGroup, DumpsHierarchicalNames)
     std::ostringstream os;
     root.dump(os);
     EXPECT_NE(os.str().find("sys.dram.reads 3"), std::string::npos);
-}
-
-TEST(StatGroup, ResetPropagatesToChildren)
-{
-    StatGroup root("sys");
-    StatGroup child("c");
-    Counter c("n", "d");
-    c += 9;
-    child.add(c);
-    root.addChild(child);
-    root.reset();
-    EXPECT_EQ(c.value(), 0u);
 }
 
 } // namespace

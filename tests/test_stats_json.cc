@@ -13,18 +13,17 @@ namespace {
 
 using namespace gpuwalk::sim;
 
-TEST(StatsJson, CounterAndScalarValues)
+TEST(StatsJson, CounterValues)
 {
     StatGroup g("top");
     Counter c("reads", "d");
     c += 42;
-    Scalar s("ipc", "d");
-    s = 1.5;
+    Counter w("writes", "d");
     g.add(c);
-    g.add(s);
+    g.add(w);
     std::ostringstream os;
     g.dumpJson(os);
-    EXPECT_EQ(os.str(), "{\"reads\": 42, \"ipc\": 1.5}");
+    EXPECT_EQ(os.str(), "{\"reads\": 42, \"writes\": 0}");
 }
 
 TEST(StatsJson, AverageObject)
@@ -60,7 +59,7 @@ TEST(StatsJson, HistogramBuckets)
     std::ostringstream os;
     g.dumpJson(os);
     EXPECT_EQ(os.str(),
-              "{\"work\": {\"total\": 2, \"buckets\": "
+              "{\"work\": {\"total\": 2, \"mean\": 22.5, \"buckets\": "
               "{\"0-16\": 1, \"17-32\": 0, \"33+\": 1}}}");
 }
 

@@ -144,15 +144,4 @@ TEST(WalkMetrics, FractionsAverageOverMultiWalkOnly)
     EXPECT_DOUBLE_EQ(s.avgLatencyGap, 20.0);
 }
 
-TEST(WalkMetrics, ResetDropsHistory)
-{
-    WalkMetrics m;
-    m.onArrival(1);
-    m.onDispatch(1);
-    m.onComplete(1, 0, 1, 1);
-    m.reset();
-    EXPECT_EQ(m.trackedInstructions(), 0u);
-    EXPECT_EQ(m.summarize().instructionsWithWalks, 0u);
-}
-
 } // namespace

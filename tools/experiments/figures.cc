@@ -42,8 +42,7 @@ table1(const Experiment &self, const system::SystemConfig &cfg,
         << cfg.iommu.walkCache.associativity << "-way, "
         << cfg.iommu.walkCache.hitLatency / cfg.gpu.clockPeriod
         << "-cycle hits\n"
-        << "  physical frame allocation    "
-        << (cfg.scrambleFrames ? "scrambled (OS-like)" : "linear");
+        << "  physical frame allocation    scrambled (OS-like)";
     report.addNote(implicit.str());
     return report;
 }

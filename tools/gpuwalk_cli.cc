@@ -72,11 +72,11 @@ Workload shape:
   --large-pages           back buffers with 2 MB pages
 
 Multi-tenant (replaces --workload with a generated mix):
-  --tenants=N             run an N-tenant mix (N >= 2): each tenant
-                          gets its own address space (ASID) and a
-                          benchmark from the tenant-mix generator;
-                          --wavefronts / --instructions / --seed shape
-                          every tenant
+  --tenants=N             run an N-tenant mix (2 <= N <= 65536, one
+                          16-bit ASID each): each tenant gets its own
+                          address space and a benchmark from the
+                          tenant-mix generator; --wavefronts /
+                          --instructions / --seed shape every tenant
   --churn-fraction=X      fraction of tenants arriving mid-run
   --alternate-weights     odd tenants get weighted-share weight 2
 
@@ -283,8 +283,7 @@ reportRun(const system::SystemConfig &cfg, const exp::CliOptions &opt,
         }
         if (stats.gmmu.enabled) {
             std::cout << "far faults         " << stats.gmmu.faultsRaised
-                      << " raised (" << stats.gmmu.faultsCoalesced
-                      << " walks coalesced), " << stats.gmmu.batches
+                      << " raised, " << stats.gmmu.batches
                       << " batches\n"
                       << "residency          peak "
                       << stats.gmmu.residentPeak << " / cap "
