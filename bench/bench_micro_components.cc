@@ -25,6 +25,7 @@
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
 #include "sim/object_pool.hh"
+#include "sim/rng.hh"
 #include "tlb/coalescer.hh"
 #include "tlb/set_assoc_tlb.hh"
 
@@ -248,6 +249,27 @@ BM_TlbInsertEvict(benchmark::State &state)
 BENCHMARK(BM_TlbInsertEvict);
 
 /**
+ * The steady state of a per-CU L1 TLB under irregular traffic: a full
+ * 32-entry fully associative TLB fed distinct VPNs, so every lookup
+ * misses the whole set and every fill evicts the LRU way.
+ */
+void
+BM_TlbMissFillFullyAssociative(benchmark::State &state)
+{
+    tlb::SetAssocTlb tlb({"bench_l1tlb", 32, 32});
+    std::uint64_t vpn = 0;
+    for (; vpn < 32; ++vpn)
+        tlb.insert(vpn << 12, vpn << 12);
+    for (auto _ : state) {
+        const std::uint64_t v = vpn++;
+        benchmark::DoNotOptimize(tlb.lookup(v << 12));
+        tlb.insert(v << 12, v << 12);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TlbMissFillFullyAssociative);
+
+/**
  * One acquire/release pair on a pool grown to range(0) slabs. All
  * objects are released in acquisition order first, so the LIFO top is
  * a last-slab object: the release a per-slab search pays most for.
@@ -289,10 +311,13 @@ class ImmediateMemory : public mem::MemoryDevice
 };
 
 /**
- * One demand access to an l1d-shaped cache (32 KB, 16-way, 64 B
- * lines), drained through the event queue, walking line by line over
- * a range(0) KB window: 16 KB stays resident (hits after the first
- * lap), 256 KB streams (every access misses and evicts).
+ * One demand access to a 16-way, 64 B-line cache of range(0) KB,
+ * drained through the event queue. With range(2) == 0 it walks line
+ * by line over a range(1) KB window: on the l1d shape (32 KB), 16 KB
+ * stays resident (hits after the first lap) and 256 KB streams (every
+ * access misses and evicts). With range(2) == 1 it draws random lines
+ * from the window: on the l2d shape (4 MB) over 64 MB, most accesses
+ * miss a full set and evict.
  */
 void
 BM_CacheAccess(benchmark::State &state)
@@ -300,21 +325,29 @@ BM_CacheAccess(benchmark::State &state)
     sim::EventQueue eq;
     mem::MemoryTable table;
     ImmediateMemory below(table);
-    mem::Cache cache(eq, {"bench_l1d", 32 * 1024, 16, 64, 500, 500, 32},
+    const auto size = static_cast<mem::Addr>(state.range(0)) * 1024;
+    mem::Cache cache(eq, {"bench_cache", size, 16, 64, 500, 500, 32},
                      table, below);
-    const mem::Addr window = static_cast<mem::Addr>(state.range(0)) * 1024;
-    mem::Addr addr = 0;
+    const mem::Addr lines =
+        static_cast<mem::Addr>(state.range(1)) * 1024 / 64;
+    const bool random = state.range(2) != 0;
+    sim::Rng rng(42);
+    mem::Addr line = 0;
     for (auto _ : state) {
         const mem::RequestHandle req = table.acquire();
-        table.at(req).addr = addr;
+        table.at(req).addr = line * 64;
         cache.access(req);
         eq.run();
-        addr = (addr + 64) % window;
+        line = random ? rng.below(lines) : (line + 1) % lines;
     }
     benchmark::DoNotOptimize(cache.hits());
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheAccess)->ArgName("window_kb")->Arg(16)->Arg(256);
+BENCHMARK(BM_CacheAccess)
+    ->ArgNames({"size_kb", "window_kb", "random"})
+    ->Args({32, 16, 0})
+    ->Args({32, 256, 0})
+    ->Args({4096, 65536, 1});
 
 /** Route owner for BM_RequestRoundTrip: counts completions. */
 class CountingSink final : public mem::MemorySink

@@ -760,8 +760,11 @@ Iommu::prefetchSummary() const
 Iommu::TenantCounters &
 Iommu::tenantSlot(ContextId ctx)
 {
-    if (tenants_.size() <= ctx)
+    if (tenants_.size() <= ctx) {
         tenants_.resize(ctx + 1);
+        if (testFaults_.phantomTenantRequest)
+            ++tenants_[ctx].walkRequests;
+    }
     return tenants_[ctx];
 }
 

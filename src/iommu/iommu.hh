@@ -167,6 +167,17 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
     /** The walker-side cache, or nullptr when disabled. */
     mem::Cache *walkCache() { return walkCache_.get(); }
 
+    /** Targeted faults for audit-coverage tests (tests/test_audit.cc):
+     *  each breaks exactly one registered invariant. */
+    struct TestFaults
+    {
+        /** A tenant's counters start with one phantom walk request, so
+         *  the per-tenant sums exceed the global count (breaks
+         *  iommu.tenant_accounting). */
+        bool phantomTenantRequest = false;
+    };
+    void setTestFaults(TestFaults faults) { testFaults_ = faults; }
+
     /**
      * Registers this IOMMU's conservation invariants: walk/request
      * counter identities, buffer+overflow drain, walker occupancy, and
@@ -350,6 +361,7 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
     /** Per-tenant accounting, indexed by ContextId (grown lazily; a
      *  single-tenant run only ever touches slot 0). */
     std::vector<TenantCounters> tenants_;
+    TestFaults testFaults_;
     std::vector<std::unique_ptr<PageTableWalker>> walkers_;
     WalkMetrics metrics_;
     std::uint64_t nextSeq_ = 0;

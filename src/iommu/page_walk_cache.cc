@@ -2,17 +2,27 @@
 
 namespace gpuwalk::iommu {
 
+namespace {
+
+/** Sets per level of @p cfg, after checking the geometry. */
+std::size_t
+checkedSets(const PwcConfig &cfg)
+{
+    GPUWALK_ASSERT(cfg.entriesPerLevel % cfg.associativity == 0,
+                   "PWC entries not divisible by associativity");
+    return cfg.entriesPerLevel / cfg.associativity;
+}
+
+} // namespace
+
 PageWalkCache::PageWalkCache(const PwcConfig &cfg, mem::Addr root)
-    : cfg_(cfg), statGroup_("pwc")
+    : cfg_(cfg),
+      caches_{LevelCache(checkedSets(cfg), cfg.associativity),
+              LevelCache(checkedSets(cfg), cfg.associativity),
+              LevelCache(checkedSets(cfg), cfg.associativity)},
+      statGroup_("pwc")
 {
     registerContext(tlb::defaultContext, root);
-    GPUWALK_ASSERT(cfg_.entriesPerLevel % cfg_.associativity == 0,
-                   "PWC entries not divisible by associativity");
-    const std::size_t sets = cfg_.entriesPerLevel / cfg_.associativity;
-    for (auto &c : caches_) {
-        c.associativity = cfg_.associativity;
-        c.sets.assign(sets, std::vector<Entry>(cfg_.associativity));
-    }
     statGroup_.add(hits_);
     statGroup_.add(misses_);
     statGroup_.add(fills_);
@@ -25,27 +35,13 @@ PageWalkCache::LevelCache::setOf(mem::Addr region) const
     // Hash the region base down to a set; the shift removes the
     // guaranteed-zero low bits so neighbouring regions spread out.
     return static_cast<std::size_t>((region >> 21) ^ (region >> 30))
-           % sets.size();
+           % numSets;
 }
 
-PageWalkCache::Entry *
-PageWalkCache::LevelCache::find(mem::Addr region, ContextId ctx)
-{
-    for (auto &e : sets[setOf(region)]) {
-        if (e.valid && e.regionBase == region && e.ctx == ctx)
-            return &e;
-    }
-    return nullptr;
-}
-
-const PageWalkCache::Entry *
+std::size_t
 PageWalkCache::LevelCache::find(mem::Addr region, ContextId ctx) const
 {
-    for (const auto &e : sets[setOf(region)]) {
-        if (e.valid && e.regionBase == region && e.ctx == ctx)
-            return &e;
-    }
-    return nullptr;
+    return tags.find(setOf(region), keyOf(region, ctx));
 }
 
 void
@@ -86,11 +82,12 @@ PageWalkCache::probeEstimate(mem::Addr va_page, ContextId ctx)
     // caches are searched bottom-up and independently.
     for (unsigned l = 2; l <= vm::numPtLevels; ++l) {
         const auto level = vm::PtLevel{l};
-        Entry *e = cacheFor(level).find(
-            vm::PageTable::regionBase(va_page, level), ctx);
-        if (e) {
-            if (e->counter < 3)
-                ++e->counter;
+        LevelCache &cache = cacheFor(level);
+        const std::size_t slot =
+            cache.find(vm::PageTable::regionBase(va_page, level), ctx);
+        if (slot != npos) {
+            if (cache.counter[slot] < 3)
+                ++cache.counter[slot];
             return l - 1;
         }
     }
@@ -102,9 +99,8 @@ PageWalkCache::peekEstimate(mem::Addr va_page, ContextId ctx) const
 {
     for (unsigned l = 2; l <= vm::numPtLevels; ++l) {
         const auto level = vm::PtLevel{l};
-        const Entry *e = cacheFor(level).find(
-            vm::PageTable::regionBase(va_page, level), ctx);
-        if (e)
+        const mem::Addr region = vm::PageTable::regionBase(va_page, level);
+        if (cacheFor(level).find(region, ctx) != npos)
             return l - 1;
     }
     return vm::numPtLevels;
@@ -120,14 +116,17 @@ PageWalkCache::lookup(mem::Addr va_page, ContextId ctx,
     const mem::Addr root = rootOf(ctx);
     for (unsigned l = 2; l <= vm::numPtLevels; ++l) {
         const auto level = vm::PtLevel{l};
-        Entry *e = cacheFor(level).find(
-            vm::PageTable::regionBase(va_page, level), ctx);
-        if (e) {
+        LevelCache &cache = cacheFor(level);
+        const mem::Addr region = vm::PageTable::regionBase(va_page, level);
+        const std::size_t set = cache.setOf(region);
+        const std::size_t slot =
+            cache.tags.find(set, LevelCache::keyOf(region, ctx));
+        if (slot != npos) {
             ++hits_;
-            e->lastUse = ++useClock_;
-            if (consume_pins && e->counter > 0)
-                --e->counter;
-            return WalkStart{l - 1, e->nextTable};
+            cache.tags.touch(set, slot);
+            if (consume_pins && cache.counter[slot] > 0)
+                --cache.counter[slot];
+            return WalkStart{l - 1, cache.nextTable[slot]};
         }
     }
     ++misses_;
@@ -146,48 +145,47 @@ PageWalkCache::fill(mem::Addr va_page, vm::PtLevel level,
     LevelCache &cache = cacheFor(level);
     const mem::Addr region = vm::PageTable::regionBase(va_page, level);
 
-    if (Entry *e = cache.find(region, ctx)) {
-        e->nextTable = next_table;
-        e->lastUse = ++useClock_;
+    const std::size_t set = cache.setOf(region);
+    const std::uint64_t key = LevelCache::keyOf(region, ctx);
+    if (const std::size_t slot = cache.tags.find(set, key); slot != npos) {
+        cache.nextTable[slot] = next_table;
+        cache.tags.touch(set, slot);
         return;
     }
 
-    auto &set = cache.sets[cache.setOf(region)];
-
     // Victim selection: LRU among unpinned entries first (the paper's
     // counter-guarded replacement); fall back to plain LRU when every
-    // entry in the set is pinned.
-    Entry *victim = nullptr;
-    bool skipped_pinned = false;
-    for (auto &e : set) {
-        if (!e.valid) {
-            victim = &e;
-            break;
+    // entry in the set is pinned. A pinned entry counts one skip. Only
+    // valid entries hold pins, and they fill a set lowest way first
+    // with no single-entry invalidation, so any pinned entry precedes
+    // an invalid victim.
+    std::size_t victim = cache.tags.victim(set);
+    if (cfg_.pinScoredEntries) {
+        const std::size_t base = set * cache.tags.ways();
+        bool pinned = false;
+        for (std::size_t i = base; i < base + cache.tags.ways(); ++i)
+            pinned = pinned || cache.counter[i] > 0;
+        if (pinned && cache.tags.key(victim) != 0) {
+            // Walk the recency list from the LRU end.
+            std::size_t s = victim;
+            for (unsigned seen = 1; cache.counter[s] > 0; ++seen) {
+                if (seen == cache.tags.ways()) {
+                    pinned = false; // all pinned: plain LRU, no skip
+                    s = victim;
+                    break;
+                }
+                s = cache.tags.newer(set, s);
+            }
+            victim = s;
         }
-        if (cfg_.pinScoredEntries && e.counter > 0) {
-            skipped_pinned = true;
-            continue;
-        }
-        if (!victim || e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    if (!victim) {
-        // All valid and pinned: conventional pseudo-LRU.
-        for (auto &e : set) {
-            if (!victim || e.lastUse < victim->lastUse)
-                victim = &e;
-        }
-    } else if (skipped_pinned) {
-        ++pinnedSkips_;
+        if (pinned)
+            ++pinnedSkips_;
     }
 
     ++fills_;
-    victim->regionBase = region;
-    victim->nextTable = next_table;
-    victim->valid = true;
-    victim->ctx = ctx;
-    victim->lastUse = ++useClock_;
-    victim->counter = 0;
+    cache.tags.fill(set, victim, key);
+    cache.nextTable[victim] = next_table;
+    cache.counter[victim] = 0;
 }
 
 std::optional<std::uint8_t>
@@ -197,23 +195,20 @@ PageWalkCache::peekCounter(mem::Addr va_page, vm::PtLevel level,
     GPUWALK_ASSERT(level == vm::PtLevel::Pml4 || level == vm::PtLevel::Pdpt
                        || level == vm::PtLevel::Pd,
                    "PWC only caches the three upper levels");
-    const Entry *e = cacheFor(level).find(
-        vm::PageTable::regionBase(va_page, level), ctx);
-    if (!e)
+    const LevelCache &cache = cacheFor(level);
+    const std::size_t slot =
+        cache.find(vm::PageTable::regionBase(va_page, level), ctx);
+    if (slot == npos)
         return std::nullopt;
-    return e->counter;
+    return cache.counter[slot];
 }
 
 void
 PageWalkCache::invalidateAll()
 {
     for (auto &c : caches_) {
-        for (auto &set : c.sets) {
-            for (auto &e : set) {
-                e.valid = false;
-                e.counter = 0;
-            }
-        }
+        c.tags.invalidateAll();
+        std::fill(c.counter.begin(), c.counter.end(), std::uint8_t{0});
     }
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "mem/types.hh"
+#include "sim/set_assoc_tags.hh"
 #include "sim/stats.hh"
 #include "tlb/translation.hh"
 #include "vm/page_table.hh"
@@ -138,26 +139,33 @@ class PageWalkCache
     sim::StatGroup &stats() { return statGroup_; }
 
   private:
-    struct Entry
-    {
-        mem::Addr regionBase = 0; ///< VA base of the covered region
-        mem::Addr nextTable = 0;
-        bool valid = false;
-        ContextId ctx = tlb::defaultContext; ///< owning address space
-        std::uint64_t lastUse = 0;
-        std::uint8_t counter = 0; ///< 2-bit saturating pin counter
-    };
+    static constexpr std::size_t npos = sim::SetAssocTags::npos;
 
     /** One per-level set-associative cache. Entries are ASID-tagged:
      *  a region base never matches across contexts. */
     struct LevelCache
     {
-        std::vector<std::vector<Entry>> sets;
-        unsigned associativity = 0;
+        LevelCache(std::size_t sets, unsigned ways)
+            : numSets(sets), tags(sets, ways), nextTable(sets * ways, 0),
+              counter(sets * ways, 0)
+        {}
 
-        Entry *find(mem::Addr region, ContextId ctx);
-        const Entry *find(mem::Addr region, ContextId ctx) const;
+        std::size_t numSets;
+        /** keyOf() per way; slot = set * ways + way. */
+        sim::SetAssocTags tags;
+        std::vector<mem::Addr> nextTable;  ///< by slot
+        std::vector<std::uint8_t> counter; ///< 2-bit saturating pins
+
+        /** Valid bit, then mem::pageCtxKey of (ctx, region). */
+        static std::uint64_t
+        keyOf(mem::Addr region, ContextId ctx)
+        {
+            return (std::uint64_t{1} << 63) | mem::pageCtxKey(ctx, region);
+        }
+
         std::size_t setOf(mem::Addr region) const;
+        /** Slot of the valid entry for (@p region, @p ctx), or npos. */
+        std::size_t find(mem::Addr region, ContextId ctx) const;
     };
 
     /** Index 0 -> PD (level 2), 1 -> PDPT (3), 2 -> PML4 (4). */
@@ -180,7 +188,6 @@ class PageWalkCache
     std::vector<std::uint8_t> registered_;
 
     std::array<LevelCache, 3> caches_;
-    std::uint64_t useClock_ = 0;
 
     sim::StatGroup statGroup_;
     sim::Counter hits_{"hits", "walk-time PWC hits (deepest level)"};

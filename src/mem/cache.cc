@@ -7,26 +7,33 @@
 
 namespace gpuwalk::mem {
 
+namespace {
+
+/** The set count of @p cfg, after checking the geometry. */
+Addr
+checkedSets(const CacheConfig &cfg)
+{
+    GPUWALK_ASSERT(cfg.sizeBytes % (cfg.lineBytes * cfg.associativity) == 0,
+                   "cache size not divisible by way size");
+    GPUWALK_ASSERT(std::has_single_bit(cfg.numSets())
+                       && std::has_single_bit(cfg.lineBytes),
+                   "cache set count and line size must be powers of two in ",
+                   cfg.name);
+    return cfg.numSets();
+}
+
+} // namespace
+
 Cache::Cache(sim::EventQueue &eq, const CacheConfig &cfg,
              MemoryTable &table, MemoryDevice &below)
     : eq_(eq), cfg_(cfg), table_(table), sinkId_(table.attach(*this)),
-      below_(below), statGroup_(cfg.name)
+      below_(below), numSets_(checkedSets(cfg)),
+      lineShift_(static_cast<unsigned>(std::countr_zero(cfg.lineBytes))),
+      tagShift_(lineShift_
+                + static_cast<unsigned>(std::countr_zero(numSets_))),
+      tags_(numSets_, cfg.associativity),
+      dirty_(numSets_ * cfg.associativity, 0), statGroup_(cfg.name)
 {
-    GPUWALK_ASSERT(cfg_.sizeBytes % (cfg_.lineBytes * cfg_.associativity)
-                       == 0,
-                   "cache size not divisible by way size");
-    numSets_ = cfg_.numSets();
-    GPUWALK_ASSERT(std::has_single_bit(numSets_)
-                       && std::has_single_bit(cfg_.lineBytes),
-                   "cache set count and line size must be powers of two in ",
-                   cfg_.name);
-    lineShift_ = static_cast<unsigned>(std::countr_zero(cfg_.lineBytes));
-    tagShift_ = lineShift_ + static_cast<unsigned>(std::countr_zero(numSets_));
-    const std::size_t slots = numSets_ * cfg_.associativity;
-    key_.assign(slots, 0);
-    lastUse_.assign(slots, 0);
-    dirty_.assign(slots, 0);
-
     statGroup_.add(hits_);
     statGroup_.add(misses_);
     statGroup_.add(mshrMerges_);
@@ -34,53 +41,26 @@ Cache::Cache(sim::EventQueue &eq, const CacheConfig &cfg,
     statGroup_.add(writebacks_);
 }
 
-std::size_t
-Cache::findLine(Addr addr) const
-{
-    const std::size_t base = setIndex(addr) * cfg_.associativity;
-    const std::uint64_t want = lineKey(addr);
-    for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
-        if (key_[i] == want)
-            return i;
-    }
-    return npos;
-}
-
 void
 Cache::installLine(Addr addr, bool dirty)
 {
     const Addr set = setIndex(addr);
-    const std::size_t base = set * cfg_.associativity;
-    // Prefer the first invalid way; otherwise evict true-LRU (first
-    // way on lastUse ties).
-    std::size_t victim = base;
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
-        if (key_[i] == 0) {
-            victim = i;
-            break;
-        }
-        if (lastUse_[i] < oldest) {
-            oldest = lastUse_[i];
-            victim = i;
-        }
-    }
-    if (key_[victim] != 0) {
+    // The first invalid way, else the true-LRU way.
+    const std::size_t victim = tags_.victim(set);
+    if (const std::uint64_t old = tags_.key(victim)) {
         ++evictions_;
         if (dirty_[victim]) {
             ++writebacks_;
             const RequestHandle wb = table_.acquire();
             MemoryRequest &w = table_.at(wb);
-            w.addr = ((key_[victim] >> 1) << tagShift_)
-                     | (set << lineShift_);
+            w.addr = ((old >> 1) << tagShift_) | (set << lineShift_);
             w.write = true;
             w.requester = Requester::GpuData;
             below_.access(wb);
         }
     }
-    key_[victim] = lineKey(addr);
+    tags_.fill(set, victim, lineKey(addr));
     dirty_[victim] = dirty ? 1 : 0;
-    lastUse_[victim] = ++useClock_;
 }
 
 void
@@ -89,9 +69,11 @@ Cache::access(RequestHandle h)
     const MemoryRequest &req = table_.at(h);
     const Addr line_addr = req.addr & ~(cfg_.lineBytes - 1);
 
-    if (const std::size_t line = findLine(req.addr); line != npos) {
+    const Addr set = setIndex(req.addr);
+    if (const std::size_t line = tags_.find(set, lineKey(req.addr));
+        line != sim::SetAssocTags::npos) {
         ++hits_;
-        lastUse_[line] = ++useClock_;
+        tags_.touch(set, line);
         dirty_[line] |= req.write ? 1 : 0;
         eq_.scheduleIn(cfg_.hitLatency, [this, h] { table_.complete(h); });
         return;
@@ -169,7 +151,7 @@ Cache::registerInvariants(sim::Auditor &auditor)
 void
 Cache::flushAll()
 {
-    std::fill(key_.begin(), key_.end(), std::uint64_t{0});
+    tags_.invalidateAll();
     std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
 }
 

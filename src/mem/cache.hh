@@ -8,10 +8,11 @@
  * lives in the BackingStore and is accessed uncached by the walker
  * model's functional reads.
  *
- * Line state is stored as flat way columns (slot = set * ways + way):
- * one tag+valid word per way, its LRU stamp and its dirty bit. Set
- * count and line size must be powers of two, so indexing is a shift
- * and a mask — every configured cache qualifies.
+ * Line tags live in a sim::SetAssocTags (one tag+valid key per way,
+ * found by fingerprint, true-LRU victim in O(1)); the dirty bit sits
+ * beside it in a column indexed by the same slot (set * ways + way).
+ * Set count and line size must be powers of two, so indexing is a
+ * shift and a mask — every configured cache qualifies.
  */
 
 #ifndef GPUWALK_MEM_CACHE_HH
@@ -24,6 +25,7 @@
 #include "mem/request.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
+#include "sim/set_assoc_tags.hh"
 #include "sim/slot_table.hh"
 #include "sim/stats.hh"
 
@@ -102,8 +104,6 @@ class Cache final : public MemoryDevice, public MemorySink
     void registerInvariants(sim::Auditor &auditor);
 
   private:
-    static constexpr std::size_t npos = ~std::size_t{0};
-
     /** Pooled and recycled with its waiter-vector capacity intact, so
      *  the steady-state miss path does not allocate. */
     struct Mshr
@@ -123,8 +123,6 @@ class Cache final : public MemoryDevice, public MemorySink
      *  invalid way. */
     std::uint64_t lineKey(Addr addr) const { return (tagOf(addr) << 1) | 1; }
 
-    /** Slot of the valid line holding @p addr, or npos. */
-    std::size_t findLine(Addr addr) const;
     void installLine(Addr addr, bool dirty);
     void handleFill(sim::Handle mshr);
 
@@ -137,13 +135,11 @@ class Cache final : public MemoryDevice, public MemorySink
     unsigned lineShift_ = 0; ///< log2(lineBytes)
     unsigned tagShift_ = 0;  ///< log2(lineBytes * numSets)
 
-    // Way columns, slot = set * associativity + way.
-    std::vector<std::uint64_t> key_; ///< lineKey(), 0 when invalid
-    std::vector<std::uint64_t> lastUse_;
-    std::vector<std::uint8_t> dirty_;
+    /** lineKey() per way; slot = set * associativity + way. */
+    sim::SetAssocTags tags_;
+    std::vector<std::uint8_t> dirty_; ///< by slot
     sim::FlatMap<Addr, sim::Handle> mshrs_; ///< keyed by line base addr
     sim::SlotTable<Mshr> mshrPool_;
-    std::uint64_t useClock_ = 0;
 
     sim::StatGroup statGroup_;
     sim::Counter hits_{"hits", "demand hits"};

@@ -34,6 +34,9 @@ Histogram::bucketLabel(std::size_t i) const
 void
 Histogram::dump(std::ostream &os, const std::string &prefix) const
 {
+    // Bucket shares print at 4 significant digits; the mean and every
+    // later stat keep the caller's precision.
+    const std::streamsize precision = os.precision();
     os << prefix << name() << "::total " << total_ << " # " << desc()
        << "\n";
     for (std::size_t i = 0; i < counts_.size(); ++i) {
@@ -43,6 +46,7 @@ Histogram::dump(std::ostream &os, const std::string &prefix) const
            << counts_[i] << " # " << std::setprecision(4)
            << fraction(i) * 100.0 << "%\n";
     }
+    os.precision(precision);
     os << prefix << name() << "::mean " << mean() << " # mean sample\n";
 }
 

@@ -1,6 +1,5 @@
 #include "tlb/set_assoc_tlb.hh"
 
-#include <algorithm>
 #include <bit>
 
 namespace gpuwalk::tlb {
@@ -16,61 +15,58 @@ largeVpn(mem::Addr va)
 
 constexpr mem::Addr largeOffsetPages = (1 << 21) >> mem::pageShift;
 
+/** The set count of @p cfg, after checking the geometry. */
+std::size_t
+checkedSets(const TlbConfig &cfg)
+{
+    GPUWALK_ASSERT(cfg.entries > 0, "TLB must have entries");
+    GPUWALK_ASSERT(cfg.entries % cfg.associativity == 0,
+                   "entries not divisible by associativity in ",
+                   cfg.name);
+    GPUWALK_ASSERT(std::has_single_bit(cfg.sets()),
+                   "TLB set count must be a power of two in ", cfg.name);
+    return cfg.sets();
+}
+
 } // namespace
 
 SetAssocTlb::SetAssocTlb(const TlbConfig &cfg)
-    : cfg_(cfg), statGroup_(cfg.name)
+    : cfg_(cfg), numSets_(checkedSets(cfg)),
+      tags_(numSets_, cfg.associativity), ppn_(cfg.entries, 0),
+      statGroup_(cfg.name)
 {
-    GPUWALK_ASSERT(cfg_.entries > 0, "TLB must have entries");
-    GPUWALK_ASSERT(cfg_.entries % cfg_.associativity == 0,
-                   "entries not divisible by associativity in ",
-                   cfg_.name);
-    numSets_ = cfg_.sets();
-    GPUWALK_ASSERT(std::has_single_bit(numSets_),
-                   "TLB set count must be a power of two in ",
-                   cfg_.name);
-    const std::size_t slots = numSets_ * cfg_.associativity;
-    key_.assign(slots, 0);
-    ppn_.assign(slots, 0);
-    lastUse_.assign(slots, 0);
-
     statGroup_.add(hits_);
     statGroup_.add(misses_);
     statGroup_.add(insertions_);
     statGroup_.add(evictions_);
 }
 
-std::size_t
+SetAssocTlb::Found
 SetAssocTlb::findSlot(mem::Addr va_page, bool large, ContextId ctx) const
 {
     if (large && largeResident_ == 0)
-        return npos;
+        return {};
     const mem::Addr vpn =
         large ? largeVpn(va_page) : mem::pageNumber(va_page);
-    const std::size_t base = setIndex(vpn, ctx) * cfg_.associativity;
+    const std::size_t set = setIndex(vpn, ctx);
     // The context tag is part of the key: a VPN never hits across
     // address spaces.
-    const std::uint64_t want = matchKey(vpn, large, ctx);
-    for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
-        if (key_[i] == want)
-            return i;
-    }
-    return npos;
+    return {set, tags_.find(set, matchKey(vpn, large, ctx))};
 }
 
-std::size_t
+SetAssocTlb::Found
 SetAssocTlb::findAny(mem::Addr va_page, ContextId ctx) const
 {
     // Small entries first (exact match), then the covering 2 MB entry.
-    const std::size_t small = findSlot(va_page, /*large=*/false, ctx);
-    return small != npos ? small : findSlot(va_page, /*large=*/true,
-                                            ctx);
+    const Found small = findSlot(va_page, /*large=*/false, ctx);
+    return small.slot != npos ? small
+                              : findSlot(va_page, /*large=*/true, ctx);
 }
 
 TlbHit
 SetAssocTlb::hitAt(std::size_t i, mem::Addr va_page) const
 {
-    if (!(key_[i] & largeBit))
+    if (!(tags_.key(i) & largeBit))
         return TlbHit{ppn_[i] << mem::pageShift, false};
     const mem::Addr base = ppn_[i] << 21;
     const mem::Addr offset =
@@ -81,14 +77,14 @@ SetAssocTlb::hitAt(std::size_t i, mem::Addr va_page) const
 std::optional<TlbHit>
 SetAssocTlb::lookupEntry(mem::Addr va_page, ContextId ctx)
 {
-    const std::size_t i = findAny(va_page, ctx);
-    if (i == npos) {
+    const Found f = findAny(va_page, ctx);
+    if (f.slot == npos) {
         ++misses_;
         return std::nullopt;
     }
     ++hits_;
-    lastUse_[i] = ++useClock_;
-    return hitAt(i, va_page);
+    tags_.touch(f.set, f.slot);
+    return hitAt(f.slot, va_page);
 }
 
 std::optional<mem::Addr>
@@ -103,10 +99,10 @@ SetAssocTlb::lookup(mem::Addr va_page, ContextId ctx)
 std::optional<mem::Addr>
 SetAssocTlb::probe(mem::Addr va_page, ContextId ctx) const
 {
-    const std::size_t i = findAny(va_page, ctx);
-    if (i == npos)
+    const Found f = findAny(va_page, ctx);
+    if (f.slot == npos)
         return std::nullopt;
-    return hitAt(i, va_page).paPage;
+    return hitAt(f.slot, va_page).paPage;
 }
 
 void
@@ -118,41 +114,25 @@ SetAssocTlb::insert(mem::Addr va_page, mem::Addr pa_page,
     const mem::Addr ppn = large_page ? (pa_page >> 21)
                                      : mem::pageNumber(pa_page);
 
-    // One pass over the set: a duplicate fill is refreshed in place;
-    // otherwise the victim is the first invalid way, or failing that
-    // the true-LRU way (first-encountered on lastUse ties).
+    // A duplicate fill is refreshed in place; otherwise the victim is
+    // the first invalid way, or failing that the true-LRU way.
     const std::uint64_t want = matchKey(vpn, large_page, ctx);
-    const std::size_t base = setIndex(vpn, ctx) * cfg_.associativity;
-    std::size_t invalid = npos;
-    std::size_t lru = base;
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (std::size_t i = base; i < base + cfg_.associativity; ++i) {
-        const std::uint64_t key = key_[i];
-        if (key == want) {
-            ppn_[i] = ppn;
-            lastUse_[i] = ++useClock_;
-            return;
-        }
-        if (!(key & validBit)) {
-            if (invalid == npos)
-                invalid = i;
-        } else if (lastUse_[i] < oldest) {
-            oldest = lastUse_[i];
-            lru = i;
-        }
+    const std::size_t set = setIndex(vpn, ctx);
+    if (const std::size_t dup = tags_.find(set, want); dup != npos) {
+        ppn_[dup] = ppn;
+        tags_.touch(set, dup);
+        return;
     }
-    std::size_t victim = invalid;
-    if (victim == npos) {
-        victim = lru;
+    const std::size_t victim = tags_.victim(set);
+    if (const std::uint64_t old = tags_.key(victim)) {
         ++evictions_;
-        if (key_[victim] & largeBit)
+        if (old & largeBit)
             --largeResident_;
     }
 
     ++insertions_;
-    key_[victim] = want;
+    tags_.fill(set, victim, want);
     ppn_[victim] = ppn;
-    lastUse_[victim] = ++useClock_;
     if (large_page)
         ++largeResident_;
 }
@@ -160,29 +140,26 @@ SetAssocTlb::insert(mem::Addr va_page, mem::Addr pa_page,
 void
 SetAssocTlb::invalidateAll()
 {
-    std::fill(key_.begin(), key_.end(), std::uint64_t{0});
+    tags_.invalidateAll();
     largeResident_ = 0;
 }
 
 bool
 SetAssocTlb::invalidate(mem::Addr va_page, ContextId ctx)
 {
-    const std::size_t i = findAny(va_page, ctx);
-    if (i == npos)
+    const Found f = findAny(va_page, ctx);
+    if (f.slot == npos)
         return false;
-    if (key_[i] & largeBit)
+    if (tags_.key(f.slot) & largeBit)
         --largeResident_;
-    key_[i] = 0;
+    tags_.invalidate(f.set, f.slot);
     return true;
 }
 
 unsigned
 SetAssocTlb::population() const
 {
-    unsigned n = 0;
-    for (const std::uint64_t key : key_)
-        n += (key & validBit) ? 1 : 0;
-    return n;
+    return static_cast<unsigned>(tags_.population());
 }
 
 } // namespace gpuwalk::tlb

@@ -6,12 +6,12 @@
  * GPU-wide shared L2 TLB (512-entry 16-way), and the IOMMU's own two
  * TLB levels (Table I).
  *
- * Entry state is stored structure-of-arrays. Each way's valid bit,
- * 2 MB bit, context and VPN are packed into one 64-bit match key, so a
- * lookup is one compare per way over a contiguous column; the
- * ppn/lastUse columns are only touched on a hit or a fill. The set
- * count must be a power of two so indexing is a mask, not a division
- * — every Table I geometry qualifies.
+ * Each way's valid bit, 2 MB bit, context and VPN are packed into one
+ * 64-bit match key held by a sim::SetAssocTags, which finds a key by
+ * fingerprint and picks the LRU victim in O(1); the PPN column beside
+ * it is only touched on a hit or a fill. The set count must be a power
+ * of two so indexing is a mask, not a division — every Table I
+ * geometry qualifies.
  */
 
 #ifndef GPUWALK_TLB_SET_ASSOC_TLB_HH
@@ -24,6 +24,7 @@
 
 #include "mem/types.hh"
 #include "sim/logging.hh"
+#include "sim/set_assoc_tags.hh"
 #include "sim/stats.hh"
 #include "tlb/translation.hh"
 
@@ -110,7 +111,7 @@ class SetAssocTlb
     sim::StatGroup &stats() { return statGroup_; }
 
   private:
-    static constexpr std::size_t npos = ~std::size_t{0};
+    static constexpr std::size_t npos = sim::SetAssocTags::npos;
 
     // Match-key layout: [63] valid, [62] 2 MB, [61:46] context,
     // [45:0] VPN. An invalid way's key is 0, which no lookup forms.
@@ -143,14 +144,19 @@ class SetAssocTlb
         return static_cast<std::size_t>(h) & (numSets_ - 1);
     }
 
-    /** Slot of the entry matching (@p va_page, @p ctx, @p large), or
-     *  npos. */
-    std::size_t findSlot(mem::Addr va_page, bool large,
-                         ContextId ctx) const;
+    /** Where an entry lives: its set and slot (slot npos when
+     *  absent). */
+    struct Found
+    {
+        std::size_t set = 0;
+        std::size_t slot = npos;
+    };
 
-    /** Small-before-large match of (@p va_page, @p ctx): slot or
-     *  npos. */
-    std::size_t findAny(mem::Addr va_page, ContextId ctx) const;
+    /** The entry matching (@p va_page, @p ctx, @p large). */
+    Found findSlot(mem::Addr va_page, bool large, ContextId ctx) const;
+
+    /** Small-before-large match of (@p va_page, @p ctx). */
+    Found findAny(mem::Addr va_page, ContextId ctx) const;
 
     /** The 4 KB-granular PA of @p va_page through slot @p i's entry. */
     TlbHit hitAt(std::size_t i, mem::Addr va_page) const;
@@ -158,12 +164,9 @@ class SetAssocTlb
     TlbConfig cfg_;
     std::size_t numSets_;
 
-    // Entry columns, slot = set * associativity + way.
-    std::vector<std::uint64_t> key_; ///< matchKey(), 0 when invalid
-    std::vector<mem::Addr> ppn_;
-    std::vector<std::uint64_t> lastUse_;
-
-    std::uint64_t useClock_ = 0;
+    /** matchKey() per way; slot = set * associativity + way. */
+    sim::SetAssocTags tags_;
+    std::vector<mem::Addr> ppn_; ///< by slot
 
     /** Valid 2 MB entries resident; when zero, the large-tag probe of
      *  every lookup and fill short-circuits (most runs never install

@@ -92,14 +92,12 @@ Gmmu::raiseFault(ContextId ctx, mem::Addr va_page)
     const std::uint64_t key = keyOf(ctx, va_page);
     GPUWALK_ASSERT(residentMap_.count(key) == 0,
                    "fault raised for resident page ", va_page);
-    for (const auto &f : pending_)
-        GPUWALK_ASSERT(f.key != key, "duplicate fault raise for page ",
-                       va_page, " (one walk parks per fault)");
+    GPUWALK_ASSERT(!raisedAt_.contains(key),
+                   "duplicate fault raise for page ", va_page,
+                   " (one walk parks per fault)");
 
-    PendingFault fault;
-    fault.key = key;
-    fault.raised = eq_.now();
-    pending_.push_back(fault);
+    raisedAt_.emplace(key, eq_.now());
+    pending_.push_back(key);
     ++faultsRaised_;
     maybeStartBatch();
 }
@@ -157,11 +155,10 @@ Gmmu::beginBatch()
     // pending_ is in raise order: the batch takes the oldest faults.
     batch_.clear();
     batchPos_ = 0;
-    for (auto &fault : pending_) {
+    for (const std::uint64_t key : pending_) {
         if (batch_.size() == cfg_.batchSize)
             break;
-        fault.inService = true;
-        batch_.push_back(fault.key);
+        batch_.push_back(key);
     }
     serviceNext();
 }
@@ -195,12 +192,15 @@ Gmmu::completeFront()
 
     placePage(key);
 
-    const auto it = std::find_if(
-        pending_.begin(), pending_.end(),
-        [key](const PendingFault &f) { return f.key == key; });
-    GPUWALK_ASSERT(it != pending_.end(), "serviced fault not pending");
-    const sim::Tick raised = it->raised;
-    pending_.erase(it);
+    const auto it = raisedAt_.find(key);
+    GPUWALK_ASSERT(it != raisedAt_.end(), "serviced fault not pending");
+    const sim::Tick raised = it->second;
+    raisedAt_.erase(it);
+    // A batch is the oldest pending faults, serviced in raise order,
+    // and new raises only append: the serviced key is the front one.
+    GPUWALK_ASSERT(pending_.front() == key,
+                   "serviced fault out of raise order");
+    pending_.pop_front();
     ++batchPos_;
 
     if (testFaults_.dropFirstService && !droppedOne_) {

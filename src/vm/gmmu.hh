@@ -30,6 +30,7 @@
 #define GPUWALK_VM_GMMU_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <list>
 #include <map>
@@ -39,6 +40,7 @@
 #include "mem/backing_store.hh"
 #include "sim/audit.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
@@ -228,13 +230,6 @@ class Gmmu
         return mem::pageCtxKey(ctx, va_page & ~largePageMask);
     }
 
-    struct PendingFault
-    {
-        std::uint64_t key = 0;
-        sim::Tick raised = 0;
-        bool inService = false;
-    };
-
     struct ResidentInfo
     {
         mem::Addr pa = 0;
@@ -255,7 +250,7 @@ class Gmmu
 
     PageTable &pageTableOf(ContextId ctx);
 
-    bool pinned(std::uint64_t key) const { return pins_.count(key) != 0; }
+    bool pinned(std::uint64_t key) const { return pins_.contains(key); }
 
     void maybeStartBatch();
     void beginBatch();
@@ -284,7 +279,10 @@ class Gmmu
 
     std::uint64_t frameCap_ = ~std::uint64_t(0);
 
-    std::vector<PendingFault> pending_; ///< raise order
+    std::deque<std::uint64_t> pending_; ///< keys in raise order
+    /** Raise tick of every pending key: the duplicate-raise check and
+     *  the service latency, without a scan of pending_. */
+    sim::FlatMap<std::uint64_t, sim::Tick> raisedAt_;
     bool busy_ = false;                ///< a batch is in service
     std::vector<std::uint64_t> batch_; ///< keys of the current batch
     std::size_t batchPos_ = 0;
@@ -292,7 +290,7 @@ class Gmmu
     std::map<std::uint64_t, ResidentInfo> residentMap_;
     std::list<std::uint64_t> lru_;          ///< front = coldest
     std::vector<std::uint64_t> denseKeys_;  ///< random-victim index
-    std::map<std::uint64_t, std::uint32_t> pins_;
+    sim::FlatMap<std::uint64_t, std::uint32_t> pins_; ///< nesting
     std::map<std::uint64_t, RegionInfo> regions_;
     std::map<std::uint64_t, std::vector<std::uint64_t>> hostCopy_;
     std::vector<mem::Addr> freeFrames_; ///< recycled 4 KB frames

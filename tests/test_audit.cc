@@ -512,6 +512,28 @@ TEST(IommuAuditFault, InconsistentBypassCountersFireBufferCounters)
            "buffered under a tracksAging()==false scheduler";
 }
 
+TEST(IommuAuditFault, PhantomTenantRequestFiresTenantAccounting)
+{
+    // The tenant counters gain a walk request the global counter never
+    // saw: the per-tenant sums no longer match, and nothing else moves.
+    FaultyIommuHarness h({});
+    h.dut->setTestFaults({.phantomTenantRequest = true});
+    Auditor auditor;
+    h.registerInvariants(auditor);
+
+    for (unsigned i = 0; i < 3; ++i)
+        h.dut->translate(h.request(i));
+    drain(h.eq);
+
+    EXPECT_EQ(h.owner.completed, 3u);
+    EXPECT_EQ(h.dut->tenantCounters(0).walkRequests,
+              h.dut->walkRequests() + 1);
+    auditor.check(AuditPhase::Final, h.eq.now());
+    ASSERT_FALSE(auditor.clean());
+    for (const auto &v : auditor.violations())
+        EXPECT_EQ(v.invariant, "iommu.tenant_accounting") << v.message;
+}
+
 // --- Cache MSHR invariants -----------------------------------------
 
 TEST(CacheAuditFault, DroppedFillLeaksAnMshr)

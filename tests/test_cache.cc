@@ -261,30 +261,54 @@ class ReferenceCache
 
 TEST_F(CacheFixture, MatchesReferenceModelUnderRandomTraffic)
 {
-    ReferenceCache ref(cfg.numSets(), cfg.associativity, cfg.lineBytes);
-    std::vector<Addr> want_writes;
-    sim::Rng rng(2024);
-    for (int step = 0; step < 20000; ++step) {
-        if (rng.below(200) == 0) {
-            cache->flushAll();
-            ref.flushAll();
-            continue;
-        }
-        // 1024 lines over 16 sets: heavy conflict traffic, with
-        // sub-line offsets so indexing must ignore them.
-        const Addr addr = rng.below(64 * 1024);
-        const bool write = rng.below(10) < 3;
-        access(addr, write);
-        if (const auto wb = ref.access(addr, write))
-            want_writes.push_back(*wb);
+    struct Geometry
+    {
+        Addr sizeBytes;
+        unsigned ways;
+        Addr window;              ///< bytes of address space drawn from
+        std::uint64_t flushOneIn; ///< flushAll odds per step
+    };
+    // The fixture's 16 sets x 4 ways (1024 lines over 16 sets: heavy
+    // conflict traffic), then the production 16-way L1D geometry with
+    // a window four times its size.
+    const Geometry geometries[] = {
+        {4 * 1024, 4, 64 * 1024, 200},
+        {32 * 1024, 16, 128 * 1024, 4000},
+    };
+    for (const Geometry &g : geometries) {
+        SCOPED_TRACE(testing::Message() << g.sizeBytes << "/" << g.ways);
+        cfg.sizeBytes = g.sizeBytes;
+        cfg.associativity = g.ways;
+        cache = std::make_unique<Cache>(eq, cfg, table, below);
+        below.writes.clear();
+        ReferenceCache ref(cfg.numSets(), cfg.associativity,
+                           cfg.lineBytes);
+        std::vector<Addr> want_writes;
+        sim::Rng rng(2024 + g.ways);
+        for (int step = 0; step < 20000; ++step) {
+            if (rng.below(g.flushOneIn) == 0) {
+                cache->flushAll();
+                ref.flushAll();
+                continue;
+            }
+            // Sub-line offsets, so indexing must ignore them; a hot
+            // eighth of the window is drawn half the time, so hits
+            // reorder the LRU lists.
+            const Addr addr =
+                rng.below(rng.below(2) ? g.window / 8 : g.window);
+            const bool write = rng.below(10) < 3;
+            access(addr, write);
+            if (const auto wb = ref.access(addr, write))
+                want_writes.push_back(*wb);
 
-        ASSERT_EQ(cache->hits(), ref.hits) << step;
-        ASSERT_EQ(cache->misses(), ref.misses) << step;
-        ASSERT_EQ(cache->evictions(), ref.evictions) << step;
-        ASSERT_EQ(cache->writebacks(), want_writes.size()) << step;
-        ASSERT_EQ(below.writes, want_writes) << step;
+            ASSERT_EQ(cache->hits(), ref.hits) << step;
+            ASSERT_EQ(cache->misses(), ref.misses) << step;
+            ASSERT_EQ(cache->evictions(), ref.evictions) << step;
+            ASSERT_EQ(cache->writebacks(), want_writes.size()) << step;
+            ASSERT_EQ(below.writes, want_writes) << step;
+        }
+        EXPECT_GT(cache->writebacks(), 100u);
     }
-    EXPECT_GT(cache->writebacks(), 100u);
 }
 
 TEST(CacheDeathTest, NonPowerOfTwoGeometryPanics)

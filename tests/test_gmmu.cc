@@ -420,4 +420,34 @@ TEST(GmmuTest, FcfsServicesInRaiseOrder)
     EXPECT_EQ(h.serviced[1].second, second);
 }
 
+TEST(GmmuTest, RaisesDuringABatchKeepRaiseOrder)
+{
+    // Faults raised while a batch is in service queue behind it: every
+    // page is serviced exactly once, in raise order, across batches of
+    // four, and every raise tick reaches the latency histogram.
+    GmmuHarness h;
+    std::vector<mem::Addr> raised;
+    for (unsigned i = 0; i < 22; ++i) {
+        const mem::Addr page = h.pageAt(0, (i * 7) % 64);
+        raised.push_back(page);
+        h.gmmu.raiseFault(0, page);
+        h.eq.run(h.eq.now() + 250); // part way into a migration
+    }
+    h.drain();
+
+    ASSERT_EQ(h.serviced.size(), raised.size());
+    for (std::size_t i = 0; i < raised.size(); ++i)
+        EXPECT_EQ(h.serviced[i].second, raised[i]) << i;
+    EXPECT_EQ(h.gmmu.pendingFaults(), 0u);
+    EXPECT_EQ(h.gmmu.summarize().latencySamples, raised.size());
+}
+
+TEST(GmmuDeathTest, DuplicateRaiseIsFatal)
+{
+    GmmuHarness h;
+    h.gmmu.raiseFault(0, h.pageAt(0, 3));
+    EXPECT_DEATH(h.gmmu.raiseFault(0, h.pageAt(0, 3)),
+                 "duplicate fault raise for page");
+}
+
 } // namespace

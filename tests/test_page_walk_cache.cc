@@ -1,12 +1,17 @@
 /**
  * @file
  * Unit tests for the page walk caches and their counter-based pinned
- * replacement (paper §IV design subtleties).
+ * replacement (paper §IV design subtleties), plus a randomized
+ * differential test against a per-entry last-use reference model.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "iommu/page_walk_cache.hh"
+#include "sim/rng.hh"
 
 namespace {
 
@@ -251,6 +256,220 @@ TEST(PageWalkCache, InvalidateAllClears)
     pwc.fill(0x40000000, PtLevel::Pml4, 0x2000);
     pwc.invalidateAll();
     EXPECT_EQ(pwc.peekEstimate(0x40000000), 4u);
+}
+
+/**
+ * Reference PWC: one record per way and level, every rule spelled out.
+ * Victim = first invalid way; else, with pinning, the lowest lastUse
+ * among unpinned ways (a pinned way scanned before the victim's choice
+ * counts one pinned skip); else the lowest lastUse.
+ */
+class ReferencePwc
+{
+  public:
+    ReferencePwc(const PwcConfig &cfg)
+        : cfg_(cfg), sets_(cfg.entriesPerLevel / cfg.associativity)
+    {
+        for (auto &level : way_)
+            level.resize(cfg.entriesPerLevel);
+    }
+
+    unsigned
+    probe(Addr va, ContextId ctx, bool pin)
+    {
+        for (unsigned l = 2; l <= vm::numPtLevels; ++l) {
+            if (Way *w = find(va, PtLevel{l}, ctx)) {
+                if (pin && w->counter < 3)
+                    ++w->counter;
+                return l - 1;
+            }
+        }
+        return vm::numPtLevels;
+    }
+
+    WalkStart
+    lookup(Addr va, ContextId ctx, bool consume_pins, Addr root)
+    {
+        for (unsigned l = 2; l <= vm::numPtLevels; ++l) {
+            if (Way *w = find(va, PtLevel{l}, ctx)) {
+                ++hits;
+                w->lastUse = ++clock_;
+                if (consume_pins && w->counter > 0)
+                    --w->counter;
+                return WalkStart{l - 1, w->next};
+            }
+        }
+        ++misses;
+        return WalkStart{vm::numPtLevels, root};
+    }
+
+    void
+    fill(Addr va, PtLevel level, Addr next, ContextId ctx)
+    {
+        if (Way *w = find(va, level, ctx)) {
+            w->next = next;
+            w->lastUse = ++clock_;
+            return;
+        }
+        const Addr region = vm::PageTable::regionBase(va, level);
+        Way *set = &way_[static_cast<unsigned>(level) - 2]
+                        [setOf(region) * cfg_.associativity];
+        Way *victim = nullptr;
+        bool skipped = false;
+        for (unsigned i = 0; i < cfg_.associativity; ++i) {
+            Way &w = set[i];
+            if (!w.valid) {
+                victim = &w;
+                break;
+            }
+            if (cfg_.pinScoredEntries && w.counter > 0) {
+                skipped = true;
+                continue;
+            }
+            if (!victim || w.lastUse < victim->lastUse)
+                victim = &w;
+        }
+        if (!victim) {
+            for (unsigned i = 0; i < cfg_.associativity; ++i) {
+                if (!victim || set[i].lastUse < victim->lastUse)
+                    victim = &set[i];
+            }
+        } else if (skipped) {
+            ++pinnedSkips;
+        }
+        *victim = Way{true, region, ctx, next, ++clock_, 0};
+    }
+
+    std::optional<std::uint8_t>
+    counter(Addr va, PtLevel level, ContextId ctx)
+    {
+        const Way *w = find(va, level, ctx);
+        return w ? std::optional<std::uint8_t>(w->counter) : std::nullopt;
+    }
+
+    void
+    invalidateAll()
+    {
+        for (auto &level : way_) {
+            for (Way &w : level)
+                w = Way{};
+        }
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t pinnedSkips = 0;
+
+  private:
+    struct Way
+    {
+        bool valid = false;
+        Addr region = 0;
+        ContextId ctx = 0;
+        Addr next = 0;
+        std::uint64_t lastUse = 0;
+        std::uint8_t counter = 0;
+    };
+
+    std::size_t
+    setOf(Addr region) const
+    {
+        return static_cast<std::size_t>((region >> 21) ^ (region >> 30))
+               % sets_;
+    }
+
+    Way *
+    find(Addr va, PtLevel level, ContextId ctx)
+    {
+        const Addr region = vm::PageTable::regionBase(va, level);
+        Way *set = &way_[static_cast<unsigned>(level) - 2]
+                        [setOf(region) * cfg_.associativity];
+        for (unsigned i = 0; i < cfg_.associativity; ++i) {
+            if (set[i].valid && set[i].region == region
+                && set[i].ctx == ctx)
+                return &set[i];
+        }
+        return nullptr;
+    }
+
+    PwcConfig cfg_;
+    std::size_t sets_;
+    std::vector<Way> way_[3];
+    std::uint64_t clock_ = 0;
+};
+
+TEST(PageWalkCacheDifferential, MatchesReferenceModelUnderRandomTraffic)
+{
+    // The default 16/4 geometry, a 3-set one (the set index is a
+    // modulo, not a mask) and a 2-way one, with and without pinning.
+    const PwcConfig configs[] = {
+        {16, 4, true}, {16, 4, false}, {12, 4, true}, {8, 2, true}};
+    const ContextId ctxs[] = {0, 1, 4096};
+    for (const PwcConfig &cfg : configs) {
+        SCOPED_TRACE(testing::Message()
+                     << cfg.entriesPerLevel << "/" << cfg.associativity
+                     << (cfg.pinScoredEntries ? " pinned" : ""));
+        PageWalkCache pwc(cfg, root);
+        ReferencePwc ref(cfg);
+        for (const ContextId c : ctxs) {
+            if (c != 0)
+                pwc.registerContext(c, root + c);
+        }
+        sim::Rng rng(cfg.entriesPerLevel * 7 + cfg.associativity);
+
+        // VAs over 64 PD regions in 16 PDPT regions in 4 PML4 regions.
+        std::vector<Addr> vas;
+        for (Addr i = 0; i < 64; ++i) {
+            vas.push_back(((i % 4) << 39) | (((i / 4) % 4) << 30)
+                          | ((i / 16) << 21));
+        }
+        for (int step = 0; step < 8000; ++step) {
+            const Addr va = vas[rng.below(vas.size())];
+            const ContextId ctx = ctxs[rng.below(3)];
+            const std::uint64_t op = rng.below(100);
+            if (op < 25) {
+                ASSERT_EQ(pwc.probeEstimate(va, ctx),
+                          ref.probe(va, ctx, true))
+                    << step;
+            } else if (op < 30) {
+                ASSERT_EQ(pwc.peekEstimate(va, ctx),
+                          ref.probe(va, ctx, false))
+                    << step;
+            } else if (op < 60) {
+                const bool consume = rng.below(4) != 0;
+                const Addr r = ctx == 0 ? root : root + ctx;
+                const WalkStart got = pwc.lookup(va, ctx, consume);
+                const WalkStart want = ref.lookup(va, ctx, consume, r);
+                ASSERT_EQ(got.level, want.level) << step;
+                ASSERT_EQ(got.tableBase, want.tableBase) << step;
+            } else if (op < 99) {
+                const auto level = PtLevel{2 + unsigned(rng.below(3))};
+                const Addr next = 0x1000 * (1 + rng.below(1 << 20));
+                pwc.fill(va, level, next, ctx);
+                ref.fill(va, level, next, ctx);
+            } else {
+                pwc.invalidateAll();
+                ref.invalidateAll();
+            }
+            ASSERT_EQ(pwc.hits(), ref.hits) << step;
+            ASSERT_EQ(pwc.misses(), ref.misses) << step;
+            ASSERT_EQ(pwc.pinnedSkips(), ref.pinnedSkips) << step;
+            // Contents and counters: a victim divergence shows up as a
+            // differing entry on the very next step.
+            for (unsigned l = 2; l <= vm::numPtLevels; ++l) {
+                for (const Addr v : vas) {
+                    for (const ContextId c : ctxs) {
+                        ASSERT_EQ(pwc.peekCounter(v, PtLevel{l}, c),
+                                  ref.counter(v, PtLevel{l}, c))
+                            << "step " << step << " level " << l;
+                    }
+                }
+            }
+        }
+        if (cfg.pinScoredEntries) {
+            EXPECT_GT(ref.pinnedSkips, 0u);
+        }
+    }
 }
 
 TEST(PageWalkCacheDeathTest, LeafFillRejected)

@@ -258,27 +258,49 @@ class ReferenceTlb
 
 TEST(SetAssocTlbDifferential, MatchesReferenceModelUnderRandomTraffic)
 {
-    // Two geometries: 4 sets x 4 ways (set conflicts) and one fully
-    // associative 8-entry set (pure LRU order).
-    for (const auto &[entries, ways] :
-         {std::pair{16u, 4u}, std::pair{8u, 8u}}) {
-        SCOPED_TRACE(testing::Message() << entries << "/" << ways);
-        SetAssocTlb tlb({"diff", entries, ways});
-        ReferenceTlb ref(entries, ways);
-        sim::Rng rng(entries * 131 + ways);
+    struct Geometry
+    {
+        unsigned entries;
+        unsigned ways;
+        std::uint64_t pages;       ///< distinct small pages drawn
+        unsigned checkEvery;       ///< steps between full probes
+        std::uint64_t flushOneIn;  ///< invalidateAll odds per step
+    };
+    // 4 sets x 4 ways (set conflicts) and one fully associative
+    // 8-entry set (pure LRU order), checked every step; then the
+    // production geometries, the 32-entry fully associative L1 and the
+    // 512-entry 16-way L2, held near full occupancy.
+    const Geometry geometries[] = {
+        {16, 4, 40, 1, 100},
+        {8, 8, 40, 1, 100},
+        {32, 32, 96, 4, 4000},
+        {512, 16, 1024, 16, 8000},
+    };
+    for (const Geometry &g : geometries) {
+        SCOPED_TRACE(testing::Message() << g.entries << "/" << g.ways);
+        SetAssocTlb tlb({"diff", g.entries, g.ways});
+        ReferenceTlb ref(g.entries, g.ways);
+        sim::Rng rng(g.entries * 131 + g.ways);
 
-        // 40 small pages spread over four 2 MB regions, so 2 MB
-        // entries cover some of them; ASIDs include wide ones.
+        // Small pages spread over 2 MB regions, so 2 MB entries cover
+        // some of them; a hot eighth of them is drawn half the time,
+        // so hits reorder the LRU lists; ASIDs include wide ones.
         std::vector<Addr> pages;
-        for (std::uint64_t i = 0; i < 40; ++i)
-            pages.push_back(page((i * 53) % 2048));
+        for (std::uint64_t i = 0; i < g.pages; ++i)
+            pages.push_back(page((i * 53) % (g.pages * 32)));
         const ContextId ctxs[] = {0, 1, 4096, 4097, 65535};
+        const std::size_t hot = pages.size() / 8;
+        bool filled = false;
 
         for (int step = 0; step < 20000; ++step) {
-            const Addr va = pages[rng.below(pages.size())];
+            const Addr va = pages[rng.below(2) ? rng.below(hot)
+                                               : rng.below(pages.size())];
             const ContextId ctx = ctxs[rng.below(5)];
             const std::uint64_t op = rng.below(100);
-            if (op < 45) {
+            if (rng.below(g.flushOneIn) == 0) {
+                tlb.invalidateAll();
+                ref.invalidateAll();
+            } else if (op < 45) {
                 const auto got = tlb.lookupEntry(va, ctx);
                 const auto want = ref.lookup(va, ctx, true);
                 ASSERT_EQ(got.has_value(), want.has_value()) << step;
@@ -291,19 +313,19 @@ TEST(SetAssocTlbDifferential, MatchesReferenceModelUnderRandomTraffic)
                 const Addr pa = page(rng.below(1 << 20));
                 tlb.insert(va, pa, large, ctx);
                 ref.insert(va, pa, large, ctx);
-            } else if (op < 99) {
+            } else {
                 ASSERT_EQ(tlb.invalidate(va, ctx), ref.invalidate(va, ctx))
                     << step;
-            } else {
-                tlb.invalidateAll();
-                ref.invalidateAll();
             }
 
             ASSERT_EQ(tlb.hits(), ref.hits);
             ASSERT_EQ(tlb.misses(), ref.misses);
             ASSERT_EQ(tlb.population(), ref.population()) << step;
-            // Whole-universe contents check: any victim divergence
-            // shows up as a differing probe on the very next step.
+            filled = filled || ref.population() == g.entries;
+            if (step % g.checkEvery != 0)
+                continue;
+            // Whole-universe contents check: a victim divergence
+            // leaves a differing probe until both sides evict it.
             for (const Addr p : pages) {
                 for (const ContextId c : ctxs) {
                     const auto got = tlb.probe(p, c);
@@ -317,6 +339,8 @@ TEST(SetAssocTlbDifferential, MatchesReferenceModelUnderRandomTraffic)
                 }
             }
         }
+        // Every geometry ran full, so fills chose LRU victims.
+        EXPECT_TRUE(filled);
     }
 }
 

@@ -104,6 +104,22 @@ TEST(Histogram, DumpEndsWithTheMean)
                         "g.lat::mean 11.5 # mean sample\n");
 }
 
+TEST(Histogram, DumpLeavesTheStreamPrecisionAlone)
+{
+    // Bucket shares print at 4 digits; the mean and whatever the
+    // caller prints next keep the caller's precision.
+    Histogram h("lat", "latency", {16});
+    h.sample(1);
+    h.sample(1);
+    h.sample(20);
+    std::ostringstream os;
+    os.precision(9);
+    h.dump(os, "g.");
+    EXPECT_EQ(os.precision(), 9);
+    EXPECT_NE(os.str().find("g.lat::0-16 2 # 66.67%\n"), std::string::npos);
+    EXPECT_NE(os.str().find("g.lat::mean 7.33333333 #"), std::string::npos);
+}
+
 TEST(StatGroup, DumpsHierarchicalNames)
 {
     StatGroup root("sys");
