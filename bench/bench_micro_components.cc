@@ -16,8 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/fcfs_scheduler.hh"
 #include "core/simt_aware_scheduler.hh"
+#include "core/walk_scheduler.hh"
 #include "iommu/page_walk_cache.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
@@ -127,34 +127,6 @@ filledBuffer(std::size_t n)
     }
     return buf;
 }
-
-void
-BM_FcfsSelect(benchmark::State &state)
-{
-    auto buf = filledBuffer(static_cast<std::size_t>(state.range(0)));
-    core::FcfsScheduler sched;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sched.selectNext(buf));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FcfsSelect)->Arg(64)->Arg(256)->Arg(512);
-
-void
-BM_SimtAwareSelect(benchmark::State &state)
-{
-    auto buf = filledBuffer(static_cast<std::size_t>(state.range(0)));
-    core::SimtAwareScheduler sched;
-    // Prime the batching register.
-    core::PendingWalk primer;
-    primer.instruction = 1;
-    sched.onDispatch(buf, primer);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sched.selectNext(buf));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SimtAwareSelect)->Arg(64)->Arg(256)->Arg(512);
 
 void
 BM_SimtAwareDispatchAging(benchmark::State &state)
@@ -390,8 +362,9 @@ BENCHMARK(BM_RequestRoundTrip);
  * the schedulers whose selection the pick indexes accelerate. The
  * batching register is primed so the Batch rule (the most common pick
  * in steady state) is on the measured path; Fcfs measures the
- * oldest-entry query. BENCH_hotpath.json and the CI perf-smoke gate
- * read the sched:4 (simt-aware) occ:256 row.
+ * oldest-entry query. EXPERIMENTS.md ("Simulator throughput records")
+ * and the CI perf-smoke gate read the sched:4 (simt-aware) occ:256
+ * row.
  */
 void
 BM_SchedulerSelectNext(benchmark::State &state)
@@ -414,6 +387,49 @@ BENCHMARK(BM_SchedulerSelectNext)
                     static_cast<long>(core::SchedulerKind::BatchOnly),
                     static_cast<long>(core::SchedulerKind::SimtAware)},
                    {8, 64, 256}});
+
+/**
+ * The buffer's whole per-walk cost at occupancy 256, as the IOMMU pays
+ * it: one arrival scored the paper's way (the instruction's running
+ * score plus a 1-4 access estimate, written to every sibling through
+ * rescoreInstruction), then one pick, extract and onDispatch. Walks
+ * come 8 per instruction over 4 tenants, so the weighted-share row
+ * also exercises the per-tenant lists.
+ */
+void
+BM_WalkBufferChurn(benchmark::State &state)
+{
+    constexpr std::size_t occupancy = 256;
+    const auto kind = static_cast<core::SchedulerKind>(state.range(0));
+    auto sched = core::makeScheduler(kind);
+    core::WalkBuffer buf(occupancy);
+    std::uint64_t seq = 0;
+    auto arrive = [&] {
+        core::PendingWalk w;
+        w.seq = seq;
+        w.instruction = seq / 8;
+        w.ctx = static_cast<tlb::ContextId>(w.instruction % 4);
+        w.estimatedAccesses = 1 + static_cast<unsigned>((seq * 7) % 4);
+        w.score = buf.instructionScore(w.instruction) + w.estimatedAccesses;
+        buf.rescoreInstruction(w.instruction, w.score);
+        buf.insert(std::move(w));
+        ++seq;
+    };
+    while (buf.size() + 1 < occupancy)
+        arrive();
+    for (auto _ : state) {
+        arrive();
+        const std::size_t idx = sched->selectNext(buf);
+        core::PendingWalk w = buf.extract(idx);
+        sched->onDispatch(buf, w);
+        benchmark::DoNotOptimize(w.seq);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WalkBufferChurn)
+    ->ArgName("sched")
+    ->Arg(static_cast<long>(core::SchedulerKind::SimtAware))
+    ->Arg(static_cast<long>(core::SchedulerKind::WeightedShare));
 
 /** Shared driver for the hash-map lookup benches: n pseudo-random
  *  keys inserted once, then round-robin point lookups (all hits). */

@@ -2,12 +2,12 @@
  * @file
  * WalkBuffer pick-index maintenance.
  *
- * All three indexes are intrusive doubly-linked lists over the dense
- * entry vector, kept sorted by seq within each list, so every "pick"
- * question a scheduler asks is a list-head read and every insert or
- * extract rewires a constant number of links (inserts append in O(1)
- * because simulator seqs arrive monotonically; the backward walk only
- * runs for the out-of-order sequences unit tests construct).
+ * All four indexes are SeqLists: intrusive doubly-linked lists over
+ * the dense entry vector, kept sorted by seq, so every "pick" question
+ * a scheduler asks is a list-head read and every insert or extract
+ * rewires a constant number of links (inserts append in O(1) because
+ * simulator seqs arrive monotonically; the backward walk only runs for
+ * the out-of-order sequences unit tests construct).
  */
 
 #include "core/pending_walk.hh"
@@ -53,12 +53,27 @@ WalkBuffer::insert(PendingWalk w)
     const std::size_t idx = entries_.size();
     if (w.bypassed > maxBypassed_)
         maxBypassed_ = w.bypassed;
+    const auto [it, fresh] =
+        instrIndex_.try_emplace(w.instruction, std::size_t{0});
+    if (fresh) {
+        if (freeBuckets_.empty()) {
+            it->second = buckets_.size();
+            buckets_.emplace_back();
+        } else {
+            it->second = freeBuckets_.back();
+            freeBuckets_.pop_back();
+        }
+    }
+    const std::size_t b = it->second;
+    if (w.ctx >= ctxLists_.size())
+        ctxLists_.resize(w.ctx + 1);
+    SeqList &tenant = ctxLists_[w.ctx];
     entries_.push_back(std::move(w));
-    links_.emplace_back();
-    linkArrival(idx);
-    linkInstruction(idx);
-    linkScore(idx);
-    linkContext(idx);
+    links_.emplace_back().bucket = b;
+    listInsert(arrival_, &Links::arrival, idx);
+    listInsert(buckets_[b], &Links::instruction, idx);
+    fileScore(idx);
+    listInsert(tenant, &Links::context, idx);
     return idx;
 }
 
@@ -75,16 +90,25 @@ WalkBuffer::extract(std::size_t idx)
             k += s > seq ? 1 : 0;
         addSaturating(entries_[idx].bypassed, k);
     }
-    unlinkArrival(idx);
-    unlinkInstruction(idx);
-    unlinkScore(idx);
-    unlinkContext(idx);
+    const std::size_t b = links_[idx].bucket;
+    listErase(arrival_, &Links::arrival, idx);
+    listErase(buckets_[b], &Links::instruction, idx);
+    if (buckets_[b].count == 0) {
+        freeBuckets_.push_back(b);
+        instrIndex_.erase(entries_[idx].instruction);
+    }
+    unfileScore(idx);
+    listErase(ctxLists_[entries_[idx].ctx], &Links::context, idx);
     PendingWalk out = std::move(entries_[idx]);
     const std::size_t last = entries_.size() - 1;
     if (idx != last) {
         entries_[idx] = std::move(entries_[last]);
         links_[idx] = links_[last];
-        repointNeighbors(last, idx);
+        listRepoint(arrival_, &Links::arrival, idx);
+        listRepoint(buckets_[links_[idx].bucket], &Links::instruction,
+                    idx);
+        listRepoint(scoreList(idx), &Links::score, idx);
+        listRepoint(ctxLists_[entries_[idx].ctx], &Links::context, idx);
     }
     entries_.pop_back();
     links_.pop_back();
@@ -99,15 +123,15 @@ std::size_t
 WalkBuffer::sjfBestIndex() const
 {
     GPUWALK_ASSERT(!empty(), "sjfBestIndex on empty buffer");
-    if (directCount_ > 0)
+    if (overflow_.count < size())
         return scoreBuckets_[minDirectScore()].head;
     // Every overflow score exceeds every direct score, so this scan
     // only runs when *all* entries carry out-of-range scores. The
     // list is seq-sorted, so the first strict improvement wins the
     // (score, seq) tie-break.
     std::size_t best = overflow_.head;
-    for (std::size_t i = links_[best].scoreNext; i != npos;
-         i = links_[i].scoreNext) {
+    for (std::size_t i = links_[best].score.next; i != npos;
+         i = links_[i].score.next) {
         if (entries_[i].score < entries_[best].score)
             best = i;
     }
@@ -123,8 +147,8 @@ WalkBuffer::sjfBestOfContext(tlb::ContextId ctx) const
     // The list is seq-sorted, so only a strict score improvement moves
     // the pick — the same (score, seq) tie-break the global SJF bitmap
     // implements.
-    for (std::size_t i = links_[best].ctxNext; i != npos;
-         i = links_[i].ctxNext) {
+    for (std::size_t i = links_[best].context.next; i != npos;
+         i = links_[i].context.next) {
         if (entries_[i].score < entries_[best].score)
             best = i;
     }
@@ -152,8 +176,8 @@ WalkBuffer::agingCandidate(std::uint64_t threshold) const
     // stale upper bound (the max holder was extracted) — tighten it so
     // the fast path resumes.
     std::uint64_t observed = 0;
-    for (std::size_t i = arrivalHead_; i != npos;
-         i = links_[i].arrivalNext) {
+    for (std::size_t i = arrival_.head; i != npos;
+         i = links_[i].arrival.next) {
         if (entries_[i].bypassed >= threshold)
             return i;
         if (entries_[i].bypassed > observed)
@@ -168,8 +192,8 @@ WalkBuffer::recordBypass(std::uint64_t dispatched_seq)
 {
     // The arrival head holds the minimum seq, so this is an exact
     // nothing-was-bypassed test (FCFS dispatches always land here).
-    if (arrivalHead_ == npos
-        || entries_[arrivalHead_].seq >= dispatched_seq)
+    if (arrival_.head == npos
+        || entries_[arrival_.head].seq >= dispatched_seq)
         return;
     deferredBypass_.push_back(dispatched_seq);
     if (dispatched_seq > maxDeferredSeq_)
@@ -207,259 +231,67 @@ WalkBuffer::rescoreInstruction(tlb::InstructionId instruction,
     if (it == instrIndex_.end())
         return;
     for (std::size_t i = buckets_[it->second].head; i != npos;
-         i = links_[i].instrNext) {
+         i = links_[i].instruction.next) {
+        unfileScore(i);
         entries_[i].score = score;
-        resyncScore(i);
+        fileScore(i);
     }
 }
 
 void
-WalkBuffer::linkArrival(std::size_t idx)
+WalkBuffer::listInsert(SeqList &list, Hook Links::*hook, std::size_t idx)
 {
-    const std::uint64_t seq = entries_[idx].seq;
-    std::size_t after = arrivalTail_;
-    while (after != npos && entries_[after].seq > seq)
-        after = links_[after].arrivalPrev;
-    links_[idx].arrivalPrev = after;
-    if (after == npos) {
-        links_[idx].arrivalNext = arrivalHead_;
-        arrivalHead_ = idx;
-    } else {
-        links_[idx].arrivalNext = links_[after].arrivalNext;
-        links_[after].arrivalNext = idx;
-    }
-    if (links_[idx].arrivalNext == npos)
-        arrivalTail_ = idx;
-    else
-        links_[links_[idx].arrivalNext].arrivalPrev = idx;
-}
-
-void
-WalkBuffer::unlinkArrival(std::size_t idx)
-{
-    const Links &l = links_[idx];
-    if (l.arrivalPrev == npos)
-        arrivalHead_ = l.arrivalNext;
-    else
-        links_[l.arrivalPrev].arrivalNext = l.arrivalNext;
-    if (l.arrivalNext == npos)
-        arrivalTail_ = l.arrivalPrev;
-    else
-        links_[l.arrivalNext].arrivalPrev = l.arrivalPrev;
-}
-
-void
-WalkBuffer::linkInstruction(std::size_t idx)
-{
-    const auto [it, inserted] =
-        instrIndex_.try_emplace(entries_[idx].instruction,
-                                std::size_t{0});
-    if (inserted) {
-        if (freeBuckets_.empty()) {
-            it->second = buckets_.size();
-            buckets_.emplace_back();
-        } else {
-            it->second = freeBuckets_.back();
-            freeBuckets_.pop_back();
-            buckets_[it->second] = ListHead{};
-        }
-    }
-    const std::size_t b = it->second;
-    links_[idx].bucket = b;
-    const std::uint64_t seq = entries_[idx].seq;
-    std::size_t after = buckets_[b].tail;
-    while (after != npos && entries_[after].seq > seq)
-        after = links_[after].instrPrev;
-    links_[idx].instrPrev = after;
-    if (after == npos) {
-        links_[idx].instrNext = buckets_[b].head;
-        buckets_[b].head = idx;
-    } else {
-        links_[idx].instrNext = links_[after].instrNext;
-        links_[after].instrNext = idx;
-    }
-    if (links_[idx].instrNext == npos)
-        buckets_[b].tail = idx;
-    else
-        links_[links_[idx].instrNext].instrPrev = idx;
-}
-
-void
-WalkBuffer::unlinkInstruction(std::size_t idx)
-{
-    const Links &l = links_[idx];
-    const std::size_t b = l.bucket;
-    if (l.instrPrev == npos)
-        buckets_[b].head = l.instrNext;
-    else
-        links_[l.instrPrev].instrNext = l.instrNext;
-    if (l.instrNext == npos)
-        buckets_[b].tail = l.instrPrev;
-    else
-        links_[l.instrNext].instrPrev = l.instrPrev;
-    if (buckets_[b].head == npos) {
-        freeBuckets_.push_back(b);
-        instrIndex_.erase(entries_[idx].instruction);
-    }
-}
-
-void
-WalkBuffer::linkScore(std::size_t idx)
-{
-    const std::uint64_t key = entries_[idx].score;
-    links_[idx].scoreKey = key;
-    const std::uint64_t seq = entries_[idx].seq;
-    ListHead *list;
-    if (key < maxDirectScore) {
-        growScoreBuckets(key);
-        list = &scoreBuckets_[key];
-        if (list->head == npos)
-            setScoreBit(key);
-        ++directCount_;
-    } else {
-        list = &overflow_;
-        ++overflowCount_;
-    }
-    std::size_t after = list->tail;
-    while (after != npos && entries_[after].seq > seq)
-        after = links_[after].scorePrev;
-    links_[idx].scorePrev = after;
-    if (after == npos) {
-        links_[idx].scoreNext = list->head;
-        list->head = idx;
-    } else {
-        links_[idx].scoreNext = links_[after].scoreNext;
-        links_[after].scoreNext = idx;
-    }
-    if (links_[idx].scoreNext == npos)
-        list->tail = idx;
-    else
-        links_[links_[idx].scoreNext].scorePrev = idx;
-}
-
-void
-WalkBuffer::unlinkScore(std::size_t idx)
-{
-    const Links &l = links_[idx];
-    const std::uint64_t key = l.scoreKey;
-    ListHead *list;
-    if (key < maxDirectScore) {
-        list = &scoreBuckets_[key];
-        --directCount_;
-    } else {
-        list = &overflow_;
-        --overflowCount_;
-    }
-    if (l.scorePrev == npos)
-        list->head = l.scoreNext;
-    else
-        links_[l.scorePrev].scoreNext = l.scoreNext;
-    if (l.scoreNext == npos)
-        list->tail = l.scorePrev;
-    else
-        links_[l.scoreNext].scorePrev = l.scorePrev;
-    if (key < maxDirectScore && list->head == npos)
-        clearScoreBit(key);
-}
-
-void
-WalkBuffer::linkContext(std::size_t idx)
-{
-    const tlb::ContextId ctx = entries_[idx].ctx;
-    if (ctx >= ctxLists_.size()) {
-        ctxLists_.resize(ctx + 1);
-        ctxCounts_.resize(ctx + 1, 0);
-    }
-    ListHead &list = ctxLists_[ctx];
-    ++ctxCounts_[ctx];
     const std::uint64_t seq = entries_[idx].seq;
     std::size_t after = list.tail;
     while (after != npos && entries_[after].seq > seq)
-        after = links_[after].ctxPrev;
-    links_[idx].ctxPrev = after;
-    if (after == npos) {
-        links_[idx].ctxNext = list.head;
-        list.head = idx;
-    } else {
-        links_[idx].ctxNext = links_[after].ctxNext;
-        links_[after].ctxNext = idx;
-    }
-    if (links_[idx].ctxNext == npos)
-        list.tail = idx;
-    else
-        links_[links_[idx].ctxNext].ctxPrev = idx;
+        after = (links_[after].*hook).prev;
+    Hook &h = links_[idx].*hook;
+    h.prev = after;
+    std::size_t &before_next =
+        after == npos ? list.head : (links_[after].*hook).next;
+    h.next = before_next;
+    before_next = idx;
+    (h.next == npos ? list.tail : (links_[h.next].*hook).prev) = idx;
+    ++list.count;
 }
 
 void
-WalkBuffer::unlinkContext(std::size_t idx)
+WalkBuffer::listErase(SeqList &list, Hook Links::*hook, std::size_t idx)
 {
-    const Links &l = links_[idx];
-    ListHead &list = ctxLists_[entries_[idx].ctx];
-    --ctxCounts_[entries_[idx].ctx];
-    if (l.ctxPrev == npos)
-        list.head = l.ctxNext;
-    else
-        links_[l.ctxPrev].ctxNext = l.ctxNext;
-    if (l.ctxNext == npos)
-        list.tail = l.ctxPrev;
-    else
-        links_[l.ctxNext].ctxPrev = l.ctxPrev;
+    const Hook &h = links_[idx].*hook;
+    (h.prev == npos ? list.head : (links_[h.prev].*hook).next) = h.next;
+    (h.next == npos ? list.tail : (links_[h.next].*hook).prev) = h.prev;
+    --list.count;
 }
 
 void
-WalkBuffer::resyncScore(std::size_t idx)
+WalkBuffer::listRepoint(SeqList &list, Hook Links::*hook, std::size_t idx)
 {
-    if (links_[idx].scoreKey != entries_[idx].score) {
-        unlinkScore(idx);
-        linkScore(idx);
-    }
+    const Hook &h = links_[idx].*hook;
+    (h.prev == npos ? list.head : (links_[h.prev].*hook).next) = idx;
+    (h.next == npos ? list.tail : (links_[h.next].*hook).prev) = idx;
 }
 
 void
-WalkBuffer::repointNeighbors(std::size_t from, std::size_t to)
+WalkBuffer::fileScore(std::size_t idx)
 {
-    const Links &l = links_[to]; // already holds `from`'s links
-    if (l.arrivalPrev == npos)
-        arrivalHead_ = to;
-    else
-        links_[l.arrivalPrev].arrivalNext = to;
-    if (l.arrivalNext == npos)
-        arrivalTail_ = to;
-    else
-        links_[l.arrivalNext].arrivalPrev = to;
+    const std::uint64_t score = entries_[idx].score;
+    if (score < maxDirectScore)
+        growScoreBuckets(score);
+    SeqList &list = scoreList(idx);
+    listInsert(list, &Links::score, idx);
+    if (score < maxDirectScore && list.count == 1)
+        setScoreBit(score);
+}
 
-    ListHead &bucket = buckets_[l.bucket];
-    if (l.instrPrev == npos)
-        bucket.head = to;
-    else
-        links_[l.instrPrev].instrNext = to;
-    if (l.instrNext == npos)
-        bucket.tail = to;
-    else
-        links_[l.instrNext].instrPrev = to;
-
-    ListHead &score = l.scoreKey < maxDirectScore
-                          ? scoreBuckets_[l.scoreKey]
-                          : overflow_;
-    if (l.scorePrev == npos)
-        score.head = to;
-    else
-        links_[l.scorePrev].scoreNext = to;
-    if (l.scoreNext == npos)
-        score.tail = to;
-    else
-        links_[l.scoreNext].scorePrev = to;
-
-    ListHead &ctxList = ctxLists_[entries_[to].ctx];
-    if (l.ctxPrev == npos)
-        ctxList.head = to;
-    else
-        links_[l.ctxPrev].ctxNext = to;
-    if (l.ctxNext == npos)
-        ctxList.tail = to;
-    else
-        links_[l.ctxNext].ctxPrev = to;
-    (void)from;
+void
+WalkBuffer::unfileScore(std::size_t idx)
+{
+    const std::uint64_t score = entries_[idx].score;
+    SeqList &list = scoreList(idx);
+    listErase(list, &Links::score, idx);
+    if (score < maxDirectScore && list.count == 0)
+        clearScoreBit(score);
 }
 
 void

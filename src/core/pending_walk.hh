@@ -8,28 +8,29 @@
  * lookahead window: its capacity (256 in the baseline, swept in
  * Fig. 14) bounds how far the scheduler can reorder.
  *
- * Storage is a dense vector with swap-with-last extraction, as before,
- * but the buffer now also maintains three incremental pick indexes so
- * schedulers answer their selection queries without scanning — the
- * hardware proposal updates priorities at *arrival*, not by a sweep at
- * *dispatch* (paper §IV):
+ * Storage is a dense vector with swap-with-last extraction, and the
+ * buffer maintains four incremental pick indexes so schedulers answer
+ * their selection queries without scanning — the hardware proposal
+ * updates priorities at *arrival*, not by a sweep at *dispatch*
+ * (paper §IV):
  *
  *  - an arrival list threaded in seq order (oldestIndex() and the
  *    aging candidate are list-front questions);
- *  - per-InstructionId intrusive bucket lists, reached through one
- *    sim::FlatMap probe (the Batch rule is bucket-head);
- *  - per-score entry lists under a hierarchical occupancy bitmap
- *    (the SJF rule is first-set-bit, then bucket-head for the
- *    (score, seq) tie-break).
+ *  - per-InstructionId bucket lists, reached through one sim::FlatMap
+ *    probe (the Batch rule is bucket-head);
+ *  - per-score lists under a hierarchical occupancy bitmap (the SJF
+ *    rule is first-set-bit, then bucket-head for the (score, seq)
+ *    tie-break), plus one overflow list for out-of-range scores;
+ *  - per-tenant lists (the QoS schedulers and per-tenant occupancy).
  *
- * All links are dense indices into the entry vector and are rewired in
- * O(1) when an extraction swaps the last entry into the freed slot, so
- * the external contract (indices into a dense array, invalidated by
- * extract) is unchanged. Entry fields that the indexes key on (seq,
- * instruction, score) must only change through buffer APIs:
- * forEachOfInstruction() re-indexes a callback's score updates, and
- * recordBypass() maintains the aging watermark — which is why the
- * non-const entries()/at() accessors are gone.
+ * All four are the same intrusive, seq-ordered list type over dense
+ * indices into the entry vector; an extraction that swaps the last
+ * entry into the freed slot rewires each list in O(1), so the external
+ * contract (indices into a dense array, invalidated by extract) is
+ * unchanged. Entry fields that the indexes key on (seq, instruction,
+ * score, ctx) must only change through buffer APIs: rescoreInstruction()
+ * re-files a score and recordBypass() maintains the aging watermark —
+ * which is why there are no non-const entries()/at() accessors.
  */
 
 #ifndef GPUWALK_CORE_PENDING_WALK_HH
@@ -135,7 +136,7 @@ class WalkBuffer
     oldestIndex() const
     {
         GPUWALK_ASSERT(!empty(), "oldestIndex on empty buffer");
-        return arrivalHead_;
+        return arrival_.head;
     }
 
     /**
@@ -164,7 +165,7 @@ class WalkBuffer
     std::size_t
     contextCount(tlb::ContextId ctx) const
     {
-        return ctx < ctxCounts_.size() ? ctxCounts_[ctx] : 0;
+        return ctx < ctxLists_.size() ? ctxLists_[ctx].count : 0;
     }
 
     /** One past the highest ContextId ever buffered (iteration
@@ -176,7 +177,7 @@ class WalkBuffer
     contextNext(std::size_t idx) const
     {
         GPUWALK_ASSERT(idx < links_.size(), "bad buffer index");
-        return links_[idx].ctxNext;
+        return links_[idx].context.next;
     }
 
     /**
@@ -211,10 +212,12 @@ class WalkBuffer
      * its aging watermark exact.
      *
      * Increments are O(1) here and settled in batches: every API that
-     * can observe a counter — at(), entries(), extract(),
-     * forEachOfInstruction(), a plausibly-qualifying agingCandidate()
-     * — settles the pending set first, so observed values are exactly
-     * what a per-dispatch sweep would have produced.
+     * can observe a counter — at(), entries(), extract(), a
+     * plausibly-qualifying agingCandidate() — settles the pending set
+     * first, so observed values are exactly what a per-dispatch sweep
+     * would have produced. An eager sweep per dispatch gives the same
+     * results at 0.78-0.86x the simulator's throughput on deep buffers
+     * (EXPERIMENTS.md, "Simulator throughput records").
      */
     void recordBypass(std::uint64_t dispatched_seq);
 
@@ -240,36 +243,6 @@ class WalkBuffer
     void rescoreInstruction(tlb::InstructionId instruction,
                             std::uint64_t score);
 
-    /**
-     * Applies @p fn to every entry issued by @p instruction, in
-     * arrival order, then re-indexes any score change the callback
-     * made. The callback must not change an entry's seq or
-     * instruction (asserted).
-     */
-    template <typename Fn>
-    void
-    forEachOfInstruction(tlb::InstructionId instruction, Fn &&fn)
-    {
-        syncBypass();
-        const auto it = instrIndex_.find(instruction);
-        if (it == instrIndex_.end())
-            return;
-        std::size_t i = buckets_[it->second].head;
-        while (i != npos) {
-            const std::size_t next = links_[i].instrNext;
-            const std::uint64_t seq = entries_[i].seq;
-            fn(entries_[i]);
-            GPUWALK_ASSERT(entries_[i].seq == seq
-                               && entries_[i].instruction == instruction,
-                           "forEachOfInstruction callback changed an "
-                           "index key");
-            resyncScore(i);
-            if (entries_[i].bypassed > maxBypassed_)
-                maxBypassed_ = entries_[i].bypassed;
-            i = next;
-        }
-    }
-
     /** Direct read access for schedulers' scan loops. */
     const std::vector<PendingWalk> &
     entries() const
@@ -279,26 +252,30 @@ class WalkBuffer
     }
 
   private:
-    /** Intrusive list links of one entry (dense indices). */
-    struct Links
+    /** An entry's neighbours on one list (dense indices). */
+    struct Hook
     {
-        std::size_t arrivalPrev = npos;
-        std::size_t arrivalNext = npos;
-        std::size_t instrPrev = npos;
-        std::size_t instrNext = npos;
-        std::size_t scorePrev = npos;
-        std::size_t scoreNext = npos;
-        std::size_t ctxPrev = npos;
-        std::size_t ctxNext = npos;
-        std::size_t bucket = npos;       ///< owning instruction bucket
-        std::uint64_t scoreKey = 0;      ///< score the entry is filed under
+        std::size_t prev = npos;
+        std::size_t next = npos;
     };
 
-    /** One seq-ordered doubly-linked list (head = lowest seq). */
-    struct ListHead
+    /** An entry's place on each of the four pick indexes. */
+    struct Links
+    {
+        Hook arrival;
+        Hook instruction;
+        Hook score;
+        Hook context;
+        std::size_t bucket = npos; ///< owning instruction bucket
+    };
+
+    /** One intrusive list kept sorted by seq (head = lowest seq),
+     *  threaded through one Hook of each member entry. */
+    struct SeqList
     {
         std::size_t head = npos;
         std::size_t tail = npos;
+        std::size_t count = 0;
     };
 
     /** Scores at least this large fall back to an overflow list; the
@@ -327,16 +304,30 @@ class WalkBuffer
             const_cast<WalkBuffer *>(this)->flushBypass();
     }
 
-    void linkArrival(std::size_t idx);
-    void unlinkArrival(std::size_t idx);
-    void linkInstruction(std::size_t idx);
-    void unlinkInstruction(std::size_t idx);
-    void linkScore(std::size_t idx);
-    void unlinkScore(std::size_t idx);
-    void linkContext(std::size_t idx);
-    void unlinkContext(std::size_t idx);
-    void resyncScore(std::size_t idx);
-    void repointNeighbors(std::size_t from, std::size_t to);
+    /** Links entry @p idx into @p list at its seq position (O(1) for
+     *  the newest seq, which is every simulator insert). */
+    void listInsert(SeqList &list, Hook Links::*hook, std::size_t idx);
+
+    /** Unlinks entry @p idx from @p list. */
+    void listErase(SeqList &list, Hook Links::*hook, std::size_t idx);
+
+    /** Points @p list and the neighbours at @p idx, whose hook was
+     *  just copied from the entry that swap-with-last moved there. */
+    void listRepoint(SeqList &list, Hook Links::*hook, std::size_t idx);
+
+    /** The score list entry @p idx is filed under. */
+    SeqList &
+    scoreList(std::size_t idx)
+    {
+        const std::uint64_t score = entries_[idx].score;
+        return score < maxDirectScore ? scoreBuckets_[score] : overflow_;
+    }
+
+    /** Files / unfiles entry @p idx under its score, keeping the
+     *  occupancy bitmap in step with the bucket. */
+    void fileScore(std::size_t idx);
+    void unfileScore(std::size_t idx);
+
     void growScoreBuckets(std::uint64_t score);
     void setScoreBit(std::uint64_t score);
     void clearScoreBit(std::uint64_t score);
@@ -346,28 +337,23 @@ class WalkBuffer
     std::vector<PendingWalk> entries_;
     std::vector<Links> links_;
 
-    // Arrival (seq) order.
-    std::size_t arrivalHead_ = npos;
-    std::size_t arrivalTail_ = npos;
+    SeqList arrival_;
 
-    // Per-context (tenant) seq-ordered lists, indexed directly by the
-    // small dense ContextId, with per-tenant occupancy counts.
-    std::vector<ListHead> ctxLists_;
-    std::vector<std::size_t> ctxCounts_;
+    // Per-context (tenant) lists, indexed directly by the small dense
+    // ContextId.
+    std::vector<SeqList> ctxLists_;
 
     // Per-instruction buckets.
-    std::vector<ListHead> buckets_;
+    std::vector<SeqList> buckets_;
     std::vector<std::size_t> freeBuckets_;
     sim::FlatMap<tlb::InstructionId, std::size_t> instrIndex_;
 
     // Score index: direct-indexed seq-ordered buckets under a two-level
     // occupancy bitmap, plus an overflow list for absurd scores.
-    std::vector<ListHead> scoreBuckets_;
+    std::vector<SeqList> scoreBuckets_;
     std::vector<std::uint64_t> scoreBitsL0_; ///< bit per score bucket
     std::vector<std::uint64_t> scoreBitsL1_; ///< bit per L0 word
-    std::size_t directCount_ = 0;
-    ListHead overflow_;
-    std::size_t overflowCount_ = 0;
+    SeqList overflow_;
 
     /** Upper bound on bypassed over buffered entries (exact right
      *  after the responsible insert/recordBypass; extraction can leave

@@ -9,6 +9,7 @@
 #include <limits>
 #include <string_view>
 
+#include "gpu/instruction.hh"
 #include "sim/logging.hh"
 
 namespace gpuwalk::exp {
@@ -274,7 +275,7 @@ const Flag flags[] = {
     {"compute-cycles", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) {
          o.params.computeCycles =
-             toUint("compute-cycles", v, 0, maxComputeCycles);
+             toUint("compute-cycles", v, 0, gpu::maxComputeCycles);
      }},
     {"large-pages", RunOnly, Arity::None,
      [](CliOptions &o, const std::string &) {

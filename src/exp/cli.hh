@@ -32,10 +32,6 @@ namespace gpuwalk::exp {
  *  64-bit tick. */
 inline constexpr std::uint64_t maxLatencyTicks = 1'000'000'000'000;
 
-/** Largest --compute-cycles (2^32 - 1): a wavefront's compute gaps in
- *  ticks stay far from wrapping. */
-inline constexpr std::uint64_t maxComputeCycles = 0xffff'ffff;
-
 /** Largest --trace-ring capacity in events (2^24; the default is
  *  2^20). The ring is allocated up front. */
 inline constexpr std::uint64_t maxTraceRing = std::uint64_t{1} << 24;

@@ -31,10 +31,8 @@
  * members and scheduling links them in place — zero allocation on the
  * hottest paths. Callable-based scheduling still works: callbacks are
  * placed into pooled nodes with inline storage for the capture, drawn
- * from a slab pool (sim/object_pool.hh). Oversized captures fall back
- * to a heap box, so no caller ever has to care — that is the
- * compatibility shim for rare cold-path lambdas; the queue counts
- * them (boxedEvents()).
+ * from a slab pool (sim/object_pool.hh). A capture that does not fit
+ * inline is a compile error, so no scheduled callable ever allocates.
  *
  * Ordering subtlety: a migrated overflow event can carry a *lower*
  * insertion sequence than events already sitting in its bucket (they
@@ -137,7 +135,7 @@ class PooledEvent final : public Event
      */
     static constexpr std::size_t inlineBytes = 32;
 
-    /** True when @p F is stored inline rather than heap-boxed. */
+    /** True when @p F fits the node's inline capture storage. */
     template <typename F>
     static constexpr bool fitsInline =
         sizeof(F) <= inlineBytes && alignof(F) <= alignof(std::max_align_t);
@@ -147,27 +145,15 @@ class PooledEvent final : public Event
     emplace(F &&fn)
     {
         using D = std::decay_t<F>;
-        if constexpr (fitsInline<D>) {
-            ::new (storage()) D(std::forward<F>(fn));
-            invokeDestroy_ = [](void *p) {
-                D *f = std::launder(reinterpret_cast<D *>(p));
-                (*f)();
-                f->~D();
-            };
-            destroyOnly_ = [](void *p) {
-                std::launder(reinterpret_cast<D *>(p))->~D();
-            };
-        } else {
-            // Compatibility shim: oversized/over-aligned captures are
-            // heap-boxed instead of rejected.
-            *static_cast<D **>(storage()) = new D(std::forward<F>(fn));
-            invokeDestroy_ = [](void *p) {
-                D *f = *static_cast<D **>(p);
-                (*f)();
-                delete f;
-            };
-            destroyOnly_ = [](void *p) { delete *static_cast<D **>(p); };
-        }
+        ::new (storage()) D(std::forward<F>(fn));
+        invokeDestroy_ = [](void *p) {
+            D *f = std::launder(reinterpret_cast<D *>(p));
+            (*f)();
+            f->~D();
+        };
+        destroyOnly_ = [](void *p) {
+            std::launder(reinterpret_cast<D *>(p))->~D();
+        };
     }
 
     /** Hot path: run the callable and destroy it in one thunk. The
@@ -256,10 +242,6 @@ class EventQueue
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return executed_; }
 
-    /** Callables scheduled so far whose capture did not fit a pooled
-     *  node inline and was heap-boxed instead. */
-    std::uint64_t boxedEvents() const { return boxed_; }
-
     /**
      * Schedules the intrusive event @p ev at absolute time @p when.
      *
@@ -292,7 +274,9 @@ class EventQueue
 
     /**
      * Schedules callable @p fn to run at absolute time @p when, in a
-     * pooled node with inline capture storage.
+     * pooled node with inline capture storage. A capture larger than
+     * detail::PooledEvent::inlineBytes does not compile: capture one
+     * pointer to the state instead.
      *
      * @pre when >= now()
      */
@@ -304,10 +288,11 @@ class EventQueue
     schedule(Tick when, F &&fn,
              EventPriority prio = EventPriority::Default)
     {
+        static_assert(detail::PooledEvent::fitsInline<std::decay_t<F>>,
+                      "event capture exceeds the pooled node's inline "
+                      "storage");
         GPUWALK_ASSERT(when >= now_, "scheduling event in the past (when=",
                        when, " now=", now_, ")");
-        if constexpr (!detail::PooledEvent::fitsInline<std::decay_t<F>>)
-            ++boxed_;
         detail::PooledEvent *ev = pool_.acquire();
         ev->emplace(std::forward<F>(fn));
         ev->when_ = when;
@@ -663,7 +648,6 @@ class EventQueue
     Tick scanFrom_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
-    std::uint64_t boxed_ = 0;
 };
 
 inline Event::~Event()

@@ -160,12 +160,8 @@ System::loadBenchmark(const std::string &workload_abbrev,
                       const workload::WorkloadParams &params,
                       unsigned app_id)
 {
-    auto gen = workload::makeWorkload(workload_abbrev);
-    GPUWALK_ASSERT(!(gmmu_ && params.useLargePages),
-                   "demand paging excludes eager large pages (2 MB "
-                   "coverage comes from GMMU promotion)");
-    addressSpace_->useLargePages(params.useLargePages);
-    loadWorkload(gen->generate(*addressSpace_, params), app_id);
+    loadBenchmarkInContext(workload_abbrev, params, app_id,
+                           tlb::defaultContext);
 }
 
 void

@@ -67,7 +67,7 @@ makeInstr(std::vector<mem::Addr> lanes, bool is_load,
     gpu::SimdMemInstruction instr;
     instr.laneAddrs = std::move(lanes);
     instr.isLoad = is_load;
-    instr.computeCycles = compute_cycles;
+    instr.computeCycles = std::min(compute_cycles, gpu::maxComputeCycles);
     return instr;
 }
 

@@ -51,7 +51,9 @@ windowedRandomLanes(sim::Rng &rng, const vm::VaRegion &region,
                     std::uint64_t window_elems,
                     unsigned lanes = gpu::wavefrontSize);
 
-/** Convenience: wraps lanes into an instruction. */
+/** Convenience: wraps lanes into an instruction. The compute gap is
+ *  capped at gpu::maxComputeCycles, the trace loader's bound, so every
+ *  generated workload saves and reloads. */
 gpu::SimdMemInstruction
 makeInstr(std::vector<mem::Addr> lanes, bool is_load,
           sim::Cycles compute_cycles);

@@ -49,9 +49,10 @@ loadTrace(std::istream &is)
     if (word != "wavefronts")
         sim::fatal("trace: expected 'wavefronts', got '", word, "'");
 
+    // The header counts are untrusted: nothing is reserved from them,
+    // so a lying count fails on the first missing record instead of
+    // allocating.
     gpu::GpuWorkload workload;
-    workload.traces.reserve(wavefronts);
-
     for (std::size_t wf = 0; wf < wavefronts; ++wf) {
         std::size_t id = 0, instructions = 0;
         is >> word >> id;
@@ -62,7 +63,6 @@ loadTrace(std::istream &is)
             sim::fatal("trace: expected 'instructions'");
 
         gpu::WavefrontTrace trace;
-        trace.reserve(instructions);
         for (std::size_t k = 0; k < instructions; ++k) {
             char kind = 0;
             std::uint64_t compute = 0;
@@ -73,7 +73,12 @@ loadTrace(std::istream &is)
                            " instr ", k, ")");
             if (lanes > gpu::wavefrontSize)
                 sim::fatal("trace: lane count ", lanes, " exceeds ",
-                           gpu::wavefrontSize);
+                           gpu::wavefrontSize, " (wf ", wf, " instr ", k,
+                           ")");
+            if (compute > gpu::maxComputeCycles)
+                sim::fatal("trace: compute cycles ", compute, " exceed ",
+                           gpu::maxComputeCycles, " (wf ", wf, " instr ",
+                           k, ")");
             gpu::SimdMemInstruction instr;
             instr.isLoad = kind == 'L';
             instr.computeCycles = compute;
@@ -88,6 +93,12 @@ loadTrace(std::istream &is)
             if (!is)
                 sim::fatal("trace: truncated lane list (wf ", wf,
                            " instr ", k, ")");
+            for (const mem::Addr a : instr.laneAddrs) {
+                if (a >= gpu::vaLimit)
+                    sim::fatal("trace: lane address 0x", std::hex, a,
+                               std::dec, " is not below 2^48 (wf ", wf,
+                               " instr ", k, ")");
+            }
             trace.push_back(std::move(instr));
         }
         workload.traces.push_back(std::move(trace));

@@ -12,8 +12,9 @@
  *   <L|S> <computeCycles> <laneCount> <addr0> <addr1> ...
  *   ...
  *
- * Addresses are hexadecimal. The format is deliberately line-oriented
- * and greppable.
+ * Addresses are hexadecimal and below gpu::vaLimit (2^48); compute
+ * cycles are at most gpu::maxComputeCycles. The format is deliberately
+ * line-oriented and greppable.
  */
 
 #ifndef GPUWALK_WORKLOAD_TRACE_IO_HH
@@ -32,7 +33,8 @@ void saveTrace(std::ostream &os, const gpu::GpuWorkload &workload);
 
 /**
  * Parses a gpuwalk-trace v1 stream. fatal() on malformed input
- * (version mismatch, truncated records, lane counts out of range).
+ * (version mismatch, truncated records, lane counts, compute cycles
+ * or lane addresses out of range), naming the bad record.
  */
 gpu::GpuWorkload loadTrace(std::istream &is);
 

@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <random>
 #include <tuple>
@@ -163,22 +164,32 @@ fuzzOnce(std::uint32_t seed, bool rescheduleFromCallback)
         }
     };
 
+    // What a fired callback touches, behind one pointer so that its
+    // capture fits a pooled event inline.
+    struct Shared
+    {
+        EventQueue &eq;
+        std::vector<std::pair<Tick, int>> &got;
+        std::map<int, RearmPlan> &plans;
+        std::function<int(Tick, EventPriority)> scheduleEq;
+    } shared{eq, got, plans, {}};
+
     int next_tag = 0;
     // Schedules tag on the real queue only; mirror_fresh pairs it on
     // the reference for top-level schedules, plans do it for rearms.
-    auto schedule_eq = [&](auto &&self, Tick when,
-                           EventPriority prio) -> int {
+    shared.scheduleEq = [&](Tick when, EventPriority prio) -> int {
         const int tag = next_tag++;
         const bool rearm = rescheduleFromCallback && rng() % 4 == 0;
         const Tick rearm_delay = draw_delay();
         const EventPriority rearm_prio = draw_prio();
-        eq.schedule(when, [&, tag, rearm, rearm_delay, rearm_prio] {
-            got.emplace_back(eq.now(), tag);
+        Shared *sh = &shared;
+        eq.schedule(when, [sh, tag, rearm, rearm_delay, rearm_prio] {
+            sh->got.emplace_back(sh->eq.now(), tag);
             if (rearm) {
                 const int child =
-                    self(self, eq.now() + rearm_delay, rearm_prio);
-                plans.emplace(tag,
-                              RearmPlan{rearm_delay, rearm_prio, child});
+                    sh->scheduleEq(sh->eq.now() + rearm_delay, rearm_prio);
+                sh->plans.emplace(
+                    tag, RearmPlan{rearm_delay, rearm_prio, child});
             }
         }, prio);
         return tag;
@@ -205,7 +216,7 @@ fuzzOnce(std::uint32_t seed, bool rescheduleFromCallback)
         for (unsigned i = 0; i < burst; ++i) {
             const Tick when = eq.now() + draw_delay();
             const EventPriority prio = draw_prio();
-            const int tag = schedule_eq(schedule_eq, when, prio);
+            const int tag = shared.scheduleEq(when, prio);
             ref.schedule(when, tag, prio);
         }
 

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -343,23 +342,6 @@ TEST(EventQueue, SmallCaptureStoresInline)
     eq.schedule(5, [&sum, a, b] { sum = a + b; });
     eq.run();
     EXPECT_EQ(sum, 3);
-    EXPECT_EQ(eq.boxedEvents(), 0u);
-}
-
-TEST(EventQueue, OversizedCaptureFallsBackToHeapBox)
-{
-    EventQueue eq;
-    std::array<std::uint64_t, 16> big{};
-    for (std::size_t i = 0; i < big.size(); ++i)
-        big[i] = i;
-    std::uint64_t sum = 0;
-    eq.schedule(5, [&sum, big] {
-        for (const auto v : big)
-            sum += v;
-    });
-    EXPECT_EQ(eq.boxedEvents(), 1u);
-    eq.run();
-    EXPECT_EQ(sum, 120u);
 }
 
 TEST(EventQueue, MoveOnlyCaptureWorks)
@@ -381,7 +363,6 @@ TEST(EventQueue, DestroysCaptureExactlyOnceInline)
         eq.schedule(5, [c] {}); // runs: destroyed after invocation
         eq.schedule(7, [c] {}); // never runs: destroyed at teardown
         eq.run(6);
-        EXPECT_EQ(eq.boxedEvents(), 0u);
         EXPECT_EQ(Counted::live, 2); // `c` and the pending capture
     }
     EXPECT_EQ(Counted::live, 0) << "capture leaked or double-destroyed";
@@ -406,34 +387,12 @@ TEST(EventQueue, NonTrivialCapturesMoveAndDestroyExactlyOnce)
             eq.schedule(static_cast<Tick>(i), std::move(lambda));
             ASSERT_EQ(Counted::moves, 1) << "capture moved more than once";
         }
-        EXPECT_EQ(eq.boxedEvents(), 0u);
         EXPECT_EQ(Counted::live, kEvents);
         eq.run(kEvents / 2 - 1); // runs ticks 0 .. kEvents/2 - 1
         EXPECT_EQ(Counted::live, kEvents / 2) << "a run capture survived";
         EXPECT_EQ(sum, (long long)(kEvents / 2) * (kEvents / 2 - 1) / 2);
     }
     EXPECT_EQ(Counted::live, 0) << "capture leaked or double-destroyed";
-}
-
-TEST(EventQueue, DestroysCaptureExactlyOnceBoxed)
-{
-    Counted::live = 0;
-    {
-        // Pad past the inline budget so the capture is heap-boxed.
-        struct BigCapture
-        {
-            Counted c;
-            std::array<std::uint64_t, 16> pad{};
-        };
-        EventQueue eq;
-        BigCapture big;
-        eq.schedule(5, [big] {});
-        eq.schedule(7, [big] {});
-        eq.run(6);
-        EXPECT_EQ(eq.boxedEvents(), 2u);
-        EXPECT_EQ(Counted::live, 2); // `big` and the pending capture
-    }
-    EXPECT_EQ(Counted::live, 0) << "boxed capture leaked";
 }
 
 } // namespace

@@ -528,7 +528,7 @@ TEST(BenchCliTest, AcceptsEachBoundItself)
                        "--tenants=65536"});
     EXPECT_EQ(opts.cfg.gmmu.faultLatency, maxLatencyTicks);
     EXPECT_EQ(opts.cfg.gmmu.migrationLatency, maxLatencyTicks);
-    EXPECT_EQ(opts.params.computeCycles, maxComputeCycles);
+    EXPECT_EQ(opts.params.computeCycles, gpu::maxComputeCycles);
     EXPECT_EQ(opts.cfg.trace.ringCapacity, maxTraceRing);
     EXPECT_EQ(opts.cfg.iommu.prefetch.degree, maxPrefetchDegree);
     EXPECT_EQ(opts.tenants, maxTenants);

@@ -45,9 +45,7 @@ drive(WalkScheduler &sched, CheckFn &&check, std::uint64_t seed,
                 auto &s = scores[w.instruction];
                 s += 1 + rng.below(4);
                 w.score = s;
-                buf.forEachOfInstruction(
-                    w.instruction,
-                    [&](PendingWalk &e) { e.score = s; });
+                buf.rescoreInstruction(w.instruction, s);
             }
             buf.insert(std::move(w));
         } else {

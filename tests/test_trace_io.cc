@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "vm/address_space.hh"
 #include "workload/registry.hh"
@@ -59,23 +60,31 @@ TEST(TraceIo, RoundTripPreservesEverything)
 
 TEST(TraceIo, GeneratedBenchmarkRoundTrips)
 {
-    mem::BackingStore store;
-    vm::FrameAllocator frames{Addr(16) << 30};
-    vm::AddressSpace as(store, frames);
-    WorkloadParams params;
-    params.wavefronts = 6;
-    params.instructionsPerWavefront = 8;
-    params.footprintScale = 0.02;
-    const auto original = makeWorkload("ATX")->generate(as, params);
+    // At the --compute-cycles bound, jitter draws gaps above the
+    // loader's bound; the generator caps them, so the trace reloads.
+    for (const sim::Cycles compute :
+         {sim::Cycles{20}, gpu::maxComputeCycles}) {
+        mem::BackingStore store;
+        vm::FrameAllocator frames{Addr(16) << 30};
+        vm::AddressSpace as(store, frames);
+        WorkloadParams params;
+        params.wavefronts = 6;
+        params.instructionsPerWavefront = 8;
+        params.footprintScale = 0.02;
+        params.computeCycles = compute;
+        const auto original = makeWorkload("ATX")->generate(as, params);
 
-    std::stringstream ss;
-    saveTrace(ss, original);
-    const auto loaded = loadTrace(ss);
-    ASSERT_EQ(loaded.traces.size(), original.traces.size());
-    for (std::size_t wf = 0; wf < original.traces.size(); ++wf) {
-        for (std::size_t k = 0; k < original.traces[wf].size(); ++k) {
-            EXPECT_EQ(loaded.traces[wf][k].laneAddrs,
-                      original.traces[wf][k].laneAddrs);
+        std::stringstream ss;
+        saveTrace(ss, original);
+        const auto loaded = loadTrace(ss);
+        ASSERT_EQ(loaded.traces.size(), original.traces.size());
+        for (std::size_t wf = 0; wf < original.traces.size(); ++wf) {
+            for (std::size_t k = 0; k < original.traces[wf].size(); ++k) {
+                EXPECT_EQ(loaded.traces[wf][k].laneAddrs,
+                          original.traces[wf][k].laneAddrs);
+                EXPECT_EQ(loaded.traces[wf][k].computeCycles,
+                          original.traces[wf][k].computeCycles);
+            }
         }
     }
 }
@@ -117,6 +126,53 @@ TEST(TraceIoDeathTest, RejectsOversizedLaneCount)
                          "L 5 9999 0\n");
     EXPECT_EXIT(loadTrace(ss), ::testing::ExitedWithCode(1),
                 "lane count");
+}
+
+/** A one-instruction trace whose record is @p record. */
+std::string
+oneInstruction(const std::string &record)
+{
+    return "gpuwalk-trace v1\n"
+           "wavefronts 1\n"
+           "wavefront 0 instructions 1\n"
+           + record + "\n";
+}
+
+TEST(TraceIoDeathTest, RejectsComputeCyclesThatWrapTheTick)
+{
+    std::stringstream ss(oneInstruction("L 18446744073709551615 1 1000"));
+    EXPECT_EXIT(loadTrace(ss), ::testing::ExitedWithCode(1),
+                "compute cycles 18446744073709551615 exceed "
+                "4294967295 \\(wf 0 instr 0\\)");
+}
+
+TEST(TraceIoDeathTest, RejectsLaneAddressAboveTheContextBits)
+{
+    // 2^48 + 4 KB: its page would collide with the context ID the TLB
+    // keys pack into the top 16 bits.
+    std::stringstream ss(oneInstruction("L 5 1 1000000001000"));
+    EXPECT_EXIT(loadTrace(ss), ::testing::ExitedWithCode(1),
+                "lane address 0x1000000001000 is not below 2\\^48 "
+                "\\(wf 0 instr 0\\)");
+}
+
+TEST(TraceIoDeathTest, RejectsLaneAddressWiderThanAVpn)
+{
+    std::stringstream ss(oneInstruction("S 5 2 1000 ffffffffffff000"));
+    EXPECT_EXIT(loadTrace(ss), ::testing::ExitedWithCode(1),
+                "lane address 0xffffffffffff000 is not below 2\\^48 "
+                "\\(wf 0 instr 0\\)");
+}
+
+TEST(TraceIoDeathTest, RejectsHugeWavefrontCountWithoutAllocating)
+{
+    // The count alone must not be trusted for a reservation: the
+    // loader fails on the first missing wavefront header instead of
+    // asking for ~10^14 traces up front.
+    std::stringstream ss("gpuwalk-trace v1\n"
+                         "wavefronts 99999999999999\n");
+    EXPECT_EXIT(loadTrace(ss), ::testing::ExitedWithCode(1),
+                "bad wavefront header \\(wf 0\\)");
 }
 
 TEST(TraceIo, FileRoundTrip)

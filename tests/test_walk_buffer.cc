@@ -62,18 +62,13 @@ TEST(WalkBuffer, OldestIndexFindsLowestSeq)
     EXPECT_EQ(buf.at(buf.oldestIndex()).seq, 20u);
 }
 
-TEST(WalkBuffer, ForEachOfInstructionTouchesOnlySiblings)
+TEST(WalkBuffer, RescoreInstructionTouchesOnlySiblings)
 {
     WalkBuffer buf(8);
     buf.insert(walk(0, 7));
     buf.insert(walk(1, 8));
     buf.insert(walk(2, 7));
-    unsigned touched = 0;
-    buf.forEachOfInstruction(7, [&](PendingWalk &w) {
-        w.score = 42;
-        ++touched;
-    });
-    EXPECT_EQ(touched, 2u);
+    buf.rescoreInstruction(7, 42);
     EXPECT_EQ(buf.at(0).score, 42u);
     EXPECT_EQ(buf.at(1).score, 0u);
     EXPECT_EQ(buf.at(2).score, 42u);
@@ -339,7 +334,7 @@ TEST(WalkBufferIndex, IndexesSurviveRandomChurn)
     }
 }
 
-TEST(WalkBufferIndex, ForEachScoreMutationResyncsSjfIndex)
+TEST(WalkBufferIndex, RescoreResyncsSjfIndex)
 {
     WalkBuffer buf(8);
     auto a = walk(0, 1);
@@ -349,7 +344,7 @@ TEST(WalkBufferIndex, ForEachScoreMutationResyncsSjfIndex)
     buf.insert(std::move(a));
     buf.insert(std::move(b));
     EXPECT_EQ(buf.at(buf.sjfBestIndex()).seq, 1u);
-    buf.forEachOfInstruction(1, [](PendingWalk &w) { w.score = 5; });
+    buf.rescoreInstruction(1, 5);
     EXPECT_EQ(buf.at(buf.sjfBestIndex()).seq, 0u);
     EXPECT_EQ(buf.instructionScore(1), 5u);
 }
