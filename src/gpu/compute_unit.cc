@@ -34,16 +34,6 @@ ComputeUnit::addWavefront(std::uint32_t wavefront_global_id,
     wf.trace = std::move(trace);
     wavefronts_.push_back(std::move(wf));
     inflight_.emplace_back();
-
-    IssueEvent &ev = issueEvents_.emplace_back();
-    ev.cu = this;
-    ev.wfIndex = wavefronts_.size() - 1;
-}
-
-void
-ComputeUnit::IssueEvent::process()
-{
-    cu->requestIssue(wfIndex);
 }
 
 void
@@ -56,7 +46,7 @@ ComputeUnit::start()
         const sim::Cycles offset =
             1 + (wavefronts_[i].globalId * 2654435761ull)
                     % std::max<sim::Cycles>(1, cfg_.startStaggerCycles);
-        eq_.scheduleIn(cfg_.clockPeriod * offset, issueEvents_[i]);
+        scheduleIssue(i, cfg_.clockPeriod * offset);
     }
 }
 
@@ -77,9 +67,21 @@ ComputeUnit::notifyWorkAvailable()
         wf.finished = false;
         --wavefrontsDone_;
         updateStallState();
-        eq_.scheduleIn(cfg_.clockPeriod * cfg_.issueCycles,
-                       issueEvents_[i]);
+        scheduleIssue(i, cfg_.clockPeriod * cfg_.issueCycles);
     }
+}
+
+void
+ComputeUnit::scheduleIssue(std::size_t wf_index, sim::Tick delay)
+{
+    bool &pending = wavefronts_[wf_index].issuePending;
+    GPUWALK_ASSERT(!pending, "CU ", id_, " wavefront slot ", wf_index,
+                   " already has an issue wake-up scheduled");
+    pending = true;
+    eq_.scheduleIn(delay, [this, wf_index] {
+        wavefronts_[wf_index].issuePending = false;
+        requestIssue(wf_index);
+    });
 }
 
 void
@@ -120,8 +122,7 @@ ComputeUnit::issueNext(std::size_t wf_index)
             wf.finished = false;
             --wavefrontsDone_;
             updateStallState();
-            eq_.scheduleIn(cfg_.clockPeriod * cfg_.issueCycles,
-                           issueEvents_[wf_index]);
+            scheduleIssue(wf_index, cfg_.clockPeriod * cfg_.issueCycles);
         }
         return;
     }
@@ -270,9 +271,8 @@ ComputeUnit::instructionDone(std::size_t wf_index)
     ++instructions_;
     setBlocked(wf_index, false);
 
-    eq_.scheduleIn(cfg_.clockPeriod
-                       * (inst.computeCycles + cfg_.issueCycles),
-                   issueEvents_[wf_index]);
+    scheduleIssue(wf_index, cfg_.clockPeriod
+                                * (inst.computeCycles + cfg_.issueCycles));
 }
 
 void

@@ -132,6 +132,10 @@ class ComputeUnit final : public tlb::TranslationSink,
         std::size_t pc = 0;
         bool blocked = false; ///< waiting on an outstanding instruction
         bool finished = false;
+        /** An issue wake-up is scheduled. A slot has at most one in
+         *  flight: it waits in the ready queue, then blocks on its
+         *  instruction. */
+        bool issuePending = false;
     };
 
     /** Book-keeping for one in-flight SIMD memory instruction. */
@@ -148,20 +152,7 @@ class ComputeUnit final : public tlb::TranslationSink,
         std::vector<mem::Addr> paPages;
     };
 
-    /**
-     * Intrusive issue wake-up, one per wavefront slot. A slot has at
-     * most one issue request in flight at a time (it waits in the
-     * ready queue, then blocks on its instruction), so a single
-     * embedded node per slot replaces the per-issue capturing lambda.
-     */
-    struct IssueEvent final : sim::Event
-    {
-        void process() override;
-
-        ComputeUnit *cu = nullptr;
-        std::size_t wfIndex = 0;
-    };
-
+    void scheduleIssue(std::size_t wf_index, sim::Tick delay);
     void requestIssue(std::size_t wf_index);
     void issueReady();
     void issueNext(std::size_t wf_index);
@@ -182,8 +173,6 @@ class ComputeUnit final : public tlb::TranslationSink,
     sim::RateLimiter issuePort_;
 
     std::vector<Wavefront> wavefronts_;
-    /** deque: intrusive events need stable addresses while scheduled. */
-    std::deque<IssueEvent> issueEvents_;
     /** Ready slots waiting for the issue port, in ready order. */
     std::deque<std::size_t> ready_;
     /** The in-flight instruction of each wavefront slot. */

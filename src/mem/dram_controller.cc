@@ -11,12 +11,9 @@ DramController::DramController(sim::EventQueue &eq, const DramConfig &cfg,
     : eq_(eq), cfg_(cfg), table_(table), mapper_(cfg), statGroup_("dram")
 {
     cfg_.validate();
-    for (unsigned c = 0; c < cfg_.channels; ++c) {
-        Channel &ch = channels_.emplace_back();
+    channels_.resize(cfg_.channels);
+    for (Channel &ch : channels_)
         ch.banks.resize(mapper_.banksPerChannel());
-        ch.drain.ctrl = this;
-        ch.drain.chan = c;
-    }
 
     statGroup_.add(reads_);
     statGroup_.add(writes_);
@@ -107,14 +104,13 @@ DramController::trySchedule(unsigned chan)
     }
 
     // Nothing issuable now: wake up when the earliest constraint clears.
-    if (!ch.drain.scheduled() && soonest != sim::maxTick && soonest > now)
-        eq_.schedule(soonest, ch.drain);
-}
-
-void
-DramController::DrainEvent::process()
-{
-    ctrl->trySchedule(chan);
+    if (!ch.drainPending && soonest != sim::maxTick && soonest > now) {
+        ch.drainPending = true;
+        eq_.schedule(soonest, [this, chan] {
+            channels_[chan].drainPending = false;
+            trySchedule(chan);
+        });
+    }
 }
 
 void

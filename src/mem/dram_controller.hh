@@ -80,26 +80,15 @@ class DramController : public MemoryDevice
     sim::Tick applyRefresh(BankState &bank, unsigned rank,
                            sim::Tick when);
 
-    /**
-     * Intrusive drain wake-up, one per channel: re-runs the FR-FCFS
-     * scan when the earliest bank constraint clears. At most one is in
-     * flight per channel (guarded by scheduled()), replacing the old
-     * drainScheduled flag + capturing lambda.
-     */
-    struct DrainEvent final : sim::Event
-    {
-        void process() override;
-
-        DramController *ctrl = nullptr;
-        unsigned chan = 0;
-    };
-
     struct Channel
     {
         std::deque<Pending> queue;
         std::vector<BankState> banks;
         sim::Tick busFreeAt = 0;
-        DrainEvent drain;
+        /** A drain wake-up, which re-runs the FR-FCFS scan when the
+         *  earliest bank constraint clears, is scheduled. At most one
+         *  is in flight per channel. */
+        bool drainPending = false;
     };
 
     void trySchedule(unsigned chan);
@@ -109,9 +98,7 @@ class DramController : public MemoryDevice
     DramConfig cfg_;
     MemoryTable &table_;
     DramAddressMapper mapper_;
-    /** deque: Channel holds an intrusive event, so elements must stay
-     *  put (no vector relocation). */
-    std::deque<Channel> channels_;
+    std::vector<Channel> channels_;
     std::uint64_t nextSeq_ = 0;
 
     sim::StatGroup statGroup_;

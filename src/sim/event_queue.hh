@@ -1,14 +1,14 @@
 /**
  * @file
  * Deterministic discrete-event core: a two-tier calendar queue
- * dispatching intrusive, pool-allocated event nodes.
+ * dispatching pooled callables.
  *
- * Events are ordered by (tick, priority, insertion sequence); equal-time
- * events therefore execute in a fully deterministic order, which keeps
- * every simulation reproducible for a given configuration and seed.
- * That ordering contract is identical to the original binary-heap
- * implementation — the golden trace digests (tests/test_digest_golden.cc)
- * pin it down bit-exactly.
+ * Every scheduled event is one node kind: a callable stored inline in
+ * a node drawn from a sim::SlotTable. Events run in (tick, insertion
+ * sequence) order, so equal-time events execute in a fully
+ * deterministic order and every simulation is reproducible for a
+ * given configuration and seed. The golden trace digests
+ * (tests/test_digest_golden.cc) pin that order down bit-exactly.
  *
  * Structure
  * ---------
@@ -27,19 +27,16 @@
  * they come within the window; when only far-future events remain,
  * time jumps directly to the earliest one.
  *
- * Event nodes are intrusive (`sim::Event`): components embed events as
- * members and scheduling links them in place — zero allocation on the
- * hottest paths. Callable-based scheduling still works: callbacks are
- * placed into pooled nodes with inline storage for the capture, drawn
- * from a slab pool (sim/object_pool.hh). A capture that does not fit
- * inline is a compile error, so no scheduled callable ever allocates.
+ * A node holds the capture in inline storage and its own slot handle,
+ * which returns it to the table after the callable ran. A capture that
+ * does not fit inline is a compile error, so no scheduled callable
+ * ever allocates.
  *
  * Ordering subtlety: a migrated overflow event can carry a *lower*
  * insertion sequence than events already sitting in its bucket (they
- * were scheduled later, but near). Migration therefore inserts in
- * (priority, seq) order; fresh inserts — whose seq is by construction
- * the largest — take the tail-append fast path unless a priority
- * demands otherwise.
+ * were scheduled later, but near). Migration therefore inserts in seq
+ * order; fresh inserts, whose seq is by construction the largest,
+ * append at the tail.
  */
 
 #ifndef GPUWALK_SIM_EVENT_QUEUE_HH
@@ -57,75 +54,23 @@
 #include <vector>
 
 #include "sim/logging.hh"
-#include "sim/object_pool.hh"
+#include "sim/slot_table.hh"
 #include "sim/ticks.hh"
 
 namespace gpuwalk::sim {
 
 class EventQueue;
 
-/**
- * Priority levels for equal-tick ordering. Lower values run first.
- * Most events use Default; responses that must be observed before new
- * work is issued in the same tick can use Early.
- */
-enum class EventPriority : int
-{
-    Early = -1,
-    Default = 0,
-    Late = 1,
-};
-
-/**
- * Intrusive event node. Components embed these as members and
- * schedule them directly; the queue links nodes in place, so the
- * steady state allocates nothing.
- *
- * An Event must stay at a stable address while scheduled (store
- * container-held events in a std::deque, not a std::vector). A still-
- * scheduled event deschedules itself on destruction, so tearing down
- * a component with an event in flight is safe as long as the queue
- * outlives it.
- */
-class Event
-{
-  public:
-    Event() = default;
-    Event(const Event &) = delete;
-    Event &operator=(const Event &) = delete;
-    virtual ~Event();
-
-    /** Runs when simulated time reaches the scheduled tick. */
-    virtual void process() = 0;
-
-    /** True while the event sits in a queue. */
-    bool scheduled() const { return scheduled_; }
-
-    /** Tick this event is (or was last) scheduled for. */
-    Tick when() const { return when_; }
-
-  private:
-    friend class EventQueue;
-
-    Event *next_ = nullptr;
-    EventQueue *queue_ = nullptr;
-    Tick when_ = 0;
-    std::uint64_t seq_ = 0;
-    std::int8_t prio_ = 0;
-    bool scheduled_ = false;
-    bool inOverflow_ = false;
-    bool pooled_ = false;
-};
-
 namespace detail {
 
 /**
- * Pool-recycled node carrying a type-erased callable inline. The hot
- * dispatch path uses a fused invoke-and-destroy thunk (one indirect
- * call); the separate destroy thunk exists only for queue teardown
- * with events still pending.
+ * The event node: a type-erased callable stored inline, linked into
+ * its tick bucket or parked in the overflow heap. The hot dispatch
+ * path uses a fused invoke-and-destroy thunk (one indirect call); the
+ * separate destroy thunk exists only for queue teardown with events
+ * still pending.
  */
-class PooledEvent final : public Event
+class PooledEvent
 {
   public:
     /**
@@ -157,19 +102,24 @@ class PooledEvent final : public Event
     }
 
     /** Hot path: run the callable and destroy it in one thunk. The
-     *  node itself is released to the pool by the queue afterwards. */
+     *  node itself is released to the slot table by the queue
+     *  afterwards. */
     void runAndDestroyCallable() { invokeDestroy_(storage()); }
 
     /** Teardown path: destroy a never-run callable. */
     void destroyCallable() { destroyOnly_(storage()); }
 
-    void process() override { runAndDestroyCallable(); }
-
   private:
+    friend class gpuwalk::sim::EventQueue;
+
     void *storage() { return store_; }
 
+    PooledEvent *next_ = nullptr;
+    Tick when_ = 0;
+    std::uint64_t seq_ = 0;
     void (*invokeDestroy_)(void *) = nullptr;
     void (*destroyOnly_)(void *) = nullptr;
+    Handle handle_ = noHandle; ///< this node's slot in the queue's table
     alignas(std::max_align_t) unsigned char store_[inlineBytes];
 };
 
@@ -178,9 +128,9 @@ class PooledEvent final : public Event
 /**
  * The central event queue driving a simulation.
  *
- * Components schedule intrusive events or callbacks at absolute
- * ticks; the queue executes them in deterministic (tick, priority,
- * insertion) order. There is exactly one queue per System.
+ * Components schedule callables at absolute ticks; the queue executes
+ * them in deterministic (tick, insertion) order. There is exactly one
+ * queue per System.
  */
 class EventQueue
 {
@@ -204,9 +154,8 @@ class EventQueue
 
     ~EventQueue()
     {
-        // Unhook still-pending events so their later destruction does
-        // not chase a dead queue, and destroy never-run pooled
-        // callables (their captures may own resources).
+        // Destroy never-run callables: their captures may own
+        // resources. The nodes go with the slot table.
         if (nearCount_ > 0) {
             for (std::size_t w = 0; w < numWords; ++w) {
                 std::uint64_t bits = occupied_[w];
@@ -214,17 +163,14 @@ class EventQueue
                     const auto b =
                         static_cast<unsigned>(std::countr_zero(bits));
                     bits &= bits - 1;
-                    Event *ev = buckets_[w * 64 + b].head;
-                    while (ev) {
-                        Event *next = ev->next_;
-                        unhookAtTeardown(ev);
-                        ev = next;
-                    }
+                    for (Node *ev = buckets_[w * 64 + b].head; ev;
+                         ev = ev->next_)
+                        ev->destroyCallable();
                 }
             }
         }
-        for (Event *ev : overflow_)
-            unhookAtTeardown(ev);
+        for (Node *ev : overflow_)
+            ev->destroyCallable();
     }
 
     /** Current simulated time. */
@@ -243,36 +189,6 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
     /**
-     * Schedules the intrusive event @p ev at absolute time @p when.
-     *
-     * @pre when >= now()
-     * @pre !ev.scheduled()
-     */
-    void
-    schedule(Tick when, Event &ev,
-             EventPriority prio = EventPriority::Default)
-    {
-        GPUWALK_ASSERT(when >= now_, "scheduling event in the past (when=",
-                       when, " now=", now_, ")");
-        GPUWALK_ASSERT(!ev.scheduled_, "event already scheduled (when=",
-                       ev.when_, ")");
-        ev.when_ = when;
-        ev.prio_ = static_cast<std::int8_t>(prio);
-        ev.seq_ = nextSeq_++;
-        ev.scheduled_ = true;
-        ev.queue_ = this;
-        enqueue(&ev);
-    }
-
-    /** Schedules the intrusive event @p ev @p delay ticks from now. */
-    void
-    scheduleIn(Tick delay, Event &ev,
-               EventPriority prio = EventPriority::Default)
-    {
-        schedule(now_ + delay, ev, prio);
-    }
-
-    /**
      * Schedules callable @p fn to run at absolute time @p when, in a
      * pooled node with inline capture storage. A capture larger than
      * detail::PooledEvent::inlineBytes does not compile: capture one
@@ -280,79 +196,30 @@ class EventQueue
      *
      * @pre when >= now()
      */
-    template <typename F,
-              typename = std::enable_if_t<
-                  std::is_invocable_v<std::decay_t<F> &>
-                  && !std::is_base_of_v<Event, std::remove_reference_t<F>>>>
+    template <typename F>
     void
-    schedule(Tick when, F &&fn,
-             EventPriority prio = EventPriority::Default)
+    schedule(Tick when, F &&fn)
     {
-        static_assert(detail::PooledEvent::fitsInline<std::decay_t<F>>,
+        static_assert(Node::fitsInline<std::decay_t<F>>,
                       "event capture exceeds the pooled node's inline "
                       "storage");
         GPUWALK_ASSERT(when >= now_, "scheduling event in the past (when=",
                        when, " now=", now_, ")");
-        detail::PooledEvent *ev = pool_.acquire();
+        const Handle h = nodes_.acquire();
+        Node *ev = &nodes_.at(h);
         ev->emplace(std::forward<F>(fn));
+        ev->handle_ = h;
         ev->when_ = when;
-        ev->prio_ = static_cast<std::int8_t>(prio);
         ev->seq_ = nextSeq_++;
-        ev->scheduled_ = true;
-        ev->pooled_ = true;
-        ev->queue_ = this;
         enqueue(ev);
     }
 
     /** Schedules callable @p fn to run @p delay ticks from now. */
-    template <typename F,
-              typename = std::enable_if_t<
-                  std::is_invocable_v<std::decay_t<F> &>
-                  && !std::is_base_of_v<Event, std::remove_reference_t<F>>>>
+    template <typename F>
     void
-    scheduleIn(Tick delay, F &&fn,
-               EventPriority prio = EventPriority::Default)
+    scheduleIn(Tick delay, F &&fn)
     {
-        schedule(now_ + delay, std::forward<F>(fn), prio);
-    }
-
-    /**
-     * Removes a still-pending event from the queue. Called
-     * automatically when a scheduled Event is destroyed.
-     */
-    void
-    deschedule(Event &ev)
-    {
-        GPUWALK_ASSERT(ev.scheduled_ && ev.queue_ == this,
-                       "descheduling an event this queue does not hold");
-        if (ev.inOverflow_) {
-            auto it = std::find(overflow_.begin(), overflow_.end(), &ev);
-            GPUWALK_ASSERT(it != overflow_.end(),
-                           "overflow event missing from heap");
-            overflow_.erase(it);
-            std::make_heap(overflow_.begin(), overflow_.end(),
-                           OverflowLater{});
-            ev.inOverflow_ = false;
-        } else {
-            const std::size_t idx = bucketIndex(ev.when_);
-            Bucket &b = buckets_[idx];
-            if (b.head == &ev) {
-                b.head = ev.next_;
-                if (!b.head)
-                    clearBit(idx);
-            } else {
-                Event *p = b.head;
-                while (p && p->next_ != &ev)
-                    p = p->next_;
-                GPUWALK_ASSERT(p, "event missing from its tick bucket");
-                p->next_ = ev.next_;
-                if (b.tail == &ev)
-                    b.tail = p;
-            }
-            --nearCount_;
-        }
-        ev.next_ = nullptr;
-        ev.scheduled_ = false;
+        schedule(now_ + delay, std::forward<F>(fn));
     }
 
     /**
@@ -375,24 +242,17 @@ class EventQueue
         const Tick t = scanNextTick();
         const std::size_t idx = bucketIndex(t);
         Bucket &b = buckets_[idx];
-        Event *ev = b.head;
+        Node *ev = b.head;
         GPUWALK_ASSERT(ev && ev->when_ == t,
                        "bucket bitmap out of sync at tick ", t);
         b.head = ev->next_;
         if (!b.head)
             clearBit(idx); // bit clear ⇒ bucket contents invalid
         --nearCount_;
-        ev->next_ = nullptr;
-        ev->scheduled_ = false;
         now_ = t;
         ++executed_;
-        if (ev->pooled_) {
-            auto *pe = static_cast<detail::PooledEvent *>(ev);
-            pe->runAndDestroyCallable();
-            pool_.release(pe);
-        } else {
-            ev->process();
-        }
+        ev->runAndDestroyCallable();
+        nodes_.release(ev->handle_);
         return true;
     }
 
@@ -435,17 +295,19 @@ class EventQueue
     }
 
   private:
+    using Node = detail::PooledEvent;
+
     static constexpr std::size_t numBuckets =
         static_cast<std::size_t>(windowTicks);
     static constexpr std::size_t numWords = numBuckets / 64;
 
     struct Bucket
     {
-        Event *head;
-        Event *tail;
+        Node *head;
+        Node *tail;
     };
     static_assert(std::is_trivially_default_constructible_v<Bucket>,
-                  "buckets are calloc-initialised");
+                  "buckets are malloc-allocated, never constructed");
 
     struct BucketFree
     {
@@ -455,12 +317,10 @@ class EventQueue
     struct OverflowLater
     {
         bool
-        operator()(const Event *a, const Event *b) const
+        operator()(const Node *a, const Node *b) const
         {
             if (a->when_ != b->when_)
                 return a->when_ > b->when_;
-            if (a->prio_ != b->prio_)
-                return a->prio_ > b->prio_;
             return a->seq_ > b->seq_;
         }
     };
@@ -469,15 +329,6 @@ class EventQueue
     bucketIndex(Tick when)
     {
         return static_cast<std::size_t>(when % windowTicks);
-    }
-
-    /** Same-tick ordering within a bucket: (priority, seq). */
-    static bool
-    ordersBefore(const Event *a, const Event *b)
-    {
-        if (a->prio_ != b->prio_)
-            return a->prio_ < b->prio_;
-        return a->seq_ < b->seq_;
     }
 
     void
@@ -499,12 +350,11 @@ class EventQueue
     }
 
     void
-    enqueue(Event *ev)
+    enqueue(Node *ev)
     {
         if (ev->when_ - now_ < windowTicks) {
             bucketInsert(ev);
         } else {
-            ev->inOverflow_ = true;
             overflow_.push_back(ev);
             std::push_heap(overflow_.begin(), overflow_.end(),
                            OverflowLater{});
@@ -512,7 +362,7 @@ class EventQueue
     }
 
     void
-    bucketInsert(Event *ev)
+    bucketInsert(Node *ev)
     {
         const std::size_t idx = bucketIndex(ev->when_);
         Bucket &b = buckets_[idx];
@@ -522,29 +372,23 @@ class EventQueue
             // before reading anything from it.
             b.head = b.tail = ev;
             setBit(idx);
-            ++nearCount_;
-            if (ev->when_ < scanFrom_)
-                scanFrom_ = ev->when_;
-            return;
-        }
-        GPUWALK_ASSERT(b.head->when_ == ev->when_,
-                       "mixed-tick bucket: window invariant broken");
-        if (ordersBefore(b.tail, ev)) {
-            // Fast path: fresh inserts carry the largest seq, so they
-            // belong at the tail unless outranked by priority.
-            b.tail->next_ = ev;
-            b.tail = ev;
-        } else if (ordersBefore(ev, b.head)) {
-            ev->next_ = b.head;
-            b.head = ev;
         } else {
-            Event *p = b.head;
-            while (p->next_ && ordersBefore(p->next_, ev))
-                p = p->next_;
-            ev->next_ = p->next_;
-            p->next_ = ev;
-            if (!ev->next_)
+            GPUWALK_ASSERT(b.head->when_ == ev->when_,
+                           "mixed-tick bucket: window invariant broken");
+            if (b.tail->seq_ < ev->seq_) {
+                // Fast path: fresh inserts carry the largest seq.
+                b.tail->next_ = ev;
                 b.tail = ev;
+            } else if (ev->seq_ < b.head->seq_) {
+                ev->next_ = b.head;
+                b.head = ev;
+            } else {
+                Node *p = b.head;
+                while (p->next_->seq_ < ev->seq_)
+                    p = p->next_;
+                ev->next_ = p->next_;
+                p->next_ = ev;
+            }
         }
         ++nearCount_;
         if (ev->when_ < scanFrom_)
@@ -552,19 +396,17 @@ class EventQueue
     }
 
     /** Moves overflow events whose tick entered the window into their
-     *  buckets, preserving (priority, seq) order among same-tick
-     *  residents. */
+     *  buckets, in seq order among same-tick residents. */
     void
     migrateOverflow()
     {
         while (!overflow_.empty()) {
-            Event *top = overflow_.front();
+            Node *top = overflow_.front();
             if (top->when_ - now_ >= windowTicks)
                 break;
             std::pop_heap(overflow_.begin(), overflow_.end(),
                           OverflowLater{});
             overflow_.pop_back();
-            top->inOverflow_ = false;
             bucketInsert(top);
         }
     }
@@ -628,33 +470,16 @@ class EventQueue
         return have;
     }
 
-    void
-    unhookAtTeardown(Event *ev)
-    {
-        ev->next_ = nullptr;
-        ev->scheduled_ = false;
-        ev->inOverflow_ = false;
-        ev->queue_ = nullptr;
-        if (ev->pooled_)
-            static_cast<detail::PooledEvent *>(ev)->destroyCallable();
-    }
-
     std::unique_ptr<Bucket[], BucketFree> buckets_;
     std::array<std::uint64_t, numWords> occupied_{};
-    std::vector<Event *> overflow_;
-    ObjectPool<detail::PooledEvent> pool_{512};
+    std::vector<Node *> overflow_;
+    SlotTable<Node> nodes_;
     std::size_t nearCount_ = 0;
     Tick now_ = 0;
     Tick scanFrom_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
 };
-
-inline Event::~Event()
-{
-    if (scheduled_ && queue_)
-        queue_->deschedule(*this);
-}
 
 } // namespace gpuwalk::sim
 

@@ -2,20 +2,23 @@
  * @file
  * Pooled slots addressed by 32-bit handles.
  *
- * A SlotTable owns its objects in fixed-size slabs, like sim::ObjectPool,
- * and recycles them through a LIFO free list without destruction (state
- * and container capacity survive reuse; callers reset what they need).
- * Unlike ObjectPool it names each object by a Handle rather than a
- * pointer: the slot's table-wide index in the low 24 bits and its reuse
+ * A SlotTable owns its objects in fixed-size slabs and recycles them
+ * through a LIFO free list without destruction (state and container
+ * capacity survive reuse; callers reset what they need), so the steady
+ * state allocates nothing. Slabs never move, so a pointer to a live
+ * slot stays valid until its release. It names each object by a Handle:
+ * the slot's table-wide index in the low 24 bits and its reuse
  * generation in the high 8. Components pass the handle instead of the
  * object — through calls, queues and event captures — so a hop costs
  * a 4-byte copy, and whoever holds the handle reaches the object with a
  * shift, a mask and one load from the (tiny, always cached) slab array.
+ * The event queue's nodes, the in-flight requests, the TLB merge
+ * entries and the cache MSHRs all live in slot tables.
  *
  * Lookups and releases are validated unconditionally: a handle whose
  * slot was released (and, up to generation wrap, re-issued since), or
- * one the table never issued, panics — the handle-side equivalent of
- * ObjectPool's double-release panic.
+ * one the table never issued, panics, so a double release cannot
+ * corrupt the free list.
  */
 
 #ifndef GPUWALK_SIM_SLOT_TABLE_HH

@@ -96,7 +96,6 @@ System::System(const SystemConfig &cfg)
         translations_.registerInvariants(*auditor_);
         memory_.registerInvariants(*auditor_);
         registerSystemInvariants();
-        auditEvent_.sys = this;
     }
 }
 
@@ -146,13 +145,11 @@ System::registerSystemInvariants()
 }
 
 void
-System::PeriodicAuditEvent::process()
+System::periodicAudit()
 {
-    sys->auditor_->check(sim::AuditPhase::Periodic, sys->eq_.now());
-    if (!sys->gpu_->done()) {
-        sys->eq_.schedule(sys->eq_.now() + sys->cfg_.audit.interval,
-                          *this);
-    }
+    auditor_->check(sim::AuditPhase::Periodic, eq_.now());
+    if (!gpu_->done())
+        eq_.scheduleIn(cfg_.audit.interval, [this] { periodicAudit(); });
 }
 
 void
@@ -242,7 +239,7 @@ System::run(std::uint64_t max_events)
     gpu_->start();
 
     if (auditor_ && cfg_.audit.interval > 0)
-        eq_.schedule(eq_.now() + cfg_.audit.interval, auditEvent_);
+        eq_.scheduleIn(cfg_.audit.interval, [this] { periodicAudit(); });
 
     std::uint64_t events = 0;
     while (!gpu_->done()) {

@@ -182,14 +182,10 @@ class System
     const vm::Gmmu *gmmu() const { return gmmu_.get(); }
 
   private:
-    /** Intrusive wake-up driving the in-run (periodic) audit checks. */
-    struct PeriodicAuditEvent final : sim::Event
-    {
-        void process() override;
-        System *sys = nullptr;
-    };
-
     void registerSystemInvariants();
+    /** Runs the in-run (periodic) audit checks and, while the GPU is
+     *  busy, schedules the next round. */
+    void periodicAudit();
     RunStats collectStats();
 
     SystemConfig cfg_;
@@ -203,7 +199,6 @@ class System
 
     std::unique_ptr<trace::Tracer> tracer_;
     std::unique_ptr<sim::Auditor> auditor_;
-    PeriodicAuditEvent auditEvent_;
     mem::BackingStore store_;
     vm::FrameAllocator frames_;
     /** Demand-paging fault handler; null for fully resident runs.

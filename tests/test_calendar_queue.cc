@@ -3,13 +3,12 @@
  * Property/fuzz tests for the calendar-queue event core.
  *
  * A naive reference queue — a flat vector scanned for the
- * (when, priority, seq) minimum on every pop — defines the ordering
- * contract. Randomized schedule/run interleavings drive the real
+ * (when, seq) minimum on every pop — defines the ordering contract. Randomized schedule/run interleavings drive the real
  * EventQueue and the reference side by side and require identical
  * execution histories, covering the spots where a calendar queue can
  * betray the contract while a heap cannot:
  *
- *  - same-tick FIFO + priority ordering inside one bucket,
+ *  - same-tick FIFO ordering inside one bucket,
  *  - run(limit) draining semantics with the window part-full,
  *  - far-future events (overflow tier) and bucket wraparound, where a
  *    migrated event must still order by seq against later-scheduled
@@ -32,26 +31,23 @@
 
 namespace {
 
-using gpuwalk::sim::EventPriority;
 using gpuwalk::sim::EventQueue;
 using gpuwalk::sim::Tick;
 
 constexpr Tick kWindow = EventQueue::windowTicks;
 
 /**
- * Ordering oracle: O(n) minimum scan over (when, priority, seq).
+ * Ordering oracle: O(n) minimum scan over (when, seq).
  * Too slow to simulate with, obviously correct — which is the point.
  */
 class ReferenceQueue
 {
   public:
     void
-    schedule(Tick when, int tag,
-             EventPriority prio = EventPriority::Default)
+    schedule(Tick when, int tag)
     {
         EXPECT_GE(when, now_) << "reference misuse: scheduling in past";
-        pending_.push_back(
-            {when, static_cast<int>(prio), nextSeq_++, tag});
+        pending_.push_back({when, nextSeq_++, tag});
     }
 
     /** Tick of the earliest pending event, or maxTick when empty. */
@@ -72,8 +68,8 @@ class ReferenceQueue
             return -1;
         auto best = pending_.begin();
         for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-            if (std::tie(it->when, it->prio, it->seq)
-                < std::tie(best->when, best->prio, best->seq)) {
+            if (std::tie(it->when, it->seq)
+                < std::tie(best->when, best->seq)) {
                 best = it;
             }
         }
@@ -98,7 +94,6 @@ class ReferenceQueue
     struct Entry
     {
         Tick when;
-        int prio;
         std::uint64_t seq;
         int tag;
     };
@@ -113,7 +108,6 @@ class ReferenceQueue
 struct RearmPlan
 {
     Tick delay;
-    EventPriority prio;
     int childTag;
 };
 
@@ -126,13 +120,10 @@ struct RearmPlan
  * Rearm mirroring is causal: when the real queue executes a parent
  * whose callback reschedules, the child's parameters are recorded as a
  * plan, and the reference schedules its copy of the child only when it
- * pops its copy of the parent. Mirroring at real-queue execution time
- * instead would let the reference run a same-tick Early child *before*
- * the parent's same-tick successors — an order no causal queue can
- * produce. Because the reference pops in the same order the real queue
- * executed (that is the property under test), the schedule-call order
- * — and therefore relative sequence order — stays identical on both
- * sides.
+ * pops its copy of the parent, as the parent's callback would. Because
+ * the reference pops in the same order the real queue executed (that
+ * is the property under test), the schedule-call order — and therefore
+ * relative sequence order — stays identical on both sides.
  */
 void
 fuzzOnce(std::uint32_t seed, bool rescheduleFromCallback)
@@ -156,13 +147,6 @@ fuzzOnce(std::uint32_t seed, bool rescheduleFromCallback)
           default: return 25000 + rng() % 500; // an IOMMU-ish hop
         }
     };
-    auto draw_prio = [&rng] {
-        switch (rng() % 4) {
-          case 0: return EventPriority::Early;
-          case 1: return EventPriority::Late;
-          default: return EventPriority::Default;
-        }
-    };
 
     // What a fired callback touches, behind one pointer so that its
     // capture fits a pooled event inline.
@@ -171,27 +155,25 @@ fuzzOnce(std::uint32_t seed, bool rescheduleFromCallback)
         EventQueue &eq;
         std::vector<std::pair<Tick, int>> &got;
         std::map<int, RearmPlan> &plans;
-        std::function<int(Tick, EventPriority)> scheduleEq;
+        std::function<int(Tick)> scheduleEq;
     } shared{eq, got, plans, {}};
 
     int next_tag = 0;
     // Schedules tag on the real queue only; mirror_fresh pairs it on
     // the reference for top-level schedules, plans do it for rearms.
-    shared.scheduleEq = [&](Tick when, EventPriority prio) -> int {
+    shared.scheduleEq = [&](Tick when) -> int {
         const int tag = next_tag++;
         const bool rearm = rescheduleFromCallback && rng() % 4 == 0;
         const Tick rearm_delay = draw_delay();
-        const EventPriority rearm_prio = draw_prio();
         Shared *sh = &shared;
-        eq.schedule(when, [sh, tag, rearm, rearm_delay, rearm_prio] {
+        eq.schedule(when, [sh, tag, rearm, rearm_delay] {
             sh->got.emplace_back(sh->eq.now(), tag);
             if (rearm) {
                 const int child =
-                    sh->scheduleEq(sh->eq.now() + rearm_delay, rearm_prio);
-                sh->plans.emplace(
-                    tag, RearmPlan{rearm_delay, rearm_prio, child});
+                    sh->scheduleEq(sh->eq.now() + rearm_delay);
+                sh->plans.emplace(tag, RearmPlan{rearm_delay, child});
             }
-        }, prio);
+        });
         return tag;
     };
 
@@ -204,7 +186,7 @@ fuzzOnce(std::uint32_t seed, bool rescheduleFromCallback)
         auto it = plans.find(tag);
         if (it != plans.end()) {
             ref.schedule(ref.now() + it->second.delay,
-                         it->second.childTag, it->second.prio);
+                         it->second.childTag);
             plans.erase(it);
         }
         return true;
@@ -215,9 +197,8 @@ fuzzOnce(std::uint32_t seed, bool rescheduleFromCallback)
         const unsigned burst = 1 + rng() % 12;
         for (unsigned i = 0; i < burst; ++i) {
             const Tick when = eq.now() + draw_delay();
-            const EventPriority prio = draw_prio();
-            const int tag = shared.scheduleEq(when, prio);
-            ref.schedule(when, tag, prio);
+            const int tag = shared.scheduleEq(when);
+            ref.schedule(when, tag);
         }
 
         // Drain a random amount, in one of three modes.
@@ -300,22 +281,6 @@ TEST(CalendarQueue, SameTickFifoAcrossTiers)
     });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(CalendarQueue, PriorityBeatsSeqAfterMigration)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    const Tick target = kWindow + 50;
-    eq.schedule(target, [&] { order.push_back(2); }); // low seq, Default
-    eq.schedule(100, [&] {
-        eq.schedule(target, [&] { order.push_back(1); },
-                    EventPriority::Early);
-        eq.schedule(target, [&] { order.push_back(3); },
-                    EventPriority::Late);
-    });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(CalendarQueue, BucketWraparoundKeepsTickOrder)

@@ -14,7 +14,6 @@
 
 namespace {
 
-using gpuwalk::sim::EventPriority;
 using gpuwalk::sim::EventQueue;
 using gpuwalk::sim::Tick;
 
@@ -37,29 +36,6 @@ struct Counted
 
 int Counted::live = 0;
 int Counted::moves = 0;
-
-/** Intrusive test event that bumps a counter (if any) when fired. */
-struct CountingEvent final : gpuwalk::sim::Event
-{
-    int *fired = nullptr;
-    void
-    process() override
-    {
-        if (fired)
-            ++*fired;
-    }
-};
-
-/** Intrusive test event appending a tag to a shared history. */
-struct RecordingEvent final : gpuwalk::sim::Event
-{
-    RecordingEvent(std::vector<int> *order_out, int tag_value)
-        : order(order_out), tag(tag_value)
-    {}
-    std::vector<int> *order;
-    int tag;
-    void process() override { order->push_back(tag); }
-};
 
 TEST(EventQueue, StartsEmptyAtTickZero)
 {
@@ -91,17 +67,6 @@ TEST(EventQueue, EqualTickEventsRunInInsertionOrder)
     eq.run();
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(EventQueue, PriorityBreaksTiesBeforeInsertionOrder)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(5, [&] { order.push_back(1); }, EventPriority::Late);
-    eq.schedule(5, [&] { order.push_back(2); }, EventPriority::Default);
-    eq.schedule(5, [&] { order.push_back(3); }, EventPriority::Early);
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
 }
 
 TEST(EventQueue, ScheduleInIsRelativeToNow)
@@ -189,10 +154,9 @@ TEST(EventQueue, ExecutedCountsAllEvents)
 }
 
 // Regression battery for the documented `when >= now()` precondition:
-// both the pooled-callable and the intrusive schedule paths must refuse
-// to enqueue into the past, at any displacement — a pooled node placed
-// behind now() would otherwise sit in a bucket the dispatch scan never
-// revisits and leak silently.
+// the queue must refuse to enqueue into the past, at any displacement —
+// a node placed behind now() would otherwise sit in a bucket the
+// dispatch scan never revisits and leak silently.
 
 TEST(EventQueueDeathTest, SchedulingInThePastPanics)
 {
@@ -200,15 +164,6 @@ TEST(EventQueueDeathTest, SchedulingInThePastPanics)
     eq.schedule(100, [] {});
     eq.run();
     EXPECT_DEATH(eq.schedule(50, [] {}), "past");
-}
-
-TEST(EventQueueDeathTest, SchedulingIntrusiveEventInThePastPanics)
-{
-    EventQueue eq;
-    eq.schedule(100, [] {});
-    eq.run();
-    CountingEvent ev;
-    EXPECT_DEATH(eq.schedule(99, ev), "past");
 }
 
 TEST(EventQueueDeathTest, SchedulingInThePastPanicsBeyondTheWindow)
@@ -219,82 +174,6 @@ TEST(EventQueueDeathTest, SchedulingInThePastPanicsBeyondTheWindow)
     eq.schedule(EventQueue::windowTicks * 3, [] {});
     eq.run();
     EXPECT_DEATH(eq.schedule(EventQueue::windowTicks, [] {}), "past");
-}
-
-TEST(EventQueueDeathTest, DoubleSchedulingAnEventPanics)
-{
-    EventQueue eq;
-    CountingEvent ev;
-    eq.schedule(10, ev);
-    EXPECT_DEATH(eq.schedule(20, ev), "already scheduled");
-}
-
-// --- Intrusive event API -------------------------------------------------
-
-TEST(EventQueue, IntrusiveEventsInterleaveWithCallbacks)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    RecordingEvent a{&order, 1};
-    RecordingEvent b{&order, 3};
-    eq.schedule(5, a);
-    eq.schedule(5, [&] { order.push_back(2); });
-    eq.schedule(5, b);
-    EXPECT_TRUE(a.scheduled());
-    eq.run();
-    EXPECT_FALSE(a.scheduled());
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, IntrusiveEventCanRescheduleItself)
-{
-    EventQueue eq;
-    struct Ticker final : gpuwalk::sim::Event
-    {
-        EventQueue *eq = nullptr;
-        int fires = 0;
-        void
-        process() override
-        {
-            if (++fires < 4)
-                eq->scheduleIn(10, *this);
-        }
-    } ticker;
-    ticker.eq = &eq;
-    eq.schedule(1, ticker);
-    eq.run();
-    EXPECT_EQ(ticker.fires, 4);
-    EXPECT_EQ(eq.now(), 31u);
-}
-
-TEST(EventQueue, DescheduleRemovesPendingEvent)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    RecordingEvent a{&order, 1};
-    RecordingEvent b{&order, 2};
-    eq.schedule(10, a);
-    eq.schedule(10, b);
-    eq.deschedule(a);
-    EXPECT_FALSE(a.scheduled());
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{2}));
-}
-
-TEST(EventQueue, DestroyedEventLeavesTheQueue)
-{
-    EventQueue eq;
-    int fired = 0;
-    {
-        CountingEvent ev;
-        ev.fired = &fired;
-        eq.schedule(10, ev);
-        EXPECT_EQ(eq.pending(), 1u);
-    } // ev destructs while scheduled: must self-deschedule
-    EXPECT_EQ(eq.pending(), 0u);
-    eq.run();
-    EXPECT_EQ(fired, 0);
 }
 
 TEST(EventQueue, FarFutureEventsTierThroughOverflow)
@@ -371,26 +250,44 @@ TEST(EventQueue, DestroysCaptureExactlyOnceInline)
 TEST(EventQueue, NonTrivialCapturesMoveAndDestroyExactlyOnce)
 {
     // An owning pointer and a destructor counter ride in pooled nodes
-    // across several pool chunks; each capture is moved into its node
-    // once, the owned value survives, and every capture is destroyed
-    // exactly once whether it runs or is torn down pending.
-    constexpr int kEvents = 1200; // more than two pool chunks
+    // across several slabs of the node table, near and far; each
+    // capture is moved into its node once, the owned value survives,
+    // and every capture is destroyed exactly once whether it runs or
+    // is torn down pending: in a bucket, migrated into a bucket from
+    // the overflow tier, or still parked in the overflow tier.
+    constexpr int kNear = 1200; // more than four node slabs
+    constexpr int kFar = 300;   // per far group
+    // Far at scheduling time; the first group enters the window during
+    // the partial run below, the second stays beyond it.
+    constexpr Tick kMigrated = EventQueue::windowTicks;
+    constexpr Tick kParked = EventQueue::windowTicks * 3;
     Counted::live = 0;
     Counted::moves = 0;
     long long sum = 0;
     {
         EventQueue eq;
-        for (int i = 0; i < kEvents; ++i) {
-            auto lambda = [c = Counted{}, p = std::make_unique<int>(i),
+        auto schedule = [&eq, &sum](Tick when, int value) {
+            auto lambda = [c = Counted{}, p = std::make_unique<int>(value),
                            &sum] { sum += *p; };
             Counted::moves = 0;
-            eq.schedule(static_cast<Tick>(i), std::move(lambda));
-            ASSERT_EQ(Counted::moves, 1) << "capture moved more than once";
+            eq.schedule(when, std::move(lambda));
+            return Counted::moves;
+        };
+        for (int i = 0; i < kNear; ++i)
+            ASSERT_EQ(schedule(static_cast<Tick>(i), i), 1)
+                << "capture moved more than once";
+        for (int i = 0; i < kFar; ++i) {
+            ASSERT_EQ(schedule(kMigrated + static_cast<Tick>(i), 0), 1);
+            ASSERT_EQ(schedule(kParked + static_cast<Tick>(i), 0), 1);
         }
-        EXPECT_EQ(Counted::live, kEvents);
-        eq.run(kEvents / 2 - 1); // runs ticks 0 .. kEvents/2 - 1
-        EXPECT_EQ(Counted::live, kEvents / 2) << "a run capture survived";
-        EXPECT_EQ(sum, (long long)(kEvents / 2) * (kEvents / 2 - 1) / 2);
+        EXPECT_EQ(Counted::live, kNear + 2 * kFar);
+        EXPECT_EQ(eq.overflowPending(), 2u * kFar);
+        eq.run(kNear / 2 - 1); // runs ticks 0 .. kNear/2 - 1
+        EXPECT_EQ(Counted::live, kNear / 2 + 2 * kFar)
+            << "a run capture survived";
+        EXPECT_EQ(eq.overflowPending(), std::size_t{kFar})
+            << "the kMigrated group should sit in buckets now";
+        EXPECT_EQ(sum, (long long)(kNear / 2) * (kNear / 2 - 1) / 2);
     }
     EXPECT_EQ(Counted::live, 0) << "capture leaked or double-destroyed";
 }
