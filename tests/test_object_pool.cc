@@ -1,25 +1,29 @@
 /**
  * @file
- * Unit tests for the slab-backed object pool.
+ * Unit tests for the object-pool contract of sim::SlotTable, the
+ * simulator's one pool of recycled objects.
  *
- * Covers growth on exhaustion, LIFO recycle identity, capacity
- * retention across acquire/release cycles (the property the simulator's
- * hot paths rely on to stay allocation-free), the in-use accounting,
- * and the always-on release validation: double release and foreign
- * pointers must panic, not corrupt the free list.
+ * Covers growth on exhaustion with live objects that stay put, LIFO
+ * recycle identity, state and capacity retention across reuse (the
+ * property the hot paths rely on to stay allocation-free), exact live
+ * counts under churn and across many slabs, and the always-on release
+ * validation: a second release of a handle must panic, not corrupt the
+ * free list.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
-#include "sim/object_pool.hh"
+#include "sim/slot_table.hh"
 
 namespace {
 
-using gpuwalk::sim::ObjectPool;
+using gpuwalk::sim::Handle;
+using gpuwalk::sim::SlotTable;
 
 struct Payload
 {
@@ -27,54 +31,61 @@ struct Payload
     std::vector<int> scratch;
 };
 
-TEST(ObjectPool, StartsEmptyAndGrowsOnFirstAcquire)
-{
-    ObjectPool<Payload> pool(4);
-    EXPECT_EQ(pool.capacity(), 0u);
-    EXPECT_EQ(pool.slabCount(), 0u);
+/** Slots per slab of a SlotTable. */
+constexpr std::size_t slabSlots = 256;
 
-    Payload *p = pool.acquire();
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(pool.capacity(), 4u);
-    EXPECT_EQ(pool.slabCount(), 1u);
-    EXPECT_EQ(pool.inUse(), 1u);
-    pool.release(p);
+/** The table-wide slot index @p h names, without its generation. */
+Handle
+slotIndex(Handle h)
+{
+    return h & 0xFFFFFF;
 }
 
 TEST(ObjectPool, ExhaustionAddsSlabsAndPointersStayDistinct)
 {
-    ObjectPool<Payload> pool(4);
+    SlotTable<Payload> pool;
+    constexpr std::size_t n = 2 * slabSlots + 11; // into a third slab
     std::set<Payload *> seen;
-    std::vector<Payload *> held;
-    for (int i = 0; i < 11; ++i) {
-        Payload *p = pool.acquire();
-        EXPECT_TRUE(seen.insert(p).second) << "duplicate live pointer";
-        held.push_back(p);
+    std::vector<Handle> held;
+    std::vector<Payload *> objects;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Handle h = pool.acquire();
+        Payload *p = &pool.at(h);
+        EXPECT_TRUE(seen.insert(p).second) << "duplicate live object";
+        held.push_back(h);
+        objects.push_back(p);
     }
-    EXPECT_EQ(pool.slabCount(), 3u); // ceil(11 / 4)
-    EXPECT_EQ(pool.capacity(), 12u);
-    EXPECT_EQ(pool.inUse(), 11u);
-    EXPECT_EQ(pool.peakInUse(), 11u);
+    EXPECT_EQ(pool.live(), n);
 
-    for (Payload *p : held)
-        pool.release(p);
-    EXPECT_EQ(pool.inUse(), 0u);
-    EXPECT_EQ(pool.peakInUse(), 11u); // high-water mark sticks
-    EXPECT_EQ(pool.capacity(), 12u);  // slabs are never returned
+    // Growth never moves a live object.
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(&pool.at(held[i]), objects[i]);
+
+    for (const Handle h : held)
+        pool.release(h);
+    EXPECT_EQ(pool.live(), 0u);
+
+    // Slabs are never returned: refilling reuses the same objects.
+    std::set<Payload *> again;
+    for (std::size_t i = 0; i < n; ++i)
+        again.insert(&pool.at(pool.acquire()));
+    EXPECT_EQ(again, seen);
 }
 
 TEST(ObjectPool, RecycleIsLifo)
 {
-    ObjectPool<Payload> pool(8);
-    Payload *a = pool.acquire();
-    Payload *b = pool.acquire();
+    SlotTable<Payload> pool;
+    const Handle a = pool.acquire();
+    const Handle b = pool.acquire();
     pool.release(b);
     pool.release(a);
     // Most recently released comes back first.
-    EXPECT_EQ(pool.acquire(), a);
-    EXPECT_EQ(pool.acquire(), b);
-    pool.release(a);
-    pool.release(b);
+    const Handle a2 = pool.acquire();
+    const Handle b2 = pool.acquire();
+    EXPECT_EQ(slotIndex(a2), slotIndex(a));
+    EXPECT_EQ(slotIndex(b2), slotIndex(b));
+    pool.release(a2);
+    pool.release(b2);
 }
 
 TEST(ObjectPool, RecycledObjectsKeepStateAndCapacity)
@@ -82,170 +93,145 @@ TEST(ObjectPool, RecycledObjectsKeepStateAndCapacity)
     // The pool's contract: objects are constructed once and reused
     // as-is, so container capacity grown by one user is still there
     // for the next — that is what makes steady state allocation-free.
-    ObjectPool<Payload> pool(2);
-    Payload *p = pool.acquire();
+    SlotTable<Payload> pool;
+    const Handle h = pool.acquire();
+    Payload *p = &pool.at(h);
     p->value = 42;
     p->scratch.reserve(1024);
     const std::size_t cap = p->scratch.capacity();
-    pool.release(p);
+    pool.release(h);
 
-    Payload *q = pool.acquire();
+    const Handle g = pool.acquire();
+    Payload *q = &pool.at(g);
     ASSERT_EQ(q, p);
     EXPECT_EQ(q->value, 42);
     EXPECT_GE(q->scratch.capacity(), cap);
-    pool.release(q);
+    pool.release(g);
 }
 
 TEST(ObjectPool, InUseTracksAcquireReleaseCycles)
 {
-    ObjectPool<Payload> pool(4);
-    std::vector<Payload *> held;
+    SlotTable<Payload> pool;
+    std::vector<Handle> held;
+    std::set<Handle> slots;
     for (int cycle = 0; cycle < 3; ++cycle) {
-        for (int i = 0; i < 3; ++i)
+        for (int i = 0; i < 3; ++i) {
             held.push_back(pool.acquire());
-        EXPECT_EQ(pool.inUse(), 3u);
-        for (Payload *p : held)
-            pool.release(p);
+            slots.insert(slotIndex(held.back()));
+        }
+        EXPECT_EQ(pool.live(), 3u);
+        for (const Handle h : held)
+            pool.release(h);
         held.clear();
-        EXPECT_EQ(pool.inUse(), 0u);
+        EXPECT_EQ(pool.live(), 0u);
     }
-    EXPECT_EQ(pool.peakInUse(), 3u);
-    EXPECT_EQ(pool.slabCount(), 1u); // recycling never grew the pool
+    // Recycling never reached past the first three slots.
+    EXPECT_EQ(slots.size(), 3u);
 }
 
 TEST(ObjectPool, LiveCountStaysExactUnderRecycleWhileIterating)
 {
-    // The merge-pool usage pattern the auditor's live-count invariant
-    // depends on: while walking a set of live objects, each step may
+    // The merge-entry pattern the audit's live-count invariants
+    // depend on: while walking a set of live objects, each step may
     // release the current one and acquire a replacement (a completing
     // merge entry spawning a follow-up). The count must track every
     // interleaved acquire/release exactly — no drift, no double count
     // when LIFO hands the just-released slot straight back.
-    ObjectPool<Payload> pool(4);
-    std::vector<Payload *> held;
+    SlotTable<Payload> pool;
+    std::vector<Handle> held;
     for (int i = 0; i < 8; ++i) {
         held.push_back(pool.acquire());
-        held.back()->value = i;
+        pool.at(held.back()).value = i;
     }
-    ASSERT_EQ(pool.inUse(), 8u);
+    ASSERT_EQ(pool.live(), 8u);
 
     for (std::size_t i = 0; i < held.size(); ++i) {
         pool.release(held[i]);
-        EXPECT_EQ(pool.inUse(), 7u);
-        Payload *fresh = pool.acquire();
-        EXPECT_EQ(fresh, held[i]); // LIFO returns the same slot
-        EXPECT_EQ(pool.inUse(), 8u);
+        EXPECT_EQ(pool.live(), 7u);
+        const Handle fresh = pool.acquire();
+        EXPECT_EQ(slotIndex(fresh), slotIndex(held[i])); // LIFO
+        EXPECT_EQ(pool.at(fresh).value, static_cast<int>(i));
+        EXPECT_EQ(pool.live(), 8u);
         held[i] = fresh;
     }
-    EXPECT_EQ(pool.peakInUse(), 8u); // churn never inflated the peak
-    EXPECT_EQ(pool.slabCount(), 2u); // ...nor grew the pool
 
     // Tear down half from the middle (arbitrary order): the count
     // must step down one per release, ending exactly at zero.
     std::size_t expect = 8;
     for (std::size_t i = 1; i < held.size(); i += 2) {
         pool.release(held[i]);
-        EXPECT_EQ(pool.inUse(), --expect);
+        EXPECT_EQ(pool.live(), --expect);
     }
     for (std::size_t i = 0; i < held.size(); i += 2) {
         pool.release(held[i]);
-        EXPECT_EQ(pool.inUse(), --expect);
+        EXPECT_EQ(pool.live(), --expect);
     }
-    EXPECT_EQ(pool.inUse(), 0u);
+    EXPECT_EQ(pool.live(), 0u);
 }
 
 TEST(ObjectPool, FirstAndLastOfManySlabsRecycleWithExactCounts)
 {
-    // Release bookkeeping is per-object, not per-slab: the first and
+    // Release bookkeeping is per object, not per slab: the first and
     // the last of 120 slabs must behave exactly alike.
     constexpr std::size_t slabs = 120;
-    ObjectPool<Payload> pool(4);
-    std::vector<Payload *> held;
-    for (std::size_t i = 0; i < slabs * 4; ++i) {
+    constexpr std::size_t n = slabs * slabSlots;
+    SlotTable<Payload> pool;
+    std::vector<Handle> held;
+    for (std::size_t i = 0; i < n; ++i) {
         held.push_back(pool.acquire());
-        held.back()->value = static_cast<int>(i);
+        pool.at(held.back()).value = static_cast<int>(i);
     }
-    ASSERT_EQ(pool.slabCount(), slabs);
-    EXPECT_EQ(pool.inUse(), slabs * 4);
-    EXPECT_EQ(pool.peakInUse(), slabs * 4);
+    EXPECT_EQ(pool.live(), n);
 
-    Payload *first = held.front();
-    Payload *last = held.back();
+    const Handle first = held.front();
+    const Handle last = held.back();
     pool.release(first);
     pool.release(last);
-    EXPECT_EQ(pool.inUse(), slabs * 4 - 2);
-    EXPECT_EQ(pool.acquire(), last); // LIFO
-    EXPECT_EQ(pool.acquire(), first);
-    EXPECT_EQ(first->value, 0);
-    EXPECT_EQ(last->value, static_cast<int>(slabs * 4 - 1));
-    EXPECT_EQ(pool.inUse(), slabs * 4);
-    EXPECT_EQ(pool.peakInUse(), slabs * 4);
+    EXPECT_EQ(pool.live(), n - 2);
+    held.back() = pool.acquire(); // LIFO: last's slot comes back first
+    held.front() = pool.acquire();
+    EXPECT_EQ(slotIndex(held.back()), slotIndex(last));
+    EXPECT_EQ(slotIndex(held.front()), slotIndex(first));
+    EXPECT_EQ(pool.at(held.front()).value, 0);
+    EXPECT_EQ(pool.at(held.back()).value, static_cast<int>(n - 1));
+    EXPECT_EQ(pool.live(), n);
 
-    for (Payload *p : held)
-        pool.release(p);
-    EXPECT_EQ(pool.inUse(), 0u);
-    EXPECT_EQ(pool.peakInUse(), slabs * 4);
-    EXPECT_EQ(pool.slabCount(), slabs);
+    for (const Handle h : held)
+        pool.release(h);
+    EXPECT_EQ(pool.live(), 0u);
 
     // Every slot is free again: one more of each slab's worth reuses
-    // slots without growth.
-    for (std::size_t i = 0; i < slabs * 4; ++i)
-        pool.acquire();
-    EXPECT_EQ(pool.slabCount(), slabs);
-    EXPECT_EQ(pool.inUse(), slabs * 4);
+    // slots without growth, so no index reaches past the last slab.
+    Handle top = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        top = std::max(top, slotIndex(pool.acquire()));
+    EXPECT_LT(top, Handle{n});
+    EXPECT_EQ(pool.live(), n);
 }
 
 TEST(ObjectPoolDeathTest, DoubleReleasePanics)
 {
-    ObjectPool<Payload> pool(4);
-    Payload *p = pool.acquire();
-    pool.release(p);
-    EXPECT_DEATH(pool.release(p), "double release");
+    SlotTable<Payload> pool;
+    const Handle h = pool.acquire();
+    pool.release(h);
+    EXPECT_DEATH(pool.release(h), "stale handle");
 }
 
 TEST(ObjectPoolDeathTest, ReleaseAfterRecycleByAnotherOwnerPanics)
 {
     // The stale-owner variant of double release: the slot has been
     // re-acquired, so the stale release would free it out from under
-    // the live owner. Re-acquiring sets the live flag again, so this
-    // must trip the same validation only when genuinely stale.
-    ObjectPool<Payload> pool(4);
-    Payload *p = pool.acquire();
+    // the live owner. The slot is live again, so the check must tell
+    // the owners apart by handle, not by the slot's live flag.
+    SlotTable<Payload> pool;
+    const Handle p = pool.acquire();
     pool.release(p);
-    Payload *q = pool.acquire();
-    ASSERT_EQ(q, p); // LIFO: same slot, new owner
+    const Handle q = pool.acquire();
+    ASSERT_EQ(slotIndex(q), slotIndex(p)); // LIFO: same slot, new owner
+    EXPECT_DEATH(pool.release(p), "stale handle");
+    EXPECT_EQ(pool.live(), 1u); // the live owner keeps its slot
     pool.release(q);
-    EXPECT_DEATH(pool.release(p), "double release");
-}
-
-TEST(ObjectPoolDeathTest, ReleasingForeignPointerPanics)
-{
-    ObjectPool<Payload> pool(4);
-    Payload *p = pool.acquire();
-    Payload stack_object;
-    EXPECT_DEATH(pool.release(&stack_object), "non-pooled");
-    pool.release(p);
-}
-
-TEST(ObjectPoolDeathTest, ReleasingAnotherPoolsObjectPanics)
-{
-    ObjectPool<Payload> pool_a(4);
-    ObjectPool<Payload> pool_b(4);
-    Payload *p = pool_a.acquire();
-    EXPECT_DEATH(pool_b.release(p), "non-pooled");
-    pool_a.release(p);
-}
-
-TEST(ObjectPoolDeathTest, ReleasingAnInteriorPointerPanics)
-{
-    // Inside the slab hull but off a slot boundary: the header read
-    // lands mid-slot and must not validate.
-    ObjectPool<Payload> pool(4);
-    Payload *p = pool.acquire();
-    auto *interior = reinterpret_cast<Payload *>(
-        reinterpret_cast<char *>(p) + alignof(Payload));
-    EXPECT_DEATH(pool.release(interior), "non-pooled");
-    pool.release(p);
+    EXPECT_DEATH(pool.release(p), "stale handle");
 }
 
 } // namespace
