@@ -26,7 +26,11 @@ class RandomScheduler : public WalkScheduler
         return static_cast<std::size_t>(rng_.below(buffer.size()));
     }
 
+    /** A random pick has no aging override; skip the bookkeeping. */
     void onDispatch(WalkBuffer &, const PendingWalk &) override {}
+
+    /** Tells the auditor all buffered entries must show bypassed == 0. */
+    bool tracksAging() const override { return false; }
 
   private:
     sim::Rng rng_;

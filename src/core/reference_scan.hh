@@ -17,7 +17,7 @@
 
 #include <optional>
 
-#include "core/walk_scheduler.hh"
+#include "core/simt_aware_scheduler.hh"
 
 namespace gpuwalk::core::reference {
 
@@ -37,15 +37,19 @@ fcfsSelect(const WalkBuffer &buffer)
 
 /**
  * The SIMT-aware selection rules (aging, batching, SJF) as full scans.
- * Covers the SjfOnly/BatchOnly ablations through the same config flags
- * the production scheduler takes. Mirrors SimtAwareScheduler's state:
- * lastInstruction must be updated via onDispatch exactly as the
+ * Covers the SjfOnly/BatchOnly ablations through the same kind the
+ * production scheduler is built for. Mirrors SimtAwareScheduler's
+ * state: lastInstruction must be updated via onDispatch exactly as the
  * production scheduler's is.
  */
 class SimtScan
 {
   public:
-    explicit SimtScan(const SimtSchedulerConfig &cfg = {}) : cfg_(cfg) {}
+    explicit SimtScan(SchedulerKind kind = SchedulerKind::SimtAware,
+                      const SimtSchedulerConfig &cfg = {})
+        : sjf_(SimtAwareScheduler::usesSjf(kind)),
+          batching_(SimtAwareScheduler::usesBatching(kind)), cfg_(cfg)
+    {}
 
     std::size_t
     selectNext(const WalkBuffer &buffer)
@@ -71,7 +75,7 @@ class SimtScan
         }
 
         // 1. Batch with the most recently dispatched instruction.
-        if (cfg_.enableBatching && lastInstruction_) {
+        if (batching_ && lastInstruction_) {
             std::size_t best = entries.size();
             for (std::size_t i = 0; i < entries.size(); ++i) {
                 if (entries[i].instruction != *lastInstruction_)
@@ -91,7 +95,7 @@ class SimtScan
         // 2. Shortest job first by score; FCFS without scoring enabled.
         std::size_t best = 0;
         for (std::size_t i = 1; i < entries.size(); ++i) {
-            if (cfg_.enableSjf) {
+            if (sjf_) {
                 if (entries[i].score != entries[best].score) {
                     if (entries[i].score < entries[best].score)
                         best = i;
@@ -101,7 +105,7 @@ class SimtScan
             if (entries[i].seq < entries[best].seq)
                 best = i;
         }
-        lastPick_ = cfg_.enableSjf ? PickReason::Sjf : PickReason::Policy;
+        lastPick_ = sjf_ ? PickReason::Sjf : PickReason::Policy;
         return best;
     }
 
@@ -114,6 +118,8 @@ class SimtScan
     PickReason lastPickReason() const { return lastPick_; }
 
   private:
+    bool sjf_;
+    bool batching_;
     SimtSchedulerConfig cfg_;
     std::optional<tlb::InstructionId> lastInstruction_;
     PickReason lastPick_ = PickReason::Policy;

@@ -76,24 +76,10 @@ makeScheduler(SchedulerKind kind, std::uint64_t seed,
         return std::make_unique<FcfsScheduler>();
       case SchedulerKind::Random:
         return std::make_unique<RandomScheduler>(seed);
-      case SchedulerKind::SjfOnly: {
-        SimtSchedulerConfig c = cfg;
-        c.enableSjf = true;
-        c.enableBatching = false;
-        return std::make_unique<SimtAwareScheduler>(c);
-      }
-      case SchedulerKind::BatchOnly: {
-        SimtSchedulerConfig c = cfg;
-        c.enableSjf = false;
-        c.enableBatching = true;
-        return std::make_unique<SimtAwareScheduler>(c);
-      }
-      case SchedulerKind::SimtAware: {
-        SimtSchedulerConfig c = cfg;
-        c.enableSjf = true;
-        c.enableBatching = true;
-        return std::make_unique<SimtAwareScheduler>(c);
-      }
+      case SchedulerKind::SjfOnly:
+      case SchedulerKind::BatchOnly:
+      case SchedulerKind::SimtAware:
+        return std::make_unique<SimtAwareScheduler>(kind, cfg);
       case SchedulerKind::WeightedShare:
         return std::make_unique<WeightedShareScheduler>(cfg, qos);
     }

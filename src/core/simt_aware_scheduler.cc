@@ -22,7 +22,7 @@ SimtAwareScheduler::selectNext(const WalkBuffer &buffer)
 
     // 1. Batch with the most recently dispatched instruction: one
     // bucket-index probe yields its oldest pending sibling.
-    if (cfg_.enableBatching && lastInstruction_) {
+    if (usesBatching(kind_) && lastInstruction_) {
         const std::size_t sibling =
             buffer.instructionHead(*lastInstruction_);
         if (sibling != WalkBuffer::npos) {
@@ -39,7 +39,7 @@ SimtAwareScheduler::selectNext(const WalkBuffer &buffer)
 
     // 2. Shortest job first by score — the buffer's score index hands
     // over the exact (score, seq) minimum; FCFS without scoring.
-    if (cfg_.enableSjf) {
+    if (usesSjf(kind_)) {
         lastPick_ = PickReason::Sjf;
         return buffer.sjfBestIndex();
     }

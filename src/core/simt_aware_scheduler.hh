@@ -10,8 +10,8 @@
  *   2. SJF (key idea 1): the request whose instruction has the lowest
  *      estimated total walk cost (score); ties broken oldest-first.
  *
- * The ablation variants SjfScheduler / BatchScheduler disable one of
- * the two ideas via SimtSchedulerConfig.
+ * The ablation kinds SchedulerKind::SjfOnly / BatchOnly disable one of
+ * the two ideas.
  */
 
 #ifndef GPUWALK_CORE_SIMT_AWARE_SCHEDULER_HH
@@ -27,23 +27,37 @@ namespace gpuwalk::core {
 class SimtAwareScheduler : public WalkScheduler
 {
   public:
-    explicit SimtAwareScheduler(const SimtSchedulerConfig &cfg = {})
-        : cfg_(cfg)
-    {}
-
-    std::string
-    name() const override
+    /** @p kind is SimtAware, SjfOnly or BatchOnly: it picks which of
+     *  the two rules run. */
+    explicit SimtAwareScheduler(
+        SchedulerKind kind = SchedulerKind::SimtAware,
+        const SimtSchedulerConfig &cfg = {})
+        : kind_(kind), cfg_(cfg)
     {
-        if (cfg_.enableSjf && cfg_.enableBatching)
-            return "simt-aware";
-        if (cfg_.enableSjf)
-            return "sjf-only";
-        if (cfg_.enableBatching)
-            return "batch-only";
-        return "fcfs-degenerate";
+        GPUWALK_ASSERT(usesSjf(kind) || usesBatching(kind),
+                       "not a SIMT-aware scheduler kind: ",
+                       toString(kind));
     }
 
-    bool needsScores() const override { return cfg_.enableSjf; }
+    /** Key idea 1 runs under SimtAware and SjfOnly. */
+    static bool
+    usesSjf(SchedulerKind kind)
+    {
+        return kind == SchedulerKind::SimtAware
+               || kind == SchedulerKind::SjfOnly;
+    }
+
+    /** Key idea 2 runs under SimtAware and BatchOnly. */
+    static bool
+    usesBatching(SchedulerKind kind)
+    {
+        return kind == SchedulerKind::SimtAware
+               || kind == SchedulerKind::BatchOnly;
+    }
+
+    std::string name() const override { return toString(kind_); }
+
+    bool needsScores() const override { return usesSjf(kind_); }
 
     std::size_t selectNext(const WalkBuffer &buffer) override;
 
@@ -65,6 +79,7 @@ class SimtAwareScheduler : public WalkScheduler
     std::uint64_t batchPicks() const { return batchPicks_; }
 
   private:
+    SchedulerKind kind_;
     SimtSchedulerConfig cfg_;
     std::optional<tlb::InstructionId> lastInstruction_;
     PickReason lastPick_ = PickReason::Policy;

@@ -95,8 +95,8 @@ class WalkScheduler
 
     /**
      * True if this policy maintains the per-entry bypass counters via
-     * onDispatch(). Policies that dispatch strictly in arrival order
-     * (FCFS) skip the bookkeeping and return false, which lets the
+     * onDispatch(). Policies without an aging override (FCFS,
+     * Random) skip the bookkeeping and return false, which lets the
      * conservation auditor demand their buffered entries all show
      * bypassed == 0 — a stale counter there would mean two schedulers
      * disagreed about a shared buffer.
@@ -127,12 +127,6 @@ struct SimtSchedulerConfig
      * rarely hit.
      */
     std::uint64_t agingThreshold = 2'000'000;
-
-    /** Enables key idea 1 (SJF scoring). */
-    bool enableSjf = true;
-
-    /** Enables key idea 2 (same-instruction batching). */
-    bool enableBatching = true;
 };
 
 /** Cross-tenant fairness knobs for the QoS walk scheduler. */

@@ -1,25 +1,42 @@
 #include "exp/run.hh"
 
-#include "exp/report.hh"
+#include <algorithm>
+#include <cctype>
+
 #include "trace/chrome_export.hh"
 
 namespace gpuwalk::exp {
 
 std::string
-traceFilePath(const system::SystemConfig &cfg,
-              const std::string &workload, std::uint64_t seed)
+insertPathSuffix(const std::string &path, const std::string &suffix)
 {
-    const std::string &base = cfg.trace.outPath;
-    const auto slash = base.find_last_of('/');
-    auto dot = base.find_last_of('.');
+    const auto slash = path.find_last_of('/');
+    auto dot = path.find_last_of('.');
     if (dot == std::string::npos
         || (slash != std::string::npos && dot < slash)) {
-        dot = base.size();
+        dot = path.size();
     }
-    return base.substr(0, dot) + "-" + workload + "-"
-           + core::toString(cfg.scheduler) + "-"
-           + configFingerprint(cfg).substr(0, 8) + "-s"
-           + std::to_string(seed) + base.substr(dot);
+    return path.substr(0, dot) + suffix + path.substr(dot);
+}
+
+std::string
+traceFilePath(const std::string &base, const std::string &workload,
+              const std::string &scheduler, const std::string &variant,
+              std::uint64_t seed)
+{
+    std::string suffix;
+    for (const std::string *label : {&workload, &scheduler, &variant}) {
+        if (!label->empty())
+            suffix += "-" + *label;
+    }
+    std::replace_if(
+        suffix.begin(), suffix.end(),
+        [](unsigned char c) {
+            return !std::isalnum(c) && c != '.' && c != '_' && c != '+'
+                   && c != '-';
+        },
+        '_');
+    return insertPathSuffix(base, suffix + "-s" + std::to_string(seed));
 }
 
 RunResult
@@ -31,14 +48,10 @@ runOne(const system::SystemConfig &cfg, const std::string &workload,
     RunResult result;
     result.workload = workload;
     result.scheduler = core::toString(cfg.scheduler);
-    result.schedulerKind = cfg.scheduler;
     result.seed = params.seed;
     result.stats = sys.run();
-    if (sys.tracer() && !cfg.trace.outPath.empty()) {
-        trace::writeChromeTraceFile(traceFilePath(cfg, workload,
-                                                  params.seed),
-                                    *sys.tracer());
-    }
+    if (sys.tracer() && !cfg.trace.outPath.empty())
+        trace::writeChromeTraceFile(cfg.trace.outPath, *sys.tracer());
     return result;
 }
 

@@ -31,7 +31,6 @@ struct RunResult
     std::string scheduler;                ///< policy label (toString)
     std::string variant;                  ///< config-variant label
     std::uint64_t seed = 0;
-    core::SchedulerKind schedulerKind = core::SchedulerKind::Fcfs;
     system::RunStats stats;
     std::map<std::string, double> extra;  ///< experiment-specific scalars
     double wallSeconds = 0.0;             ///< host time, runner-filled
@@ -41,7 +40,9 @@ struct RunResult
  * Builds a fresh System with @p cfg, loads @p workload, runs it.
  * Every run is fully independent (own page table, TLBs, RNG streams),
  * which is what lets the ParallelRunner execute runs concurrently
- * without perturbing their simulated behaviour.
+ * without perturbing their simulated behaviour. A traced run writes
+ * its Chrome trace to cfg.trace.outPath as given (a sweep names one
+ * per job with traceFilePath()).
  */
 RunResult runOne(const system::SystemConfig &cfg,
                  const std::string &workload,
@@ -51,15 +52,22 @@ RunResult runOne(const system::SystemConfig &cfg,
 system::SystemConfig withScheduler(system::SystemConfig cfg,
                                    core::SchedulerKind kind);
 
+/** @p path with @p suffix inserted before its extension:
+ *  ("out/t.json", "-fcfs") -> "out/t-fcfs.json". */
+std::string insertPathSuffix(const std::string &path,
+                             const std::string &suffix);
+
 /**
- * The Chrome-trace output path runOne writes for one run: the
- * configured cfg.trace.outPath uniquified with the workload,
- * scheduler, a config-fingerprint prefix (distinguishes variants) and
- * the seed, so every run of a sweep gets its own file.
+ * The Chrome-trace path of one sweep job: @p base with the job's
+ * labels inserted before its extension as
+ * "-<workload>-<scheduler>[-<variant>]-s<seed>". The labels are unique
+ * within a sweep, so every run gets its own file. A label character
+ * outside [A-Za-z0-9._+-] becomes '_'.
  */
-std::string traceFilePath(const system::SystemConfig &cfg,
+std::string traceFilePath(const std::string &base,
                           const std::string &workload,
-                          std::uint64_t seed);
+                          const std::string &scheduler,
+                          const std::string &variant, std::uint64_t seed);
 
 /**
  * The default experiment workload shape. Smaller than the paper's

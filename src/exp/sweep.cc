@@ -40,7 +40,6 @@ SweepSpec::expand() const
                     JobSpec spec;
                     spec.workload = workload;
                     spec.scheduler = core::toString(kind);
-                    spec.schedulerKind = kind;
                     spec.variant = variant.name;
                     spec.seed = seed;
                     spec.cfg = withScheduler(base, kind);
@@ -51,6 +50,12 @@ SweepSpec::expand() const
                     }
                     if (variant.apply)
                         variant.apply(spec.cfg, spec.params);
+                    std::string &trace = spec.cfg.trace.outPath;
+                    if (!trace.empty()) {
+                        trace = traceFilePath(trace, workload,
+                                              spec.scheduler,
+                                              variant.name, seed);
+                    }
 
                     Job job;
                     job.workload = spec.workload;

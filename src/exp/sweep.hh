@@ -38,13 +38,13 @@ struct ConfigVariant
 /**
  * A fully resolved grid point, handed to the job body: every axis
  * label plus the final config and params after variant/scheduler/seed
- * application.
+ * application. A traced sweep's cfg.trace.outPath is already this
+ * job's own file (traceFilePath()).
  */
 struct JobSpec
 {
     std::string workload;
     std::string scheduler;
-    core::SchedulerKind schedulerKind = core::SchedulerKind::Fcfs;
     std::string variant;
     std::uint64_t seed = 0;
     system::SystemConfig cfg;

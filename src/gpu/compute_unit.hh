@@ -93,9 +93,6 @@ class ComputeUnit final : public tlb::TranslationSink,
 
     std::uint32_t id() const { return id_; }
 
-    /** Wavefronts that have finished their traces. */
-    unsigned wavefrontsDone() const { return wavefrontsDone_; }
-
     unsigned
     wavefrontsResident() const
     {

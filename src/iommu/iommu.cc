@@ -83,9 +83,11 @@ Iommu::attachGmmu(vm::Gmmu *gmmu)
         w->allowFaults(gmmu != nullptr);
     if (!gmmu)
         return;
+    gmmu->setPinCounts(inflight_);
     gmmu->setServiceCallback(
-        [this](vm::Gmmu::ContextId ctx, mem::Addr page) {
-            onFaultServiced(static_cast<ContextId>(ctx), page);
+        [this](vm::Gmmu::ContextId ctx, mem::Addr page,
+               sim::Tick latency) {
+            onFaultServiced(static_cast<ContextId>(ctx), page, latency);
         });
     // Evictions shoot down the IOMMU's own TLB entries so no stale
     // translation for a non-resident page can hit here. (GPU-side TLB
@@ -343,7 +345,6 @@ Iommu::enqueueWalk(tlb::RequestHandle req)
     walk.ctx = r.ctx;
     walk.arrival = eq_.now();
     walk.seq = nextSeq_++;
-    metrics_.onArrival(walk.instruction);
     ++tenantSlot(walk.ctx).walkRequests;
     noteInflight(walk.ctx, r.vaPage);
     if (prefetcher_) {
@@ -356,11 +357,6 @@ Iommu::enqueueWalk(tlb::RequestHandle req)
             ++prefetchEvictedUnused_;
         }
     }
-    // Pin the page for the walk's whole lifetime (buffer, walker,
-    // fault parking): the GMMU must never evict a page with an
-    // in-flight walk.
-    if (gmmu_)
-        gmmu_->pin(walk.ctx, r.vaPage);
 
     if (tracer_) {
         trace::Event ev;
@@ -506,10 +502,8 @@ Iommu::walkDone(WalkResult &result)
 
     ++walksCompleted_;
     releaseInflight(completedCtx, completedVa);
-    if (gmmu_) {
-        gmmu_->unpin(completedCtx, completedVa);
+    if (gmmu_)
         gmmu_->touch(completedCtx, completedVa);
-    }
     if (!isPrefetch) {
         walkLatency_.sample(
             static_cast<double>(result.finished - walk.arrival));
@@ -569,9 +563,7 @@ Iommu::handleFaultedWalk(const WalkResult &result)
     const mem::Addr page = r.vaPage;
     const std::uint64_t key = mem::pageCtxKey(ctx, page);
 
-    const bool fresh =
-        faulted_.try_emplace(key, FaultedEntry{result.walk, eq_.now()})
-            .second;
+    const bool fresh = faulted_.try_emplace(key, result.walk).second;
     GPUWALK_ASSERT(fresh, "a second walk for va ", page, " of ctx ", ctx,
                    " faulted while one is parked: the GPU L2 TLB merges "
                    "every miss for a page until the IOMMU answers, and "
@@ -596,14 +588,14 @@ Iommu::handleFaultedWalk(const WalkResult &result)
 }
 
 void
-Iommu::onFaultServiced(ContextId ctx, mem::Addr va_page)
+Iommu::onFaultServiced(ContextId ctx, mem::Addr va_page,
+                       sim::Tick latency)
 {
     const std::uint64_t key = mem::pageCtxKey(ctx, va_page);
     const auto it = faulted_.find(key);
     GPUWALK_ASSERT(it != faulted_.end(),
                    "fault serviced with no parked walk for va ", va_page);
-    core::PendingWalk walk = it->second.walk;
-    const sim::Tick raised = it->second.raised;
+    core::PendingWalk walk = it->second;
     faulted_.erase(it);
 
     if (tracer_) {
@@ -616,7 +608,7 @@ Iommu::onFaultServiced(ContextId ctx, mem::Addr va_page)
         ev.instruction = walk.instruction;
         ev.vaPage = va_page;
         ev.arg0 = 1; // the one walk released
-        ev.arg1 = eq_.now() - raised;
+        ev.arg1 = latency;
         tracer_->record(ev);
     }
 
@@ -625,8 +617,8 @@ Iommu::onFaultServiced(ContextId ctx, mem::Addr va_page)
     // fresh sequence number, and queue-wait restarts so the fault
     // service time is accounted by the GMMU's latency histogram, not
     // double-counted as buffer wait. It is NOT a new walk request:
-    // walkRequests_, tenant arrival counters, metrics_.onArrival and
-    // the Enqueued trace event all fired at the original arrival.
+    // walkRequests_, the tenant arrival counter and the Enqueued trace
+    // event all fired at the original arrival.
     walk.seq = nextSeq_++;
     walk.arrival = eq_.now();
     admit(std::move(walk));
@@ -673,11 +665,9 @@ Iommu::maybePrefetch(mem::Addr touched_va_page, ContextId ctx,
             continue;
 
         ++prefetches_;
+        // The in-flight count taken here pins the page until the
+        // walk completes, so the resident check stays valid.
         const core::PendingWalk walk = prefetchWalk(page, ctx, wavefront);
-        // The pin taken here (released at completion) keeps the
-        // resident check valid for the walk's whole duration.
-        if (gmmu_)
-            gmmu_->pin(ctx, page);
         if (tracer_) {
             trace::Event ev;
             ev.tick = eq_.now();

@@ -150,19 +150,16 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
      * the GMMU's service callback re-enters it into scheduling with a
      * fresh sequence number. Exactly one walk parks per fault: the GPU
      * L2 TLB merges every miss for a page until the IOMMU answers, and
-     * prefetch walks start only on resident pages. Every walk pins its
-     * page against eviction from enqueue to completion. nullptr
-     * detaches.
+     * prefetch walks start only on resident pages. The GMMU reads its
+     * pins from the in-flight walk count, so every walk pins its page
+     * against eviction from enqueue to completion. nullptr detaches.
      */
     void attachGmmu(vm::Gmmu *gmmu);
 
     const IommuConfig &config() const { return cfg_; }
     core::WalkScheduler &scheduler() { return *scheduler_; }
     PageWalkCache &pwc() { return pwc_; }
-    WalkMetrics &metrics() { return metrics_; }
     const WalkMetrics &metrics() const { return metrics_; }
-    tlb::SetAssocTlb &l1Tlb() { return l1Tlb_; }
-    tlb::SetAssocTlb &l2Tlb() { return l2Tlb_; }
 
     /** The walker-side cache, or nullptr when disabled. */
     mem::Cache *walkCache() { return walkCache_.get(); }
@@ -237,33 +234,17 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
         std::uint64_t dispatches = 0;     ///< scheduler-mediated picks
         std::uint64_t queueWaitTicks = 0; ///< cumulative buffer wait
         std::uint64_t serviceTicks = 0;   ///< cumulative walker service
-
-        /** Demand walks currently buffered, overflowed, or walking. */
-        std::uint64_t inflight() const
-        {
-            return walkRequests - walksCompleted;
-        }
     };
 
     /**
      * Counters of tenant @p ctx (zero-initialised if it never sent a
-     * walk). Indexed by ContextId; see tenantLimit().
+     * walk). Indexed by ContextId.
      */
     const TenantCounters &
     tenantCounters(ContextId ctx) const
     {
         static const TenantCounters zero{};
         return ctx < tenants_.size() ? tenants_[ctx] : zero;
-    }
-
-    /** One past the highest ContextId that ever sent a walk. */
-    std::size_t tenantLimit() const { return tenants_.size(); }
-
-    /** Tenant @p ctx's current walk-buffer occupancy. */
-    std::size_t
-    tenantBufferOccupancy(ContextId ctx) const
-    {
-        return buffer_.contextCount(ctx);
     }
 
     /** Bucketed queue-wait / walker-service / per-level breakdown. */
@@ -305,7 +286,8 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
     void dispatchTo(PageTableWalker &walker, core::PendingWalk walk,
                     core::PickReason reason);
     void handleFaultedWalk(const WalkResult &result);
-    void onFaultServiced(ContextId ctx, mem::Addr va_page);
+    void onFaultServiced(ContextId ctx, mem::Addr va_page,
+                         sim::Tick latency);
     PageTableWalker *idleWalker();
 
     sim::EventQueue &eq_;
@@ -323,15 +305,10 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
     core::WalkBuffer buffer_;
     std::deque<core::PendingWalk> overflow_;
 
+    vm::Gmmu *gmmu_ = nullptr;
     /** The walk parked on an unserviced far fault, keyed by
      *  mem::pageCtxKey(ctx, page): one walk and one raise per key. */
-    struct FaultedEntry
-    {
-        core::PendingWalk walk;
-        sim::Tick raised = 0;
-    };
-    vm::Gmmu *gmmu_ = nullptr;
-    std::map<std::uint64_t, FaultedEntry> faulted_;
+    std::map<std::uint64_t, core::PendingWalk> faulted_;
 
     /**
      * In-flight walk counts keyed by mem::pageCtxKey(ctx, page): every
@@ -339,7 +316,8 @@ class Iommu final : public tlb::TranslationService, public WalkOwner
      * non-faulted completion, including the time it is parked on a
      * fault. The prefetch issue path consults this so an idle walker
      * never starts a speculative walk for a page another walker — or
-     * the buffer — already owns.
+     * the buffer — already owns, and the GMMU reads it as its pin
+     * count: a page with a walk in flight is never evicted.
      */
     sim::FlatMap<std::uint64_t, std::uint32_t> inflight_;
 

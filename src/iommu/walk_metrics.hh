@@ -106,14 +106,8 @@ struct WalkMetricsSummary
 class WalkMetrics
 {
   public:
-    /** A walk for @p instr entered the IOMMU walk path. */
-    void
-    onArrival(tlb::InstructionId instr)
-    {
-        ++records_[instr].walksArrived;
-    }
-
-    /** A walk for @p instr was handed to a walker. */
+    /** A walk for @p instr was handed to a walker (the first one
+     *  creates the instruction's record). */
     void
     onDispatch(tlb::InstructionId instr)
     {
@@ -149,16 +143,12 @@ class WalkMetrics
         }
     }
 
-    /** Number of instructions tracked. */
-    std::size_t trackedInstructions() const { return records_.size(); }
-
     /** Computes the aggregate view. */
     WalkMetricsSummary summarize() const;
 
   private:
     struct Record
     {
-        std::uint64_t walksArrived = 0;
         std::uint64_t walksCompleted = 0;
         std::uint64_t memAccesses = 0;
         std::uint64_t dispatches = 0;

@@ -58,8 +58,6 @@ struct DramConfig
     sim::Tick wr() const { return tWR * tCK; }
     sim::Tick ccd() const { return tCCD * tCK; }
 
-    unsigned totalBanks() const { return channels * ranksPerChannel * banksPerRank; }
-
     void
     validate() const
     {

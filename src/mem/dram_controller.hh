@@ -51,7 +51,6 @@ class DramController : public MemoryDevice
     std::uint64_t rowHits() const { return rowHits_.value(); }
     std::uint64_t rowMisses() const { return rowMisses_.value(); }
     std::uint64_t rowConflicts() const { return rowConflicts_.value(); }
-    double avgLatencyTicks() const { return latency_.mean(); }
     std::uint64_t pageWalkAccesses() const { return walkAccesses_.value(); }
 
   private:

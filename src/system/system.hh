@@ -167,7 +167,6 @@ class System
     iommu::Iommu &iommu() { return *iommu_; }
     tlb::TlbHierarchy &tlbs() { return *tlbs_; }
     mem::DramController &dram() { return *dram_; }
-    mem::BackingStore &backingStore() { return store_; }
 
     /** The walk-lifecycle tracer, or nullptr when tracing is off. */
     trace::Tracer *tracer() { return tracer_.get(); }

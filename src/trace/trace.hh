@@ -129,8 +129,8 @@ struct TraceConfig
 
     /**
      * Chrome trace_event JSON output path ("" = no export). Single-run
-     * front ends write exactly this path; the sweep runner derives one
-     * uniquified file per run from it (see exp::runOne).
+     * front ends write exactly this path; a sweep derives one file
+     * per run from it, named by the run's labels (exp::traceFilePath).
      */
     std::string outPath;
 };

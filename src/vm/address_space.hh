@@ -50,7 +50,6 @@ class AddressSpace
      * PD-level leaves (the paper's §VI discussion point).
      */
     void useLargePages(bool enable) { largePages_ = enable; }
-    bool largePagesEnabled() const { return largePages_; }
 
     /**
      * Demand-paging mode: allocate() lays out regions without mapping
@@ -64,7 +63,6 @@ class AddressSpace
                        "demand paging excludes eager large pages");
         demandPaging_ = enable;
     }
-    bool demandPaged() const { return demandPaging_; }
 
     /**
      * Allocates @p bytes of virtual memory (rounded up to whole

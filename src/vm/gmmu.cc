@@ -103,22 +103,6 @@ Gmmu::raiseFault(ContextId ctx, mem::Addr va_page)
 }
 
 void
-Gmmu::pin(ContextId ctx, mem::Addr va_page)
-{
-    ++pins_[keyOf(ctx, va_page)];
-}
-
-void
-Gmmu::unpin(ContextId ctx, mem::Addr va_page)
-{
-    const auto it = pins_.find(keyOf(ctx, va_page));
-    GPUWALK_ASSERT(it != pins_.end() && it->second > 0,
-                   "unpin of unpinned page ", va_page);
-    if (--it->second == 0)
-        pins_.erase(it);
-}
-
-void
 Gmmu::touch(ContextId ctx, mem::Addr va_page)
 {
     const auto it = residentMap_.find(keyOf(ctx, va_page));
@@ -153,23 +137,15 @@ Gmmu::beginBatch()
     GPUWALK_ASSERT(busy_ && !pending_.empty(),
                    "batch began with no pending faults");
     // pending_ is in raise order: the batch takes the oldest faults.
-    batch_.clear();
-    batchPos_ = 0;
-    for (const std::uint64_t key : pending_) {
-        if (batch_.size() == cfg_.batchSize)
-            break;
-        batch_.push_back(key);
-    }
+    batchLeft_ = std::min<std::size_t>(cfg_.batchSize, pending_.size());
     serviceNext();
 }
 
 void
 Gmmu::serviceNext()
 {
-    if (batchPos_ >= batch_.size()) {
+    if (batchLeft_ == 0) {
         busy_ = false;
-        batch_.clear();
-        batchPos_ = 0;
         maybeStartBatch();
         return;
     }
@@ -179,7 +155,7 @@ Gmmu::serviceNext()
 void
 Gmmu::completeFront()
 {
-    const std::uint64_t key = batch_[batchPos_];
+    const std::uint64_t key = pending_.front();
     if (!ensureCapacity()) {
         // Every resident page is pinned by an in-flight walk: those
         // walks complete independently of the fault path, so retry
@@ -196,12 +172,8 @@ Gmmu::completeFront()
     GPUWALK_ASSERT(it != raisedAt_.end(), "serviced fault not pending");
     const sim::Tick raised = it->second;
     raisedAt_.erase(it);
-    // A batch is the oldest pending faults, serviced in raise order,
-    // and new raises only append: the serviced key is the front one.
-    GPUWALK_ASSERT(pending_.front() == key,
-                   "serviced fault out of raise order");
     pending_.pop_front();
-    ++batchPos_;
+    --batchLeft_;
 
     if (testFaults_.dropFirstService && !droppedOne_) {
         // The completion notification is lost: the page is mapped but
@@ -213,7 +185,8 @@ Gmmu::completeFront()
         const sim::Tick latency = eq_.now() - raised;
         latencyHist_.sample(latency);
         if (serviceCallback_)
-            serviceCallback_(ctxOf(key), pageOf(key));
+            serviceCallback_(mem::ctxOfKey(key), mem::pageOfKey(key),
+                             latency);
     }
     serviceNext();
 }
@@ -266,8 +239,8 @@ Gmmu::evict(std::uint64_t key)
     GPUWALK_ASSERT(it != residentMap_.end(),
                    "eviction of non-resident page");
     const ResidentInfo info = it->second;
-    const ContextId ctx = ctxOf(key);
-    const mem::Addr page = pageOf(key);
+    const ContextId ctx = mem::ctxOfKey(key);
+    const mem::Addr page = mem::pageOfKey(key);
 
     if (pinned(key))
         ++pinnedEvictions_; // only reachable via TestFaults
@@ -326,8 +299,8 @@ Gmmu::evict(std::uint64_t key)
 void
 Gmmu::placePage(std::uint64_t key)
 {
-    const ContextId ctx = ctxOf(key);
-    const mem::Addr page = pageOf(key);
+    const ContextId ctx = mem::ctxOfKey(key);
+    const mem::Addr page = mem::pageOfKey(key);
 
     RegionInfo &region = regions_[regionKeyOf(ctx, page)];
     if (!region.tried) {
@@ -414,7 +387,7 @@ Gmmu::registerInvariants(sim::Auditor &auditor)
                         " pages evicted while an in-flight walk "
                         "pinned them");
             if (ctx.final()) {
-                ctx.require(pins_.empty(), pins_.size(),
+                ctx.require(pinCounts_->empty(), pinCounts_->size(),
                             " pages still pinned after the drain");
             }
         });

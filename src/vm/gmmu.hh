@@ -22,8 +22,9 @@
  * the translation function.
  *
  * The Gmmu never touches IOMMU types: the IOMMU attaches callbacks
- * for fault-service completion and eviction notification, and refers
- * to address spaces by the same numeric context id it uses for ASIDs.
+ * for fault-service completion and eviction notification, hands over
+ * its per-page in-flight walk count as the pin count, and refers to
+ * address spaces by the same numeric context id it uses for ASIDs.
  */
 
 #ifndef GPUWALK_VM_GMMU_HH
@@ -116,11 +117,17 @@ class Gmmu
     /** Numeric ASID; mirrors tlb::ContextId without the dependency. */
     using ContextId = std::uint16_t;
 
-    /** Notifies the IOMMU that the fault for (ctx, page) is repaired. */
-    using ServiceCallback = std::function<void(ContextId, mem::Addr)>;
+    /** Notifies the IOMMU that the fault for (ctx, page) is repaired,
+     *  with its raise-to-service latency (ticks). */
+    using ServiceCallback =
+        std::function<void(ContextId, mem::Addr, sim::Tick)>;
 
     /** Notifies the IOMMU that (ctx, page) was evicted (TLB shootdown). */
     using EvictCallback = std::function<void(ContextId, mem::Addr)>;
+
+    /** Walks in flight per mem::pageCtxKey(ctx, page). A page with a
+     *  count is pinned: it is never chosen as an eviction victim. */
+    using PinCounts = sim::FlatMap<std::uint64_t, std::uint32_t>;
 
     /** Targeted faults for audit-coverage tests (tests/test_audit.cc):
      *  each breaks exactly one registered invariant. */
@@ -153,10 +160,13 @@ class Gmmu
 
     /** Caps resident frames (pages); defaults to unlimited. */
     void setFrameCap(std::uint64_t cap);
-    std::uint64_t frameCap() const { return frameCap_; }
 
     void setServiceCallback(ServiceCallback cb);
     void setEvictCallback(EvictCallback cb);
+    /** Reads pins from @p counts, which the caller (the IOMMU's
+     *  in-flight walk count) keeps up to date and alive while this
+     *  Gmmu runs and is audited; no pins without it. */
+    void setPinCounts(const PinCounts &counts) { pinCounts_ = &counts; }
     void setTestFaults(TestFaults faults) { testFaults_ = faults; }
 
     /**
@@ -166,26 +176,16 @@ class Gmmu
      */
     void raiseFault(ContextId ctx, mem::Addr va_page);
 
-    /** Pins @p va_page against eviction while a walk is in flight.
-     *  Pins nest and apply to non-resident pages too (the page stays
-     *  pinned through its fault service). */
-    void pin(ContextId ctx, mem::Addr va_page);
-    void unpin(ContextId ctx, mem::Addr va_page);
-
     /** LRU touch at walk completion. */
     void touch(ContextId ctx, mem::Addr va_page);
 
     bool isResident(ContextId ctx, mem::Addr va_page) const;
 
     std::uint64_t residentPages() const { return residentMap_.size(); }
-    std::uint64_t residentPeak() const { return residentPeak_; }
     std::uint64_t pendingFaults() const { return pending_.size(); }
     std::uint64_t faultsRaised() const { return faultsRaised_; }
     std::uint64_t faultsServiced() const { return faultsServiced_; }
     std::uint64_t pagesEvicted() const { return pagesEvicted_; }
-    std::uint64_t promotions() const { return promotions_; }
-    std::uint64_t demotions() const { return demotions_; }
-    std::uint64_t pinnedPages() const { return pins_.size(); }
 
     /**
      * Registers the Gmmu's conservation invariants:
@@ -193,7 +193,7 @@ class Gmmu
      *    (final: pending == 0)
      *  - gmmu.residency_cap: resident pages <= frame cap
      *  - gmmu.no_pinned_eviction: no page with an in-flight walk was
-     *    ever evicted (final: no pins survive the drain)
+     *    ever evicted (final: no pin count survives the drain)
      *  - gmmu.frame_accounting: resident counters, LRU list, victim
      *    index and free list agree
      */
@@ -212,16 +212,6 @@ class Gmmu
         GPUWALK_ASSERT((va_page & (mem::pageSize - 1)) == 0,
                        "unaligned fault page ", va_page);
         return mem::pageCtxKey(ctx, va_page);
-    }
-    static ContextId
-    ctxOf(std::uint64_t key)
-    {
-        return mem::ctxOfKey(key);
-    }
-    static mem::Addr
-    pageOf(std::uint64_t key)
-    {
-        return mem::pageOfKey(key);
     }
     /** (ctx, 2 MB range) key, same encoding at 2 MB granularity. */
     static std::uint64_t
@@ -250,7 +240,7 @@ class Gmmu
 
     PageTable &pageTableOf(ContextId ctx);
 
-    bool pinned(std::uint64_t key) const { return pins_.contains(key); }
+    bool pinned(std::uint64_t key) const { return pinCounts_->contains(key); }
 
     void maybeStartBatch();
     void beginBatch();
@@ -279,18 +269,20 @@ class Gmmu
 
     std::uint64_t frameCap_ = ~std::uint64_t(0);
 
-    std::deque<std::uint64_t> pending_; ///< keys in raise order
+    /** Keys in raise order. A batch is its oldest faults and new
+     *  raises only append, so the batch in service is its front. */
+    std::deque<std::uint64_t> pending_;
     /** Raise tick of every pending key: the duplicate-raise check and
      *  the service latency, without a scan of pending_. */
     sim::FlatMap<std::uint64_t, sim::Tick> raisedAt_;
-    bool busy_ = false;                ///< a batch is in service
-    std::vector<std::uint64_t> batch_; ///< keys of the current batch
-    std::size_t batchPos_ = 0;
+    bool busy_ = false;         ///< a batch is in service
+    std::size_t batchLeft_ = 0; ///< faults of that batch not yet served
 
     std::map<std::uint64_t, ResidentInfo> residentMap_;
     std::list<std::uint64_t> lru_;          ///< front = coldest
     std::vector<std::uint64_t> denseKeys_;  ///< random-victim index
-    sim::FlatMap<std::uint64_t, std::uint32_t> pins_; ///< nesting
+    static inline const PinCounts noPins_{};
+    const PinCounts *pinCounts_ = &noPins_;
     std::map<std::uint64_t, RegionInfo> regions_;
     std::map<std::uint64_t, std::vector<std::uint64_t>> hostCopy_;
     std::vector<mem::Addr> freeFrames_; ///< recycled 4 KB frames

@@ -812,6 +812,7 @@ struct GmmuAuditHarness
         space->setDemandPaging(true);
         gmmu.registerSpace(0, *space);
         gmmu.setTestFaults(faults);
+        gmmu.setPinCounts(pins);
         gmmu.registerInvariants(auditor);
         region = space->allocate("buf", 64 * mem::pageSize);
     }
@@ -829,6 +830,8 @@ struct GmmuAuditHarness
     vm::VaRegion region;
     Auditor auditor;
     vm::Gmmu gmmu;
+    /** Stands in for the IOMMU's in-flight walk count. */
+    vm::Gmmu::PinCounts pins;
 };
 
 TEST(GmmuAuditFault, CleanFaultingRunsAuditClean)
@@ -905,10 +908,10 @@ TEST(GmmuAuditFault, PrematurePinnedEvictionFiresNoPinnedEviction)
     h.gmmu.setFrameCap(1);
     h.gmmu.raiseFault(0, h.pageAt(0));
     drain(h.eq);
-    h.gmmu.pin(0, h.pageAt(0));
+    h.pins[mem::pageCtxKey(0, h.pageAt(0))] = 1;
     h.gmmu.raiseFault(0, h.pageAt(1)); // must evict, only victim pinned
     drain(h.eq);
-    h.gmmu.unpin(0, h.pageAt(0));
+    h.pins.clear();
 
     h.auditor.check(AuditPhase::Final, h.eq.now());
     EXPECT_FALSE(h.auditor.clean());

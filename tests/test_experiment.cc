@@ -85,7 +85,6 @@ TEST(ExperimentHelpers, RunOneProducesConsistentResult)
         runOne(SystemConfig::baseline(), "KMN", tinyParams());
     EXPECT_EQ(result.workload, "KMN");
     EXPECT_EQ(result.scheduler, "fcfs");
-    EXPECT_EQ(result.schedulerKind, core::SchedulerKind::Fcfs);
     EXPECT_EQ(result.stats.instructions, 16u * 6u);
 }
 

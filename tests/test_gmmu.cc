@@ -71,9 +71,12 @@ struct GmmuHarness
             regions.push_back(
                 spaces.back()->allocate("buf", 2048 * mem::pageSize));
         }
-        gmmu.setServiceCallback([this](Ctx ctx, mem::Addr page) {
-            serviced.emplace_back(ctx, page);
-        });
+        gmmu.setServiceCallback(
+            [this](Ctx ctx, mem::Addr page, sim::Tick latency) {
+                serviced.emplace_back(ctx, page);
+                latencies.push_back(latency);
+            });
+        gmmu.setPinCounts(pins);
     }
 
     mem::Addr
@@ -95,7 +98,10 @@ struct GmmuHarness
     std::vector<std::unique_ptr<vm::AddressSpace>> spaces;
     std::vector<vm::VaRegion> regions;
     vm::Gmmu gmmu;
+    /** Stands in for the IOMMU's in-flight walk count. */
+    vm::Gmmu::PinCounts pins;
     std::vector<std::pair<Ctx, mem::Addr>> serviced;
+    std::vector<sim::Tick> latencies;
 };
 
 TEST(GmmuTest, FaultServiceMapsThePageAndReportsIt)
@@ -116,8 +122,12 @@ TEST(GmmuTest, FaultServiceMapsThePageAndReportsIt)
     EXPECT_EQ(h.gmmu.faultsServiced(), 1u);
     ASSERT_EQ(h.serviced.size(), 1u);
     EXPECT_EQ(h.serviced[0], std::make_pair(Ctx{0}, page));
-    // One batch: interrupt cost + one migration.
+    // One batch: interrupt cost + one migration, raised at tick 0 and
+    // reported with the service.
     EXPECT_GE(h.eq.now(), sim::Tick{1'100});
+    ASSERT_EQ(h.latencies.size(), 1u);
+    EXPECT_EQ(h.latencies[0], sim::Tick{1'100});
+    EXPECT_EQ(h.gmmu.summarize().latencyAvg, 1'100.0);
 }
 
 TEST(GmmuTest, ResidencyNeverExceedsCapUnderFuzzedFaultStorms)
@@ -138,9 +148,10 @@ TEST(GmmuTest, ResidencyNeverExceedsCapUnderFuzzedFaultStorms)
 
         sim::Rng rng(7 + static_cast<std::uint64_t>(evict) * 2);
         std::set<mem::Addr> outstanding; // raised, not yet serviced
-        h.gmmu.setServiceCallback([&outstanding](Ctx, mem::Addr page) {
-            outstanding.erase(page);
-        });
+        h.gmmu.setServiceCallback(
+            [&outstanding](Ctx, mem::Addr page, sim::Tick) {
+                outstanding.erase(page);
+            });
 
         for (int step = 0; step < 400; ++step) {
             const mem::Addr page =
@@ -185,7 +196,7 @@ TEST(GmmuTest, PinnedPageIsNeverEvicted)
 
     // a is the LRU victim-to-be; pinning it must divert the eviction
     // to b even under LRU order.
-    h.gmmu.pin(0, a);
+    h.pins[mem::pageCtxKey(0, a)] = 1;
     h.gmmu.raiseFault(0, c);
     h.drain();
 
@@ -193,7 +204,7 @@ TEST(GmmuTest, PinnedPageIsNeverEvicted)
     EXPECT_FALSE(h.gmmu.isResident(0, b));
     EXPECT_TRUE(h.gmmu.isResident(0, c));
     EXPECT_EQ(h.gmmu.pagesEvicted(), 1u);
-    h.gmmu.unpin(0, a);
+    h.pins.erase(mem::pageCtxKey(0, a));
 
     sim::Auditor auditor;
     h.gmmu.registerInvariants(auditor);
@@ -214,8 +225,8 @@ TEST(GmmuTest, AllPinnedResidencyStallsServicingUntilPinsDrain)
     h.drain();
     h.gmmu.raiseFault(0, b);
     h.drain();
-    h.gmmu.pin(0, a);
-    h.gmmu.pin(0, b);
+    h.pins[mem::pageCtxKey(0, a)] = 1;
+    h.pins[mem::pageCtxKey(0, b)] = 1;
 
     // Every resident page is pinned: the fault for c must retry, not
     // evict a pinned page and not deadlock.
@@ -226,8 +237,7 @@ TEST(GmmuTest, AllPinnedResidencyStallsServicingUntilPinsDrain)
     EXPECT_EQ(h.gmmu.pendingFaults(), 1u);
     EXPECT_GT(h.gmmu.summarize().serviceRetries, 0u);
 
-    h.gmmu.unpin(0, a);
-    h.gmmu.unpin(0, b);
+    h.pins.clear();
     h.drain();
     EXPECT_TRUE(h.gmmu.isResident(0, c));
     EXPECT_FALSE(h.gmmu.isResident(0, a)); // LRU victim once unpinned

@@ -70,9 +70,10 @@ struct HighAsidGmmuHarness
             regions.push_back(
                 spaces.back()->allocate("buf", 64 * mem::pageSize));
         }
-        gmmu.setServiceCallback([this](Ctx ctx, Addr page) {
+        gmmu.setServiceCallback([this](Ctx ctx, Addr page, sim::Tick) {
             serviced.emplace_back(ctx, page);
         });
+        gmmu.setPinCounts(pins);
     }
 
     static vm::GmmuConfig
@@ -112,6 +113,8 @@ struct HighAsidGmmuHarness
     std::vector<std::unique_ptr<vm::AddressSpace>> spaces;
     std::vector<vm::VaRegion> regions;
     vm::Gmmu gmmu;
+    /** Stands in for the IOMMU's in-flight walk count. */
+    vm::Gmmu::PinCounts pins;
     std::vector<std::pair<Ctx, Addr>> serviced;
 };
 
@@ -152,15 +155,32 @@ TEST(HighAsidAliasing, PinCountsAreNotShared)
     HighAsidGmmuHarness h;
     const Addr hi = h.highPage(), lo = h.lowAliasPage();
 
-    h.gmmu.pin(highCtx, hi);
-    h.gmmu.pin(0, lo);
+    ++h.pins[mem::pageCtxKey(highCtx, hi)];
+    ++h.pins[mem::pageCtxKey(0, lo)];
     // Old keys collapsed both pins onto one entry (count 2); the
     // first unpin then left the OTHER tenant's page unprotected.
-    EXPECT_EQ(h.gmmu.pinnedPages(), 2u);
-    h.gmmu.unpin(highCtx, hi);
-    EXPECT_EQ(h.gmmu.pinnedPages(), 1u);
-    h.gmmu.unpin(0, lo);
-    EXPECT_EQ(h.gmmu.pinnedPages(), 0u);
+    EXPECT_EQ(h.pins.size(), 2u);
+    h.pins.erase(mem::pageCtxKey(highCtx, hi));
+    EXPECT_EQ(h.pins.size(), 1u);
+
+    // The GMMU reads the pins under the same keys: with only ctx 0's
+    // page pinned and room for two pages, the high-ASID twin is the
+    // victim even though it is not the coldest page.
+    h.gmmu.setFrameCap(2);
+    h.gmmu.raiseFault(0, lo);
+    h.drain();
+    h.gmmu.raiseFault(highCtx, hi);
+    h.drain();
+    h.gmmu.raiseFault(0, lo + mem::pageSize);
+    // Bounded: were both twins pinned, the service would retry forever.
+    for (int i = 0; i < 64 && h.eq.runOne(); ++i) {
+    }
+    EXPECT_TRUE(h.gmmu.isResident(0, lo + mem::pageSize));
+    EXPECT_TRUE(h.gmmu.isResident(0, lo));
+    EXPECT_FALSE(h.gmmu.isResident(highCtx, hi));
+
+    h.pins.erase(mem::pageCtxKey(0, lo));
+    EXPECT_EQ(h.pins.size(), 0u);
 }
 
 /** IOMMU + GMMU end to end: the faulted_ parking map must keep the

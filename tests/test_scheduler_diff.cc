@@ -143,12 +143,14 @@ TEST(SchedulerDiff, FcfsMatchesReferenceScan)
         });
 }
 
-/** Simt family: production scheduler vs. SimtScan under one config. */
+/** Simt family: production scheduler vs. SimtScan, one kind and
+ *  config. */
 void
-runSimtDiff(const SimtSchedulerConfig &cfg, const StreamOptions &opt)
+runSimtDiff(SchedulerKind kind, const SimtSchedulerConfig &cfg,
+            const StreamOptions &opt)
 {
-    SimtAwareScheduler sched(cfg);
-    reference::SimtScan ref(cfg);
+    SimtAwareScheduler sched(kind, cfg);
+    reference::SimtScan ref(kind, cfg);
     runStream(
         opt,
         [&](const WalkBuffer &buf) { return sched.selectNext(buf); },
@@ -169,21 +171,19 @@ runSimtDiff(const SimtSchedulerConfig &cfg, const StreamOptions &opt)
 
 TEST(SchedulerDiff, SjfOnlyMatchesReferenceScan)
 {
-    SimtSchedulerConfig cfg;
-    cfg.enableBatching = false;
-    runSimtDiff(cfg, {.seed = 103, .withScores = true});
+    runSimtDiff(SchedulerKind::SjfOnly, {},
+                {.seed = 103, .withScores = true});
 }
 
 TEST(SchedulerDiff, BatchOnlyMatchesReferenceScan)
 {
-    SimtSchedulerConfig cfg;
-    cfg.enableSjf = false;
-    runSimtDiff(cfg, {.seed = 105});
+    runSimtDiff(SchedulerKind::BatchOnly, {}, {.seed = 105});
 }
 
 TEST(SchedulerDiff, SimtAwareMatchesReferenceScan)
 {
-    runSimtDiff({}, {.seed = 107, .withScores = true});
+    runSimtDiff(SchedulerKind::SimtAware, {},
+                {.seed = 107, .withScores = true});
 }
 
 TEST(SchedulerDiff, SimtAwareWithAgingPressureMatchesReferenceScan)
@@ -193,10 +193,11 @@ TEST(SchedulerDiff, SimtAwareWithAgingPressureMatchesReferenceScan)
     // tightening miss path.
     SimtSchedulerConfig cfg;
     cfg.agingThreshold = 4;
-    runSimtDiff(cfg, {.seed = 109,
-                      .withScores = true,
-                      .preAgedPercent = 10,
-                      .agingThreshold = cfg.agingThreshold});
+    runSimtDiff(SchedulerKind::SimtAware, cfg,
+                {.seed = 109,
+                 .withScores = true,
+                 .preAgedPercent = 10,
+                 .agingThreshold = cfg.agingThreshold});
 }
 
 TEST(SchedulerDiff, SimtAwareWithSaturatedCountersMatchesReferenceScan)
@@ -205,10 +206,11 @@ TEST(SchedulerDiff, SimtAwareWithSaturatedCountersMatchesReferenceScan)
     // qualifying for the aging override.
     SimtSchedulerConfig cfg;
     cfg.agingThreshold = 64;
-    runSimtDiff(cfg, {.seed = 111,
-                      .withScores = true,
-                      .preAgedPercent = 25,
-                      .agingThreshold = cfg.agingThreshold});
+    runSimtDiff(SchedulerKind::SimtAware, cfg,
+                {.seed = 111,
+                 .withScores = true,
+                 .preAgedPercent = 25,
+                 .agingThreshold = cfg.agingThreshold});
 }
 
 } // namespace

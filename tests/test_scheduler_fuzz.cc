@@ -276,7 +276,7 @@ TEST(SchedulerFuzz, AgingGuaranteesEventualService)
     // in-flight window times.
     SimtSchedulerConfig cfg;
     cfg.agingThreshold = 32;
-    SimtAwareScheduler sched(cfg);
+    SimtAwareScheduler sched(SchedulerKind::SimtAware, cfg);
     drive(
         sched,
         [&](const WalkBuffer &buf, std::size_t, WalkScheduler &) {

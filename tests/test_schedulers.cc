@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <set>
 
 #include "core/fcfs_scheduler.hh"
@@ -128,9 +129,7 @@ TEST(SimtAware, BatchesWithLastDispatchedInstruction)
 
 TEST(SimtAware, SjfOnlyVariantDoesNotBatch)
 {
-    SimtSchedulerConfig cfg;
-    cfg.enableBatching = false;
-    SimtAwareScheduler sched(cfg);
+    SimtAwareScheduler sched(SchedulerKind::SjfOnly);
     EXPECT_EQ(sched.name(), "sjf-only");
 
     WalkBuffer buf(8);
@@ -145,9 +144,7 @@ TEST(SimtAware, SjfOnlyVariantDoesNotBatch)
 
 TEST(SimtAware, BatchOnlyVariantIgnoresScores)
 {
-    SimtSchedulerConfig cfg;
-    cfg.enableSjf = false;
-    SimtAwareScheduler sched(cfg);
+    SimtAwareScheduler sched(SchedulerKind::BatchOnly);
     EXPECT_EQ(sched.name(), "batch-only");
     EXPECT_FALSE(sched.needsScores());
 
@@ -162,7 +159,7 @@ TEST(SimtAware, AgingOverridesEverything)
 {
     SimtSchedulerConfig cfg;
     cfg.agingThreshold = 3;
-    SimtAwareScheduler sched(cfg);
+    SimtAwareScheduler sched(SchedulerKind::SimtAware, cfg);
 
     WalkBuffer buf(8);
     buf.insert(walk(0, 1, 100)); // expensive, will starve
@@ -224,7 +221,7 @@ TEST(SimtAware, SaturatedBypassStillTriggersAging)
 {
     SimtSchedulerConfig cfg;
     cfg.agingThreshold = 3;
-    SimtAwareScheduler sched(cfg);
+    SimtAwareScheduler sched(SchedulerKind::SimtAware, cfg);
     WalkBuffer buf(8);
     auto starving = walk(0, 1, 100);
     starving.bypassed = ~std::uint64_t{0};
@@ -237,27 +234,36 @@ TEST(SimtAware, SaturatedBypassStillTriggersAging)
 
 TEST(SchedulerAging, TracksAgingMatrix)
 {
-    // FCFS dispatches in arrival order, so it skips the bypass
-    // bookkeeping entirely and advertises that to the auditor; every
-    // other policy maintains the counters.
+    // FCFS and Random have no aging override, so they skip the bypass
+    // bookkeeping entirely and advertise that to the auditor; the
+    // SIMT-aware family maintains the counters for its override.
     EXPECT_FALSE(FcfsScheduler{}.tracksAging());
-    EXPECT_TRUE(RandomScheduler{1}.tracksAging());
-    EXPECT_TRUE(SimtAwareScheduler{}.tracksAging());
+    EXPECT_FALSE(RandomScheduler{1}.tracksAging());
+    for (auto kind : {SchedulerKind::SimtAware, SchedulerKind::SjfOnly,
+                      SchedulerKind::BatchOnly})
+        EXPECT_TRUE(SimtAwareScheduler{kind}.tracksAging());
 }
 
 TEST(FcfsScheduler, DispatchLeavesBypassCountersAtZero)
 {
-    FcfsScheduler sched;
-    WalkBuffer buf(8);
-    buf.insert(walk(0, 1, 0));
-    buf.insert(walk(1, 2, 0));
-    buf.insert(walk(2, 3, 0));
     // FCFS always extracts the oldest, so nothing is ever bypassed —
     // and its onDispatch must not touch the counters either way.
-    auto w = buf.extract(sched.selectNext(buf));
-    sched.onDispatch(buf, w);
-    for (const auto &e : buf.entries())
-        EXPECT_EQ(e.bypassed, 0u);
+    // Random does bypass older entries, but with no aging override it
+    // keeps no counters, as tracksAging() == false promises.
+    FcfsScheduler fcfs;
+    RandomScheduler random(5);
+    for (WalkScheduler *sched :
+         std::initializer_list<WalkScheduler *>{&fcfs, &random}) {
+        WalkBuffer buf(8);
+        for (std::uint64_t i = 0; i < 6; ++i)
+            buf.insert(walk(i, i + 1, 0));
+        while (buf.size() > 1) {
+            auto w = buf.extract(sched->selectNext(buf));
+            sched->onDispatch(buf, w);
+            for (const auto &e : buf.entries())
+                EXPECT_EQ(e.bypassed, 0u) << sched->name();
+        }
+    }
 }
 
 TEST(SimtAware, FailedBatchProbeClearsStaleLastInstruction)
@@ -314,6 +320,17 @@ TEST(SchedulerFactoryDeathTest, RemovedKindsAreUnknown)
         EXPECT_EXIT(schedulerKindFromString(name),
                     ::testing::ExitedWithCode(1), "unknown scheduler")
             << name;
+    }
+}
+
+TEST(SimtAwareDeathTest, NonSimtKindIsFatal)
+{
+    // The kind picks the rules; a kind with neither rule is a bug.
+    for (auto kind : {SchedulerKind::Fcfs, SchedulerKind::Random,
+                      SchedulerKind::WeightedShare}) {
+        EXPECT_DEATH(SimtAwareScheduler{kind},
+                     "not a SIMT-aware scheduler kind")
+            << toString(kind);
     }
 }
 

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "exp/run.hh"
+#include "exp/sweep.hh"
 #include "trace/chrome_export.hh"
 #include "trace/digest.hh"
 #include "trace/trace.hh"
@@ -272,35 +274,73 @@ TEST(ChromeExport, ByteStableAcrossIdenticalTracers)
 
 TEST(TraceFilePathTest, UniquifiesPerRunAndKeepsExtension)
 {
-    auto cfg = system::SystemConfig::baseline();
-    cfg.trace.enabled = true;
-    cfg.trace.outPath = "out/trace.json";
+    const auto path = exp::traceFilePath("out/trace.json", "MVT", "fcfs",
+                                         "", 7);
+    EXPECT_EQ(path, "out/trace-MVT-fcfs-s7.json");
 
-    const auto path = exp::traceFilePath(cfg, "MVT", 7);
-    EXPECT_EQ(path.rfind("out/trace-MVT-fcfs-", 0), 0u) << path;
-    EXPECT_NE(path.find("-s7.json"), std::string::npos) << path;
+    // Every job label lands in the name: scheduler, seed and variant.
+    EXPECT_NE(exp::traceFilePath("out/trace.json", "MVT", "simt-aware",
+                                 "", 7),
+              path);
+    EXPECT_NE(exp::traceFilePath("out/trace.json", "MVT", "fcfs", "", 8),
+              path);
+    EXPECT_EQ(exp::traceFilePath("out/trace.json", "MVT", "fcfs", "2M",
+                                 7),
+              "out/trace-MVT-fcfs-2M-s7.json");
 
-    // Different schedulers and seeds land in different files.
-    auto other = cfg;
-    other.scheduler = core::SchedulerKind::SimtAware;
-    EXPECT_NE(exp::traceFilePath(other, "MVT", 7), path);
-    EXPECT_NE(exp::traceFilePath(cfg, "MVT", 8), path);
-
-    // A config change (new fingerprint) also changes the name, so
-    // sweep variants cannot collide.
-    auto variant = cfg;
-    variant.iommu.numWalkers = 16;
-    EXPECT_NE(exp::traceFilePath(variant, "MVT", 7), path);
+    // Labels are free text; they become one safe path component.
+    EXPECT_EQ(exp::traceFilePath("t.json", "mix8", "fcfs",
+                                 "(a) 1024 L2 TLB, 8/16", 1),
+              "t-mix8-fcfs-_a__1024_L2_TLB__8_16-s1.json");
 }
 
 TEST(TraceFilePathTest, HandlesExtensionlessPaths)
 {
-    auto cfg = system::SystemConfig::baseline();
-    cfg.trace.enabled = true;
-    cfg.trace.outPath = "trace_dump";
-    const auto path = exp::traceFilePath(cfg, "KMN", 1);
-    EXPECT_EQ(path.rfind("trace_dump-KMN-fcfs-", 0), 0u) << path;
-    EXPECT_NE(path.find("-s1"), std::string::npos) << path;
+    EXPECT_EQ(exp::traceFilePath("trace_dump", "KMN", "fcfs", "", 1),
+              "trace_dump-KMN-fcfs-s1");
+    // A dot in a directory name is not an extension.
+    EXPECT_EQ(exp::insertPathSuffix("out.d/trace", "-fcfs"),
+              "out.d/trace-fcfs");
+    EXPECT_EQ(exp::insertPathSuffix("out.d/trace.json", "-fcfs"),
+              "out.d/trace-fcfs.json");
+}
+
+TEST(TraceFilePathTest, SweepVariantsDifferingInUnprintedFieldsGetOwnFiles)
+{
+    // None of these fields is in SystemConfig::print(), so a
+    // config-fingerprint name gave each pair of variants one file.
+    exp::SweepSpec spec;
+    spec.base.trace.enabled = true;
+    spec.base.trace.outPath = "tr/t.json";
+    spec.workloads = {"MVT", "XSB"};
+    spec.schedulers = {core::SchedulerKind::Fcfs,
+                       core::SchedulerKind::SimtAware};
+    spec.variants = {
+        {"base", nullptr},
+        {"2M",
+         [](system::SystemConfig &, workload::WorkloadParams &params) {
+             params.useLargePages = true;
+         }},
+        {"virt",
+         [](system::SystemConfig &cfg, workload::WorkloadParams &) {
+             cfg.gpu.virtualL1Cache = true;
+         }},
+        {"aging",
+         [](system::SystemConfig &cfg, workload::WorkloadParams &) {
+             cfg.simt.agingThreshold = 64;
+         }},
+    };
+    std::set<std::string> paths;
+    spec.body = [&paths](const exp::JobSpec &job) {
+        paths.insert(job.cfg.trace.outPath);
+        return exp::RunResult{};
+    };
+    const auto jobs = spec.expand();
+    for (const auto &job : jobs)
+        job.body();
+    EXPECT_EQ(jobs.size(), 16u);
+    EXPECT_EQ(paths.size(), jobs.size());
+    EXPECT_TRUE(paths.count("tr/t-XSB-simt-aware-aging-s42.json"));
 }
 
 } // namespace

@@ -25,7 +25,6 @@ TEST(WalkMetrics, EmptySummary)
 TEST(WalkMetrics, SingleWalkInstructionIsNotMultiWalk)
 {
     WalkMetrics m;
-    m.onArrival(1);
     m.onDispatch(1);
     m.onComplete(1, 100, 500, 2);
     const auto s = m.summarize();
@@ -39,8 +38,6 @@ TEST(WalkMetrics, ContiguousDispatchIsNotInterleaved)
 {
     WalkMetrics m;
     for (int i = 0; i < 3; ++i)
-        m.onArrival(1);
-    for (int i = 0; i < 3; ++i)
         m.onDispatch(1);
     for (int i = 0; i < 3; ++i)
         m.onComplete(1, 0, 100 + i, 1);
@@ -52,9 +49,6 @@ TEST(WalkMetrics, ContiguousDispatchIsNotInterleaved)
 TEST(WalkMetrics, ForeignDispatchBetweenSiblingsIsInterleaved)
 {
     WalkMetrics m;
-    m.onArrival(1);
-    m.onArrival(1);
-    m.onArrival(2);
     m.onDispatch(1);
     m.onDispatch(2); // interleaves instruction 1
     m.onDispatch(1);
@@ -70,8 +64,6 @@ TEST(WalkMetrics, ForeignDispatchBetweenSiblingsIsInterleaved)
 TEST(WalkMetrics, FirstAndLastCompletionLatencies)
 {
     WalkMetrics m;
-    m.onArrival(1);
-    m.onArrival(1);
     m.onDispatch(1);
     m.onDispatch(1);
     // First completes at 150 (latency 50), last at 400 (latency 300).
@@ -86,8 +78,6 @@ TEST(WalkMetrics, FirstAndLastCompletionLatencies)
 TEST(WalkMetrics, CompletionOrderIndependent)
 {
     WalkMetrics m;
-    m.onArrival(1);
-    m.onArrival(1);
     m.onDispatch(1);
     m.onDispatch(1);
     // Report the later completion first.
@@ -102,18 +92,14 @@ TEST(WalkMetrics, WorkBucketsFollowFig3Bounds)
 {
     WalkMetrics m;
     // Instruction 1: 10 accesses -> bucket 0 (1-16).
-    m.onArrival(1);
     m.onDispatch(1);
     m.onComplete(1, 0, 1, 10);
     // Instruction 2: 2 walks x 32 accesses = 64 -> bucket 3 (49-64).
-    m.onArrival(2);
-    m.onArrival(2);
     m.onDispatch(2);
     m.onDispatch(2);
     m.onComplete(2, 0, 1, 4);
     m.onComplete(2, 0, 2, 60);
     // Instruction 3: 100 accesses -> bucket 5 (81-256).
-    m.onArrival(3);
     m.onDispatch(3);
     m.onComplete(3, 0, 1, 100);
 
@@ -129,11 +115,8 @@ TEST(WalkMetrics, FractionsAverageOverMultiWalkOnly)
 {
     WalkMetrics m;
     // One single-walk instruction and one multi-walk instruction.
-    m.onArrival(1);
     m.onDispatch(1);
     m.onComplete(1, 0, 5, 1);
-    m.onArrival(2);
-    m.onArrival(2);
     m.onDispatch(2);
     m.onDispatch(2);
     m.onComplete(2, 0, 10, 1);

@@ -93,8 +93,12 @@ soloJob(const system::SystemConfig &base,
     exp::Job job;
     job.workload = soloLabel(tenant);
     job.scheduler = core::toString(core::SchedulerKind::SimtAware);
-    const auto cfg =
-        exp::withScheduler(base, core::SchedulerKind::SimtAware);
+    auto cfg = exp::withScheduler(base, core::SchedulerKind::SimtAware);
+    if (!cfg.trace.outPath.empty()) {
+        cfg.trace.outPath =
+            exp::traceFilePath(cfg.trace.outPath, job.workload,
+                               job.scheduler, "", spec.params.seed);
+    }
     job.body = [cfg, spec] {
         return exp::runOne(cfg, spec.workload, spec.params);
     };

@@ -160,19 +160,6 @@ listWorkloads()
     }
 }
 
-/** "out.json" + "-fcfs" -> "out-fcfs.json" (for --compare traces). */
-std::string
-insertPathSuffix(const std::string &path, const std::string &suffix)
-{
-    const auto slash = path.find_last_of('/');
-    auto dot = path.find_last_of('.');
-    if (dot == std::string::npos
-        || (slash != std::string::npos && dot < slash)) {
-        dot = path.size();
-    }
-    return path.substr(0, dot) + suffix + path.substr(dot);
-}
-
 /** Mix shape for --tenants=N, derived from the workload flags. */
 workload::TenantMixConfig
 mixFromOptions(const exp::CliOptions &opt)
@@ -387,7 +374,7 @@ runMain(const exp::CliOptions &opt)
         // One trace file per scheduler: both runs would otherwise
         // race on (and overwrite) the same --trace-out path.
         if (!run_cfg.trace.outPath.empty()) {
-            run_cfg.trace.outPath = insertPathSuffix(
+            run_cfg.trace.outPath = exp::insertPathSuffix(
                 run_cfg.trace.outPath, "-" + core::toString(kinds[i]));
         }
         job.body = [&runs, i, run_cfg, &opt] {
