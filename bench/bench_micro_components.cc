@@ -61,6 +61,36 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
+/**
+ * The simulator's own timing pattern: almost every event falls on a
+ * multiple of 250 ticks (half a GPU cycle), spread over the whole
+ * bucket window rather than packed into its first ticks. Each pass
+ * schedules 1024 empty callables at the 262 multiples of 250 below
+ * windowTicks, in a scattered order, and runs them all; successive
+ * passes start where the last one ended, so the queue's whole bucket
+ * array is swept as in a long simulation.
+ */
+void
+BM_EventQueueScheduleRunSpread(benchmark::State &state)
+{
+    constexpr int events = 1024;
+    constexpr sim::Tick step = 250;
+    constexpr sim::Tick steps = sim::EventQueue::windowTicks / step;
+    sim::EventQueue eq;
+    const auto pass = [&eq] {
+        for (int i = 0; i < events; ++i)
+            eq.scheduleIn(step * (static_cast<sim::Tick>(i) * 37 % steps),
+                          [] {});
+        eq.run();
+    };
+    pass(); // grow the node slabs before timing
+    for (auto _ : state)
+        pass();
+    benchmark::DoNotOptimize(eq.executed());
+    state.SetItemsProcessed(state.iterations() * events);
+}
+BENCHMARK(BM_EventQueueScheduleRunSpread);
+
 void
 BM_TlbLookupHit(benchmark::State &state)
 {

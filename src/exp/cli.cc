@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <string_view>
 
@@ -102,6 +103,19 @@ toPath(std::string_view flag, const std::string &v)
     return v;
 }
 
+/** A path written only after the simulation: its directory must
+ *  exist now, or the run would simulate to its end and then fail. */
+std::string
+toOutPath(std::string_view flag, const std::string &v)
+{
+    const auto dir = std::filesystem::path(toPath(flag, v)).parent_path();
+    if (!dir.empty() && !std::filesystem::is_directory(dir)) {
+        sim::fatal("--", flag, " '", v, "': directory '", dir.string(),
+                   "' does not exist");
+    }
+    return v;
+}
+
 /** Every flag of both commands. */
 const Flag flags[] = {
     // Common to both commands.
@@ -113,11 +127,11 @@ const Flag flags[] = {
      }},
     {"json", Both, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.jsonPath = toPath("json", v);
+         o.jsonPath = toOutPath("json", v);
      }},
     {"trace-out", Both, Arity::Required,
      [](CliOptions &o, const std::string &v) {
-         o.cfg.trace.outPath = toPath("trace-out", v);
+         o.cfg.trace.outPath = toOutPath("trace-out", v);
          o.cfg.trace.enabled = true;
      }},
     {"trace-ring", Both, Arity::Required,

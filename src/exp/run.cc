@@ -39,6 +39,16 @@ traceFilePath(const std::string &base, const std::string &workload,
     return insertPathSuffix(base, suffix + "-s" + std::to_string(seed));
 }
 
+system::RunStats
+runAndWriteTrace(system::System &sys)
+{
+    system::RunStats stats = sys.run();
+    const std::string &path = sys.config().trace.outPath;
+    if (sys.tracer() && !path.empty())
+        trace::writeChromeTraceFile(path, *sys.tracer());
+    return stats;
+}
+
 RunResult
 runOne(const system::SystemConfig &cfg, const std::string &workload,
        const workload::WorkloadParams &params)
@@ -49,9 +59,7 @@ runOne(const system::SystemConfig &cfg, const std::string &workload,
     result.workload = workload;
     result.scheduler = core::toString(cfg.scheduler);
     result.seed = params.seed;
-    result.stats = sys.run();
-    if (sys.tracer() && !cfg.trace.outPath.empty())
-        trace::writeChromeTraceFile(cfg.trace.outPath, *sys.tracer());
+    result.stats = runAndWriteTrace(sys);
     return result;
 }
 

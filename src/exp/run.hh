@@ -37,12 +37,19 @@ struct RunResult
 };
 
 /**
- * Builds a fresh System with @p cfg, loads @p workload, runs it.
- * Every run is fully independent (own page table, TLBs, RNG streams),
- * which is what lets the ParallelRunner execute runs concurrently
- * without perturbing their simulated behaviour. A traced run writes
- * its Chrome trace to cfg.trace.outPath as given (a sweep names one
- * per job with traceFilePath()).
+ * Runs the loaded @p sys to its end and, when it is traced to a file,
+ * writes its Chrome trace to its config's trace.outPath as given (a
+ * sweep names one per job with traceFilePath()). Every run, whether
+ * runOne() builds it or an experiment or the CLI does by hand, ends
+ * here, so each traced run leaves its own file.
+ */
+system::RunStats runAndWriteTrace(system::System &sys);
+
+/**
+ * Builds a fresh System with @p cfg, loads @p workload, runs it with
+ * runAndWriteTrace(). Every run is fully independent (own page table,
+ * TLBs, RNG streams), which is what lets the ParallelRunner execute
+ * runs concurrently without perturbing their simulated behaviour.
  */
 RunResult runOne(const system::SystemConfig &cfg,
                  const std::string &workload,

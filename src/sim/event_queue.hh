@@ -12,31 +12,38 @@
  *
  * Structure
  * ---------
- * Tier 1 (near future): one single-tick bucket per tick in the window
- * [now, now + windowTicks). Ticks are picoseconds and the common
+ * Tier 1 (near future): one bucket per slot of slotTicks (256) ticks,
+ * over the slot-aligned window of the 256 slots from slot(now), i.e.
+ * windowTicks (2^16) ticks. Ticks are picoseconds and the common
  * scheduling distances in this simulator (GPU cycle 500, IOMMU hop
  * 25000, DRAM CAS ~13750, bank-conflict reissue ~41k) all fit inside
- * the 2^16-tick window, so almost every event lands in a bucket:
- * scheduling is an append to a per-tick FIFO list and dispatch is a
- * bitmap scan to the next occupied bucket. Because the window spans
- * exactly windowTicks ticks, `when % windowTicks` is collision-free
- * and every bucket holds events of a single tick.
+ * the window, so almost every event lands in a bucket. Nearly every
+ * event falls on a multiple of 250 ticks, so a slot holds at most two
+ * distinct ticks of that pattern, and the 256 buckets (4 KiB) stay in
+ * the host's cache; a bucket per tick would spread them over 1 MiB.
+ * Because the window spans exactly numBuckets slots, `slot %
+ * numBuckets` is collision-free and every bucket holds events of a
+ * single slot, kept in (tick, seq) order: scheduling appends at the
+ * tail when the event sorts last (the common case) and dispatch is a
+ * bitmap scan to the next occupied slot, whose head is the earliest
+ * pending event.
  *
- * Tier 2 (far future): events at `when - now >= windowTicks` go to a
- * small overflow min-heap. runOne() migrates them into buckets once
- * they come within the window; when only far-future events remain,
- * time jumps directly to the earliest one.
+ * Tier 2 (far future): events whose slot lies numBuckets or more slots
+ * past slot(now) go to a small overflow min-heap. runOne() migrates
+ * them into buckets once they come within the window; when only
+ * far-future events remain, time jumps directly to the earliest one.
  *
  * A node holds the capture in inline storage and its own slot handle,
  * which returns it to the table after the callable ran. A capture that
  * does not fit inline is a compile error, so no scheduled callable
  * ever allocates.
  *
- * Ordering subtlety: a migrated overflow event can carry a *lower*
- * insertion sequence than events already sitting in its bucket (they
- * were scheduled later, but near). Migration therefore inserts in seq
- * order; fresh inserts, whose seq is by construction the largest,
- * append at the tail.
+ * Ordering subtlety: a bucket can hold several ticks of its slot, and
+ * a migrated overflow event can carry a *lower* insertion sequence
+ * than events already sitting in its bucket (they were scheduled
+ * later, but near). An insert therefore walks to its (tick, seq)
+ * place unless it sorts after the tail, which a fresh insert at the
+ * slot's latest tick does by construction.
  */
 
 #ifndef GPUWALK_SIM_EVENT_QUEUE_HH
@@ -45,9 +52,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -65,7 +71,7 @@ namespace detail {
 
 /**
  * The event node: a type-erased callable stored inline, linked into
- * its tick bucket or parked in the overflow heap. The hot dispatch
+ * its slot bucket or parked in the overflow heap. The hot dispatch
  * path uses a fused invoke-and-destroy thunk (one indirect call); the
  * separate destroy thunk exists only for queue teardown with events
  * still pending.
@@ -135,19 +141,15 @@ class PooledEvent
 class EventQueue
 {
   public:
-    /** Span of the near-future bucket window, in ticks. */
+    /** Ticks per slot, the span one bucket covers; slots start at
+     *  multiples of slotTicks. */
+    static constexpr Tick slotTicks = Tick(1) << 8;
+
+    /** Span of the near-future bucket window, in ticks: numBuckets
+     *  slots starting at now()'s slot. */
     static constexpr Tick windowTicks = Tick(1) << 16;
 
-    EventQueue()
-    {
-        // Deliberately uninitialised: the occupancy bitmap is the
-        // validity gate — a bucket is read only when its bit is set,
-        // and the bit is set only after the bucket is written. This
-        // keeps construction O(bitmap), not O(1 MiB of buckets).
-        buckets_.reset(static_cast<Bucket *>(
-            std::malloc(numBuckets * sizeof(Bucket))));
-        GPUWALK_ASSERT(buckets_, "event queue bucket allocation failed");
-    }
+    EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -156,19 +158,9 @@ class EventQueue
     {
         // Destroy never-run callables: their captures may own
         // resources. The nodes go with the slot table.
-        if (nearCount_ > 0) {
-            for (std::size_t w = 0; w < numWords; ++w) {
-                std::uint64_t bits = occupied_[w];
-                while (bits) {
-                    const auto b =
-                        static_cast<unsigned>(std::countr_zero(bits));
-                    bits &= bits - 1;
-                    for (Node *ev = buckets_[w * 64 + b].head; ev;
-                         ev = ev->next_)
-                        ev->destroyCallable();
-                }
-            }
-        }
+        for (const Bucket &b : buckets_)
+            for (Node *ev = b.head; ev; ev = ev->next_)
+                ev->destroyCallable();
         for (Node *ev : overflow_)
             ev->destroyCallable();
     }
@@ -236,18 +228,16 @@ class EventQueue
             // Only far-future events remain: jump straight to the
             // earliest one and pull its cohort into the window.
             now_ = overflow_.front()->when_;
-            scanFrom_ = now_;
+            scanFrom_ = slotOf(now_);
             migrateOverflow();
         }
-        const Tick t = scanNextTick();
-        const std::size_t idx = bucketIndex(t);
+        const Tick t = scanNextTick(); // leaves scanFrom_ at its slot
+        const std::size_t idx = bucketIndex(scanFrom_);
         Bucket &b = buckets_[idx];
         Node *ev = b.head;
-        GPUWALK_ASSERT(ev && ev->when_ == t,
-                       "bucket bitmap out of sync at tick ", t);
         b.head = ev->next_;
         if (!b.head)
-            clearBit(idx); // bit clear ⇒ bucket contents invalid
+            clearBit(idx);
         --nearCount_;
         now_ = t;
         ++executed_;
@@ -298,20 +288,13 @@ class EventQueue
     using Node = detail::PooledEvent;
 
     static constexpr std::size_t numBuckets =
-        static_cast<std::size_t>(windowTicks);
+        static_cast<std::size_t>(windowTicks / slotTicks);
     static constexpr std::size_t numWords = numBuckets / 64;
 
     struct Bucket
     {
-        Node *head;
-        Node *tail;
-    };
-    static_assert(std::is_trivially_default_constructible_v<Bucket>,
-                  "buckets are malloc-allocated, never constructed");
-
-    struct BucketFree
-    {
-        void operator()(Bucket *p) const { std::free(p); }
+        Node *head = nullptr;
+        Node *tail = nullptr;
     };
 
     struct OverflowLater
@@ -325,22 +308,33 @@ class EventQueue
         }
     };
 
+    static Tick slotOf(Tick when) { return when / slotTicks; }
+
     static std::size_t
-    bucketIndex(Tick when)
+    bucketIndex(Tick slot)
     {
-        return static_cast<std::size_t>(when % windowTicks);
+        return static_cast<std::size_t>(slot % numBuckets);
+    }
+
+    /** True when @p when lies in the near window (@pre when >= now). */
+    bool
+    inWindow(Tick when) const
+    {
+        return slotOf(when) - slotOf(now_) < numBuckets;
+    }
+
+    /** Strict (tick, seq) order: @p a dispatches before @p b. */
+    static bool
+    before(const Node *a, const Node *b)
+    {
+        return a->when_ < b->when_
+               || (a->when_ == b->when_ && a->seq_ < b->seq_);
     }
 
     void
     setBit(std::size_t idx)
     {
         occupied_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
-    }
-
-    bool
-    testBit(std::size_t idx) const
-    {
-        return occupied_[idx >> 6] >> (idx & 63) & 1;
     }
 
     void
@@ -352,7 +346,7 @@ class EventQueue
     void
     enqueue(Node *ev)
     {
-        if (ev->when_ - now_ < windowTicks) {
+        if (inWindow(ev->when_)) {
             bucketInsert(ev);
         } else {
             overflow_.push_back(ev);
@@ -364,45 +358,41 @@ class EventQueue
     void
     bucketInsert(Node *ev)
     {
-        const std::size_t idx = bucketIndex(ev->when_);
+        const Tick slot = slotOf(ev->when_);
+        const std::size_t idx = bucketIndex(slot);
         Bucket &b = buckets_[idx];
-        ev->next_ = nullptr;
-        if (!testBit(idx)) {
-            // Bucket contents are garbage until the bit is set; write
-            // before reading anything from it.
+        if (!b.head) {
+            ev->next_ = nullptr;
             b.head = b.tail = ev;
             setBit(idx);
+        } else if (before(b.tail, ev)) {
+            // Fast path: a fresh insert at the slot's latest tick.
+            ev->next_ = nullptr;
+            b.tail->next_ = ev;
+            b.tail = ev;
+        } else if (before(ev, b.head)) {
+            ev->next_ = b.head;
+            b.head = ev;
         } else {
-            GPUWALK_ASSERT(b.head->when_ == ev->when_,
-                           "mixed-tick bucket: window invariant broken");
-            if (b.tail->seq_ < ev->seq_) {
-                // Fast path: fresh inserts carry the largest seq.
-                b.tail->next_ = ev;
-                b.tail = ev;
-            } else if (ev->seq_ < b.head->seq_) {
-                ev->next_ = b.head;
-                b.head = ev;
-            } else {
-                Node *p = b.head;
-                while (p->next_->seq_ < ev->seq_)
-                    p = p->next_;
-                ev->next_ = p->next_;
-                p->next_ = ev;
-            }
+            Node *p = b.head;
+            while (before(p->next_, ev))
+                p = p->next_;
+            ev->next_ = p->next_;
+            p->next_ = ev;
         }
         ++nearCount_;
-        if (ev->when_ < scanFrom_)
-            scanFrom_ = ev->when_;
+        if (slot < scanFrom_)
+            scanFrom_ = slot;
     }
 
-    /** Moves overflow events whose tick entered the window into their
-     *  buckets, in seq order among same-tick residents. */
+    /** Moves overflow events whose slot entered the window into their
+     *  buckets, in (tick, seq) order among the slot's residents. */
     void
     migrateOverflow()
     {
         while (!overflow_.empty()) {
             Node *top = overflow_.front();
-            if (top->when_ - now_ >= windowTicks)
+            if (!inWindow(top->when_))
                 break;
             std::pop_heap(overflow_.begin(), overflow_.end(),
                           OverflowLater{});
@@ -412,25 +402,26 @@ class EventQueue
     }
 
     /**
-     * Finds the tick of the earliest occupied bucket via a circular
-     * bitmap scan. The start position is cached in scanFrom_ — inserts
-     * below it pull it back, executions advance it — so repeated scans
-     * are near-constant time.
+     * Finds the earliest occupied slot via a circular bitmap scan and
+     * returns the tick of its head, the earliest near event. The slot
+     * is cached in scanFrom_ — inserts below it pull it back,
+     * executions advance it — so repeated scans are near-constant
+     * time.
      *
      * @pre nearCount_ > 0
      */
     Tick
     scanNextTick()
     {
-        if (scanFrom_ < now_)
-            scanFrom_ = now_;
+        if (scanFrom_ < slotOf(now_))
+            scanFrom_ = slotOf(now_);
         const std::size_t base = bucketIndex(scanFrom_);
         const std::size_t word = base >> 6;
         const unsigned bit = base & 63;
         const std::uint64_t first = occupied_[word] >> bit;
         if (first) {
             scanFrom_ += static_cast<Tick>(std::countr_zero(first));
-            return scanFrom_;
+            return buckets_[bucketIndex(scanFrom_)].head->when_;
         }
         for (std::size_t k = 1; k <= numWords; ++k) {
             std::size_t wi = word + k;
@@ -441,7 +432,7 @@ class EventQueue
                 scanFrom_ += static_cast<Tick>(
                     k * 64 - bit
                     + static_cast<unsigned>(std::countr_zero(bits)));
-                return scanFrom_;
+                return buckets_[bucketIndex(scanFrom_)].head->when_;
             }
         }
         panic("bucket bitmap inconsistent with nearCount_=", nearCount_);
@@ -470,13 +461,13 @@ class EventQueue
         return have;
     }
 
-    std::unique_ptr<Bucket[], BucketFree> buckets_;
+    std::array<Bucket, numBuckets> buckets_{};
     std::array<std::uint64_t, numWords> occupied_{};
     std::vector<Node *> overflow_;
     SlotTable<Node> nodes_;
     std::size_t nearCount_ = 0;
     Tick now_ = 0;
-    Tick scanFrom_ = 0;
+    Tick scanFrom_ = 0; ///< slot where the next bitmap scan starts
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
 };

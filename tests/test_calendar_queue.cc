@@ -8,11 +8,12 @@
  * execution histories, covering the spots where a calendar queue can
  * betray the contract while a heap cannot:
  *
- *  - same-tick FIFO ordering inside one bucket,
+ *  - same-tick FIFO ordering inside one bucket, and tick-then-seq
+ *    ordering among the several ticks one slot's bucket can hold,
  *  - run(limit) draining semantics with the window part-full,
- *  - far-future events (overflow tier) and bucket wraparound, where a
- *    migrated event must still order by seq against later-scheduled
- *    bucket residents of the same tick,
+ *  - the slot-aligned window edge, far-future events (overflow tier)
+ *    and bucket wraparound, where a migrated event must still order by
+ *    (tick, seq) against later-scheduled residents of its slot,
  *  - rescheduling from within a running callback.
  */
 
@@ -35,6 +36,14 @@ using gpuwalk::sim::EventQueue;
 using gpuwalk::sim::Tick;
 
 constexpr Tick kWindow = EventQueue::windowTicks;
+constexpr Tick kSlot = EventQueue::slotTicks;
+
+/** First tick of the slot holding @p t. */
+constexpr Tick
+slotStart(Tick t)
+{
+    return t - t % kSlot;
+}
 
 /**
  * Ordering oracle: O(n) minimum scan over (when, seq).
@@ -114,8 +123,9 @@ struct RearmPlan
 /**
  * Drives both queues through one random interleaving and compares
  * histories exactly. Delays are drawn to stress every tier: zero
- * (same-tick), near (in-window), the window boundary itself, and far
- * future (overflow + wraparound after migration).
+ * (same-tick), near (in-window), the tick and slot-aligned window
+ * boundaries, and far future (overflow + wraparound after migration).
+ * Some bursts scatter distinct ticks over one slot in random order.
  *
  * Rearm mirroring is causal: when the real queue executes a parent
  * whose callback reschedules, the child's parameters are recorded as a
@@ -135,15 +145,18 @@ fuzzOnce(std::uint32_t seed, bool rescheduleFromCallback)
     std::vector<std::pair<Tick, int>> want;
     std::map<int, RearmPlan> plans; // parent tag -> pending mirror
 
-    auto draw_delay = [&rng]() -> Tick {
-        switch (rng() % 8) {
+    // A delay from tick @p from.
+    auto draw_delay = [&rng](Tick from) -> Tick {
+        switch (rng() % 9) {
           case 0: return 0;
           case 1: return rng() % 4;
           case 2: return rng() % 1000;
           case 3: return rng() % kWindow;
           case 4: return kWindow - 1 + rng() % 3; // straddle boundary
-          case 5: return kWindow + rng() % kWindow;
-          case 6: return kWindow * (2 + rng() % 6) + rng() % 97;
+          case 5: // straddle the slot-aligned window edge
+            return slotStart(from) + kWindow - from - 1 + rng() % 3;
+          case 6: return kWindow + rng() % kWindow;
+          case 7: return kWindow * (2 + rng() % 6) + rng() % 97;
           default: return 25000 + rng() % 500; // an IOMMU-ish hop
         }
     };
@@ -164,7 +177,7 @@ fuzzOnce(std::uint32_t seed, bool rescheduleFromCallback)
     shared.scheduleEq = [&](Tick when) -> int {
         const int tag = next_tag++;
         const bool rearm = rescheduleFromCallback && rng() % 4 == 0;
-        const Tick rearm_delay = draw_delay();
+        const Tick rearm_delay = draw_delay(when);
         Shared *sh = &shared;
         eq.schedule(when, [sh, tag, rearm, rearm_delay] {
             sh->got.emplace_back(sh->eq.now(), tag);
@@ -193,10 +206,15 @@ fuzzOnce(std::uint32_t seed, bool rescheduleFromCallback)
     };
 
     for (int round = 0; round < 40; ++round) {
-        // Burst of fresh schedules, paired on both queues.
+        // Burst of fresh schedules, paired on both queues. One burst
+        // in three scatters its ticks over a single slot.
         const unsigned burst = 1 + rng() % 12;
+        const bool one_slot = rng() % 3 == 0;
+        const Tick slot = slotStart(eq.now() + draw_delay(eq.now()));
         for (unsigned i = 0; i < burst; ++i) {
-            const Tick when = eq.now() + draw_delay();
+            const Tick when =
+                one_slot ? std::max(eq.now(), slot + rng() % kSlot)
+                         : eq.now() + draw_delay(eq.now());
             const int tag = shared.scheduleEq(when);
             ref.schedule(when, tag);
         }
@@ -219,7 +237,7 @@ fuzzOnce(std::uint32_t seed, bool rescheduleFromCallback)
             // first, then the reference follows; every plan a
             // below-limit parent recorded is replayed before the
             // reference pops past it.
-            const Tick limit = eq.now() + draw_delay();
+            const Tick limit = eq.now() + draw_delay(eq.now());
             const Tick a = eq.run(limit);
             while (ref.nextWhen() <= limit)
                 ASSERT_TRUE(ref_run_one());
@@ -296,6 +314,84 @@ TEST(CalendarQueue, BucketWraparoundKeepsTickOrder)
     EXPECT_EQ(fired[0], 17u);
     EXPECT_EQ(fired[1], 17u + kWindow);
     EXPECT_EQ(fired[2], 17u + 2 * kWindow);
+}
+
+TEST(CalendarQueue, MixedTicksInOneSlotRunInTickThenSeqOrder)
+{
+    // One bucket holds every tick of its slot; out-of-order ticks and
+    // repeated ticks must come out by tick, then by insertion.
+    EventQueue eq;
+    std::vector<std::pair<Tick, int>> fired;
+    const Tick base = 3 * kSlot;
+    const Tick ticks[] = {base + 200, base + 7, base + 200, base + 255,
+                          base + 7,   base,     base + 100, base + 7};
+    int tag = 0;
+    for (Tick t : ticks) {
+        eq.schedule(t, [&fired, &eq, tag] {
+            fired.emplace_back(eq.now(), tag);
+        });
+        ++tag;
+    }
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<std::pair<Tick, int>>{
+                         {base, 5},
+                         {base + 7, 1},
+                         {base + 7, 4},
+                         {base + 7, 7},
+                         {base + 100, 6},
+                         {base + 200, 0},
+                         {base + 200, 2},
+                         {base + 255, 3}}));
+}
+
+TEST(CalendarQueue, MigratedEventSortsAmongItsSlotResidents)
+{
+    // An overflow event reaches its slot after residents of higher
+    // seq arrived there, at an earlier, the same and a later tick. It
+    // must run after the earlier tick and before the same tick's
+    // residents.
+    EventQueue eq;
+    std::vector<int> order;
+    const Tick target = slotStart(kWindow) + kSlot + 44;
+    eq.schedule(target, [&] { order.push_back(0); });
+    EXPECT_EQ(eq.overflowPending(), 1u);
+    eq.schedule(2 * kSlot + 88, [&] {
+        // now is in slot 2, so the target slot (257) just entered the
+        // window; the overflow event migrates on the next dispatch.
+        EXPECT_EQ(eq.overflowPending(), 1u);
+        eq.schedule(target - 10, [&] { order.push_back(1); });
+        eq.schedule(target + 20, [&] { order.push_back(3); });
+        eq.schedule(target, [&] { order.push_back(2); });
+        EXPECT_EQ(eq.overflowPending(), 1u);
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3}));
+}
+
+TEST(CalendarQueue, SlotsAWindowApartShareABucketButStayApart)
+{
+    // Slots s and s + windowTicks / slotTicks map to the same bucket.
+    // The later one waits in the overflow tier until the earlier one
+    // has drained, even at a lower offset within its slot.
+    EventQueue eq;
+    std::vector<Tick> fired;
+    auto record = [&fired, &eq] { fired.push_back(eq.now()); };
+    const Tick s = 5 * kSlot;
+    eq.schedule(s + 200, [&] {
+        record();
+        // A window ahead of the current slot: still too far.
+        eq.schedule(s + kWindow + 5, record);
+        EXPECT_EQ(eq.overflowPending(), 4u);
+    });
+    eq.schedule(s + kWindow + 10, record);
+    eq.schedule(s + 2 * kWindow + 100, record);
+    eq.schedule(s + 2 * kWindow + 1, record);
+    EXPECT_EQ(eq.overflowPending(), 3u);
+    eq.run();
+    EXPECT_EQ(fired,
+              (std::vector<Tick>{s + 200, s + kWindow + 5, s + kWindow + 10,
+                                 s + 2 * kWindow + 1,
+                                 s + 2 * kWindow + 100}));
 }
 
 TEST(CalendarQueue, RunLimitStopsInsideTheOverflowGap)

@@ -247,6 +247,26 @@ TEST(EventQueue, DestroysCaptureExactlyOnceInline)
     EXPECT_EQ(Counted::live, 0) << "capture leaked or double-destroyed";
 }
 
+TEST(EventQueue, TeardownDestroysEveryTickOfAPartlyRunSlot)
+{
+    // One slot's bucket holds several ticks; a run that stops inside
+    // the slot leaves the rest to teardown, each destroyed once.
+    constexpr Tick kBase = EventQueue::slotTicks * 9;
+    Counted::live = 0;
+    {
+        EventQueue eq;
+        Counted c;
+        int ran = 0;
+        for (Tick off : {Tick(90), Tick(3), Tick(250), Tick(3), Tick(40)})
+            eq.schedule(kBase + off, [c, &ran] { ++ran; });
+        eq.run(kBase + 40); // runs the two at +3 and the one at +40
+        EXPECT_EQ(ran, 3);
+        EXPECT_EQ(eq.pending(), 2u);
+        EXPECT_EQ(Counted::live, 3); // `c` and the two pending captures
+    }
+    EXPECT_EQ(Counted::live, 0) << "capture leaked or double-destroyed";
+}
+
 TEST(EventQueue, NonTrivialCapturesMoveAndDestroyExactlyOnce)
 {
     // An owning pointer and a destructor counter ride in pooled nodes

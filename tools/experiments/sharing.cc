@@ -10,6 +10,18 @@ namespace gpuwalk::experiments {
 
 namespace {
 
+/** Points a traced @p cfg at @p job's own trace file, named by its
+ *  labels and @p seed. */
+void
+nameTraceFile(system::SystemConfig &cfg, const exp::Job &job,
+              std::uint64_t seed)
+{
+    if (!cfg.trace.outPath.empty()) {
+        cfg.trace.outPath = exp::traceFilePath(
+            cfg.trace.outPath, job.workload, job.scheduler, "", seed);
+    }
+}
+
 /** A co-run job: two apps share one System; the per-app finish times
  *  land in RunResult::extra. */
 exp::Job
@@ -19,15 +31,16 @@ corunJob(const system::SystemConfig &base, core::SchedulerKind kind,
     exp::Job job;
     job.workload = aggressor + "+" + victim;
     job.scheduler = core::toString(kind);
-    const auto cfg = exp::withScheduler(base, kind);
-    job.body = [cfg, aggressor, victim] {
+    auto cfg = exp::withScheduler(base, kind);
+    auto params = exp::experimentParams();
+    params.wavefronts = 128; // per app; 256 total
+    nameTraceFile(cfg, job, params.seed);
+    job.body = [cfg, params, aggressor, victim] {
         system::System sys(cfg);
-        auto params = exp::experimentParams();
-        params.wavefronts = 128; // per app; 256 total
         sys.loadBenchmark(aggressor, params, /*app_id=*/0);
         sys.loadBenchmark(victim, params, /*app_id=*/1);
         exp::RunResult res;
-        res.stats = sys.run();
+        res.stats = exp::runAndWriteTrace(sys);
         res.extra["aggressor_finish"] = static_cast<double>(
             res.stats.appFinishTicks.at(0));
         res.extra["victim_finish"] = static_cast<double>(
@@ -59,8 +72,8 @@ soloLabel(unsigned tenant)
     return "solo-t" + std::to_string(tenant);
 }
 
-/** Runs the whole mix in one System under @p kind; per-tenant finish
- *  ticks land in RunResult::extra. */
+/** Runs the whole reference mix in one System under @p kind;
+ *  per-tenant finish ticks land in RunResult::extra. */
 exp::Job
 mixJob(const system::SystemConfig &base,
        const std::vector<workload::TenantSpec> &specs,
@@ -69,13 +82,13 @@ mixJob(const system::SystemConfig &base,
     exp::Job job;
     job.workload = "mix8";
     job.scheduler = core::toString(kind);
-    const auto cfg =
-        withTenantWeights(exp::withScheduler(base, kind), specs);
+    auto cfg = withTenantWeights(exp::withScheduler(base, kind), specs);
+    nameTraceFile(cfg, job, referenceMix().seed);
     job.body = [cfg, specs] {
         system::System sys(cfg);
         loadTenants(sys, specs);
         exp::RunResult res;
-        res.stats = sys.run();
+        res.stats = exp::runAndWriteTrace(sys);
         for (const auto &t : res.stats.tenants) {
             res.extra["tenant" + std::to_string(t.ctx) + "_finish"] =
                 static_cast<double>(t.finishTick);
@@ -94,11 +107,7 @@ soloJob(const system::SystemConfig &base,
     job.workload = soloLabel(tenant);
     job.scheduler = core::toString(core::SchedulerKind::SimtAware);
     auto cfg = exp::withScheduler(base, core::SchedulerKind::SimtAware);
-    if (!cfg.trace.outPath.empty()) {
-        cfg.trace.outPath =
-            exp::traceFilePath(cfg.trace.outPath, job.workload,
-                               job.scheduler, "", spec.params.seed);
-    }
+    nameTraceFile(cfg, job, spec.params.seed);
     job.body = [cfg, spec] {
         return exp::runOne(cfg, spec.workload, spec.params);
     };

@@ -27,7 +27,6 @@
 #include "experiments/experiments.hh"
 #include "sim/logging.hh"
 #include "system/system.hh"
-#include "trace/chrome_export.hh"
 #include "trace/digest.hh"
 #include "workload/registry.hh"
 #include "workload/tenant_mix.hh"
@@ -212,10 +211,7 @@ simulate(const system::SystemConfig &base_cfg, const exp::CliOptions &opt,
     }
 
     CliRun run;
-    run.stats = sys.run();
-
-    if (sys.tracer() && !cfg.trace.outPath.empty())
-        trace::writeChromeTraceFile(cfg.trace.outPath, *sys.tracer());
+    run.stats = exp::runAndWriteTrace(sys);
 
     if (opt.dumpStats) {
         std::ostringstream os;
