@@ -78,11 +78,9 @@ timeWith(const std::string &label,
     else
         cfg.scheduler = kind;
 
-    system::System sys(cfg);
     auto params = exp::experimentParams();
     params.footprintScale = 0.25; // keep the example snappy
-    sys.loadBenchmark("ATX", params);
-    const auto stats = sys.run();
+    const auto stats = exp::run({cfg, {{"ATX", params}}});
     std::cout << "  " << label << ": "
               << stats.runtimeTicks / 500 << " GPU cycles, "
               << stats.walkRequests << " walks\n";

@@ -36,9 +36,7 @@ soloRuntime(core::SchedulerKind kind, const std::string &app)
 {
     auto cfg = system::SystemConfig::baseline();
     cfg.scheduler = kind;
-    system::System sys(cfg);
-    sys.loadBenchmark(app, tenantParams());
-    return sys.run().runtimeTicks;
+    return exp::run({cfg, {{app, tenantParams()}}}).runtimeTicks;
 }
 
 std::pair<sim::Tick, sim::Tick>
@@ -47,10 +45,10 @@ corunFinishTicks(core::SchedulerKind kind, const std::string &aggressor,
 {
     auto cfg = system::SystemConfig::baseline();
     cfg.scheduler = kind;
-    system::System sys(cfg);
-    sys.loadBenchmark(aggressor, tenantParams(), /*app_id=*/0);
-    sys.loadBenchmark(victim, tenantParams(), /*app_id=*/1);
-    const auto stats = sys.run();
+    const auto stats = exp::run(
+        {cfg,
+         {{aggressor, tenantParams()},
+          {.workload = victim, .params = tenantParams(), .appId = 1}}});
     return {stats.appFinishTicks.at(0), stats.appFinishTicks.at(1)};
 }
 

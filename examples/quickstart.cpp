@@ -37,14 +37,14 @@ main(int argc, char **argv)
               << scale << ")\n\n";
 
     std::cout << "running with FCFS page-walk scheduling...\n";
-    const auto fcfs = exp::runOne(
-        exp::withScheduler(cfg, core::SchedulerKind::Fcfs), workload,
-        params);
+    const auto fcfs = exp::run(
+        {exp::withScheduler(cfg, core::SchedulerKind::Fcfs),
+         {{workload, params}}});
 
     std::cout << "running with SIMT-aware page-walk scheduling...\n\n";
-    const auto simt = exp::runOne(
-        exp::withScheduler(cfg, core::SchedulerKind::SimtAware),
-        workload, params);
+    const auto simt = exp::run(
+        {exp::withScheduler(cfg, core::SchedulerKind::SimtAware),
+         {{workload, params}}});
 
     auto report = [](const char *name, const system::RunStats &s) {
         std::cout << name << ":\n"
@@ -57,11 +57,11 @@ main(int argc, char **argv)
                   << s.walks.interleavedFraction * 100.0 << "% of "
                   << "multi-walk instructions\n";
     };
-    report("FCFS", fcfs.stats);
-    report("SIMT-aware", simt.stats);
+    report("FCFS", fcfs);
+    report("SIMT-aware", simt);
 
     std::cout << "\nspeedup (SIMT-aware over FCFS): "
-              << exp::speedup(simt.stats, fcfs.stats) << "x\n"
+              << exp::speedup(simt, fcfs) << "x\n"
               << "(the paper reports ~1.3x average across its six "
                  "irregular workloads)\n";
     return 0;

@@ -35,16 +35,12 @@ main(int argc, char **argv)
         auto cfg = system::SystemConfig::baseline();
         cfg.iommu.numWalkers = walkers;
 
-        const auto fcfs =
-            exp::runOne(exp::withScheduler(
-                               cfg, core::SchedulerKind::Fcfs),
-                           workload, params)
-                .stats;
-        const auto simt =
-            exp::runOne(exp::withScheduler(
-                               cfg, core::SchedulerKind::SimtAware),
-                           workload, params)
-                .stats;
+        const auto fcfs = exp::run(
+            {exp::withScheduler(cfg, core::SchedulerKind::Fcfs),
+             {{workload, params}}});
+        const auto simt = exp::run(
+            {exp::withScheduler(cfg, core::SchedulerKind::SimtAware),
+             {{workload, params}}});
 
         std::cout.width(7);
         std::cout << walkers << " |";

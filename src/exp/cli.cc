@@ -395,13 +395,21 @@ parseCli(Command command, const std::vector<std::string> &args)
         if (opts.tenants < 2 && given(name))
             sim::fatal("--", name, " needs --tenants=N with N >= 2");
     }
-    if (opts.tenants > 1 && !opts.loadTrace.empty())
-        sim::fatal("--tenants and --load-trace are exclusive "
-                   "(the mix generator picks each tenant's workload)");
-    if (opts.tenants > 1 && opts.cfg.gpu.virtualL1Cache)
-        sim::fatal("--tenants and --virtual-l1 are exclusive (a virtual "
-                   "L1 translates below the cache, where the owning "
-                   "tenant is unknown)");
+    // Pairs where one flag would silently drop or break the other.
+    const char *const exclusive[][3] = {
+        {"tenants", "load-trace",
+         "the mix generator picks each tenant's workload"},
+        {"save-trace", "tenants", "a mix has no single workload trace"},
+        {"save-trace", "load-trace", "a replay generates no trace"},
+        {"workload", "load-trace", "the replayed trace is the workload"},
+        {"tenants", "virtual-l1",
+         "a virtual L1 translates below the cache, where the owning "
+         "tenant is unknown"},
+    };
+    for (const auto &[a, b, why] : exclusive) {
+        if (given(a) && given(b))
+            sim::fatal("--", a, " and --", b, " are exclusive (", why, ")");
+    }
     if (opts.params.useLargePages && opts.cfg.gmmu.enabled)
         sim::fatal("--large-pages and the demand-paging flags are "
                    "exclusive (2 MB coverage comes from GMMU "

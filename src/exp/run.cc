@@ -1,9 +1,10 @@
 #include "exp/run.hh"
 
 #include <algorithm>
-#include <cctype>
 
 #include "trace/chrome_export.hh"
+#include "workload/registry.hh"
+#include "workload/trace_io.hh"
 
 namespace gpuwalk::exp {
 
@@ -19,26 +20,6 @@ insertPathSuffix(const std::string &path, const std::string &suffix)
     return path.substr(0, dot) + suffix + path.substr(dot);
 }
 
-std::string
-traceFilePath(const std::string &base, const std::string &workload,
-              const std::string &scheduler, const std::string &variant,
-              std::uint64_t seed)
-{
-    std::string suffix;
-    for (const std::string *label : {&workload, &scheduler, &variant}) {
-        if (!label->empty())
-            suffix += "-" + *label;
-    }
-    std::replace_if(
-        suffix.begin(), suffix.end(),
-        [](unsigned char c) {
-            return !std::isalnum(c) && c != '.' && c != '_' && c != '+'
-                   && c != '-';
-        },
-        '_');
-    return insertPathSuffix(base, suffix + "-s" + std::to_string(seed));
-}
-
 system::RunStats
 runAndWriteTrace(system::System &sys)
 {
@@ -49,18 +30,64 @@ runAndWriteTrace(system::System &sys)
     return stats;
 }
 
-RunResult
-runOne(const system::SystemConfig &cfg, const std::string &workload,
-       const workload::WorkloadParams &params)
+std::vector<Load>
+tenantLoads(const std::vector<workload::TenantSpec> &specs)
 {
-    system::System sys(cfg);
-    sys.loadBenchmark(workload, params);
-    RunResult result;
-    result.workload = workload;
-    result.scheduler = core::toString(cfg.scheduler);
-    result.seed = params.seed;
-    result.stats = runAndWriteTrace(sys);
-    return result;
+    std::vector<Load> loads;
+    for (unsigned i = 0; i < specs.size(); ++i) {
+        loads.push_back({.workload = specs[i].workload,
+                         .params = specs[i].params,
+                         .appId = i,
+                         .newContext = i > 0,
+                         .arrival = specs[i].arrivalTick,
+                         .weight = specs[i].weight});
+    }
+    return loads;
+}
+
+std::unique_ptr<system::System>
+build(const RunSpec &spec)
+{
+    // The System copies its config, so the weights go in first. New
+    // contexts are numbered 1, 2, ... in load order.
+    system::SystemConfig cfg = spec.cfg;
+    const auto contexts =
+        1 + std::ranges::count(spec.loads, true, &Load::newContext);
+    tlb::ContextId next_ctx = 1;
+    for (const Load &load : spec.loads) {
+        const auto ctx = load.newContext ? next_ctx++ : tlb::defaultContext;
+        if (load.weight > 1) {
+            cfg.qos.shareWeights.resize(contexts, 1);
+            cfg.qos.shareWeights[ctx] = load.weight;
+        }
+    }
+
+    auto sys = std::make_unique<system::System>(cfg);
+    for (const Load &load : spec.loads) {
+        const auto ctx =
+            load.newContext ? sys->createContext() : tlb::defaultContext;
+        vm::AddressSpace &as = sys->addressSpaceOf(ctx);
+        as.useLargePages(load.params.useLargePages);
+        gpu::GpuWorkload wl;
+        if (load.replay.empty()) {
+            wl = workload::makeWorkload(load.workload)
+                     ->generate(as, load.params);
+            if (!load.saveTrace.empty())
+                workload::saveTraceFile(load.saveTrace, wl);
+        } else {
+            wl = workload::loadTraceFile(load.replay);
+            // External traces reference raw virtual addresses: map them.
+            workload::mapTraceAddresses(as, wl);
+        }
+        sys->loadWorkload(std::move(wl), load.appId, ctx, load.arrival);
+    }
+    return sys;
+}
+
+system::RunStats
+run(const RunSpec &spec)
+{
+    return runAndWriteTrace(*build(spec));
 }
 
 system::SystemConfig

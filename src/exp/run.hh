@@ -1,7 +1,7 @@
 /**
  * @file
- * Single-run primitives of the experiment subsystem: build one System,
- * run one (workload, scheduler, config) point, collect its statistics.
+ * Single-run primitives of the experiment subsystem: the one path that
+ * builds, loads, runs and traces a System (RunSpec, build(), run()).
  *
  * Everything above this layer (sweeps, the parallel runner, reports)
  * composes these primitives; nothing below it knows experiments exist.
@@ -12,9 +12,12 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "system/system.hh"
+#include "workload/tenant_mix.hh"
 
 namespace gpuwalk::exp {
 
@@ -36,24 +39,46 @@ struct RunResult
     double wallSeconds = 0.0;             ///< host time, runner-filled
 };
 
-/**
- * Runs the loaded @p sys to its end and, when it is traced to a file,
- * writes its Chrome trace to its config's trace.outPath as given (a
- * sweep names one per job with traceFilePath()). Every run, whether
- * runOne() builds it or an experiment or the CLI does by hand, ends
- * here, so each traced run leaves its own file.
- */
-system::RunStats runAndWriteTrace(system::System &sys);
+/** One workload of a run: a registry workload generated from
+ *  @ref params, or a gpuwalk-trace v1 file replayed. */
+struct Load
+{
+    std::string workload{};            ///< registry abbreviation
+    workload::WorkloadParams params{};
+    std::string replay{};              ///< trace file; replaces workload
+    std::string saveTrace{};           ///< writes the generated trace
+    unsigned appId = 0;
+    bool newContext = false;           ///< own address space (tenant)
+    sim::Tick arrival = 0;             ///< 0 = loaded before start
+    std::uint32_t weight = 1;          ///< weighted-share weight
+};
+
+/** A whole simulation: the machine and what it loads, in order. */
+struct RunSpec
+{
+    system::SystemConfig cfg;
+    std::vector<Load> loads;
+};
+
+/** Tenant i of @p specs as app i in context i: the first tenant in the
+ *  default context, every other one in a new context of its own. */
+std::vector<Load> tenantLoads(const std::vector<workload::TenantSpec> &specs);
 
 /**
- * Builds a fresh System with @p cfg, loads @p workload, runs it with
- * runAndWriteTrace(). Every run is fully independent (own page table,
- * TLBs, RNG streams), which is what lets the ParallelRunner execute
- * runs concurrently without perturbing their simulated behaviour.
+ * Builds the System @p spec describes, loaded in load order: a new
+ * context is created just before its workload is generated or mapped,
+ * at the load's page size. A weight above 1 sets its context's
+ * qos.shareWeights entry (the others 1).
  */
-RunResult runOne(const system::SystemConfig &cfg,
-                 const std::string &workload,
-                 const workload::WorkloadParams &params);
+std::unique_ptr<system::System> build(const RunSpec &spec);
+
+/** Runs the loaded @p sys to its end and, when it is traced to a
+ *  file, writes its Chrome trace to its config's trace.outPath. */
+system::RunStats runAndWriteTrace(system::System &sys);
+
+/** build() plus runAndWriteTrace(). Every run is independent (own
+ *  page table, TLBs, RNG streams), so runs may execute concurrently. */
+system::RunStats run(const RunSpec &spec);
 
 /** Convenience: @p cfg with its scheduler swapped to @p kind. */
 system::SystemConfig withScheduler(system::SystemConfig cfg,
@@ -63,18 +88,6 @@ system::SystemConfig withScheduler(system::SystemConfig cfg,
  *  ("out/t.json", "-fcfs") -> "out/t-fcfs.json". */
 std::string insertPathSuffix(const std::string &path,
                              const std::string &suffix);
-
-/**
- * The Chrome-trace path of one sweep job: @p base with the job's
- * labels inserted before its extension as
- * "-<workload>-<scheduler>[-<variant>]-s<seed>". The labels are unique
- * within a sweep, so every run gets its own file. A label character
- * outside [A-Za-z0-9._+-] becomes '_'.
- */
-std::string traceFilePath(const std::string &base,
-                          const std::string &workload,
-                          const std::string &scheduler,
-                          const std::string &variant, std::uint64_t seed);
 
 /**
  * The default experiment workload shape. Smaller than the paper's

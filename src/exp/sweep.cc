@@ -1,20 +1,40 @@
 #include "exp/sweep.hh"
 
+#include <algorithm>
+#include <cctype>
+
 namespace gpuwalk::exp {
 
-RunResult
-defaultJobBody(const JobSpec &spec)
+std::string
+traceFilePath(const std::string &base, const Job &job)
 {
-    auto result = runOne(spec.cfg, spec.workload, spec.params);
-    result.variant = spec.variant;
-    result.seed = spec.seed;
-    return result;
+    if (base.empty())
+        return base;
+    std::string suffix;
+    for (const std::string *label :
+         {&job.workload, &job.scheduler, &job.variant}) {
+        if (!label->empty())
+            suffix += "-" + *label;
+    }
+    std::replace_if(
+        suffix.begin(), suffix.end(),
+        [](unsigned char c) {
+            return !std::isalnum(c) && c != '.' && c != '_' && c != '+'
+                   && c != '-';
+        },
+        '_');
+    return insertPathSuffix(base, suffix + "-s" + std::to_string(job.seed));
 }
 
 std::vector<Job>
 SweepSpec::expand() const
 {
-    const JobBody run_body = body ? body : defaultJobBody;
+    const JobBody run_body =
+        body ? body : JobBody([](const JobSpec &spec) {
+            RunResult result;
+            result.stats = run({spec.cfg, {{spec.workload, spec.params}}});
+            return result;
+        });
 
     // Singleton placeholders so the cross product below stays a plain
     // four-deep loop even for unused axes.
@@ -37,31 +57,19 @@ SweepSpec::expand() const
         for (const auto &workload : workloads) {
             for (const auto kind : schedulers) {
                 for (const auto seed : seed_axis) {
-                    JobSpec spec;
-                    spec.workload = workload;
-                    spec.scheduler = core::toString(kind);
-                    spec.variant = variant.name;
-                    spec.seed = seed;
-                    spec.cfg = withScheduler(base, kind);
-                    spec.params = params;
+                    Job job{workload, core::toString(kind),
+                            variant.name, seed};
+                    JobSpec spec{job.workload, job.scheduler,
+                                 job.variant, job.seed,
+                                 withScheduler(base, kind), params};
                     if (explicit_seeds) {
                         spec.params.seed = seed;
                         spec.cfg.schedulerSeed = seed;
                     }
                     if (variant.apply)
                         variant.apply(spec.cfg, spec.params);
-                    std::string &trace = spec.cfg.trace.outPath;
-                    if (!trace.empty()) {
-                        trace = traceFilePath(trace, workload,
-                                              spec.scheduler,
-                                              variant.name, seed);
-                    }
-
-                    Job job;
-                    job.workload = spec.workload;
-                    job.scheduler = spec.scheduler;
-                    job.variant = spec.variant;
-                    job.seed = spec.seed;
+                    spec.cfg.trace.outPath =
+                        traceFilePath(spec.cfg.trace.outPath, job);
                     job.body = [run_body, spec = std::move(spec)] {
                         return run_body(spec);
                     };

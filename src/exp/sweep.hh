@@ -64,12 +64,17 @@ struct Job
     std::string scheduler;
     std::string variant;
     std::uint64_t seed = 0;
-    std::function<RunResult()> body;
+    std::function<RunResult()> body{};
 };
 
-/** Builds a System from spec.cfg and runs spec.workload (the default
- *  body; custom bodies cover co-runs, extra counters, ...). */
-RunResult defaultJobBody(const JobSpec &spec);
+/**
+ * @p job's Chrome-trace path: @p base ("" stays "") with the job's
+ * labels inserted before its extension as
+ * "-<workload>-<scheduler>[-<variant>]-s<seed>". The labels are unique
+ * within a sweep, so every run gets its own file. A label character
+ * outside [A-Za-z0-9._+-] becomes '_'.
+ */
+std::string traceFilePath(const std::string &base, const Job &job);
 
 /**
  * The declarative description of one experiment: axes over a base
@@ -91,7 +96,8 @@ struct SweepSpec
     /** Empty means a single run at params.seed / base.schedulerSeed. */
     std::vector<std::uint64_t> seeds;
 
-    /** Overrides the standard build-run body when set. */
+    /** Overrides the default body, which runs the grid point's
+     *  workload with exp::run(), when set. */
     JobBody body;
 
     SweepSpec() : SweepSpec(system::SystemConfig::baseline()) {}

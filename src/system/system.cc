@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "trace/digest.hh"
-#include "workload/registry.hh"
 
 namespace gpuwalk::system {
 
@@ -153,18 +152,14 @@ System::periodicAudit()
 }
 
 void
-System::loadBenchmark(const std::string &workload_abbrev,
-                      const workload::WorkloadParams &params,
-                      unsigned app_id)
+System::loadWorkload(gpu::GpuWorkload workload, unsigned app_id,
+                     tlb::ContextId ctx, sim::Tick arrival_tick)
 {
-    loadBenchmarkInContext(workload_abbrev, params, app_id,
-                           tlb::defaultContext);
-}
-
-void
-System::loadWorkload(gpu::GpuWorkload workload, unsigned app_id)
-{
-    gpu_->loadWorkload(std::move(workload), app_id);
+    gpu_->setAppContext(app_id, ctx);
+    if (arrival_tick == 0)
+        gpu_->loadWorkload(std::move(workload), app_id);
+    else
+        gpu_->loadWorkloadAt(arrival_tick, std::move(workload), app_id);
 }
 
 tlb::ContextId
@@ -196,27 +191,6 @@ System::addressSpaceOf(tlb::ContextId ctx)
     if (ctx == tlb::defaultContext)
         return *addressSpace_;
     return *tenantSpaces_.at(ctx - 1);
-}
-
-void
-System::loadBenchmarkInContext(const std::string &workload_abbrev,
-                               const workload::WorkloadParams &params,
-                               unsigned app_id, tlb::ContextId ctx,
-                               sim::Tick arrival_tick)
-{
-    auto gen = workload::makeWorkload(workload_abbrev);
-    vm::AddressSpace &as = addressSpaceOf(ctx);
-    GPUWALK_ASSERT(!(gmmu_ && params.useLargePages),
-                   "demand paging excludes eager large pages (2 MB "
-                   "coverage comes from GMMU promotion)");
-    as.useLargePages(params.useLargePages);
-    gpu_->setAppContext(app_id, ctx);
-    if (arrival_tick == 0) {
-        gpu_->loadWorkload(gen->generate(as, params), app_id);
-    } else {
-        gpu_->loadWorkloadAt(arrival_tick, gen->generate(as, params),
-                             app_id);
-    }
 }
 
 RunStats

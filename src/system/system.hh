@@ -111,17 +111,13 @@ class System
     explicit System(const SystemConfig &cfg);
 
     /**
-     * Generates @p workload_abbrev's trace and loads it on the GPU.
-     * Multi-program runs pass distinct @p app_id values; all apps
-     * share the address space (disjoint regions), the TLBs, and the
-     * IOMMU — the contention scenario of the paper's QoS discussion.
+     * Loads a built workload as @p app_id, binding the app's
+     * translations to context @p ctx — immediately, or at
+     * @p arrival_tick when nonzero (tenant-churn arrivals).
      */
-    void loadBenchmark(const std::string &workload_abbrev,
-                       const workload::WorkloadParams &params,
-                       unsigned app_id = 0);
-
-    /** Loads a caller-built workload (examples / tests). */
-    void loadWorkload(gpu::GpuWorkload workload, unsigned app_id = 0);
+    void loadWorkload(gpu::GpuWorkload workload, unsigned app_id = 0,
+                      tlb::ContextId ctx = tlb::defaultContext,
+                      sim::Tick arrival_tick = 0);
 
     /**
      * Creates a further address space (tenant) with its own page table
@@ -137,17 +133,6 @@ class System
 
     /** The address space of @p ctx (0 = the default space). */
     vm::AddressSpace &addressSpaceOf(tlb::ContextId ctx);
-
-    /**
-     * Generates @p workload_abbrev in tenant @p ctx's address space,
-     * binds @p app_id's translations to that context, and loads it —
-     * immediately, or at @p arrival_tick when nonzero (tenant-churn
-     * arrivals).
-     */
-    void loadBenchmarkInContext(const std::string &workload_abbrev,
-                                const workload::WorkloadParams &params,
-                                unsigned app_id, tlb::ContextId ctx,
-                                sim::Tick arrival_tick = 0);
 
     /**
      * Runs to completion (or @p max_events as a runaway guard).

@@ -49,7 +49,13 @@ class AddressSpace
      * large pages, regions are 2 MB-aligned and mapped with PS-bit
      * PD-level leaves (the paper's §VI discussion point).
      */
-    void useLargePages(bool enable) { largePages_ = enable; }
+    void
+    useLargePages(bool enable)
+    {
+        GPUWALK_ASSERT(!enable || !demandPaging_,
+                       "demand paging excludes eager large pages");
+        largePages_ = enable;
+    }
 
     /**
      * Demand-paging mode: allocate() lays out regions without mapping

@@ -6,9 +6,9 @@
  * IOMMUs under MASK-style multi-application loads).
  *
  * The generator only *plans* — each entry names a registry workload,
- * its parameters, and an arrival tick. The caller materializes the
- * plan against a System: one createContext() per tenant, then
- * loadBenchmarkInContext() (at the arrival tick for churned tenants).
+ * its parameters, and an arrival tick. exp::tenantLoads() turns the
+ * plan into the loads of one run (a context per tenant, churned
+ * tenants loaded at their arrival tick).
  */
 
 #ifndef GPUWALK_WORKLOAD_TENANT_MIX_HH

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/walk_scheduler.hh"
+#include "exp/run.hh"
 #include "iommu/iommu.hh"
 #include "mem/backing_store.hh"
 #include "mem/cache.hh"
@@ -687,18 +688,17 @@ TEST(GpuAuditFault, TruncatedRunFiresWavefrontCompletion)
 {
     auto cfg = system::SystemConfig::baseline();
     cfg.audit.enabled = true;
-    system::System sys(cfg);
-    sys.loadBenchmark("KMN", tinySystemParams());
+    const auto sys = exp::build({cfg, {{"KMN", tinySystemParams()}}});
 
     // Drive the run by hand and stop long before the GPU is done —
     // the final audit must notice the unfinished wavefronts.
-    sys.gpu().start();
+    sys->gpu().start();
     for (int i = 0; i < 200; ++i)
-        sys.eventQueue().runOne();
-    ASSERT_FALSE(sys.gpu().done());
-    ASSERT_NE(sys.auditor(), nullptr);
-    sys.auditor()->check(AuditPhase::Final, sys.eventQueue().now());
-    EXPECT_TRUE(hasViolation(sys.auditor()->violations(),
+        sys->eventQueue().runOne();
+    ASSERT_FALSE(sys->gpu().done());
+    ASSERT_NE(sys->auditor(), nullptr);
+    sys->auditor()->check(AuditPhase::Final, sys->eventQueue().now());
+    EXPECT_TRUE(hasViolation(sys->auditor()->violations(),
                              "gpu.wavefront_completion"));
 }
 
@@ -706,17 +706,16 @@ TEST(SystemAuditFault, TruncatedRunFiresReplyConservation)
 {
     auto cfg = system::SystemConfig::baseline();
     cfg.audit.enabled = true;
-    system::System sys(cfg);
-    sys.loadBenchmark("KMN", tinySystemParams());
+    const auto sys = exp::build({cfg, {{"KMN", tinySystemParams()}}});
 
     // Stop the run while the IOMMU owes an answer: the final audit must
     // see a received request that was never answered.
-    sys.gpu().start();
-    while (sys.iommu().requests() <= sys.iommu().responses())
-        ASSERT_TRUE(sys.eventQueue().runOne());
-    ASSERT_NE(sys.auditor(), nullptr);
-    sys.auditor()->check(AuditPhase::Final, sys.eventQueue().now());
-    EXPECT_TRUE(hasViolation(sys.auditor()->violations(),
+    sys->gpu().start();
+    while (sys->iommu().requests() <= sys->iommu().responses())
+        ASSERT_TRUE(sys->eventQueue().runOne());
+    ASSERT_NE(sys->auditor(), nullptr);
+    sys->auditor()->check(AuditPhase::Final, sys->eventQueue().now());
+    EXPECT_TRUE(hasViolation(sys->auditor()->violations(),
                              "system.reply_conservation"));
 }
 
@@ -741,14 +740,10 @@ TEST(SystemAuditFault, DuplicatedRequestFiresTranslationConservation)
                 FaultInjector::Spec{FaultKind::Duplicate, 0});
             return faulty.get();
         };
-        system::System sys(cfg);
-        if (tenant) {
-            const tlb::ContextId ctx = sys.createContext();
-            sys.loadBenchmarkInContext("KMN", tinySystemParams(), 0, ctx);
-        } else {
-            sys.loadBenchmark("KMN", tinySystemParams());
-        }
-        const auto stats = sys.run();
+        const auto stats = exp::run({cfg,
+                                     {{.workload = "KMN",
+                                       .params = tinySystemParams(),
+                                       .newContext = tenant}}});
 
         ASSERT_NE(faulty, nullptr);
         EXPECT_EQ(faulty->injector().injected(), 1u);
@@ -780,9 +775,7 @@ TEST(SystemAuditFault, DelayedResponseIsTheNegativeControl)
             eq, table, below, spec);
         return faulty.get();
     };
-    system::System sys(cfg);
-    sys.loadBenchmark("KMN", tinySystemParams());
-    const auto stats = sys.run();
+    const auto stats = exp::run({cfg, {{"KMN", tinySystemParams()}}});
 
     ASSERT_NE(faulty, nullptr);
     EXPECT_EQ(faulty->injector().injected(), 1u);
@@ -925,13 +918,12 @@ TEST(SystemAuditFault, FullRunWithPeriodicChecksAuditsClean)
     cfg.scheduler = core::SchedulerKind::SimtAware;
     cfg.audit.enabled = true;
     cfg.audit.interval = 100'000;
-    system::System sys(cfg);
-    sys.loadBenchmark("MVT", tinySystemParams());
-    const auto stats = sys.run();
+    const auto sys = exp::build({cfg, {{"MVT", tinySystemParams()}}});
+    const auto stats = sys->run();
 
     EXPECT_TRUE(stats.audited);
     EXPECT_GT(stats.auditChecks,
-              sys.auditor()->invariantCount()); // periodic checks ran
+              sys->auditor()->invariantCount()); // periodic checks ran
     EXPECT_EQ(stats.auditViolations, 0u)
         << stats.auditFindings.front().invariant << ": "
         << stats.auditFindings.front().message;

@@ -73,18 +73,17 @@ runPoint(const std::string &workload, core::SchedulerKind sched)
     system::SystemConfig cfg = system::SystemConfig::baseline();
     cfg.scheduler = sched;
     cfg.trace.enabled = true;
-    const exp::RunResult result =
-        exp::runOne(cfg, workload, goldenParams());
+    const auto stats = exp::run({cfg, {{workload, goldenParams()}}});
 
     GoldenEntry e;
-    e.digest = trace::digestHex(result.stats.traceDigest);
-    e.runtimeTicks = result.stats.runtimeTicks;
-    e.instructions = result.stats.instructions;
-    e.translationRequests = result.stats.translationRequests;
-    e.walkRequests = result.stats.walkRequests;
-    e.walksCompleted = result.stats.walksCompleted;
-    e.traceEvents = result.stats.traceEvents;
-    EXPECT_EQ(result.stats.traceDropped, 0u)
+    e.digest = trace::digestHex(stats.traceDigest);
+    e.runtimeTicks = stats.runtimeTicks;
+    e.instructions = stats.instructions;
+    e.translationRequests = stats.translationRequests;
+    e.walkRequests = stats.walkRequests;
+    e.walksCompleted = stats.walksCompleted;
+    e.traceEvents = stats.traceEvents;
+    EXPECT_EQ(stats.traceDropped, 0u)
         << "ring too small for golden runs; digests would depend on "
            "drop behaviour";
     return e;

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "exp/run.hh"
 #include "system/system.hh"
 #include "workload/tenant_mix.hh"
 
@@ -36,34 +37,27 @@ expectPinned(const system::RunStats &stats, Pinned want)
 }
 
 system::RunStats
-runXsb(system::System &sys)
+runXsb(core::SchedulerKind kind)
 {
+    auto cfg = system::SystemConfig::baseline();
+    cfg.scheduler = kind;
+    cfg.audit.enabled = true;
     workload::WorkloadParams params;
     params.wavefronts = 64;
     params.instructionsPerWavefront = 12;
     params.seed = 42;
-    sys.loadBenchmark("XSB", params);
-    return sys.run();
+    return exp::run({cfg, {{"XSB", params}}});
 }
 
 TEST(EventStream, XsbFcfsMatchesPinnedCounts)
 {
-    auto cfg = system::SystemConfig::baseline();
-    cfg.scheduler = core::SchedulerKind::Fcfs;
-    cfg.audit.enabled = true;
-    system::System sys(cfg);
-    const auto stats = runXsb(sys);
-    expectPinned(stats, {114'375, 45'200'000});
+    expectPinned(runXsb(core::SchedulerKind::Fcfs), {114'375, 45'200'000});
 }
 
 TEST(EventStream, XsbSimtAwareMatchesPinnedCounts)
 {
-    auto cfg = system::SystemConfig::baseline();
-    cfg.scheduler = core::SchedulerKind::SimtAware;
-    cfg.audit.enabled = true;
-    system::System sys(cfg);
-    const auto stats = runXsb(sys);
-    expectPinned(stats, {113'281, 44'472'500});
+    expectPinned(runXsb(core::SchedulerKind::SimtAware),
+                 {113'281, 44'472'500});
 }
 
 TEST(EventStream, TenantPagingMixMatchesPinnedCounts)
@@ -85,23 +79,8 @@ TEST(EventStream, TenantPagingMixMatchesPinnedCounts)
     mix.instructionsPerWavefront = 8;
     mix.churnFraction = 0.5;
     mix.alternateWeights = true;
-    const auto specs = workload::generateTenantMix(mix);
-    for (unsigned i = 0; i < specs.size(); ++i) {
-        if (specs[i].weight > 1) {
-            cfg.qos.shareWeights.resize(specs.size(), 1);
-            cfg.qos.shareWeights[i] = specs[i].weight;
-        }
-    }
-
-    system::System sys(cfg);
-    for (unsigned i = 0; i < specs.size(); ++i) {
-        const auto ctx =
-            i == 0 ? tlb::defaultContext : sys.createContext();
-        sys.loadBenchmarkInContext(specs[i].workload, specs[i].params,
-                                   /*app_id=*/i, ctx,
-                                   specs[i].arrivalTick);
-    }
-    const auto stats = sys.run();
+    const auto stats = exp::run(
+        {cfg, exp::tenantLoads(workload::generateTenantMix(mix))});
     ASSERT_TRUE(stats.gmmu.enabled);
     EXPECT_GT(stats.gmmu.pagesEvicted, 0u);
     EXPECT_GT(stats.prefetch.issued, 0u);

@@ -14,8 +14,10 @@
 #include "exp/cli.hh"
 #include "exp/metrics.hh"
 #include "exp/report.hh"
+#include "exp/run.hh"
 #include "exp/runner.hh"
 #include "exp/sweep.hh"
+#include "workload/tenant_mix.hh"
 
 namespace {
 
@@ -81,11 +83,33 @@ tinyParams()
 
 TEST(ExperimentHelpers, RunOneProducesConsistentResult)
 {
-    const auto result =
-        runOne(SystemConfig::baseline(), "KMN", tinyParams());
-    EXPECT_EQ(result.workload, "KMN");
-    EXPECT_EQ(result.scheduler, "fcfs");
-    EXPECT_EQ(result.stats.instructions, 16u * 6u);
+    const auto stats = run({SystemConfig::baseline(), {{"KMN", tinyParams()}}});
+    EXPECT_EQ(stats.instructions, 16u * 6u);
+    EXPECT_GT(stats.runtimeTicks, 0u);
+}
+
+TEST(RunSpecTest, WeightedTenantsSetTheirContextsShareWeights)
+{
+    workload::TenantMixConfig mix;
+    mix.numTenants = 4;
+    mix.wavefrontsPerTenant = 2;
+    mix.instructionsPerWavefront = 2;
+    mix.alternateWeights = true;
+    const auto sys = build(
+        {SystemConfig::baseline(),
+         tenantLoads(workload::generateTenantMix(mix))});
+    EXPECT_EQ(sys->config().qos.shareWeights,
+              (std::vector<std::uint32_t>{1, 2, 1, 2}));
+    EXPECT_EQ(sys->gpu().contextOf(3), 3u);
+
+    // Equal weights leave the configured table alone.
+    auto cfg = SystemConfig::baseline();
+    cfg.qos.shareWeights = {3, 1};
+    mix.alternateWeights = false;
+    EXPECT_EQ(build({cfg, tenantLoads(workload::generateTenantMix(mix))})
+                  ->config()
+                  .qos.shareWeights,
+              cfg.qos.shareWeights);
 }
 
 TEST(ExperimentHelpers, PrintBannerEchoesConfig)

@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "exp/run.hh"
 #include "system/system.hh"
 #include "trace/trace.hh"
 
@@ -62,19 +63,18 @@ runTraced(core::SchedulerKind kind, double ratio, bool gmmu_on = true)
         cfg.gmmu.migrationLatency = 1'000;
         cfg.gmmu.batchSize = 8;
     }
-    system::System sys(cfg);
 
     workload::WorkloadParams params;
     params.wavefronts = 8;
     params.instructionsPerWavefront = 6;
     params.footprintScale = 0.02;
     params.seed = 29;
-    sys.loadBenchmark("GEV", params);
+    const auto sys = exp::build({cfg, {{"GEV", params}}});
 
     TracedRun out;
-    out.stats = sys.run();
-    out.dropped = sys.tracer()->dropped();
-    out.events = sys.tracer()->snapshot();
+    out.stats = sys->run();
+    out.dropped = sys->tracer()->dropped();
+    out.events = sys->tracer()->snapshot();
     return out;
 }
 

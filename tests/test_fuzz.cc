@@ -233,7 +233,7 @@ runAudited(core::SchedulerKind sched, const std::string &workload,
     // any conservation violation.
     cfg.audit.enabled = true;
     cfg.audit.interval = 0;
-    return exp::runOne(cfg, workload, params).stats;
+    return exp::run({cfg, {{workload, params}}});
 }
 
 /** Randomized workload x scheduler x shape configurations, each run

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/run.hh"
 #include "iommu/page_table_walker.hh"
 #include "system/system.hh"
 #include "tlb/set_assoc_tlb.hh"
@@ -180,14 +181,12 @@ TEST(LargePageSystem, EndToEndWithLargePages)
 {
     auto cfg = system::SystemConfig::baseline();
     cfg.scheduler = core::SchedulerKind::SimtAware;
-    system::System sys(cfg);
     workload::WorkloadParams params;
     params.wavefronts = 24;
     params.instructionsPerWavefront = 10;
     params.footprintScale = 0.05;
     params.useLargePages = true;
-    sys.loadBenchmark("MVT", params);
-    const auto stats = sys.run();
+    const auto stats = exp::run({cfg, {{"MVT", params}}});
     EXPECT_EQ(stats.instructions, 24u * 10u);
     EXPECT_EQ(stats.walkRequests, stats.walksCompleted);
 }
@@ -203,14 +202,10 @@ TEST(LargePageSystem, LargePagesSlashWalkCountOnStridedApps)
     params.instructionsPerWavefront = 12;
     params.footprintScale = 0.25;
 
-    system::System small_sys(base);
-    small_sys.loadBenchmark("MVT", params);
-    const auto small = small_sys.run();
+    const auto small = exp::run({base, {{"MVT", params}}});
 
     params.useLargePages = true;
-    system::System large_sys(base);
-    large_sys.loadBenchmark("MVT", params);
-    const auto large = large_sys.run();
+    const auto large = exp::run({base, {{"MVT", params}}});
 
     EXPECT_LT(large.walkRequests, small.walkRequests / 4);
     EXPECT_LT(large.runtimeTicks, small.runtimeTicks);

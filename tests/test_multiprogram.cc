@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "system/system.hh"
+#include <string>
+
+#include "exp/run.hh"
 
 namespace {
 
@@ -22,12 +24,22 @@ tinyParams()
     return p;
 }
 
+/** @p first as app 0 and @p second as app @p second_app of one
+ *  baseline System. */
+exp::RunSpec
+twoApps(const std::string &first, const std::string &second,
+        unsigned second_app = 1)
+{
+    return {system::SystemConfig::baseline(),
+            {{first, tinyParams()},
+             {.workload = second,
+              .params = tinyParams(),
+              .appId = second_app}}};
+}
+
 TEST(MultiProgram, TwoAppsBothComplete)
 {
-    system::System sys(system::SystemConfig::baseline());
-    sys.loadBenchmark("MVT", tinyParams(), 0);
-    sys.loadBenchmark("HOT", tinyParams(), 1);
-    const auto stats = sys.run();
+    const auto stats = exp::run(twoApps("MVT", "HOT"));
 
     EXPECT_EQ(stats.instructions, 2u * 12u * 8u);
     ASSERT_EQ(stats.appFinishTicks.size(), 2u);
@@ -40,20 +52,17 @@ TEST(MultiProgram, TwoAppsBothComplete)
 
 TEST(MultiProgram, PerAppWavefrontCountsAreTracked)
 {
-    system::System sys(system::SystemConfig::baseline());
-    sys.loadBenchmark("ATX", tinyParams(), 0);
-    sys.loadBenchmark("KMN", tinyParams(), 1);
-    sys.run();
-    EXPECT_EQ(sys.gpu().numApps(), 2u);
-    EXPECT_EQ(sys.gpu().appWavefrontsDone(0), 12u);
-    EXPECT_EQ(sys.gpu().appWavefrontsDone(1), 12u);
+    const auto sys = exp::build(twoApps("ATX", "KMN"));
+    sys->run();
+    EXPECT_EQ(sys->gpu().numApps(), 2u);
+    EXPECT_EQ(sys->gpu().appWavefrontsDone(0), 12u);
+    EXPECT_EQ(sys->gpu().appWavefrontsDone(1), 12u);
 }
 
 TEST(MultiProgram, SingleAppStillWorksAsAppZero)
 {
-    system::System sys(system::SystemConfig::baseline());
-    sys.loadBenchmark("BIC", tinyParams());
-    const auto stats = sys.run();
+    const auto stats =
+        exp::run({system::SystemConfig::baseline(), {{"BIC", tinyParams()}}});
     ASSERT_EQ(stats.appFinishTicks.size(), 1u);
     EXPECT_EQ(stats.appFinishTicks[0], stats.runtimeTicks);
 }
@@ -61,39 +70,26 @@ TEST(MultiProgram, SingleAppStillWorksAsAppZero)
 TEST(MultiProgram, SameAppIdAccumulates)
 {
     // Loading twice under one app id extends that app.
-    system::System sys(system::SystemConfig::baseline());
-    sys.loadBenchmark("CLR", tinyParams(), 0);
-    sys.loadBenchmark("CLR", tinyParams(), 0);
-    sys.run();
-    EXPECT_EQ(sys.gpu().numApps(), 1u);
-    EXPECT_EQ(sys.gpu().appWavefrontsDone(0), 24u);
+    const auto sys = exp::build(twoApps("CLR", "CLR", 0));
+    sys->run();
+    EXPECT_EQ(sys->gpu().numApps(), 1u);
+    EXPECT_EQ(sys->gpu().appWavefrontsDone(0), 24u);
 }
 
 TEST(MultiProgram, ContentionSlowsTheVictim)
 {
     // A translation-light app co-running with a translation-heavy one
     // must finish no sooner than when running alone.
-    auto cfg = system::SystemConfig::baseline();
-
-    system::System solo(cfg);
-    solo.loadBenchmark("HOT", tinyParams());
-    const auto solo_t = solo.run().runtimeTicks;
-
-    system::System shared(cfg);
-    shared.loadBenchmark("MVT", tinyParams(), 0);
-    shared.loadBenchmark("HOT", tinyParams(), 1);
-    const auto stats = shared.run();
+    const auto solo_t =
+        exp::run({system::SystemConfig::baseline(), {{"HOT", tinyParams()}}})
+            .runtimeTicks;
+    const auto stats = exp::run(twoApps("MVT", "HOT"));
     EXPECT_GE(stats.appFinishTicks[1], solo_t);
 }
 
 TEST(MultiProgram, DeterministicAcrossRuns)
 {
-    auto run = [] {
-        system::System sys(system::SystemConfig::baseline());
-        sys.loadBenchmark("MVT", tinyParams(), 0);
-        sys.loadBenchmark("SSP", tinyParams(), 1);
-        return sys.run();
-    };
+    auto run = [] { return exp::run(twoApps("MVT", "SSP")); };
     const auto a = run();
     const auto b = run();
     EXPECT_EQ(a.appFinishTicks, b.appFinishTicks);

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "exp/report.hh"
+#include "exp/run.hh"
 #include "golden_store.hh"
 #include "sim/rng.hh"
 #include "system/system.hh"
@@ -93,11 +94,10 @@ runPoint(const OversubPoint &point)
     params.footprintScale = 0.02;
     params.seed = 23;
 
-    system::System sys(cfg);
-    sys.loadBenchmark(point.workload, params);
+    const auto sys = exp::build({cfg, {{point.workload, params}}});
 
     OversubRun out;
-    out.stats = sys.run();
+    out.stats = sys->run();
     out.statsJson = exp::statsJsonString(out.stats);
     return out;
 }

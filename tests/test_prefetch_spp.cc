@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "exp/report.hh"
+#include "exp/run.hh"
 #include "iommu/iommu.hh"
 #include "iommu/prefetch/spp_prefetcher.hh"
 #include "mem/dram_controller.hh"
@@ -320,16 +321,15 @@ runTraced(iommu::PrefetchKind kind, core::SchedulerKind sched)
     params.footprintScale = 0.2;
     params.seed = 11;
 
-    system::System sys(cfg);
     // GEV's gather streams carry enough strided sub-sequences for SPP
     // to train under both schedulers, so the accounting identities
     // are exercised with non-zero counters.
-    sys.loadBenchmark("GEV", params);
+    const auto sys = exp::build({cfg, {{"GEV", params}}});
 
     TracedRun out;
-    out.stats = sys.run();
-    out.dropped = sys.tracer()->dropped();
-    out.events = sys.tracer()->snapshot();
+    out.stats = sys->run();
+    out.dropped = sys->tracer()->dropped();
+    out.events = sys->tracer()->snapshot();
     return out;
 }
 
@@ -455,11 +455,10 @@ runSpp(const std::string &workload, core::SchedulerKind sched,
     params.footprintScale = 0.05;
     params.seed = 17;
 
-    system::System sys(cfg);
-    sys.loadBenchmark(workload, params);
+    const auto sys = exp::build({cfg, {{workload, params}}});
 
     SppRun out;
-    out.stats = sys.run();
+    out.stats = sys->run();
     out.statsJson = exp::statsJsonString(out.stats);
     return out;
 }

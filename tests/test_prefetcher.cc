@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/run.hh"
 #include "iommu/iommu.hh"
 #include "mem/dram_controller.hh"
 #include "system/system.hh"
@@ -155,16 +156,13 @@ TEST(PrefetchSystem, EndToEndStreamingWorkloadBenefits)
     params.footprintScale = 0.2;
 
     auto cfg = system::SystemConfig::baseline();
-    system::System off(cfg);
-    off.loadBenchmark("HOT", params);
-    const auto off_stats = off.run();
+    const auto off_stats = exp::run({cfg, {{"HOT", params}}});
 
     cfg.iommu.prefetch.kind = iommu::PrefetchKind::Spp;
-    system::System on(cfg);
-    on.loadBenchmark("HOT", params);
-    const auto on_stats = on.run();
+    const auto on = exp::build({cfg, {{"HOT", params}}});
+    const auto on_stats = on->run();
 
-    EXPECT_GT(on.iommu().prefetches(), 0u);
+    EXPECT_GT(on->iommu().prefetches(), 0u);
     EXPECT_LE(on_stats.walkRequests, off_stats.walkRequests);
 }
 

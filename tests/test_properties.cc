@@ -11,6 +11,7 @@
 
 #include "core/simt_aware_scheduler.hh"
 #include "exp/metrics.hh"
+#include "exp/run.hh"
 #include "system/system.hh"
 #include "workload/registry.hh"
 
@@ -41,15 +42,14 @@ TEST_P(SchedulerWorkloadProperty, CompletesAndConserves)
     const auto [kind, workload] = GetParam();
     auto cfg = system::SystemConfig::baseline();
     cfg.scheduler = kind;
-    system::System sys(cfg);
-    sys.loadBenchmark(workload, tinyParams());
-    const auto stats = sys.run();
+    const auto sys = exp::build({cfg, {{workload, tinyParams()}}});
+    const auto stats = sys->run();
 
     // Everything issued retires.
     EXPECT_EQ(stats.instructions, 24u * 10u);
     // Every walk that was requested completed; nothing in flight.
     EXPECT_EQ(stats.walkRequests, stats.walksCompleted);
-    EXPECT_EQ(sys.iommu().inflightWalks(), 0u);
+    EXPECT_EQ(sys->iommu().inflightWalks(), 0u);
     // Walk accounting in the metrics matches the IOMMU counters.
     EXPECT_EQ(stats.walks.totalWalks, stats.walksCompleted);
     // Memory accesses per walk are within the x86-64 bounds.
@@ -93,9 +93,7 @@ TEST_P(DeterminismProperty, IdenticalRunsIdenticalResults)
     auto run = [&] {
         auto cfg = system::SystemConfig::baseline();
         cfg.scheduler = GetParam();
-        system::System sys(cfg);
-        sys.loadBenchmark("ATX", tinyParams());
-        return sys.run();
+        return exp::run({cfg, {{"ATX", tinyParams()}}});
     };
     const auto a = run();
     const auto b = run();
@@ -130,9 +128,7 @@ TEST_P(SeedProperty, InvariantsHoldAcrossSeeds)
 {
     auto cfg = system::SystemConfig::baseline();
     cfg.scheduler = core::SchedulerKind::SimtAware;
-    system::System sys(cfg);
-    sys.loadBenchmark("BIC", tinyParams(GetParam()));
-    const auto stats = sys.run();
+    const auto stats = exp::run({cfg, {{"BIC", tinyParams(GetParam())}}});
     EXPECT_EQ(stats.instructions, 24u * 10u);
     EXPECT_EQ(stats.walkRequests, stats.walksCompleted);
 }
@@ -150,9 +146,7 @@ TEST_P(WalkerSweepProperty, CompletesWithAnyWalkerCount)
 {
     auto cfg = system::SystemConfig::baseline();
     cfg.iommu.numWalkers = GetParam();
-    system::System sys(cfg);
-    sys.loadBenchmark("MVT", tinyParams());
-    const auto stats = sys.run();
+    const auto stats = exp::run({cfg, {{"MVT", tinyParams()}}});
     EXPECT_EQ(stats.walkRequests, stats.walksCompleted);
 }
 
@@ -169,9 +163,7 @@ TEST_P(BufferSweepProperty, CompletesWithAnyBufferSize)
     auto cfg = system::SystemConfig::baseline();
     cfg.iommu.bufferEntries = GetParam();
     cfg.scheduler = core::SchedulerKind::SimtAware;
-    system::System sys(cfg);
-    sys.loadBenchmark("GEV", tinyParams());
-    const auto stats = sys.run();
+    const auto stats = exp::run({cfg, {{"GEV", tinyParams()}}});
     EXPECT_EQ(stats.walkRequests, stats.walksCompleted);
 }
 
@@ -185,12 +177,11 @@ TEST(AgingProperty, TinyThresholdStillCompletes)
     auto cfg = system::SystemConfig::baseline();
     cfg.scheduler = core::SchedulerKind::SimtAware;
     cfg.simt.agingThreshold = 4;
-    system::System sys(cfg);
-    sys.loadBenchmark("MVT", tinyParams());
-    const auto stats = sys.run();
+    const auto sys = exp::build({cfg, {{"MVT", tinyParams()}}});
+    const auto stats = sys->run();
     EXPECT_EQ(stats.walkRequests, stats.walksCompleted);
     auto *sched = dynamic_cast<core::SimtAwareScheduler *>(
-        &sys.iommu().scheduler());
+        &sys->iommu().scheduler());
     ASSERT_NE(sched, nullptr);
     EXPECT_GT(sched->agingOverrides(), 0u);
 }
@@ -202,9 +193,7 @@ TEST(PwcPinningProperty, OnOffBothComplete)
         auto cfg = system::SystemConfig::baseline();
         cfg.scheduler = core::SchedulerKind::SimtAware;
         cfg.iommu.pwc.pinScoredEntries = pin;
-        system::System sys(cfg);
-        sys.loadBenchmark("ATX", tinyParams());
-        const auto stats = sys.run();
+        const auto stats = exp::run({cfg, {{"ATX", tinyParams()}}});
         EXPECT_EQ(stats.walkRequests, stats.walksCompleted);
     }
 }
@@ -232,9 +221,8 @@ TEST_P(FeatureMatrixProperty, ExtensionsComposeSafely)
     auto params = tinyParams();
     params.useLargePages = large_pages;
 
-    system::System sys(cfg);
-    sys.loadBenchmark("MVT", params);
-    const auto stats = sys.run();
+    const auto sys = exp::build({cfg, {{"MVT", params}}});
+    const auto stats = sys->run();
     EXPECT_EQ(stats.instructions, 24u * 10u);
     // Every demand walk completes; prefetch walks come on top.
     EXPECT_EQ(stats.walks.totalWalks, stats.walkRequests);
@@ -242,7 +230,7 @@ TEST_P(FeatureMatrixProperty, ExtensionsComposeSafely)
     // A final speculative prefetch may legitimately still be in
     // flight when the GPU retires its last instruction.
     if (!prefetch) {
-        EXPECT_EQ(sys.iommu().inflightWalks(), 0u);
+        EXPECT_EQ(sys->iommu().inflightWalks(), 0u);
     }
 }
 

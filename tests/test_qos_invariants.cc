@@ -23,6 +23,7 @@
 #include "core/walk_scheduler.hh"
 #include "core/weighted_share_scheduler.hh"
 #include "exp/metrics.hh"
+#include "exp/run.hh"
 #include "system/system.hh"
 #include "workload/tenant_mix.hh"
 
@@ -331,7 +332,6 @@ runTenantsTraced(SchedulerKind kind,
     cfg.iommu.bufferEntries = 1u << 16;
     if (aging_threshold)
         cfg.simt.agingThreshold = aging_threshold;
-    system::System sys(cfg);
 
     workload::TenantMixConfig mix;
     mix.numTenants = 4;
@@ -340,21 +340,14 @@ runTenantsTraced(SchedulerKind kind,
     mix.instructionsPerWavefront = 6;
     mix.footprintScaleMin = 0.02;
     mix.footprintScaleMax = 0.06;
-    const auto specs = workload::generateTenantMix(mix);
-    for (unsigned i = 0; i < specs.size(); ++i) {
-        const auto ctx =
-            i == 0 ? tlb::defaultContext : sys.createContext();
-        EXPECT_EQ(ctx, i);
-        sys.loadBenchmarkInContext(specs[i].workload, specs[i].params,
-                                   /*app_id=*/i, ctx,
-                                   specs[i].arrivalTick);
-    }
+    const auto sys = exp::build(
+        {cfg, exp::tenantLoads(workload::generateTenantMix(mix))});
 
     TenantRun out;
-    out.stats = sys.run();
-    out.overflowed = sys.iommu().overflowed();
-    out.dropped = sys.tracer()->dropped();
-    out.events = sys.tracer()->snapshot();
+    out.stats = sys->run();
+    out.overflowed = sys->iommu().overflowed();
+    out.dropped = sys->tracer()->dropped();
+    out.events = sys->tracer()->snapshot();
     return out;
 }
 

@@ -16,6 +16,7 @@
 #include "core/fcfs_scheduler.hh"
 #include "core/simt_aware_scheduler.hh"
 #include "core/walk_scheduler.hh"
+#include "exp/run.hh"
 #include "sim/rng.hh"
 #include "system/system.hh"
 
@@ -260,12 +261,11 @@ TEST(SchedulerFuzz, TracedStreamsAreWellFormedForEveryScheduler)
         params.footprintScale = 0.05;
         params.seed = 11;
 
-        gpuwalk::system::System sys(cfg);
-        sys.loadBenchmark("GEV", params);
-        const auto stats = sys.run();
+        const auto sys = exp::build({cfg, {{"GEV", params}}});
+        const auto stats = sys->run();
 
-        ASSERT_EQ(sys.tracer()->dropped(), 0u);
-        validateTracedStream(sys.tracer()->snapshot(),
+        ASSERT_EQ(sys->tracer()->dropped(), 0u);
+        validateTracedStream(sys->tracer()->snapshot(),
                              cfg.iommu.numWalkers, stats);
     }
 }

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "exp/run.hh"
 #include "system/system.hh"
 #include "workload/registry.hh"
 
@@ -34,11 +36,16 @@ smallConfig(core::SchedulerKind kind)
     return cfg;
 }
 
+/** @p workload at smallParams() under @p kind, ready to run. */
+exp::RunSpec
+smallRun(core::SchedulerKind kind, const std::string &workload)
+{
+    return {smallConfig(kind), {{workload, smallParams()}}};
+}
+
 TEST(SystemIntegration, MvtRunsToCompletionUnderFcfs)
 {
-    system::System sys(smallConfig(core::SchedulerKind::Fcfs));
-    sys.loadBenchmark("MVT", smallParams());
-    const auto stats = sys.run();
+    const auto stats = exp::run(smallRun(core::SchedulerKind::Fcfs, "MVT"));
 
     EXPECT_GT(stats.runtimeTicks, 0u);
     EXPECT_EQ(stats.instructions, 32u * 12u);
@@ -48,10 +55,10 @@ TEST(SystemIntegration, MvtRunsToCompletionUnderFcfs)
 
 TEST(SystemIntegration, AllWalksDrainAtCompletion)
 {
-    system::System sys(smallConfig(core::SchedulerKind::SimtAware));
-    sys.loadBenchmark("GEV", smallParams());
-    sys.run();
-    EXPECT_EQ(sys.iommu().inflightWalks(), 0u);
+    const auto sys =
+        exp::build(smallRun(core::SchedulerKind::SimtAware, "GEV"));
+    sys->run();
+    EXPECT_EQ(sys->iommu().inflightWalks(), 0u);
 }
 
 TEST(SystemIntegration, EverySchedulerCompletesEveryInstruction)
@@ -60,9 +67,7 @@ TEST(SystemIntegration, EverySchedulerCompletesEveryInstruction)
          {core::SchedulerKind::Fcfs, core::SchedulerKind::Random,
           core::SchedulerKind::SjfOnly, core::SchedulerKind::BatchOnly,
           core::SchedulerKind::SimtAware}) {
-        system::System sys(smallConfig(kind));
-        sys.loadBenchmark("ATX", smallParams());
-        const auto stats = sys.run();
+        const auto stats = exp::run(smallRun(kind, "ATX"));
         EXPECT_EQ(stats.instructions, 32u * 12u)
             << "scheduler " << core::toString(kind);
     }
@@ -71,9 +76,7 @@ TEST(SystemIntegration, EverySchedulerCompletesEveryInstruction)
 TEST(SystemIntegration, RunsAreDeterministic)
 {
     auto run = [] {
-        system::System sys(smallConfig(core::SchedulerKind::SimtAware));
-        sys.loadBenchmark("BIC", smallParams());
-        return sys.run();
+        return exp::run(smallRun(core::SchedulerKind::SimtAware, "BIC"));
     };
     const auto a = run();
     const auto b = run();
@@ -85,11 +88,9 @@ TEST(SystemIntegration, RunsAreDeterministic)
 TEST(SystemIntegration, RandomSchedulerSeedChangesSchedule)
 {
     auto run = [](std::uint64_t seed) {
-        auto cfg = smallConfig(core::SchedulerKind::Random);
-        cfg.schedulerSeed = seed;
-        system::System sys(cfg);
-        sys.loadBenchmark("MVT", smallParams());
-        return sys.run();
+        auto spec = smallRun(core::SchedulerKind::Random, "MVT");
+        spec.cfg.schedulerSeed = seed;
+        return exp::run(spec);
     };
     // Different seeds must still complete correctly; runtimes may (and
     // almost surely do) differ.
@@ -100,11 +101,10 @@ TEST(SystemIntegration, RandomSchedulerSeedChangesSchedule)
 
 TEST(SystemIntegration, StatsDumpContainsAllComponents)
 {
-    system::System sys(smallConfig(core::SchedulerKind::Fcfs));
-    sys.loadBenchmark("KMN", smallParams());
-    sys.run();
+    const auto sys = exp::build(smallRun(core::SchedulerKind::Fcfs, "KMN"));
+    sys->run();
     std::ostringstream os;
-    sys.dumpStats(os);
+    sys->dumpStats(os);
     const std::string text = os.str();
     EXPECT_NE(text.find("gpu."), std::string::npos);
     EXPECT_NE(text.find("iommu."), std::string::npos);
@@ -141,14 +141,9 @@ TEST(SystemIntegration, RegularWorkloadsWalkLittle)
     // Regular benchmarks coalesce to one page per instruction and
     // stream: walks per instruction must be far below the irregular
     // apps'.
-    const auto params = smallParams();
-    system::System irr(smallConfig(core::SchedulerKind::Fcfs));
-    irr.loadBenchmark("GEV", params);
-    const auto irregular = irr.run();
-
-    system::System reg(smallConfig(core::SchedulerKind::Fcfs));
-    reg.loadBenchmark("BCK", params);
-    const auto regular = reg.run();
+    const auto irregular =
+        exp::run(smallRun(core::SchedulerKind::Fcfs, "GEV"));
+    const auto regular = exp::run(smallRun(core::SchedulerKind::Fcfs, "BCK"));
 
     const double irr_rate =
         static_cast<double>(irregular.walkRequests)

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "exp/report.hh"
+#include "exp/run.hh"
 #include "golden_store.hh"
 #include "system/system.hh"
 #include "trace/digest.hh"
@@ -82,29 +83,10 @@ runMix(const MixPoint &point)
     mix.churnFraction = point.churnFraction;
     mix.churnWindowTicks = 200'000;
     mix.alternateWeights = point.alternateWeights;
-    const auto specs = workload::generateTenantMix(mix);
-
-    // Tenant i receives ContextId i below, so spec weights map
-    // directly onto the per-ContextId weight table.
-    for (unsigned i = 0; i < specs.size(); ++i) {
-        if (specs[i].weight > 1) {
-            cfg.qos.shareWeights.resize(specs.size(), 1);
-            cfg.qos.shareWeights[i] = specs[i].weight;
-        }
-    }
-
-    system::System sys(cfg);
-    for (unsigned i = 0; i < specs.size(); ++i) {
-        const auto ctx =
-            i == 0 ? tlb::defaultContext : sys.createContext();
-        GPUWALK_ASSERT(ctx == i, "context ids must be dense");
-        sys.loadBenchmarkInContext(specs[i].workload, specs[i].params,
-                                   /*app_id=*/i, ctx,
-                                   specs[i].arrivalTick);
-    }
 
     MixRun out;
-    out.stats = sys.run();
+    out.stats = exp::run(
+        {cfg, exp::tenantLoads(workload::generateTenantMix(mix))});
     out.statsJson = exp::statsJsonString(out.stats);
     return out;
 }

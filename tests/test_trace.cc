@@ -274,29 +274,28 @@ TEST(ChromeExport, ByteStableAcrossIdenticalTracers)
 
 TEST(TraceFilePathTest, UniquifiesPerRunAndKeepsExtension)
 {
-    const auto path = exp::traceFilePath("out/trace.json", "MVT", "fcfs",
-                                         "", 7);
+    const auto path =
+        exp::traceFilePath("out/trace.json", {"MVT", "fcfs", "", 7});
     EXPECT_EQ(path, "out/trace-MVT-fcfs-s7.json");
 
     // Every job label lands in the name: scheduler, seed and variant.
-    EXPECT_NE(exp::traceFilePath("out/trace.json", "MVT", "simt-aware",
-                                 "", 7),
+    EXPECT_NE(exp::traceFilePath("out/trace.json",
+                                 {"MVT", "simt-aware", "", 7}),
               path);
-    EXPECT_NE(exp::traceFilePath("out/trace.json", "MVT", "fcfs", "", 8),
+    EXPECT_NE(exp::traceFilePath("out/trace.json", {"MVT", "fcfs", "", 8}),
               path);
-    EXPECT_EQ(exp::traceFilePath("out/trace.json", "MVT", "fcfs", "2M",
-                                 7),
+    EXPECT_EQ(exp::traceFilePath("out/trace.json", {"MVT", "fcfs", "2M", 7}),
               "out/trace-MVT-fcfs-2M-s7.json");
 
     // Labels are free text; they become one safe path component.
-    EXPECT_EQ(exp::traceFilePath("t.json", "mix8", "fcfs",
-                                 "(a) 1024 L2 TLB, 8/16", 1),
+    EXPECT_EQ(exp::traceFilePath("t.json",
+                                 {"mix8", "fcfs", "(a) 1024 L2 TLB, 8/16", 1}),
               "t-mix8-fcfs-_a__1024_L2_TLB__8_16-s1.json");
 }
 
 TEST(TraceFilePathTest, HandlesExtensionlessPaths)
 {
-    EXPECT_EQ(exp::traceFilePath("trace_dump", "KMN", "fcfs", "", 1),
+    EXPECT_EQ(exp::traceFilePath("trace_dump", {"KMN", "fcfs", "", 1}),
               "trace_dump-KMN-fcfs-s1");
     // A dot in a directory name is not an extension.
     EXPECT_EQ(exp::insertPathSuffix("out.d/trace", "-fcfs"),

@@ -21,6 +21,7 @@
 
 #include "exp/cli.hh"
 #include "exp/report.hh"
+#include "exp/run.hh"
 #include "exp/runner.hh"
 #include "system/system.hh"
 #include "trace/digest.hh"
@@ -81,14 +82,13 @@ runTraced(core::SchedulerKind kind, const std::string &workload = "GEV",
     cfg.iommu.bufferEntries = 1u << 16;
     if (aging_threshold)
         cfg.simt.agingThreshold = aging_threshold;
-    system::System sys(cfg);
-    sys.loadBenchmark(workload, contendedParams());
+    const auto sys = exp::build({cfg, {{workload, contendedParams()}}});
 
     TracedRun out;
-    out.stats = sys.run();
-    out.overflowed = sys.iommu().overflowed();
-    out.dropped = sys.tracer()->dropped();
-    out.events = sys.tracer()->snapshot();
+    out.stats = sys->run();
+    out.overflowed = sys->iommu().overflowed();
+    out.dropped = sys->tracer()->dropped();
+    out.events = sys->tracer()->snapshot();
     return out;
 }
 
@@ -411,9 +411,7 @@ TEST(GoldenTrace, TracingDoesNotPerturbSimulatedResults)
     auto run = [&](bool traced) {
         auto c = cfg;
         c.trace.enabled = traced;
-        system::System sys(c);
-        sys.loadBenchmark("GEV", contendedParams());
-        return sys.run();
+        return exp::run({c, {{"GEV", contendedParams()}}});
     };
     const auto off = run(false);
     const auto on = run(true);
@@ -440,9 +438,7 @@ TEST(GoldenTrace, AuditingDoesNotPerturbSimulatedResults)
         auto c = cfg;
         c.audit.enabled = audited;
         c.audit.interval = 100'000; // many periodic checks
-        system::System sys(c);
-        sys.loadBenchmark("GEV", contendedParams());
-        return sys.run();
+        return exp::run({c, {{"GEV", contendedParams()}}});
     };
     const auto off = run(false);
     const auto on = run(true);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/run.hh"
 #include "system/system.hh"
 #include "tlb/translating_port.hh"
 #include "request_sinks.hh"
@@ -96,9 +97,7 @@ TEST(VirtualCache, SystemCompletesWithVirtualL1)
     auto cfg = system::SystemConfig::baseline();
     cfg.gpu.virtualL1Cache = true;
     cfg.scheduler = core::SchedulerKind::SimtAware;
-    system::System sys(cfg);
-    sys.loadBenchmark("MVT", smallParams());
-    const auto stats = sys.run();
+    const auto stats = exp::run({cfg, {{"MVT", smallParams()}}});
     EXPECT_EQ(stats.instructions, 24u * 10u);
     EXPECT_EQ(stats.walkRequests, stats.walksCompleted);
 }
@@ -111,21 +110,20 @@ TEST(VirtualCache, FiltersTranslationTraffic)
     auto params = smallParams();
     params.wavefronts = 32;
 
-    auto physical = system::SystemConfig::baseline();
-    system::System phys_sys(physical);
-    phys_sys.loadBenchmark("BCK", params); // streaming: high L1 reuse
-    phys_sys.run();
-    const auto phys_xlate = phys_sys.tlbs().stats();
-    const auto phys_requests = phys_sys.iommu().walkRequests();
+    // BCK streams: high L1 reuse.
+    const auto phys_sys =
+        exp::build({system::SystemConfig::baseline(), {{"BCK", params}}});
+    phys_sys->run();
+    const auto phys_xlate = phys_sys->tlbs().stats();
+    const auto phys_requests = phys_sys->iommu().walkRequests();
 
     auto virt = system::SystemConfig::baseline();
     virt.gpu.virtualL1Cache = true;
-    system::System virt_sys(virt);
-    virt_sys.loadBenchmark("BCK", params);
-    virt_sys.run();
+    const auto virt_sys = exp::build({virt, {{"BCK", params}}});
+    virt_sys->run();
 
     (void)phys_xlate;
-    EXPECT_LE(virt_sys.iommu().walkRequests(), phys_requests);
+    EXPECT_LE(virt_sys->iommu().walkRequests(), phys_requests);
 }
 
 TEST(VirtualCache, TranslationsStillFunctionallyCorrect)
@@ -135,11 +133,10 @@ TEST(VirtualCache, TranslationsStillFunctionallyCorrect)
     // the walker asserting present mappings throughout.
     auto cfg = system::SystemConfig::baseline();
     cfg.gpu.virtualL1Cache = true;
-    system::System sys(cfg);
-    sys.loadBenchmark("GEV", smallParams());
-    const auto stats = sys.run();
+    const auto sys = exp::build({cfg, {{"GEV", smallParams()}}});
+    const auto stats = sys->run();
     EXPECT_GT(stats.walkRequests, 0u);
-    EXPECT_EQ(sys.iommu().inflightWalks(), 0u);
+    EXPECT_EQ(sys->iommu().inflightWalks(), 0u);
 }
 
 TEST(VirtualCache, DeterministicToo)
@@ -147,9 +144,7 @@ TEST(VirtualCache, DeterministicToo)
     auto run = [] {
         auto cfg = system::SystemConfig::baseline();
         cfg.gpu.virtualL1Cache = true;
-        system::System sys(cfg);
-        sys.loadBenchmark("ATX", smallParams());
-        return sys.run();
+        return exp::run({cfg, {{"ATX", smallParams()}}});
     };
     EXPECT_EQ(run().runtimeTicks, run().runtimeTicks);
 }

@@ -107,28 +107,4 @@ fcfsVsSimt(const system::SystemConfig &base,
     return spec;
 }
 
-system::SystemConfig
-withTenantWeights(system::SystemConfig cfg,
-                  const std::vector<workload::TenantSpec> &specs)
-{
-    for (unsigned i = 0; i < specs.size(); ++i) {
-        if (specs[i].weight > 1) {
-            cfg.qos.shareWeights.resize(specs.size(), 1);
-            cfg.qos.shareWeights[i] = specs[i].weight;
-        }
-    }
-    return cfg;
-}
-
-void
-loadTenants(system::System &sys,
-            const std::vector<workload::TenantSpec> &specs)
-{
-    for (unsigned i = 0; i < specs.size(); ++i) {
-        const auto ctx = i == 0 ? tlb::defaultContext : sys.createContext();
-        sys.loadBenchmarkInContext(specs[i].workload, specs[i].params,
-                                   /*app_id=*/i, ctx, specs[i].arrivalTick);
-    }
-}
-
 } // namespace gpuwalk::experiments

@@ -22,7 +22,6 @@
 #include "exp/report.hh"
 #include "system/system.hh"
 #include "workload/registry.hh"
-#include "workload/tenant_mix.hh"
 
 namespace gpuwalk::experiments {
 
@@ -61,16 +60,6 @@ bool isIrregular(const std::string &app);
  *  compare. */
 exp::SweepSpec fcfsVsSimt(const system::SystemConfig &base,
                           std::vector<std::string> workloads);
-
-/** @p cfg with the share weights of @p specs: tenant i runs in
- *  ContextId i, so spec weights map directly onto the per-ContextId
- *  weight table. */
-system::SystemConfig withTenantWeights(
-    system::SystemConfig cfg, const std::vector<workload::TenantSpec> &specs);
-
-/** Loads tenant i of @p specs into ContextId i of @p sys. */
-void loadTenants(system::System &sys,
-                 const std::vector<workload::TenantSpec> &specs);
 
 // The experiments (figures.cc, ablations.cc, sharing.cc).
 ExperimentFn table1, table2, fig02, fig03, fig05, fig06, fig08, fig09,

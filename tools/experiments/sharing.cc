@@ -3,23 +3,36 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "system/system.hh"
+#include "exp/run.hh"
 #include "workload/tenant_mix.hh"
 
 namespace gpuwalk::experiments {
 
 namespace {
 
-/** Points a traced @p cfg at @p job's own trace file, named by its
- *  labels and @p seed. */
-void
-nameTraceFile(system::SystemConfig &cfg, const exp::Job &job,
-              std::uint64_t seed)
+/**
+ * A hand-built sweep job: runs @p spec under @p kind, labelled
+ * (@p workload, @p kind, @p seed), its trace file named by those
+ * labels. @p add_extra, when set, copies experiment scalars out of the
+ * stats into RunResult::extra.
+ */
+exp::Job
+specJob(const std::string &workload, core::SchedulerKind kind,
+        std::uint64_t seed, exp::RunSpec spec,
+        void (*add_extra)(exp::RunResult &) = nullptr)
 {
-    if (!cfg.trace.outPath.empty()) {
-        cfg.trace.outPath = exp::traceFilePath(
-            cfg.trace.outPath, job.workload, job.scheduler, "", seed);
-    }
+    exp::Job job{workload, core::toString(kind), "", seed};
+    spec.cfg = exp::withScheduler(spec.cfg, kind);
+    spec.cfg.trace.outPath =
+        exp::traceFilePath(spec.cfg.trace.outPath, job);
+    job.body = [spec, add_extra] {
+        exp::RunResult res;
+        res.stats = exp::run(spec);
+        if (add_extra)
+            add_extra(res);
+        return res;
+    };
+    return job;
 }
 
 /** A co-run job: two apps share one System; the per-app finish times
@@ -28,26 +41,19 @@ exp::Job
 corunJob(const system::SystemConfig &base, core::SchedulerKind kind,
          const std::string &aggressor, const std::string &victim)
 {
-    exp::Job job;
-    job.workload = aggressor + "+" + victim;
-    job.scheduler = core::toString(kind);
-    auto cfg = exp::withScheduler(base, kind);
     auto params = exp::experimentParams();
     params.wavefronts = 128; // per app; 256 total
-    nameTraceFile(cfg, job, params.seed);
-    job.body = [cfg, params, aggressor, victim] {
-        system::System sys(cfg);
-        sys.loadBenchmark(aggressor, params, /*app_id=*/0);
-        sys.loadBenchmark(victim, params, /*app_id=*/1);
-        exp::RunResult res;
-        res.stats = exp::runAndWriteTrace(sys);
-        res.extra["aggressor_finish"] = static_cast<double>(
-            res.stats.appFinishTicks.at(0));
-        res.extra["victim_finish"] = static_cast<double>(
-            res.stats.appFinishTicks.at(1));
-        return res;
-    };
-    return job;
+    return specJob(
+        aggressor + "+" + victim, kind, params.seed,
+        {base,
+         {{.workload = aggressor, .params = params},
+          {.workload = victim, .params = params, .appId = 1}}},
+        [](exp::RunResult &res) {
+            res.extra["aggressor_finish"] = static_cast<double>(
+                res.stats.appFinishTicks.at(0));
+            res.extra["victim_finish"] = static_cast<double>(
+                res.stats.appFinishTicks.at(1));
+        });
 }
 
 /** The committed reference mix: 8 tenants, alternating weights. */
@@ -79,23 +85,15 @@ mixJob(const system::SystemConfig &base,
        const std::vector<workload::TenantSpec> &specs,
        core::SchedulerKind kind)
 {
-    exp::Job job;
-    job.workload = "mix8";
-    job.scheduler = core::toString(kind);
-    auto cfg = withTenantWeights(exp::withScheduler(base, kind), specs);
-    nameTraceFile(cfg, job, referenceMix().seed);
-    job.body = [cfg, specs] {
-        system::System sys(cfg);
-        loadTenants(sys, specs);
-        exp::RunResult res;
-        res.stats = exp::runAndWriteTrace(sys);
-        for (const auto &t : res.stats.tenants) {
-            res.extra["tenant" + std::to_string(t.ctx) + "_finish"] =
-                static_cast<double>(t.finishTick);
-        }
-        return res;
-    };
-    return job;
+    return specJob("mix8", kind, referenceMix().seed,
+                   {base, exp::tenantLoads(specs)},
+                   [](exp::RunResult &res) {
+                       for (const auto &t : res.stats.tenants) {
+                           res.extra["tenant" + std::to_string(t.ctx)
+                                     + "_finish"] =
+                               static_cast<double>(t.finishTick);
+                       }
+                   });
 }
 
 /** Runs one tenant alone (same params, whole machine to itself). */
@@ -103,15 +101,9 @@ exp::Job
 soloJob(const system::SystemConfig &base,
         const workload::TenantSpec &spec, unsigned tenant)
 {
-    exp::Job job;
-    job.workload = soloLabel(tenant);
-    job.scheduler = core::toString(core::SchedulerKind::SimtAware);
-    auto cfg = exp::withScheduler(base, core::SchedulerKind::SimtAware);
-    nameTraceFile(cfg, job, spec.params.seed);
-    job.body = [cfg, spec] {
-        return exp::runOne(cfg, spec.workload, spec.params);
-    };
-    return job;
+    return specJob(soloLabel(tenant), core::SchedulerKind::SimtAware,
+                   spec.params.seed,
+                   {base, {{spec.workload, spec.params}}});
 }
 
 } // namespace

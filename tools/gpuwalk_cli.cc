@@ -26,11 +26,9 @@
 #include "exp/table.hh"
 #include "experiments/experiments.hh"
 #include "sim/logging.hh"
-#include "system/system.hh"
 #include "trace/digest.hh"
 #include "workload/registry.hh"
 #include "workload/tenant_mix.hh"
-#include "workload/trace_io.hh"
 
 using namespace gpuwalk;
 
@@ -49,7 +47,8 @@ Usage: gpuwalk [flags]                 simulate one workload
 Workload selection (one of):
   --workload=NAME         Table II benchmark (XSB MVT ATX NW BIC GEV
                           SSP MIS CLR BCK KMN HOT)
-  --load-trace=FILE       replay a gpuwalk-trace v1 file
+  --load-trace=FILE       replay a gpuwalk-trace v1 file (at the
+                          page size --large-pages selects)
   --list-workloads        print the benchmark table and exit
 
 Scheduler:
@@ -115,6 +114,7 @@ Output:
   --stats                 dump all component statistics (text)
   --json=FILE             write component statistics as JSON
   --save-trace=FILE       write the generated workload trace
+                          (excludes --tenants and --load-trace)
   --trace-out=FILE        record the walk lifecycle and write a Chrome
                           trace_event JSON (chrome://tracing /
                           ui.perfetto.dev); --compare writes one file
@@ -159,20 +159,6 @@ listWorkloads()
     }
 }
 
-/** Mix shape for --tenants=N, derived from the workload flags. */
-workload::TenantMixConfig
-mixFromOptions(const exp::CliOptions &opt)
-{
-    workload::TenantMixConfig mix;
-    mix.numTenants = opt.tenants;
-    mix.seed = opt.params.seed;
-    mix.wavefrontsPerTenant = opt.params.wavefronts;
-    mix.instructionsPerWavefront = opt.params.instructionsPerWavefront;
-    mix.churnFraction = opt.churnFraction;
-    mix.alternateWeights = opt.alternateWeights;
-    return mix;
-}
-
 /** One simulation's outcome plus its deferred text/JSON dumps
  *  (captured into strings so --compare can run on worker threads and
  *  still print in order). */
@@ -183,51 +169,51 @@ struct CliRun
     std::string componentJson;
 };
 
-CliRun
-simulate(const system::SystemConfig &base_cfg, const exp::CliOptions &opt,
-         bool save_trace)
+/** The run the flags describe: the --tenants mix (shaped by the
+ *  workload flags), or one workload, generated or replayed. */
+exp::RunSpec
+runSpec(const exp::CliOptions &opt)
 {
-    std::vector<workload::TenantSpec> specs;
-    if (opt.tenants > 1)
-        specs = workload::generateTenantMix(mixFromOptions(opt));
-    // Weights are set before the System copies its config.
-    const auto cfg = experiments::withTenantWeights(base_cfg, specs);
-    system::System sys(cfg);
-
-    if (!specs.empty()) {
-        experiments::loadTenants(sys, specs);
-    } else if (!opt.loadTrace.empty()) {
-        auto wl = workload::loadTraceFile(opt.loadTrace);
-        // External traces reference raw virtual addresses: map them.
-        workload::mapTraceAddresses(sys.addressSpace(), wl);
-        sys.loadWorkload(std::move(wl));
-    } else {
-        auto gen = workload::makeWorkload(opt.workload);
-        sys.addressSpace().useLargePages(opt.params.useLargePages);
-        auto wl = gen->generate(sys.addressSpace(), opt.params);
-        if (save_trace && !opt.saveTrace.empty())
-            workload::saveTraceFile(opt.saveTrace, wl);
-        sys.loadWorkload(std::move(wl));
+    if (opt.tenants > 1) {
+        workload::TenantMixConfig mix;
+        mix.numTenants = opt.tenants;
+        mix.seed = opt.params.seed;
+        mix.wavefrontsPerTenant = opt.params.wavefronts;
+        mix.instructionsPerWavefront = opt.params.instructionsPerWavefront;
+        mix.churnFraction = opt.churnFraction;
+        mix.alternateWeights = opt.alternateWeights;
+        return {opt.cfg,
+                exp::tenantLoads(workload::generateTenantMix(mix))};
     }
+    return {opt.cfg,
+            {{.workload = opt.workload,
+              .params = opt.params,
+              .replay = opt.loadTrace,
+              .saveTrace = opt.saveTrace}}};
+}
 
+CliRun
+simulate(const exp::RunSpec &spec, const exp::CliOptions &opt)
+{
+    const auto sys = exp::build(spec);
     CliRun run;
-    run.stats = exp::runAndWriteTrace(sys);
+    run.stats = exp::runAndWriteTrace(*sys);
 
     if (opt.dumpStats) {
         std::ostringstream os;
-        sys.dumpStats(os);
+        sys->dumpStats(os);
         run.statsDump = os.str();
     }
     if (!opt.jsonPath.empty()) {
         std::ostringstream os;
         os << "{\"gpu\": ";
-        sys.gpu().stats().dumpJson(os);
+        sys->gpu().stats().dumpJson(os);
         os << ", \"gpu_tlb\": ";
-        sys.tlbs().stats().dumpJson(os);
+        sys->tlbs().stats().dumpJson(os);
         os << ", \"iommu\": ";
-        sys.iommu().stats().dumpJson(os);
+        sys->iommu().stats().dumpJson(os);
         os << ", \"dram\": ";
-        sys.dram().stats().dumpJson(os);
+        sys->dram().stats().dumpJson(os);
         os << "}\n";
         run.componentJson = os.str();
     }
@@ -348,9 +334,10 @@ runMain(const exp::CliOptions &opt)
         return 0;
     }
 
-    const auto &cfg = opt.cfg;
+    const auto spec = runSpec(opt);
+    const auto &cfg = spec.cfg;
     if (!opt.compare) {
-        const auto run = simulate(cfg, opt, true);
+        const auto run = simulate(spec, opt);
         reportRun(cfg, opt, run, opt.quiet);
         return run.stats.auditViolations ? 1 : 0;
     }
@@ -363,20 +350,22 @@ runMain(const exp::CliOptions &opt)
     std::array<CliRun, 2> runs;
     std::vector<exp::Job> jobs;
     for (std::size_t i = 0; i < kinds.size(); ++i) {
-        exp::Job job;
-        job.workload = opt.loadTrace.empty() ? opt.workload : opt.loadTrace;
-        job.scheduler = core::toString(kinds[i]);
-        auto run_cfg = exp::withScheduler(cfg, kinds[i]);
+        auto run_spec = spec;
+        run_spec.cfg = exp::withScheduler(cfg, kinds[i]);
         // One trace file per scheduler: both runs would otherwise
         // race on (and overwrite) the same --trace-out path.
-        if (!run_cfg.trace.outPath.empty()) {
-            run_cfg.trace.outPath = exp::insertPathSuffix(
-                run_cfg.trace.outPath, "-" + core::toString(kinds[i]));
+        std::string &trace = run_spec.cfg.trace.outPath;
+        if (!trace.empty()) {
+            trace = exp::insertPathSuffix(
+                trace, "-" + core::toString(kinds[i]));
         }
-        job.body = [&runs, i, run_cfg, &opt] {
-            // Only the first job writes --save-trace (both would
-            // produce identical bytes; avoid the file race).
-            runs[i] = simulate(run_cfg, opt, i == 0);
+        // Only the first job writes --save-trace (both would produce
+        // identical bytes; avoid the file race).
+        if (i > 0)
+            run_spec.loads[0].saveTrace.clear();
+        exp::Job job;
+        job.body = [&runs, i, run_spec, &opt] {
+            runs[i] = simulate(run_spec, opt);
             exp::RunResult res;
             res.stats = runs[i].stats;
             return res;
