@@ -41,15 +41,15 @@ struct Flag
     void (*apply)(CliOptions &o, const std::string &v);
 };
 
-/** An unsigned integer in [@p min, @p max]; digits only (strtoull
- *  alone would take "-1", " 7" and "7x"). */
+/** A decimal unsigned integer in [@p min, @p max]; digits only
+ *  (strtoull alone would take "-1", " 7" and "7x"). */
 std::uint64_t
 toUint(std::string_view flag, const std::string &v, std::uint64_t min,
        std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     char *end = nullptr;
     errno = 0;
-    const std::uint64_t n = std::strtoull(v.c_str(), &end, 0);
+    const std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
     if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0]))
         || *end != '\0' || errno == ERANGE || n < min) {
         sim::fatal("--", flag, " needs ",
@@ -405,6 +405,10 @@ parseCli(Command command, const std::vector<std::string> &args)
         {"tenants", "virtual-l1",
          "a virtual L1 translates below the cache, where the owning "
          "tenant is unknown"},
+        {"tenants", "workload",
+         "the mix generator picks each tenant's workload"},
+        {"tenants", "large-pages",
+         "the mix generator maps every tenant at 4 KB"},
     };
     for (const auto &[a, b, why] : exclusive) {
         if (given(a) && given(b))

@@ -156,6 +156,14 @@ Report::setRuns(SweepResult result)
     result_ = std::move(result);
 }
 
+std::span<const RunResult>
+Report::runs() const
+{
+    if (!result_)
+        return {};
+    return result_->runs();
+}
+
 void
 Report::writeJson(std::ostream &os) const
 {

@@ -12,6 +12,7 @@
 #include <deque>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +71,15 @@ class Report
     /** The sweep the tables were computed from; its runs go into
      *  the JSON (a report without one has no runs). */
     void setRuns(SweepResult result);
+
+    /** The summary scalars, in the order they were added. */
+    const std::vector<std::pair<std::string, double>> &summary() const
+    {
+        return summary_;
+    }
+
+    /** The runs setRuns stored (none for a report without a sweep). */
+    std::span<const RunResult> runs() const;
 
     /**
      * Structured JSON: experiment identity, git sha, config

@@ -501,6 +501,13 @@ TEST(BenchCliTest, MapsFlagsOntoConfigAndParams)
     EXPECT_EQ(sweep.given, (std::vector<std::string_view>{"prefetch"}));
 }
 
+TEST(BenchCliTest, ReadsIntegersInDecimal)
+{
+    // A leading zero is not an octal prefix.
+    EXPECT_EQ(parseCli(Command::Run, {"--wavefronts=010"}).params.wavefronts,
+              10u);
+}
+
 TEST(BenchCliDeathTest, MalformedNumbersAreFatal)
 {
     EXPECT_EXIT(parseCli(Command::Run, {"--workload=MVT", "--wavefronts=x"}),

@@ -27,7 +27,9 @@ const Experiment experiments[] = {
      "normalized to first)",
      fig06},
     {"fig08", "Figure 8", "Speedup of SIMT-aware walk scheduling over FCFS",
-     fig08},
+     fig08, {},
+     // SIMT-aware beats FCFS on the irregular apps by over 10%.
+     {{"geomean_speedup_irregular", Claim::Gt, 1.1}}},
     {"fig09", "Figure 9",
      "CU stall cycles under SIMT-aware scheduling (normalized to FCFS)",
      fig09},
@@ -49,7 +51,12 @@ const Experiment experiments[] = {
      fig14},
     {"ablation_scheduler", "Ablation",
      "Decomposing the SIMT-aware speedup (all values vs FCFS)",
-     ablation_scheduler},
+     ablation_scheduler, {},
+     // Figs. 2 and 8: random loses to FCFS, batching alone already
+     // beats it, and the full SIMT-aware scheduler by over 10%.
+     {{"geomean_speedup_random", Claim::Lt, 1.0},
+      {"geomean_speedup_batch_only", Claim::Gt, 1.0},
+      {"geomean_speedup_simt_aware", Claim::Gt, 1.1}}},
     {"ablation_large_pages", "Ablation (paper SVI)",
      "4 KB base pages vs 2 MB large pages", ablation_large_pages},
     {"ablation_virtual_cache", "Ablation (virtual caches)",
@@ -58,7 +65,9 @@ const Experiment experiments[] = {
      ablation_virtual_cache},
     {"ablation_prefetch", "Ablation (prefetch factorial)",
      "Translation prefetch {off, spp} x scheduler {fcfs, simt-aware}",
-     ablation_prefetch, {"prefetch"}},
+     ablation_prefetch, {"prefetch"},
+     {{"spp_irregular_improvement_fcfs", Claim::Gt, 0.0},
+      {"spp_irregular_improvement_simt-aware", Claim::Gt, 0.0}}},
     {"ablation_multiprogram", "Ablation (multi-program)",
      "Irregular aggressor + regular victim sharing the translation "
      "hardware",
@@ -66,10 +75,21 @@ const Experiment experiments[] = {
     {"tenant_mix", "Tenant mix (QoS fairness)",
      "8-tenant reference mix: per-tenant slowdown and Jain index per "
      "walk scheduler",
-     tenant_mix},
+     tenant_mix, {},
+     // Weighted share is fair enough, no less fair than FCFS, fairer
+     // than plain SIMT-aware, and no worse in its worst case.
+     {{"jain_weighted-share", Claim::Ge, 0.35},
+      {"jain_weighted-share", Claim::Ge, "jain_fcfs"},
+      {"jain_weighted-share", Claim::Gt, "jain_simt-aware"},
+      {"max_slowdown_weighted-share", Claim::Le, "max_slowdown_fcfs"},
+      {"max_slowdown_weighted-share", Claim::Le,
+       "max_slowdown_simt-aware"}}},
     {"oversubscription", "Oversubscription",
      "Demand paging under shrinking frame budgets, per scheduler",
-     oversubscription, {"oversubscription"}},
+     oversubscription, {"oversubscription"},
+     // Demand paging never beats resident, and every cell faults.
+     {{"geomean_slowdown_*", Claim::Ge, 1.0},
+      {"fault_latency_samples_*", Claim::Gt, 0.0}}},
 };
 
 } // namespace

@@ -16,6 +16,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "exp/metrics.hh"
@@ -35,6 +36,23 @@ using ExperimentFn = exp::Report(const Experiment &self,
                                  const system::SystemConfig &base,
                                  const exp::RunnerOptions &opts);
 
+/**
+ * One result the paper reports, as a relation a summary scalar of the
+ * experiment's report must meet: `key relation bound`. The `claims`
+ * ctest runs every experiment with claims, audited, and checks each.
+ */
+struct Claim
+{
+    enum Relation { Lt, Gt, Le, Ge };
+
+    /** Summary key; a trailing '*' claims every key with that prefix
+     *  (and at least one must exist). */
+    std::string_view key;
+    Relation relation;
+    /** A number, or the summary key of another scalar. */
+    std::variant<double, std::string_view> bound;
+};
+
 /** One entry of the sweep table. */
 struct Experiment
 {
@@ -45,6 +63,8 @@ struct Experiment
     /** Flags for the fields the experiment sets per run; a sweep
      *  rejects them rather than let the experiment overwrite them. */
     std::vector<std::string_view> axes = {};
+    /** The paper's results this experiment reproduces. */
+    std::vector<Claim> claims = {};
 };
 
 /** Every experiment, in `gpuwalk sweep --list` order. */

@@ -69,7 +69,7 @@ Workload shape:
                                                     (default: 200)
   --large-pages           back buffers with 2 MB pages
 
-Multi-tenant (replaces --workload with a generated mix):
+Multi-tenant (a generated mix; no --workload or --large-pages):
   --tenants=N             run an N-tenant mix (2 <= N <= 65536, one
                           16-bit ASID each): each tenant gets its own
                           address space and a benchmark from the
