@@ -1,8 +1,7 @@
 /**
  * @file
- * Derived-metric math shared by the experiment reports: speedups and
- * geometric means, plus the MEAN-row accumulator the figure experiments
- * use.
+ * Derived-metric math shared by the experiment reports: speedups,
+ * geometric means and Jain's fairness index.
  */
 
 #ifndef GPUWALK_EXP_METRICS_HH
@@ -35,18 +34,6 @@ double geomean(const std::vector<double> &values);
  * degenerate: warns and returns NaN instead of aborting a sweep.
  */
 double jainIndex(const std::vector<double> &values);
-
-/** "MEAN" row helper: geometric mean over collected per-app values. */
-class MeanTracker
-{
-  public:
-    void add(double v) { values_.push_back(v); }
-    double mean() const { return geomean(values_); }
-    bool empty() const { return values_.empty(); }
-
-  private:
-    std::vector<double> values_;
-};
 
 } // namespace gpuwalk::exp
 

@@ -168,7 +168,7 @@ void
 Report::writeJson(std::ostream &os) const
 {
     const SweepResult *result = result_ ? &*result_ : nullptr;
-    os << "{\"schema_version\": 2, \"experiment\": {\"id\": ";
+    os << "{\"schema_version\": 3, \"experiment\": {\"id\": ";
     jsonEscape(os, id_);
     os << ", \"description\": ";
     jsonEscape(os, description_);
@@ -200,16 +200,7 @@ Report::writeJson(std::ostream &os) const
             jsonNumber(os, run.wallSeconds);
             os << ", \"stats\": ";
             statsJson(os, run.stats);
-            os << ", \"extra\": {";
-            bool first_extra = true;
-            for (const auto &[key, value] : run.extra) {
-                os << (first_extra ? "" : ", ");
-                first_extra = false;
-                jsonEscape(os, key);
-                os << ": ";
-                jsonNumber(os, value);
-            }
-            os << "}}";
+            os << "}";
         }
     }
     os << "]";

@@ -11,7 +11,6 @@
 #define GPUWALK_EXP_RUN_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,8 +24,7 @@ namespace gpuwalk::exp {
  * One (workload, scheduler, config-variant, seed) simulation outcome.
  *
  * The label fields identify the sweep-grid point the result belongs
- * to; @ref extra carries experiment-specific scalars (e.g. prefetch
- * counts, mapped footprints) that RunStats does not model.
+ * to.
  */
 struct RunResult
 {
@@ -35,7 +33,6 @@ struct RunResult
     std::string variant;                  ///< config-variant label
     std::uint64_t seed = 0;
     system::RunStats stats;
-    std::map<std::string, double> extra;  ///< experiment-specific scalars
     double wallSeconds = 0.0;             ///< host time, runner-filled
 };
 

@@ -1,5 +1,6 @@
 #include "exp/runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -57,21 +58,17 @@ SweepResult::stats(const std::string &workload,
     return at(workload, scheduler, variant).stats;
 }
 
-SweepResult
-runJobs(const std::vector<Job> &jobs, const RunnerOptions &opts)
+unsigned
+forEachIndex(std::size_t count, const RunnerOptions &opts,
+             const std::function<void(std::size_t)> &fn)
 {
-    SweepResult out;
-    out.runs_.resize(jobs.size());
-
     unsigned workers =
         opts.jobs ? opts.jobs
                   : std::max(1u, std::thread::hardware_concurrency());
-    if (jobs.size() < workers)
-        workers = static_cast<unsigned>(jobs.size());
+    if (count < workers)
+        workers = static_cast<unsigned>(count);
     if (workers == 0)
         workers = 1;
-
-    out.jobs_used_ = workers;
 
     std::atomic<std::size_t> cursor{0};
     std::atomic<bool> cancelled{false};
@@ -82,19 +79,10 @@ runJobs(const std::vector<Job> &jobs, const RunnerOptions &opts)
         while (!cancelled.load(std::memory_order_relaxed)) {
             const std::size_t i =
                 cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size())
+            if (i >= count)
                 return;
-            const auto start = std::chrono::steady_clock::now();
             try {
-                RunResult result = jobs[i].body();
-                result.wallSeconds = secondsSince(start);
-                // The job's labels are authoritative: custom bodies
-                // need not repeat them.
-                result.workload = jobs[i].workload;
-                result.scheduler = jobs[i].scheduler;
-                result.variant = jobs[i].variant;
-                result.seed = jobs[i].seed;
-                out.runs_[i] = std::move(result);
+                fn(i);
             } catch (...) {
                 {
                     const std::lock_guard<std::mutex> lock(error_mutex);
@@ -107,7 +95,6 @@ runJobs(const std::vector<Job> &jobs, const RunnerOptions &opts)
         }
     };
 
-    const auto sweep_start = std::chrono::steady_clock::now();
     if (workers == 1) {
         // --jobs 1 stays strictly serial on the calling thread: no
         // pool, no interleaving — the reference execution.
@@ -120,10 +107,30 @@ runJobs(const std::vector<Job> &jobs, const RunnerOptions &opts)
         for (auto &t : pool)
             t.join();
     }
-    out.wall_seconds_ = secondsSince(sweep_start);
 
     if (first_error)
         std::rethrow_exception(first_error);
+    return workers;
+}
+
+SweepResult
+runJobs(const std::vector<Job> &jobs, const RunnerOptions &opts)
+{
+    SweepResult out;
+    out.runs_.resize(jobs.size());
+    const auto sweep_start = std::chrono::steady_clock::now();
+    out.jobs_used_ = forEachIndex(jobs.size(), opts, [&](std::size_t i) {
+        const Job &job = jobs[i];
+        const auto start = std::chrono::steady_clock::now();
+        RunResult &result = out.runs_[i];
+        result.stats = run(job.spec);
+        result.wallSeconds = secondsSince(start);
+        result.workload = job.workload;
+        result.scheduler = job.scheduler;
+        result.variant = job.variant;
+        result.seed = job.seed;
+    });
+    out.wall_seconds_ = secondsSince(sweep_start);
     return out;
 }
 

@@ -12,6 +12,8 @@
 #ifndef GPUWALK_EXP_RUNNER_HH
 #define GPUWALK_EXP_RUNNER_HH
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -73,13 +75,21 @@ class SweepResult
 };
 
 /**
- * Executes @p jobs on a worker pool.
+ * Calls @p fn(i) for every i in [0, @p count) on a worker pool of
+ * opts.jobs threads (at most @p count) and returns the number used.
  *
- * Work is pulled from an atomic cursor; each result is stored at its
- * job index. The first exception cancels the pool — workers finish
- * their current job, take nothing new — and is rethrown on the
- * caller's thread once all workers joined. Per-job host wall time is
- * recorded on every completed result.
+ * Indices are pulled from an atomic cursor. The first exception
+ * cancels the pool — workers finish their current index, take nothing
+ * new — and is rethrown on the caller's thread once all workers
+ * joined. One worker runs every index in order on the calling thread.
+ */
+unsigned forEachIndex(std::size_t count, const RunnerOptions &opts,
+                      const std::function<void(std::size_t)> &fn);
+
+/**
+ * Runs every job's spec (exp::run) on forEachIndex's pool. Each result
+ * lands at its job's index with the job's labels, its stats and its
+ * host wall time.
  */
 SweepResult runJobs(const std::vector<Job> &jobs,
                     const RunnerOptions &opts = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <utility>
 
 namespace gpuwalk::exp {
 
@@ -26,16 +27,20 @@ traceFilePath(const std::string &base, const Job &job)
     return insertPathSuffix(base, suffix + "-s" + std::to_string(job.seed));
 }
 
+Job
+makeJob(std::string workload, std::string scheduler, std::string variant,
+        std::uint64_t seed, RunSpec spec)
+{
+    Job job{std::move(workload), std::move(scheduler), std::move(variant),
+            seed, std::move(spec)};
+    auto &trace = job.spec.cfg.trace.outPath;
+    trace = traceFilePath(trace, job);
+    return job;
+}
+
 std::vector<Job>
 SweepSpec::expand() const
 {
-    const JobBody run_body =
-        body ? body : JobBody([](const JobSpec &spec) {
-            RunResult result;
-            result.stats = run({spec.cfg, {{spec.workload, spec.params}}});
-            return result;
-        });
-
     // Singleton placeholders so the cross product below stays a plain
     // four-deep loop even for unused axes.
     const std::vector<ConfigVariant> variant_axis =
@@ -57,23 +62,19 @@ SweepSpec::expand() const
         for (const auto &workload : workloads) {
             for (const auto kind : schedulers) {
                 for (const auto seed : seed_axis) {
-                    Job job{workload, core::toString(kind),
-                            variant.name, seed};
-                    JobSpec spec{job.workload, job.scheduler,
-                                 job.variant, job.seed,
-                                 withScheduler(base, kind), params};
+                    auto cfg = withScheduler(base, kind);
+                    auto job_params = params;
                     if (explicit_seeds) {
-                        spec.params.seed = seed;
-                        spec.cfg.schedulerSeed = seed;
+                        job_params.seed = seed;
+                        cfg.schedulerSeed = seed;
                     }
                     if (variant.apply)
-                        variant.apply(spec.cfg, spec.params);
-                    spec.cfg.trace.outPath =
-                        traceFilePath(spec.cfg.trace.outPath, job);
-                    job.body = [run_body, spec = std::move(spec)] {
-                        return run_body(spec);
-                    };
-                    jobs.push_back(std::move(job));
+                        variant.apply(cfg, job_params);
+                    RunSpec spec{std::move(cfg),
+                                 {{workload, std::move(job_params)}}};
+                    jobs.push_back(makeJob(workload, core::toString(kind),
+                                           variant.name, seed,
+                                           std::move(spec)));
                 }
             }
         }

@@ -36,27 +36,9 @@ struct ConfigVariant
 };
 
 /**
- * A fully resolved grid point, handed to the job body: every axis
- * label plus the final config and params after variant/scheduler/seed
- * application. A traced sweep's cfg.trace.outPath is already this
- * job's own file (traceFilePath()).
- */
-struct JobSpec
-{
-    std::string workload;
-    std::string scheduler;
-    std::string variant;
-    std::uint64_t seed = 0;
-    system::SystemConfig cfg;
-    workload::WorkloadParams params;
-};
-
-/** What actually runs for one grid point. */
-using JobBody = std::function<RunResult(const JobSpec &)>;
-
-/**
- * One executable unit of a sweep. The runner calls @ref body on a
- * worker thread; labels identify the result row afterwards.
+ * One executable unit of a sweep: the labels that identify its result
+ * row plus the simulation it runs. The runner runs @ref spec on a
+ * worker thread (exp::run) and copies the labels onto the result.
  */
 struct Job
 {
@@ -64,7 +46,7 @@ struct Job
     std::string scheduler;
     std::string variant;
     std::uint64_t seed = 0;
-    std::function<RunResult()> body{};
+    RunSpec spec{};
 };
 
 /**
@@ -75,6 +57,15 @@ struct Job
  * outside [A-Za-z0-9._+-] becomes '_'.
  */
 std::string traceFilePath(const std::string &base, const Job &job);
+
+/**
+ * The job labelled (@p workload, @p scheduler, @p variant, @p seed)
+ * that runs @p spec. A traced spec's trace.outPath becomes this job's
+ * own file (traceFilePath()); every job is built here, so a sweep
+ * names its trace files in one place.
+ */
+Job makeJob(std::string workload, std::string scheduler,
+            std::string variant, std::uint64_t seed, RunSpec spec);
 
 /**
  * The declarative description of one experiment: axes over a base
@@ -95,10 +86,6 @@ struct SweepSpec
     std::vector<ConfigVariant> variants;
     /** Empty means a single run at params.seed / base.schedulerSeed. */
     std::vector<std::uint64_t> seeds;
-
-    /** Overrides the default body, which runs the grid point's
-     *  workload with exp::run(), when set. */
-    JobBody body;
 
     SweepSpec() : SweepSpec(system::SystemConfig::baseline()) {}
 

@@ -105,13 +105,6 @@ class Gpu
         return apps_.at(app_id).done;
     }
 
-    /** Wavefronts @p app_id loaded in total. */
-    unsigned
-    appWavefrontsTotal(unsigned app_id) const
-    {
-        return apps_.at(app_id).total;
-    }
-
     /** Registers wavefront-completion invariants (total and per app). */
     void registerInvariants(sim::Auditor &auditor);
 

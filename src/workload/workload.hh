@@ -62,12 +62,6 @@ struct WorkloadParams
     sim::Cycles computeCycles = 20;
 
     /**
-     * When positive, overrides the benchmark's own computeScale
-     * (arithmetic-intensity calibration experiments).
-     */
-    double computeScaleOverride = 0.0;
-
-    /**
      * Back every buffer with 2 MB large pages instead of 4 KB base
      * pages (the paper's "why not large pages?" ablation, SVI).
      */
@@ -111,11 +105,8 @@ class WorkloadGenerator
     sim::Cycles
     baseCompute(const WorkloadParams &params) const
     {
-        const double scale = params.computeScaleOverride > 0.0
-                                 ? params.computeScaleOverride
-                                 : info_.computeScale;
         return static_cast<sim::Cycles>(
-            static_cast<double>(params.computeCycles) * scale);
+            static_cast<double>(params.computeCycles) * info_.computeScale);
     }
 
   private:

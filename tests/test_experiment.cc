@@ -143,14 +143,6 @@ TEST(ExperimentMath, SpeedupEdgeCases)
     EXPECT_DOUBLE_EQ(speedup(fast, fast), 1.0);
 }
 
-TEST(ExperimentMath, MeanTrackerIsGeometric)
-{
-    MeanTracker m;
-    m.add(2.0);
-    m.add(8.0);
-    EXPECT_DOUBLE_EQ(m.mean(), 4.0);
-}
-
 TEST(ExperimentMath, DegenerateInputsReportNaNInsteadOfDying)
 {
     // A degenerate metric must not kill a whole sweep: the helpers
@@ -167,12 +159,6 @@ TEST(ExperimentMath, DegenerateInputsReportNaNInsteadOfDying)
     stuck.runtimeTicks = 0;
     EXPECT_TRUE(std::isnan(speedup(ok, stuck)));
     EXPECT_TRUE(std::isnan(speedup(stuck, ok)));
-}
-
-TEST(ExperimentMath, MeanTrackerEmptyIsNaN)
-{
-    MeanTracker m;
-    EXPECT_TRUE(std::isnan(m.mean()));
 }
 
 TEST(ReportTest, NonFiniteNumbersSerializeAsNull)
@@ -224,15 +210,11 @@ TEST(SweepSpecTest, ImplicitSeedKeepsBaselinePairing)
     spec.params.seed = 42;
     spec.base.schedulerSeed = 1;
     spec.workloads = {"KMN"};
-    bool checked = false;
-    spec.body = [&checked](const JobSpec &job) {
-        EXPECT_EQ(job.params.seed, 42u);
-        EXPECT_EQ(job.cfg.schedulerSeed, 1u);
-        checked = true;
-        return RunResult{};
-    };
-    runSweep(spec, withJobs(1));
-    EXPECT_TRUE(checked);
+    const auto jobs = spec.expand();
+    ASSERT_EQ(jobs.size(), 1u);
+    ASSERT_EQ(jobs[0].spec.loads.size(), 1u);
+    EXPECT_EQ(jobs[0].spec.loads[0].params.seed, 42u);
+    EXPECT_EQ(jobs[0].spec.cfg.schedulerSeed, 1u);
 }
 
 TEST(SweepSpecTest, ExplicitSeedsOverrideBothStreams)
@@ -241,17 +223,14 @@ TEST(SweepSpecTest, ExplicitSeedsOverrideBothStreams)
     spec.params = tinyParams();
     spec.workloads = {"KMN"};
     spec.seeds = {7, 9};
+    const auto jobs = spec.expand();
     std::vector<std::uint64_t> seen;
-    spec.body = [&seen](const JobSpec &job) {
-        EXPECT_EQ(job.params.seed, job.seed);
-        EXPECT_EQ(job.cfg.schedulerSeed, job.seed);
+    for (const auto &job : jobs) {
+        EXPECT_EQ(job.spec.loads.at(0).params.seed, job.seed);
+        EXPECT_EQ(job.spec.cfg.schedulerSeed, job.seed);
         seen.push_back(job.seed);
-        return RunResult{};
-    };
-    const auto result = runSweep(spec, withJobs(1));
+    }
     EXPECT_EQ(seen, (std::vector<std::uint64_t>{7, 9}));
-    EXPECT_EQ(result.runs()[0].seed, 7u);
-    EXPECT_EQ(result.runs()[1].seed, 9u);
 }
 
 TEST(SweepSpecTest, VariantApplyMutatesConfigAndParams)
@@ -267,16 +246,11 @@ TEST(SweepSpecTest, VariantApplyMutatesConfigAndParams)
              params.useLargePages = true;
          }},
     };
-    bool checked = false;
-    spec.body = [&checked](const JobSpec &job) {
-        EXPECT_EQ(job.cfg.iommu.numWalkers, 3u);
-        EXPECT_TRUE(job.params.useLargePages);
-        EXPECT_EQ(job.variant, "tweaked");
-        checked = true;
-        return RunResult{};
-    };
-    runSweep(spec, withJobs(1));
-    EXPECT_TRUE(checked);
+    const auto jobs = spec.expand();
+    ASSERT_EQ(jobs.size(), 1u);
+    EXPECT_EQ(jobs[0].spec.cfg.iommu.numWalkers, 3u);
+    EXPECT_TRUE(jobs[0].spec.loads.at(0).params.useLargePages);
+    EXPECT_EQ(jobs[0].variant, "tweaked");
 }
 
 // --- ParallelRunner ------------------------------------------------
@@ -322,6 +296,7 @@ TEST(ParallelRunnerTest, ResultsKeepExpansionOrderAndLabels)
     EXPECT_EQ(result.runs()[0].scheduler, "fcfs");
     EXPECT_EQ(result.runs()[1].scheduler, "random");
     EXPECT_EQ(result.runs()[2].workload, "MVT");
+    EXPECT_EQ(result.runs()[3].seed, tinyParams().seed);
     // Lookup helpers resolve by label.
     EXPECT_EQ(&result.at("MVT", core::SchedulerKind::Random),
               &result.runs()[3]);
@@ -341,19 +316,14 @@ TEST(ParallelRunnerTest, RecordsWallTimes)
 
 TEST(ParallelRunnerTest, FirstExceptionPropagatesToCaller)
 {
-    std::vector<Job> jobs;
-    for (int i = 0; i < 8; ++i) {
-        Job job;
-        job.workload = "job" + std::to_string(i);
-        job.body = [i]() -> RunResult {
-            if (i == 3)
-                throw std::runtime_error("boom");
-            return RunResult{};
-        };
-        jobs.push_back(std::move(job));
-    }
-    EXPECT_THROW(runJobs(jobs, withJobs(4)), std::runtime_error);
-    EXPECT_THROW(runJobs(jobs, withJobs(1)), std::runtime_error);
+    auto throwAtThree = [](std::size_t i) {
+        if (i == 3)
+            throw std::runtime_error("boom");
+    };
+    EXPECT_THROW(forEachIndex(8, withJobs(4), throwAtThree),
+                 std::runtime_error);
+    EXPECT_THROW(forEachIndex(8, withJobs(1), throwAtThree),
+                 std::runtime_error);
 }
 
 TEST(ParallelRunnerDeathTest, MissingLabelPanics)

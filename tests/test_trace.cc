@@ -330,13 +330,9 @@ TEST(TraceFilePathTest, SweepVariantsDifferingInUnprintedFieldsGetOwnFiles)
          }},
     };
     std::set<std::string> paths;
-    spec.body = [&paths](const exp::JobSpec &job) {
-        paths.insert(job.cfg.trace.outPath);
-        return exp::RunResult{};
-    };
     const auto jobs = spec.expand();
     for (const auto &job : jobs)
-        job.body();
+        paths.insert(job.spec.cfg.trace.outPath);
     EXPECT_EQ(jobs.size(), 16u);
     EXPECT_EQ(paths.size(), jobs.size());
     EXPECT_TRUE(paths.count("tr/t-XSB-simt-aware-aging-s42.json"));

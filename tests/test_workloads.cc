@@ -173,7 +173,7 @@ TEST(Workloads, ComputeScaleStretchesComputeCycles)
     Harness h1, h2;
     auto params = testParams();
     auto base = makeWorkload("MVT")->generate(h1.as, params);
-    params.computeScaleOverride = 10.0;
+    params.computeCycles *= 10;
     auto scaled = makeWorkload("MVT")->generate(h2.as, params);
 
     auto total = [](const gpu::GpuWorkload &wl) {

@@ -68,7 +68,7 @@ ablation_scheduler(const Experiment &self, const system::SystemConfig &base,
     exp::Report report(self.id, self.description, spec.base);
     auto &table = report.addTable(header);
 
-    std::vector<MeanTracker> means(kinds.size());
+    std::vector<std::vector<double>> speedups(kinds.size());
     for (const auto &app : spec.workloads) {
         const auto &fcfs =
             result.stats(app, core::SchedulerKind::Fcfs);
@@ -76,7 +76,7 @@ ablation_scheduler(const Experiment &self, const system::SystemConfig &base,
         for (std::size_t k = 0; k < kinds.size(); ++k) {
             const double s =
                 exp::speedup(result.stats(app, kinds[k]), fcfs);
-            means[k].add(s);
+            speedups[k].push_back(s);
             row.push_back(fmt(s));
         }
         table.addRow(row);
@@ -84,10 +84,11 @@ ablation_scheduler(const Experiment &self, const system::SystemConfig &base,
     table.addRule();
     std::vector<std::string> mean_row{"GEOMEAN"};
     for (std::size_t k = 0; k < kinds.size(); ++k) {
-        mean_row.push_back(fmt(means[k].mean()));
+        const double mean = exp::geomean(speedups[k]);
+        mean_row.push_back(fmt(mean));
         std::string key = "geomean_speedup_" + core::toString(kinds[k]);
         std::replace(key.begin(), key.end(), '-', '_');
-        report.addSummary(key, means[k].mean());
+        report.addSummary(key, mean);
     }
     table.addRow(mean_row);
 

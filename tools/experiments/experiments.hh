@@ -27,7 +27,6 @@
 namespace gpuwalk::experiments {
 
 using exp::fmt;
-using exp::MeanTracker;
 
 struct Experiment;
 

@@ -55,38 +55,27 @@ table1(const Experiment &self, const system::SystemConfig &cfg,
  * footprint matches the Table II value.
  */
 exp::Report
-table2(const Experiment &self, const system::SystemConfig &base,
-       const exp::RunnerOptions &opts)
+table2(const Experiment &self, const system::SystemConfig &,
+       const exp::RunnerOptions &)
 {
-    exp::SweepSpec spec(base);
-    spec.workloads = workload::allWorkloadNames();
-    // No simulation: each job only builds the benchmark's address
-    // space and measures the eagerly mapped footprint.
-    spec.body = [](const exp::JobSpec &job) {
-        mem::BackingStore store;
-        vm::FrameAllocator frames(mem::Addr(16) << 30);
-        vm::AddressSpace as(store, frames);
-        auto gen = workload::makeWorkload(job.workload);
-        gen->generate(as, job.params);
-
-        exp::RunResult res;
-        res.extra["mapped_mb"] =
-            static_cast<double>(as.footprintBytes())
-            / (1024.0 * 1024.0);
-        return res;
-    };
-    auto result = exp::runSweep(spec, opts);
-
     exp::Report report(self.id, self.description);
     auto &table = report.addTable({"Benchmark", "Class",
                                    "Table II (MB)", "mapped (MB)",
                                    "  Description"});
 
-    for (const auto &name : spec.workloads) {
-        // A copy: the generator (and its info) dies with the statement.
-        const auto info = workload::makeWorkload(name)->info();
+    // No simulation: each benchmark only builds its address space and
+    // measures the eagerly mapped footprint.
+    const auto params = exp::experimentParams();
+    for (const auto &name : workload::allWorkloadNames()) {
+        mem::BackingStore store;
+        vm::FrameAllocator frames(mem::Addr(16) << 30);
+        vm::AddressSpace as(store, frames);
+        const auto gen = workload::makeWorkload(name);
+        gen->generate(as, params);
         const double mapped_mb =
-            result.at(name).extra.at("mapped_mb");
+            static_cast<double>(as.footprintBytes()) / (1024.0 * 1024.0);
+
+        const auto &info = gen->info();
         table.addRow({name, info.irregular ? "irregular" : "regular",
                       fmt(info.footprintMB, 2), fmt(mapped_mb, 2),
                       "  " + std::string(info.description)});
@@ -96,7 +85,6 @@ table2(const Experiment &self, const system::SystemConfig &base,
         "(mapped footprint = eagerly page-mapped buffers at "
         "footprintScale=1; small\ndeltas come from page rounding and "
         "vector operands)");
-    report.setRuns(std::move(result));
     return report;
 }
 
@@ -132,7 +120,7 @@ fig02(const Experiment &self, const system::SystemConfig &base,
                                    "simt-aware", "paper:fcfs",
                                    "paper:simt"});
 
-    MeanTracker mean_fcfs, mean_simt;
+    std::vector<double> fcfs_speedups, simt_speedups;
     for (const auto &app : spec.workloads) {
         const auto &random =
             result.stats(app, core::SchedulerKind::Random);
@@ -140,17 +128,19 @@ fig02(const Experiment &self, const system::SystemConfig &base,
             result.stats(app, core::SchedulerKind::Fcfs), random);
         const double s = exp::speedup(
             result.stats(app, core::SchedulerKind::SimtAware), random);
-        mean_fcfs.add(f);
-        mean_simt.add(s);
+        fcfs_speedups.push_back(f);
+        simt_speedups.push_back(s);
         table.addRow({app, "1.000", fmt(f), fmt(s),
                       fmt(paper.at(app).first, 2),
                       fmt(paper.at(app).second, 2)});
     }
     table.addRule();
-    table.addRow({"GEOMEAN", "1.000", fmt(mean_fcfs.mean()),
-                  fmt(mean_simt.mean()), "-", "-"});
-    report.addSummary("geomean_fcfs_over_random", mean_fcfs.mean());
-    report.addSummary("geomean_simt_over_random", mean_simt.mean());
+    const double fcfs_mean = exp::geomean(fcfs_speedups);
+    const double simt_mean = exp::geomean(simt_speedups);
+    table.addRow({"GEOMEAN", "1.000", fmt(fcfs_mean), fmt(simt_mean), "-",
+                  "-"});
+    report.addSummary("geomean_fcfs_over_random", fcfs_mean);
+    report.addSummary("geomean_simt_over_random", simt_mean);
 
     report.addNote("(paper columns are approximate bar heights from "
                    "Fig. 2; the paper's headline is a >2.1x spread\n"
@@ -303,24 +293,23 @@ fig08(const Experiment &self, const system::SystemConfig &base,
     auto &table = report.addTable(
         {"app", "class", "speedup", "paper(approx)"});
 
-    MeanTracker irregular_mean, regular_mean;
+    std::vector<double> irregular_speedups, regular_speedups;
     for (const auto &app : spec.workloads) {
         const bool irregular = isIrregular(app);
         const double s = exp::speedup(
             result.stats(app, core::SchedulerKind::SimtAware),
             result.stats(app, core::SchedulerKind::Fcfs));
-        (irregular ? irregular_mean : regular_mean).add(s);
+        (irregular ? irregular_speedups : regular_speedups).push_back(s);
         table.addRow({app, irregular ? "irregular" : "regular", fmt(s),
                       fmt(paper.at(app), 2)});
     }
     table.addRule();
-    table.addRow(
-        {"GEOMEAN", "irregular", fmt(irregular_mean.mean()), "1.30"});
-    table.addRow(
-        {"GEOMEAN", "regular", fmt(regular_mean.mean()), "1.00"});
-    report.addSummary("geomean_speedup_irregular",
-                      irregular_mean.mean());
-    report.addSummary("geomean_speedup_regular", regular_mean.mean());
+    const double irregular_mean = exp::geomean(irregular_speedups);
+    const double regular_mean = exp::geomean(regular_speedups);
+    table.addRow({"GEOMEAN", "irregular", fmt(irregular_mean), "1.30"});
+    table.addRow({"GEOMEAN", "regular", fmt(regular_mean), "1.00"});
+    report.addSummary("geomean_speedup_irregular", irregular_mean);
+    report.addSummary("geomean_speedup_regular", regular_mean);
 
     report.addNote("paper (Fig. 8): +30% geomean, up to +41%, on the "
                    "six irregular apps; regular apps unchanged.");
@@ -349,7 +338,7 @@ fig09(const Experiment &self, const system::SystemConfig &base,
     auto &table = report.addTable(
         {"app", "class", "norm.stalls", "paper(approx)"});
 
-    MeanTracker irregular_mean;
+    std::vector<double> irregular_norms;
     for (const auto &app : spec.workloads) {
         const bool irregular = isIrregular(app);
         const auto &fcfs =
@@ -362,15 +351,14 @@ fig09(const Experiment &self, const system::SystemConfig &base,
                       / static_cast<double>(fcfs.stallTicks)
                 : 1.0;
         if (irregular)
-            irregular_mean.add(norm);
+            irregular_norms.push_back(norm);
         table.addRow({app, irregular ? "irregular" : "regular",
                       fmt(norm), fmt(paper.at(app), 2)});
     }
     table.addRule();
-    table.addRow({"GEOMEAN", "irregular", fmt(irregular_mean.mean()),
-                  "0.77"});
-    report.addSummary("geomean_norm_stalls_irregular",
-                      irregular_mean.mean());
+    const double irregular_mean = exp::geomean(irregular_norms);
+    table.addRow({"GEOMEAN", "irregular", fmt(irregular_mean), "0.77"});
+    report.addSummary("geomean_norm_stalls_irregular", irregular_mean);
 
     report.addNote("paper (Fig. 9): 23% average stall reduction (up "
                    "to 29%) on irregular apps; regular apps "
@@ -399,7 +387,7 @@ fig10(const Experiment &self, const system::SystemConfig &base,
     auto &table =
         report.addTable({"app", "norm.gap", "paper(approx)"});
 
-    MeanTracker mean;
+    std::vector<double> norms;
     for (const auto &app : spec.workloads) {
         const auto &fcfs =
             result.stats(app, core::SchedulerKind::Fcfs);
@@ -409,12 +397,13 @@ fig10(const Experiment &self, const system::SystemConfig &base,
             fcfs.walks.avgLatencyGap > 0
                 ? simt.walks.avgLatencyGap / fcfs.walks.avgLatencyGap
                 : 1.0;
-        mean.add(norm);
+        norms.push_back(norm);
         table.addRow({app, fmt(norm), fmt(paper.at(app), 2)});
     }
     table.addRule();
-    table.addRow({"GEOMEAN", fmt(mean.mean()), "0.63"});
-    report.addSummary("geomean_norm_latency_gap", mean.mean());
+    const double mean = exp::geomean(norms);
+    table.addRow({"GEOMEAN", fmt(mean), "0.63"});
+    report.addSummary("geomean_norm_latency_gap", mean);
 
     report.addNote(
         "paper (Fig. 10): batching shrinks the gap by 37% on average. "
@@ -446,7 +435,7 @@ fig11(const Experiment &self, const system::SystemConfig &base,
     auto &table = report.addTable(
         {"app", "fcfs", "simt", "normalized", "paper(approx)"});
 
-    MeanTracker mean;
+    std::vector<double> norms;
     for (const auto &app : spec.workloads) {
         const auto &fcfs =
             result.stats(app, core::SchedulerKind::Fcfs);
@@ -454,14 +443,15 @@ fig11(const Experiment &self, const system::SystemConfig &base,
             result.stats(app, core::SchedulerKind::SimtAware);
         const double norm = static_cast<double>(simt.walkRequests)
                             / static_cast<double>(fcfs.walkRequests);
-        mean.add(norm);
+        norms.push_back(norm);
         table.addRow({app, std::to_string(fcfs.walkRequests),
                       std::to_string(simt.walkRequests), fmt(norm),
                       fmt(paper.at(app), 2)});
     }
     table.addRule();
-    table.addRow({"GEOMEAN", "-", "-", fmt(mean.mean()), "0.79"});
-    report.addSummary("geomean_norm_walks", mean.mean());
+    const double mean = exp::geomean(norms);
+    table.addRow({"GEOMEAN", "-", "-", fmt(mean), "0.79"});
+    report.addSummary("geomean_norm_walks", mean);
 
     report.addNote("paper (Fig. 11): 21% average reduction (up to "
                    "30%) in page walks.");
@@ -490,7 +480,7 @@ fig12(const Experiment &self, const system::SystemConfig &base,
     auto &table = report.addTable(
         {"app", "fcfs", "simt", "normalized", "paper(approx)"});
 
-    MeanTracker mean;
+    std::vector<double> norms;
     for (const auto &app : spec.workloads) {
         const auto &fcfs =
             result.stats(app, core::SchedulerKind::Fcfs);
@@ -501,15 +491,15 @@ fig12(const Experiment &self, const system::SystemConfig &base,
                 ? simt.avgWavefrontsPerEpoch
                       / fcfs.avgWavefrontsPerEpoch
                 : 1.0;
-        mean.add(norm);
+        norms.push_back(norm);
         table.addRow({app, fmt(fcfs.avgWavefrontsPerEpoch, 1),
                       fmt(simt.avgWavefrontsPerEpoch, 1), fmt(norm),
                       fmt(paper.at(app), 2)});
     }
     table.addRule();
-    table.addRow({"GEOMEAN", "-", "-", fmt(mean.mean()), "0.58"});
-    report.addSummary("geomean_norm_wavefronts_per_epoch",
-                      mean.mean());
+    const double mean = exp::geomean(norms);
+    table.addRow({"GEOMEAN", "-", "-", fmt(mean), "0.58"});
+    report.addSummary("geomean_norm_wavefronts_per_epoch", mean);
 
     report.addNote(
         "paper (Fig. 12): 42% average reduction in distinct "
@@ -564,22 +554,22 @@ fig13(const Experiment &self, const system::SystemConfig &base,
         auto &table = report.addTable({"app", "speedup"});
         table.title = v.name;
 
-        MeanTracker mean;
+        std::vector<double> speedups;
         for (const auto &app : spec.workloads) {
             const auto &fcfs = result.stats(
                 app, core::SchedulerKind::Fcfs, v.name);
             const auto &simt = result.stats(
                 app, core::SchedulerKind::SimtAware, v.name);
             const double s = exp::speedup(simt, fcfs);
-            mean.add(s);
+            speedups.push_back(s);
             table.addRow({app, fmt(s)});
         }
         table.addRule();
-        table.addRow({"GEOMEAN", fmt(mean.mean())});
+        const double mean = exp::geomean(speedups);
+        table.addRow({"GEOMEAN", fmt(mean)});
         report.addNote("paper (Fig. 13" + v.name.substr(1, 1)
                        + "): mean speedup ~" + fmt(v.paperMean, 3));
-        report.addSummary("geomean_speedup_" + v.name.substr(1, 1),
-                          mean.mean());
+        report.addSummary("geomean_speedup_" + v.name.substr(1, 1), mean);
     }
 
     report.addNote("paper: benefits shrink as TLB capacity or walker "
@@ -628,22 +618,22 @@ fig14(const Experiment &self, const system::SystemConfig &base,
         auto &table = report.addTable({"app", "speedup"});
         table.title = v.name;
 
-        MeanTracker mean;
+        std::vector<double> speedups;
         for (const auto &app : spec.workloads) {
             const auto &fcfs = result.stats(
                 app, core::SchedulerKind::Fcfs, v.name);
             const auto &simt = result.stats(
                 app, core::SchedulerKind::SimtAware, v.name);
             const double s = exp::speedup(simt, fcfs);
-            mean.add(s);
+            speedups.push_back(s);
             table.addRow({app, fmt(s)});
         }
         table.addRule();
-        table.addRow({"GEOMEAN", fmt(mean.mean())});
+        const double mean = exp::geomean(speedups);
+        table.addRow({"GEOMEAN", fmt(mean)});
         report.addNote("paper: mean speedup ~" + fmt(v.paperMean, 2));
-        report.addSummary(
-            "geomean_speedup_" + std::to_string(v.buffer),
-            mean.mean());
+        report.addSummary("geomean_speedup_" + std::to_string(v.buffer),
+                          mean);
     }
 
     report.addNote(

@@ -12,48 +12,29 @@ namespace {
 
 /**
  * A hand-built sweep job: runs @p spec under @p kind, labelled
- * (@p workload, @p kind, @p seed), its trace file named by those
- * labels. @p add_extra, when set, copies experiment scalars out of the
- * stats into RunResult::extra.
+ * (@p workload, @p kind, @p seed).
  */
 exp::Job
 specJob(const std::string &workload, core::SchedulerKind kind,
-        std::uint64_t seed, exp::RunSpec spec,
-        void (*add_extra)(exp::RunResult &) = nullptr)
+        std::uint64_t seed, exp::RunSpec spec)
 {
-    exp::Job job{workload, core::toString(kind), "", seed};
     spec.cfg = exp::withScheduler(spec.cfg, kind);
-    spec.cfg.trace.outPath =
-        exp::traceFilePath(spec.cfg.trace.outPath, job);
-    job.body = [spec, add_extra] {
-        exp::RunResult res;
-        res.stats = exp::run(spec);
-        if (add_extra)
-            add_extra(res);
-        return res;
-    };
-    return job;
+    return exp::makeJob(workload, core::toString(kind), "", seed,
+                        std::move(spec));
 }
 
-/** A co-run job: two apps share one System; the per-app finish times
- *  land in RunResult::extra. */
+/** A co-run job: two apps share one System, the aggressor as app 0
+ *  and the victim as app 1. */
 exp::Job
 corunJob(const system::SystemConfig &base, core::SchedulerKind kind,
          const std::string &aggressor, const std::string &victim)
 {
     auto params = exp::experimentParams();
     params.wavefronts = 128; // per app; 256 total
-    return specJob(
-        aggressor + "+" + victim, kind, params.seed,
-        {base,
-         {{.workload = aggressor, .params = params},
-          {.workload = victim, .params = params, .appId = 1}}},
-        [](exp::RunResult &res) {
-            res.extra["aggressor_finish"] = static_cast<double>(
-                res.stats.appFinishTicks.at(0));
-            res.extra["victim_finish"] = static_cast<double>(
-                res.stats.appFinishTicks.at(1));
-        });
+    return specJob(aggressor + "+" + victim, kind, params.seed,
+                   {base,
+                    {{.workload = aggressor, .params = params},
+                     {.workload = victim, .params = params, .appId = 1}}});
 }
 
 /** The committed reference mix: 8 tenants, alternating weights. */
@@ -78,22 +59,14 @@ soloLabel(unsigned tenant)
     return "solo-t" + std::to_string(tenant);
 }
 
-/** Runs the whole reference mix in one System under @p kind;
- *  per-tenant finish ticks land in RunResult::extra. */
+/** Runs the whole reference mix in one System under @p kind. */
 exp::Job
 mixJob(const system::SystemConfig &base,
        const std::vector<workload::TenantSpec> &specs,
        core::SchedulerKind kind)
 {
     return specJob("mix8", kind, referenceMix().seed,
-                   {base, exp::tenantLoads(specs)},
-                   [](exp::RunResult &res) {
-                       for (const auto &t : res.stats.tenants) {
-                           res.extra["tenant" + std::to_string(t.ctx)
-                                     + "_finish"] =
-                               static_cast<double>(t.finishTick);
-                       }
-                   });
+                   {base, exp::tenantLoads(specs)});
 }
 
 /** Runs one tenant alone (same params, whole machine to itself). */
@@ -155,24 +128,20 @@ ablation_multiprogram(const Experiment &self, const system::SystemConfig &base,
                 .runtimeTicks);
         const std::string pair = aggressor + "+" + victim;
         const auto &fcfs =
-            result.at(pair, core::SchedulerKind::Fcfs);
+            result.stats(pair, core::SchedulerKind::Fcfs).appFinishTicks;
         const auto &simt =
-            result.at(pair, core::SchedulerKind::SimtAware);
+            result.stats(pair, core::SchedulerKind::SimtAware)
+                .appFinishTicks;
 
-        // Slowdown of each app relative to running alone under FCFS.
-        auto slowdown = [](double corun_t, double solo_t) {
-            return corun_t / solo_t;
+        // Slowdown of each app (aggressor app 0, victim app 1)
+        // relative to running alone under FCFS.
+        auto slowdown = [](sim::Tick corun_t, double solo_t) {
+            return fmt(static_cast<double>(corun_t) / solo_t, 2) + "x";
         };
-        table.addRow(
-            {pair,
-             fmt(slowdown(fcfs.extra.at("victim_finish"),
-                          victim_solo), 2) + "x",
-             fmt(slowdown(simt.extra.at("victim_finish"),
-                          victim_solo), 2) + "x",
-             fmt(slowdown(fcfs.extra.at("aggressor_finish"),
-                          aggr_solo), 2) + "x",
-             fmt(slowdown(simt.extra.at("aggressor_finish"),
-                          aggr_solo), 2) + "x"});
+        table.addRow({pair, slowdown(fcfs.at(1), victim_solo),
+                      slowdown(simt.at(1), victim_solo),
+                      slowdown(fcfs.at(0), aggr_solo),
+                      slowdown(simt.at(0), aggr_solo)});
     }
 
     report.addNote(
@@ -233,8 +202,8 @@ tenant_mix(const Experiment &self, const system::SystemConfig &base,
                 result.stats(soloLabel(i),
                              core::SchedulerKind::SimtAware)
                     .runtimeTicks);
-            const double finish = mix.extra.at(
-                "tenant" + std::to_string(i) + "_finish");
+            const double finish =
+                static_cast<double>(mix.stats.tenants.at(i).finishTick);
             slowdowns[kind].push_back(finish / solo);
         }
     }
@@ -348,7 +317,7 @@ oversubscription(const Experiment &self, const system::SystemConfig &base,
     for (const auto &sched : scheds) {
         for (const double r : ratios) {
             const std::string variant = "oversub-" + fmt(r, 2);
-            MeanTracker slow_mean;
+            std::vector<double> slowdowns;
             std::vector<std::uint64_t> hist(
                 vm::faultLatencyBucketBounds().size() + 1, 0);
             std::uint64_t hist_samples = 0;
@@ -357,7 +326,7 @@ oversubscription(const Experiment &self, const system::SystemConfig &base,
                 const auto &over = result.stats(app, sched, variant);
                 // Slowdown: inverse of speedup, > 1 = paging hurts.
                 const double s = exp::speedup(base, over);
-                slow_mean.add(s);
+                slowdowns.push_back(s);
                 const auto &g = over.gmmu;
                 for (std::size_t b = 0;
                      b < g.latencyBucketCounts.size()
@@ -372,13 +341,14 @@ oversubscription(const Experiment &self, const system::SystemConfig &base,
                      std::to_string(g.pagesEvicted),
                      fmt(g.latencyAvg / 1e6, 2)});
             }
+            const double mean = exp::geomean(slowdowns);
             table.addRow({"GEOMEAN", core::toString(sched), fmt(r, 2),
-                          fmt(slow_mean.mean()), "", "", ""});
+                          fmt(mean), "", "", ""});
             table.addRule();
             report.addSummary("geomean_slowdown_"
                                   + core::toString(sched) + "_"
                                   + fmt(r, 2),
-                              slow_mean.mean());
+                              mean);
             report.addSummary("fault_latency_samples_"
                                   + core::toString(sched) + "_"
                                   + fmt(r, 2),

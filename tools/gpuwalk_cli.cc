@@ -112,13 +112,16 @@ Demand paging (any flag enables the GMMU; excludes --large-pages):
 
 Output:
   --stats                 dump all component statistics (text)
-  --json=FILE             write component statistics as JSON
+  --json=FILE             write component statistics as JSON;
+                          --compare writes one file per scheduler
+                          (FILE with -fcfs / -simt-aware inserted
+                          before its extension)
   --save-trace=FILE       write the generated workload trace
                           (excludes --tenants and --load-trace)
   --trace-out=FILE        record the walk lifecycle and write a Chrome
                           trace_event JSON (chrome://tracing /
                           ui.perfetto.dev); --compare writes one file
-                          per scheduler
+                          per scheduler, named as for --json
   --trace-ring=N          trace ring-buffer capacity in events
                           (default 1Mi, at most 16Mi; oldest events
                           drop first)
@@ -220,12 +223,13 @@ simulate(const exp::RunSpec &spec, const exp::CliOptions &opt)
     return run;
 }
 
-/** Prints the run summary and any dumps, in the classic order. */
+/** Prints the run summary and any dumps, in the classic order, and
+ *  writes the component JSON to @p json_path ("" writes none). */
 void
 reportRun(const system::SystemConfig &cfg, const exp::CliOptions &opt,
-          const CliRun &run, bool quiet)
+          const CliRun &run, const std::string &json_path)
 {
-    if (!quiet) {
+    if (!opt.quiet) {
         const auto &stats = run.stats;
         std::cout << "scheduler          "
                   << core::toString(cfg.scheduler) << "\n"
@@ -268,10 +272,10 @@ reportRun(const system::SystemConfig &cfg, const exp::CliOptions &opt,
     }
     if (opt.dumpStats)
         std::cout << run.statsDump;
-    if (!opt.jsonPath.empty()) {
-        std::ofstream os(opt.jsonPath);
+    if (!json_path.empty()) {
+        std::ofstream os(json_path);
         if (!os)
-            sim::fatal("cannot open '", opt.jsonPath, "'");
+            sim::fatal("cannot open '", json_path, "'");
         os << run.componentJson;
     }
 }
@@ -338,46 +342,39 @@ runMain(const exp::CliOptions &opt)
     const auto &cfg = spec.cfg;
     if (!opt.compare) {
         const auto run = simulate(spec, opt);
-        reportRun(cfg, opt, run, opt.quiet);
+        reportRun(cfg, opt, run, opt.jsonPath);
         return run.stats.auditViolations ? 1 : 0;
     }
 
-    // Both schedulers as one job pool; dumps are captured into
+    // Both schedulers on one worker pool; dumps are captured into
     // per-run slots so output order is independent of execution
-    // order.
+    // order. Each scheduler writes its own --trace-out and --json
+    // file: the second run would otherwise overwrite the first's.
     const std::array<core::SchedulerKind, 2> kinds{
         core::SchedulerKind::Fcfs, core::SchedulerKind::SimtAware};
+    auto ownPath = [](const std::string &path, core::SchedulerKind kind) {
+        return path.empty()
+                   ? path
+                   : exp::insertPathSuffix(path,
+                                           "-" + core::toString(kind));
+    };
     std::array<CliRun, 2> runs;
-    std::vector<exp::Job> jobs;
-    for (std::size_t i = 0; i < kinds.size(); ++i) {
+    exp::forEachIndex(kinds.size(), opt.runner, [&](std::size_t i) {
         auto run_spec = spec;
         run_spec.cfg = exp::withScheduler(cfg, kinds[i]);
-        // One trace file per scheduler: both runs would otherwise
-        // race on (and overwrite) the same --trace-out path.
-        std::string &trace = run_spec.cfg.trace.outPath;
-        if (!trace.empty()) {
-            trace = exp::insertPathSuffix(
-                trace, "-" + core::toString(kinds[i]));
-        }
-        // Only the first job writes --save-trace (both would produce
+        run_spec.cfg.trace.outPath = ownPath(cfg.trace.outPath, kinds[i]);
+        // Only the first run writes --save-trace (both would produce
         // identical bytes; avoid the file race).
         if (i > 0)
             run_spec.loads[0].saveTrace.clear();
-        exp::Job job;
-        job.body = [&runs, i, run_spec, &opt] {
-            runs[i] = simulate(run_spec, opt);
-            exp::RunResult res;
-            res.stats = runs[i].stats;
-            return res;
-        };
-        jobs.push_back(std::move(job));
-    }
-    exp::runJobs(jobs, opt.runner);
+        runs[i] = simulate(run_spec, opt);
+    });
 
-    std::cout << "=== fcfs ===\n";
-    reportRun(exp::withScheduler(cfg, kinds[0]), opt, runs[0], opt.quiet);
-    std::cout << "=== simt-aware ===\n";
-    reportRun(exp::withScheduler(cfg, kinds[1]), opt, runs[1], opt.quiet);
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+        std::cout << "=== " << core::toString(kinds[i]) << " ===\n";
+        reportRun(exp::withScheduler(cfg, kinds[i]), opt, runs[i],
+                  ownPath(opt.jsonPath, kinds[i]));
+    }
     std::cout << "\nspeedup (simt-aware over fcfs): "
               << exp::TablePrinter::fmt(
                      exp::speedup(runs[1].stats, runs[0].stats))
