@@ -68,6 +68,19 @@ class BackingStore
     /** Writes a 64-bit little-endian word. */
     void write64(Addr addr, std::uint64_t v) { write(addr, v, 8); }
 
+    /**
+     * The bytes of the frame containing @p addr, materializing it if
+     * needed. Slabs never move and frames are never erased, so the
+     * pointer stays valid for the store's lifetime: a bulk writer
+     * (PageTable::mapRange) fills a whole table page through it with
+     * one index probe.
+     */
+    std::uint8_t *
+    frameBytes(Addr addr)
+    {
+        return findOrCreate(pageNumber(addr)).data();
+    }
+
     /** Number of frames actually materialized. */
     std::size_t framesAllocated() const { return index_.size(); }
 

@@ -4,9 +4,13 @@
  *
  * Workload generators allocate named buffers; the address space lays
  * them out in virtual memory and eagerly maps every page through the
- * shared x86-64 page table. Under the GMMU's demand-paging mode
- * (vm/gmmu.hh) the eager mapping is skipped: regions are laid out but
- * left non-present, and pages fault in on first touch by a walker.
+ * shared x86-64 page table. A 4 KB region is mapped in bulk
+ * (PageTable::mapRange): the upper levels are walked once per 2 MB,
+ * not once per page, but every frame is taken in the same order as
+ * page-by-page mapping, so physical addresses do not depend on it.
+ * Under the GMMU's demand-paging mode (vm/gmmu.hh) the eager mapping
+ * is skipped: regions are laid out but left non-present, and pages
+ * fault in on first touch by a walker.
  */
 
 #ifndef GPUWALK_VM_ADDRESS_SPACE_HH
@@ -73,7 +77,10 @@ class AddressSpace
     /**
      * Allocates @p bytes of virtual memory (rounded up to whole
      * pages — 4 KB or 2 MB depending on the page-size policy) and
-     * maps every page to fresh physical frames.
+     * maps every page to fresh physical frames. 4 KB pages are mapped
+     * in one PageTable::mapRange call, which takes each page's frame
+     * and then any table frame it needs, the order a per-page map()
+     * loop would.
      * @return the region descriptor.
      */
     VaRegion
@@ -100,14 +107,14 @@ class AddressSpace
                            frames_.framesTotal() * mem::pageSize,
                            " bytes) holds ", frames_.framesTotal());
             }
-            for (mem::Addr va = region.base; va < region.end();
-                 va += granule) {
-                if (largePages_) {
+            if (largePages_) {
+                for (mem::Addr va = region.base; va < region.end();
+                     va += granule) {
                     pageTable_.mapLarge(va,
                                         frames_.allocateLargeFrame());
-                } else {
-                    pageTable_.map(va, frames_.allocateFrame());
                 }
+            } else {
+                pageTable_.mapRange(region.base, size / mem::pageSize);
             }
         }
         regions_.push_back(region);

@@ -1,5 +1,7 @@
 #include "vm/page_table.hh"
 
+#include <cstring>
+
 namespace gpuwalk::vm {
 
 PageTable::PageTable(mem::BackingStore &store, FrameAllocator &frames)
@@ -25,23 +27,49 @@ PageTable::ensureTable(mem::Addr slot)
     return table;
 }
 
+std::uint8_t *
+PageTable::leafTable(mem::Addr va)
+{
+    mem::Addr table = root_;
+    for (unsigned l = numPtLevels; l > 1; --l)
+        table = ensureTable(entrySlot(table, va, PtLevel{l}));
+    return store_.frameBytes(table);
+}
+
+void
+PageTable::setLeaf(std::uint8_t *pt, mem::Addr va, mem::Addr pa,
+                   bool writable)
+{
+    std::uint64_t leaf = (pa & pte::addrMask) | pte::present;
+    if (writable)
+        leaf |= pte::writable;
+    std::uint8_t *slot = pt + std::uint64_t(indexAt(va, PtLevel::Pt)) * 8;
+    std::uint64_t old;
+    std::memcpy(&old, slot, sizeof old);
+    if ((old & pte::present) == 0)
+        ++mappings_;
+    std::memcpy(slot, &leaf, sizeof leaf);
+}
+
 void
 PageTable::map(mem::Addr va, mem::Addr pa, bool writable)
 {
     GPUWALK_ASSERT((va & (mem::pageSize - 1)) == 0, "unaligned va ", va);
     GPUWALK_ASSERT((pa & (mem::pageSize - 1)) == 0, "unaligned pa ", pa);
+    setLeaf(leafTable(va), va, pa, writable);
+}
 
-    mem::Addr pdpt = ensureTable(entrySlot(root_, va, PtLevel::Pml4));
-    mem::Addr pd = ensureTable(entrySlot(pdpt, va, PtLevel::Pdpt));
-    mem::Addr pt = ensureTable(entrySlot(pd, va, PtLevel::Pd));
-
-    std::uint64_t leaf = (pa & pte::addrMask) | pte::present;
-    if (writable)
-        leaf |= pte::writable;
-    const mem::Addr slot = entrySlot(pt, va, PtLevel::Pt);
-    if ((store_.read64(slot) & pte::present) == 0)
-        ++mappings_;
-    store_.write64(slot, leaf);
+void
+PageTable::mapRange(mem::Addr va, std::uint64_t pages)
+{
+    GPUWALK_ASSERT((va & (mem::pageSize - 1)) == 0, "unaligned va ", va);
+    std::uint8_t *pt = nullptr;
+    for (std::uint64_t i = 0; i < pages; ++i, va += mem::pageSize) {
+        const mem::Addr pa = frames_.allocateFrame();
+        if (pt == nullptr || indexAt(va, PtLevel::Pt) == 0)
+            pt = leafTable(va);
+        setLeaf(pt, va, pa, true);
+    }
 }
 
 void

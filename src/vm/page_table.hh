@@ -79,6 +79,18 @@ class PageTable
     void map(mem::Addr va, mem::Addr pa, bool writable = true);
 
     /**
+     * Maps the @p pages consecutive 4 KB pages from @p va (page
+     * aligned), each writable, to fresh frames from the allocator.
+     * Frames, table pages and store frames come in exactly the order
+     * a loop of map(va, frames.allocateFrame()) takes them: each
+     * page's data frame first, then any table frame it needs. The
+     * upper levels are walked only when the range enters a new leaf
+     * page (its start and each 2 MB boundary), and each leaf is
+     * written straight into that page's bytes.
+     */
+    void mapRange(mem::Addr va, std::uint64_t pages);
+
+    /**
      * Maps a 2 MB large page: the PD-level entry becomes a leaf with
      * the PS bit set (paper §VI discussion). Both addresses must be
      * 2 MB aligned, and the region must not already hold 4 KB
@@ -164,6 +176,14 @@ class PageTable
 
     /** Ensures the table at @p level below @p slot exists. */
     mem::Addr ensureTable(mem::Addr slot);
+
+    /** Ensures the PDPT, PD and PT pages on @p va's path exist and
+     *  returns the bytes of the PT (leaf) page. */
+    std::uint8_t *leafTable(mem::Addr va);
+
+    /** Writes @p va's leaf PTE, mapping @p pa, into PT page @p pt. */
+    void setLeaf(std::uint8_t *pt, mem::Addr va, mem::Addr pa,
+                 bool writable);
 
     mem::BackingStore &store_;
     FrameAllocator &frames_;

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "vm/address_space.hh"
 
@@ -52,6 +54,47 @@ TEST(FrameAllocatorDeathTest, ExhaustionPanics)
     EXPECT_DEATH(alloc.allocateFrame(), "out of physical memory");
 }
 
+TEST(FrameAllocator, ScrambledFramesNeverLieInLargeFrames)
+{
+    // Under scramble, 4 KB frames spread over all of memory while 2 MB
+    // frames come from the top; neither may land inside the other,
+    // whichever is taken first. In 8 GiB, bump index 10064 is the first
+    // 4 KB frame in the topmost 2 MB block.
+    constexpr Addr physBytes = Addr(8) << 30;
+    const auto inside = [](const std::vector<Addr> &large, Addr frame) {
+        return std::any_of(large.begin(), large.end(), [&](Addr base) {
+            return frame >= base && frame < base + largePageSize;
+        });
+    };
+
+    {
+        FrameAllocator alloc(physBytes, /*scramble=*/true);
+        std::vector<Addr> small;
+        for (int i = 0; i < 10065; ++i)
+            small.push_back(alloc.allocateFrame());
+        std::vector<Addr> large;
+        for (int i = 0; i < 4; ++i)
+            large.push_back(alloc.allocateLargeFrame());
+        for (const Addr f : small)
+            EXPECT_FALSE(inside(large, f)) << "4 KB frame " << f;
+        EXPECT_EQ(alloc.framesInUse(), 10065u + 4u * 512u);
+    }
+    {
+        FrameAllocator alloc(physBytes, /*scramble=*/true);
+        std::vector<Addr> large;
+        for (int i = 0; i < 64; ++i)
+            large.push_back(alloc.allocateLargeFrame());
+        std::set<Addr> small;
+        for (int i = 0; i < 20000; ++i) {
+            const Addr f = alloc.allocateFrame();
+            EXPECT_FALSE(inside(large, f)) << "4 KB frame " << f;
+            EXPECT_TRUE(small.insert(f).second) << "duplicate " << f;
+        }
+        EXPECT_EQ(alloc.framesAllocated(), 20000u);
+        EXPECT_EQ(alloc.framesInUse(), 20000u + 64u * 512u);
+    }
+}
+
 struct AddressSpaceFixture : public ::testing::Test
 {
     mem::BackingStore store;
@@ -94,6 +137,26 @@ TEST_F(AddressSpaceFixture, DistinctRegionsDistinctFrames)
             EXPECT_TRUE(frames_seen.insert(*pa).second);
         }
     }
+}
+
+TEST_F(AddressSpaceFixture, RegionFramesMatchPerPageMapping)
+{
+    // Scrambled twins: a region mapped by allocate() takes the same
+    // frames as a page-by-page map() of the same pages.
+    mem::BackingStore refStore;
+    FrameAllocator refFrames{Addr(1) << 30, /*scramble=*/true};
+    PageTable reference{refStore, refFrames};
+    mem::BackingStore bulkStore;
+    FrameAllocator bulkFrames{Addr(1) << 30, /*scramble=*/true};
+    AddressSpace bulk{bulkStore, bulkFrames};
+
+    const auto region = bulk.allocate("buf", 1500 * mem::pageSize);
+    for (Addr va = region.base; va < region.end(); va += mem::pageSize)
+        reference.map(va, refFrames.allocateFrame());
+    for (Addr va = region.base; va < region.end(); va += mem::pageSize)
+        EXPECT_EQ(bulk.pageTable().translate(va), reference.translate(va));
+    EXPECT_EQ(bulk.pageTable().tablePages(), reference.tablePages());
+    EXPECT_EQ(bulkFrames.framesAllocated(), refFrames.framesAllocated());
 }
 
 TEST_F(AddressSpaceFixture, FootprintSumsRegions)

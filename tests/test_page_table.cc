@@ -150,6 +150,69 @@ TEST_F(PageTableFixture, NonWritableMapping)
     EXPECT_FALSE(store.read64(*pte_addr) & pte::writable);
 }
 
+TEST_F(PageTableFixture, MapRangeMatchesPerPageMap)
+{
+    // Twin tables on twin stores and scrambled allocators: one mapped
+    // page by page, one in bulk. The first range crosses two leaf-page
+    // (2 MB) boundaries and the 1 GiB PDPT boundary at 2 GiB; the
+    // second starts inside a leaf page the first one created.
+    mem::BackingStore perPageStore;
+    mem::BackingStore bulkStore;
+    FrameAllocator perPageFrames{Addr(1) << 30, /*scramble=*/true};
+    FrameAllocator bulkFrames{Addr(1) << 30, /*scramble=*/true};
+    PageTable perPage{perPageStore, perPageFrames};
+    PageTable bulk{bulkStore, bulkFrames};
+
+    const auto expectSameCounts = [&] {
+        EXPECT_EQ(bulk.tablePages(), perPage.tablePages());
+        EXPECT_EQ(bulk.mappings(), perPage.mappings());
+        EXPECT_EQ(bulkFrames.framesAllocated(),
+                  perPageFrames.framesAllocated());
+        EXPECT_EQ(bulkStore.framesAllocated(),
+                  perPageStore.framesAllocated());
+    };
+
+    const Addr first = (Addr(2) << 30) - 700 * mem::pageSize;
+    const struct { Addr base; std::uint64_t pages; } ranges[] = {
+        {first, 1400},
+        {first + 1401 * mem::pageSize, 100},
+    };
+    std::uint64_t mapped = 0;
+    for (const auto &range : ranges) {
+        for (std::uint64_t i = 0; i < range.pages; ++i) {
+            perPage.map(range.base + i * mem::pageSize,
+                        perPageFrames.allocateFrame());
+        }
+        bulk.mapRange(range.base, range.pages);
+        mapped += range.pages;
+        expectSameCounts();
+
+        for (std::uint64_t i = 0; i < range.pages; ++i) {
+            const Addr va = range.base + i * mem::pageSize;
+            ASSERT_TRUE(bulk.translate(va).has_value()) << va;
+            EXPECT_EQ(bulk.translate(va), perPage.translate(va)) << va;
+            for (unsigned l = 1; l <= numPtLevels; ++l) {
+                EXPECT_EQ(bulk.entryAddress(va, PtLevel{l}),
+                          perPage.entryAddress(va, PtLevel{l}))
+                    << va << " level " << l;
+            }
+        }
+    }
+    EXPECT_EQ(bulk.mappings(), mapped);
+    // Root, one PDPT, a PD per GiB and four leaf pages.
+    EXPECT_EQ(bulk.tablePages(), 1u + 1u + 2u + 4u);
+
+    // An empty range maps and allocates nothing.
+    const auto tables = bulk.tablePages();
+    const auto frames = bulkFrames.framesAllocated();
+    const auto stored = bulkStore.framesAllocated();
+    bulk.mapRange(Addr(1) << 39, 0);
+    EXPECT_EQ(bulk.mappings(), mapped);
+    EXPECT_EQ(bulk.tablePages(), tables);
+    EXPECT_EQ(bulkFrames.framesAllocated(), frames);
+    EXPECT_EQ(bulkStore.framesAllocated(), stored);
+}
+
 TEST_F(PageTableFixture, DeathOnUnalignedMap)
 {
     EXPECT_DEATH(table.map(0x40000001, 0x5000), "unaligned va");
