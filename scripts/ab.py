@@ -12,8 +12,9 @@ that goes first flips on every pair (the first run of a pair tends to
 win). Per workload, seed and metric it prints one Markdown row: both
 medians with quartiles, the median and range of the paired ratios
 (working tree / REV), a bootstrap 95% interval of their median, how many
-pairs the working tree won, and the runs that failed. A pair whose
-sim_cycles differ is flagged: a host-only change must not move them.
+pairs the working tree won, and the runs that failed. With --trace 0, a
+pair whose sim_cycles differ is flagged: a host-only change must not
+move them.
 
 `scripts/ab.py HEAD` on a clean tree is an A/A calibration: its
 intervals should contain 1.0.

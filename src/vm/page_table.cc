@@ -44,7 +44,7 @@ PageTable::setLeaf(std::uint8_t *pt, mem::Addr va, mem::Addr pa,
     if (writable)
         leaf |= pte::writable;
     std::uint8_t *slot = pt + std::uint64_t(indexAt(va, PtLevel::Pt)) * 8;
-    std::uint64_t old;
+    std::uint64_t old = 0;
     std::memcpy(&old, slot, sizeof old);
     if ((old & pte::present) == 0)
         ++mappings_;
