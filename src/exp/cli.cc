@@ -249,14 +249,6 @@ const Flag flags[] = {
     // Single run: workload, scheduler and output.
     {"workload", RunOnly, Arity::Required,
      [](CliOptions &o, const std::string &v) { o.workload = v; }},
-    {"load-trace", RunOnly, Arity::Required,
-     [](CliOptions &o, const std::string &v) {
-         o.loadTrace = toPath("load-trace", v);
-     }},
-    {"save-trace", RunOnly, Arity::Required,
-     [](CliOptions &o, const std::string &v) {
-         o.saveTrace = toPath("save-trace", v);
-     }},
     {"list-workloads", RunOnly, Arity::None,
      [](CliOptions &o, const std::string &) { o.listWorkloads = true; }},
     {"scheduler", RunOnly, Arity::Required,
@@ -397,11 +389,6 @@ parseCli(Command command, const std::vector<std::string> &args)
     }
     // Pairs where one flag would silently drop or break the other.
     const char *const exclusive[][3] = {
-        {"tenants", "load-trace",
-         "the mix generator picks each tenant's workload"},
-        {"save-trace", "tenants", "a mix has no single workload trace"},
-        {"save-trace", "load-trace", "a replay generates no trace"},
-        {"workload", "load-trace", "the replayed trace is the workload"},
         {"tenants", "virtual-l1",
          "a virtual L1 translates below the cache, where the owning "
          "tenant is unknown"},

@@ -64,8 +64,6 @@ struct CliOptions
 
     // Run only.
     std::string workload = "MVT";
-    std::string loadTrace;   ///< "" = generate from the registry
-    std::string saveTrace;   ///< "" = don't save
     unsigned tenants = 1;    ///< > 1 = multi-tenant mix
     double churnFraction = 0.0;
     bool alternateWeights = false;

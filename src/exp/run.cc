@@ -4,7 +4,6 @@
 
 #include "trace/chrome_export.hh"
 #include "workload/registry.hh"
-#include "workload/trace_io.hh"
 
 namespace gpuwalk::exp {
 
@@ -68,18 +67,9 @@ build(const RunSpec &spec)
             load.newContext ? sys->createContext() : tlb::defaultContext;
         vm::AddressSpace &as = sys->addressSpaceOf(ctx);
         as.useLargePages(load.params.useLargePages);
-        gpu::GpuWorkload wl;
-        if (load.replay.empty()) {
-            wl = workload::makeWorkload(load.workload)
-                     ->generate(as, load.params);
-            if (!load.saveTrace.empty())
-                workload::saveTraceFile(load.saveTrace, wl);
-        } else {
-            wl = workload::loadTraceFile(load.replay);
-            // External traces reference raw virtual addresses: map them.
-            workload::mapTraceAddresses(as, wl);
-        }
-        sys->loadWorkload(std::move(wl), load.appId, ctx, load.arrival);
+        sys->loadWorkload(
+            workload::makeWorkload(load.workload)->generate(as, load.params),
+            load.appId, ctx, load.arrival);
     }
     return sys;
 }

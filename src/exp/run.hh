@@ -37,13 +37,11 @@ struct RunResult
 };
 
 /** One workload of a run: a registry workload generated from
- *  @ref params, or a gpuwalk-trace v1 file replayed. */
+ *  @ref params. */
 struct Load
 {
     std::string workload{};            ///< registry abbreviation
     workload::WorkloadParams params{};
-    std::string replay{};              ///< trace file; replaces workload
-    std::string saveTrace{};           ///< writes the generated trace
     unsigned appId = 0;
     bool newContext = false;           ///< own address space (tenant)
     sim::Tick arrival = 0;             ///< 0 = loaded before start

@@ -30,10 +30,6 @@ constexpr unsigned wavefrontSize = 64;
  *  compute gaps in ticks stay far from wrapping. */
 inline constexpr std::uint64_t maxComputeCycles = 0xffff'ffff;
 
-/** Lane addresses stay below 2^48: the TLB keys pack the context ID
- *  into the top 16 bits of a virtual page. */
-inline constexpr mem::Addr vaLimit = mem::Addr{1} << 48;
-
 /** One SIMD memory instruction executed by a wavefront. */
 struct SimdMemInstruction
 {

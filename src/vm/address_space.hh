@@ -121,25 +121,6 @@ class AddressSpace
         return region;
     }
 
-    /**
-     * Maps the page containing @p va if it is not mapped yet
-     * (honouring the page-size policy). Used when replaying external
-     * traces whose regions were never allocated through allocate().
-     */
-    void
-    ensureMapped(mem::Addr va)
-    {
-        if (pageTable_.translate(va).has_value())
-            return;
-        if (largePages_) {
-            pageTable_.mapLarge(va & ~largePageMask,
-                                frames_.allocateLargeFrame());
-        } else {
-            pageTable_.map(mem::pageAlign(va),
-                           frames_.allocateFrame());
-        }
-    }
-
     /** The backing page table (shared CPU/GPU table in the paper). */
     PageTable &pageTable() { return pageTable_; }
     const PageTable &pageTable() const { return pageTable_; }

@@ -52,8 +52,8 @@ windowedRandomLanes(sim::Rng &rng, const vm::VaRegion &region,
                     unsigned lanes = gpu::wavefrontSize);
 
 /** Convenience: wraps lanes into an instruction. The compute gap is
- *  capped at gpu::maxComputeCycles, the trace loader's bound, so every
- *  generated workload saves and reloads. */
+ *  capped at gpu::maxComputeCycles, so a wavefront's compute gaps in
+ *  ticks do not wrap. */
 gpu::SimdMemInstruction
 makeInstr(std::vector<mem::Addr> lanes, bool is_load,
           sim::Cycles compute_cycles);

@@ -122,6 +122,9 @@ TEST(Patterns, MakeInstrWiresFields)
     EXPECT_EQ(instr.laneAddrs.size(), 2u);
     EXPECT_FALSE(instr.isLoad);
     EXPECT_EQ(instr.computeCycles, 99u);
+    // The compute gap is capped, so gaps in ticks cannot wrap.
+    instr = makeInstr({0x10}, true, gpu::maxComputeCycles + 1);
+    EXPECT_EQ(instr.computeCycles, gpu::maxComputeCycles);
 }
 
 TEST(Patterns, SquareDimMatchesFootprint)

@@ -3,10 +3,10 @@
  * The gpuwalk command-line simulator driver.
  *
  * One binary to run any (workload, scheduler, configuration)
- * combination, dump component statistics (text or JSON), save/replay
- * workload traces, compare schedulers, and run the paper's tables,
- * figures and ablations (`gpuwalk sweep <name>`) — the front door a
- * downstream user scripts experiments through.
+ * combination, dump component statistics (text or JSON), compare
+ * schedulers, and run the paper's tables, figures and ablations
+ * (`gpuwalk sweep <name>`) — the front door a downstream user scripts
+ * experiments through.
  *
  * Run `gpuwalk --help` for the full flag reference.
  */
@@ -44,11 +44,9 @@ Usage: gpuwalk [flags]                 simulate one workload
        gpuwalk sweep <name> [flags]    run one paper table, figure or
                                        ablation (see Sweeps below)
 
-Workload selection (one of):
+Workload selection:
   --workload=NAME         Table II benchmark (XSB MVT ATX NW BIC GEV
                           SSP MIS CLR BCK KMN HOT)
-  --load-trace=FILE       replay a gpuwalk-trace v1 file (at the
-                          page size --large-pages selects)
   --list-workloads        print the benchmark table and exit
 
 Scheduler:
@@ -116,8 +114,6 @@ Output:
                           --compare writes one file per scheduler
                           (FILE with -fcfs / -simt-aware inserted
                           before its extension)
-  --save-trace=FILE       write the generated workload trace
-                          (excludes --tenants and --load-trace)
   --trace-out=FILE        record the walk lifecycle and write a Chrome
                           trace_event JSON (chrome://tracing /
                           ui.perfetto.dev); --compare writes one file
@@ -173,7 +169,7 @@ struct CliRun
 };
 
 /** The run the flags describe: the --tenants mix (shaped by the
- *  workload flags), or one workload, generated or replayed. */
+ *  workload flags), or one generated workload. */
 exp::RunSpec
 runSpec(const exp::CliOptions &opt)
 {
@@ -188,11 +184,7 @@ runSpec(const exp::CliOptions &opt)
         return {opt.cfg,
                 exp::tenantLoads(workload::generateTenantMix(mix))};
     }
-    return {opt.cfg,
-            {{.workload = opt.workload,
-              .params = opt.params,
-              .replay = opt.loadTrace,
-              .saveTrace = opt.saveTrace}}};
+    return {opt.cfg, {{.workload = opt.workload, .params = opt.params}}};
 }
 
 CliRun
@@ -363,10 +355,6 @@ runMain(const exp::CliOptions &opt)
         auto run_spec = spec;
         run_spec.cfg = exp::withScheduler(cfg, kinds[i]);
         run_spec.cfg.trace.outPath = ownPath(cfg.trace.outPath, kinds[i]);
-        // Only the first run writes --save-trace (both would produce
-        // identical bytes; avoid the file race).
-        if (i > 0)
-            run_spec.loads[0].saveTrace.clear();
         runs[i] = simulate(run_spec, opt);
     });
 
